@@ -33,6 +33,12 @@ def cmd_verify(args) -> int:
         sys.stderr.write("unknown suite: %s\n" % name)
         sys.stderr.write("run 'cubehom list' for the catalog\n")
         return 2
+    for flag, value, least in (("--trials", args.trials, 1),
+                               ("--r", args.r, 0), ("--dim", args.dim, 0)):
+        if value is not None and value < least:
+            sys.stderr.write("%s must be at least %d, got %d\n"
+                             % (flag, least, value))
+            return 2
     seed = args.seed
     if seed is None:
         env = os.environ.get("CUBEHOM_SEED")
@@ -41,9 +47,6 @@ def cmd_verify(args) -> int:
     report = suites.run_suite(name, r=args.r, dim=args.dim,
                               trials=args.trials, seed=seed)
     report["version"] = __version__
-    if not args.json:
-        # the human-readable summary is identical content, flat layout
-        pass
     _emit(report, args.out)
     sys.stderr.write("suite %s finished in %.2fs\n" % (name, time.time() - t0))
     return 0 if report["ok"] else 1
@@ -62,9 +65,19 @@ def cmd_list(args) -> int:
 def _load_complex(path):
     with open(path) as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError("top level must be a JSON object")
+    dims_obj, bnd_obj = obj.get("dims", {}), obj.get("boundary", {})
+    if not (isinstance(dims_obj, dict) and isinstance(bnd_obj, dict)):
+        raise ValueError("'dims' and 'boundary' must be JSON objects")
+    dims = {int(k): int(v) for k, v in dims_obj.items()}
+    for n, d in dims.items():
+        if d < 0:
+            raise ValueError("negative dimension %d at degree %d" % (d, n))
     bnds = {}
-    dims = {int(k): int(v) for k, v in obj.get("dims", {}).items()}
-    for k, mat in obj.get("boundary", {}).items():
+    for k, mat in bnd_obj.items():
+        if not isinstance(mat, dict):
+            raise ValueError("boundary %s must be a JSON object" % k)
         bnds[int(k)] = RatMatrix.from_json_obj(mat)
     return dims, bnds
 
@@ -72,7 +85,7 @@ def _load_complex(path):
 def cmd_homology(args) -> int:
     try:
         dims, bnds = _load_complex(args.file)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         sys.stderr.write("cannot read complex: %s\n" % exc)
         return 2
     for n, m in bnds.items():
@@ -129,8 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=None,
                    help="random seed (CUBEHOM_SEED is the fallback)")
     v.add_argument("--out", default=None, help="write the JSON report here")
-    v.add_argument("--json", action="store_true",
-                   help="accepted for compatibility; output is always JSON")
     h = sub.add_parser("homology", help="homology table of a JSON chain complex")
     h.add_argument("file")
     h.add_argument("--out", default=None)

@@ -55,10 +55,6 @@ def _mk(n, verts, arrows) -> "ExactCube":
     return ExactCube(n, verts, arrows).intern()
 
 
-def _zero_matrix(rows: int, cols: int) -> RatMatrix:
-    return RatMatrix(rows, cols)
-
-
 class ExactCube:
     """An exact n-cube: vertex objects and one arrow per lattice step.
 
@@ -371,12 +367,12 @@ def degeneracy(cube: ExactCube, j: int, sign: int) -> ExactCube:
             dst = verts[_step(a, k)]
             if k == j:
                 if src.dim == 0 or dst.dim == 0:
-                    arrows[(k, a)] = _zero_matrix(dst.dim, src.dim)
+                    arrows[(k, a)] = RatMatrix.zero(dst.dim, src.dim)
                 else:
                     arrows[(k, a)] = RatMatrix.identity(src.dim)
             else:
                 if src.dim == 0 or dst.dim == 0:
-                    arrows[(k, a)] = _zero_matrix(dst.dim, src.dim)
+                    arrows[(k, a)] = RatMatrix.zero(dst.dim, src.dim)
                 else:
                     kk = k if k < j else k - 1
                     arrows[(k, a)] = cube.arrows[(kk, rest)]
@@ -524,7 +520,7 @@ def rho(cube: ExactCube, j: int) -> ExactCube:
             b = _step(a, k)
             sv, dv = verts[a], verts[b]
             if sv.dim == 0 or dv.dim == 0:
-                arrows[(k, a)] = _zero_matrix(dv.dim, sv.dim)
+                arrows[(k, a)] = RatMatrix.zero(dv.dim, sv.dim)
                 continue
             ca, cb = collapse(a), collapse(b)
             if k in (j, j + 1):
@@ -896,7 +892,7 @@ def composite_pullback(morphisms, cube: ExactCube) -> ExactCube:
             b = _step(a, k)
             sv, dv = verts[a], verts[b]
             if sv.dim == 0 or dv.dim == 0:
-                arrows[(k, a)] = _zero_matrix(dv.dim, sv.dim)
+                arrows[(k, a)] = RatMatrix.zero(dv.dim, sv.dim)
             elif k <= w:
                 # natural isomorphism between regroupings: identity matrix
                 arrows[(k, a)] = RatMatrix.identity(sv.dim)
@@ -975,7 +971,7 @@ def bracket_cube(cubes, isos=None) -> ExactCube:
             b = _step(a, k)
             sv, dv = verts[a], verts[b]
             if sv.dim == 0 or dv.dim == 0:
-                arrows[(k, a)] = _zero_matrix(dv.dim, sv.dim)
+                arrows[(k, a)] = RatMatrix.zero(dv.dim, sv.dim)
             elif k <= l:
                 cj = chain_index(b[:l])
                 m = RatMatrix.identity(sv.dim)

@@ -9,6 +9,7 @@ inside cube vertices and chain generators.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
@@ -246,9 +247,7 @@ def _rank_bareiss(m: RatMatrix) -> int:
     a = []
     for i in range(m.rows):
         row = [m.entries.get((i, j), Fraction(0)) for j in range(m.cols)]
-        den = 1
-        for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
+        den = math.lcm(*(x.denominator for x in row))
         a.append([int(x * den) for x in row])
     nrows, ncols = len(a), m.cols
     prev = 1
@@ -271,12 +270,6 @@ def _rank_bareiss(m: RatMatrix) -> int:
         if r == nrows:
             break
     return r
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a >= 0 else -a
 
 
 def _rank_sparse(m: RatMatrix) -> int:

@@ -26,7 +26,7 @@ from itertools import combinations, permutations
 from . import ccx
 from .cubes import (CubeChain, ExactCube, ExactFunctor, act_sym, alt,
                     boundary, composite_pullback, transposition)
-from .exactlin import MetObj, RatMatrix
+from .exactlin import MetObj, RatMatrix, rref
 from .signs import sgn_division
 
 
@@ -440,10 +440,6 @@ def check_xi_f1f2f3_boundary(f1: MorphView, f2: MorphView, f3: MorphView,
 
 # -- level elements and the C-structure --------------------------------
 
-def lev_zero() -> dict:
-    return {}
-
-
 def lev_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for lvl, ch in b.items():
@@ -683,18 +679,19 @@ class MatrixModel:
             self._build_alt_bases()
 
     def _build_alt_bases(self):
-        from .exactlin import rref
+        # Alt is idempotent on a closed span, so every column j of proj is
+        # sum_r red[r][j] * proj[:, pivots[r]]; hence y in im(proj) has
+        # coordinates red @ y in the pivot-column basis.
         for (level, degree), cubes in self.span.items():
             proj = _alt_projector(self.span, level, degree)
-            _, pivots = rref(proj)
-            ent = {}
-            for jj, j in enumerate(pivots):
-                for r in range(proj.rows):
-                    v = proj[(r, j)]
-                    if v != 0:
-                        ent[(r, jj)] = v
+            red, pivots = rref(proj)
+            slot = {j: jj for jj, j in enumerate(pivots)}
+            ent = {(r, slot[j]): v for (r, j), v in proj.entries.items()
+                   if j in slot}
+            reduced = [[(c, v) for c, v in enumerate(row) if v != 0]
+                       for row in red[:len(pivots)]]
             self._alt_basis[(level, degree)] = (
-                list(pivots), RatMatrix(proj.rows, len(pivots), ent))
+                list(pivots), RatMatrix(proj.rows, len(pivots), ent), reduced)
 
     def dim(self, level, degree) -> int:
         if self.use_alt:
@@ -711,20 +708,26 @@ class MatrixModel:
             if chain.is_zero():
                 return {}
             raise ValueError("chain leaves the generated span")
-        cols, mat = got
-        raw = _chain_coords(self.span, level, chain)
-        rhs = RatMatrix(mat.rows, 1, {(p, 0): v for p, v in raw.items()})
-        from .exactlin import solve
-        sol = solve(mat, rhs)
-        if sol is None:
+        _, mat, reduced = got
+        y = _chain_coords(self.span, level, chain)
+        x = {}
+        for p, row in enumerate(reduced):
+            v = sum(w * y[c] for c, w in row if c in y)
+            if v:
+                x[p] = v
+        back = {}
+        for (r, p), v in mat.entries.items():
+            if p in x:
+                back[r] = back.get(r, 0) + v * x[p]
+        if {r: v for r, v in back.items() if v} != y:
             raise ValueError("chain not in the alternating subspace")
-        return {p: v for (p, _), v in sol.entries.items()}
+        return x
 
     def basis_chain(self, level, degree, pos) -> CubeChain:
         cubes = self.span.cubes(level, degree)
         if not self.use_alt:
             return CubeChain.of(cubes[pos])
-        cols, _ = self._alt_basis[(frozenset(level), degree)]
+        cols = self._alt_basis[(frozenset(level), degree)][0]
         return alt(CubeChain.of(cubes[cols[pos]]))
 
 

@@ -29,7 +29,7 @@ from .cubes import (CubeChain, ExactCube, ExactFunctor, alt, boundary,
                     bracket_cube, composite_pullback)
 from .exactlin import MetObj
 from .multirel import (GeomView, MorphView, _marks_back, _parity, lev_add,
-                       lev_alt, lev_eq, lev_scale, op_homotopy)
+                       lev_alt, lev_eq, lev_scale)
 from .signs import b_weight, divisions_into, sgn_multidivision
 
 
@@ -442,12 +442,6 @@ def op_tensor_theta(f_obj: MetObj, f: MorphView, g: MorphView, m: int, n: int,
                 continue
             out[J] = out.get(J, CubeChain.zero(term.degree)) + term
     return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def op_psi_section(f: MorphView, g: MorphView, m: int, n: int, x: dict) -> dict:
-    """The homotopy from the identity to f^* g^* for a section g f = Id,
-    plain: Phi^{m,n} with the double-insert operator Xi_{K,f,g}."""
-    return op_homotopy(f, g, m, n, x)
 
 
 def check_phi_s_equals_tensor(f_obj: MetObj, big: GeomView, x: dict,

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cubehom.exactlin import RatMatrix
 
 
@@ -90,6 +92,31 @@ def test_homology_fixtures(tmp_path: Path):
 
     res = run_cli(["homology", str(tmp_path / "missing.json")])
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("payload", [
+    {"dims": {"0": 1, "1": 1},
+     "boundary": {"1": {"rows": 1, "cols": 1, "entries": [[0, 0, "1/0"]]}}},
+    [{"dims": {"0": 1}}],
+    {"dims": {"0": -1}, "boundary": {}},
+], ids=["zero-denominator", "top-level-list", "negative-dim"])
+def test_homology_malformed_input_is_usage_error(tmp_path: Path, payload):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(payload))
+    res = run_cli(["homology", str(p)])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("cannot read complex: ")
+    assert res.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [["--trials", "-1"], ["--trials", "0"],
+                                   ["--r", "-1"], ["--dim", "-1"]])
+def test_verify_rejects_vacuous_parameters(flags):
+    res = run_cli(["verify", "cubes.boundary-squared", *flags])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "must be at least" in res.stderr
 
 
 def test_homology_matches_oracle(tmp_path: Path):

@@ -314,3 +314,57 @@ def test_iso_degeneracy_propagation():
     for lvl, chain in img.items():
         for cube in chain.terms:
             assert cube.iso_degenerate_witness() is not None
+
+
+def _alt_models(monkeypatch, suite, **params):
+    """The alternating MatrixModels built while a seeded suite runs."""
+    from cubehom import suites
+    from cubehom.multirel import MatrixModel
+    models = []
+    build = MatrixModel._build_alt_bases
+
+    def record(self):
+        build(self)
+        models.append(self)
+
+    monkeypatch.setattr(MatrixModel, "_build_alt_bases", record)
+    rep = suites.run_suite(suite, trials=1, **params)
+    assert rep["ok"]
+    assert models
+    return models
+
+
+@pytest.mark.parametrize("suite,params", [
+    ("multirel.alternating", {"r": 2, "seed": 5}),
+    ("multirel.cone-identification", {"r": 3, "seed": 0}),
+])
+def test_alt_coords_match_solve_on_suite_spans(monkeypatch, suite, params):
+    from cubehom.exactlin import solve
+    from cubehom.multirel import _alt_projector, _chain_coords
+    rng = random.Random(7)
+    not_alt = 0
+    for model in _alt_models(monkeypatch, suite, **params):
+        for (level, degree), cubes in model.span.items():
+            proj = _alt_projector(model.span, level, degree)
+            assert proj @ proj == proj
+            cols, mat, _ = model._alt_basis[(level, degree)]
+            for _ in range(3):
+                coeffs = {p: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                          for p in range(len(cols))}
+                chain = CubeChain.zero(degree)
+                for p, c in coeffs.items():
+                    chain = chain + model.basis_chain(level, degree, p).scale(c)
+                got = model.coords(level, chain)
+                rhs = {(pos, 0): v for pos, v in
+                       _chain_coords(model.span, level, chain).items()}
+                want = solve(mat, RatMatrix(mat.rows, 1, rhs))
+                assert got == {p: v for (p, _), v in want.entries.items()}
+                assert got == {p: c for p, c in coeffs.items() if c}
+            for cube in cubes:
+                single = CubeChain.of(cube)
+                if alt(single) != single:
+                    not_alt += 1
+                    with pytest.raises(ValueError,
+                                       match="chain not in the alternating"):
+                        model.coords(level, single)
+    assert not_alt
