@@ -74,7 +74,7 @@ class ChainComplex:
 def _comp(maps: dict, m: int, n: int, k: int, rows: int, cols: int) -> RatMatrix:
     mm = maps.get((m, n), {}).get(k)
     if mm is None:
-        return RatMatrix(rows, cols)
+        return RatMatrix.zero(rows, cols)
     return mm
 
 

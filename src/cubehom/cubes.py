@@ -19,11 +19,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 
+from . import memo
 from .exactlin import (MetObj, RatMatrix, ZERO_OBJ, is_invertible,
                        tensor_map, tensor_obj)
 
 
-_VIDX_CACHE: dict = {}
+_VIDX_CACHE = memo.table("cubes.vidx")
 
 
 def vertex_indices(n: int):
@@ -34,7 +35,7 @@ def vertex_indices(n: int):
     return out
 
 
-_ARROW_KEYS_CACHE: dict = {}
+_ARROW_KEYS_CACHE = memo.table("cubes.arrow_keys")
 
 
 def arrow_keys(n: int):
@@ -48,7 +49,7 @@ def arrow_keys(n: int):
 
 _EMPTY = RatMatrix(0, 0)
 
-_INTERN: dict = {}
+_INTERN = memo.table("cubes.intern")
 
 
 def _mk(n, verts, arrows) -> "ExactCube":
@@ -312,7 +313,7 @@ def one_cube(left: MetObj, mid: MetObj, right: MetObj,
                      {(1, (-1,)): inj, (1, (0,)): surj})
 
 
-_FACE_CACHE: dict = {}
+_FACE_CACHE = memo.table("cubes.face")
 
 
 def face(cube: ExactCube, j: int, i: int) -> ExactCube:
@@ -418,7 +419,7 @@ def cube_from_json(obj) -> ExactCube:
     return _mk(n, verts, arrows)
 
 
-_SYM_TABLE_CACHE: dict = {}
+_SYM_TABLE_CACHE = memo.table("cubes.sym_table")
 
 
 def _sym_tables(n: int, sigma: tuple):
@@ -626,7 +627,7 @@ class CubeChain:
         return "CubeChain(deg=%d, %d terms)" % (self.degree, len(self.terms))
 
 
-_BOUNDARY_CACHE: dict = {}
+_BOUNDARY_CACHE = memo.table("cubes.boundary")
 
 
 def boundary_cube(cube: ExactCube) -> CubeChain:
@@ -678,7 +679,7 @@ def boundary_partial(chain: CubeChain, axes) -> CubeChain:
     return acc
 
 
-_ALT_CACHE: dict = {}
+_ALT_CACHE = memo.table("cubes.alt")
 
 
 def _alt_of_cube(cube: ExactCube) -> CubeChain:
@@ -767,6 +768,9 @@ def alt_block(chain: CubeChain, k: int) -> CubeChain:
 
 # -- exact functors ---------------------------------------------------
 
+_FUNCTOR_OBJ_CACHE = memo.table("cubes.functor_obj")
+
+
 class ExactFunctor:
     """A word of primitive exact functors; primitives are the identity and
     tensor-by-a-fixed-object.  Composition concatenates words; the zero
@@ -795,13 +799,22 @@ class ExactFunctor:
         return ExactFunctor(self.word + other.word)
 
     def on_obj(self, obj: MetObj) -> MetObj:
-        for m in reversed(self.word):
-            obj = tensor_obj(m, obj)
-        return obj
+        if not self.word:
+            return obj
+        key = (self, obj)
+        out = _FUNCTOR_OBJ_CACHE.get(key)
+        if out is None:
+            out = obj
+            for m in reversed(self.word):
+                out = tensor_obj(m, out)
+            _FUNCTOR_OBJ_CACHE[key] = out
+        return out
 
     def on_map(self, mat: RatMatrix) -> RatMatrix:
+        # tensoring by a 1-dimensional object leaves every matrix as it is
         for m in reversed(self.word):
-            mat = tensor_map(RatMatrix.identity(m.dim), mat)
+            if m.dim != 1:
+                mat = tensor_map(RatMatrix.identity(m.dim), mat)
         return mat
 
     def on_cube(self, cube: ExactCube) -> ExactCube:
@@ -825,6 +838,9 @@ class ExactFunctor:
 
 # -- composite pullback cubes ------------------------------------------
 
+_PULLBACK_CACHE = memo.table("cubes.pullback")
+
+
 def composite_pullback(morphisms, cube: ExactCube) -> ExactCube:
     """The (n+r-1)-cube of a word of r composable morphisms applied to an
     n-cube, with the word axes first.
@@ -834,57 +850,58 @@ def composite_pullback(morphisms, cube: ExactCube) -> ExactCube:
     Vertices group the word by the positions of -1 as in the defining case
     formula; each group is pulled back through the functor of its composite
     morphism, and all connecting arrows are identity matrices or zero maps.
+    The result depends only on the cube and on the functors of the
+    composites of all contiguous groups, which key the memo.
     """
     r = len(morphisms)
     if r == 0:
         raise ValueError("empty morphism word")
+    groups = {}
+    for lo in range(r):
+        mor = morphisms[lo]
+        groups[(lo, lo)] = mor.functor()
+        for hi in range(lo + 1, r):
+            mor = morphisms[hi].compose(mor)
+            groups[(lo, hi)] = mor.functor()
+    key = (tuple(groups.values()), cube)
+    out = _PULLBACK_CACHE.get(key)
+    if out is None:
+        out = _build_pullback(r, groups, cube)
+        _PULLBACK_CACHE[key] = out
+    return out
+
+
+def _stars(groups, wpart):
+    """The word cut before each position where ``wpart`` holds -1: the
+    functor of each group, in the order they act (the last group first)."""
+    cuts = [j + 1 for j, x in enumerate(wpart) if x == -1]
+    out = []
+    lo = 0
+    for b in cuts + [len(wpart) + 1]:
+        out.append(groups[(lo, b - 1)])
+        lo = b
+    out.reverse()
+    return out
+
+
+def _build_pullback(r: int, groups, cube: ExactCube) -> ExactCube:
     if r == 1:
-        return morphisms[0].functor().on_cube(cube)
+        return groups[(0, 0)].on_cube(cube)
     w = r - 1
     n = cube.n
-
-    group_cache = {}
-
-    def group_functor(lo: int, hi: int) -> ExactFunctor:
-        # composite of morphisms[lo..hi] (inclusive, 0-based), as one star
-        key = (lo, hi)
-        f = group_cache.get(key)
-        if f is None:
-            mor = morphisms[lo]
-            for t in range(lo + 1, hi + 1):
-                mor = morphisms[t].compose(mor)
-            f = mor.functor()
-            group_cache[key] = f
-        return f
-
-    vert_cache = {}
-
-    def grouped_value(cuts, base_obj):
-        # cuts: increasing tuple of word positions j with alpha_j = -1
-        key = (cuts, base_obj)
-        v = vert_cache.get(key)
-        if v is None:
-            bounds = list(cuts) + [r]
-            v = base_obj
-            lo = 0
-            stars = []
-            for b in bounds:
-                stars.append((lo, b - 1))
-                lo = b
-            for (a, b) in reversed(stars):
-                v = group_functor(a, b).on_obj(v)
-            vert_cache[key] = v
-        return v
-
+    # word parts holding a +1 sit over zero vertices
+    star = {wp: _stars(groups, wp) for wp in vertex_indices(w) if 1 not in wp}
     verts = {}
     arrows = {}
     for a in vertex_indices(w + n):
-        wpart, cpart = a[:w], a[w:]
-        if any(x == 1 for x in wpart):
+        fs = star.get(a[:w])
+        if fs is None:
             verts[a] = ZERO_OBJ
-        else:
-            cuts = tuple(j + 1 for j, x in enumerate(wpart) if x == -1)
-            verts[a] = grouped_value(cuts, cube.vertices[cpart])
+            continue
+        v = cube.vertices[a[w:]]
+        for f in fs:
+            v = f.on_obj(v)
+        verts[a] = v
     for a in vertex_indices(w + n):
         for k in range(1, w + n + 1):
             if a[k - 1] == 1:
@@ -897,18 +914,9 @@ def composite_pullback(morphisms, cube: ExactCube) -> ExactCube:
                 # natural isomorphism between regroupings: identity matrix
                 arrows[(k, a)] = RatMatrix.identity(sv.dim)
             else:
-                wpart, cpart = a[:w], a[w:]
-                cuts = tuple(j + 1 for j, x in enumerate(wpart) if x == -1)
-                base = cube.arrows[(k - w, cpart)]
-                bounds = list(cuts) + [r]
-                lo = 0
-                stars = []
-                for bd in bounds:
-                    stars.append((lo, bd - 1))
-                    lo = bd
-                m = base
-                for (x, y) in reversed(stars):
-                    m = group_functor(x, y).on_map(m)
+                m = cube.arrows[(k - w, a[w:])]
+                for f in star[a[:w]]:
+                    m = f.on_map(m)
                 arrows[(k, a)] = m
     return _mk(w + n, verts, arrows)
 

@@ -13,6 +13,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
+from . import memo
+
 Rat = Fraction
 
 _DENSE_CUTOFF = 16
@@ -32,6 +34,10 @@ def parse_rat(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
     return Fraction(str(s))
+
+
+_IDENTITY_CACHE = memo.table("exactlin.identity")
+_ZERO_CACHE = memo.table("exactlin.zero")
 
 
 class RatMatrix:
@@ -84,11 +90,21 @@ class RatMatrix:
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return _identity_cached(n)
+        m = _IDENTITY_CACHE.get(n)
+        if m is None:
+            m = RatMatrix(n, n, {(i, i): Fraction(1) for i in range(n)})
+            _IDENTITY_CACHE[n] = m
+        return m
 
     @staticmethod
     def zero(rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix(rows, cols)
+        """The zero matrix of this shape, one shared instance per shape."""
+        key = (rows, cols)
+        m = _ZERO_CACHE.get(key)
+        if m is None:
+            m = RatMatrix(rows, cols)
+            _ZERO_CACHE[key] = m
+        return m
 
     @staticmethod
     def column(values: Iterable) -> "RatMatrix":
@@ -145,7 +161,7 @@ class RatMatrix:
     def scale(self, a) -> "RatMatrix":
         a = Fraction(a)
         if a == 0:
-            return RatMatrix(self.rows, self.cols)
+            return RatMatrix.zero(self.rows, self.cols)
         return RatMatrix(self.rows, self.cols,
                          {k: a * v for k, v in self.entries.items()})
 
@@ -214,17 +230,6 @@ class RatMatrix:
     @staticmethod
     def from_json(s: str) -> "RatMatrix":
         return RatMatrix.from_json_obj(json.loads(s))
-
-
-_IDENTITY_CACHE: dict = {}
-
-
-def _identity_cached(n: int) -> RatMatrix:
-    m = _IDENTITY_CACHE.get(n)
-    if m is None:
-        m = RatMatrix(n, n, {(i, i): Fraction(1) for i in range(n)})
-        _IDENTITY_CACHE[n] = m
-    return m
 
 
 # -- elimination ----------------------------------------------------
