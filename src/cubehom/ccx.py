@@ -169,21 +169,27 @@ class CComplex:
                 continue
             ent = {}
             tgt = basis[p - 1]
-            for (m, i), col in basis[p].items():
-                # (-1)^m d within A^m
-                d = self.cx(m).d(m + p)
-                for (r, c), v in d.entries.items():
-                    if c == i:
-                        ent[(tgt[(m, r)], col)] = ent.get((tgt[(m, r)], col), 0) \
-                            + v * ((-1) ** m)
-                # F^{l,m'} into other indices: x^l contributes F^{l,n}(x^l) to slot n
-                for n in self.indices():
-                    if n <= m:
-                        continue
-                    fm = self.f(m, n, m + p)
-                    for (r, c), v in fm.entries.items():
-                        if c == i:
-                            key = (tgt[(n, r)], col)
+            src = basis[p]
+            idxs = self.indices()
+            for m in idxs:
+                # (-1)^m d within A^m, then F^{m,n} into each later slot n;
+                # each block's entries are bucketed by source column once
+                sign = -1 if m % 2 else 1
+                own = {}
+                for (r, c), v in self.cx(m).d(m + p).entries.items():
+                    own.setdefault(c, []).append((tgt[(m, r)], v * sign))
+                blocks = [own]
+                for n in idxs:
+                    if n > m:
+                        by_col = {}
+                        for (r, c), v in self.f(m, n, m + p).entries.items():
+                            by_col.setdefault(c, []).append((tgt[(n, r)], v))
+                        blocks.append(by_col)
+                for i in range(self.cx(m).dim(m + p)):
+                    col = src[(m, i)]
+                    for by_col in blocks:
+                        for t, v in by_col.get(i, ()):
+                            key = (t, col)
                             ent[key] = ent.get(key, 0) + v
             bnd[p] = RatMatrix(dims[p - 1], dims[p],
                                {k: v for k, v in ent.items() if v})

@@ -75,7 +75,7 @@ class ExactCube:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "arrows", arrs)
         vkey = tuple(verts[a]._hash for a in vertex_indices(n))
-        akey = tuple(arrs[k]._hash for k in arrow_keys(n))
+        akey = tuple(hash(arrs[k]) for k in arrow_keys(n))
         object.__setattr__(self, "_hash", hash((n, vkey, akey)))
         object.__setattr__(self, "_degen", None)
 

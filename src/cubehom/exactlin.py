@@ -17,8 +17,6 @@ from . import memo
 
 Rat = Fraction
 
-_DENSE_CUTOFF = 16
-
 
 def rat_str(x: Fraction) -> str:
     """Render a rational as ``"p/q"`` (or ``"p"`` when q == 1)."""
@@ -40,11 +38,15 @@ _IDENTITY_CACHE = memo.table("exactlin.identity")
 _ZERO_CACHE = memo.table("exactlin.zero")
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
 class RatMatrix:
     """Immutable sparse matrix over Q.
 
     Entries are stored in a dict (row, col) -> Fraction holding no explicit
-    zeros.  Instances are hashable; the hash is precomputed.
+    zeros.  Instances are hashable; the hash is computed on first use.
     """
 
     __slots__ = ("rows", "cols", "entries", "_hash")
@@ -52,8 +54,6 @@ class RatMatrix:
     def __init__(self, rows: int, cols: int, entries: Optional[Mapping] = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix shape")
-        self.rows = rows
-        self.cols = cols
         clean = {}
         if entries:
             for (r, c), v in entries.items():
@@ -62,14 +62,26 @@ class RatMatrix:
                     raise ValueError("entry (%d,%d) out of bounds for %dx%d" % (r, c, rows, cols))
                 if v != 0:
                     clean[(r, c)] = v
-        object.__setattr__(self, "entries", clean)
-        object.__setattr__(self, "_hash",
-                           hash((rows, cols, frozenset(clean.items()))))
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "entries", clean)
+        _set(self, "_hash", None)
+
+    @staticmethod
+    def _trusted(rows: int, cols: int, entries: dict) -> "RatMatrix":
+        """A matrix owning ``entries`` as given, with no checks.
+
+        Only this module's arithmetic calls it, on a dict it has just built
+        whose values are nonzero in-bounds Fractions by construction."""
+        m = _new(RatMatrix)
+        _set(m, "rows", rows)
+        _set(m, "cols", cols)
+        _set(m, "entries", entries)
+        _set(m, "_hash", None)
+        return m
 
     def __setattr__(self, name, value):
-        if name in RatMatrix.__slots__ and hasattr(self, "_hash"):
-            raise AttributeError("RatMatrix is immutable")
-        object.__setattr__(self, name, value)
+        raise AttributeError("RatMatrix is immutable")
 
     # -- constructors ------------------------------------------------
 
@@ -129,11 +141,18 @@ class RatMatrix:
             return True
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        return (self._hash == other._hash and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+        h, k = self._hash, other._hash
+        if h is not None and k is not None and h != k:
+            return False
+        return (self.rows == other.rows and self.cols == other.cols
+                and self.entries == other.entries)
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash((self.rows, self.cols, frozenset(self.entries.items())))
+            _set(self, "_hash", h)
+        return h
 
     def __repr__(self):
         return "RatMatrix(%d, %d, %r)" % (self.rows, self.cols, self.entries)
@@ -150,7 +169,7 @@ class RatMatrix:
                 ent.pop(k, None)
             else:
                 ent[k] = w
-        return RatMatrix(self.rows, self.cols, ent)
+        return RatMatrix._trusted(self.rows, self.cols, ent)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         return self + other.scale(Fraction(-1))
@@ -162,8 +181,8 @@ class RatMatrix:
         a = Fraction(a)
         if a == 0:
             return RatMatrix.zero(self.rows, self.cols)
-        return RatMatrix(self.rows, self.cols,
-                         {k: a * v for k, v in self.entries.items()})
+        return RatMatrix._trusted(self.rows, self.cols,
+                                  {k: a * v for k, v in self.entries.items()})
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         return self.mul(other)
@@ -184,11 +203,11 @@ class RatMatrix:
                     acc.pop(key, None)
                 else:
                     acc[key] = s
-        return RatMatrix(self.rows, other.cols, acc)
+        return RatMatrix._trusted(self.rows, other.cols, acc)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows,
-                         {(c, r): v for (r, c), v in self.entries.items()})
+        return RatMatrix._trusted(self.cols, self.rows,
+                                  {(c, r): v for (r, c), v in self.entries.items()})
 
     def kron(self, other: "RatMatrix") -> "RatMatrix":
         """Kronecker product in lexicographic basis order (strictly associative)."""
@@ -196,7 +215,8 @@ class RatMatrix:
         for (r1, c1), v1 in self.entries.items():
             for (r2, c2), v2 in other.entries.items():
                 ent[(r1 * other.rows + r2, c1 * other.cols + c2)] = v1 * v2
-        return RatMatrix(self.rows * other.rows, self.cols * other.cols, ent)
+        return RatMatrix._trusted(self.rows * other.rows,
+                                  self.cols * other.cols, ent)
 
     def hstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.rows != other.rows:
@@ -204,7 +224,7 @@ class RatMatrix:
         ent = dict(self.entries)
         for (r, c), v in other.entries.items():
             ent[(r, c + self.cols)] = v
-        return RatMatrix(self.rows, self.cols + other.cols, ent)
+        return RatMatrix._trusted(self.rows, self.cols + other.cols, ent)
 
     def to_dense(self):
         m = [[Fraction(0)] * self.cols for _ in range(self.rows)]
@@ -235,25 +255,30 @@ class RatMatrix:
 # -- elimination ----------------------------------------------------
 
 def rank(m: RatMatrix) -> int:
-    """Rank over Q.
-
-    Dense fraction-free (Bareiss) elimination below the density cutoff,
-    sparse rational elimination above it.  Both are exact.
-    """
+    """Rank over Q, by dense fraction-free (Bareiss) elimination."""
     if m.rows == 0 or m.cols == 0 or not m.entries:
         return 0
-    if max(m.rows, m.cols) < _DENSE_CUTOFF:
-        return _rank_bareiss(m)
-    return _rank_sparse(m)
+    return _rank_bareiss(m)
+
+
+def _int_rows(m: RatMatrix):
+    """Dense rows of m, each scaled by the lcm of its denominators to ints."""
+    a = [[0] * m.cols for _ in range(m.rows)]
+    by_row = {}
+    for (r, c), v in m.entries.items():
+        by_row.setdefault(r, []).append((c, v))
+    for r, items in by_row.items():
+        den = math.lcm(*(v.denominator for _, v in items))
+        row = a[r]
+        for c, v in items:
+            row[c] = v.numerator * (den // v.denominator)
+    return a
 
 
 def _rank_bareiss(m: RatMatrix) -> int:
-    # Clear denominators row by row, then run fraction-free elimination.
-    a = []
-    for i in range(m.rows):
-        row = [m.entries.get((i, j), Fraction(0)) for j in range(m.cols)]
-        den = math.lcm(*(x.denominator for x in row))
-        a.append([int(x * den) for x in row])
+    # Forward elimination only; rref below has its own loop, so that the
+    # exactlin.homology suite can use rref as an independent rank oracle.
+    a = _int_rows(m)
     nrows, ncols = len(a), m.cols
     prev = 1
     r = 0
@@ -277,63 +302,56 @@ def _rank_bareiss(m: RatMatrix) -> int:
     return r
 
 
-def _rank_sparse(m: RatMatrix) -> int:
-    rows: dict = {}
-    for (r, c), v in m.entries.items():
-        rows.setdefault(r, {})[c] = v
-    work = list(rows.values())
-    rk = 0
-    while work:
-        row = work.pop()
-        if not row:
-            continue
-        # choose the sparsest-looking pivot: smallest column index
-        pc = min(row)
-        pv = row[pc]
-        rk += 1
-        nxt = []
-        for other in work:
-            x = other.get(pc)
-            if x is not None:
-                f = x / pv
-                for c, v in row.items():
-                    w = other.get(c, 0) - f * v
-                    if w == 0:
-                        other.pop(c, None)
-                    else:
-                        other[c] = w
-            if other:
-                nxt.append(other)
-        work = nxt
-    return rk
+_ZERO = Fraction(0)
 
 
 def rref(m: RatMatrix):
-    """Reduced row echelon form (dense, exact). Returns (rows, pivot_cols)."""
-    a = m.to_dense()
+    """Reduced row echelon form (dense, exact). Returns (rows, pivot_cols).
+
+    Fraction-free Gauss-Jordan elimination (Montante's form of Bareiss's
+    method): on integer rows, each step updates every other row to
+    (p * row - f * pivot_row) // prev, a division that is always exact, so
+    all pivot entries stay equal to the latest pivot.  Each pivot row is
+    divided by its pivot once, at the end.  The reduced form is unique, so
+    the result equals rational Gauss-Jordan elimination.
+    """
+    a = _int_rows(m)
     nrows, ncols = m.rows, m.cols
     pivots = []
+    prev = 1
     r = 0
     for c in range(ncols):
+        if r == nrows:
+            break
         piv = None
         for i in range(r, nrows):
-            if a[i][c] != 0:
+            if a[i][c]:
                 piv = i
                 break
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        prow = a[r]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            if i == r:
+                continue
+            row = a[i]
+            f = row[c]
+            if f:
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+            elif p != prev:
+                a[i] = [x * p // prev for x in row]
+        prev = p
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    return a, pivots
+    out = []
+    for i, c in enumerate(pivots):
+        p = a[i][c]
+        out.append([Fraction(x, p) if x else _ZERO for x in a[i]])
+    # rows below the rank are zero
+    out.extend([_ZERO] * ncols for _ in range(r, nrows))
+    return out, pivots
 
 
 def kernel_basis(m: RatMatrix):
@@ -372,7 +390,7 @@ def solve(m: RatMatrix, rhs: RatMatrix):
             v = a[r][m.cols + k]
             if v != 0:
                 ent[(pc, k)] = v
-    return RatMatrix(m.cols, rhs.cols, ent)
+    return RatMatrix._trusted(m.cols, rhs.cols, ent)
 
 
 def is_invertible(m: RatMatrix) -> bool:

@@ -278,3 +278,43 @@ def test_diagram_rejects_non_chain_map():
     bad = {0: RatMatrix.from_rows([[1]]), 1: RatMatrix.from_rows([[1]])}
     with pytest.raises(ValueError):
         diagram_simple(a1, b1, b1, b1, bad, {}, {})
+
+
+def _tot_reference(a):
+    """Column-by-column Tot differential, as a plain double loop."""
+    dims, basis = {}, {}
+    degs = {k - m for m in a.indices() for k in a.cx(m).degrees()}
+    for p in range(min(degs), max(degs) + 1):
+        basis[p] = {mi: j for j, mi in enumerate(a.tot_basis(p))}
+        dims[p] = len(basis[p])
+    out = {}
+    for p in dims:
+        if p - 1 not in dims:
+            continue
+        ent = {}
+        for (m, i), col in basis[p].items():
+            blocks = [(m, a.cx(m).d(m + p).scale(Fraction(-1) ** (m % 2)))]
+            blocks += [(n, a.f(m, n, m + p)) for n in a.indices() if n > m]
+            for n, mat in blocks:
+                for (r, c), v in mat.entries.items():
+                    if c == i:
+                        key = (basis[p - 1][(n, r)], col)
+                        ent[key] = ent.get(key, 0) + v
+        out[p] = RatMatrix(dims[p - 1], dims[p], ent)
+    return out
+
+
+def test_tot_matches_reference_and_is_exact_under_shift():
+    rng = random.Random(11)
+    for _ in range(10):
+        a = rnd_ccomplex(rng, steps=(1, 2))
+        want = _tot_reference(a)
+        t = a.tot()
+        for p, mat in want.items():
+            assert t.d(p) == mat
+        # Tot(A[r])_p = Tot(A)_{p-r} with the differential scaled by (-1)^r;
+        # negative indices must keep the entries exact
+        for r in (-1, 1, 2):
+            ts = a.shift(r).tot()
+            for p, mat in want.items():
+                assert ts.d(p + r) == mat.scale(Fraction(-1) ** (r % 2))

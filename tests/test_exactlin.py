@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cubehom.cubes import one_cube
 from cubehom.exactlin import (MetObj, RatMatrix, ShortExact, ZERO_OBJ,
                               homology_dims, is_short_exact, kernel_basis,
                               rank, rat_str, rref, solve, tensor_map,
@@ -156,3 +157,69 @@ def test_gram_must_be_positive_definite():
 
 def test_zero_obj():
     assert ZERO_OBJ.dim == 0 and ZERO_OBJ.is_zero()
+
+
+# -- public constructor and the unchecked path of derived matrices -----
+
+def test_public_constructor_validates_and_normalizes():
+    with pytest.raises(ValueError):
+        RatMatrix(-1, 2)
+    with pytest.raises(ValueError):
+        RatMatrix(2, -1)
+    with pytest.raises(ValueError):
+        RatMatrix(2, 2, {(2, 0): 1})
+    with pytest.raises(ValueError):
+        RatMatrix(2, 2, {(0, -1): 1})
+    m = RatMatrix(2, 3, {(0, 0): 3, (0, 1): "-2/6", (1, 2): 0,
+                         (1, 0): Fraction(0)})
+    assert m.entries == {(0, 0): Fraction(3), (0, 1): Fraction(-1, 3)}
+    assert all(type(v) is Fraction for v in m.entries.values())
+
+
+def _public(m):
+    return RatMatrix(m.rows, m.cols, dict(m.entries))
+
+
+def test_derived_matrices_equal_and_hash_like_public_ones():
+    rng = random.Random(8)
+    for _ in range(20):
+        a = rnd_matrix(rng, 3, 4, density=0.6)
+        b = rnd_matrix(rng, 3, 4, density=0.6)
+        c = rnd_matrix(rng, 4, 2, density=0.6)
+        sq = rnd_matrix(rng, 3, 3, density=0.9)
+        x = rnd_matrix(rng, 3, 2, density=0.9)
+        derived = [a + b, a - b, a - a, a.scale(Fraction(-2, 3)), a.mul(c),
+                   a.kron(c), a.transpose(), a.hstack(b), solve(sq, sq.mul(x))]
+        for d in derived:
+            p = _public(d)
+            assert d == p and p == d
+            assert hash(d) == hash(p)
+            assert d.entries == p.entries
+        assert a - a == RatMatrix.zero(3, 4)
+
+
+def test_matrix_is_immutable():
+    a = M([[1, 2], [3, 4]])
+    for m in (a, a.transpose(), a + a):
+        for name in ("rows", "cols", "entries", "_hash", "other"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, None)
+    assert a == M([[1, 2], [3, 4]])
+
+
+def test_equality_does_not_force_a_hash():
+    a, b = M([[1, 2]]), M([[1, 2]]).scale(1)
+    assert a == b and a != M([[1, 3]])
+    assert a._hash is None and b._hash is None
+    assert hash(a) == hash(b) == a._hash == b._hash
+
+
+def test_equal_arrows_from_both_paths_intern_to_one_cube():
+    rng = random.Random(9)
+    for _ in range(10):
+        c = rnd_one_cube(rng, max_dim=3)
+        inj, surj = c.arrows[(1, (-1,))], c.arrows[(1, (0,))]
+        # transpose twice: the derived (unchecked) path, same values
+        again = one_cube(c.vertices[(-1,)], c.vertices[(0,)], c.vertices[(1,)],
+                         inj.transpose().transpose(), _public(surj))
+        assert again is c
