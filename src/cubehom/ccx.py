@@ -290,8 +290,6 @@ def zero_cmap(a: CComplex, b: CComplex) -> CMap:
 
 def compose(g: CMap, f: CMap) -> CMap:
     """(gf)^{m,n} = sum_l g^{l,n} f^{m,l}."""
-    if g.src is not f.dst and g.src.complexes != f.dst.complexes:
-        pass  # shapes are checked entrywise below
     comps = {}
     win = sorted(set(f.dst.indices()))
     for m in f.src.indices():

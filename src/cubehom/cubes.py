@@ -22,6 +22,7 @@ from itertools import permutations, product
 from . import memo
 from .exactlin import (MetObj, RatMatrix, ZERO_OBJ, is_invertible,
                        tensor_map, tensor_obj)
+from .signs import perm_sign
 
 
 _VIDX_CACHE = memo.table("cubes.vidx")
@@ -693,7 +694,7 @@ def _alt_of_cube(cube: ExactCube) -> CubeChain:
             img = cube.act(sigma)
             if img.is_zero_cube() or img.is_degenerate():
                 continue
-            s = terms.get(img, 0) + coeff * _perm_parity(sigma)
+            s = terms.get(img, 0) + coeff * perm_sign(sigma)
             if s == 0:
                 terms.pop(img, None)
             else:
@@ -713,23 +714,6 @@ def alt(chain: CubeChain) -> CubeChain:
     for cube, c in chain.terms.items():
         acc = acc + _alt_of_cube(cube).scale(c)
     return acc
-
-
-def _perm_parity(sigma) -> int:
-    seen = [False] * len(sigma)
-    sgn = 1
-    for i in range(len(sigma)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j] - 1
-            clen += 1
-        if clen % 2 == 0:
-            sgn = -sgn
-    return sgn
 
 
 def phi_homotopy(n: int, m: int, chain: CubeChain) -> CubeChain:
@@ -761,7 +745,7 @@ def alt_block(chain: CubeChain, k: int) -> CubeChain:
     acc = CubeChain.zero(n)
     for sig in perms:
         full = tuple(sig) + tuple(range(k + 1, n + 1))
-        sgn = _perm_parity(sig)
+        sgn = perm_sign(sig)
         acc = acc + chain.map_cubes(lambda cu, s=full: act_sym(s, cu), n).scale(coeff * sgn)
     return acc
 

@@ -376,6 +376,21 @@ def double_spans(geom: DoubleGeometry, upto: int, seeds, drop=frozenset(),
     return close_span_generic(seeds, expand, sym=sym)
 
 
+def _diagonal_op(cube_map):
+    """The levelwise operator with only (m, m) components, mapping every
+    cube of level I by cube_map(I, cube)."""
+    def op(m, n, x):
+        if n != m:
+            return {}
+        out = {}
+        for I, ch in x.items():
+            img = ch.map_cubes(lambda cu: cube_map(I, cu), ch.degree)
+            if not img.is_zero():
+                out[I] = img
+        return out
+    return op
+
+
 def build_t(geom: DoubleGeometry, seeds, use_alt: bool = True) -> dict:
     """The splitting t = t_r ... t_1 of the double, each step produced by
     the generic cone section construction with the zero homotopy, glued
@@ -403,42 +418,15 @@ def build_t(geom: DoubleGeometry, seeds, use_alt: bool = True) -> dict:
             for cube in cubes:
                 seeds_b.append((level, _restrict_level(view_a, level, j, cube)))
 
-        def expand_b(level, cube, vb=view_b):
-            out = [(frozenset(level) | {k}, _restrict_level(vb, level, k, cube))
-                   for k in vb.marks if k not in level]
-            for k in geom.marks:
-                if k not in level and k not in vb.drop:
-                    out.append((frozenset(level), _reindex_union(vb, level, k, cube)))
-            return out
-
-        span_b = close_span_generic(seeds_b, expand_b, sym=use_alt)
+        span_b = double_spans(geom, j - 1, seeds_b, drop={j}, sym=use_alt)
         model_b = MatrixModel(view_b, span_b, use_alt=use_alt)
         cc_b = materialize_ccomplex(
             model_b, f_op=lambda m, n, x, v=view_b: double_op_F(v, m, n, x))
         cc_a = complexes[-1]
         model_a = models[-1]
 
-        def op_iota(m, n, x, va=view_a):
-            if n != m:
-                return {}
-            out = {}
-            for I, ch in x.items():
-                img = ch.map_cubes(lambda cu: _restrict_level(va, I, j, cu),
-                                   ch.degree)
-                if not img.is_zero():
-                    out[I] = img
-            return out
-
-        def op_fold(m, n, x, va=view_a):
-            if n != m:
-                return {}
-            out = {}
-            for I, ch in x.items():
-                img = ch.map_cubes(lambda cu: geom.fold(I, j, cu), ch.degree)
-                if not img.is_zero():
-                    out[I] = img
-            return out
-
+        op_iota = _diagonal_op(lambda I, cu: _restrict_level(view_a, I, j, cu))
+        op_fold = _diagonal_op(lambda I, cu: geom.fold(I, j, cu))
         fmap = ccx.CMap(cc_a, cc_b,
                         materialize_operator(model_a, model_b, op_iota, 0, "map"))
         gmap = ccx.CMap(cc_b, cc_a,
@@ -457,15 +445,7 @@ def build_t(geom: DoubleGeometry, seeds, use_alt: bool = True) -> dict:
                 seeds_next.append((frozenset(level) | {j}, cube))
         view_next = _PartialView(geom, j)
 
-        def expand_next(level, cube, vn=view_next):
-            out = [(frozenset(level) | {k}, _restrict_level(vn, level, k, cube))
-                   for k in vn.marks if k not in level]
-            for k in geom.marks:
-                if k not in level:
-                    out.append((frozenset(level), _reindex_union(vn, level, k, cube)))
-            return out
-
-        span_next = close_span_generic(seeds_next, expand_next, sym=use_alt)
+        span_next = double_spans(geom, j, seeds_next, sym=use_alt)
         model_next = MatrixModel(view_next, span_next, use_alt=use_alt)
         cc_next = materialize_ccomplex(
             model_next, f_op=lambda m, n, x, v=view_next: double_op_F(v, m, n, x))

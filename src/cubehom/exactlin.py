@@ -377,13 +377,10 @@ def solve(m: RatMatrix, rhs: RatMatrix):
         raise ValueError("solve shape mismatch")
     aug = m.hstack(rhs)
     a, pivots = rref(aug)
-    for r in range(len(pivots)):
-        if pivots[r] >= m.cols:
-            return None
-    # also catch zero rows with nonzero rhs below the pivot rows
-    for r in range(len(pivots), m.rows):
-        if any(a[r][c] != 0 for c in range(m.cols, aug.cols)):
-            return None
+    # inconsistent exactly when a pivot lies in an rhs column (rref leaves
+    # every row below the rank zero)
+    if any(pc >= m.cols for pc in pivots):
+        return None
     ent = {}
     for r, pc in enumerate(pivots):
         for k in range(rhs.cols):

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import (combinations, combinations_with_replacement, islice,
+                       permutations)
 
 from . import ccx
 from .cubes import (CubeChain, ExactCube, ExactFunctor, act_sym, alt,
                     boundary, composite_pullback, transposition)
 from .exactlin import MetObj, RatMatrix, rref
-from .signs import sgn_division
+from .signs import perm_sign, sgn_division
 
 
 # -- towers of geometries --------------------------------------------
@@ -178,14 +179,15 @@ class MorphView:
 
     def cls(self, J, I) -> MorphismClass:
         """The class (src at level J) -> (dst at level I), I within J."""
-        lj = self.src.level(self._map_marks(J))
+        lj = self.src.level(_marks_back(self, J))
         li = self.dst.level(I)
         return self.tower.cls(self.src.scheme, lj, self.dst.scheme, li)
 
-    def _map_marks(self, I):
-        # marks are positional: the i-th mark of dst corresponds to the i-th of src
-        back = {dm: sm for sm, dm in zip(self.src.marks, self.dst.marks)}
-        return frozenset(back[i] for i in I)
+
+def _marks_back(f: MorphView, I):
+    # marks are positional: the i-th mark of dst corresponds to the i-th of src
+    back = {dm: sm for sm, dm in zip(f.src.marks, f.dst.marks)}
+    return frozenset(back[i] for i in I)
 
 
 def restriction_morphism(g: GeomView, k: int) -> MorphView:
@@ -200,130 +202,79 @@ def restriction_morphism(g: GeomView, k: int) -> MorphView:
 
 
 # -- the Xi operators --------------------------------------------------
+#
+# ``views`` is a chain of geometries and morphisms (g_0, f_1, g_1, ...,
+# f_t, g_t): Xi_{K,f_1..f_t} takes level I of g_t to level K | I of g_0.
+
+def xi_words(views, K, I):
+    """The signed pullback words of Xi_{K,f_1..f_t} from level I.
+
+    For every ordering sigma of K (in ``permutations`` order) and every
+    0 <= p_1 <= ... <= p_t <= |K| (lexicographic), the word from level
+    K | I of g_0 of the embeddings removing the marks of K in the order
+    sigma, one at a time, with f_i inserted after p_i removals (the
+    embeddings after f_i belong to g_i), with sign sgn(sigma)
+    (-1)^{p_1+...+p_t}.  Every Xi operator, levelwise operator and slot
+    functor is built from these words."""
+    K = tuple(sorted(K))
+    if set(K) & set(I):
+        raise ValueError("removal set overlaps the level")
+    geoms, mors = views[0::2], views[1::2]
+    top = set(K) | set(I)
+    for sigma in permutations(K):
+        sgn = perm_sign(sigma)
+        for inserts in combinations_with_replacement(range(len(K) + 1),
+                                                     len(mors)):
+            word = []
+            cur = top
+            seg = 0
+            for removed, k in enumerate(sigma):
+                # cross to the next geometry at the current level
+                while seg < len(mors) and inserts[seg] == removed:
+                    word.append(mors[seg].cls(cur, cur))
+                    seg += 1
+                nxt = cur - {k}
+                word.append(geoms[seg].embed_cls(cur, nxt))
+                cur = nxt
+            for f in mors[seg:]:
+                word.append(f.cls(cur, cur))
+            yield (-sgn if sum(inserts) % 2 else sgn), tuple(word)
+
+
+def xi_apply(views, K, I, x: CubeChain) -> CubeChain:
+    """Xi_{K,f_1..f_t}(x): the signed sum of the pullbacks of x along the
+    words of xi_words; raises degree by |K| + t - 1."""
+    deg = x.degree + len(K) + len(views) // 2 - 1
+    out = CubeChain.zero(deg)
+    for sgn, word in xi_words(views, K, I):
+        out = out + x.map_cubes(lambda cu: composite_pullback(word, cu),
+                                deg).scale(sgn)
+    return out
+
 
 def xi_K(g: GeomView, K, I, x: CubeChain) -> CubeChain:
     """Xi_K = sum over orderings of K, with the permutation sign, of the
     pullback along the embedding word; raises on overlap or empty K."""
-    K = tuple(sorted(K))
-    I = frozenset(I)
     if not K:
         raise ValueError("Xi needs a nonempty removal set")
-    if set(K) & I:
-        raise ValueError("removal set overlaps the level")
-    w = len(K)
-    out = CubeChain.zero(x.degree + w - 1)
-    for sigma in permutations(range(w)):
-        sgn = _parity(sigma)
-        order = [K[sigma[a]] for a in range(w)]
-        word = []
-        cur = set(K) | I
-        for k in order:
-            nxt = cur - {k}
-            word.append(g.tower.cls(g.scheme, g.level(cur), g.scheme, g.level(nxt)))
-            cur = nxt
-        out = out + x.map_cubes(lambda cu, wd=tuple(word): composite_pullback(wd, cu),
-                                x.degree + w - 1).scale(sgn)
-    return out
-
-
-def _parity(sigma) -> int:
-    seen = [False] * len(sigma)
-    sgn = 1
-    for i in range(len(sigma)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j]
-            clen += 1
-        if clen % 2 == 0:
-            sgn = -sgn
-    return sgn
-
-
-def _xi_insert_terms(views, K, I, x: CubeChain, ninserts: int):
-    """Common core of the Xi variants with inserted morphisms.
-
-    ``views`` is the chain of geometries (g_0, f_1, g_1, ..., f_t, g_t) as
-    [(MorphView or GeomView)...]: t = ninserts MorphViews separate t+1
-    GeomViews; x lives on the last geometry at level I.  Yields the signed
-    pullback sum over orderings of K and insertion positions."""
-    K = tuple(sorted(K))
-    I = frozenset(I)
-    if set(K) & I:
-        raise ValueError("removal set overlaps the level")
-    w = len(K)
-    geoms = [v for v in views if isinstance(v, GeomView)]
-    mors = [v for v in views if isinstance(v, MorphView)]
-    assert len(mors) == ninserts and len(geoms) == ninserts + 1
-    deg = x.degree + w + ninserts - 1
-    out = CubeChain.zero(deg)
-    for sigma in permutations(range(w)):
-        base_sgn = _parity(sigma)
-        order = [K[sigma[a]] for a in range(w)]
-        for poss in _insert_positions(w, ninserts):
-            word = []
-            cur = set(K) | I
-            seg = 0
-            removed = 0
-            sgn_pos = (-1) ** (sum(poss) % 2)
-            for step in range(w + ninserts):
-                if seg < ninserts and removed == poss[seg]:
-                    # cross to the next geometry at the current level
-                    mv = mors[seg]
-                    word.append(mv.cls(cur, cur))
-                    seg += 1
-                else:
-                    k = order[removed]
-                    nxt = cur - {k}
-                    gv = geoms[seg]
-                    word.append(gv.tower.cls(gv.scheme, gv.level(cur),
-                                             gv.scheme, gv.level(nxt)))
-                    cur = nxt
-                    removed += 1
-            out = out + x.map_cubes(
-                lambda cu, wd=tuple(word): composite_pullback(wd, cu),
-                deg).scale(base_sgn * sgn_pos)
-    return out
-
-
-def _insert_positions(w: int, t: int):
-    """Nondecreasing insertion positions 0 <= p_1 <= ... <= p_t <= w,
-    meaning insert i happens after p_i removals."""
-    if t == 0:
-        return [()]
-    out = []
-
-    def rec(start, acc):
-        if len(acc) == t:
-            out.append(tuple(acc))
-            return
-        for p in range(start, w + 1):
-            rec(p, acc + [p])
-
-    rec(0, [])
-    return out
+    return xi_apply([g], K, I, x)
 
 
 def xi_Kf(f: MorphView, K, I, x: CubeChain) -> CubeChain:
     """Xi_{K,f} = sum_p (-1)^p sum_sigma sgn(sigma) (embed words with the
     morphism inserted after p removals); K may be empty (then it is f^*)."""
-    if not K:
-        return x.map_cubes(lambda cu: composite_pullback([f.cls(I, I)], cu), x.degree)
-    return _xi_insert_terms([f.src, f, f.dst], K, I, x, 1)
+    return xi_apply([f.src, f, f.dst], K, I, x)
 
 
 def xi_Kfg(f: MorphView, g: MorphView, K, I, x: CubeChain) -> CubeChain:
     """Xi_{K,f,g} with signs (-1)^{p+q} over 0 <= p <= q <= |K|."""
-    return _xi_insert_terms([f.src, f, f.dst, g, g.dst], K, I, x, 2)
+    return xi_apply([f.src, f, f.dst, g, g.dst], K, I, x)
 
 
 def xi_Kf1f2f3(f1: MorphView, f2: MorphView, f3: MorphView, K, I,
                x: CubeChain) -> CubeChain:
     """Xi_{K,f1,f2,f3} with signs (-1)^{p+q+u} over 0 <= p <= q <= u <= |K|."""
-    return _xi_insert_terms([f1.src, f1, f1.dst, f2, f2.dst, f3, f3.dst],
-                            K, I, x, 3)
+    return xi_apply([f1.src, f1, f1.dst, f2, f2.dst, f3, f3.dst], K, I, x)
 
 
 # -- the boundary identities of the Xi operators ------------------------
@@ -492,47 +443,28 @@ def lev_alt(a: dict) -> dict:
     return out
 
 
-def op_F(g: GeomView, m: int, n: int, x: dict, use_alt: bool = False) -> dict:
-    """The connecting map F^{m,n}(x)_J = (-1)^n sum sgn(K I; J) Xi_K(x_I)."""
-    if n <= m:
-        raise ValueError("connecting map needs n > m")
-    out = {}
-    sign_n = (-1) ** (n % 2)
-    for I, chain in x.items():
-        if len(I) != m:
-            raise ValueError("element has a level of the wrong size")
-        others = [k for k in g.marks if k not in I]
-        for K in combinations(others, n - m):
-            J = tuple(sorted(set(K) | set(I)))
-            s = sgn_division(K, tuple(sorted(I)), J)
-            term = xi_K(g, K, I, chain)
-            if use_alt:
-                term = alt(term)
-            term = term.scale(sign_n * s)
-            if term.is_zero():
-                continue
-            Jf = frozenset(J)
-            out[Jf] = out.get(Jf, CubeChain.zero(term.degree)) + term
-    return {k: v for k, v in out.items() if not v.is_zero()}
+def levelwise(views, m: int, n: int, x: dict, component) -> dict:
+    """A levelwise operator of bidegree (m, n) along the chain ``views``.
 
-
-def op_pullback(f: MorphView, m: int, n: int, x: dict, use_alt: bool = False) -> dict:
-    """(f^*)^{m,n}(x)_J = sum sgn(K I; J) Xi_{K,f}(x_I); zero for n < m."""
+    For every level I of x (of size m), with I_src its marks in g_0, and
+    every K of n - m marks of g_0 outside I_src, adds
+    component(K, I, I_src, J, x_I) into out[J], J = K | I_src; I_src and
+    J are passed as sorted tuples.  Zero terms are dropped; n < m gives
+    zero."""
     if n < m:
         return {}
     out = {}
     for I, chain in x.items():
         if len(I) != m:
             raise ValueError("element has a level of the wrong size")
-        others = [k for k in f.src.marks if k not in _marks_back(f, I)]
-        I_src = tuple(sorted(_marks_back(f, I)))
+        I_src = I
+        for f in reversed(views[1::2]):
+            I_src = _marks_back(f, I_src)
+        I_src = tuple(sorted(I_src))
+        others = [k for k in views[0].marks if k not in I_src]
         for K in combinations(others, n - m):
             J = tuple(sorted(set(K) | set(I_src)))
-            s = sgn_division(K, I_src, J)
-            term = xi_Kf(f, K, frozenset(I), chain)
-            if use_alt:
-                term = alt(term)
-            term = term.scale(s)
+            term = component(K, I, I_src, J, chain)
             if term.is_zero():
                 continue
             Jf = frozenset(J)
@@ -540,35 +472,35 @@ def op_pullback(f: MorphView, m: int, n: int, x: dict, use_alt: bool = False) ->
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-def _marks_back(f: MorphView, I):
-    back = {dm: sm for sm, dm in zip(f.src.marks, f.dst.marks)}
-    return frozenset(back[i] for i in I)
+def _xi_levelwise(views, m: int, n: int, x: dict, sign: int,
+                  use_alt: bool) -> dict:
+    """sum over J = K | I of sign sgn(K I; J) Xi_{K,views}(x_I), each term
+    alternated first when use_alt is set."""
+    def component(K, I, I_src, J, chain):
+        term = xi_apply(views, K, I, chain)
+        if use_alt:
+            term = alt(term)
+        return term.scale(sign * sgn_division(K, I_src, J))
+    return levelwise(views, m, n, x, component)
+
+
+def op_F(g: GeomView, m: int, n: int, x: dict, use_alt: bool = False) -> dict:
+    """The connecting map F^{m,n}(x)_J = (-1)^n sum sgn(K I; J) Xi_K(x_I)."""
+    if n <= m:
+        raise ValueError("connecting map needs n > m")
+    return _xi_levelwise([g], m, n, x, (-1) ** (n % 2), use_alt)
+
+
+def op_pullback(f: MorphView, m: int, n: int, x: dict, use_alt: bool = False) -> dict:
+    """(f^*)^{m,n}(x)_J = sum sgn(K I; J) Xi_{K,f}(x_I); zero for n < m."""
+    return _xi_levelwise([f.src, f, f.dst], m, n, x, 1, use_alt)
 
 
 def op_homotopy(f: MorphView, g: MorphView, m: int, n: int, x: dict,
                 use_alt: bool = False) -> dict:
     """Phi^{m,n}(x)_J = (-1)^n sum sgn(K I; J) Xi_{K,f,g}(x_I); zero for n < m."""
-    if n < m:
-        return {}
-    out = {}
-    sign_n = (-1) ** (n % 2)
-    for I, chain in x.items():
-        if len(I) != m:
-            raise ValueError("element has a level of the wrong size")
-        I_src = tuple(sorted(_marks_back(f, _marks_back(g, I))))
-        others = [k for k in f.src.marks if k not in I_src]
-        for K in combinations(others, n - m):
-            J = tuple(sorted(set(K) | set(I_src)))
-            s = sgn_division(K, I_src, J)
-            term = xi_Kfg(f, g, K, frozenset(I), chain)
-            if use_alt:
-                term = alt(term)
-            term = term.scale(sign_n * s)
-            if term.is_zero():
-                continue
-            Jf = frozenset(J)
-            out[Jf] = out.get(Jf, CubeChain.zero(term.degree)) + term
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    return _xi_levelwise([f.src, f, f.dst, g, g.dst], m, n, x,
+                         (-1) ** (n % 2), use_alt)
 
 
 # -- matrix materialization on finitely generated spans ------------------
@@ -739,75 +671,31 @@ def materialize_ccomplex(model: MatrixModel, f_op=None) -> "ccx.CComplex":
     """The C-complex of the geometry on the span, as ccx matrices.
 
     Index m holds the direct sum over levels of size m; ``f_op(m, n, x)``
-    defaults to the geometry connecting map of ``model.g``."""
+    defaults to the geometry connecting map of ``model.g``.  The boundaries
+    are the (m, m) components, and the connecting maps the (m, n > m)
+    components, of one levelwise operator of degree shift n - m - 1."""
     g = model.g
     if f_op is None:
         f_op = lambda m, n, x: op_F(g, m, n, x, use_alt=model.use_alt)
-    r = len(g.marks)
-    complexes = {}
-    fmaps = {}
-    level_order = {m: _levels_of_size(g.marks, g.extra, m) for m in range(r + 1)}
-
-    def block_dims(m, k):
-        return [model.dim(lvl, k) for lvl in level_order[m]]
-
-    degrees = sorted({deg for (lvl, deg) in model.span.basis})
-    if not degrees:
+    if not model.span.basis:
         return ccx.CComplex({}, {})
-    dmax = max(degrees)
-    for m in range(r + 1):
-        dims = {}
-        for k in range(0, dmax + 1):
-            d = sum(block_dims(m, k))
-            if d:
-                dims[k] = d
-        bnd = {}
-        for k in range(1, dmax + 1):
-            ent = {}
-            col = 0
-            row_off = {}
-            off = 0
-            for lvl in level_order[m]:
-                row_off[lvl] = off
-                off += model.dim(lvl, k - 1)
-            for lvl in level_order[m]:
-                for j in range(model.dim(lvl, k)):
-                    img = boundary(model.basis_chain(lvl, k, j))
-                    for pos, v in model.coords(lvl, img).items():
-                        ent[(row_off[lvl] + pos, col)] = v
-                    col += 1
-            if dims.get(k) and dims.get(k - 1):
-                bnd[k] = RatMatrix(dims[k - 1], dims[k], ent)
-        complexes[m] = ccx.ChainComplex(dims, bnd)
-    for m in range(r + 1):
-        for n in range(m + 1, r + 1):
-            per = {}
-            for k in range(0, dmax + 1):
-                rows = complexes[n].dim(k + n - m - 1)
-                cols = complexes[m].dim(k)
-                if not rows or not cols:
-                    continue
-                ent = {}
-                col = 0
-                row_off = {}
-                off = 0
-                for lvl in level_order[n]:
-                    row_off[lvl] = off
-                    off += model.dim(lvl, k + n - m - 1)
-                for lvl in level_order[m]:
-                    for j in range(model.dim(lvl, k)):
-                        x = {lvl: model.basis_chain(lvl, k, j)}
-                        img = f_op(m, n, x)
-                        for lvl2, ch in img.items():
-                            for pos, v in model.coords(lvl2, ch).items():
-                                ent[(row_off[lvl2] + pos, col)] = v
-                        col += 1
-                mat = RatMatrix(rows, cols, ent)
-                if not mat.is_zero():
-                    per[k] = mat
-            if per:
-                fmaps[(m, n)] = per
-    return ccx.CComplex(complexes, fmaps)
+
+    def d_and_f(m, n, x):
+        return lev_boundary(x) if n == m else f_op(m, n, x)
+
+    comps = materialize_operator(model, model, d_and_f, -1, "map")
+    dmax = max(deg for (_, deg) in model.span.basis)
+    complexes = {}
+    for m in range(len(g.marks) + 1):
+        levels = _levels_of_size(g.marks, g.extra, m)
+        dims = {k: sum(model.dim(lvl, k) for lvl in levels)
+                for k in range(dmax + 1)}
+        complexes[m] = ccx.ChainComplex(dims, comps.pop((m, m), {}))
+    return ccx.CComplex(complexes, comps)
+
+
+# how far below the diagonal (m, m) the components of each shape reach
+_SHAPE_REACH = {"map": 0, "homotopy": 1, "second": 2}
 
 
 def materialize_operator(src_model: MatrixModel, dst_model: MatrixModel,
@@ -820,7 +708,7 @@ def materialize_operator(src_model: MatrixModel, dst_model: MatrixModel,
     g_src, g_dst = src_model.g, dst_model.g
     r = len(g_src.marks)
     comps = {}
-    lo_shift = {"map": 0, "homotopy": 1, "second": 2}[shape]
+    lo_shift = _SHAPE_REACH[shape]
     src_levels = {m: _levels_of_size(g_src.marks, g_src.extra, m) for m in range(r + 1)}
     dst_levels = {m: _levels_of_size(g_dst.marks, g_dst.extra, m) for m in range(r + 1)}
     degrees = sorted({deg for (lvl, deg) in src_model.span.basis})
@@ -862,7 +750,7 @@ def materialize_operator(src_model: MatrixModel, dst_model: MatrixModel,
 def _op_image_seeds(src_span: Span, op, shape: str, r: int):
     """Seed cubes for a destination span: every cube of every component
     image of the span basis under a levelwise operator."""
-    lo_shift = {"map": 0, "homotopy": 1, "second": 2}[shape]
+    lo_shift = _SHAPE_REACH[shape]
     seeds = []
     for (level, degree), cubes in src_span.items():
         m = len(level)
@@ -1036,22 +924,11 @@ def identity_word_cube(g: GeomView, K, I, p: int, obj_cube: ExactCube,
                        identity_at: MorphView) -> ExactCube:
     """The pullback cube of the word with the identity morphism inserted
     after p of the embeddings of K (in sorted order)."""
-    K = tuple(sorted(K))
-    w = len(K)
-    if not 0 <= p <= w:
+    if not 0 <= p <= len(K):
         raise ValueError("insert position out of range")
-    word = []
-    cur = set(K) | set(I)
-    removed = 0
-    for step in range(w + 1):
-        if step == p:
-            word.append(identity_at.cls(cur, cur))
-        else:
-            k = K[removed]
-            nxt = cur - {k}
-            word.append(g.tower.cls(g.scheme, g.level(cur), g.scheme, g.level(nxt)))
-            cur = nxt
-            removed += 1
+    # the first |K| + 1 words are those of the sorted ordering, with the
+    # insert after 0, 1, ..., |K| removals
+    _, word = next(islice(xi_words([g, identity_at, g], K, I), p, None))
     return composite_pullback(word, obj_cube)
 
 

@@ -13,34 +13,18 @@ from itertools import combinations
 
 
 def perm_sign(seq) -> int:
-    """Parity of the permutation sorting ``seq``, via merge-based inversion
-    counting (O(n log n)); entries must be distinct."""
+    """Parity of the permutation sorting ``seq`` (-1 for an odd number of
+    inversions); entries must be distinct.  Every sequence here is short
+    (a cube's axes or a geometry's marks), so pairs are compared directly."""
     seq = list(seq)
     if len(set(seq)) != len(seq):
         raise ValueError("repeated entries have no parity")
-    inv = _count_inversions(seq)
-    return -1 if inv & 1 else 1
-
-
-def _count_inversions(seq) -> int:
-    n = len(seq)
-    if n < 2:
-        return 0
-    mid = n // 2
-    left, right = seq[:mid], seq[mid:]
-    inv = _count_inversions(left) + _count_inversions(right)
-    merged = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            merged.append(right[j])
-            j += 1
-            inv += len(left) - i
-    seq[:] = merged + left[i:] + right[j:]
-    return inv
+    sgn = 1
+    for i, a in enumerate(seq):
+        for b in seq[i + 1:]:
+            if a > b:
+                sgn = -sgn
+    return sgn
 
 
 def _check_division(parts, J) -> None:

@@ -12,6 +12,12 @@ by tensoring with a fixed object, the homotopy exchanging it with a
 pullback, and the second homotopy produced by a section of a closed
 immersion.
 
+The words of every Xi slot come from ``multirel.xi_words``, the one
+enumerator of the Xi family, which multirel's Xi operators apply to chains
+directly; the operators here sum over divisions J = K ∐ I through the same
+``multirel.levelwise`` loop as multirel's connecting, pullback and
+homotopy operators.
+
 Alternation policy: every operator here is of the form Alt . (plain sum
 of pullback words), and alternation absorbs the axis action of words
 (Alt Xi Alt = Alt Xi, one of the verified suites).  Identities between
@@ -23,13 +29,13 @@ produce plain values, and the relation checkers wrap them in lev_alt.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
 
 from .cubes import (CubeChain, ExactCube, ExactFunctor, alt, boundary,
                     bracket_cube, composite_pullback)
 from .exactlin import MetObj
-from .multirel import (GeomView, MorphView, _marks_back, _parity, lev_add,
-                       lev_alt, lev_eq, lev_scale)
+from . import multirel
+from .multirel import (GeomView, MorphView, lev_add, lev_alt, lev_eq,
+                       lev_scale, levelwise)
 from .signs import b_weight, divisions_into, sgn_multidivision
 
 
@@ -98,85 +104,29 @@ class SlotSum:
         return SlotSum(out, self.deg - 1)
 
 
-def _embed_word(g: GeomView, order, top_level) -> list:
-    word = []
-    cur = set(top_level)
-    for k in order:
-        nxt = cur - {k}
-        word.append(g.tower.cls(g.scheme, g.level(cur), g.scheme, g.level(nxt)))
-        cur = nxt
-    return word
+def _xi_slot(views, K, I) -> SlotSum:
+    """Xi_{K,f_1..f_t} as a slot functor: one single-word pipeline per
+    signed word of ``multirel.xi_words``."""
+    words = multirel.xi_words(views, K, I)
+    return SlotSum([(s, SlotTerm([w])) for s, w in words],
+                   len(K) + len(views) // 2 - 1)
 
 
 def xi_slot(g: GeomView, K, I) -> SlotSum:
     """Xi_K as a slot functor from level I to level K | I."""
-    K = tuple(sorted(K))
-    I = frozenset(I)
-    w = len(K)
-    if w == 0:
+    if not K:
         raise ValueError("Xi slot needs a nonempty removal set")
-    terms = []
-    for sigma in permutations(range(w)):
-        order = [K[sigma[a]] for a in range(w)]
-        terms.append((Fraction(_parity(sigma)),
-                      SlotTerm([_embed_word(g, order, set(K) | I)])))
-    return SlotSum(terms, w - 1)
-
-
-def _insert_word(geoms, mors, order, inserts, top_level):
-    """One pullback word: embeddings along ``order`` with the morphisms of
-    ``mors`` inserted after inserts[i] removals (nondecreasing)."""
-    word = []
-    cur = set(top_level)
-    seg = 0
-    removed = 0
-    total = len(order) + len(mors)
-    for _ in range(total):
-        if seg < len(mors) and removed == inserts[seg]:
-            word.append(mors[seg].cls(cur, cur))
-            seg += 1
-        else:
-            k = order[removed]
-            gv = geoms[seg]
-            nxt = cur - {k}
-            word.append(gv.tower.cls(gv.scheme, gv.level(cur),
-                                     gv.scheme, gv.level(nxt)))
-            cur = nxt
-            removed += 1
-    return word
+    return _xi_slot([g], K, I)
 
 
 def xi_slot_f(f: MorphView, K, I) -> SlotSum:
     """Xi_{K,f} as a slot functor; K may be empty (then it is f^*)."""
-    K = tuple(sorted(K))
-    I = frozenset(I)
-    w = len(K)
-    terms = []
-    for sigma in permutations(range(w)):
-        base = _parity(sigma)
-        order = [K[sigma[a]] for a in range(w)]
-        for p in range(w + 1):
-            word = _insert_word([f.src, f.dst], [f], order, (p,), set(K) | I)
-            terms.append((Fraction(base * (-1) ** (p % 2)), SlotTerm([word])))
-    return SlotSum(terms, w)
+    return _xi_slot([f.src, f, f.dst], K, I)
 
 
 def xi_slot_fg(f: MorphView, g: MorphView, K, I) -> SlotSum:
     """Xi_{K,f,g} as a slot functor; K may be empty."""
-    K = tuple(sorted(K))
-    I = frozenset(I)
-    w = len(K)
-    terms = []
-    for sigma in permutations(range(w)):
-        base = _parity(sigma)
-        order = [K[sigma[a]] for a in range(w)]
-        for p in range(w + 1):
-            for q in range(p, w + 1):
-                word = _insert_word([f.src, f.dst, g.dst], [f, g], order,
-                                    (p, q), set(K) | I)
-                terms.append((Fraction(base * (-1) ** ((p + q) % 2)),
-                              SlotTerm([word])))
-    return SlotSum(terms, w + 1)
+    return _xi_slot([f.src, f, f.dst, g, g.dst], K, I)
 
 
 def bracket_apply(f_obj: MetObj, slots, pis, x: CubeChain) -> CubeChain:
@@ -299,83 +249,63 @@ def _pi(view: GeomView, lvl) -> ExactFunctor:
     return view.base_cls(lvl).functor()
 
 
+def _bracket_term(f_obj: MetObj, chain: CubeChain, parts, I_src, J, weight,
+                  slot, station) -> CubeChain:
+    """sgn(nonempty parts, I; J) (-1)^weight <F; slots>(chain) over the
+    stations of ``parts``: slot p (1-based) is slot(p, parts[p-1], level),
+    and station p pulls back along the base class of geometry station(p)."""
+    lvls = _station_levels(parts, I_src)
+    sgn = sgn_multidivision([q for q in parts if q] + [I_src], J)
+    sgn *= (-1) ** (weight % 2)
+    slots = [slot(p, parts[p - 1], lvls[p]) for p in range(1, len(parts) + 1)]
+    pis = [_pi(station(p), lvls[p]) for p in range(len(parts) + 1)]
+    return bracket_apply(f_obj, slots, pis, chain).scale(sgn)
+
+
 def op_tensor(f_obj: MetObj, g: GeomView, m: int, n: int, x: dict) -> dict:
     """(F (x) )^{m,n}, plain (not alternated): the diagonal is tensoring
     with the pullback of F, the off-diagonal components are signed bracket
     operators over ordered divisions of J - I."""
-    if n < m:
-        return {}
-    out = {}
-    for I, chain in x.items():
-        if len(I) != m:
-            raise ValueError("element has a level of the wrong size")
-        others = [k for k in g.marks if k not in I]
-        for Kc in combinations(others, n - m):
-            J = frozenset(I) | set(Kc)
-            if n == m:
-                term = bracket_apply(f_obj, [], [_pi(g, frozenset(I))], chain)
-            else:
-                term = CubeChain.zero(chain.degree + n - m)
-                for l in range(1, len(Kc) + 1):
-                    for parts in divisions_into(Kc, l):
-                        sizes = [len(p) for p in parts]
-                        sgn = sgn_multidivision(list(parts) + [tuple(sorted(I))],
-                                                tuple(sorted(J)))
-                        sgn *= (-1) ** (b_weight(sizes) % 2)
-                        lvls = _station_levels(parts, I)
-                        slots = [xi_slot(g, parts[p], lvls[p + 1])
-                                 for p in range(l)]
-                        pis = [_pi(g, lvls[p]) for p in range(l + 1)]
-                        term = term + bracket_apply(f_obj, slots, pis,
-                                                    chain).scale(sgn)
-            if term.is_zero():
-                continue
-            out[J] = out.get(J, CubeChain.zero(term.degree)) + term
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    def component(Kc, I, I_src, J, chain):
+        if not Kc:
+            return bracket_apply(f_obj, [], [_pi(g, frozenset(I))], chain)
+        term = CubeChain.zero(chain.degree + n - m)
+        for l in range(1, len(Kc) + 1):
+            for parts in divisions_into(Kc, l):
+                term = term + _bracket_term(
+                    f_obj, chain, parts, I_src, J,
+                    b_weight([len(q) for q in parts]),
+                    lambda p, K, lvl: xi_slot(g, K, lvl), lambda p: g)
+        return term
+    return levelwise([g], m, n, x, component)
 
 
 def op_tensor_homotopy(f_obj: MetObj, f: MorphView, m: int, n: int,
                        x: dict) -> dict:
     """Phi_f^{m,n}, plain: the homotopy exchanging (F (x) ) with f^*.
     One designated slot carries Xi_{K_p, f} and may be empty."""
-    if n < m:
-        return {}
-    out = {}
-    for I, chain in x.items():
-        if len(I) != m:
-            raise ValueError("element has a level of the wrong size")
-        I_src = _marks_back(f, I)
-        others = [k for k in f.src.marks if k not in I_src]
-        for Kc in combinations(others, n - m):
-            J = frozenset(I_src) | set(Kc)
-            term = CubeChain.zero(chain.degree + n - m + 1)
-            for l in range(1, len(Kc) + 2):
-                for p0 in range(1, l + 1):
-                    for parts in _divisions_optional(Kc, l, [p0]):
-                        sizes = [len(q) for q in parts]
-                        nonempty = [q for q in parts if q]
-                        sgn = sgn_multidivision(
-                            nonempty + [tuple(sorted(I_src))], tuple(sorted(J)))
-                        merged = ([sizes[0]] + sizes[1:] if p0 == 1 else
-                                  sizes[:p0 - 2] + [sizes[p0 - 2] + sizes[p0 - 1]]
-                                  + sizes[p0:])
-                        sgn *= (-1) ** ((b_weight(merged) + n + p0 + l + 1) % 2)
-                        lvls = _station_levels(parts, I_src)
-                        slots = []
-                        for p in range(1, l + 1):
-                            if p == p0:
-                                slots.append(xi_slot_f(f, parts[p - 1], lvls[p]))
-                            else:
-                                gv = f.src if p < p0 else f.dst
-                                slots.append(xi_slot(gv, parts[p - 1], lvls[p]))
-                        pis = [_pi(f.src if p < p0 else f.dst, lvls[p])
-                               for p in range(l + 1)]
-                        term = term + bracket_apply(f_obj, slots, pis,
-                                                    chain).scale(sgn)
-            if term.is_zero():
-                continue
-            out[J] = out.get(J, CubeChain.zero(term.degree)) + term
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    def component(Kc, I, I_src, J, chain):
+        term = CubeChain.zero(chain.degree + n - m + 1)
+        for l in range(1, len(Kc) + 2):
+            for p0 in range(1, l + 1):
+                def station(p):
+                    return f.src if p < p0 else f.dst
+
+                def slot(p, K, lvl):
+                    if p == p0:
+                        return xi_slot_f(f, K, lvl)
+                    return xi_slot(station(p), K, lvl)
+
+                for parts in _divisions_optional(Kc, l, [p0]):
+                    sizes = [len(q) for q in parts]
+                    merged = ([sizes[0]] + sizes[1:] if p0 == 1 else
+                              sizes[:p0 - 2] + [sizes[p0 - 2] + sizes[p0 - 1]]
+                              + sizes[p0:])
+                    term = term + _bracket_term(
+                        f_obj, chain, parts, I_src, J,
+                        b_weight(merged) + n + p0 + l + 1, slot, station)
+        return term
+    return levelwise([f.src, f, f.dst], m, n, x, component)
 
 
 def op_tensor_theta(f_obj: MetObj, f: MorphView, g: MorphView, m: int, n: int,
@@ -383,65 +313,44 @@ def op_tensor_theta(f_obj: MetObj, f: MorphView, g: MorphView, m: int, n: int,
     """Theta^{m,n} = Theta_1 + Theta_2, plain: the second homotopy of the
     section setup g f = Id.  Theta_1 places Xi_{K_p,f,g} in one optional
     slot; Theta_2 places Xi_{K_p,f} and Xi_{K_q,g} in two optional slots."""
-    if n < m:
-        return {}
-    out = {}
-    for I, chain in x.items():
-        if len(I) != m:
-            raise ValueError("element has a level of the wrong size")
-        others = [k for k in g.dst.marks if k not in I]
-        for Kc in combinations(others, n - m):
-            J = frozenset(I) | set(Kc)
-            term = CubeChain.zero(chain.degree + n - m + 2)
-            # Theta_1
-            for l in range(1, len(Kc) + 2):
-                for p0 in range(1, l + 1):
-                    for parts in _divisions_optional(Kc, l, [p0]):
+    def component(Kc, I, I_src, J, chain):
+        term = CubeChain.zero(chain.degree + n - m + 2)
+        # Theta_1
+        for l in range(1, len(Kc) + 2):
+            for p0 in range(1, l + 1):
+                def slot(p, K, lvl):
+                    if p == p0:
+                        return xi_slot_fg(f, g, K, lvl)
+                    return xi_slot(g.dst, K, lvl)
+
+                for parts in _divisions_optional(Kc, l, [p0]):
+                    term = term + _bracket_term(
+                        f_obj, chain, parts, I_src, J,
+                        b_weight([len(q) for q in parts]) + 1, slot,
+                        lambda p: g.dst)
+        # Theta_2
+        for l in range(2, len(Kc) + 3):
+            for p0 in range(1, l + 1):
+                for q0 in range(p0 + 1, l + 1):
+                    def slot(p, K, lvl):
+                        if p == p0:
+                            return xi_slot_f(f, K, lvl)
+                        if p == q0:
+                            return xi_slot_f(g, K, lvl)
+                        return xi_slot(g.dst if (p < p0 or p > q0) else f.dst,
+                                       K, lvl)
+
+                    def station(p):
+                        return g.dst if (p < p0 or p >= q0) else f.dst
+
+                    for parts in _divisions_optional(Kc, l, [p0, q0]):
                         sizes = [len(q) for q in parts]
-                        nonempty = [q for q in parts if q]
-                        sgn = sgn_multidivision(nonempty + [tuple(sorted(I))],
-                                                tuple(sorted(J)))
-                        sgn *= (-1) ** ((b_weight(sizes) + 1) % 2)
-                        lvls = _station_levels(parts, I)
-                        slots = []
-                        for p in range(1, l + 1):
-                            if p == p0:
-                                slots.append(xi_slot_fg(f, g, parts[p - 1], lvls[p]))
-                            else:
-                                slots.append(xi_slot(g.dst, parts[p - 1], lvls[p]))
-                        pis = [_pi(g.dst, lvls[p]) for p in range(l + 1)]
-                        term = term + bracket_apply(f_obj, slots, pis,
-                                                    chain).scale(sgn)
-            # Theta_2
-            for l in range(2, len(Kc) + 3):
-                for p0 in range(1, l + 1):
-                    for q0 in range(p0 + 1, l + 1):
-                        for parts in _divisions_optional(Kc, l, [p0, q0]):
-                            sizes = [len(q) for q in parts]
-                            nonempty = [q for q in parts if q]
-                            sgn = sgn_multidivision(nonempty + [tuple(sorted(I))],
-                                                    tuple(sorted(J)))
-                            c_pq = (b_weight(sizes) + sum(sizes[p0 - 1:q0 - 1])
-                                    + p0 + q0 + 1)
-                            sgn *= (-1) ** (c_pq % 2)
-                            lvls = _station_levels(parts, I)
-                            slots = []
-                            for p in range(1, l + 1):
-                                if p == p0:
-                                    slots.append(xi_slot_f(f, parts[p - 1], lvls[p]))
-                                elif p == q0:
-                                    slots.append(xi_slot_f(g, parts[p - 1], lvls[p]))
-                                else:
-                                    gv = g.dst if (p < p0 or p > q0) else f.dst
-                                    slots.append(xi_slot(gv, parts[p - 1], lvls[p]))
-                            pis = [_pi(g.dst if (p < p0 or p >= q0) else f.dst,
-                                       lvls[p]) for p in range(l + 1)]
-                            term = term + bracket_apply(f_obj, slots, pis,
-                                                        chain).scale(sgn)
-            if term.is_zero():
-                continue
-            out[J] = out.get(J, CubeChain.zero(term.degree)) + term
-    return {k: v for k, v in out.items() if not v.is_zero()}
+                        term = term + _bracket_term(
+                            f_obj, chain, parts, I_src, J,
+                            b_weight(sizes) + sum(sizes[p0 - 1:q0 - 1])
+                            + p0 + q0 + 1, slot, station)
+        return term
+    return levelwise([g.dst], m, n, x, component)
 
 
 def check_phi_s_equals_tensor(f_obj: MetObj, big: GeomView, x: dict,

@@ -14,6 +14,8 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
+from .signs import perm_sign
+
 HOLO = "dz"
 ANTI = "dzb"
 
@@ -122,22 +124,12 @@ def build_S(r: int, i: int) -> LogForm:
         raise ValueError("holomorphic split out of range")
     terms = []
     for sigma in permutations(range(1, r + 1)):
-        sgn = _perm_sign(sigma)
+        sgn = perm_sign(sigma)
         log_ix = sigma[0]
         wedge = tuple((HOLO, sigma[a]) for a in range(1, i)) + \
             tuple((ANTI, sigma[a]) for a in range(i, r))
         terms.append(((log_ix, wedge), Fraction(sgn)))
     return LogForm(terms)
-
-
-def _perm_sign(sigma) -> int:
-    sgn = 1
-    n = len(sigma)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if sigma[a] > sigma[b]:
-                sgn = -sgn
-    return sgn
 
 
 def build_W(r: int) -> LogForm:

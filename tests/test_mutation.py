@@ -107,3 +107,29 @@ def test_missing_alternation_fails_identity_pullback():
     assert any(not ch.is_zero() for ch in img.values())
     # ... and only alternation makes the identity pullback the identity
     assert lev_eq(lev_alt(img), {})
+
+
+def test_one_perturbed_word_enumerator_fails_pullback_and_tensor(monkeypatch):
+    # the Xi words of multirel's operators and of tensorstruct's slot
+    # functors come from one enumerator, so a single perturbation of it
+    # must break the relations of both families
+    from cubehom.suites import _tensor_homotopy_relation
+    rng = random.Random(5)
+    _, (X0, X1) = geometry(2, seed=9, schemes=2)
+    f = MorphView(X0, X1)
+    F = MetObj(2, rnd_gram(rng, 2), check=False)
+    x = {frozenset(): CubeChain.of(rnd_cube(rng, 1, with_gram=True))}
+    assert multirel.check_cmap_relation(f, x, 0, 2)["ok"]
+    assert _tensor_homotopy_relation(F, f, x, 0, 2)
+    real = multirel.xi_words
+
+    def odd_insert_flipped(views, K, I):
+        # the inserted morphism is the one class that changes scheme; its
+        # index in the word is its insertion position
+        for sgn, word in real(views, K, I):
+            p = next((i for i, c in enumerate(word) if c.src[0] != c.dst[0]), 0)
+            yield (-sgn if p % 2 else sgn), word
+
+    monkeypatch.setattr(multirel, "xi_words", odd_insert_flipped)
+    assert not multirel.check_cmap_relation(f, x, 0, 2)["ok"]
+    assert not _tensor_homotopy_relation(F, f, x, 0, 2)

@@ -179,7 +179,6 @@ def test_pullback_word_twists_axis_action():
     # the pullback of an axis-permuted cube is the word-axis-fixing
     # extension of the permutation applied to the pullback
     from cubehom.cubes import act_sym, composite_pullback
-    from cubehom.multirel import _parity
     from itertools import permutations as perms
     rng = random.Random(11)
     _, (g,) = geometry(2)
