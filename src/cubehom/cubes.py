@@ -314,15 +314,8 @@ def one_cube(left: MetObj, mid: MetObj, right: MetObj,
                      {(1, (-1,)): inj, (1, (0,)): surj})
 
 
-_FACE_CACHE = memo.table("cubes.face")
-
-
 def face(cube: ExactCube, j: int, i: int) -> ExactCube:
     """The face cube with i inserted at axis j: (d_j^i F)_a = F_{a[:j-1], i, a[j-1:]}."""
-    key = (cube, j, i)
-    hit = _FACE_CACHE.get(key)
-    if hit is not None:
-        return hit
     n = cube.n
     if not 1 <= j <= n:
         raise ValueError("face axis out of range")
@@ -338,9 +331,7 @@ def face(cube: ExactCube, j: int, i: int) -> ExactCube:
                 continue
             kk = k if k < j else k + 1
             arrows[(k, a)] = cube.arrows[(kk, big)]
-    out = _mk(n - 1, verts, arrows)
-    _FACE_CACHE[key] = out
-    return out
+    return _mk(n - 1, verts, arrows)
 
 
 def degeneracy(cube: ExactCube, j: int, sign: int) -> ExactCube:

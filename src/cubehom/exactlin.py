@@ -458,37 +458,21 @@ ZERO_OBJ = MetObj(0)
 def _is_sym_posdef(g: RatMatrix) -> bool:
     if g != g.transpose():
         return False
-    # leading principal minors > 0, by fraction-free determinants
-    d = g.to_dense()
-    n = g.rows
-    for k in range(1, n + 1):
-        if _det([row[:k] for row in d[:k]]) <= 0:
+    # Sylvester: every leading principal minor is positive.  Without row
+    # swaps the forward Bareiss pivots are those minors of the row-scaled
+    # integer matrix, whose signs are the same; a zero pivot, where a swap
+    # would be needed, is a zero minor (Bareiss, Math. Comp. 22, 1968)
+    a = _int_rows(g)
+    prev = 1
+    for c in range(g.rows):
+        piv = a[c][c]
+        if piv <= 0:
             return False
+        for i in range(c + 1, g.rows):
+            for j in range(c + 1, g.rows):
+                a[i][j] = (piv * a[i][j] - a[i][c] * a[c][j]) // prev
+        prev = piv
     return True
-
-
-def _det(a) -> Fraction:
-    a = [row[:] for row in a]
-    n = len(a)
-    det = Fraction(1)
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if a[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c] != 0:
-                f = a[r][c] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return det
 
 
 def tensor_obj(a: MetObj, b: MetObj) -> MetObj:

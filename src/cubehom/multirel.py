@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from functools import partial
 from itertools import (combinations, combinations_with_replacement, islice,
                        permutations)
 
@@ -995,49 +996,65 @@ def check_ccomplex_relation(g: GeomView, x: dict, m: int, n_max: int,
     return {"ok": True}
 
 
+def check_relation(op, reach: int, g_in: GeomView, g_out: GeomView, x: dict,
+                   m: int, n_max: int, target=(), compare_alt: bool = False,
+                   use_alt: bool = False) -> dict:
+    """The relation of a family op(m, n, y) of levelwise operators of this
+    reach from the C-complex of g_in to that of g_out, applied to a
+    generator element x at index m, for every n <= n_max:
+
+        (-1)^n d op^{m,n} + sum_{l<n} F_out^{l,n} op^{m,l}
+          + (-1)^(reach+1) [(-1)^m op^{m,n} d + sum_{l>m} op^{l,n} F_in^{m,l}]
+          = sum over target of sign * (outer inner)^{m,n}
+
+    for target triples (sign, outer, inner), where inner None stands for
+    the identity; the generator-level form of ccx.CFamily.defect.  Reach 0
+    states a map, 1 a homotopy and 2 a second homotopy.  Every operator
+    vanishes below the diagonal, so (outer inner)^{m,n} sums over
+    m <= l <= n.  With compare_alt the two sides are compared after
+    alternation; use_alt alternates x and every F."""
+    if use_alt:
+        x = lev_alt(x)
+    dx = lev_boundary(x)
+    lo = max(m - reach, 0)
+    img = {l: op(m, l, x) for l in range(lo, n_max + 1)}
+    f_in = {l: op_F(g_in, m, l, x, use_alt)
+            for l in range(m + 1, n_max + reach + 1)}
+    # inner^{m,l}(x) per target term; the identity's one component is x
+    terms = [(sign, outer, {m: x} if inner is None else
+              {l: inner(m, l, x) for l in range(m, n_max + 1)})
+             for sign, outer, inner in target]
+    for n in range(lo, n_max + 1):
+        left = lev_scale(lev_boundary(img[n]), (-1) ** (n % 2))
+        for l in range(lo, n):
+            left = lev_add(left, op_F(g_out, l, n, img[l], use_alt))
+        right = lev_scale(op(m, n, dx), (-1) ** (m % 2)) if dx else {}
+        for l in range(m + 1, n + reach + 1):
+            right = lev_add(right, op(l, n, f_in[l]))
+        diff = lev_add(left, lev_scale(right, (-1) ** ((reach + 1) % 2)))
+        for sign, outer, inner_img in terms:
+            for l, y in inner_img.items():
+                if l <= n:
+                    diff = lev_add(diff, lev_scale(outer(l, n, y), -sign))
+        if not lev_eq(lev_alt(diff) if compare_alt else diff, {}):
+            return {"ok": False, "at": {"m": m, "n": n}}
+    return {"ok": True}
+
+
 def check_cmap_relation(f: MorphView, x: dict, m: int, n_max: int,
                         use_alt: bool = False) -> dict:
     """(-1)^n d f^{m,n} + sum F f = (-1)^m f^{m,n} d + sum f F for the
     pullback map of a geometry morphism, applied to a generator."""
-    if use_alt:
-        x = lev_alt(x)
-    dx = lev_boundary(x)
-    for n in range(m, n_max + 1):
-        lhs = lev_scale(lev_boundary(op_pullback(f, m, n, x, use_alt)), (-1) ** n)
-        for l in range(m, n):
-            lhs = lev_add(lhs, op_F(f.src, l, n, op_pullback(f, m, l, x, use_alt), use_alt))
-        rhs = lev_scale(op_pullback(f, m, n, dx, use_alt), (-1) ** m) if dx else {}
-        for l in range(m + 1, n + 1):
-            rhs = lev_add(rhs, op_pullback(f, l, n, op_F(f.dst, m, l, x, use_alt), use_alt))
-        if not lev_eq(lhs, rhs):
-            return {"ok": False, "at": {"m": m, "n": n}}
-    return {"ok": True}
+    return check_relation(partial(op_pullback, f, use_alt=use_alt), 0,
+                          f.dst, f.src, x, m, n_max, use_alt=use_alt)
 
 
 def check_homotopy_relation(f: MorphView, g: MorphView, h: MorphView, x: dict,
                             m: int, n_max: int, use_alt: bool = False) -> dict:
     """The homotopy relation for Phi between h^* and f^* g^* (h = g o f)."""
-    if use_alt:
-        x = lev_alt(x)
-    dx = lev_boundary(x)
-    for n in range(m - 1, n_max + 1):
-        if n < 0:
-            continue
-        acc = lev_scale(op_homotopy(f, g, m, n, dx, use_alt), (-1) ** m) if dx else {}
-        for l in range(m + 1, n + 2):
-            acc = lev_add(acc, op_homotopy(f, g, l, n,
-                                           op_F(g.dst, m, l, x, use_alt), use_alt))
-        acc = lev_add(acc, lev_scale(lev_boundary(op_homotopy(f, g, m, n, x, use_alt)),
-                                     (-1) ** n))
-        for l in range(max(m - 1, 0), n):
-            acc = lev_add(acc, op_F(f.src, l, n,
-                                    op_homotopy(f, g, m, l, x, use_alt), use_alt))
-        # target: (f^* g^*)^{m,n} - (h^*)^{m,n}
-        tgt = {}
-        for l in range(m, n + 1):
-            tgt = lev_add(tgt, op_pullback(f, l, n,
-                                           op_pullback(g, m, l, x, use_alt), use_alt))
-        tgt = lev_add(tgt, lev_scale(op_pullback(h, m, n, x, use_alt), -1))
-        if not lev_eq(acc, tgt):
-            return {"ok": False, "at": {"m": m, "n": n}}
-    return {"ok": True}
+    def pull(v):
+        return partial(op_pullback, v, use_alt=use_alt)
+    return check_relation(partial(op_homotopy, f, g, use_alt=use_alt), 1,
+                          g.dst, f.src, x, m, n_max,
+                          [(1, pull(f), pull(g)), (-1, pull(h), None)],
+                          use_alt=use_alt)

@@ -9,9 +9,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .ccx import (CComplex, ChainComplex, CHomotopy, CMap, cmap_add,
-                  homotopy_defect, map_compose_homotopy, simple,
-                  single_complex)
+from .ccx import (CComplex, ChainComplex, CHomotopy, CMap, cmap_add, compose,
+                  homotopy_defect, identity_cmap, simple, single_complex)
 from .cubes import ExactCube, MetObj, object_cube, one_cube, tensor_cube
 from .exactlin import RatMatrix, ZERO_OBJ, inverse
 
@@ -178,7 +177,6 @@ def direct_sum_ccomplex(b: CComplex, e: CComplex) -> CComplex:
 def rnd_exchange_square(rng: random.Random):
     """A homotopy-commuting square: maps f: A -> B, fp: Ap -> Bp, columns
     pa: A -> Ap, pb: B -> Bp, and a homotopy phi from pb f to fp pa."""
-    from .ccx import homotopy_add, homotopy_compose_map
     a, b = rnd_ccomplex(rng), rnd_ccomplex(rng)
     ap, bp = rnd_ccomplex(rng), rnd_ccomplex(rng)
     f = rnd_cmap(rng, a, b)
@@ -187,9 +185,8 @@ def rnd_exchange_square(rng: random.Random):
     pb = homotopy_defect(b, bp, h2)
     hp = rnd_homotopy_comps(rng, a, ap)
     pa = homotopy_defect(a, ap, hp)
-    from .ccx import map_compose_homotopy as mch, homotopy_compose_map as hcm
-    phi = homotopy_add(mch(fp, CHomotopy(a, ap, hp)),
-                       hcm(CHomotopy(b, bp, h2), f), scale_b=-1)
+    phi = cmap_add(compose(fp, CHomotopy(a, ap, hp)),
+                   compose(CHomotopy(b, bp, h2), f), scale_g=-1)
     return a, b, ap, bp, f, fp, pa, pb, phi
 
 
@@ -197,7 +194,8 @@ def solve_second_homotopy(f, g, fp, gp, phi_a, phi_b, h_f, h_g, psi, psi_p):
     """An explicit second homotopy for the given gadgets, found by solving
     the defining relation exactly; returns the SecondHomotopy or None when
     the residual is not a boundary in the mediating degree."""
-    from .ccx import SecondHomotopy, check_second_homotopy
+    from .ccx import (SecondHomotopy, check_second_homotopy,
+                      second_homotopy_target)
     from .exactlin import solve
     b = g.src
     bp = phi_b.dst
@@ -225,6 +223,7 @@ def solve_second_homotopy(f, g, fp, gp, phi_a, phi_b, h_f, h_g, psi, psi_p):
     def theta_slot(mm, nn, kk):
         return offs.get((mm, nn, kk))
 
+    target = second_homotopy_target(g, fp, phi_b, h_f, h_g, psi, psi_p)
     eqs = {}
     rhsv = {}
     eqcount = 0
@@ -243,14 +242,7 @@ def solve_second_homotopy(f, g, fp, gp, phi_a, phi_b, h_f, h_g, psi, psi_p):
                 rdim = bp.cx(n).dim(k + n - m + 1)
                 if not rdim:
                     continue
-                # target value R^{m,n}[k]
-                acc = RatMatrix(rdim, cols)
-                for l in win:
-                    acc = acc + psi_p.c(l, n, k + l - m).mul(phi_b.c(m, l, k))
-                    acc = acc - h_f.c(l, n, k + l - m).mul(g.c(m, l, k))
-                    acc = acc - fp.c(l, n, k + l - m + 1).mul(h_g.c(m, l, k))
-                    acc = acc - phi_b.c(l, n, k + l - m + 1).mul(psi.c(m, l, k))
-                for (rr, cc), v in acc.entries.items():
+                for (rr, cc), v in target.c(m, n, k).entries.items():
                     rhsv[(eqcount + rr * cols + cc, 0)] = v
                 # left multiplication: eq(rr,cc) += sign*left[rr,uu]*Th[uu,cc]
                 def put(mm, nn, kk, left, sign):
@@ -331,7 +323,7 @@ def rnd_retraction(rng: random.Random):
     gmap = CMap(b, a, gc)
     h = rnd_homotopy_comps(rng, b, a)
     g2 = cmap_add(gmap, homotopy_defect(b, a, h))
-    psi = map_compose_homotopy(fmap, CHomotopy(b, a, h))
+    psi = compose(fmap, CHomotopy(b, a, h))
     return a, b, fmap, g2, psi
 
 
@@ -340,18 +332,16 @@ def rnd_second_homotopy_setup(rng: random.Random):
     identity-perturbed columns, the induced exchange homotopies, and an
     explicitly solved second homotopy.  Returns a dict of the gadgets, or
     None when the linear solve happens to be obstructed."""
-    from .ccx import (homotopy_add, homotopy_compose_map, identity_cmap,
-                      map_compose_homotopy)
     a, b, f, g, psi = rnd_retraction(rng)
     h1 = rnd_homotopy_comps(rng, a, a, density=0.3)
     h2 = rnd_homotopy_comps(rng, b, b, density=0.3)
     phi_a = cmap_add(identity_cmap(a), homotopy_defect(a, a, h1))
     phi_b = cmap_add(identity_cmap(b), homotopy_defect(b, b, h2))
     # exchange homotopies from phi_B f to f phi_A and from phi_A g to g phi_B
-    h_f = homotopy_add(map_compose_homotopy(f, CHomotopy(a, a, h1)),
-                       homotopy_compose_map(CHomotopy(b, b, h2), f), scale_b=-1)
-    h_g = homotopy_add(map_compose_homotopy(g, CHomotopy(b, b, h2)),
-                       homotopy_compose_map(CHomotopy(a, a, h1), g), scale_b=-1)
+    h_f = cmap_add(compose(f, CHomotopy(a, a, h1)),
+                   compose(CHomotopy(b, b, h2), f), scale_g=-1)
+    h_g = cmap_add(compose(g, CHomotopy(b, b, h2)),
+                   compose(CHomotopy(a, a, h1), g), scale_g=-1)
     theta = solve_second_homotopy(f, g, f, g, phi_a, phi_b, h_f, h_g, psi, psi)
     if theta is None:
         return None

@@ -10,21 +10,21 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 
 from . import ccx, double, formalchern, rand, signs, wang
 from .cubes import (CubeChain, alt, alt_block, boundary, boundary_partial,
                     bracket_cube, degeneracy, face, object_cube, phi_homotopy,
                     psi_homotopy, rho)
-from .exactlin import MetObj, RatMatrix, rank, rref
+from .exactlin import MetObj, rank, rref
 from .multirel import (GeomView, MorphView, Tower, build_ccomplex,
                        build_homotopy, build_pullback, check_alt_absorption,
                        check_ccomplex_relation, check_cmap_relation,
-                       check_cor_2_16, check_homotopy_relation,
+                       check_cor_2_16, check_homotopy_relation, check_relation,
                        check_identity_cmap, check_identity_pullback_vanishing,
                        check_xi_boundary, check_xi_f1f2f3_boundary,
-                       check_xi_f_boundary, check_xi_fg_boundary, lev_add,
-                       lev_alt, lev_boundary, lev_eq, lev_scale, op_F,
+                       check_xi_f_boundary, check_xi_fg_boundary,
                        op_homotopy, op_pullback)
 from .tensorstruct import (bracket_pair, check_bracket_boundary,
                            check_phi_s_equals_tensor, op_tensor,
@@ -115,7 +115,7 @@ def get_suite(name) -> Suite:
           "associative",
           trials=100, dim=24, seed=0)
 def _run_exactlin(trials, dim, seed, **_):
-    from .exactlin import homology_dims, tensor_obj
+    from .exactlin import tensor_obj
     rng = random.Random(seed)
     checks = []
     for t in range(trials):
@@ -867,17 +867,8 @@ def _rnd_pos_obj(rng):
 
 
 def _tensor_cmap_relation(F, g, x, m, n_max):
-    dx = lev_boundary(x)
-    for n in range(m, n_max + 1):
-        lhs = lev_scale(lev_boundary(op_tensor(F, g, m, n, x)), (-1) ** n)
-        for l in range(m, n):
-            lhs = lev_add(lhs, op_F(g, l, n, op_tensor(F, g, m, l, x)))
-        rhs = lev_scale(op_tensor(F, g, m, n, dx), (-1) ** m) if dx else {}
-        for l in range(m + 1, n + 1):
-            rhs = lev_add(rhs, op_tensor(F, g, l, n, op_F(g, m, l, x)))
-        if not lev_eq(lev_alt(lev_add(lhs, lev_scale(rhs, -1))), {}):
-            return False
-    return True
+    return check_relation(partial(op_tensor, F, g), 0, g, g, x, m, n_max,
+                          compare_alt=True)["ok"]
 
 
 @register("tensor.homotopy",
@@ -902,25 +893,12 @@ def _run_prop94(trials, r, seed, **_):
 
 
 def _tensor_homotopy_relation(F, f, x, m, n_max):
-    dx = lev_boundary(x)
-    for n in range(max(m - 1, 0), n_max + 1):
-        acc = lev_scale(op_tensor_homotopy(F, f, m, n, dx), (-1) ** m) if dx else {}
-        for l in range(m + 1, n + 2):
-            acc = lev_add(acc, op_tensor_homotopy(F, f, l, n,
-                                                  op_F(f.dst, m, l, x)))
-        acc = lev_add(acc, lev_scale(
-            lev_boundary(op_tensor_homotopy(F, f, m, n, x)), (-1) ** n))
-        for l in range(max(m - 1, 0), n):
-            acc = lev_add(acc, op_F(f.src, l, n,
-                                    op_tensor_homotopy(F, f, m, l, x)))
-        tgt = {}
-        for l in range(m, n + 1):
-            tgt = lev_add(tgt, op_pullback(f, l, n, op_tensor(F, f.dst, m, l, x)))
-            tgt = lev_add(tgt, lev_scale(
-                op_tensor(F, f.src, l, n, op_pullback(f, m, l, x)), -1))
-        if not lev_eq(lev_alt(lev_add(acc, lev_scale(tgt, -1))), {}):
-            return False
-    return True
+    # target: f^* (F x -) - (F x -) f^*
+    pull = partial(op_pullback, f)
+    return check_relation(
+        partial(op_tensor_homotopy, F, f), 1, f.dst, f.src, x, m, n_max,
+        [(1, pull, partial(op_tensor, F, f.dst)),
+         (-1, partial(op_tensor, F, f.src), pull)], compare_alt=True)["ok"]
 
 
 @register("tensor.cone-agreement",
@@ -969,30 +947,16 @@ def _run_prop96(trials, r, seed, **_):
 
 
 def _theta_relation(F, f, g, x, m, n_max):
+    # target: Phi T - T_f g^* - f^* T_g - T Phi, with T = F (x) - on X,
+    # T_f its exchange homotopy along f and Phi the composite homotopy
     X = g.dst
-    dx = lev_boundary(x)
-    for n in range(max(m - 2, 0), n_max + 1):
-        lhs = lev_scale(lev_boundary(op_tensor_theta(F, f, g, m, n, x)), (-1) ** n)
-        for l in range(m, n):
-            lhs = lev_add(lhs, op_F(X, l, n, op_tensor_theta(F, f, g, m, l, x)))
-        if dx:
-            lhs = lev_add(lhs, lev_scale(op_tensor_theta(F, f, g, m, n, dx),
-                                         -((-1) ** m)))
-        for l in range(m + 1, n + 3):
-            lhs = lev_add(lhs, lev_scale(
-                op_tensor_theta(F, f, g, l, n, op_F(X, m, l, x)), -1))
-        rhs = {}
-        for l in range(m, n + 1):
-            rhs = lev_add(rhs, op_homotopy(f, g, l, n, op_tensor(F, X, m, l, x)))
-            rhs = lev_add(rhs, lev_scale(
-                op_tensor_homotopy(F, f, l, n, op_pullback(g, m, l, x)), -1))
-            rhs = lev_add(rhs, lev_scale(
-                op_pullback(f, l, n, op_tensor_homotopy(F, g, m, l, x)), -1))
-            rhs = lev_add(rhs, lev_scale(
-                op_tensor(F, X, l, n, op_homotopy(f, g, m, l, x)), -1))
-        if not lev_eq(lev_alt(lev_add(lhs, lev_scale(rhs, -1))), {}):
-            return False
-    return True
+    hom, tensor = partial(op_homotopy, f, g), partial(op_tensor, F, X)
+    return check_relation(
+        partial(op_tensor_theta, F, f, g), 2, X, X, x, m, n_max,
+        [(1, hom, tensor),
+         (-1, partial(op_tensor_homotopy, F, f), partial(op_pullback, g)),
+         (-1, partial(op_pullback, f), partial(op_tensor_homotopy, F, g)),
+         (-1, tensor, hom)], compare_alt=True)["ok"]
 
 
 @register("tensor.pair-associator",

@@ -164,8 +164,7 @@ def bracket_apply(f_obj: MetObj, slots, pis, x: CubeChain) -> CubeChain:
     return acc
 
 
-def check_bracket_boundary(f_obj: MetObj, slots, pis, x: CubeChain,
-                           phi_apply=None) -> bool:
+def check_bracket_boundary(f_obj: MetObj, slots, pis, x: CubeChain) -> bool:
     """The boundary formula for alternated bracket operators:
 
     d <F; phi_1..phi_l>(x) = <F; phi_1..phi_{l-1}>(phi_l(x))

@@ -7,9 +7,8 @@ from cubehom import ccx
 from cubehom.ccx import (CComplex, CHomotopy, ChainComplex, CMap, SecondHomotopy,
                          check_second_homotopy, cmap_add, cmap_shift, compose,
                          diagram_les_check, diagram_simple, homotopy_defect,
-                         identity_cmap, map_compose_homotopy, phi_s,
-                         pi_homotopy, section_t, simple, single_complex,
-                         zero_cmap)
+                         identity_cmap, phi_s, pi_homotopy, section_t, simple,
+                         single_complex, zero_cmap)
 from cubehom.exactlin import RatMatrix, inverse
 from cubehom.rand import (rnd_ccomplex, rnd_chain_complex, rnd_cmap,
                           rnd_exchange_square, rnd_homotopy_comps,
@@ -318,3 +317,75 @@ def test_tot_matches_reference_and_is_exact_under_shift():
             ts = a.shift(r).tot()
             for p, mat in want.items():
                 assert ts.d(p + r) == mat.scale(Fraction(-1) ** (r % 2))
+
+
+def _bump_last_visible(fam, rebuild):
+    """fam with 1 added to one entry of one component, and that component's
+    (m, n, degree).  The source index m is the least one, so no earlier
+    (m', n) sees the entry through h F; the entry sits in a row that the
+    target boundary does not kill, so the defect changes at that component
+    and at none visited before it.  Of those components, the last visited."""
+    m = min(fam.src.indices())
+    found = None
+    for n in fam.dst.indices():
+        if m > n + fam.reach:
+            continue
+        for k in fam.src.cx(m).degrees():
+            d = fam.dst.cx(n).d(k + n - m + fam.reach)
+            if d.entries:
+                found = (n, k, min(c for _, c in d.entries))
+    if found is None:
+        return None, None
+    n, k, r = found
+    comps = {key: dict(per) for key, per in fam.comps.items()}
+    comps.setdefault((m, n), {})[k] = fam.c(m, n, k) + RatMatrix(
+        fam.dst.cx(n).dim(k + n - m + fam.reach), fam.src.cx(m).dim(k),
+        {(r, 0): 1})
+    return rebuild(comps), (m, n, k)
+
+
+def _assert_witness(rep, fam, at):
+    assert not rep["ok"]
+    assert (rep["at"]["m"], rep["at"]["n"], rep["at"]["degree"]) == at
+    # every component visited before the perturbed one still checks out
+    assert rep["checked"] == list(ccx._keys(fam.src, fam.dst, fam.reach)).index(at) + 1
+
+
+def test_perturbed_map_entry_is_named_by_validate():
+    rng = random.Random(19)
+    tried = 0
+    while tried < 5:
+        a, b = rnd_ccomplex(rng), rnd_ccomplex(rng)
+        f = rnd_cmap(rng, a, b)
+        assert f.validate()["ok"]
+        bad, at = _bump_last_visible(f, lambda comps: CMap(a, b, comps))
+        if bad is None:
+            continue
+        tried += 1
+        _assert_witness(bad.validate(), f, at)
+
+
+def test_perturbed_homotopy_entry_is_named_by_validate():
+    rng = random.Random(20)
+    tried = 0
+    while tried < 5:
+        a, b, f, g, psi = rnd_retraction(rng)
+        ends = (identity_cmap(b), compose(f, g))
+        assert psi.validate(*ends)["ok"]
+        bad, at = _bump_last_visible(
+            psi, lambda comps: CHomotopy(b, b, comps, *ends))
+        if bad is None:
+            continue
+        tried += 1
+        _assert_witness(bad.validate(), psi, at)
+
+
+def test_homotopy_defect_is_the_defect_of_each_component():
+    rng = random.Random(21)
+    a, b = rnd_ccomplex(rng), rnd_ccomplex(rng)
+    comps = rnd_homotopy_comps(rng, a, b)
+    h = CHomotopy(a, b, comps)
+    d = homotopy_defect(a, b, comps)
+    assert d.validate()["ok"]
+    for m, n, k in ccx._keys(a, b, 0):
+        assert d.c(m, n, k) == h.defect(m, n, k)

@@ -1,7 +1,8 @@
 """Property tests of the exact elimination routines.
 
 References are independent of ``cubehom.exactlin``'s kernels: a plain
-``Fraction`` Gauss-Jordan elimination kept here, and sympy's rank.
+``Fraction`` Gauss-Jordan elimination kept here, and sympy's rank and
+positive-definiteness test.
 """
 
 from fractions import Fraction
@@ -9,7 +10,8 @@ from fractions import Fraction
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from cubehom.exactlin import RatMatrix, kernel_basis, rank, rref, solve
+from cubehom.exactlin import (RatMatrix, _is_sym_posdef, kernel_basis, rank,
+                              rref, solve)
 
 PROPS = settings(derandomize=True, database=None, deadline=None,
                  max_examples=150)
@@ -70,10 +72,32 @@ def reference_rref(m):
     return a, pivots
 
 
+@st.composite
+def symmetric_matrices(draw, max_dim=5):
+    """Symmetric matrices that are positive-definite, singular
+    positive-semidefinite (a Gram matrix of fewer vectors than its size),
+    or indefinite (a Gram matrix shifted by a negative multiple of the
+    identity, or a random symmetric matrix)."""
+    n = draw(st.integers(0, max_dim))
+    kind = draw(st.sampled_from(["gram", "shifted-gram", "symmetric"]))
+    if kind == "symmetric":
+        m = draw(grid(n, n, sparse_entries))
+        return m + m.transpose()
+    a = draw(grid(draw(st.integers(0, n + 1)), n, fractions))
+    g = a.transpose().mul(a)
+    if kind == "shifted-gram":
+        g = g + RatMatrix.identity(n).scale(draw(fractions))
+    return g
+
+
+def to_sympy(m):
+    return sympy.Matrix(m.rows, m.cols,
+                        [sympy.Rational(v.numerator, v.denominator)
+                         for row in m.to_dense() for v in row])
+
+
 def sympy_rank(m):
-    rows = [[sympy.Rational(v.numerator, v.denominator) for v in row]
-            for row in m.to_dense()]
-    return sympy.Matrix(m.rows, m.cols, [v for row in rows for v in row]).rank()
+    return to_sympy(m).rank()
 
 
 @PROPS
@@ -117,3 +141,9 @@ def test_kernel_dimension_is_nullity(m):
     assert len(basis) == m.cols - rank(m)
     for v in basis:
         assert m.mul(v).is_zero()
+
+
+@PROPS
+@given(symmetric_matrices())
+def test_sym_posdef_equals_sympy(g):
+    assert _is_sym_posdef(g) == to_sympy(g).is_positive_definite

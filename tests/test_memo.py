@@ -84,7 +84,7 @@ def test_zero_matrices_are_shared_and_immutable():
 
 def test_table_names_are_unique():
     with pytest.raises(ValueError):
-        memo.table("cubes.face")
+        memo.table("cubes.boundary")
 
 
 def test_every_module_cache_is_a_registry_table():
@@ -100,4 +100,4 @@ def test_every_module_cache_is_a_registry_table():
                 found.append(name)
                 assert any(v is t for t in tables), \
                     "%s.%s is not a memo table" % (mod.__name__, name)
-    assert "_INTERN" in found and "_FACE_CACHE" in found
+    assert "_INTERN" in found and "_BOUNDARY_CACHE" in found

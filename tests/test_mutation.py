@@ -4,10 +4,12 @@ Each test breaks one ingredient (a sign, a term, a weight) and asserts
 the corresponding checker fails, guarding the suites against vacuity.
 """
 
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 
-from cubehom import multirel
+from cubehom import ccx, multirel, suites
 from cubehom.cubes import CubeChain, boundary
 from cubehom.multirel import (GeomView, MorphView, Tower, check_xi_boundary,
                               check_xi_fg_boundary, lev_add, lev_alt,
@@ -131,5 +133,61 @@ def test_one_perturbed_word_enumerator_fails_pullback_and_tensor(monkeypatch):
             yield (-sgn if p % 2 else sgn), word
 
     monkeypatch.setattr(multirel, "xi_words", odd_insert_flipped)
+    assert not multirel.check_cmap_relation(f, x, 0, 2)["ok"]
+    assert not _tensor_homotopy_relation(F, f, x, 0, 2)
+
+
+def _mutant(fn, old, new):
+    """fn recompiled from its own source with the one occurrence of old
+    replaced by new."""
+    src = textwrap.dedent(inspect.getsource(fn))
+    assert src.count(old) == 1
+    ns = {}
+    exec(compile(src.replace(old, new), inspect.getsourcefile(fn), "exec"),
+         fn.__globals__, ns)
+    return ns[fn.__name__]
+
+
+def test_flipped_reach_sign_fails_every_matrix_family(monkeypatch):
+    # maps, homotopies and second homotopies share one defect, so one flip
+    # of its reach-dependent sign must break all three checks
+    from cubehom.rand import rnd_retraction, rnd_second_homotopy_setup
+    rng = random.Random(6)
+    # most solved second homotopies are zero, whose defect has no sign to
+    # flip; ten setups at this seed include nonzero ones
+    thetas = [s["theta"] for s in (rnd_second_homotopy_setup(rng)
+                                   for _ in range(10)) if s is not None]
+    maps, homotopies = [], []
+    for _ in range(4):
+        a, b, f, g, psi = rnd_retraction(rng)
+        maps += [f, g]
+        homotopies.append((psi, ccx.identity_cmap(b), ccx.compose(f, g)))
+    assert all(f.validate()["ok"] for f in maps)
+    assert all(h.validate(p, q)["ok"] for h, p, q in homotopies)
+    assert all(ccx.check_second_homotopy(t)["ok"] for t in thetas)
+    monkeypatch.setattr(ccx.CFamily, "defect", _mutant(
+        ccx.CFamily.defect, "out + inner if r % 2 else out - inner",
+        "out - inner if r % 2 else out + inner"))
+    assert not all(f.validate()["ok"] for f in maps)
+    assert not all(h.validate(p, q)["ok"] for h, p, q in homotopies)
+    assert not all(ccx.check_second_homotopy(t)["ok"] for t in thetas)
+
+
+def test_flipped_reach_sign_fails_generator_relations(monkeypatch):
+    # the pullback map and the tensor homotopy are checked by one
+    # generator-level relation, so one flip of its reach-dependent sign
+    # must break both
+    from cubehom.suites import _tensor_homotopy_relation
+    rng = random.Random(5)
+    _, (X0, X1) = geometry(2, seed=9, schemes=2)
+    f = MorphView(X0, X1)
+    F = MetObj(2, rnd_gram(rng, 2), check=False)
+    x = {frozenset(): CubeChain.of(rnd_cube(rng, 1, with_gram=True))}
+    assert multirel.check_cmap_relation(f, x, 0, 2)["ok"]
+    assert _tensor_homotopy_relation(F, f, x, 0, 2)
+    flipped = _mutant(multirel.check_relation, "(-1) ** ((reach + 1) % 2)",
+                      "(-1) ** (reach % 2)")
+    monkeypatch.setattr(multirel, "check_relation", flipped)
+    monkeypatch.setattr(suites, "check_relation", flipped)
     assert not multirel.check_cmap_relation(f, x, 0, 2)["ok"]
     assert not _tensor_homotopy_relation(F, f, x, 0, 2)

@@ -1,10 +1,11 @@
-"""Pinned digests of the multi-relative, tensor, formal-character and
-double-geometry suite reports.
+"""Pinned digests of the C-complex, diagram, multi-relative, tensor,
+formal-character and double-geometry suite reports.
 
 Each entry is the SHA-256 of ``json.dumps(report, sort_keys=True)`` for
 ``run_suite(name, trials=2, seed=s)``, seeds 0 and 1.  A refactor of the
-Xi operators, the levelwise operators or the span materialization must
-leave every report byte-identical, so these digests must not move.  A
+Xi operators, the levelwise operators, the span materialization or the
+component families of ``ccx`` must leave every report byte-identical, so
+these digests must not move.  A
 change that is meant to alter reports (for example the fix of the
 identity-pullback twist collision, ROADMAP item 4) updates the digests
 here in the same change and says why.
@@ -19,6 +20,24 @@ from cubehom.suites import run_suite, suite_names
 
 # suite -> (digest at seed 0, digest at seed 1)
 DIGESTS = {
+    "ccx.cone-map": (
+        "79b5920dc07980c7f09a89e59a5e357e0cffad11727ae6636292b3778c2eebaf",
+        "3313b42d834e39498e1a15af8f2dc419c69deeb2a2b9a847f1b09bdfae741e49"),
+    "ccx.cone-section": (
+        "0d58221bd99c3ea6013edad43fbf4211201fd9217f611da4a6704671b58cffaf",
+        "0f1cb6c5dac638c20ee7b04870f8234b872bb7a3412a3af4e72616e265c0c046"),
+    "ccx.relation": (
+        "59981fe9a83195fe05e148897073829b29da2787b42ffcacf69bed7532d10410",
+        "dd343f2d41af46bd03b44c2af2d33d914102810c66fab88b444285bd50ab9792"),
+    "ccx.second-homotopy": (
+        "89a3ae0e8fca11721d9c94469d6c3f346cfdabd92aeb7dfb33642edaa07ed986",
+        "97a4ecfa2f3b5e7eb7c093e08d75192d20f649b2e936a2fca192ae602b7900b4"),
+    "ccx.shift": (
+        "b35857d2cf3ad57f56605a3e4898426b41e5935fcee49fcb955e4910d0fea30e",
+        "1cf535a527b08e0f3604ba0720ec9d7b1894d02f587b718916c4e335e1eaac7a"),
+    "diagram.simple": (
+        "92b9a38acd1388c6b99ae7f71ca3a16f02cf7078751ca11a9a7ade396260eef9",
+        "10ddce3c8c610e8bac1f9acec6306ac29d70fbf431f0f9e9ba1f084d9231abfb"),
     "double.extraction": (
         "527f8521744e77485e3b0a6c7bf8cd1f632582d35046d1ec7d093483ea8bc058",
         "c98d68db5a074e5e26be91a29c01e9a3f623c4c6d72a582e858ca0dff9d8453d"),
@@ -87,7 +106,8 @@ DIGESTS = {
         "da87053008209a2b113233f7944d88beacf45b24d6b9f3d5bb6da1a64cb3c266"),
 }
 
-PREFIXES = ("multirel.", "tensor.", "formalchern.", "double.")
+PREFIXES = ("ccx.", "diagram.", "multirel.", "tensor.", "formalchern.",
+            "double.")
 
 
 def test_pinned_set_is_every_suite_of_these_families():
