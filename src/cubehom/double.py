@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import ccx
 from .cubes import CubeChain, ExactCube, face
 from .exactlin import MetObj, RatMatrix
-from .multirel import (MatrixModel, Span, close_span_generic,
+from .multirel import (MatrixModel, Span, _levels_of_size, close_span_generic,
                        materialize_ccomplex, materialize_operator)
 from .signs import sgn_division, subsets
 
@@ -488,18 +488,19 @@ def _cone_transfer(parts, model_a, model_b, model_next, cc_next, j: int):
             # destination offsets per level
             row_off = {}
             off = 0
-            for lvl in _sorted_levels(model_next, m):
+            for lvl in _levels_of_size(model_next.g.marks, m):
                 row_off[lvl] = off
                 off += model_next.dim(lvl, k)
             col = 0
-            for lvl in _sorted_levels(model_a, m):
+            for lvl in _levels_of_size(model_a.g.marks, m):
                 d = model_a.dim(lvl, k)
                 for i in range(d):
                     ch = model_a.basis_chain(lvl, k, i)
                     for pos, v in model_next.coords(lvl, ch).items():
                         ent[(row_off[lvl] + pos, col)] = v
                     col += 1
-            for lvl in _sorted_levels(model_b, m - 1):
+            # no level has size -1, so index 0 has no B part
+            for lvl in _levels_of_size(model_b.g.marks, m - 1) if m else ():
                 d = model_b.dim(lvl, k)
                 tgt = frozenset(lvl | {j})
                 for i in range(d):
@@ -513,13 +514,6 @@ def _cone_transfer(parts, model_a, model_b, model_next, cc_next, j: int):
         if per:
             comps[(m, m)] = per
     return ccx.CMap(cone, cc_next, comps)
-
-
-def _sorted_levels(model, m: int):
-    out = sorted({lvl for (lvl, deg) in model.span.basis if len(lvl) == m},
-                 key=sorted)
-    # include levels with no cubes of some degree but present in the span
-    return out
 
 
 def inclusion_exclusion_op(geom: DoubleGeometry, x: CubeChain) -> CubeChain:

@@ -220,7 +220,6 @@ def check_vanishing_consistency(target: FormalTarget, cube) -> bool:
     if not target.vanishes(cube):
         return True
     acc = {}
-    complement = sorted(k for k in target.g.marks)
     level = frozenset()
     # evaluate the raw differential without the rule, then bucket
     n = cube.n

@@ -267,18 +267,22 @@ def xi_Kf(f: MorphView, K, I, x: CubeChain) -> CubeChain:
     return xi_apply([f.src, f, f.dst], K, I, x)
 
 
-def xi_Kfg(f: MorphView, g: MorphView, K, I, x: CubeChain) -> CubeChain:
-    """Xi_{K,f,g} with signs (-1)^{p+q} over 0 <= p <= q <= |K|."""
-    return xi_apply([f.src, f, f.dst, g, g.dst], K, I, x)
-
-
-def xi_Kf1f2f3(f1: MorphView, f2: MorphView, f3: MorphView, K, I,
-               x: CubeChain) -> CubeChain:
-    """Xi_{K,f1,f2,f3} with signs (-1)^{p+q+u} over 0 <= p <= q <= u <= |K|."""
-    return xi_apply([f1.src, f1, f1.dst, f2, f2.dst, f3, f3.dst], K, I, x)
-
-
-# -- the boundary identities of the Xi operators ------------------------
+# -- the boundary identity of the Xi operators --------------------------
+#
+# One identity serves every chain (g_0, f_1, g_1, ..., f_t, g_t), t >= 0.
+# With w = |K| and Xi = Xi_{K; views}:
+#
+#   d Xi(x) + (-1)^(w+t) Xi(d x)
+#     = sum_{i=1}^{t-1} (-1)^i Xi_{K; f_i, f_{i+1} merged into f_{i+1} f_i}(x)
+#     + sum_{p=0}^{t} sum_{L + L' = K} (-1)^e sgn(L L'; K)
+#           Xi_{L; g_0..g_p}(Xi_{L'; g_p..g_t}(x)),
+#
+# cut at the geometry g_p, with sign exponent e = t + (|L| + 1) [t - p
+# even].  The cut p = 0 needs L nonempty and the cut p = t needs L'
+# nonempty; the outer operator starts from level L' | I carried back
+# through f_{p+1}, ..., f_t.  For t = 0 this is the interchange of Xi_K
+# with the boundary, for t = 1 that of the pullback operators, for t = 2
+# the one with the composite pullback Xi_{K, gf}, and so on.
 
 def _splits(K):
     """All divisions K = L ∐ L' with the division sign, by |L|."""
@@ -291,102 +295,33 @@ def _splits(K):
     return out
 
 
-def check_xi_boundary(g: GeomView, K, I, x: CubeChain) -> bool:
-    """d Xi_K(x) + (-1)^{|K|} Xi_K(d x)
-    = sum_{a=1}^{|K|-1} (-1)^{a+1} sum sgn(L L'; K) Xi_L Xi_{L'}(x)."""
+def check_xi_boundary(views, K, I, x: CubeChain) -> bool:
+    """The boundary identity above for Xi_{K; views} from level I at x."""
+    views = list(views)
+    t = len(views) // 2
     w = len(K)
     I = frozenset(I)
-    lhs = boundary(xi_K(g, K, I, x))
+    lhs = boundary(xi_apply(views, K, I, x))
     if x.degree >= 1:
-        lhs = lhs + xi_K(g, K, I, boundary(x)).scale((-1) ** w)
+        lhs = lhs + xi_apply(views, K, I, boundary(x)).scale((-1) ** (w + t))
     rhs = CubeChain.zero(lhs.degree)
-    for a, L, Lp, s in _splits(K):
-        if a == 0 or a == w:
-            continue
-        inner = xi_K(g, Lp, I, x)
-        rhs = rhs + xi_K(g, L, I | set(Lp), inner).scale(s * (-1) ** (a + 1))
-    return lhs == rhs
-
-
-def check_xi_f_boundary(f: MorphView, K, I, x: CubeChain) -> bool:
-    """d Xi_{K,f}(x) + (-1)^{|K|+1} Xi_{K,f}(d x)
-    = -sum_{a=1}^{|K|} sgn Xi_L Xi_{L',f}(x)
-      + sum_{a=0}^{|K|-1} (-1)^a sgn Xi_{L,f} Xi_{L'}(x)."""
-    w = len(K)
-    I = frozenset(I)
-    lhs = boundary(xi_Kf(f, K, I, x))
-    if x.degree >= 1:
-        lhs = lhs + xi_Kf(f, K, I, boundary(x)).scale((-1) ** (w + 1))
-    rhs = CubeChain.zero(lhs.degree)
-    src_levels = _marks_back(f, I)
-    for a, L, Lp, s in _splits(K):
-        if a >= 1:
-            inner = xi_Kf(f, Lp, I, x)
-            rhs = rhs + xi_K(f.src, L, frozenset(Lp) | src_levels, inner).scale(-s)
-        if a <= w - 1:
-            inner = xi_K(f.dst, Lp, I, x)
-            rhs = rhs + xi_Kf(f, L, I | set(Lp), inner).scale(s * (-1) ** a)
-    return lhs == rhs
-
-
-def check_xi_fg_boundary(f: MorphView, g: MorphView, K, I, x: CubeChain) -> bool:
-    """d Xi_{K,f,g}(x) + (-1)^{|K|} Xi_{K,f,g}(d x)
-    = sum_{a>=1} (-1)^{a+1} sgn Xi_L Xi_{L',f,g}(x)
-      + sum_{a>=0} sgn Xi_{L,f} Xi_{L',g}(x)
-      + sum_{a<=|K|-1} (-1)^{a+1} sgn Xi_{L,f,g} Xi_{L'}(x)
-      - Xi_{K,gf}(x)."""
-    w = len(K)
-    I = frozenset(I)
-    h = MorphView(f.src, g.dst)
-    lhs = boundary(xi_Kfg(f, g, K, I, x))
-    if x.degree >= 1:
-        lhs = lhs + xi_Kfg(f, g, K, I, boundary(x)).scale((-1) ** w)
-    rhs = xi_Kf(h, K, I, x).scale(-1)
-    mid_levels = _marks_back(g, I)
-    src_levels = _marks_back(f, mid_levels)
-    for a, L, Lp, s in _splits(K):
-        if a >= 1:
-            inner = xi_Kfg(f, g, Lp, I, x)
-            rhs = rhs + xi_K(f.src, L, frozenset(Lp) | src_levels,
-                             inner).scale(s * (-1) ** (a + 1))
-        inner = xi_Kf(g, Lp, I, x)
-        rhs = rhs + xi_Kf(f, L, frozenset(Lp) | mid_levels, inner).scale(s)
-        if a <= w - 1:
-            inner = xi_K(g.dst, Lp, I, x)
-            rhs = rhs + xi_Kfg(f, g, L, I | set(Lp), inner).scale(s * (-1) ** (a + 1))
-    return lhs == rhs
-
-
-def check_xi_f1f2f3_boundary(f1: MorphView, f2: MorphView, f3: MorphView,
-                             K, I, x: CubeChain) -> bool:
-    """d Xi_{K,f1,f2,f3}(x) + (-1)^{|K|+1} Xi_{K,f1,f2,f3}(d x)
-    = -sum_{a>=1} sgn Xi_L Xi_{L',f1,f2,f3}(x)
-      + sum_{a>=0} (-1)^a sgn Xi_{L,f1} Xi_{L',f2,f3}(x)
-      - sum_{a>=0} sgn Xi_{L,f1,f2} Xi_{L',f3}(x)
-      + sum_{a<=|K|-1} (-1)^a sgn Xi_{L,f1,f2,f3} Xi_{L'}(x)
-      - Xi_{K,f2f1,f3}(x) + Xi_{K,f1,f3f2}(x)."""
-    w = len(K)
-    I = frozenset(I)
-    lhs = boundary(xi_Kf1f2f3(f1, f2, f3, K, I, x))
-    if x.degree >= 1:
-        lhs = lhs + xi_Kf1f2f3(f1, f2, f3, K, I, boundary(x)).scale((-1) ** (w + 1))
-    f21 = MorphView(f1.src, f2.dst)
-    f32 = MorphView(f2.src, f3.dst)
-    rhs = xi_Kfg(f21, f3, K, I, x).scale(-1) + xi_Kfg(f1, f32, K, I, x)
-    lev3 = _marks_back(f3, I)
-    lev2 = _marks_back(f2, lev3)
-    lev1 = _marks_back(f1, lev2)
-    for a, L, Lp, s in _splits(K):
-        if a >= 1:
-            inner = xi_Kf1f2f3(f1, f2, f3, Lp, I, x)
-            rhs = rhs + xi_K(f1.src, L, frozenset(Lp) | lev1, inner).scale(-s)
-        inner = xi_Kfg(f2, f3, Lp, I, x)
-        rhs = rhs + xi_Kf(f1, L, frozenset(Lp) | lev2, inner).scale(s * (-1) ** a)
-        inner = xi_Kf(f3, Lp, I, x)
-        rhs = rhs + xi_Kfg(f1, f2, L, frozenset(Lp) | lev3, inner).scale(-s)
-        if a <= w - 1:
-            inner = xi_K(f3.dst, Lp, I, x)
-            rhs = rhs + xi_Kf1f2f3(f1, f2, f3, L, I | set(Lp), inner).scale(s * (-1) ** a)
+    for i in range(1, t):
+        merged = (views[:2 * i - 1]
+                  + [MorphView(views[2 * i - 2], views[2 * i + 2])]
+                  + views[2 * i + 2:])
+        rhs = rhs + xi_apply(merged, K, I, x).scale((-1) ** i)
+    back = [I]
+    for f in reversed(views[1::2]):
+        back.insert(0, _marks_back(f, back[0]))
+    splits = _splits(K)
+    for p in range(t + 1):
+        for a, L, Lp, s in splits:
+            if (p == 0 and a == 0) or (p == t and a == w):
+                continue
+            e = t + (a + 1) * ((t - p + 1) % 2)
+            inner = xi_apply(views[2 * p:], Lp, I, x)
+            rhs = rhs + xi_apply(views[:2 * p + 1], L, frozenset(Lp) | back[p],
+                                 inner).scale(s * (-1) ** e)
     return lhs == rhs
 
 
@@ -664,7 +599,7 @@ class MatrixModel:
         return alt(CubeChain.of(cubes[cols[pos]]))
 
 
-def _levels_of_size(marks, extra, m):
+def _levels_of_size(marks, m):
     return [frozenset(c) for c in combinations(sorted(marks), m)]
 
 
@@ -688,7 +623,7 @@ def materialize_ccomplex(model: MatrixModel, f_op=None) -> "ccx.CComplex":
     dmax = max(deg for (_, deg) in model.span.basis)
     complexes = {}
     for m in range(len(g.marks) + 1):
-        levels = _levels_of_size(g.marks, g.extra, m)
+        levels = _levels_of_size(g.marks, m)
         dims = {k: sum(model.dim(lvl, k) for lvl in levels)
                 for k in range(dmax + 1)}
         complexes[m] = ccx.ChainComplex(dims, comps.pop((m, m), {}))
@@ -710,8 +645,8 @@ def materialize_operator(src_model: MatrixModel, dst_model: MatrixModel,
     r = len(g_src.marks)
     comps = {}
     lo_shift = _SHAPE_REACH[shape]
-    src_levels = {m: _levels_of_size(g_src.marks, g_src.extra, m) for m in range(r + 1)}
-    dst_levels = {m: _levels_of_size(g_dst.marks, g_dst.extra, m) for m in range(r + 1)}
+    src_levels = {m: _levels_of_size(g_src.marks, m) for m in range(r + 1)}
+    dst_levels = {m: _levels_of_size(g_dst.marks, m) for m in range(r + 1)}
     degrees = sorted({deg for (lvl, deg) in src_model.span.basis})
     if not degrees:
         return comps
@@ -857,9 +792,9 @@ def check_cor_2_16(g: GeomView, seeds, use_alt: bool = False) -> dict:
     parts = ccx.simple(fmap)
     cone = parts.ccx
     r = len(g.marks)
-    lv_big = {m: _levels_of_size(g.marks, g.extra, m) for m in range(r + 1)}
-    lv_a = {m: _levels_of_size(geom_a.marks, geom_a.extra, m) for m in range(r)}
-    lv_b = {m: _levels_of_size(geom_b.marks, geom_b.extra, m) for m in range(r)}
+    lv_big = {m: _levels_of_size(g.marks, m) for m in range(r + 1)}
+    lv_a = {m: _levels_of_size(geom_a.marks, m) for m in range(r)}
+    lv_b = {m: _levels_of_size(geom_b.marks, m) for m in range(r)}
 
     def transfer(m, k) -> RatMatrix:
         """cone C^m_k <- big A^m_k: reorder levels, negate the r-levels."""

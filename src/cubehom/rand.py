@@ -204,7 +204,6 @@ def solve_second_homotopy(f, g, fp, gp, phi_a, phi_b, h_f, h_g, psi, psi_p):
     if win:
         win = list(range(min(win), max(win) + 1))
     # unknown layout: one block per (m, n, k) with m <= n + 2
-    blocks = []
     offs = {}
     total = 0
     for m in b.indices():
@@ -217,12 +216,6 @@ def solve_second_homotopy(f, g, fp, gp, phi_a, phi_b, h_f, h_g, psi, psi_p):
                 if rows and cols:
                     offs[(m, n, k)] = (total, rows, cols)
                     total += rows * cols
-    eq_rows = []
-    rhs_rows = []
-
-    def theta_slot(mm, nn, kk):
-        return offs.get((mm, nn, kk))
-
     target = second_homotopy_target(g, fp, phi_b, h_f, h_g, psi, psi_p)
     eqs = {}
     rhsv = {}
@@ -232,7 +225,6 @@ def solve_second_homotopy(f, g, fp, gp, phi_a, phi_b, h_f, h_g, psi, psi_p):
             if m > n + 2:
                 continue
             for k in b.cx(m).degrees():
-                rows = bp.cx(n).dim(k + n - m + 2 - 1)
                 cols = b.cx(m).dim(k)
                 if not cols:
                     continue
@@ -246,7 +238,7 @@ def solve_second_homotopy(f, g, fp, gp, phi_a, phi_b, h_f, h_g, psi, psi_p):
                     rhsv[(eqcount + rr * cols + cc, 0)] = v
                 # left multiplication: eq(rr,cc) += sign*left[rr,uu]*Th[uu,cc]
                 def put(mm, nn, kk, left, sign):
-                    slot = theta_slot(mm, nn, kk)
+                    slot = offs.get((mm, nn, kk))
                     if slot is None:
                         return
                     off, trows, tcols = slot
@@ -258,7 +250,7 @@ def solve_second_homotopy(f, g, fp, gp, phi_a, phi_b, h_f, h_g, psi, psi_p):
                                          off + uu * tcols + cc), 0) + sign * v
 
                 def put_right(mm, nn, kk, right, sign):
-                    slot = theta_slot(mm, nn, kk)
+                    slot = offs.get((mm, nn, kk))
                     if slot is None:
                         return
                     off, trows, tcols = slot

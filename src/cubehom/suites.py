@@ -8,40 +8,35 @@ key; reports are reproducible from the seed.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import partial
 from itertools import permutations
 
 from . import ccx, double, formalchern, rand, signs, wang
-from .cubes import (CubeChain, alt, alt_block, boundary, boundary_partial,
-                    bracket_cube, degeneracy, face, object_cube, phi_homotopy,
-                    psi_homotopy, rho)
-from .exactlin import MetObj, rank, rref
+from .cubes import (CubeChain, ExactCube, ExactFunctor, act_sym, alt,
+                    alt_block, boundary, boundary_partial, bracket_cube,
+                    degeneracy, face, object_cube, phi_homotopy, psi_homotopy,
+                    rho)
+from .exactlin import (MetObj, ShortExact, inverse, is_short_exact, rank,
+                       rat_str, rref, tensor_obj)
 from .multirel import (GeomView, MorphView, Tower, build_ccomplex,
                        build_homotopy, build_pullback, check_alt_absorption,
                        check_ccomplex_relation, check_cmap_relation,
                        check_cor_2_16, check_homotopy_relation, check_relation,
                        check_identity_cmap, check_identity_pullback_vanishing,
-                       check_xi_boundary, check_xi_f1f2f3_boundary,
-                       check_xi_f_boundary, check_xi_fg_boundary,
-                       op_homotopy, op_pullback)
+                       check_xi_boundary, op_homotopy, op_pullback, xi_Kf)
 from .tensorstruct import (bracket_pair, check_bracket_boundary,
                            check_phi_s_equals_tensor, op_tensor,
                            op_tensor_homotopy, op_tensor_theta, xi_slot, _pi,
                            _station_levels)
 
 
-class Check:
-    __slots__ = ("key", "ok", "detail")
-
-    def __init__(self, key, ok, detail=None):
-        self.key = key
-        self.ok = bool(ok)
-        self.detail = detail
-
-
 class Suite:
+    """A named suite: its body is a generator over ``rng`` and the merged
+    parameters that yields ``(key, ok)`` or ``(key, ok, detail)``."""
+
     def __init__(self, name, claim, runner, defaults):
         self.name = name
         self.claim = claim
@@ -53,32 +48,31 @@ class Suite:
         for k, v in params.items():
             if v is not None:
                 merged[k] = v
-        checks = self.runner(**merged)
-        checks.sort(key=lambda c: c.key)
-        # a run that checked nothing verified nothing
-        ok = bool(checks) and all(c.ok for c in checks)
+        rng = random.Random(merged["seed"])
+        checks = sorted(((key, bool(ok), detail[0] if detail else None)
+                         for key, ok, *detail in self.runner(rng, **merged)),
+                        key=lambda c: c[0])
+        bad = [c for c in checks if not c[1]]
         report = {
             "suite": self.name,
             "claim": self.claim,
             "params": {k: merged[k] for k in sorted(merged)},
-            "ok": ok,
-            "counts": {"total": len(checks),
-                       "failed": sum(1 for c in checks if not c.ok)},
+            # a run that checked nothing verified nothing
+            "ok": bool(checks) and not bad,
+            "counts": {"total": len(checks), "failed": len(bad)},
             "checks": [
-                {"key": c.key, "ok": c.ok, **({"detail": _stringify(c.detail)}
-                                              if c.detail is not None else {})}
-                for c in checks],
+                {"key": key, "ok": ok, **({"detail": _stringify(detail)}
+                                          if detail is not None else {})}
+                for key, ok, detail in checks],
         }
-        bad = [c for c in checks if not c.ok]
         if bad:
-            report["counterexample"] = {"key": bad[0].key,
-                                        "detail": _stringify(bad[0].detail)}
+            report["counterexample"] = {"key": bad[0][0],
+                                        "detail": _stringify(bad[0][2])}
         return report
 
 
 def _stringify(x):
     if isinstance(x, Fraction):
-        from .exactlin import rat_str
         return rat_str(x)
     if isinstance(x, dict):
         return {str(k): _stringify(v) for k, v in x.items()}
@@ -114,10 +108,7 @@ def get_suite(name) -> Suite:
           "dense reduced-echelon oracle; tensor products are strictly "
           "associative",
           trials=100, dim=24, seed=0)
-def _run_exactlin(trials, dim, seed, **_):
-    from .exactlin import tensor_obj
-    rng = random.Random(seed)
-    checks = []
+def _run_exactlin(rng, trials, dim, **_):
     for t in range(trials):
         cx = rand.rnd_chain_complex(rng, degs=(0, 4), maxdim=max(2, dim // 6))
         got = cx.homology()
@@ -127,26 +118,22 @@ def _run_exactlin(trials, dim, seed, **_):
             rk_dn = len(rref(cx.d(n))[1])
             rk_up = len(rref(cx.d(n + 1))[1])
             want[n] = cx.dim(n) - rk_dn - rk_up
-        checks.append(Check("homology.%03d" % t, got == want,
-                            None if got == want else {"got": got, "want": want}))
+        yield ("homology.%03d" % t, got == want,
+               None if got == want else {"got": got, "want": want})
     for t in range(20):
         a = rand.rnd_metobj(rng, 2, with_gram=True)
         b = rand.rnd_metobj(rng, 2, with_gram=True)
         c = rand.rnd_metobj(rng, 2, with_gram=True)
         lhs = tensor_obj(tensor_obj(a, b), c)
         rhs = tensor_obj(a, tensor_obj(b, c))
-        checks.append(Check("tensor-assoc.%03d" % t, lhs == rhs))
-    return checks
+        yield "tensor-assoc.%03d" % t, lhs == rhs
 
 
 @register("exactlin.shortexact",
           "generated extensions are short exact: full ranks, zero composite, "
           "and additive middle rank",
           trials=50, seed=0)
-def _run_shortexact(trials, seed, **_):
-    from .exactlin import ShortExact, is_short_exact
-    rng = random.Random(seed)
-    checks = []
+def _run_shortexact(rng, trials, **_):
     for t in range(trials):
         cube = rand.rnd_one_cube(rng, max_dim=3)
         s = ShortExact(cube.vertices[(-1,)], cube.vertices[(0,)],
@@ -155,8 +142,7 @@ def _run_shortexact(trials, seed, **_):
         ok = is_short_exact(s)
         ok = ok and rank(s.inj) + rank(s.surj) == s.mid.dim
         ok = ok and s.surj.mul(s.inj).is_zero()
-        checks.append(Check("extension.%03d" % t, ok))
-    return checks
+        yield "extension.%03d" % t, ok
 
 
 # -- cube chains ----------------------------------------------------------
@@ -165,25 +151,20 @@ def _run_shortexact(trials, seed, **_):
           "the alternating-sum boundary of normalized cube chains squares "
           "to zero",
           trials=200, dim=3, seed=0)
-def _run_dd(trials, dim, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_dd(rng, trials, dim, **_):
     for t in range(trials):
         n = rng.randint(1, 3)
         x = CubeChain.of(rand.rnd_cube(rng, n, max_dim=dim))
         if rng.random() < 0.3:
             x = x + CubeChain.of(rand.rnd_cube(rng, n, max_dim=dim), -2)
-        checks.append(Check("ddzero.%03d" % t, boundary(boundary(x)).is_zero()))
-    return checks
+        yield "ddzero.%03d" % t, boundary(boundary(x)).is_zero()
 
 
 @register("cubes.duplication-faces",
           "the seven face identities of the axis-duplication cube, its "
           "degeneracy transport, and the double-duplication coincidence",
           trials=100, seed=0)
-def _run_rho(trials, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_rho(rng, trials, **_):
     for t in range(trials):
         n = rng.randint(1, 3)
         c = rand.rnd_cube(rng, n)
@@ -205,30 +186,25 @@ def _run_rho(trials, seed, **_):
         for j in range(1, n):
             ok = ok and rho(rho(c, j), j + 1) == rho(rho(c, j), j)
         ok = ok and rho(degeneracy(c, 1, 1), 2).is_degenerate()
-        checks.append(Check("duplication.%03d" % t, ok))
-    return checks
+        yield "duplication.%03d" % t, ok
 
 
 @register("cubes.alternation",
           "the signed symmetric-group average is an idempotent chain map and "
           "kills transposition-invariant cubes",
           trials=60, seed=0)
-def _run_alt(trials, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_alt(rng, trials, **_):
     for t in range(trials):
         n = rng.randint(1, 3)
         x = CubeChain.of(rand.rnd_cube(rng, n)) \
             + CubeChain.of(rand.rnd_cube(rng, n), Fraction(-3, 2))
         ax = alt(x)
         ok = alt(ax) == ax and boundary(ax) == alt(boundary(x))
-        checks.append(Check("alt.%03d" % t, ok))
+        yield "alt.%03d" % t, ok
     for t in range(10):
         c = rand.rnd_cube(rng, 1)
         sym = rho(c, 1)  # symmetric under the transposition by construction
-        checks.append(Check("alt-symmetric.%03d" % t,
-                            alt(CubeChain.of(sym)).is_zero()))
-    return checks
+        yield "alt-symmetric.%03d" % t, alt(CubeChain.of(sym)).is_zero()
 
 
 @register("cubes.contraction",
@@ -236,10 +212,7 @@ def _run_alt(trials, seed, **_):
           "directions; alternation absorbs them; the telescoped composite "
           "reproduces the alternation",
           trials=40, seed=0)
-def _run_contraction(trials, seed, **_):
-    rng = random.Random(seed)
-    checks = []
-
+def _run_contraction(rng, trials, **_):
     def dprime(ch, nn):
         return boundary_partial(ch, list(range(1, nn + 1)))
 
@@ -252,33 +225,31 @@ def _run_contraction(trials, seed, **_):
         lhs = dprime(phi_homotopy(n, m, x), n + 1)
         if n >= 1:
             lhs = lhs + phi_homotopy(n - 1, m, dprime(x, n))
-        checks.append(Check("phi-contracts.%03d" % t, lhs == x))
+        yield "phi-contracts.%03d" % t, lhs == x
         n2, m2 = rng.randint(1, 2), rng.randint(0, 2)
         y = CubeChain.of(rand.rnd_cube(rng, n2 + m2))
         lhs2 = dsecond(psi_homotopy(n2, m2, y), n2, m2 + 1)
         if m2 >= 1:
             lhs2 = lhs2 + psi_homotopy(n2, m2 - 1, dsecond(y, n2, m2))
-        checks.append(Check("psi-contracts.%03d" % t, lhs2 == y))
+        yield "psi-contracts.%03d" % t, lhs2 == y
 
     def phi_alt(nn, mm, ch):
         return alt_block(phi_homotopy(nn, mm, ch), nn + 1)
 
-    from .cubes import act_sym
-    from itertools import permutations as _perms
     for t in range(trials // 2):
         n, m = rng.randint(0, 2), rng.randint(1, 2)
         x = CubeChain.of(rand.rnd_cube(rng, n + m))
-        checks.append(Check("alt-absorbs-phi.%03d" % t,
-                            phi_alt(n, m, alt_block(x, n)) == phi_alt(n, m, x)))
+        yield ("alt-absorbs-phi.%03d" % t,
+               phi_alt(n, m, alt_block(x, n)) == phi_alt(n, m, x))
         # the first-block action commutes with the duplication homotopy
         cube = next(iter(x.terms))
         ok = True
-        for sig in _perms(range(1, n + 1)):
+        for sig in permutations(range(1, n + 1)):
             full_in = tuple(sig) + tuple(range(n + 1, n + m + 1))
             full_out = tuple(sig) + tuple(range(n + 1, n + m + 2))
             ok = ok and act_sym(full_out, rho(cube, n + 1)) == \
                 rho(act_sym(full_in, cube), n + 1)
-        checks.append(Check("block-action-commutes.%03d" % t, ok))
+        yield "block-action-commutes.%03d" % t, ok
     for m in (1, 2, 3):
         for t in range(3):
             x = CubeChain.of(rand.rnd_cube(rng, m))
@@ -287,9 +258,7 @@ def _run_contraction(trials, seed, **_):
                 y = phi_alt(k, m - k, y)
                 y = dsecond(y, k + 1, m - k)
             sgn = Fraction(-1) ** ((m * (m - 1)) // 2 % 2)
-            checks.append(Check("telescope.m%d.%02d" % (m, t),
-                                y.scale(sgn) == alt(x)))
-    return checks
+            yield "telescope.m%d.%02d" % (m, t), y.scale(sgn) == alt(x)
 
 
 # -- the sign calculus -----------------------------------------------------
@@ -298,28 +267,27 @@ def _run_contraction(trials, seed, **_):
           "the division signature satisfies the two-sided refinement "
           "product identity, exhaustively",
           r=6, seed=0)
-def _run_lem211(r, seed, **_):
+def _run_lem211(rng, r, **_):
     rep = signs.check_lemma_2_11(r)
-    return [Check("division-product.r%d" % r, rep["ok"],
-                  rep if not rep["ok"] else {"checked": rep["checked"]})]
+    yield ("division-product.r%d" % r, rep["ok"],
+           rep if not rep["ok"] else {"checked": rep["checked"]})
 
 
 @register("signs.b-weight",
           "the alternating tail-sum weight satisfies the merge, drop-last "
           "and drop-first identities, exhaustively",
           dim=4, r=5, seed=0)
-def _run_lem92(dim, r, seed, **_):
+def _run_lem92(rng, dim, r, **_):
     rep = signs.check_lemma_9_2(dim, r)
-    return [Check("b-weight.s%d.l%d" % (dim, r), rep["ok"],
-                  rep if not rep["ok"] else {"checked": rep["checked"]})]
+    yield ("b-weight.s%d.l%d" % (dim, r), rep["ok"],
+           rep if not rep["ok"] else {"checked": rep["checked"]})
 
 
 @register("signs.multidivision",
           "the multi-division signature is the product of its successive "
           "two-part refinements, exhaustively",
           r=6, seed=0)
-def _run_multidiv(r, seed, **_):
-    checks = []
+def _run_multidiv(rng, r, **_):
     universe = list(range(1, r + 1))
     bad = 0
     total = 0
@@ -335,9 +303,7 @@ def _run_multidiv(r, seed, **_):
                 rest = tail
             if sgn != acc:
                 bad += 1
-    checks.append(Check("multidivision.r%d" % r, bad == 0,
-                        {"checked": total, "failed": bad}))
-    return checks
+    yield "multidivision.r%d" % r, bad == 0, {"checked": total, "failed": bad}
 
 
 # -- C-complexes ------------------------------------------------------------
@@ -346,9 +312,7 @@ def _run_multidiv(r, seed, **_):
           "random C-complexes satisfy the connecting-map relation, their "
           "total complexes square to zero, and maps compose functorially",
           trials=50, seed=0)
-def _run_ccx(trials, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_ccx(rng, trials, **_):
     for t in range(trials):
         a = rand.rnd_ccomplex(rng)
         ok = a.validate()["ok"]
@@ -364,8 +328,7 @@ def _run_ccx(trials, seed, **_):
         ok = ok and ccx.compose(g, f).validate()["ok"]
         sh = a.shift(rng.choice([-2, -1, 1, 2]))
         ok = ok and sh.validate()["ok"]
-        checks.append(Check("relation.%03d" % t, ok))
-    return checks
+        yield "relation.%03d" % t, ok
 
 
 @register("ccx.cone-section",
@@ -373,9 +336,7 @@ def _run_ccx(trials, seed, **_):
           "the projection to the identity minus the retraction, with both "
           "witnessing homotopies valid",
           trials=100, seed=0)
-def _run_cone_section(trials, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_cone_section(rng, trials, **_):
     for t in range(trials):
         a, b, f, g, psi = rand.rnd_retraction(rng)
         ok = f.validate()["ok"] and g.validate()["ok"]
@@ -392,17 +353,14 @@ def _run_cone_section(trials, seed, **_):
                                   ccx.compose(t_map, parts.proj))["ok"]
         ok = ok and psi2.validate(ccx.zero_cmap(b, parts.ccx),
                                   ccx.compose(t_map, g))["ok"]
-        checks.append(Check("section.%03d" % t, ok))
-    return checks
+        yield "section.%03d" % t, ok
 
 
 @register("ccx.cone-map",
           "a square commuting up to homotopy induces a map of cones making "
           "both triangle squares commute strictly",
           trials=50, seed=0)
-def _run_cone_map(trials, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_cone_map(rng, trials, **_):
     for t in range(trials):
         a, b, ap, bp, f, fp, pa, pb, phi = rand.rnd_exchange_square(rng)
         ok = phi.validate(ccx.compose(pb, f), ccx.compose(fp, pa))["ok"]
@@ -413,8 +371,7 @@ def _run_cone_map(trials, seed, **_):
             ccx.compose(parts_p.proj, ps).comps
         ok = ok and ccx.compose(ps, parts.incl).comps == \
             ccx.compose(parts_p.incl, ccx.cmap_shift(pb, -1)).comps
-        checks.append(Check("cone-map.%03d" % t, ok))
-    return checks
+        yield "cone-map.%03d" % t, ok
 
 
 @register("ccx.second-homotopy",
@@ -422,14 +379,12 @@ def _run_cone_map(trials, seed, **_):
           "retraction square admits an exact solution, and it induces the "
           "displayed homotopy between the section composites",
           trials=40, seed=0)
-def _run_second(trials, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_second(rng, trials, **_):
     produced = 0
     for t in range(trials):
         setup = rand.rnd_second_homotopy_setup(rng)
         if setup is None:
-            checks.append(Check("theta.%03d" % t, True, {"skipped": "obstructed"}))
+            yield "theta.%03d" % t, True, {"skipped": "obstructed"}
             continue
         produced += 1
         th = setup["theta"]
@@ -442,19 +397,16 @@ def _run_second(trials, seed, **_):
         pi = ccx.pi_homotopy(parts, f, th, setup["h_f"], psi, g)
         ok = ok and pi.validate(ccx.compose(ps, t_map),
                                 ccx.compose(t_map, setup["phi_a"]))["ok"]
-        checks.append(Check("theta.%03d" % t, ok))
-    checks.append(Check("theta.produced", produced >= max(1, trials // 2),
-                        {"produced": produced}))
-    return checks
+        yield "theta.%03d" % t, ok
+    yield ("theta.produced", produced >= max(1, trials // 2),
+           {"produced": produced})
 
 
 @register("ccx.shift",
           "index shifts round-trip and commute with total complexes at the "
           "level of graded dimensions",
           trials=30, seed=0)
-def _run_shift(trials, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_shift(rng, trials, **_):
     for t in range(trials):
         a = rand.rnd_ccomplex(rng)
         r = rng.choice([-2, -1, 1, 2, 3])
@@ -469,8 +421,7 @@ def _run_shift(trials, seed, **_):
         t1, t2 = sh.tot(), a.tot().shift(r)
         for p in set(list(t1.dims) + list(t2.dims)):
             ok = ok and t1.dim(p) == t2.dim(p)
-        checks.append(Check("shift.%03d" % t, ok))
-    return checks
+        yield "shift.%03d" % t, ok
 
 
 @register("diagram.simple",
@@ -478,14 +429,11 @@ def _run_shift(trials, seed, **_):
           "boundary whose homology fits the expected long sequence when the "
           "middle map is a quasi-isomorphism",
           trials=20, seed=0)
-def _run_diagram(trials, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_diagram(rng, trials, **_):
     for t in range(trials):
         a2 = rand.rnd_chain_complex(rng, degs=(0, 3))
         # g1: an isomorphism from A2 onto B1 (a fortiori a quasi-isomorphism)
         u = {n: rand.rnd_invertible(rng, a2.dim(n)) for n in a2.degrees()}
-        from .exactlin import inverse
         b1 = ccx.ChainComplex(dict(a2.dims),
                               {n: u[n - 1].mul(a2.d(n)).mul(inverse(u[n]))
                                for n in a2.degrees() if a2.dim(n) and a2.dim(n - 1)})
@@ -502,9 +450,7 @@ def _run_diagram(trials, seed, **_):
             ok = False
         rep = ccx.diagram_les_check(a1, b1, a2, b2, f1, g1, f2, (1, 2))
         ok = ok and rep["ok"]
-        checks.append(Check("diagram.%03d" % t, ok,
-                            None if ok else rep))
-    return checks
+        yield "diagram.%03d" % t, ok, None if ok else rep
 
 
 def _rnd_chain_map(rng, src, dst):
@@ -523,10 +469,9 @@ def _rnd_chain_map(rng, src, dst):
 
 # -- multi-relative geometry -----------------------------------------------
 
-def _tower_chain(rng, r, schemes, seed):
+def _tower_chain(r, schemes, seed):
     tower = Tower(r=r, schemes=schemes, seed=seed, mode="scalar")
-    views = [GeomView(tower, s) for s in range(schemes)]
-    return tower, views
+    return [GeomView(tower, s) for s in range(schemes)]
 
 
 def _rnd_level(rng, r, maxsize=None):
@@ -534,91 +479,48 @@ def _rnd_level(rng, r, maxsize=None):
     return frozenset(rng.sample(range(1, r + 1), size))
 
 
-@register("multirel.xi-boundary",
-          "the signed pullback-sum operators interchange with the boundary "
-          "through division-signed composites",
-          trials=50, r=3, seed=0)
-def _run_xi_boundary(trials, r, seed, **_):
-    rng = random.Random(seed)
-    checks = []
-    for t in range(trials):
+def _run_xi_boundary(rng, trials, r, seed, key, t, kmin, kmax, dcap, **_):
+    """The boundary identity of Xi_{K; g_0, f_1, ..., f_t, g_t}: |K| is
+    drawn from kmin..min(kmax, marks left), and the input degree from
+    0..dcap, at most dcap + 1 - |K|, with no draw when |K| > dcap."""
+    for trial in range(trials):
         rr = rng.randint(1, r)
-        tower, (g,) = _tower_chain(rng, rr, 1, seed * 1000 + t)
+        geoms = _tower_chain(rr, t + 1, seed * 1000 + trial)
+        views = [geoms[0]]
+        for src, dst in zip(geoms, geoms[1:]):
+            views += [MorphView(src, dst), dst]
         I = _rnd_level(rng, rr, maxsize=rr - 1)
         others = [k for k in range(1, rr + 1) if k not in I]
-        K = tuple(sorted(rng.sample(others, rng.randint(1, len(others)))))
-        deg = 0 if len(K) >= 3 else rng.randint(0, 1 if len(K) == 2 else 2)
+        size = rng.randint(kmin, len(others) if kmax is None
+                           else min(kmax, len(others)))
+        K = tuple(sorted(rng.sample(others, size)))
+        deg = 0 if len(K) > dcap else \
+            rng.randint(0, min(dcap, dcap + 1 - len(K)))
         x = CubeChain.of(rand.rnd_cube(rng, deg, with_gram=True))
-        checks.append(Check("xi.%03d" % t, check_xi_boundary(g, K, I, x),
-                            {"K": sorted(K), "I": sorted(I), "deg": deg}))
-    return checks
+        yield ("%s.%03d" % (key, trial), check_xi_boundary(views, K, I, x),
+               {"K": sorted(K), "I": sorted(I), "deg": deg})
 
 
-@register("multirel.xi-pullback-boundary",
-          "the morphism-inserted pullback-sum operators satisfy their "
-          "two-sided boundary interchange",
-          trials=50, r=3, seed=0)
-def _run_xi_f(trials, r, seed, **_):
-    rng = random.Random(seed)
-    checks = []
-    for t in range(trials):
-        rr = rng.randint(1, r)
-        tower, (g0, g1) = _tower_chain(rng, rr, 2, seed * 1000 + t)
-        f = MorphView(g0, g1)
-        I = _rnd_level(rng, rr, maxsize=rr - 1)
-        others = [k for k in range(1, rr + 1) if k not in I]
-        K = tuple(sorted(rng.sample(others, rng.randint(0, len(others)))))
-        deg = 0 if len(K) >= 2 else rng.randint(0, 1)
-        x = CubeChain.of(rand.rnd_cube(rng, deg, with_gram=True))
-        checks.append(Check("xif.%03d" % t, check_xi_f_boundary(f, K, I, x),
-                            {"K": sorted(K), "I": sorted(I), "deg": deg}))
-    return checks
-
-
-@register("multirel.xi-exchange-boundary",
-          "the doubly inserted operators mediate between composite and "
-          "separate pullbacks in their boundary interchange",
-          trials=50, r=3, seed=0)
-def _run_xi_fg(trials, r, seed, **_):
-    rng = random.Random(seed)
-    checks = []
-    for t in range(trials):
-        rr = rng.randint(1, r)
-        tower, vs = _tower_chain(rng, rr, 3, seed * 1000 + t)
-        f, g = MorphView(vs[0], vs[1]), MorphView(vs[1], vs[2])
-        I = _rnd_level(rng, rr, maxsize=rr - 1)
-        others = [k for k in range(1, rr + 1) if k not in I]
-        kmax = min(len(others), 3 if rr < 3 else 3)
-        K = tuple(sorted(rng.sample(others, rng.randint(0, kmax))))
-        deg = 0 if len(K) >= 2 else rng.randint(0, 1)
-        x = CubeChain.of(rand.rnd_cube(rng, deg, with_gram=True))
-        checks.append(Check("xifg.%03d" % t,
-                            check_xi_fg_boundary(f, g, K, I, x),
-                            {"K": sorted(K), "I": sorted(I), "deg": deg}))
-    return checks
-
-
-@register("multirel.xi-triple-boundary",
-          "the triply inserted operators satisfy the boundary interchange "
-          "with both partial-composite corrections",
-          trials=30, r=3, seed=0)
-def _run_xi_f3(trials, r, seed, **_):
-    rng = random.Random(seed)
-    checks = []
-    for t in range(trials):
-        rr = rng.randint(1, r)
-        tower, vs = _tower_chain(rng, rr, 4, seed * 1000 + t)
-        f1, f2, f3 = (MorphView(vs[0], vs[1]), MorphView(vs[1], vs[2]),
-                      MorphView(vs[2], vs[3]))
-        I = _rnd_level(rng, rr, maxsize=rr - 1)
-        others = [k for k in range(1, rr + 1) if k not in I]
-        K = tuple(sorted(rng.sample(others, rng.randint(0, min(2, len(others))))))
-        deg = 0 if len(K) >= 2 else rng.randint(0, 1)
-        x = CubeChain.of(rand.rnd_cube(rng, deg, with_gram=True))
-        checks.append(Check("xif3.%03d" % t,
-                            check_xi_f1f2f3_boundary(f1, f2, f3, K, I, x),
-                            {"K": sorted(K), "I": sorted(I), "deg": deg}))
-    return checks
+register("multirel.xi-boundary",
+         "the signed pullback-sum operators interchange with the boundary "
+         "through division-signed composites",
+         trials=50, r=3, seed=0)(
+    partial(_run_xi_boundary, key="xi", t=0, kmin=1, kmax=None, dcap=2))
+register("multirel.xi-pullback-boundary",
+         "the morphism-inserted pullback-sum operators satisfy their "
+         "two-sided boundary interchange",
+         trials=50, r=3, seed=0)(
+    partial(_run_xi_boundary, key="xif", t=1, kmin=0, kmax=None, dcap=1))
+register("multirel.xi-exchange-boundary",
+         "the doubly inserted operators mediate between composite and "
+         "separate pullbacks in their boundary interchange",
+         trials=50, r=3, seed=0)(
+    partial(_run_xi_boundary, key="xifg", t=2, kmin=0, kmax=3, dcap=1))
+register("multirel.xi-triple-boundary",
+         "the triply inserted operators satisfy the boundary interchange "
+         "with both partial-composite corrections",
+         trials=30, r=3, seed=0)(
+    partial(_run_xi_boundary, key="xif3", t=3, kmin=0, kmax=2, dcap=1))
 
 
 @register("multirel.ccomplex",
@@ -626,12 +528,10 @@ def _run_xi_f3(trials, r, seed, **_):
           "C-complex: generator relations hold and the matrix "
           "materialization passes validation",
           trials=50, r=3, seed=0)
-def _run_mr_ccomplex(trials, r, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_mr_ccomplex(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
-        tower, (g,) = _tower_chain(rng, rr, 1, seed * 1000 + t)
+        (g,) = _tower_chain(rr, 1, seed * 1000 + t)
         I = _rnd_level(rng, rr, maxsize=max(0, rr - 1))
         deg = rng.randint(0, 1)
         x = {I: CubeChain.of(rand.rnd_cube(rng, deg, with_gram=True))}
@@ -645,20 +545,17 @@ def _run_mr_ccomplex(trials, r, seed, **_):
                 cc.tot().validate()
             except ValueError:
                 ok = False
-        checks.append(Check("ccomplex.%03d" % t, ok))
-    return checks
+        yield "ccomplex.%03d" % t, ok
 
 
 @register("multirel.pullback-map",
           "the division-signed pullback of a geometry morphism is a map of "
           "C-complexes, generator-wise and as matrices",
           trials=50, r=3, seed=0)
-def _run_mr_pullback(trials, r, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_mr_pullback(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
-        tower, (g0, g1) = _tower_chain(rng, rr, 2, seed * 1000 + t)
+        g0, g1 = _tower_chain(rr, 2, seed * 1000 + t)
         f = MorphView(g0, g1)
         I = _rnd_level(rng, rr, maxsize=max(0, rr - 1))
         x = {I: CubeChain.of(rand.rnd_cube(rng, rng.randint(0, 1), with_gram=True))}
@@ -667,20 +564,17 @@ def _run_mr_pullback(trials, r, seed, **_):
             _, _, cmap = build_pullback(
                 f, [(frozenset(), rand.rnd_cube(rng, 1, with_gram=True))])
             ok = ok and cmap.validate()["ok"]
-        checks.append(Check("pullback.%03d" % t, ok))
-    return checks
+        yield "pullback.%03d" % t, ok
 
 
 @register("multirel.composite-homotopy",
           "the doubly inserted operators assemble to a homotopy from the "
           "composite pullback to the composition of pullbacks",
           trials=50, r=3, seed=0)
-def _run_mr_homotopy(trials, r, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_mr_homotopy(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, min(r, 2)) if t % 3 else rng.randint(1, r)
-        tower, vs = _tower_chain(rng, rr, 3, seed * 1000 + t)
+        vs = _tower_chain(rr, 3, seed * 1000 + t)
         f, g = MorphView(vs[0], vs[1]), MorphView(vs[1], vs[2])
         h = MorphView(vs[0], vs[2])
         I = _rnd_level(rng, rr, maxsize=max(0, rr - 1))
@@ -692,8 +586,7 @@ def _run_mr_homotopy(trials, r, seed, **_):
                 f, g, [(frozenset(), rand.rnd_cube(rng, 1, with_gram=True))])
             ok = ok and out["phi"].validate()["ok"]
             ok = ok and out["f"].validate()["ok"] and out["g"].validate()["ok"]
-        checks.append(Check("homotopy.%03d" % t, ok))
-    return checks
+        yield "homotopy.%03d" % t, ok
 
 
 @register("multirel.alternating",
@@ -701,53 +594,47 @@ def _run_mr_homotopy(trials, r, seed, **_):
           "on the alternating subcomplexes, validated as matrices on "
           "projected spans",
           trials=12, r=3, seed=0)
-def _run_mr_alt(trials, r, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_mr_alt(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
-        tower, (g,) = _tower_chain(rng, rr, 1, seed * 1000 + t)
+        (g,) = _tower_chain(rr, 1, seed * 1000 + t)
         model, cc = build_ccomplex(
             g, [(frozenset(), rand.rnd_cube(rng, 1, with_gram=True))],
             use_alt=True)
-        checks.append(Check("alt-ccomplex.%03d" % t, cc.validate()["ok"]))
+        yield "alt-ccomplex.%03d" % t, cc.validate()["ok"]
     for t in range(trials):
         rr = rng.randint(1, r)
-        tower, (g0, g1) = _tower_chain(rng, rr, 2, seed * 2000 + t)
+        g0, g1 = _tower_chain(rr, 2, seed * 2000 + t)
         f = MorphView(g0, g1)
         deg = 1 if rr <= 2 else 0
         _, _, cmap = build_pullback(
             f, [(frozenset(), rand.rnd_cube(rng, deg, with_gram=True))],
             use_alt=True)
-        checks.append(Check("alt-pullback.%03d" % t, cmap.validate()["ok"]))
+        yield "alt-pullback.%03d" % t, cmap.validate()["ok"]
     for t in range(max(2, trials // 3)):
         rr = rng.randint(1, 2)
-        tower, vs = _tower_chain(rng, rr, 3, seed * 3000 + t)
+        vs = _tower_chain(rr, 3, seed * 3000 + t)
         f, g = MorphView(vs[0], vs[1]), MorphView(vs[1], vs[2])
         out = build_homotopy(
             f, g, [(frozenset(), rand.rnd_cube(rng, 0, with_gram=True))],
             use_alt=True)
-        checks.append(Check("alt-homotopy.%03d" % t, out["phi"].validate()["ok"]))
-    return checks
+        yield "alt-homotopy.%03d" % t, out["phi"].validate()["ok"]
 
 
 @register("multirel.absorption",
           "alternating before and after a pullback-sum operator agrees with "
           "alternating after alone",
           trials=40, r=3, seed=0)
-def _run_absorb(trials, r, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_absorb(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
-        tower, (g,) = _tower_chain(rng, rr, 1, seed * 1000 + t)
+        (g,) = _tower_chain(rr, 1, seed * 1000 + t)
         I = _rnd_level(rng, rr, maxsize=rr - 1)
         others = [k for k in range(1, rr + 1) if k not in I]
         K = tuple(sorted(rng.sample(others, rng.randint(1, min(2, len(others))))))
         deg = rng.randint(1, 2)
         x = CubeChain.of(rand.rnd_cube(rng, deg, with_gram=True))
-        checks.append(Check("absorb.%03d" % t, check_alt_absorption(g, K, I, x)))
-    return checks
+        yield "absorb.%03d" % t, check_alt_absorption(g, K, I, x)
 
 
 @register("multirel.cone-identification",
@@ -755,18 +642,14 @@ def _run_absorb(trials, r, seed, **_):
           "restriction map after the sign twist on the levels containing "
           "the last mark",
           trials=10, r=3, seed=0)
-def _run_cor216(trials, r, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_cor216(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(2, r) if r >= 2 else 1
-        tower, (g,) = _tower_chain(rng, rr, 1, seed * 1000 + t)
+        (g,) = _tower_chain(rr, 1, seed * 1000 + t)
         rep = check_cor_2_16(g, [(frozenset(),
                                   rand.rnd_cube(rng, 1, with_gram=True))],
                              use_alt=(t % 3 == 0))
-        checks.append(Check("cone-id.%03d" % t, rep["ok"],
-                            None if rep["ok"] else rep))
-    return checks
+        yield "cone-id.%03d" % t, rep["ok"], None if rep["ok"] else rep
 
 
 @register("multirel.identity-pullback",
@@ -775,9 +658,7 @@ def _run_cor216(trials, r, seed, **_):
           "killed) but not degenerate inside, and the identity morphism "
           "pulls back to the identity of the alternating complex",
           trials=100, r=3, seed=0)
-def _run_prop220(trials, r, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_prop220(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
         tower = Tower(r=rr, schemes=2, seed=seed * 1000 + t, mode="scalar",
@@ -794,9 +675,7 @@ def _run_prop220(trials, r, seed, **_):
             xx = {I: CubeChain.of(rand.rnd_cube(rng, rng.randint(0, 1),
                                                 with_gram=True))}
             ok = ok and check_identity_cmap(X0, gid, xx, len(I), rr)["ok"]
-        checks.append(Check("identity-words.%03d" % t, ok,
-                            None if ok else rep))
-    return checks
+        yield "identity-words.%03d" % t, ok, None if ok else rep
 
 
 # -- tensor structure -------------------------------------------------------
@@ -806,12 +685,10 @@ def _run_prop220(trials, r, seed, **_):
           "into drop, merge, axis-exchange and inner-boundary terms with "
           "the stated signs",
           trials=25, r=3, seed=0)
-def _run_prop91(trials, r, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_prop91(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
-        tower, (g,) = _tower_chain(rng, rr, 1, seed * 1000 + t)
+        (g,) = _tower_chain(rr, 1, seed * 1000 + t)
         F = _rnd_pos_obj(rng)
         K = tuple(sorted(rng.sample(range(1, rr + 1),
                                     rng.randint(1, min(rr, 3)))))
@@ -822,9 +699,9 @@ def _run_prop91(trials, r, seed, **_):
         pis = [_pi(g, lvls[p]) for p in range(l + 1)]
         deg = 0 if len(K) >= 3 else rng.randint(0, 1)
         x = CubeChain.of(rand.rnd_cube(rng, deg, with_gram=True))
-        checks.append(Check("bracket.%03d" % t,
-                            check_bracket_boundary(F, slots, pis, x),
-                            {"parts": [sorted(p) for p in parts], "deg": deg}))
+        yield ("bracket.%03d" % t,
+               check_bracket_boundary(F, slots, pis, x),
+               {"parts": [sorted(p) for p in parts], "deg": deg})
     # plain bracket cubes of object chains: boundary omits one member
     for t in range(10):
         dims = rng.randint(1, 2)
@@ -837,28 +714,23 @@ def _run_prop91(trials, r, seed, **_):
         for j in range(ll + 1):
             rest = [cubes[i] for i in range(ll + 1) if i != ll - j]
             rhs = rhs + CubeChain.of(bracket_cube(rest), (-1) ** j)
-        checks.append(Check("bracket-objects.%03d" % t, lhs == rhs))
-    return checks
+        yield "bracket-objects.%03d" % t, lhs == rhs
 
 
 @register("tensor.cmap",
           "tensoring with a fixed object extends to a map of C-complexes "
           "through division-signed, weight-signed bracket operators",
           trials=30, r=3, seed=0)
-def _run_prop93(trials, r, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_prop93(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
-        tower, (g,) = _tower_chain(rng, rr, 1, seed * 1000 + t)
+        (g,) = _tower_chain(rr, 1, seed * 1000 + t)
         F = _rnd_pos_obj(rng)
         I = _rnd_level(rng, rr, maxsize=rr - 1)
         deg = 0 if rr >= 3 and len(I) == 0 else rng.randint(0, 1)
         x = {I: CubeChain.of(rand.rnd_cube(rng, deg, with_gram=True))}
         ok = _tensor_cmap_relation(F, g, x, len(I), rr)
-        checks.append(Check("tensor-map.%03d" % t, ok,
-                            {"I": sorted(I), "deg": deg}))
-    return checks
+        yield "tensor-map.%03d" % t, ok, {"I": sorted(I), "deg": deg}
 
 
 def _rnd_pos_obj(rng):
@@ -875,21 +747,17 @@ def _tensor_cmap_relation(F, g, x, m, n_max):
           "the mixed-insertion bracket operators form a homotopy exchanging "
           "the tensor map with a pullback",
           trials=20, r=3, seed=0)
-def _run_prop94(trials, r, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_prop94(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, min(2, r)) if t % 3 else rng.randint(1, r)
-        tower, (g0, g1) = _tower_chain(rng, rr, 2, seed * 1000 + t)
+        g0, g1 = _tower_chain(rr, 2, seed * 1000 + t)
         f = MorphView(g0, g1)
         F = _rnd_pos_obj(rng)
         I = _rnd_level(rng, rr, maxsize=rr - 1)
         deg = 0 if rr >= 3 else rng.randint(0, 1)
         x = {I: CubeChain.of(rand.rnd_cube(rng, deg, with_gram=True))}
         ok = _tensor_homotopy_relation(F, f, x, len(I), rr)
-        checks.append(Check("tensor-homotopy.%03d" % t, ok,
-                            {"I": sorted(I), "deg": deg}))
-    return checks
+        yield "tensor-homotopy.%03d" % t, ok, {"I": sorted(I), "deg": deg}
 
 
 def _tensor_homotopy_relation(F, f, x, m, n_max):
@@ -905,20 +773,16 @@ def _tensor_homotopy_relation(F, f, x, m, n_max):
           "the cone-induced tensor map through the sign-twisted "
           "identification agrees with the direct tensor map",
           trials=20, r=3, seed=0)
-def _run_prop95(trials, r, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_prop95(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
-        tower, (g,) = _tower_chain(rng, rr, 1, seed * 1000 + t)
+        (g,) = _tower_chain(rr, 1, seed * 1000 + t)
         F = _rnd_pos_obj(rng)
         I = _rnd_level(rng, rr, maxsize=rr - 1)
         deg = 0 if rr >= 3 else rng.randint(0, 1)
         x = {I: CubeChain.of(rand.rnd_cube(rng, deg, with_gram=True))}
         rep = check_phi_s_equals_tensor(F, g, x, len(I), rr)
-        checks.append(Check("cone-agree.%03d" % t, rep["ok"],
-                            None if rep["ok"] else rep))
-    return checks
+        yield "cone-agree.%03d" % t, rep["ok"], None if rep["ok"] else rep
 
 
 @register("tensor.second-homotopy",
@@ -926,9 +790,7 @@ def _run_prop95(trials, r, seed, **_):
           "between the tensor map and its double pullback are mediated by "
           "the explicit two-insertion bracket operator",
           trials=10, r=2, seed=0)
-def _run_prop96(trials, r, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_prop96(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, min(2, r))
         tower = Tower(r=rr, schemes=3, seed=seed * 1000 + t, mode="scalar",
@@ -941,9 +803,7 @@ def _run_prop96(trials, r, seed, **_):
         deg = rng.randint(0, 1) if rr == 1 else 0
         x = {I: CubeChain.of(rand.rnd_cube(rng, deg, with_gram=True))}
         ok = _theta_relation(F, f, g, x, len(I), rr)
-        checks.append(Check("second-homotopy.%03d" % t, ok,
-                            {"I": sorted(I), "deg": deg}))
-    return checks
+        yield "second-homotopy.%03d" % t, ok, {"I": sorted(I), "deg": deg}
 
 
 def _theta_relation(F, f, g, x, m, n_max):
@@ -964,10 +824,7 @@ def _theta_relation(F, f, g, x, m, n_max):
           "boundary is the difference of the two bracketings minus the "
           "bracket of the boundary",
           trials=30, seed=0)
-def _run_pair(trials, seed, **_):
-    rng = random.Random(seed)
-    checks = []
-    from .cubes import ExactFunctor
+def _run_pair(rng, trials, **_):
     for t in range(trials):
         f1 = _rnd_pos_obj(rng)
         f2 = _rnd_pos_obj(rng)
@@ -993,9 +850,7 @@ def _run_pair(trials, seed, **_):
         # degenerate inputs give degenerate (hence zero) brackets
         degen_in = bracket_pair(f1, f2, CubeChain.of(
             degeneracy(rand.rnd_cube(rng, deg), 1, 1)))
-        checks.append(Check("pair.%03d" % t, ok and flagged and
-                            degen_in.is_zero()))
-    return checks
+        yield "pair.%03d" % t, ok and flagged and degen_in.is_zero()
 
 
 # -- the double -------------------------------------------------------------
@@ -1005,9 +860,7 @@ def _run_pair(trials, seed, **_):
           "the inclusion-exclusion operator vanishes on every extraction "
           "except the empty one, where it alternates the components",
           trials=20, r=4, seed=0)
-def _run_double_bundle(trials, r, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_double_bundle(rng, trials, r, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
         marks = tuple(range(1, rr + 1))
@@ -1037,18 +890,14 @@ def _run_double_bundle(trials, r, seed, **_):
             else:
                 want[obj] = s
         ok = ok and QT.extract(()) == want
-        checks.append(Check("extraction.%03d" % t, ok))
-    return checks
+        yield "extraction.%03d" % t, ok
 
 
 @register("double.splitting",
           "the cone-section splitting of the double validates and its "
           "degree-(0,0) part is the inclusion-exclusion operator",
           trials=6, r=3, seed=0)
-def _run_double_split(trials, r, seed, **_):
-    rng = random.Random(seed)
-    checks = []
-    from .cubes import ExactCube
+def _run_double_split(rng, trials, r, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
         geom = double.DoubleGeometry(rr)
@@ -1081,9 +930,8 @@ def _run_double_split(trials, r, seed, **_):
         for (m, n) in t_map.comps:
             if m == 0 and n > 0:
                 ok = False
-        checks.append(Check("splitting.%03d" % t, ok and nontrivial > 0,
-                            {"nontrivial": nontrivial}))
-    return checks
+        yield ("splitting.%03d" % t, ok and nontrivial > 0,
+               {"nontrivial": nontrivial})
 
 
 # -- formal character target -------------------------------------------------
@@ -1092,68 +940,55 @@ def _run_double_split(trials, r, seed, **_):
           "the defined differential on the free character target squares "
           "to zero on generated spans",
           trials=60, r=3, seed=0)
-def _run_ds2(trials, r, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_ds2(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
-        tower, (g,) = _tower_chain(rng, rr, 1, seed * 1000 + t)
+        (g,) = _tower_chain(rr, 1, seed * 1000 + t)
         target = formalchern.FormalTarget(g)
         lvl = _rnd_level(rng, rr)
         ch = CubeChain.of(rand.rnd_cube(rng, rng.randint(0, 2), with_gram=True))
-        checks.append(Check("squared.%03d" % t,
-                            formalchern.check_ds_squared(target, lvl, ch,
-                                                         ch.degree)))
-    return checks
+        yield ("squared.%03d" % t,
+               formalchern.check_ds_squared(target, lvl, ch, ch.degree))
 
 
 @register("formalchern.chain-map",
           "the signed assembly of level symbols is a chain map from the "
           "multi-relative total complex to the character target",
           trials=60, r=3, seed=0)
-def _run_chmap(trials, r, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_chmap(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
-        tower, (g,) = _tower_chain(rng, rr, 1, seed * 1000 + t)
+        (g,) = _tower_chain(rr, 1, seed * 1000 + t)
         target = formalchern.FormalTarget(g)
         n = rng.randint(1, 2)
         x = {frozenset(): CubeChain.of(rand.rnd_cube(rng, n, with_gram=True))}
         if rr >= 1 and rng.random() < 0.6:
             lvl = frozenset({rng.randint(1, rr)})
             x[lvl] = CubeChain.of(rand.rnd_cube(rng, n + 1, with_gram=True))
-        checks.append(Check("chain-map.%03d" % t,
-                            formalchern.check_chain_map(target, x, n)))
+        yield "chain-map.%03d" % t, formalchern.check_chain_map(target, x, n)
     rep = formalchern.reindex_check(5)
-    checks.append(Check("reindex.r5", rep["ok"], {"checked": rep["checked"]}))
-    return checks
+    yield "reindex.r5", rep["ok"], {"checked": rep["checked"]}
 
 
 @register("formalchern.vanishing",
           "the vanishing rule is consistent: raw differentials of flagged "
           "generators cancel within isometry classes after the rule",
           trials=25, r=2, seed=0)
-def _run_vanish(trials, r, seed, **_):
-    rng = random.Random(seed)
-    checks = []
+def _run_vanish(rng, trials, r, seed, **_):
     tested = 0
     for t in range(trials):
         rr = rng.randint(1, r)
-        tower = Tower(r=rr, schemes=2, seed=seed * 1000 + t, mode="scalar")
-        g0, g1 = GeomView(tower, 0), GeomView(tower, 1)
+        g0, g1 = _tower_chain(rr, 2, seed * 1000 + t)
         f = MorphView(g0, g1)
         target = formalchern.FormalTarget(g0)
         x = CubeChain.of(rand.rnd_cube(rng, rng.randint(0, 1), with_gram=True))
-        from .multirel import xi_Kf
         ok = True
         for cube in xi_Kf(f, (1,), (), x).terms:
             if target.vanishes(cube):
                 tested += 1
                 ok = ok and formalchern.check_vanishing_consistency(target, cube)
-        checks.append(Check("vanishing.%03d" % t, ok))
-    checks.append(Check("vanishing.coverage", tested > 0, {"flagged": tested}))
-    return checks
+        yield "vanishing.%03d" % t, ok
+    yield "vanishing.coverage", tested > 0, {"flagged": tested}
 
 
 # -- logarithmic forms --------------------------------------------------------
@@ -1162,19 +997,14 @@ def _run_vanish(trials, r, seed, **_):
           "the symmetrized logarithmic forms flip sign under conjugation "
           "according to the parity of their rank",
           r=5, seed=0)
-def _run_wang_conj(r, seed, **_):
-    checks = []
+def _run_wang_conj(rng, r, **_):
     rep = wang.check_conjugation(r)
-    checks.append(Check("conjugation.r%d" % r, rep["ok"],
-                        None if rep["ok"] else rep))
+    yield "conjugation.r%d" % r, rep["ok"], None if rep["ok"] else rep
     w1 = wang.build_W(1)
-    checks.append(Check("w1.value",
-                        w1.terms == {(1, ()): Fraction(-1, 2)}))
+    yield "w1.value", w1.terms == {(1, ()): Fraction(-1, 2)}
     for rr in range(2, r + 1):
         w = wang.build_W(rr)
-        checks.append(Check("involution.r%d" % rr,
-                            wang.conjugate(wang.conjugate(w)) == w))
-    return checks
+        yield "involution.r%d" % rr, wang.conjugate(wang.conjugate(w)) == w
 
 
 @register("wang.degrees",
@@ -1182,30 +1012,26 @@ def _run_wang_conj(r, seed, **_):
           "one-forms; the bidegree split partitions the form and the "
           "expansion size is the full symmetric group",
           r=5, seed=0)
-def _run_wang_deg(r, seed, **_):
-    checks = []
+def _run_wang_deg(rng, r, **_):
     rep = wang.check_degrees(r)
-    checks.append(Check("degrees.r%d" % r, rep["ok"],
-                        None if rep["ok"] else rep))
+    yield "degrees.r%d" % r, rep["ok"], None if rep["ok"] else rep
     for rr in range(1, r + 1):
         for i in range(1, rr + 1):
             s = wang.build_S(rr, i)
             count_ok = wang.monomial_count_S(rr, i) == \
                 sum(1 for _ in permutations(range(rr)))
             distinct = len(s.terms)
-            import math
             want = rr * math.comb(rr - 1, i - 1)
-            checks.append(Check("count.r%d.i%d" % (rr, i),
-                                count_ok and distinct == want,
-                                {"distinct": distinct, "want": want}))
+            yield ("count.r%d.i%d" % (rr, i),
+                   count_ok and distinct == want,
+                   {"distinct": distinct, "want": want})
     for rr in range(1, r + 1):
         w = wang.build_W(rr)
         parts = wang.bidegree_split(w)
         total = wang.LogForm()
         for p in parts.values():
             total = total + p
-        checks.append(Check("bidegree.r%d" % rr, total == w))
-    return checks
+        yield "bidegree.r%d" % rr, total == w
 
 
 def run_suite(name, **params):

@@ -12,11 +12,9 @@ from cubehom.multirel import (GeomView, MorphView, Tower, build_ccomplex,
                               check_cmap_relation, check_cor_2_16,
                               check_homotopy_relation, check_identity_cmap,
                               check_identity_pullback_vanishing,
-                              check_xi_boundary, check_xi_f1f2f3_boundary,
-                              check_xi_f_boundary, check_xi_fg_boundary,
-                              identity_word_cube, lev_alt, lev_eq, op_F,
-                              op_homotopy, op_pullback, restriction_morphism,
-                              xi_K, xi_Kf, xi_Kf1f2f3, xi_Kfg)
+                              check_xi_boundary, identity_word_cube, lev_alt,
+                              lev_eq, op_F, op_homotopy, op_pullback,
+                              restriction_morphism, xi_K, xi_Kf)
 from helpers import rnd_cube, rnd_gram
 
 
@@ -71,7 +69,7 @@ def test_xi_boundary_identities():
     for K, I, deg in [((1,), (), 1), ((1, 2), (), 1), ((1, 2), (3,), 1),
                       ((1, 2, 3), (), 0)]:
         x = CubeChain.of(rnd_cube(rng, deg, with_gram=True))
-        assert check_xi_boundary(g, K, I, x)
+        assert check_xi_boundary([g], K, I, x)
 
 
 def test_xi_f_boundary_identities():
@@ -81,7 +79,7 @@ def test_xi_f_boundary_identities():
     for K, I, deg in [((), (1,), 1), ((1,), (), 1), ((1, 2), (), 1),
                       ((1, 2, 3), (), 0)]:
         x = CubeChain.of(rnd_cube(rng, deg, with_gram=True))
-        assert check_xi_f_boundary(f, K, I, x)
+        assert check_xi_boundary([f.src, f, f.dst], K, I, x)
 
 
 def test_xi_fg_boundary_includes_composite_term():
@@ -90,7 +88,7 @@ def test_xi_fg_boundary_includes_composite_term():
     f, g = MorphView(vs[0], vs[1]), MorphView(vs[1], vs[2])
     for K, I, deg in [((), (1,), 1), ((1,), (2,), 1), ((1, 2), (), 0)]:
         x = CubeChain.of(rnd_cube(rng, deg, with_gram=True))
-        assert check_xi_fg_boundary(f, g, K, I, x)
+        assert check_xi_boundary([f.src, f, f.dst, g, g.dst], K, I, x)
 
 
 def test_xi_triple_boundary():
@@ -100,7 +98,8 @@ def test_xi_triple_boundary():
                   MorphView(vs[2], vs[3]))
     for K, I, deg in [((), (1,), 1), ((1,), (), 0), ((1, 2), (), 0)]:
         x = CubeChain.of(rnd_cube(rng, deg, with_gram=True))
-        assert check_xi_f1f2f3_boundary(f1, f2, f3, K, I, x)
+        assert check_xi_boundary([f1.src, f1, f1.dst, f2, f2.dst, f3, f3.dst],
+                                 K, I, x)
 
 
 def test_connecting_map_at_one_mark_is_minus_pullback():
@@ -232,7 +231,7 @@ def test_restriction_morphism_views():
     assert iota.src.extra == frozenset({3})
     assert iota.dst.marks == (1, 2)
     x = CubeChain.of(rnd_cube(rng, 1, with_gram=True))
-    assert check_xi_f_boundary(iota, (1,), (), x)
+    assert check_xi_boundary([iota.src, iota, iota.dst], (1,), (), x)
 
 
 def test_geometry_rejects_bad_morphisms():

@@ -12,9 +12,8 @@ from fractions import Fraction
 from cubehom import ccx, multirel, suites
 from cubehom.cubes import CubeChain, boundary
 from cubehom.multirel import (GeomView, MorphView, Tower, check_xi_boundary,
-                              check_xi_fg_boundary, lev_add, lev_alt,
-                              lev_boundary, lev_eq, lev_scale, op_F, xi_K,
-                              xi_Kf, xi_Kfg)
+                              lev_add, lev_alt, lev_boundary, lev_eq,
+                              lev_scale, op_F, xi_apply, xi_K, xi_Kf)
 from cubehom.suites import _tensor_cmap_relation
 from cubehom.tensorstruct import op_tensor
 from helpers import rnd_cube, rnd_gram
@@ -31,7 +30,7 @@ def test_wrong_boundary_sign_fails_xi_identity():
     _, (g,) = geometry(3)
     K, I = (1, 2), frozenset()
     x = CubeChain.of(rnd_cube(rng, 1, with_gram=True))
-    assert check_xi_boundary(g, K, I, x)
+    assert check_xi_boundary([g], K, I, x)
     # flip the sign of the argument-boundary term
     w = len(K)
     lhs = boundary(xi_K(g, K, I, x)) - xi_K(g, K, I, boundary(x)).scale((-1) ** w)
@@ -52,10 +51,11 @@ def test_dropped_composite_term_fails_exchange_identity():
     h = MorphView(vs[0], vs[2])
     K, I = (1,), frozenset({2})
     x = CubeChain.of(rnd_cube(rng, 1, with_gram=True))
-    assert check_xi_fg_boundary(f, g, K, I, x)
+    views = [f.src, f, f.dst, g, g.dst]
+    assert check_xi_boundary(views, K, I, x)
     w = len(K)
-    lhs = boundary(xi_Kfg(f, g, K, I, x)) + \
-        xi_Kfg(f, g, K, I, boundary(x)).scale((-1) ** w)
+    lhs = boundary(xi_apply(views, K, I, x)) + \
+        xi_apply(views, K, I, boundary(x)).scale((-1) ** w)
     # rebuild the right side WITHOUT the composite-pullback correction
     from cubehom.multirel import _splits, _marks_back
     rhs = CubeChain.zero(lhs.degree)
@@ -63,14 +63,14 @@ def test_dropped_composite_term_fails_exchange_identity():
     src_levels = _marks_back(f, mid_levels)
     for a, L, Lp, s in _splits(K):
         if a >= 1:
-            inner = xi_Kfg(f, g, Lp, I, x)
+            inner = xi_apply(views, Lp, I, x)
             rhs = rhs + xi_K(f.src, L, frozenset(Lp) | src_levels,
                              inner).scale(s * (-1) ** (a + 1))
         inner = xi_Kf(g, Lp, I, x)
         rhs = rhs + xi_Kf(f, L, frozenset(Lp) | mid_levels, inner).scale(s)
         if a <= w - 1:
             inner = xi_K(g.dst, Lp, I, x)
-            rhs = rhs + xi_Kfg(f, g, L, I | set(Lp), inner).scale(s * (-1) ** (a + 1))
+            rhs = rhs + xi_apply(views, L, I | set(Lp), inner).scale(s * (-1) ** (a + 1))
     assert lhs != rhs  # the missing -Xi_{K,gf} term is detected
 
 
@@ -191,3 +191,26 @@ def test_flipped_reach_sign_fails_generator_relations(monkeypatch):
     monkeypatch.setattr(suites, "check_relation", flipped)
     assert not multirel.check_cmap_relation(f, x, 0, 2)["ok"]
     assert not _tensor_homotopy_relation(F, f, x, 0, 2)
+
+
+def test_flipped_split_sign_fails_xi_boundary_at_every_chain_length(
+        monkeypatch):
+    # the boundary identities of Xi_K, Xi_{K,f}, Xi_{K,f,g} and
+    # Xi_{K,f1,f2,f3} are one checker over one list of splits, so one flip
+    # of the sign of the proper split L = {1}, L' = {2} must break all four
+    K, I = (1, 2), frozenset()
+    cases = []
+    for t in range(4):
+        _, geoms = geometry(2, schemes=t + 1)
+        views = [geoms[0]]
+        for src, dst in zip(geoms, geoms[1:]):
+            views += [MorphView(src, dst), dst]
+        x = CubeChain.of(rnd_cube(random.Random(10 + t), 0, with_gram=True))
+        assert check_xi_boundary(views, K, I, x)
+        cases.append((views, x))
+    real = multirel._splits
+    monkeypatch.setattr(multirel, "_splits", lambda K: [
+        (a, L, Lp, -s if L == (1,) and Lp == (2,) else s)
+        for a, L, Lp, s in real(K)])
+    for views, x in cases:
+        assert not check_xi_boundary(views, K, I, x)
