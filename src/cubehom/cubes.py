@@ -2,11 +2,14 @@
 
 An exact n-cube is a functor {-1,0,1}^n -> (MetObj, rational matrices)
 whose edges are all short exact sequences.  The chain groups are formal
-Q-linear combinations of such cubes, normalized by dropping degenerate
-summands.  This module carries faces, degeneracies, the boundary, the
-symmetric-group action and the Alt projector, the duplication construction
-rho with its two contracting homotopies, composite pullback cubes along
-words of morphisms, and the bracket cubes of isomorphism chains.
+Q-linear combinations of such cubes (``exactlin.FormalSum``), normalized
+by dropping degenerate summands.  Every construction other than faces and
+the symmetric action is assembled by ``_assemble`` from a vertex rule and
+a rule for its nonzero arrows.  This module carries faces, degeneracies,
+the boundary, the symmetric-group action and the Alt projector, the
+duplication construction rho with its two contracting homotopies,
+composite pullback cubes along words of morphisms, and the bracket cubes
+of isomorphism chains.
 
 Index conventions: a vertex index alpha is a tuple over {-1,0,1}; axis
 numbers are 1-based in the public API, matching the face operators
@@ -20,8 +23,8 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from . import memo
-from .exactlin import (MetObj, RatMatrix, ZERO_OBJ, is_invertible,
-                       tensor_map, tensor_obj)
+from .exactlin import (FormalSum, MetObj, RatMatrix, ZERO_OBJ,
+                       is_invertible, tensor_map, tensor_obj)
 from .signs import perm_sign
 
 
@@ -48,13 +51,38 @@ def arrow_keys(n: int):
     return out
 
 
-_EMPTY = RatMatrix(0, 0)
+_LINES_CACHE = memo.table("cubes.axis_lines")
+
+
+def axis_lines(n: int, j: int):
+    """The (lo, mid, hi) vertex triples of the lines along axis j."""
+    out = _LINES_CACHE.get((n, j))
+    if out is None:
+        out = [(co[:j - 1] + (-1,) + co[j - 1:], co[:j - 1] + (0,) + co[j - 1:],
+                co[:j - 1] + (1,) + co[j - 1:])
+               for co in product((-1, 0, 1), repeat=n - 1)]
+        _LINES_CACHE[(n, j)] = out
+    return out
+
 
 _INTERN = memo.table("cubes.intern")
 
 
 def _mk(n, verts, arrows) -> "ExactCube":
     return ExactCube(n, verts, arrows).intern()
+
+
+def _assemble(n: int, vertex, arrow) -> "ExactCube":
+    """The interned n-cube with vertex(a) at each index a.  An arrow with
+    a zero-dimensional end is the zero map; every other arrow (k, a) is
+    arrow(k, a, dim), dim the dimension at a."""
+    verts = {a: vertex(a) for a in vertex_indices(n)}
+    arrows = {}
+    for k, a in arrow_keys(n):
+        sd, dd = verts[a].dim, verts[_step(a, k)].dim
+        arrows[(k, a)] = (arrow(k, a, sd) if sd and dd
+                          else RatMatrix.zero(dd, sd))
+    return _mk(n, verts, arrows)
 
 
 class ExactCube:
@@ -112,17 +140,11 @@ class ExactCube:
     def __repr__(self):
         return "ExactCube(n=%d)" % self.n
 
-    def vertex(self, alpha) -> MetObj:
-        return self.vertices[tuple(alpha)]
-
     def face(self, j: int, i: int) -> "ExactCube":
         return face(self, j, i)
 
     def act(self, sigma) -> "ExactCube":
         return act_sym(sigma, self)
-
-    def arrow(self, j: int, alpha) -> RatMatrix:
-        return self.arrows[(j, tuple(alpha))]
 
     # -- structural checks -------------------------------------------
 
@@ -135,17 +157,14 @@ class ExactCube:
         for alpha in vertex_indices(n):
             if alpha not in self.vertices:
                 raise ValueError("missing vertex %r" % (alpha,))
-        for j in range(1, n + 1):
-            for alpha in vertex_indices(n):
-                if alpha[j - 1] == 1:
-                    continue
-                m = self.arrows.get((j, alpha))
-                if m is None:
-                    raise ValueError("missing arrow %r" % ((j, alpha),))
-                src = self.vertices[alpha]
-                dst = self.vertices[_step(alpha, j)]
-                if m.cols != src.dim or m.rows != dst.dim:
-                    raise ValueError("arrow shape mismatch at %r" % ((j, alpha),))
+        for j, alpha in arrow_keys(n):
+            m = self.arrows.get((j, alpha))
+            if m is None:
+                raise ValueError("missing arrow %r" % ((j, alpha),))
+            src = self.vertices[alpha]
+            dst = self.vertices[_step(alpha, j)]
+            if m.cols != src.dim or m.rows != dst.dim:
+                raise ValueError("arrow shape mismatch at %r" % ((j, alpha),))
         # commuting squares
         for j in range(1, n + 1):
             for k in range(j + 1, n + 1):
@@ -159,14 +178,13 @@ class ExactCube:
                                          % (alpha, j, k))
         if exactness:
             for j in range(1, n + 1):
-                for co in product((-1, 0, 1), repeat=n - 1):
-                    lo = co[:j - 1] + (-1,) + co[j - 1:]
-                    mid = co[:j - 1] + (0,) + co[j - 1:]
+                for lo, mid, hi in axis_lines(n, j):
                     s = ShortExact(self.vertices[lo], self.vertices[mid],
-                                   self.vertices[co[:j - 1] + (1,) + co[j - 1:]],
+                                   self.vertices[hi],
                                    self.arrows[(j, lo)], self.arrows[(j, mid)])
                     if not is_short_exact(s):
-                        raise ValueError("edge not exact along axis %d at %r" % (j, co))
+                        raise ValueError("edge not exact along axis %d at %r"
+                                         % (j, lo[:j - 1] + lo[j:]))
 
     def is_zero_cube(self) -> bool:
         """True iff every vertex is the zero object; identified with the zero
@@ -186,29 +204,8 @@ class ExactCube:
         return d
 
     def _degeneracy_scan(self) -> bool:
-        n = self.n
-        for j in range(1, n + 1):
-            ok_plus = True
-            ok_minus = True
-            for co in product((-1, 0, 1), repeat=n - 1):
-                lo = co[:j - 1] + (-1,) + co[j - 1:]
-                mid = co[:j - 1] + (0,) + co[j - 1:]
-                hi = co[:j - 1] + (1,) + co[j - 1:]
-                if ok_plus:
-                    if (self.vertices[hi].dim != 0
-                            or self.vertices[lo] != self.vertices[mid]
-                            or not self.arrows[(j, lo)].is_identity()):
-                        ok_plus = False
-                if ok_minus:
-                    if (self.vertices[lo].dim != 0
-                            or self.vertices[mid] != self.vertices[hi]
-                            or not self.arrows[(j, mid)].is_identity()):
-                        ok_minus = False
-                if not ok_plus and not ok_minus:
-                    break
-            if ok_plus or ok_minus:
-                return True
-        return False
+        return any(degenerate_along(self, j, sign, identity_edge)
+                   for j in range(1, self.n + 1) for sign in (1, -1))
 
     def iso_degenerate_witness(self):
         """Axis witnessing that the cube is isometric to a degenerate one.
@@ -218,31 +215,29 @@ class ExactCube:
         with the isomorphism an isometry between the endpoint metrics
         whenever gram data is present.  Returns (j, sign) or None.
         """
-        n = self.n
-        for j in range(1, n + 1):
+        for j in range(1, self.n + 1):
             for sign in (1, -1):
-                if self._iso_degen_axis(j, sign):
+                if degenerate_along(self, j, sign, _is_isometry):
                     return (j, sign)
         return None
 
-    def _iso_degen_axis(self, j: int, sign: int) -> bool:
-        for co in product((-1, 0, 1), repeat=self.n - 1):
-            lo = co[:j - 1] + (-1,) + co[j - 1:]
-            mid = co[:j - 1] + (0,) + co[j - 1:]
-            hi = co[:j - 1] + (1,) + co[j - 1:]
-            if sign == 1:
-                if self.vertices[hi].dim != 0:
-                    return False
-                if not _is_isometry(self.arrows[(j, lo)], self.vertices[lo],
-                                    self.vertices[mid]):
-                    return False
-            else:
-                if self.vertices[lo].dim != 0:
-                    return False
-                if not _is_isometry(self.arrows[(j, mid)], self.vertices[mid],
-                                    self.vertices[hi]):
-                    return False
-        return True
+
+def degenerate_along(cube: ExactCube, j: int, sign: int, edge) -> bool:
+    """True iff every line along axis j is X -> Y -> 0 (sign +1) or
+    0 -> X -> Y (sign -1) with edge(matrix, X, Y) true of its X -> Y."""
+    verts, arrows = cube.vertices, cube.arrows
+    for lo, mid, hi in axis_lines(cube.n, j):
+        if sign == 1:
+            if verts[hi].dim or not edge(arrows[(j, lo)], verts[lo], verts[mid]):
+                return False
+        elif verts[lo].dim or not edge(arrows[(j, mid)], verts[mid], verts[hi]):
+            return False
+    return True
+
+
+def identity_edge(m: RatMatrix, src: MetObj, dst: MetObj) -> bool:
+    """The edge of a degeneracy: equal endpoint objects, identity matrix."""
+    return src == dst and m.is_identity()
 
 
 def _is_isometry(m: RatMatrix, src: MetObj, dst: MetObj) -> bool:
@@ -294,13 +289,7 @@ def _step(alpha, j: int):
 # -- elementary constructions ----------------------------------------
 
 def zero_cube(n: int) -> ExactCube:
-    verts = {a: ZERO_OBJ for a in vertex_indices(n)}
-    arrows = {}
-    for j in range(1, n + 1):
-        for a in vertex_indices(n):
-            if a[j - 1] != 1:
-                arrows[(j, a)] = _EMPTY
-    return _mk(n, verts, arrows)
+    return _assemble(n, lambda a: ZERO_OBJ, None)
 
 
 def object_cube(obj: MetObj) -> ExactCube:
@@ -341,35 +330,16 @@ def degeneracy(cube: ExactCube, j: int, sign: int) -> ExactCube:
         raise ValueError("degeneracy axis out of range")
     if sign not in (1, -1):
         raise ValueError("degeneracy sign must be +-1")
-    verts = {}
-    arrows = {}
-    for a in vertex_indices(n + 1):
-        u = a[j - 1]
-        rest = a[:j - 1] + a[j:]
-        if (sign == 1 and u == 1) or (sign == -1 and u == -1):
-            verts[a] = ZERO_OBJ
-        else:
-            verts[a] = cube.vertices[rest]
-    for a in vertex_indices(n + 1):
-        u = a[j - 1]
-        rest = a[:j - 1] + a[j:]
-        for k in range(1, n + 2):
-            if a[k - 1] == 1:
-                continue
-            src = verts[a]
-            dst = verts[_step(a, k)]
-            if k == j:
-                if src.dim == 0 or dst.dim == 0:
-                    arrows[(k, a)] = RatMatrix.zero(dst.dim, src.dim)
-                else:
-                    arrows[(k, a)] = RatMatrix.identity(src.dim)
-            else:
-                if src.dim == 0 or dst.dim == 0:
-                    arrows[(k, a)] = RatMatrix.zero(dst.dim, src.dim)
-                else:
-                    kk = k if k < j else k - 1
-                    arrows[(k, a)] = cube.arrows[(kk, rest)]
-    return _mk(n + 1, verts, arrows)
+
+    def vertex(a):
+        return ZERO_OBJ if a[j - 1] == sign else cube.vertices[a[:j - 1] + a[j:]]
+
+    def arrow(k, a, dim):
+        if k == j:
+            return RatMatrix.identity(dim)
+        return cube.arrows[(k if k < j else k - 1, a[:j - 1] + a[j:])]
+
+    return _assemble(n + 1, vertex, arrow)
 
 
 def cube_to_json(cube: ExactCube) -> dict:
@@ -461,24 +431,19 @@ def transposition(n: int, p: int):
 
 def tensor_cube(f: ExactCube, g: ExactCube) -> ExactCube:
     """(F (x) G)_{a,b} = F_a (x) G_b, with F's axes first."""
-    n, m = f.n, g.n
-    verts = {}
-    arrows = {}
-    for a in vertex_indices(n):
-        fa = f.vertices[a]
-        ida = RatMatrix.identity(fa.dim)
-        for b in vertex_indices(m):
-            gb = g.vertices[b]
-            ab = a + b
-            verts[ab] = tensor_obj(fa, gb)
-            for k in range(1, n + 1):
-                if a[k - 1] != 1:
-                    arrows[(k, ab)] = tensor_map(f.arrows[(k, a)],
-                                                 RatMatrix.identity(gb.dim))
-            for k in range(1, m + 1):
-                if b[k - 1] != 1:
-                    arrows[(n + k, ab)] = tensor_map(ida, g.arrows[(k, b)])
-    return _mk(n + m, verts, arrows)
+    n = f.n
+
+    def arrow(k, ab, dim):
+        a, b = ab[:n], ab[n:]
+        if k <= n:
+            return tensor_map(f.arrows[(k, a)],
+                              RatMatrix.identity(g.vertices[b].dim))
+        return tensor_map(RatMatrix.identity(f.vertices[a].dim),
+                          g.arrows[(k - n, b)])
+
+    return _assemble(n + g.n, lambda ab: tensor_obj(f.vertices[ab[:n]],
+                                                    g.vertices[ab[n:]]),
+                     arrow)
 
 
 # -- rho and the bigraded homotopies ---------------------------------
@@ -493,67 +458,50 @@ def rho(cube: ExactCube, j: int) -> ExactCube:
     n = cube.n
     if not 1 <= j <= n:
         raise ValueError("rho axis out of range")
-    verts = {}
 
     def collapse(a):
-        uv = (a[j - 1], a[j])
-        w = _RHO_VERT[uv]
-        if w is None:
-            return None
-        return a[:j - 1] + (w,) + a[j + 1:]
+        w = _RHO_VERT[(a[j - 1], a[j])]
+        return None if w is None else a[:j - 1] + (w,) + a[j + 1:]
 
-    for a in vertex_indices(n + 1):
+    def vertex(a):
         src = collapse(a)
-        verts[a] = ZERO_OBJ if src is None else cube.vertices[src]
-    arrows = {}
-    for a in vertex_indices(n + 1):
-        for k in range(1, n + 2):
-            if a[k - 1] == 1:
-                continue
-            b = _step(a, k)
-            sv, dv = verts[a], verts[b]
-            if sv.dim == 0 or dv.dim == 0:
-                arrows[(k, a)] = RatMatrix.zero(dv.dim, sv.dim)
-                continue
-            ca, cb = collapse(a), collapse(b)
-            if k in (j, j + 1):
-                # inside the duplicated pair: identity or the original arrow
-                if ca == cb:
-                    arrows[(k, a)] = RatMatrix.identity(sv.dim)
-                else:
-                    arrows[(k, a)] = cube.arrows[(j, ca)]
-            else:
-                kk = k if k < j else k - 1
-                arrows[(k, a)] = cube.arrows[(kk, ca)]
-    return _mk(n + 1, verts, arrows)
+        return ZERO_OBJ if src is None else cube.vertices[src]
+
+    def arrow(k, a, dim):
+        ca = collapse(a)
+        if k not in (j, j + 1):
+            return cube.arrows[(k if k < j else k - 1, ca)]
+        # inside the duplicated pair: identity or the original arrow
+        if ca == collapse(_step(a, k)):
+            return RatMatrix.identity(dim)
+        return cube.arrows[(j, ca)]
+
+    return _assemble(n + 1, vertex, arrow)
 
 
 # -- chains -----------------------------------------------------------
 
-class CubeChain:
+class CubeChain(FormalSum):
     """A formal Q-linear combination of exact n-cubes in normal form:
     degenerate cubes and zero coefficients are dropped at construction."""
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ("degree",)
 
-    def __init__(self, degree: int, terms=None, normalize: bool = True):
+    def __init__(self, degree: int, terms=None):
         self.degree = degree
-        clean = {}
-        if terms:
-            for cube, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                coeff = Fraction(coeff)
-                if coeff == 0:
-                    continue
-                if cube.n != degree:
-                    raise ValueError("degree mismatch in chain term")
-                if normalize and (cube.is_zero_cube() or cube.is_degenerate()):
-                    continue
-                s = clean.get(cube, 0) + coeff
-                if s == 0:
-                    clean.pop(cube, None)
-                else:
-                    clean[cube] = s
-        self.terms = clean
+        FormalSum.__init__(self, terms)
+
+    def _normal(self, cube, coeff):
+        if cube.n != self.degree:
+            raise ValueError("degree mismatch in chain term")
+        if cube.is_zero_cube() or cube.is_degenerate():
+            return None
+        return cube, coeff
+
+    def _like(self, terms: dict) -> "CubeChain":
+        out = FormalSum._like(self, terms)
+        out.degree = self.degree
+        return out
 
     @staticmethod
     def of(cube: ExactCube, coeff=1) -> "CubeChain":
@@ -563,47 +511,15 @@ class CubeChain:
     def zero(degree: int) -> "CubeChain":
         return CubeChain(degree)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other):
         if not isinstance(other, CubeChain):
             return NotImplemented
         return self.degree == other.degree and self.terms == other.terms
 
-    def __hash__(self):
-        raise TypeError("CubeChain is not hashable")
-
     def __add__(self, other: "CubeChain") -> "CubeChain":
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
-        if self.degree != other.degree:
+        if self.terms and other.terms and self.degree != other.degree:
             raise ValueError("degree mismatch in chain sum")
-        terms = dict(self.terms)
-        for cube, c in other.terms.items():
-            s = terms.get(cube, 0) + c
-            if s == 0:
-                terms.pop(cube, None)
-            else:
-                terms[cube] = s
-        out = CubeChain(self.degree)
-        out.terms = terms
-        return out
-
-    def __sub__(self, other: "CubeChain") -> "CubeChain":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "CubeChain":
-        return self.scale(-1)
-
-    def scale(self, a) -> "CubeChain":
-        a = Fraction(a)
-        out = CubeChain(self.degree)
-        if a != 0:
-            out.terms = {cube: a * c for cube, c in self.terms.items()}
-        return out
+        return FormalSum.__add__(self, other)
 
     def map_cubes(self, fn, degree: int) -> "CubeChain":
         """Linear extension of a cube-level map F -> CubeChain (or cube)."""
@@ -658,17 +574,10 @@ def boundary_partial(chain: CubeChain, axes) -> CubeChain:
     """Boundary restricted to the listed axes, with the global signs
     (-1)^{i+j} taken at the axis positions given (1-based, in the ambient
     cube).  Positions are renumbered 1.. within ``axes`` for the signs."""
-    deg = chain.degree - 1
-    acc = CubeChain.zero(deg)
-    for cube, c in chain.terms.items():
-        for pos, j in enumerate(axes, start=1):
-            for i in (-1, 0, 1):
-                f = cube.face(j, i)
-                if f.is_zero_cube() or f.is_degenerate():
-                    continue
-                sgn = -1 if (i + pos) % 2 else 1
-                acc = acc + CubeChain.of(f, c * sgn)
-    return acc
+    return CubeChain(chain.degree - 1, [
+        (cube.face(j, i), -c if (i + pos) % 2 else c)
+        for cube, c in chain.terms.items()
+        for pos, j in enumerate(axes, start=1) for i in (-1, 0, 1)])
 
 
 _ALT_CACHE = memo.table("cubes.alt")
@@ -677,21 +586,10 @@ _ALT_CACHE = memo.table("cubes.alt")
 def _alt_of_cube(cube: ExactCube) -> CubeChain:
     out = _ALT_CACHE.get(cube)
     if out is None:
-        n = cube.n
-        perms = list(permutations(range(1, n + 1)))
+        perms = list(permutations(range(1, cube.n + 1)))
         coeff = Fraction(1, len(perms))
-        terms = {}
-        for sigma in perms:
-            img = cube.act(sigma)
-            if img.is_zero_cube() or img.is_degenerate():
-                continue
-            s = terms.get(img, 0) + coeff * perm_sign(sigma)
-            if s == 0:
-                terms.pop(img, None)
-            else:
-                terms[img] = s
-        out = CubeChain(n)
-        out.terms = terms
+        out = CubeChain(cube.n, [(cube.act(sigma), coeff * perm_sign(sigma))
+                                 for sigma in perms])
         _ALT_CACHE[cube] = out
     return out
 
@@ -866,34 +764,26 @@ def _build_pullback(r: int, groups, cube: ExactCube) -> ExactCube:
     n = cube.n
     # word parts holding a +1 sit over zero vertices
     star = {wp: _stars(groups, wp) for wp in vertex_indices(w) if 1 not in wp}
-    verts = {}
-    arrows = {}
-    for a in vertex_indices(w + n):
+
+    def vertex(a):
         fs = star.get(a[:w])
         if fs is None:
-            verts[a] = ZERO_OBJ
-            continue
+            return ZERO_OBJ
         v = cube.vertices[a[w:]]
         for f in fs:
             v = f.on_obj(v)
-        verts[a] = v
-    for a in vertex_indices(w + n):
-        for k in range(1, w + n + 1):
-            if a[k - 1] == 1:
-                continue
-            b = _step(a, k)
-            sv, dv = verts[a], verts[b]
-            if sv.dim == 0 or dv.dim == 0:
-                arrows[(k, a)] = RatMatrix.zero(dv.dim, sv.dim)
-            elif k <= w:
-                # natural isomorphism between regroupings: identity matrix
-                arrows[(k, a)] = RatMatrix.identity(sv.dim)
-            else:
-                m = cube.arrows[(k - w, a[w:])]
-                for f in star[a[:w]]:
-                    m = f.on_map(m)
-                arrows[(k, a)] = m
-    return _mk(w + n, verts, arrows)
+        return v
+
+    def arrow(k, a, dim):
+        if k <= w:
+            # natural isomorphism between regroupings: identity matrix
+            return RatMatrix.identity(dim)
+        m = cube.arrows[(k - w, a[w:])]
+        for f in star[a[:w]]:
+            m = f.on_map(m)
+        return m
+
+    return _assemble(w + n, vertex, arrow)
 
 
 # -- bracket cubes ------------------------------------------------------
@@ -939,28 +829,17 @@ def bracket_cube(cubes, isos=None) -> ExactCube:
                 break
         return l - j
 
-    verts = {}
-    arrows = {}
-    for a in vertex_indices(l + n):
-        beta, gamma = a[:l], a[l:]
-        ci = chain_index(beta)
-        verts[a] = ZERO_OBJ if ci is None else cubes[ci].vertices[gamma]
-    for a in vertex_indices(l + n):
-        beta, gamma = a[:l], a[l:]
-        ci = chain_index(beta)
-        for k in range(1, l + n + 1):
-            if a[k - 1] == 1:
-                continue
-            b = _step(a, k)
-            sv, dv = verts[a], verts[b]
-            if sv.dim == 0 or dv.dim == 0:
-                arrows[(k, a)] = RatMatrix.zero(dv.dim, sv.dim)
-            elif k <= l:
-                cj = chain_index(b[:l])
-                m = RatMatrix.identity(sv.dim)
-                for p in range(ci + 1, cj + 1):
-                    m = iso_step(p, gamma).mul(m)
-                arrows[(k, a)] = m
-            else:
-                arrows[(k, a)] = cubes[ci].arrows[(k - l, gamma)]
-    return _mk(l + n, verts, arrows)
+    def vertex(a):
+        ci = chain_index(a[:l])
+        return ZERO_OBJ if ci is None else cubes[ci].vertices[a[l:]]
+
+    def arrow(k, a, dim):
+        ci, gamma = chain_index(a[:l]), a[l:]
+        if k > l:
+            return cubes[ci].arrows[(k - l, gamma)]
+        m = RatMatrix.identity(dim)
+        for p in range(ci + 1, chain_index(_step(a, k)[:l]) + 1):
+            m = iso_step(p, gamma).mul(m)
+        return m
+
+    return _assemble(l + n, vertex, arrow)

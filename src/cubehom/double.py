@@ -3,7 +3,8 @@
 The double of a space along r marked subspaces has one component per
 subset of {1..r}; a bundle on it is a family of objects indexed by those
 subsets, of constant rank (the double is connected), with free metric
-data per component.  The extraction maps i_I^*, the restriction to the
+data per component; virtual bundles are ``exactlin.FormalSum``s of them
+that drop rank zero.  The extraction maps i_I^*, the restriction to the
 partial double T_j, and the pullback along the fold map T -> T_j are pure
 lattice bookkeeping, and the inclusion-exclusion operator they generate
 realizes the splitting of the relative theory.
@@ -20,10 +21,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from . import ccx
-from .cubes import CubeChain, ExactCube, face
-from .exactlin import MetObj, RatMatrix
+from .cubes import CubeChain, degenerate_along, face, identity_edge
+from .exactlin import FormalSum, MetObj, RatMatrix
 from .multirel import (MatrixModel, Span, _levels_of_size, close_span_generic,
-                       materialize_ccomplex, materialize_operator)
+                       levelwise, materialize_ccomplex, materialize_operator)
 from .signs import sgn_division, subsets
 
 
@@ -67,65 +68,23 @@ class GluedBundle:
         return self.dim() == 0
 
 
-class VirtualGlued:
+class VirtualGlued(FormalSum):
     """A formal Q-combination of glued bundles; zero-rank bundles drop."""
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for b, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = Fraction(c)
-                if c == 0 or b.is_zero():
-                    continue
-                s = clean.get(b, 0) + c
-                if s == 0:
-                    clean.pop(b, None)
-                else:
-                    clean[b] = s
-        self.terms = clean
+    __slots__ = ()
+
+    def _normal(self, b, c):
+        return None if b.is_zero() else (b, c)
 
     @staticmethod
     def of(b: GluedBundle, c=1) -> "VirtualGlued":
         return VirtualGlued([(b, Fraction(c))])
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for b, c in other.terms.items():
-            s = out.get(b, 0) + c
-            if s == 0:
-                out.pop(b, None)
-            else:
-                out[b] = s
-        v = VirtualGlued()
-        v.terms = out
-        return v
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "VirtualGlued":
-        c = Fraction(c)
-        v = VirtualGlued()
-        if c != 0:
-            v.terms = {b: c * x for b, x in self.terms.items()}
-        return v
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def extract(self, I) -> dict:
         """i_I^* on virtual bundles: a virtual object {MetObj: coeff}."""
-        out = {}
-        for b, c in self.terms.items():
-            obj = b.comps[frozenset(I)]
-            if obj.dim == 0:
-                continue
-            s = out.get(obj, 0) + c
-            if s == 0:
-                out.pop(obj, None)
-            else:
-                out[obj] = s
-        return out
+        I = frozenset(I)
+        return FormalSum([(b.comps[I], c) for b, c in self.terms.items()
+                          if b.comps[I].dim]).terms
 
 
 def i_I_star(f: GluedBundle, I) -> MetObj:
@@ -238,13 +197,9 @@ class GluedCube:
         return d
 
     def _scan(self) -> bool:
-        if self.n == 0:
-            return False
-        for j in range(1, self.n + 1):
-            for sign in (1, -1):
-                if all(_axis_degenerate(c, j, sign) for c in self.comps.values()):
-                    return True
-        return False
+        return any(all(degenerate_along(c, j, sign, identity_edge)
+                       for c in self.comps.values())
+                   for j in range(1, self.n + 1) for sign in (1, -1))
 
     def face(self, j: int, i: int) -> "GluedCube":
         return GluedCube(self.n - 1,
@@ -254,23 +209,9 @@ class GluedCube:
         return GluedCube(self.n, {s: c.act(sigma) for s, c in self.comps.items()})
 
 
-def _axis_degenerate(cube: ExactCube, j: int, sign: int) -> bool:
-    from itertools import product
-    for co in product((-1, 0, 1), repeat=cube.n - 1):
-        lo = co[:j - 1] + (-1,) + co[j - 1:]
-        mid = co[:j - 1] + (0,) + co[j - 1:]
-        hi = co[:j - 1] + (1,) + co[j - 1:]
-        if sign == 1:
-            if (cube.vertices[hi].dim != 0
-                    or cube.vertices[lo] != cube.vertices[mid]
-                    or not cube.arrows[(j, lo)].is_identity()):
-                return False
-        else:
-            if (cube.vertices[lo].dim != 0
-                    or cube.vertices[mid] != cube.vertices[hi]
-                    or not cube.arrows[(j, mid)].is_identity()):
-                return False
-    return True
+def _reindex(cube: GluedCube, index, src) -> GluedCube:
+    """The glued cube with component cube.comps[src(S)] at each S of index."""
+    return GluedCube(cube.n, {S: cube.comps[src(S)] for S in index})
 
 
 class DoubleGeometry:
@@ -295,16 +236,10 @@ class DoubleGeometry:
             full[S] = comps[S]
         return GluedCube(next(iter(full.values())).n, full)
 
-    def restrict(self, I, k: int, cube: GluedCube) -> GluedCube:
-        """iota_k^*: level I -> level I + {k}."""
-        return GluedCube(cube.n, {S: cube.comps[frozenset(S | {k})]
-                                  for S in self.level_index(set(I) | {k})})
-
     def fold(self, I, j: int, cube: GluedCube) -> GluedCube:
         """p_j^* between the partial-double geometries at level I: a family
         missing mark j is duplicated across j."""
-        return GluedCube(cube.n, {S: cube.comps[frozenset(S - {j})]
-                                  for S in self.level_index(I)})
+        return _reindex(cube, self.level_index(I), lambda S: S - {j})
 
 
 # -- the relative complexes of the double and the splitting --------------
@@ -325,8 +260,7 @@ class _PartialView:
 
 
 def _restrict_level(view: _PartialView, I, k, cube: GluedCube) -> GluedCube:
-    return GluedCube(cube.n, {S: cube.comps[frozenset(S | {k})]
-                              for S in view.level_index(set(I) | {k})})
+    return _reindex(cube, view.level_index(set(I) | {k}), lambda S: S | {k})
 
 
 def double_op_F(view: _PartialView, m: int, n: int, x: dict) -> dict:
@@ -334,26 +268,13 @@ def double_op_F(view: _PartialView, m: int, n: int, x: dict) -> dict:
     single-embedding component survives (longer words are degenerate)."""
     if n != m + 1:
         return {}
-    out = {}
-    for I, chain in x.items():
-        others = [k for k in view.marks if k not in I]
-        for k in others:
-            J = frozenset(I) | {k}
-            s = sgn_division((k,), tuple(sorted(I)), tuple(sorted(J)))
-            sgn = s * ((-1) ** (n % 2))
-            img = chain.map_cubes(
-                lambda cu: _restrict_level(view, I, k, cu), chain.degree)
-            img = img.scale(sgn)
-            if img.is_zero():
-                continue
-            out[J] = out.get(J, CubeChain.zero(img.degree)) + img
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    sgn = (-1) ** (n % 2)
 
-
-def _reindex_union(view: _PartialView, level, k: int, cube: GluedCube) -> GluedCube:
-    """The level-preserving reindexer S -> S | {k} (the fold composite)."""
-    return GluedCube(cube.n, {S: cube.comps[frozenset(S | {k})]
-                              for S in view.level_index(level)})
+    def component(K, I, I_src, J, chain):
+        return chain.map_cubes(
+            lambda cu: _restrict_level(view, I, K[0], cu),
+            chain.degree).scale(sgn * sgn_division(K, I_src, J))
+    return levelwise([view], m, n, x, component)
 
 
 def double_spans(geom: DoubleGeometry, upto: int, seeds, drop=frozenset(),
@@ -370,7 +291,10 @@ def double_spans(geom: DoubleGeometry, upto: int, seeds, drop=frozenset(),
                         _restrict_level(view, level, k, cube)))
         for k in geom.marks:
             if k not in level and k not in view.drop:
-                out.append((frozenset(level), _reindex_union(view, level, k, cube)))
+                # the level-preserving reindexer S -> S | {k} (the fold composite)
+                out.append((frozenset(level),
+                            _reindex(cube, view.level_index(level),
+                                     lambda S: S | {k})))
         return out
 
     return close_span_generic(seeds, expand, sym=sym)

@@ -3,7 +3,9 @@
 Everything is computed over Q with ``fractions.Fraction``; there is no
 floating point anywhere in this package.  Matrices are immutable sparse
 maps (row, col) -> Fraction with no stored zeros, hashable so they can sit
-inside cube vertices and chain generators.
+inside cube vertices and chain generators.  ``FormalSum`` holds the
+arithmetic of formal Q-linear combinations that every chain-like class of
+the package shares.
 """
 
 from __future__ import annotations
@@ -252,6 +254,85 @@ class RatMatrix:
         return RatMatrix.from_json_obj(json.loads(s))
 
 
+# -- formal sums ----------------------------------------------------
+
+class FormalSum:
+    """A formal Q-linear combination of hashable keys in normal form.
+
+    ``terms`` maps keys to nonzero Fractions.  Built from a dict or a list
+    of (key, coeff) pairs, equal keys are collected; a subclass fixes its
+    normal form with two hooks: ``_normal(key, coeff)`` rewrites one term
+    as a (key, coeff) pair, or returns None to drop it, and
+    ``_like(terms)`` makes an element of the same kind owning ``terms``.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        clean = {}
+        if terms:
+            normal = self._normal
+            for key, c in (terms.items() if isinstance(terms, dict) else terms):
+                c = Fraction(c)
+                if c == 0:
+                    continue
+                kc = normal(key, c)
+                if kc is None:
+                    continue
+                key, c = kc
+                s = clean.get(key, 0) + c
+                if s == 0:
+                    clean.pop(key, None)
+                else:
+                    clean[key] = s
+        self.terms = clean
+
+    def _normal(self, key, coeff):
+        return key, coeff
+
+    def _like(self, terms: dict) -> "FormalSum":
+        out = _new(type(self))
+        out.terms = terms
+        return out
+
+    def __add__(self, other):
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            s = terms.get(key, 0) + c
+            if s == 0:
+                del terms[key]
+            else:
+                terms[key] = s
+        return self._like(terms)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, a):
+        a = Fraction(a)
+        if a == 0:
+            return self._like({})
+        return self._like({key: a * c for key, c in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __repr__(self):
+        return "%s(%d terms)" % (type(self).__name__, len(self.terms))
+
+
 # -- elimination ----------------------------------------------------
 
 def rank(m: RatMatrix) -> int:
@@ -445,11 +526,6 @@ class MetObj:
 
     def is_zero(self) -> bool:
         return self.dim == 0
-
-    def scale_gram(self, a: Fraction) -> "MetObj":
-        if self.gram is None:
-            return self
-        return MetObj(self.dim, self.gram.scale(a), check=False)
 
 
 ZERO_OBJ = MetObj(0)

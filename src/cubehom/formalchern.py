@@ -1,7 +1,8 @@
 """A free character target for the multi-relative complexes.
 
 Chains at every level map to formal symbols ch_n(x) in a free Q-module
-bigraded by (level size, n).  The differential on symbols is DEFINED by
+bigraded by (level size, n), whose elements are ``exactlin.FormalSum``s of
+symbol keys.  The differential on symbols is DEFINED by
 the face-and-boundary relation
 
     d ch_n(x_I) = sum_l (-1)^l ch_n(x_I restricted to the l-th larger
@@ -22,53 +23,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from .cubes import CubeChain, boundary
+from .exactlin import FormalSum
 from .multirel import GeomView, lev_add, op_F, xi_K
 from .signs import subsets
 
 
-class FormalElement:
+class FormalElement(FormalSum):
     """A Q-combination of symbols (n, level, cube)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for key, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = Fraction(c)
-                if c == 0:
-                    continue
-                s = clean.get(key, 0) + c
-                if s == 0:
-                    clean.pop(key, None)
-                else:
-                    clean[key] = s
-        self.terms = clean
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        e = FormalElement()
-        e.terms = out
-        return e
-
-    def scale(self, a) -> "FormalElement":
-        a = Fraction(a)
-        e = FormalElement()
-        if a != 0:
-            e.terms = {k: a * c for k, c in self.terms.items()}
-        return e
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    __slots__ = ()
 
 
 class FormalTarget:
@@ -219,7 +182,6 @@ def check_vanishing_consistency(target: FormalTarget, cube) -> bool:
     images, the rest cancels within isometry classes."""
     if not target.vanishes(cube):
         return True
-    acc = {}
     level = frozenset()
     # evaluate the raw differential without the rule, then bucket
     n = cube.n
@@ -230,12 +192,9 @@ def check_vanishing_consistency(target: FormalTarget, cube) -> bool:
             raw.append(((n, frozenset({mark}), c2), co * (-1) ** l))
     for c2, co in boundary(CubeChain.of(cube)).terms.items():
         raw.append(((n - 1, level, c2), co * (-1) ** ((target.r - len(level)) % 2)))
-    for (nn, lvl, c2), co in raw:
-        if target.vanishes(c2):
-            continue
-        key = (nn, lvl, iso_class_key(c2))
-        acc[key] = acc.get(key, 0) + co
-    return all(v == 0 for v in acc.values())
+    return FormalElement([((nn, lvl, iso_class_key(c2)), co)
+                          for (nn, lvl, c2), co in raw
+                          if not target.vanishes(c2)]).is_zero()
 
 
 def reindex_check(r: int) -> dict:

@@ -190,6 +190,27 @@ def rnd_exchange_square(rng: random.Random):
     return a, b, ap, bp, f, fp, pa, pb, phi
 
 
+def _put_eqs(eqs, row0, cols, slot, mat, sign, right=False):
+    """Add the coefficients of sign * mat @ Th (sign * Th @ mat when
+    ``right``) to the equations from row0 on, each holding one entry of a
+    block with ``cols`` columns; Th is the unknown block at ``slot``, a
+    (column offset, rows, cols) triple, or None for no unknown."""
+    if slot is None:
+        return
+    off, trows, tcols = slot
+    for (p, q), v in mat.entries.items():
+        if right:
+            # eq(t, q) += sign * Th[t, p] * mat[p, q]
+            r0, c0, rstep, cstep, count = row0 + q, off + p, cols, tcols, trows
+        else:
+            # eq(p, t) += sign * mat[p, q] * Th[q, t]
+            r0, c0, rstep, cstep, count = row0 + p * cols, off + q * tcols, 1, 1, tcols
+        w = sign * v
+        for t in range(count):
+            key = (r0 + t * rstep, c0 + t * cstep)
+            eqs[key] = eqs.get(key, 0) + w
+
+
 def solve_second_homotopy(f, g, fp, gp, phi_a, phi_b, h_f, h_g, psi, psi_p):
     """An explicit second homotopy for the given gadgets, found by solving
     the defining relation exactly; returns the SecondHomotopy or None when
@@ -236,39 +257,19 @@ def solve_second_homotopy(f, g, fp, gp, phi_a, phi_b, h_f, h_g, psi, psi_p):
                     continue
                 for (rr, cc), v in target.c(m, n, k).entries.items():
                     rhsv[(eqcount + rr * cols + cc, 0)] = v
-                # left multiplication: eq(rr,cc) += sign*left[rr,uu]*Th[uu,cc]
-                def put(mm, nn, kk, left, sign):
-                    slot = offs.get((mm, nn, kk))
-                    if slot is None:
-                        return
-                    off, trows, tcols = slot
-                    for (rr, uu), v in left.entries.items():
-                        for cc in range(tcols):
-                            eqs[(eqcount + rr * cols + cc,
-                                 off + uu * tcols + cc)] = \
-                                eqs.get((eqcount + rr * cols + cc,
-                                         off + uu * tcols + cc), 0) + sign * v
-
-                def put_right(mm, nn, kk, right, sign):
-                    slot = offs.get((mm, nn, kk))
-                    if slot is None:
-                        return
-                    off, trows, tcols = slot
-                    for (uu, cc), v in right.entries.items():
-                        for rr in range(trows):
-                            eqs[(eqcount + rr * cols + cc,
-                                 off + rr * tcols + uu)] = \
-                                eqs.get((eqcount + rr * cols + cc,
-                                         off + rr * tcols + uu), 0) + sign * v
-
-                put(m, n, k, bp.cx(n).d(k + n - m + 2), (-1) ** n)
+                eq_block = (eqs, eqcount, cols)
+                _put_eqs(*eq_block, offs.get((m, n, k)),
+                         bp.cx(n).d(k + n - m + 2), (-1) ** n)
                 for l in win:
                     if l < n:
-                        put(m, l, k, bp.f(l, n, k + l - m + 2), 1)
-                put_right(m, n, k - 1, b.cx(m).d(k), -((-1) ** m))
+                        _put_eqs(*eq_block, offs.get((m, l, k)),
+                                 bp.f(l, n, k + l - m + 2), 1)
+                _put_eqs(*eq_block, offs.get((m, n, k - 1)), b.cx(m).d(k),
+                         -((-1) ** m), right=True)
                 for l in win:
                     if l > m:
-                        put_right(l, n, k + l - m - 1, b.f(m, l, k), -1)
+                        _put_eqs(*eq_block, offs.get((l, n, k + l - m - 1)),
+                                 b.f(m, l, k), -1, right=True)
                 eqcount += rdim * cols
     mat = RatMatrix(eqcount, total, {k: v for k, v in eqs.items() if v})
     rhs = RatMatrix(eqcount, 1, rhsv)

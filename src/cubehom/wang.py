@@ -2,8 +2,9 @@
 
 A form is a Q-combination of monomials log|z_a|^2 . w, where w is a wedge
 word in the one-form generators dz_b/z_b and conj(dz_c)/conj(z_c) over
-indices distinct from each other and from a.  Monomials are stored with
-the wedge word sorted by index, the reordering parity absorbed into the
+indices distinct from each other and from a.  Forms are
+``exactlin.FormalSum``s whose normal form stores each monomial with the
+wedge word sorted by index, the reordering parity absorbed into the
 coefficient.  The symmetrized forms W_r built here satisfy the
 conjugation symmetry conj(W_r) = (-1)^{r-1} W_r exactly.
 """
@@ -14,6 +15,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
+from .exactlin import FormalSum
 from .signs import perm_sign
 
 HOLO = "dz"
@@ -37,66 +39,21 @@ def _canon_wedge(gens):
     return tuple(gens), sign
 
 
-class LogForm:
+class LogForm(FormalSum):
     """A Q-combination of monomials (log_index or None, wedge word)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for (log_ix, wedge), c in (terms.items() if isinstance(terms, dict)
-                                       else terms):
-                c = Fraction(c)
-                if c == 0:
-                    continue
-                wedge, sign = _canon_wedge(wedge)
-                if log_ix is not None and any(g[1] == log_ix for g in wedge):
-                    raise ValueError("index repeated between log and wedge")
-                key = (log_ix, wedge)
-                s = clean.get(key, 0) + sign * c
-                if s == 0:
-                    clean.pop(key, None)
-                else:
-                    clean[key] = s
-        self.terms = clean
+    def _normal(self, key, c):
+        log_ix, wedge = key
+        wedge, sign = _canon_wedge(wedge)
+        if log_ix is not None and any(g[1] == log_ix for g in wedge):
+            raise ValueError("index repeated between log and wedge")
+        return (log_ix, wedge), sign * c
 
     @staticmethod
     def one() -> "LogForm":
         return LogForm([((None, ()), Fraction(1))])
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        f = LogForm()
-        f.terms = out
-        return f
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, a) -> "LogForm":
-        a = Fraction(a)
-        f = LogForm()
-        if a != 0:
-            f.terms = {k: a * c for k, c in self.terms.items()}
-        return f
-
-    def __eq__(self, other):
-        if not isinstance(other, LogForm):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self):
-        return "LogForm(%d monomials)" % len(self.terms)
 
     def pretty(self) -> str:
         if not self.terms:
@@ -159,10 +116,8 @@ def bidegree_split(f: LogForm) -> dict:
     for key, c in f.terms.items():
         _, wedge = key
         p = sum(1 for kind, _ in wedge if kind == HOLO)
-        q = len(wedge) - p
-        part = out.setdefault((p, q), LogForm())
-        part.terms[key] = part.terms.get(key, 0) + c
-    return {k: v for k, v in out.items() if not v.is_zero()}
+        out.setdefault((p, len(wedge) - p), []).append((key, c))
+    return {pq: LogForm(terms) for pq, terms in out.items()}
 
 
 def monomial_count_S(r: int, i: int) -> int:

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from cubehom.cubes import (CubeChain, ExactFunctor, act_sym, alt, alt_block,
-                           boundary, boundary_partial, bracket_cube,
-                           degeneracy, face, object_cube, one_cube,
-                           phi_homotopy, psi_homotopy, rho, tensor_cube,
-                           transposition, zero_cube)
-from cubehom.exactlin import MetObj, RatMatrix, ZERO_OBJ
-from helpers import rnd_cube, rnd_gram, rnd_metobj, rnd_one_cube
+from cubehom.cubes import (CubeChain, ExactCube, ExactFunctor, _step, act_sym,
+                           alt, alt_block, boundary, boundary_partial,
+                           bracket_cube, degeneracy, face, object_cube,
+                           one_cube, phi_homotopy, psi_homotopy, rho,
+                           tensor_cube, transposition, zero_cube)
+from cubehom.exactlin import MetObj, RatMatrix, ZERO_OBJ, inverse
+from helpers import (rnd_cube, rnd_gram, rnd_invertible, rnd_metobj,
+                     rnd_one_cube)
 
 
 def simple_one_cube():
@@ -286,3 +287,27 @@ def test_bracket_cube_of_degenerate_is_degenerate():
     c = degeneracy(rnd_cube(rng, 1, with_gram=True), 1, 1)
     br = bracket_cube([c, c])
     assert br.is_degenerate()
+
+
+def conjugated(rng, cube):
+    """A cube isomorphic to ``cube`` through a random invertible matrix at
+    every vertex, with those matrices keyed by vertex."""
+    isos = {a: rnd_invertible(rng, o.dim) for a, o in cube.vertices.items()}
+    arrows = {(k, a): isos[_step(a, k)].mul(m).mul(inverse(isos[a]))
+              for (k, a), m in cube.arrows.items()}
+    return ExactCube(cube.n, cube.vertices, arrows).intern(), isos
+
+
+def test_assembled_cubes_validate():
+    rng = random.Random(32)
+    for n in range(3):
+        for _ in range(2):
+            c = rnd_cube(rng, n, with_gram=True)
+            c2, isos = conjugated(rng, c)
+            built = [zero_cube(n), tensor_cube(c, rnd_cube(rng, 1)),
+                     bracket_cube([c, c, c]), bracket_cube([c, c2], [isos])]
+            built += [degeneracy(c, j, sign) for j in range(1, n + 2)
+                      for sign in (1, -1)]
+            built += [rho(c, j) for j in range(1, n + 1)]
+            for cube in built:
+                cube.validate(exactness=True)
