@@ -24,7 +24,7 @@ from itertools import permutations, product
 
 from . import memo
 from .exactlin import (FormalSum, MetObj, RatMatrix, ZERO_OBJ,
-                       is_invertible, tensor_map, tensor_obj)
+                       is_invertible, linear_terms, tensor_map, tensor_obj)
 from .signs import perm_sign
 
 
@@ -67,9 +67,31 @@ def axis_lines(n: int, j: int):
 
 _INTERN = memo.table("cubes.intern")
 
+_new = object.__new__
+_set = object.__setattr__
 
-def _mk(n, verts, arrows) -> "ExactCube":
-    return ExactCube(n, verts, arrows).intern()
+
+def _seal(cube: "ExactCube", n: int, verts: dict, arrows: dict) -> None:
+    """Give ``cube`` its parts and its hash.  ``verts`` must list the
+    vertices in ``vertex_indices(n)`` order and ``arrows`` the arrows in
+    ``arrow_keys(n)`` order, so that the hash, taken from the parts'
+    cached hashes in that order, is the same for equal cubes."""
+    _set(cube, "n", n)
+    _set(cube, "vertices", verts)
+    _set(cube, "arrows", arrows)
+    _set(cube, "_hash", hash((n, tuple([o._hash for o in verts.values()]),
+                              tuple(map(hash, arrows.values())))))
+    _set(cube, "_zero", None)
+    _set(cube, "_degen", None)
+
+
+def _mk(n: int, verts: dict, arrows: dict) -> "ExactCube":
+    """The interned n-cube owning ``verts`` and ``arrows`` as given, with
+    no copy and no check.  Only this module's constructions call it, on
+    dicts they have just built in the canonical order of ``_seal``."""
+    cube = _new(ExactCube)
+    _seal(cube, n, verts, arrows)
+    return cube.intern()
 
 
 def _assemble(n: int, vertex, arrow) -> "ExactCube":
@@ -95,18 +117,11 @@ class ExactCube:
     hashable.
     """
 
-    __slots__ = ("n", "vertices", "arrows", "_hash", "_degen")
+    __slots__ = ("n", "vertices", "arrows", "_hash", "_zero", "_degen")
 
     def __init__(self, n: int, vertices, arrows):
-        object.__setattr__(self, "n", n)
-        verts = dict(vertices)
-        arrs = dict(arrows)
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "arrows", arrs)
-        vkey = tuple(verts[a]._hash for a in vertex_indices(n))
-        akey = tuple(hash(arrs[k]) for k in arrow_keys(n))
-        object.__setattr__(self, "_hash", hash((n, vkey, akey)))
-        object.__setattr__(self, "_degen", None)
+        _seal(self, n, {a: vertices[a] for a in vertex_indices(n)},
+              {k: arrows[k] for k in arrow_keys(n)})
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactCube is immutable")
@@ -116,7 +131,10 @@ class ExactCube:
 
         All constructions in this module intern their results, so equality
         between library-produced cubes is pointer identity."""
-        bucket = _INTERN.setdefault(self._hash, [])
+        bucket = _INTERN.get(self._hash)
+        if bucket is None:
+            _INTERN[self._hash] = [self]
+            return self
         for other in bucket:
             if self._structural_eq(other):
                 return other
@@ -189,8 +207,13 @@ class ExactCube:
     def is_zero_cube(self) -> bool:
         """True iff every vertex is the zero object; identified with the zero
         chain element (the distinguished zero object is preserved by every
-        functor, so this is forced on the normalized complex)."""
-        return all(o.dim == 0 for o in self.vertices.values())
+        functor, so this is forced on the normalized complex).  Scanned
+        once per cube."""
+        z = self._zero
+        if z is None:
+            z = not any(o.dim for o in self.vertices.values())
+            _set(self, "_zero", z)
+        return z
 
     def is_degenerate(self) -> bool:
         """True iff the cube equals s_j^{+1}G or s_j^{-1}G for some axis j.
@@ -200,7 +223,7 @@ class ExactCube:
         d = self._degen
         if d is None:
             d = self._degeneracy_scan()
-            object.__setattr__(self, "_degen", d)
+            _set(self, "_degen", d)
         return d
 
     def _degeneracy_scan(self) -> bool:
@@ -303,24 +326,35 @@ def one_cube(left: MetObj, mid: MetObj, right: MetObj,
                      {(1, (-1,)): inj, (1, (0,)): surj})
 
 
+_FACE_TABLE_CACHE = memo.table("cubes.face_table")
+
+
 def face(cube: ExactCube, j: int, i: int) -> ExactCube:
     """The face cube with i inserted at axis j: (d_j^i F)_a = F_{a[:j-1], i, a[j-1:]}."""
     n = cube.n
-    if not 1 <= j <= n:
-        raise ValueError("face axis out of range")
-    if i not in (-1, 0, 1):
-        raise ValueError("face index must be -1, 0 or 1")
-    verts = {}
-    arrows = {}
-    for a in vertex_indices(n - 1):
-        big = a[:j - 1] + (i,) + a[j - 1:]
-        verts[a] = cube.vertices[big]
-        for k in range(1, n):
-            if a[k - 1] == 1:
-                continue
-            kk = k if k < j else k + 1
-            arrows[(k, a)] = cube.arrows[(kk, big)]
-    return _mk(n - 1, verts, arrows)
+    tab = _FACE_TABLE_CACHE.get((n, j, i))
+    if tab is None:
+        if not 1 <= j <= n:
+            raise ValueError("face axis out of range")
+        if i not in (-1, 0, 1):
+            raise ValueError("face index must be -1, 0 or 1")
+
+        def lift(a):
+            return a[:j - 1] + (i,) + a[j - 1:]
+
+        tab = ([lift(a) for a in vertex_indices(n - 1)],
+               [(k if k < j else k + 1, lift(a)) for k, a in arrow_keys(n - 1)])
+        _FACE_TABLE_CACHE[(n, j, i)] = tab
+    return _remap(cube, n - 1, tab)
+
+
+def _remap(cube: ExactCube, n: int, tab) -> ExactCube:
+    """The n-cube taking its vertices and arrows from ``cube`` at the
+    source indices of ``tab``, listed in ``vertex_indices(n)`` and
+    ``arrow_keys(n)`` order."""
+    vsrc, asrc = tab
+    return _mk(n, dict(zip(vertex_indices(n), map(cube.vertices.__getitem__, vsrc))),
+               dict(zip(arrow_keys(n), map(cube.arrows.__getitem__, asrc))))
 
 
 def degeneracy(cube: ExactCube, j: int, sign: int) -> ExactCube:
@@ -342,67 +376,39 @@ def degeneracy(cube: ExactCube, j: int, sign: int) -> ExactCube:
     return _assemble(n + 1, vertex, arrow)
 
 
+def _json_key(a) -> str:
+    return ",".join(str(x) for x in a)
+
+
 def cube_to_json(cube: ExactCube) -> dict:
     """JSON form: degree, vertex table keyed by comma-joined indices, and
     one arrow table per axis."""
     verts = {}
     for a, o in cube.vertices.items():
-        key = ",".join(str(x) for x in a)
-        verts[key] = {"dim": o.dim,
-                      "gram": None if o.gram is None else o.gram.to_json_obj()}
-    arrows = {}
-    for j in range(1, cube.n + 1):
-        table = {}
-        for a in vertex_indices(cube.n):
-            if a[j - 1] == 1:
-                continue
-            table[",".join(str(x) for x in a)] = \
-                cube.arrows[(j, a)].to_json_obj()
-        arrows[str(j)] = table
+        verts[_json_key(a)] = {"dim": o.dim,
+                               "gram": None if o.gram is None else o.gram.to_json_obj()}
+    arrows = {str(j): {} for j in range(1, cube.n + 1)}
+    for (j, a), m in cube.arrows.items():
+        arrows[str(j)][_json_key(a)] = m.to_json_obj()
     return {"degree": cube.n, "vertices": verts, "arrows": arrows}
 
 
 def cube_from_json(obj) -> ExactCube:
-    from .exactlin import RatMatrix as _RM
     n = int(obj["degree"])
 
-    def parse_key(key):
-        return tuple(int(x) for x in key.split(",")) if key else ()
+    def vertex(entry):
+        gram = entry.get("gram")
+        return MetObj(int(entry["dim"]),
+                      None if gram is None else RatMatrix.from_json_obj(gram),
+                      check=False)
 
-    verts = {}
-    for key, entry in obj["vertices"].items():
-        gram = None if entry.get("gram") is None else _RM.from_json_obj(entry["gram"])
-        verts[parse_key(key)] = MetObj(int(entry["dim"]), gram, check=False)
-    arrows = {}
-    for js, table in obj["arrows"].items():
-        j = int(js)
-        for key, mat in table.items():
-            arrows[(j, parse_key(key))] = _RM.from_json_obj(mat)
-    return _mk(n, verts, arrows)
+    vt, at = obj["vertices"], obj["arrows"]
+    return _mk(n, {a: vertex(vt[_json_key(a)]) for a in vertex_indices(n)},
+               {(j, a): RatMatrix.from_json_obj(at[str(j)][_json_key(a)])
+                for j, a in arrow_keys(n)})
 
 
 _SYM_TABLE_CACHE = memo.table("cubes.sym_table")
-
-
-def _sym_tables(n: int, sigma: tuple):
-    """Precomputed index tables for the axis permutation action."""
-    key = (n, sigma)
-    tab = _SYM_TABLE_CACHE.get(key)
-    if tab is None:
-        inv = [0] * n
-        for i in range(n):
-            inv[sigma[i] - 1] = i + 1
-        vtab = []
-        atab = []
-        for a in vertex_indices(n):
-            src = tuple(a[sigma[i] - 1] for i in range(n))
-            vtab.append((a, src))
-            for k in range(1, n + 1):
-                if a[k - 1] != 1:
-                    atab.append(((k, a), (inv[k - 1], src)))
-        tab = (vtab, atab)
-        _SYM_TABLE_CACHE[key] = tab
-    return tab
 
 
 def act_sym(sigma, cube: ExactCube) -> ExactCube:
@@ -411,15 +417,23 @@ def act_sym(sigma, cube: ExactCube) -> ExactCube:
     ``sigma`` is a tuple with sigma[i-1] = sigma(i), 1-based values."""
     n = cube.n
     sigma = tuple(sigma)
-    if sorted(sigma) != list(range(1, n + 1)):
-        raise ValueError("not a permutation of 1..%d" % n)
+    tab = _SYM_TABLE_CACHE.get((n, sigma))
+    if tab is None:
+        if sorted(sigma) != list(range(1, n + 1)):
+            raise ValueError("not a permutation of 1..%d" % n)
+        inv = [0] * n
+        for i in range(n):
+            inv[sigma[i] - 1] = i + 1
+
+        def src(a):
+            return tuple(a[sigma[i] - 1] for i in range(n))
+
+        tab = ([src(a) for a in vertex_indices(n)],
+               [(inv[k - 1], src(a)) for k, a in arrow_keys(n)])
+        _SYM_TABLE_CACHE[(n, sigma)] = tab
     if all(sigma[i] == i + 1 for i in range(n)):
         return cube
-    vtab, atab = _sym_tables(n, sigma)
-    cv, ca = cube.vertices, cube.arrows
-    verts = {dst: cv[src] for dst, src in vtab}
-    arrows = {dst: ca[src] for dst, src in atab}
-    return _mk(n, verts, arrows)
+    return _remap(cube, n, tab)
 
 
 def transposition(n: int, p: int):
@@ -505,7 +519,7 @@ class CubeChain(FormalSum):
 
     @staticmethod
     def of(cube: ExactCube, coeff=1) -> "CubeChain":
-        return CubeChain(cube.n, [(cube, Fraction(coeff))])
+        return CubeChain(cube.n, [(cube, coeff)])
 
     @staticmethod
     def zero(degree: int) -> "CubeChain":
@@ -522,14 +536,10 @@ class CubeChain(FormalSum):
         return FormalSum.__add__(self, other)
 
     def map_cubes(self, fn, degree: int) -> "CubeChain":
-        """Linear extension of a cube-level map F -> CubeChain (or cube)."""
-        acc = CubeChain.zero(degree)
-        for cube, c in self.terms.items():
-            img = fn(cube)
-            if not isinstance(img, CubeChain):
-                img = CubeChain.of(img)
-            acc = acc + img.scale(c)
-        return acc
+        """Linear extension of a cube-level map F -> CubeChain (or cube)
+        into degree ``degree``; an image term of another degree raises
+        ValueError."""
+        return CubeChain(degree, linear_terms(self.terms.items(), fn))
 
     def __repr__(self):
         return "CubeChain(deg=%d, %d terms)" % (self.degree, len(self.terms))
@@ -543,24 +553,11 @@ def boundary_cube(cube: ExactCube) -> CubeChain:
     n = cube.n
     if n == 0:
         return CubeChain.zero(-1)
-    hit = _BOUNDARY_CACHE.get(cube)
-    if hit is not None:
-        return hit
-    acc = {}
-    for j in range(1, n + 1):
-        for i in (-1, 0, 1):
-            f = cube.face(j, i)
-            if f.is_zero_cube() or f.is_degenerate():
-                continue
-            sgn = -1 if (i + j) % 2 else 1
-            s = acc.get(f, 0) + sgn
-            if s == 0:
-                acc.pop(f, None)
-            else:
-                acc[f] = s
-    out = CubeChain(n - 1)
-    out.terms = acc
-    _BOUNDARY_CACHE[cube] = out
+    out = _BOUNDARY_CACHE.get(cube)
+    if out is None:
+        out = CubeChain(n - 1, [(cube.face(j, i), -1 if (i + j) % 2 else 1)
+                                for j in range(1, n + 1) for i in (-1, 0, 1)])
+        _BOUNDARY_CACHE[cube] = out
     return out
 
 
@@ -599,10 +596,7 @@ def alt(chain: CubeChain) -> CubeChain:
     n = chain.degree
     if n <= 1:
         return chain
-    acc = CubeChain.zero(n)
-    for cube, c in chain.terms.items():
-        acc = acc + _alt_of_cube(cube).scale(c)
-    return acc
+    return chain.map_cubes(_alt_of_cube, n)
 
 
 def phi_homotopy(n: int, m: int, chain: CubeChain) -> CubeChain:
@@ -631,12 +625,15 @@ def alt_block(chain: CubeChain, k: int) -> CubeChain:
     perms = list(permutations(range(1, k + 1)))
     coeff = Fraction(1, len(perms))
     n = chain.degree
-    acc = CubeChain.zero(n)
-    for sig in perms:
-        full = tuple(sig) + tuple(range(k + 1, n + 1))
-        sgn = perm_sign(sig)
-        acc = acc + chain.map_cubes(lambda cu, s=full: act_sym(s, cu), n).scale(coeff * sgn)
-    return acc
+    rest = tuple(range(k + 1, n + 1))
+
+    def terms():
+        for sig in perms:
+            full, w = sig + rest, coeff * perm_sign(sig)
+            for cu, c in chain.terms.items():
+                yield act_sym(full, cu), w * c
+
+    return CubeChain(n, terms())
 
 
 # -- exact functors ---------------------------------------------------

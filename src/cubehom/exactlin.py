@@ -259,11 +259,14 @@ class RatMatrix:
 class FormalSum:
     """A formal Q-linear combination of hashable keys in normal form.
 
-    ``terms`` maps keys to nonzero Fractions.  Built from a dict or a list
-    of (key, coeff) pairs, equal keys are collected; a subclass fixes its
-    normal form with two hooks: ``_normal(key, coeff)`` rewrites one term
-    as a (key, coeff) pair, or returns None to drop it, and
-    ``_like(terms)`` makes an element of the same kind owning ``terms``.
+    ``terms`` maps keys to nonzero rationals (``Fraction``, or ``int``
+    where every contribution was an integer).  The constructor is the one
+    collecting accumulator: from a dict or any iterable of (key, coeff)
+    pairs it builds one dict, collecting equal keys in first-seen order.
+    A subclass fixes its normal form with two hooks: ``_normal(key,
+    coeff)`` rewrites one term as a (key, coeff) pair, or returns None to
+    drop it, and ``_like(terms)`` makes an element of the same kind owning
+    ``terms``.
     """
 
     __slots__ = ("terms",)
@@ -271,20 +274,8 @@ class FormalSum:
     def __init__(self, terms=None):
         clean = {}
         if terms:
-            normal = self._normal
-            for key, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = Fraction(c)
-                if c == 0:
-                    continue
-                kc = normal(key, c)
-                if kc is None:
-                    continue
-                key, c = kc
-                s = clean.get(key, 0) + c
-                if s == 0:
-                    clean.pop(key, None)
-                else:
-                    clean[key] = s
+            _collect(clean, terms.items() if isinstance(terms, dict) else terms,
+                     self._normal)
         self.terms = clean
 
     def _normal(self, key, coeff):
@@ -300,14 +291,7 @@ class FormalSum:
             return self
         if not self.terms:
             return other
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key, 0) + c
-            if s == 0:
-                del terms[key]
-            else:
-                terms[key] = s
-        return self._like(terms)
+        return self._like(_collect(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -316,10 +300,11 @@ class FormalSum:
         return self.scale(-1)
 
     def scale(self, a):
-        a = Fraction(a)
-        if a == 0:
+        if type(a) is not Fraction and type(a) is not int:
+            a = Fraction(a)
+        if not a:
             return self._like({})
-        return self._like({key: a * c for key, c in self.terms.items()})
+        return self._like({key: times(a, c) for key, c in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -331,6 +316,55 @@ class FormalSum:
 
     def __repr__(self):
         return "%s(%d terms)" % (type(self).__name__, len(self.terms))
+
+
+def _collect(clean: dict, pairs, normal=None) -> dict:
+    """Add each (key, coeff) of ``pairs`` into ``clean`` and return it: a
+    new key starts at its coefficient, a key summing to zero is deleted.
+    ``normal`` is the ``_normal`` hook, or None for terms already normal."""
+    get = clean.get
+    for key, c in pairs:
+        if type(c) is not Fraction and type(c) is not int:
+            c = Fraction(c)
+        if not c:
+            continue
+        if normal is not None:
+            kc = normal(key, c)
+            if kc is None:
+                continue
+            key, c = kc
+        s = get(key)
+        if s is None:
+            clean[key] = c
+        else:
+            s += c
+            if s:
+                clean[key] = s
+            else:
+                del clean[key]
+    return clean
+
+
+def times(a, c):
+    """The exact product a * c; a factor of +-1 costs no gcd."""
+    if a == 1:
+        return c
+    if a == -1:
+        return -c
+    return a * c
+
+
+def linear_terms(pairs, image):
+    """The terms of sum_k c * image(k) over the (k, c) of ``pairs``, for
+    a FormalSum constructor to collect.  ``image(k)`` is a FormalSum, or a
+    single key standing for itself with coefficient 1."""
+    for key, c in pairs:
+        img = image(key)
+        if isinstance(img, FormalSum):
+            for k, d in img.terms.items():
+                yield k, times(d, c)
+        else:
+            yield img, c
 
 
 # -- elimination ----------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from .cubes import CubeChain, boundary
-from .exactlin import FormalSum
+from .exactlin import FormalSum, linear_terms
 from .multirel import GeomView, lev_add, op_F, xi_K
 from .signs import subsets
 
@@ -88,10 +88,7 @@ class FormalTarget:
         return out
 
     def d(self, elt: FormalElement) -> FormalElement:
-        out = FormalElement()
-        for key, c in elt.terms.items():
-            out = out + self.d_symbol(key).scale(c)
-        return out
+        return FormalElement(linear_terms(elt.terms.items(), self.d_symbol))
 
 
 def sign_exponent(I, r: int) -> int:

@@ -28,7 +28,7 @@ from itertools import (combinations, combinations_with_replacement, islice,
 from . import ccx
 from .cubes import (CubeChain, ExactCube, ExactFunctor, act_sym, alt,
                     boundary, composite_pullback, transposition)
-from .exactlin import MetObj, RatMatrix, rref
+from .exactlin import MetObj, RatMatrix, rref, times
 from .signs import perm_sign, sgn_division
 
 
@@ -246,11 +246,9 @@ def xi_apply(views, K, I, x: CubeChain) -> CubeChain:
     """Xi_{K,f_1..f_t}(x): the signed sum of the pullbacks of x along the
     words of xi_words; raises degree by |K| + t - 1."""
     deg = x.degree + len(K) + len(views) // 2 - 1
-    out = CubeChain.zero(deg)
-    for sgn, word in xi_words(views, K, I):
-        out = out + x.map_cubes(lambda cu: composite_pullback(word, cu),
-                                deg).scale(sgn)
-    return out
+    return CubeChain(deg, ((composite_pullback(word, cu), times(sgn, c))
+                           for sgn, word in xi_words(views, K, I)
+                           for cu, c in x.terms.items()))
 
 
 def xi_K(g: GeomView, K, I, x: CubeChain) -> CubeChain:

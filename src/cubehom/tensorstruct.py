@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .cubes import (CubeChain, ExactCube, ExactFunctor, alt, boundary,
                     bracket_cube, composite_pullback)
-from .exactlin import MetObj
+from .exactlin import MetObj, times
 from . import multirel
 from .multirel import (GeomView, MorphView, lev_add, lev_alt, lev_eq,
                        lev_scale, levelwise)
@@ -83,11 +83,9 @@ class SlotSum:
         return SlotSum(out, self.deg + other.deg)
 
     def apply_chain(self, x: CubeChain) -> CubeChain:
-        deg = x.degree + self.deg
-        acc = CubeChain.zero(deg)
-        for c, t in self.terms:
-            acc = acc + x.map_cubes(t.apply, deg).scale(c)
-        return acc
+        return CubeChain(x.degree + self.deg,
+                         ((t.apply(cu), times(c, xc)) for c, t in self.terms
+                          for cu, xc in x.terms.items()))
 
     def boundary(self) -> "SlotSum":
         """Face expansion of single-word slots along their own axes:
@@ -138,30 +136,30 @@ def bracket_apply(f_obj: MetObj, slots, pis, x: CubeChain) -> CubeChain:
         tens = ExactFunctor.tensor_by(pis[0].on_obj(f_obj))
         return x.map_cubes(tens.on_cube, x.degree)
     s = sum(sl.deg for sl in slots)
-    out_deg = x.degree + s + l
-    acc = CubeChain.zero(out_deg)
     combos = [([], Fraction(1))]
     for sl in slots:
         combos = [(picked + [t], co * c) for picked, co in combos
                   for (c, t) in sl.terms]
-    for picked, coeff in combos:
-        if coeff == 0:
-            continue
-        for cube, xc in x.terms.items():
-            stages = [cube]
-            for p in range(l, 0, -1):
-                stages.append(picked[p - 1].apply(stages[-1]))
-            # stages[i] = slots_{l-i+1..l} applied to cube, i = 0..l
-            items = []
-            for p in range(l + 1):
-                cur = ExactFunctor.tensor_by(pis[p].on_obj(f_obj)).on_cube(
-                    stages[l - p])
-                for sl_idx in range(p - 1, -1, -1):
-                    cur = picked[sl_idx].apply(cur)
-                items.append(cur)
-            br = bracket_cube(items)
-            acc = acc + CubeChain.of(br, coeff * xc)
-    return acc
+
+    def terms():
+        for picked, coeff in combos:
+            if coeff == 0:
+                continue
+            for cube, xc in x.terms.items():
+                stages = [cube]
+                for p in range(l, 0, -1):
+                    stages.append(picked[p - 1].apply(stages[-1]))
+                # stages[i] = slots_{l-i+1..l} applied to cube, i = 0..l
+                items = []
+                for p in range(l + 1):
+                    cur = ExactFunctor.tensor_by(pis[p].on_obj(f_obj)).on_cube(
+                        stages[l - p])
+                    for sl_idx in range(p - 1, -1, -1):
+                        cur = picked[sl_idx].apply(cur)
+                    items.append(cur)
+                yield bracket_cube(items), times(coeff, xc)
+
+    return CubeChain(x.degree + s + l, terms())
 
 
 def check_bracket_boundary(f_obj: MetObj, slots, pis, x: CubeChain) -> bool:
@@ -387,8 +385,6 @@ def check_phi_s_equals_tensor(f_obj: MetObj, big: GeomView, x: dict,
 def bracket_pair(f1_obj: MetObj, f2_obj: MetObj, x: CubeChain) -> CubeChain:
     """The bracket of the two-step tensor chain
     F1 (x) (F2 (x) G) ~ (F1 (x) F2) (x) G, as a chain operator."""
-    deg = x.degree + 1
-    acc = CubeChain.zero(deg)
     t1 = ExactFunctor.tensor_by(f1_obj)
     t2 = ExactFunctor.tensor_by(f2_obj)
     t12 = ExactFunctor.tensor_by(MetObj(f1_obj.dim * f2_obj.dim,
@@ -396,8 +392,7 @@ def bracket_pair(f1_obj: MetObj, f2_obj: MetObj, x: CubeChain) -> CubeChain:
                                         if f1_obj.gram is not None
                                         and f2_obj.gram is not None else None,
                                         check=False))
-    for cube, c in x.terms.items():
-        a = t1.on_cube(t2.on_cube(cube))
-        b = t12.on_cube(cube)
-        acc = acc + CubeChain.of(bracket_cube([a, b]), c)
-    return acc
+    return CubeChain(x.degree + 1,
+                     ((bracket_cube([t1.on_cube(t2.on_cube(cube)),
+                                     t12.on_cube(cube)]), c)
+                      for cube, c in x.terms.items()))

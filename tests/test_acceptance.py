@@ -24,7 +24,7 @@ def _criterion(num, desc, t0, reports, budget=None):
         ok = ok and elapsed < budget
     line = "ACCEPTANCE %2d %s: %s (%d checks, %.1fs%s)" % (
         num, "PASS" if ok else "FAIL", desc, checks, elapsed,
-        "" if budget is None else ", budget %ds" % budget)
+        "" if budget is None else ", budget %gs" % budget)
     _LINES.append(line)
     print("\n" + line)
     assert ok, line
@@ -85,7 +85,7 @@ def test_criterion_06_structure_validations():
             suites.run_suite("multirel.cone-identification", trials=10, r=3,
                              seed=6)]
     _criterion(6, "constructed complexes, maps and homotopies validate; "
-               "cone identification is literal", t0, reps)
+               "cone identification is literal", t0, reps, budget=40)
 
 
 def test_criterion_07_identity_pullback():
@@ -93,7 +93,7 @@ def test_criterion_07_identity_pullback():
     rep = suites.run_suite("multirel.identity-pullback", trials=100, r=3,
                            seed=7)
     _criterion(7, "alternation kills interior identity-insertion words, "
-               "100 seeds", t0, [rep])
+               "100 seeds", t0, [rep], budget=0.3)
 
 
 def test_criterion_08_cone_section_machinery():
@@ -102,7 +102,7 @@ def test_criterion_08_cone_section_machinery():
             suites.run_suite("ccx.cone-map", trials=50, seed=8),
             suites.run_suite("ccx.second-homotopy", trials=40, seed=8)]
     _criterion(8, "section, cone-map and mediating-homotopy identities on "
-               "random instances", t0, reps)
+               "random instances", t0, reps, budget=9)
 
 
 def test_criterion_09_tensor_structure():

@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from itertools import permutations
+
 from cubehom.cubes import (CubeChain, ExactCube, ExactFunctor, _step, act_sym,
-                           alt, alt_block, boundary, boundary_partial,
-                           bracket_cube, degeneracy, face, object_cube,
-                           one_cube, phi_homotopy, psi_homotopy, rho,
-                           tensor_cube, transposition, zero_cube)
+                           alt, alt_block, arrow_keys, boundary,
+                           boundary_partial, bracket_cube, composite_pullback,
+                           degeneracy, face, object_cube, one_cube,
+                           phi_homotopy, psi_homotopy, rho, tensor_cube,
+                           transposition, vertex_indices, zero_cube)
 from cubehom.exactlin import MetObj, RatMatrix, ZERO_OBJ, inverse
+from cubehom.multirel import GeomView, Tower
 from helpers import (rnd_cube, rnd_gram, rnd_invertible, rnd_metobj,
                      rnd_one_cube)
 
@@ -311,3 +315,56 @@ def test_assembled_cubes_validate():
             built += [rho(c, j) for j in range(1, n + 1)]
             for cube in built:
                 cube.validate(exactness=True)
+
+
+def test_map_cubes_enforces_its_degree():
+    # rho raises degree by one: the images are 2-cubes, not 5-cubes
+    with pytest.raises(ValueError):
+        CubeChain.of(rnd_cube(random.Random(1), 1)).map_cubes(
+            lambda cu: rho(cu, 1), 5)
+
+
+def _embedding_word(tower):
+    g = GeomView(tower, 0)
+    levels = [{1, 2, 3}, {2, 3}, {3}, set()]
+    return [tower.cls(0, g.level(a), 0, g.level(b))
+            for a, b in zip(levels, levels[1:])]
+
+
+def _lift(a, j, i):
+    return a[:j - 1] + (i,) + a[j - 1:]
+
+
+def test_trusted_constructions_equal_checked_ones():
+    """Every construction builds its dicts in the order the hash reads them:
+    rebuilt through the checked constructor, each result has the same hash,
+    the same parts and the same canonical instance."""
+    rng = random.Random(43)
+    word = _embedding_word(Tower(r=3, seed=5))
+    for n in range(4):
+        c = rnd_cube(rng, n, with_gram=True)
+        c2, isos = conjugated(rng, c)
+        built = [zero_cube(n), tensor_cube(c, rnd_cube(rng, 1)),
+                 composite_pullback(word, c), bracket_cube([c, c2], [isos])]
+        built += [degeneracy(c, j, sign) for j in range(1, n + 2)
+                  for sign in (1, -1)]
+        built += [rho(c, j) for j in range(1, n + 1)]
+        built += [act_sym(sigma, c) for sigma in permutations(range(1, n + 1))]
+        for j in range(1, n + 1):
+            for i in (-1, 0, 1):
+                f = face(c, j, i)
+                assert f.vertices == {a: c.vertices[_lift(a, j, i)]
+                                      for a in vertex_indices(n - 1)}
+                assert f.arrows == {
+                    (k, a): c.arrows[(k if k < j else k + 1, _lift(a, j, i))]
+                    for k, a in arrow_keys(n - 1)}
+                built += [f, face(degeneracy(c, j, 1), j, 1)]
+        for cube in built:
+            checked = ExactCube(cube.n, dict(cube.vertices), dict(cube.arrows))
+            assert hash(checked) == hash(cube)
+            assert checked.vertices == cube.vertices
+            assert checked.arrows == cube.arrows
+            assert checked.intern() is cube
+            cube.validate()
+            assert cube.is_zero_cube() == all(
+                o.dim == 0 for o in cube.vertices.values())

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from cubehom.cubes import CubeChain, degeneracy, object_cube, zero_cube
 from cubehom.double import GluedBundle, VirtualGlued
-from cubehom.exactlin import MetObj
+from cubehom.exactlin import MetObj, linear_terms
 from cubehom.formalchern import FormalElement
 from cubehom.wang import ANTI, HOLO, LogForm
 from helpers import rnd_cube, rnd_gram
@@ -133,3 +133,50 @@ def test_log_form_wedge_is_alternating(mono, c):
     k = len(wedge)
     flipped = LogForm([((log_ix, wedge[::-1]), c * (-1) ** (k * (k - 1) // 2))])
     assert LogForm([(mono, c)]) == flipped
+
+
+# unit, integer and non-integer factors, as the linear extensions meet them
+factors = st.one_of(st.sampled_from([1, -1, Fraction(1), Fraction(-1)]),
+                    st.integers(-3, 3), coeffs)
+
+
+def left_fold(items):
+    """The dict each ``acc = acc + x.scale(c)`` step used to leave, kept as
+    the reference for the collecting accumulator's values and key order."""
+    acc = {}
+    for x, c in items:
+        c = Fraction(c)
+        img = {} if c == 0 else {k: c * d for k, d in x.terms.items()}
+        if not img:
+            continue
+        if not acc:
+            acc = img
+            continue
+        acc = dict(acc)
+        for k, d in img.items():
+            s = acc.get(k, 0) + d
+            if s == 0:
+                del acc[k]
+            else:
+                acc[k] = s
+    return acc
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@PROPS
+@given(data=st.data())
+def test_accumulator_matches_the_left_fold(kind, data):
+    make = KINDS[kind][0]
+    pool = [data.draw(elements(kind)) for _ in range(3)]
+    items = data.draw(st.lists(st.tuples(st.sampled_from(pool), factors),
+                               max_size=8))
+    if items and data.draw(st.booleans()):
+        # cancel an earlier image in full, then bring part of it back
+        x, c = data.draw(st.sampled_from(items))
+        items += [(x, -c), (x, data.draw(factors))]
+    out = make(linear_terms(enumerate(c for _, c in items),
+                            lambda i: items[i][0]))
+    ref = left_fold(items)
+    assert out.terms == ref
+    assert list(out.terms) == list(ref)
+    assert no_stored_zero(out)

@@ -101,3 +101,19 @@ def test_every_module_cache_is_a_registry_table():
                 assert any(v is t for t in tables), \
                     "%s.%s is not a memo table" % (mod.__name__, name)
     assert "_INTERN" in found and "_BOUNDARY_CACHE" in found
+
+
+def test_face_table_grows_with_degree_not_with_data():
+    from cubehom.cubes import _FACE_TABLE_CACHE
+    assert any(t is _FACE_TABLE_CACHE for t in memo._TABLES.values())
+    run_suite("multirel.pullback-map", r=3, seed=106, trials=3)
+    keys = list(_FACE_TABLE_CACHE)
+    assert keys
+    for key in keys:
+        assert isinstance(key, tuple) and len(key) == 3
+        assert all(type(x) is int for x in key)
+        n, j, i = key
+        assert 1 <= j <= n and i in (-1, 0, 1)
+    # at most one entry per face operator of each degree met
+    top = max(n for n, _, _ in keys)
+    assert len(keys) <= 3 * top * (top + 1) // 2
