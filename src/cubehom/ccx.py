@@ -737,18 +737,18 @@ def diagram_les_check(a1: ChainComplex, b1: ChainComplex, a2: ChainComplex,
         src_dim = b2.dim(n + 1)
         off = a1.dim(n) + a2.dim(n) + b1.dim(n + 1)
         mat = RatMatrix(sd.dim(n), src_dim, {(off + i, i): Fraction(1) for i in range(src_dim)})
-        return induced_homology_rank(mat, b2.d(n + 1).scale(-1), None, sd.d(n), sd.d(n + 1))
+        return induced_homology_rank(mat, b2.d(n + 1).scale(-1), sd.d(n + 1))
 
     def rank_v(n):
         keep = a1.dim(n) + a2.dim(n) + b1.dim(n + 1)
         mat = RatMatrix(cx.dim(n), sd.dim(n),
                         {(i, i): Fraction(1) for i in range(keep)})
-        return induced_homology_rank(mat, sd.d(n), sd.d(n + 1), cx.d(n), cx.d(n + 1))
+        return induced_homology_rank(mat, sd.d(n), cx.d(n + 1))
 
     def rank_q(n):
         mat = RatMatrix(a1.dim(n), cx.dim(n),
                         {(i, i): Fraction(1) for i in range(a1.dim(n))})
-        return induced_homology_rank(mat, cx.d(n), cx.d(n + 1), a1.d(n), a1.d(n + 1))
+        return induced_homology_rank(mat, cx.d(n), a1.d(n + 1))
 
     h_b2m = b2.shift(-1).homology()
     failures = []

@@ -85,6 +85,15 @@ def _seal(cube: "ExactCube", n: int, verts: dict, arrows: dict) -> None:
     _set(cube, "_degen", None)
 
 
+def _pick(table, keys, what: str) -> dict:
+    """{k: table[k]} over ``keys`` in order; a missing key raises
+    ValueError naming it."""
+    try:
+        return {k: table[k] for k in keys}
+    except KeyError as e:
+        raise ValueError("missing %s %r" % (what, e.args[0])) from None
+
+
 def _mk(n: int, verts: dict, arrows: dict) -> "ExactCube":
     """The interned n-cube owning ``verts`` and ``arrows`` as given, with
     no copy and no check.  Only this module's constructions call it, on
@@ -120,8 +129,8 @@ class ExactCube:
     __slots__ = ("n", "vertices", "arrows", "_hash", "_zero", "_degen")
 
     def __init__(self, n: int, vertices, arrows):
-        _seal(self, n, {a: vertices[a] for a in vertex_indices(n)},
-              {k: arrows[k] for k in arrow_keys(n)})
+        _seal(self, n, _pick(vertices, vertex_indices(n), "vertex"),
+              _pick(arrows, arrow_keys(n), "arrow"))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactCube is immutable")
@@ -531,7 +540,7 @@ class CubeChain(FormalSum):
         return self.degree == other.degree and self.terms == other.terms
 
     def __add__(self, other: "CubeChain") -> "CubeChain":
-        if self.terms and other.terms and self.degree != other.degree:
+        if self.degree != other.degree:
             raise ValueError("degree mismatch in chain sum")
         return FormalSum.__add__(self, other)
 

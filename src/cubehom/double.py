@@ -20,11 +20,14 @@ its degree-(0,0) part is checked against prod_j (1 - p_j^* iota_j^*).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+
 from . import ccx
 from .cubes import CubeChain, degenerate_along, face, identity_edge
 from .exactlin import FormalSum, MetObj, RatMatrix
-from .multirel import (MatrixModel, Span, _levels_of_size, close_span_generic,
-                       levelwise, materialize_ccomplex, materialize_operator)
+from .multirel import (MatrixModel, Span, close_span_generic, cone_identification,
+                       levelwise, materialize_ccomplex, materialize_operator,
+                       relabeled_model)
 from .signs import sgn_division, subsets
 
 
@@ -277,8 +280,7 @@ def double_op_F(view: _PartialView, m: int, n: int, x: dict) -> dict:
     return levelwise([view], m, n, x, component)
 
 
-def double_spans(geom: DoubleGeometry, upto: int, seeds, drop=frozenset(),
-                 sym: bool = True) -> Span:
+def double_spans(geom: DoubleGeometry, upto: int, seeds, drop=frozenset()) -> Span:
     """Span of glued cubes for (T; T_1..T_upto), closed under faces, all
     embedding pullbacks, the fold composites, and the symmetric action."""
     view = _PartialView(geom, upto, drop)
@@ -297,7 +299,7 @@ def double_spans(geom: DoubleGeometry, upto: int, seeds, drop=frozenset(),
                                      lambda S: S | {k})))
         return out
 
-    return close_span_generic(seeds, expand, sym=sym)
+    return close_span_generic(seeds, expand, sym=True)
 
 
 def _diagonal_op(cube_map):
@@ -315,129 +317,63 @@ def _diagonal_op(cube_map):
     return op
 
 
-def build_t(geom: DoubleGeometry, seeds, use_alt: bool = True) -> dict:
+def build_t(geom: DoubleGeometry, seeds) -> dict:
     """The splitting t = t_r ... t_1 of the double, each step produced by
     the generic cone section construction with the zero homotopy, glued
     back through the sign-twisted cone identification.
 
     ``seeds`` are (level, GluedCube) pairs on the plain double (usually
     level = ()); returns the pieces: per-step complexes, the composed map
-    t, the canonical projection q, and the models.
+    t, the canonical projection q, and the models, all alternating.
     """
-    r = geom.r
-    span0 = double_spans(geom, 0, seeds, sym=use_alt)
     view0 = _PartialView(geom, 0)
-    model_prev = MatrixModel(view0, span0, use_alt=use_alt)
-    cc_prev = materialize_ccomplex(
-        model_prev, f_op=lambda m, n, x: {})
+    model0 = MatrixModel(view0, double_spans(geom, 0, seeds), use_alt=True)
+    models = [model0]
+    complexes = [materialize_ccomplex(model0, f_op=lambda m, n, x: {})]
     t_total = None
-    models = [model_prev]
-    complexes = [cc_prev]
-    for j in range(1, r + 1):
+    for j in range(1, geom.r + 1):
         view_a = _PartialView(geom, j - 1)
         view_b = _PartialView(geom, j - 1, drop={j})
-        # span on T_j side: restrictions of the previous span, closed
-        seeds_b = []
-        for (level, degree), cubes in model_prev.span.items():
-            for cube in cubes:
-                seeds_b.append((level, _restrict_level(view_a, level, j, cube)))
-
-        span_b = double_spans(geom, j - 1, seeds_b, drop={j}, sym=use_alt)
-        model_b = MatrixModel(view_b, span_b, use_alt=use_alt)
-        cc_b = materialize_ccomplex(
-            model_b, f_op=lambda m, n, x, v=view_b: double_op_F(v, m, n, x))
-        cc_a = complexes[-1]
-        model_a = models[-1]
-
+        model_a, cc_a = models[-1], complexes[-1]
+        # span on T_j side: restrictions of the plain double's span, closed
+        seeds_b = [(level, _restrict_level(view_a, level, j, cube))
+                   for (level, _), cubes in model0.span.items()
+                   for cube in cubes]
+        model_b = MatrixModel(view_b, double_spans(geom, j - 1, seeds_b,
+                                                   drop={j}), use_alt=True)
+        cc_b = materialize_ccomplex(model_b, f_op=partial(double_op_F, view_b))
         op_iota = _diagonal_op(lambda I, cu: _restrict_level(view_a, I, j, cu))
         op_fold = _diagonal_op(lambda I, cu: geom.fold(I, j, cu))
         fmap = ccx.CMap(cc_a, cc_b,
-                        materialize_operator(model_a, model_b, op_iota, 0, "map"))
+                        materialize_operator(model_a, model_b, op_iota, 0))
         gmap = ccx.CMap(cc_b, cc_a,
-                        materialize_operator(model_b, model_a, op_fold, 0, "map"))
-        psi = ccx.CHomotopy(cc_b, cc_b, {})
+                        materialize_operator(model_b, model_a, op_fold, 0))
         parts = ccx.simple(fmap)
-        t_j, psi1, psi2 = ccx.section_t(parts, fmap, gmap, psi)
-        # identify the cone with the complex of (T; T_1..T_j):
-        # levels containing j flip sign and sit in the B slots
-        seeds_next = []
-        for (level, degree), cubes in model_a.span.items():
-            for cube in cubes:
-                seeds_next.append((level, cube))
-        for (level, degree), cubes in model_b.span.items():
-            for cube in cubes:
-                seeds_next.append((frozenset(level) | {j}, cube))
+        t_j, _, _ = ccx.section_t(parts, fmap, gmap,
+                                  ccx.CHomotopy(cc_b, cc_b, {}))
+        # the complex of (T; T_1..T_j) lives on the two halves' spans glued,
+        # the B half on the levels containing j; the union is closed already
         view_next = _PartialView(geom, j)
-
-        span_next = double_spans(geom, j, seeds_next, sym=use_alt)
-        model_next = MatrixModel(view_next, span_next, use_alt=use_alt)
-        cc_next = materialize_ccomplex(
-            model_next, f_op=lambda m, n, x, v=view_next: double_op_F(v, m, n, x))
-        transfer = _cone_transfer(parts, model_a, model_b, model_next,
-                                  cc_next, j)
-        step = ccx.compose(transfer, t_j)
+        model_next = relabeled_model(view_next, [
+            (model_a, lambda lvl: lvl), (model_b, lambda lvl: lvl | {j})])
+        cc_next = materialize_ccomplex(model_next,
+                                       f_op=partial(double_op_F, view_next))
+        step = ccx.compose(cone_identification(parts, model_a, model_b,
+                                               model_next, cc_next, j), t_j)
         t_total = step if t_total is None else ccx.compose(step, t_total)
         models.append(model_next)
         complexes.append(cc_next)
-    # canonical projection q: level-() column, identity in index 0
-    cc_full = complexes[-1]
-    q_comps = {}
+    # canonical projection q: the level-() block of index 0, which every
+    # model carries on model0's span
     per = {}
-    for k in cc_full.cx(0).degrees():
-        d = complexes[0].cx(0).dim(k)
-        dd = cc_full.cx(0).dim(k)
-        ent = {}
-        # the level-() block comes first in the level ordering of index 0
-        for i in range(min(d, dd)):
-            ent[(i, i)] = Fraction(1)
-        per[k] = RatMatrix(d, dd, ent)
-    q_comps[(0, 0)] = per
-    q = ccx.CMap(cc_full, complexes[0], q_comps)
+    for k in complexes[-1].cx(0).degrees():
+        col_off, cols = models[-1].layout(0, k)
+        rows = model0.dim(frozenset(), k)
+        per[k] = RatMatrix(rows, cols, {(i, col_off[frozenset()] + i): 1
+                                        for i in range(rows)})
+    q = ccx.CMap(complexes[-1], complexes[0], {(0, 0): per})
     return {"t": t_total, "q": q, "models": models, "complexes": complexes,
             "geometry": geom}
-
-
-def _cone_transfer(parts, model_a, model_b, model_next, cc_next, j: int):
-    """The sign-twisted identification cone(iota_j^*) -> full complex."""
-    comps = {}
-    cone = parts.ccx
-    for m in cone.indices():
-        per = {}
-        for k in cone.cx(m).degrees():
-            rows = cc_next.cx(m).dim(k)
-            cols = cone.cx(m).dim(k)
-            if not rows or not cols:
-                continue
-            ent = {}
-            # destination offsets per level
-            row_off = {}
-            off = 0
-            for lvl in _levels_of_size(model_next.g.marks, m):
-                row_off[lvl] = off
-                off += model_next.dim(lvl, k)
-            col = 0
-            for lvl in _levels_of_size(model_a.g.marks, m):
-                d = model_a.dim(lvl, k)
-                for i in range(d):
-                    ch = model_a.basis_chain(lvl, k, i)
-                    for pos, v in model_next.coords(lvl, ch).items():
-                        ent[(row_off[lvl] + pos, col)] = v
-                    col += 1
-            # no level has size -1, so index 0 has no B part
-            for lvl in _levels_of_size(model_b.g.marks, m - 1) if m else ():
-                d = model_b.dim(lvl, k)
-                tgt = frozenset(lvl | {j})
-                for i in range(d):
-                    ch = model_b.basis_chain(lvl, k, i)
-                    for pos, v in model_next.coords(tgt, ch).items():
-                        ent[(row_off[tgt] + pos, col)] = -v
-                    col += 1
-            mat = RatMatrix(rows, cols, ent)
-            if not mat.is_zero():
-                per[k] = mat
-        if per:
-            comps[(m, m)] = per
-    return ccx.CMap(cone, cc_next, comps)
 
 
 def inclusion_exclusion_op(geom: DoubleGeometry, x: CubeChain) -> CubeChain:

@@ -656,13 +656,11 @@ def homology_dims(boundaries, n_min: int, n_max: int):
 
 
 def induced_homology_rank(f: RatMatrix, dn_src: Optional[RatMatrix],
-                          up_src: Optional[RatMatrix],
-                          dn_dst: Optional[RatMatrix],
                           up_dst: Optional[RatMatrix]) -> int:
     """Rank of the map induced on homology by a chain map component f.
 
-    dn_*/up_* are the boundary matrices out of / into the degree at hand
-    (any may be None for the zero map).
+    dn_src is the source boundary out of the degree at hand and up_dst the
+    target boundary into it (either may be None for the zero map).
     """
     src_dim = f.cols
     cycles = kernel_basis(dn_src) if dn_src is not None else \

@@ -406,35 +406,28 @@ def levelwise(views, m: int, n: int, x: dict, component) -> dict:
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-def _xi_levelwise(views, m: int, n: int, x: dict, sign: int,
-                  use_alt: bool) -> dict:
-    """sum over J = K | I of sign sgn(K I; J) Xi_{K,views}(x_I), each term
-    alternated first when use_alt is set."""
+def _xi_levelwise(views, m: int, n: int, x: dict, sign: int) -> dict:
+    """sum over J = K | I of sign sgn(K I; J) Xi_{K,views}(x_I)."""
     def component(K, I, I_src, J, chain):
-        term = xi_apply(views, K, I, chain)
-        if use_alt:
-            term = alt(term)
-        return term.scale(sign * sgn_division(K, I_src, J))
+        return xi_apply(views, K, I, chain).scale(sign * sgn_division(K, I_src, J))
     return levelwise(views, m, n, x, component)
 
 
-def op_F(g: GeomView, m: int, n: int, x: dict, use_alt: bool = False) -> dict:
+def op_F(g: GeomView, m: int, n: int, x: dict) -> dict:
     """The connecting map F^{m,n}(x)_J = (-1)^n sum sgn(K I; J) Xi_K(x_I)."""
     if n <= m:
         raise ValueError("connecting map needs n > m")
-    return _xi_levelwise([g], m, n, x, (-1) ** (n % 2), use_alt)
+    return _xi_levelwise([g], m, n, x, (-1) ** (n % 2))
 
 
-def op_pullback(f: MorphView, m: int, n: int, x: dict, use_alt: bool = False) -> dict:
+def op_pullback(f: MorphView, m: int, n: int, x: dict) -> dict:
     """(f^*)^{m,n}(x)_J = sum sgn(K I; J) Xi_{K,f}(x_I); zero for n < m."""
-    return _xi_levelwise([f.src, f, f.dst], m, n, x, 1, use_alt)
+    return _xi_levelwise([f.src, f, f.dst], m, n, x, 1)
 
 
-def op_homotopy(f: MorphView, g: MorphView, m: int, n: int, x: dict,
-                use_alt: bool = False) -> dict:
+def op_homotopy(f: MorphView, g: MorphView, m: int, n: int, x: dict) -> dict:
     """Phi^{m,n}(x)_J = (-1)^n sum sgn(K I; J) Xi_{K,f,g}(x_I); zero for n < m."""
-    return _xi_levelwise([f.src, f, f.dst, g, g.dst], m, n, x,
-                         (-1) ** (n % 2), use_alt)
+    return _xi_levelwise([f.src, f, f.dst, g, g.dst], m, n, x, (-1) ** (n % 2))
 
 
 # -- matrix materialization on finitely generated spans ------------------
@@ -465,24 +458,7 @@ class Span:
         return list(self.basis.items())
 
 
-def close_span(g: GeomView, seeds, sym: bool = False) -> Span:
-    """Close seed cubes under faces and all embedding pullbacks (and the
-    axis action of the symmetric groups when ``sym`` is set)."""
-    def expand(level, cube):
-        out = []
-        others = [k for k in g.marks if k not in level]
-        for size in range(1, len(others) + 1):
-            for K in combinations(others, size):
-                img = xi_K(g, K, level, CubeChain.of(cube))
-                tgt = level | set(K)
-                for c2 in img.terms:
-                    out.append((tgt, c2))
-        return out
-
-    return close_span_generic(seeds, expand, sym=sym)
-
-
-def close_span_generic(seeds, expand, sym: bool = False) -> Span:
+def close_span_generic(seeds, expand, sym: bool) -> Span:
     """Close seeds under faces, an expansion rule, and optionally the
     symmetric-group action."""
     span = Span()
@@ -536,11 +512,12 @@ class MatrixModel:
     needs ``marks`` and ``extra`` attributes.
     """
 
-    def __init__(self, g, span: Span, use_alt: bool = False):
+    def __init__(self, g, span: Span, use_alt: bool):
         self.g = g
         self.span = span
         self.use_alt = use_alt
         self._alt_basis = {}
+        self._layouts = {}
         if use_alt:
             self._build_alt_bases()
 
@@ -564,6 +541,20 @@ class MatrixModel:
             got = self._alt_basis.get((frozenset(level), degree))
             return len(got[0]) if got else 0
         return len(self.span.cubes(level, degree))
+
+    def layout(self, m: int, k: int):
+        """(offsets, dim) of the index-m chain group in degree k: the
+        direct sum over the levels of size m, in sorted order, each level's
+        block starting at offsets[level]."""
+        got = self._layouts.get((m, k))
+        if got is None:
+            offsets, dim = {}, 0
+            for lvl in combinations(sorted(self.g.marks), m):
+                lvl = frozenset(lvl)
+                offsets[lvl] = dim
+                dim += self.dim(lvl, k)
+            got = self._layouts[(m, k)] = (offsets, dim)
+        return got
 
     def coords(self, level, chain: CubeChain):
         """Coordinates in the stored basis (alternating basis if set)."""
@@ -597,8 +588,43 @@ class MatrixModel:
         return alt(CubeChain.of(cubes[cols[pos]]))
 
 
-def _levels_of_size(marks, m):
-    return [frozenset(c) for c in combinations(sorted(marks), m)]
+def closed_model(g: GeomView, seeds, use_alt: bool = False) -> MatrixModel:
+    """The matrix model on the span of the seed cubes closed under faces and
+    all embedding pullbacks of g, and in the alternating mode also under
+    the axis action of the symmetric groups, which the alternation
+    projectors need."""
+    def expand(level, cube):
+        out = []
+        others = [k for k in g.marks if k not in level]
+        for size in range(1, len(others) + 1):
+            for K in combinations(others, size):
+                img = xi_K(g, K, level, CubeChain.of(cube))
+                tgt = level | set(K)
+                for c2 in img.terms:
+                    out.append((tgt, c2))
+        return out
+
+    return MatrixModel(g, close_span_generic(seeds, expand, sym=use_alt),
+                       use_alt)
+
+
+def relabeled_model(g, parts) -> MatrixModel:
+    """The model of g on the levels of other models: ``parts`` lists
+    (model, move) pairs, move(level) naming the level of g that a level of
+    that model becomes, or None to leave it out.  A level's alternating
+    basis depends on its cubes only, so it is reused, not recomputed."""
+    use_alt = parts[0][0].use_alt
+    model = MatrixModel(g, Span(), use_alt)
+    for src, move in parts:
+        for (level, degree), cubes in src.span.items():
+            new = move(level)
+            if new is None:
+                continue
+            for cube in cubes:
+                model.span.add(new, cube)
+            if use_alt:
+                model._alt_basis[(new, degree)] = src._alt_basis[(level, degree)]
+    return model
 
 
 def materialize_ccomplex(model: MatrixModel, f_op=None) -> "ccx.CComplex":
@@ -607,72 +633,57 @@ def materialize_ccomplex(model: MatrixModel, f_op=None) -> "ccx.CComplex":
     Index m holds the direct sum over levels of size m; ``f_op(m, n, x)``
     defaults to the geometry connecting map of ``model.g``.  The boundaries
     are the (m, m) components, and the connecting maps the (m, n > m)
-    components, of one levelwise operator of degree shift n - m - 1."""
-    g = model.g
+    components, of one levelwise operator of reach -1."""
     if f_op is None:
-        f_op = lambda m, n, x: op_F(g, m, n, x, use_alt=model.use_alt)
+        f_op = partial(op_F, model.g)
     if not model.span.basis:
         return ccx.CComplex({}, {})
 
     def d_and_f(m, n, x):
         return lev_boundary(x) if n == m else f_op(m, n, x)
 
-    comps = materialize_operator(model, model, d_and_f, -1, "map")
+    comps = materialize_operator(model, model, d_and_f, -1)
     dmax = max(deg for (_, deg) in model.span.basis)
     complexes = {}
-    for m in range(len(g.marks) + 1):
-        levels = _levels_of_size(g.marks, m)
-        dims = {k: sum(model.dim(lvl, k) for lvl in levels)
-                for k in range(dmax + 1)}
+    for m in range(len(model.g.marks) + 1):
+        dims = {k: model.layout(m, k)[1] for k in range(dmax + 1)}
         complexes[m] = ccx.ChainComplex(dims, comps.pop((m, m), {}))
     return ccx.CComplex(complexes, comps)
 
 
-# how far below the diagonal (m, m) the components of each shape reach
-_SHAPE_REACH = {"map": 0, "homotopy": 1, "second": 2}
-
-
 def materialize_operator(src_model: MatrixModel, dst_model: MatrixModel,
-                         op, offset: int, shape: str) -> dict:
-    """Components of a levelwise operator as ccx-style matrices.
+                         op, reach: int) -> dict:
+    """Components of a levelwise operator family as ccx-style matrices.
 
-    ``op(m, n, x)``: level element to level element; ``offset``: the degree
-    shift of the (m, n) component beyond n - m; ``shape``: 'map' for
-    m <= n, 'homotopy' for m <= n + 1."""
-    g_src, g_dst = src_model.g, dst_model.g
-    r = len(g_src.marks)
+    ``op(m, n, x)`` maps a level element to a level element.  ``reach`` is
+    that of ccx.CFamily (0 a map, 1 a homotopy), or -1 for a C-complex's d
+    and F: the (m, n) component, for n >= m - max(reach, 0), takes degree
+    k to k + n - m + reach.  Images are alternated when dst_model
+    alternates, except a C-complex's own boundary images: Alt is a chain
+    map, so those are alternating already."""
+    r = len(src_model.g.marks)
     comps = {}
-    lo_shift = _SHAPE_REACH[shape]
-    src_levels = {m: _levels_of_size(g_src.marks, m) for m in range(r + 1)}
-    dst_levels = {m: _levels_of_size(g_dst.marks, m) for m in range(r + 1)}
-    degrees = sorted({deg for (lvl, deg) in src_model.span.basis})
-    if not degrees:
+    if not src_model.span.basis:
         return comps
-    dmax = max(degrees)
+    dmax = max(deg for (_, deg) in src_model.span.basis)
     for m in range(r + 1):
-        for n in range(max(m - lo_shift, 0), r + 1):
+        for n in range(max(m - max(reach, 0), 0), r + 1):
+            alternate = dst_model.use_alt and (n, reach) != (m, -1)
             per = {}
-            for k in range(0, dmax + 1):
-                kk = k + n - m + offset
-                cols = sum(src_model.dim(lvl, k) for lvl in src_levels[m])
-                rows = sum(dst_model.dim(lvl, kk) for lvl in dst_levels[n])
+            for k in range(dmax + 1):
+                col_off, cols = src_model.layout(m, k)
+                row_off, rows = dst_model.layout(n, k + n - m + reach)
                 if not rows or not cols:
                     continue
                 ent = {}
-                row_off = {}
-                off = 0
-                for lvl in dst_levels[n]:
-                    row_off[lvl] = off
-                    off += dst_model.dim(lvl, kk)
-                col = 0
-                for lvl in src_levels[m]:
+                for lvl, col in col_off.items():
                     for j in range(src_model.dim(lvl, k)):
-                        x = {lvl: src_model.basis_chain(lvl, k, j)}
-                        img = op(m, n, x)
+                        img = op(m, n, {lvl: src_model.basis_chain(lvl, k, j)})
+                        if alternate:
+                            img = lev_alt(img)
                         for lvl2, ch in img.items():
                             for pos, v in dst_model.coords(lvl2, ch).items():
-                                ent[(row_off[lvl2] + pos, col)] = v
-                        col += 1
+                                ent[(row_off[lvl2] + pos, col + j)] = v
                 mat = RatMatrix(rows, cols, ent)
                 if not mat.is_zero():
                     per[k] = mat
@@ -681,17 +692,21 @@ def materialize_operator(src_model: MatrixModel, dst_model: MatrixModel,
     return comps
 
 
-def _op_image_seeds(src_span: Span, op, shape: str, r: int):
+def _op_image_seeds(model: MatrixModel, op, reach: int):
     """Seed cubes for a destination span: every cube of every component
-    image of the span basis under a levelwise operator."""
-    lo_shift = _SHAPE_REACH[shape]
+    image of the model's span cubes under a levelwise operator family of
+    this reach, the images alternated when the model alternates."""
+    r = len(model.g.marks)
     seeds = []
-    for (level, degree), cubes in src_span.items():
+    for (level, degree), cubes in model.span.items():
         m = len(level)
         for cube in cubes:
             x = {level: CubeChain.of(cube)}
-            for n in range(max(m - lo_shift, 0), r + 1):
-                for lvl2, ch in op(m, n, x).items():
+            for n in range(max(m - reach, 0), r + 1):
+                img = op(m, n, x)
+                if model.use_alt:
+                    img = lev_alt(img)
+                for lvl2, ch in img.items():
                     for c2 in ch.terms:
                         seeds.append((lvl2, c2))
     return seeds
@@ -700,32 +715,22 @@ def _op_image_seeds(src_span: Span, op, shape: str, r: int):
 def build_ccomplex(g: GeomView, seeds, use_alt: bool = False):
     """The multi-relative C-complex on the span generated by the seeds,
     materialized as ccx matrices; returns (model, ccomplex)."""
-    span = close_span(g, seeds, sym=use_alt)
-    model = MatrixModel(g, span, use_alt=use_alt)
+    model = closed_model(g, seeds, use_alt)
     return model, materialize_ccomplex(model)
 
 
-def build_pullback(f: MorphView, seeds_dst, use_alt: bool = False,
-                   models=None):
+def build_pullback(f: MorphView, seeds_dst, use_alt: bool = False):
     """The pullback map of C-complexes of a geometry morphism on spans.
 
     ``seeds_dst`` generate the span on the pullback source complex (the
     target geometry of the morphism); returns (model_src_cx, model_dst_cx,
-    ccx.CMap).  Supplying ``models`` (src_model, dst_model) reuses spans.
-    """
-    r = len(f.src.marks)
-    op = (lambda m, n, x: op_pullback(f, m, n, x, use_alt=use_alt))
-    if models is None:
-        span_t = close_span(f.dst, seeds_dst, sym=use_alt)
-        model_t = MatrixModel(f.dst, span_t, use_alt=use_alt)
-        span_x = close_span(f.src, _op_image_seeds(span_t, op, "map", r),
-                            sym=use_alt)
-        model_x = MatrixModel(f.src, span_x, use_alt=use_alt)
-    else:
-        model_t, model_x = models
+    ccx.CMap)."""
+    op = partial(op_pullback, f)
+    model_t = closed_model(f.dst, seeds_dst, use_alt)
+    model_x = closed_model(f.src, _op_image_seeds(model_t, op, 0), use_alt)
     cc_t = materialize_ccomplex(model_t)
     cc_x = materialize_ccomplex(model_x)
-    comps = materialize_operator(model_t, model_x, op, 0, "map")
+    comps = materialize_operator(model_t, model_x, op, 0)
     return model_t, model_x, ccx.CMap(cc_t, cc_x, comps)
 
 
@@ -733,117 +738,86 @@ def build_homotopy(f: MorphView, g: MorphView, seeds_src, use_alt: bool = False)
     """The homotopy from (g f)^* to f^* g^* on spans, with all three
     pullback maps materialized; returns a dict of the pieces."""
     h = MorphView(f.src, g.dst)
-    r = len(f.src.marks)
-    op_g = (lambda m, n, x: op_pullback(g, m, n, x, use_alt=use_alt))
-    op_f = (lambda m, n, x: op_pullback(f, m, n, x, use_alt=use_alt))
-    op_h = (lambda m, n, x: op_pullback(h, m, n, x, use_alt=use_alt))
-    op_phi = (lambda m, n, x: op_homotopy(f, g, m, n, x, use_alt=use_alt))
-    span_s = close_span(g.dst, seeds_src, sym=use_alt)
-    model_s = MatrixModel(g.dst, span_s, use_alt=use_alt)
-    span_t = close_span(f.dst, _op_image_seeds(span_s, op_g, "map", r),
-                        sym=use_alt)
-    model_t = MatrixModel(f.dst, span_t, use_alt=use_alt)
-    seeds_x = _op_image_seeds(span_t, op_f, "map", r)
-    seeds_x += _op_image_seeds(span_s, op_h, "map", r)
-    seeds_x += _op_image_seeds(span_s, op_phi, "homotopy", r)
-    span_x = close_span(f.src, seeds_x, sym=use_alt)
-    model_x = MatrixModel(f.src, span_x, use_alt=use_alt)
+    op_g, op_f, op_h = (partial(op_pullback, v) for v in (g, f, h))
+    op_phi = partial(op_homotopy, f, g)
+    model_s = closed_model(g.dst, seeds_src, use_alt)
+    model_t = closed_model(f.dst, _op_image_seeds(model_s, op_g, 0), use_alt)
+    seeds_x = _op_image_seeds(model_t, op_f, 0)
+    seeds_x += _op_image_seeds(model_s, op_h, 0)
+    seeds_x += _op_image_seeds(model_s, op_phi, 1)
+    model_x = closed_model(f.src, seeds_x, use_alt)
     cc_s = materialize_ccomplex(model_s)
     cc_t = materialize_ccomplex(model_t)
     cc_x = materialize_ccomplex(model_x)
-    gmap = ccx.CMap(cc_s, cc_t, materialize_operator(model_s, model_t, op_g, 0, "map"))
-    fmap = ccx.CMap(cc_t, cc_x, materialize_operator(model_t, model_x, op_f, 0, "map"))
-    hmap = ccx.CMap(cc_s, cc_x, materialize_operator(model_s, model_x, op_h, 0, "map"))
+    gmap = ccx.CMap(cc_s, cc_t, materialize_operator(model_s, model_t, op_g, 0))
+    fmap = ccx.CMap(cc_t, cc_x, materialize_operator(model_t, model_x, op_f, 0))
+    hmap = ccx.CMap(cc_s, cc_x, materialize_operator(model_s, model_x, op_h, 0))
     phi = ccx.CHomotopy(cc_s, cc_x,
-                        materialize_operator(model_s, model_x, op_phi, 1, "homotopy"),
+                        materialize_operator(model_s, model_x, op_phi, 1),
                         frm=hmap, to=ccx.compose(fmap, gmap))
     return {"models": (model_s, model_t, model_x),
             "complexes": (cc_s, cc_t, cc_x),
             "g": gmap, "f": fmap, "h": hmap, "phi": phi}
 
 
+def cone_identification(parts, model_a: MatrixModel, model_b: MatrixModel,
+                        model: MatrixModel, cc, mark: int) -> "ccx.CMap":
+    """The sign-twisted identification of the cone ``parts.ccx`` of a
+    restriction map A -> B with the complex ``cc`` of ``model``: level I of
+    A goes to level I, level I of B to level I | {mark} with sign -1.
+
+    In both callers (check_cor_2_16 and double.build_t) the span of
+    ``model`` is the union of the halves' spans, so a half's basis of a
+    level is the model's basis of its image level, and the identification
+    is a signed permutation read off the layouts."""
+    cone = parts.ccx
+    comps = {}
+    for m in cone.indices():
+        per = {}
+        for k in cone.cx(m).degrees():
+            row_off, rows = model.layout(m, k)
+            da = parts.slots(m, k)[0]
+            halves = [(model_a, m, frozenset(), 0, 1)]
+            if m:  # no level has size -1
+                halves.append((model_b, m - 1, frozenset({mark}), da, -1))
+            ent = {}
+            for half, size, added, shift, sign in halves:
+                for lvl, col in half.layout(size, k)[0].items():
+                    row = row_off[lvl | added]
+                    for i in range(half.dim(lvl, k)):
+                        ent[(row + i, shift + col + i)] = sign
+            per[k] = RatMatrix(rows, cone.cx(m).dim(k), ent)
+        comps[(m, m)] = per
+    return ccx.CMap(cone, cc, comps)
+
+
 def check_cor_2_16(g: GeomView, seeds, use_alt: bool = False) -> dict:
     """The multi-relative complex is the simple complex of the last
     restriction map: after flipping the sign of every level containing the
-    last mark, all boundaries and connecting maps coincide literally."""
+    last mark, all boundaries and connecting maps coincide literally.
+
+    The dimensions are compared first; then the identification
+    ``cone_identification`` must validate as a map of C-complexes."""
     rmark = max(g.marks)
     iota = restriction_morphism(g, rmark)
-    geom_a, geom_b = iota.dst, iota.src
-    span_big = close_span(g, seeds, sym=use_alt)
-    model_big = MatrixModel(g, span_big, use_alt=use_alt)
+    model_big = closed_model(g, seeds, use_alt)
     big = materialize_ccomplex(model_big)
-    # restrict the big span to the two halves so bases literally agree
-    span_a, span_b = Span(), Span()
-    for (level, degree), cubes in span_big.items():
-        if rmark in level:
-            for c in cubes:
-                span_b.add(frozenset(level - {rmark}), c)
-        else:
-            for c in cubes:
-                span_a.add(level, c)
-    model_a = MatrixModel(geom_a, span_a, use_alt=use_alt)
-    model_b = MatrixModel(geom_b, span_b, use_alt=use_alt)
-    cc_a = materialize_ccomplex(model_a)
-    cc_b = materialize_ccomplex(model_b)
-    op = (lambda m, n, x: op_pullback(iota, m, n, x, use_alt=use_alt))
-    fmap = ccx.CMap(cc_a, cc_b, materialize_operator(model_a, model_b, op, 0, "map"))
+    # the two halves of the big model, so that bases literally agree
+    model_a = relabeled_model(iota.dst, [
+        (model_big, lambda lvl: None if rmark in lvl else lvl)])
+    model_b = relabeled_model(iota.src, [
+        (model_big, lambda lvl: lvl - {rmark} if rmark in lvl else None)])
+    fmap = ccx.CMap(materialize_ccomplex(model_a), materialize_ccomplex(model_b),
+                    materialize_operator(model_a, model_b,
+                                         partial(op_pullback, iota), 0))
     parts = ccx.simple(fmap)
     cone = parts.ccx
-    r = len(g.marks)
-    lv_big = {m: _levels_of_size(g.marks, m) for m in range(r + 1)}
-    lv_a = {m: _levels_of_size(geom_a.marks, m) for m in range(r)}
-    lv_b = {m: _levels_of_size(geom_b.marks, m) for m in range(r)}
-
-    def transfer(m, k) -> RatMatrix:
-        """cone C^m_k <- big A^m_k: reorder levels, negate the r-levels."""
-        rows = cone.cx(m).dim(k)
-        cols = big.cx(m).dim(k)
-        ent = {}
-        col = 0
-        a_off = {}
-        off = 0
-        for lvl in lv_a.get(m, []):
-            a_off[lvl] = off
-            off += model_a.dim(lvl, k)
-        b_off = {}
-        off = parts.a_dims.get((m, k), 0)
-        for lvl in lv_b.get(m - 1, []):
-            b_off[lvl] = off
-            off += model_b.dim(lvl, k)
-        for lvl in lv_big[m]:
-            d = model_big.dim(lvl, k)
-            if rmark in lvl:
-                tgt = frozenset(lvl - {rmark})
-                for j in range(d):
-                    ent[(b_off[tgt] + j, col + j)] = Fraction(-1)
-            else:
-                for j in range(d):
-                    ent[(a_off[frozenset(lvl)] + j, col + j)] = Fraction(1)
-            col += d
-        return RatMatrix(rows, cols, ent)
-
-    degrees = sorted({deg for (lvl, deg) in span_big.basis})
-    dmax = max(degrees) if degrees else 0
-    for m in big.indices():
-        for k in range(0, dmax + 1):
+    for m in sorted(set(big.indices()) | set(cone.indices())):
+        for k in sorted(set(big.cx(m).degrees()) | set(cone.cx(m).degrees())):
             if big.cx(m).dim(k) != cone.cx(m).dim(k):
                 return {"ok": False, "at": {"m": m, "degree": k, "what": "dims"}}
-        for k in range(1, dmax + 1):
-            u_k = transfer(m, k)
-            u_prev = transfer(m, k - 1)
-            if u_prev.mul(big.cx(m).d(k)) != cone.cx(m).d(k).mul(u_k):
-                return {"ok": False, "at": {"m": m, "degree": k, "what": "boundary"}}
-    for m in big.indices():
-        for n in big.indices():
-            if m >= n:
-                continue
-            for k in range(0, dmax + 1):
-                u_src = transfer(m, k)
-                u_dst = transfer(n, k + n - m - 1)
-                if u_dst.mul(big.f(m, n, k)) != cone.f(m, n, k).mul(u_src):
-                    return {"ok": False,
-                            "at": {"m": m, "n": n, "degree": k, "what": "fmap"}}
-    return {"ok": True, "indices": big.indices()}
+    return cone_identification(parts, model_a, model_b, model_big, big,
+                               rmark).validate()
 
 
 # -- alternation absorption and the identity pullback --------------------
@@ -892,8 +866,7 @@ def check_identity_pullback_vanishing(g: GeomView, gid: MorphView, K, I,
     return report
 
 
-def check_identity_cmap(g: GeomView, gid: MorphView, x: dict, m: int,
-                        n_max: int) -> dict:
+def check_identity_cmap(gid: MorphView, x: dict, m: int, n_max: int) -> dict:
     """On the alternating complex the identity morphism pulls back to the
     identity: the diagonal components are identities and every off-diagonal
     component vanishes after alternation."""
@@ -910,19 +883,15 @@ def check_identity_cmap(g: GeomView, gid: MorphView, x: dict, m: int,
 
 # -- generator-wise relation checks -------------------------------------
 
-def check_ccomplex_relation(g: GeomView, x: dict, m: int, n_max: int,
-                            use_alt: bool = False) -> dict:
+def check_ccomplex_relation(g: GeomView, x: dict, m: int, n_max: int) -> dict:
     """(-1)^m F^{m,n} d + (-1)^n d F^{m,n} + sum_l F^{l,n} F^{m,l} = 0
     applied to a generator element at index m, for every n <= n_max."""
-    if use_alt:
-        x = lev_alt(x)
     dx = lev_boundary(x)
     for n in range(m + 1, n_max + 1):
-        acc = lev_scale(op_F(g, m, n, dx, use_alt), (-1) ** m) if dx else {}
-        acc = lev_add(acc, lev_scale(lev_boundary(op_F(g, m, n, x, use_alt)),
-                                     (-1) ** n))
+        acc = lev_scale(op_F(g, m, n, dx), (-1) ** m) if dx else {}
+        acc = lev_add(acc, lev_scale(lev_boundary(op_F(g, m, n, x)), (-1) ** n))
         for l in range(m + 1, n):
-            acc = lev_add(acc, op_F(g, l, n, op_F(g, m, l, x, use_alt), use_alt))
+            acc = lev_add(acc, op_F(g, l, n, op_F(g, m, l, x)))
         if not lev_eq(acc, {}):
             return {"ok": False, "at": {"m": m, "n": n},
                     "levels": sorted(tuple(sorted(k)) for k in acc)}
@@ -930,8 +899,7 @@ def check_ccomplex_relation(g: GeomView, x: dict, m: int, n_max: int,
 
 
 def check_relation(op, reach: int, g_in: GeomView, g_out: GeomView, x: dict,
-                   m: int, n_max: int, target=(), compare_alt: bool = False,
-                   use_alt: bool = False) -> dict:
+                   m: int, n_max: int, target=(), compare_alt: bool = False) -> dict:
     """The relation of a family op(m, n, y) of levelwise operators of this
     reach from the C-complex of g_in to that of g_out, applied to a
     generator element x at index m, for every n <= n_max:
@@ -945,13 +913,11 @@ def check_relation(op, reach: int, g_in: GeomView, g_out: GeomView, x: dict,
     states a map, 1 a homotopy and 2 a second homotopy.  Every operator
     vanishes below the diagonal, so (outer inner)^{m,n} sums over
     m <= l <= n.  With compare_alt the two sides are compared after
-    alternation; use_alt alternates x and every F."""
-    if use_alt:
-        x = lev_alt(x)
+    alternation."""
     dx = lev_boundary(x)
     lo = max(m - reach, 0)
     img = {l: op(m, l, x) for l in range(lo, n_max + 1)}
-    f_in = {l: op_F(g_in, m, l, x, use_alt)
+    f_in = {l: op_F(g_in, m, l, x)
             for l in range(m + 1, n_max + reach + 1)}
     # inner^{m,l}(x) per target term; the identity's one component is x
     terms = [(sign, outer, {m: x} if inner is None else
@@ -960,7 +926,7 @@ def check_relation(op, reach: int, g_in: GeomView, g_out: GeomView, x: dict,
     for n in range(lo, n_max + 1):
         left = lev_scale(lev_boundary(img[n]), (-1) ** (n % 2))
         for l in range(lo, n):
-            left = lev_add(left, op_F(g_out, l, n, img[l], use_alt))
+            left = lev_add(left, op_F(g_out, l, n, img[l]))
         right = lev_scale(op(m, n, dx), (-1) ** (m % 2)) if dx else {}
         for l in range(m + 1, n + reach + 1):
             right = lev_add(right, op(l, n, f_in[l]))
@@ -974,20 +940,15 @@ def check_relation(op, reach: int, g_in: GeomView, g_out: GeomView, x: dict,
     return {"ok": True}
 
 
-def check_cmap_relation(f: MorphView, x: dict, m: int, n_max: int,
-                        use_alt: bool = False) -> dict:
+def check_cmap_relation(f: MorphView, x: dict, m: int, n_max: int) -> dict:
     """(-1)^n d f^{m,n} + sum F f = (-1)^m f^{m,n} d + sum f F for the
     pullback map of a geometry morphism, applied to a generator."""
-    return check_relation(partial(op_pullback, f, use_alt=use_alt), 0,
-                          f.dst, f.src, x, m, n_max, use_alt=use_alt)
+    return check_relation(partial(op_pullback, f), 0, f.dst, f.src, x, m, n_max)
 
 
 def check_homotopy_relation(f: MorphView, g: MorphView, h: MorphView, x: dict,
-                            m: int, n_max: int, use_alt: bool = False) -> dict:
+                            m: int, n_max: int) -> dict:
     """The homotopy relation for Phi between h^* and f^* g^* (h = g o f)."""
-    def pull(v):
-        return partial(op_pullback, v, use_alt=use_alt)
-    return check_relation(partial(op_homotopy, f, g, use_alt=use_alt), 1,
-                          g.dst, f.src, x, m, n_max,
-                          [(1, pull(f), pull(g)), (-1, pull(h), None)],
-                          use_alt=use_alt)
+    pull_f, pull_g, pull_h = (partial(op_pullback, v) for v in (f, g, h))
+    return check_relation(partial(op_homotopy, f, g), 1, g.dst, f.src, x, m,
+                          n_max, [(1, pull_f, pull_g), (-1, pull_h, None)])

@@ -107,13 +107,13 @@ def divisions_into(J, npieces, allow_empty=False):
     return out
 
 
-def ordered_divisions(J, allow_empty=False, max_parts=None):
-    """All ordered divisions of J into any number of (nonempty) parts."""
+def ordered_divisions(J, max_parts=None):
+    """All ordered divisions of J into any number of nonempty parts."""
     J = tuple(sorted(J))
     top = max_parts if max_parts is not None else max(len(J), 1)
     out = []
     for l in range(1, top + 1):
-        out.extend(divisions_into(J, l, allow_empty=allow_empty))
+        out.extend(divisions_into(J, l))
     return out
 
 

@@ -203,28 +203,8 @@ def check_bracket_boundary(f_obj: MetObj, slots, pis, x: CubeChain) -> bool:
 def _divisions_optional(K, l: int, optional):
     """Ordered divisions of K into l parts, the parts at the 1-based
     positions in ``optional`` allowed to be empty, all others nonempty."""
-    K = tuple(sorted(K))
-    out = []
-    opts = tuple(sorted(optional))
-    for empty_mask in range(1 << len(opts)):
-        empty = [opts[i] for i in range(len(opts)) if empty_mask >> i & 1]
-        filled = l - len(empty)
-        if filled < 0 or filled > len(K):
-            continue
-        if filled == 0:
-            if not K:
-                out.append(tuple(() for _ in range(l)))
-            continue
-        for div in divisions_into(K, filled):
-            parts = []
-            it = iter(div)
-            for pos in range(1, l + 1):
-                if pos in empty:
-                    parts.append(())
-                else:
-                    parts.append(next(it))
-            out.append(tuple(parts))
-    return out
+    return [parts for parts in divisions_into(K, l, allow_empty=True)
+            if all(p or pos in optional for pos, p in enumerate(parts, 1))]
 
 
 # -- the level operators of the tensor structure ------------------------

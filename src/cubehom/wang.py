@@ -24,19 +24,10 @@ ANTI = "dzb"
 
 def _canon_wedge(gens):
     """Sort generators by index; return (canonical tuple, parity sign)."""
-    gens = list(gens)
     idx = [g[1] for g in gens]
     if len(set(idx)) != len(idx):
         raise ValueError("repeated index in a wedge word")
-    sign = 1
-    # insertion sort, counting transpositions of odd generators
-    for a in range(1, len(gens)):
-        b = a
-        while b > 0 and gens[b - 1][1] > gens[b][1]:
-            gens[b - 1], gens[b] = gens[b], gens[b - 1]
-            sign = -sign
-            b -= 1
-    return tuple(gens), sign
+    return tuple(sorted(gens, key=lambda g: g[1])), perm_sign(idx)
 
 
 class LogForm(FormalSum):
@@ -118,12 +109,6 @@ def bidegree_split(f: LogForm) -> dict:
         p = sum(1 for kind, _ in wedge if kind == HOLO)
         out.setdefault((p, len(wedge) - p), []).append((key, c))
     return {pq: LogForm(terms) for pq, terms in out.items()}
-
-
-def monomial_count_S(r: int, i: int) -> int:
-    """Number of expansion terms of the signed symmetrization (before any
-    collection of equal monomials)."""
-    return factorial(r)
 
 
 def check_conjugation(r_max: int) -> dict:

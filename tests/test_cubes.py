@@ -324,6 +324,26 @@ def test_map_cubes_enforces_its_degree():
             lambda cu: rho(cu, 1), 5)
 
 
+def test_chain_sum_checks_degrees_with_a_zero_side():
+    with pytest.raises(ValueError, match="degree mismatch"):
+        CubeChain.zero(5) + CubeChain.of(rnd_cube(random.Random(1), 1))
+    with pytest.raises(ValueError, match="degree mismatch"):
+        CubeChain.of(rnd_cube(random.Random(1), 1)) + CubeChain.zero(5)
+
+
+def test_cube_constructor_names_a_missing_part():
+    c = rnd_cube(random.Random(2), 2)
+    verts = dict(c.vertices)
+    del verts[(1, 0)]
+    with pytest.raises(ValueError, match=r"missing vertex \(1, 0\)"):
+        ExactCube(2, verts, c.arrows)
+    arrows = dict(c.arrows)
+    del arrows[(2, (0, -1))]
+    with pytest.raises(ValueError, match=r"missing arrow \(2, \(0, -1\)\)"):
+        ExactCube(2, c.vertices, arrows)
+    assert ExactCube(2, c.vertices, c.arrows) == c
+
+
 def _embedding_word(tower):
     g = GeomView(tower, 0)
     levels = [{1, 2, 3}, {2, 3}, {3}, set()]

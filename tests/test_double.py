@@ -6,7 +6,7 @@ import pytest
 from cubehom import ccx
 from cubehom.cubes import CubeChain, ExactCube
 from cubehom.double import (DoubleGeometry, GluedBundle, GluedCube,
-                            VirtualGlued, build_t, i_I_star,
+                            VirtualGlued, build_t, double_spans, i_I_star,
                             inclusion_exclusion_op, iota_j_star, p_j_star,
                             qt_bundle)
 from cubehom.exactlin import MetObj
@@ -145,7 +145,7 @@ def test_build_t_splitting():
     for r in (1, 2, 3):
         geom = DoubleGeometry(r)
         seed = seed_family(rng, geom)
-        out = build_t(geom, [((), seed)], use_alt=True)
+        out = build_t(geom, [((), seed)])
         t, q = out["t"], out["q"]
         assert t.validate()["ok"]
         assert q.validate()["ok"]
@@ -167,3 +167,16 @@ def test_build_t_splitting():
         # higher section components vanish in this strict family model,
         # consistent with being flagged as isometric to degenerate cubes
         assert not [1 for (m, n) in t.comps if m == 0 and n > 0]
+
+
+def test_build_t_glued_spans_are_closed():
+    # each step's complex lives on the union of the two halves' spans; that
+    # union must be closed already, cube for cube and in the same order
+    rng = random.Random(8)
+    for r in (1, 2, 3):
+        geom = DoubleGeometry(r)
+        out = build_t(geom, [((), seed_family(rng, geom))])
+        for j, model in enumerate(out["models"][1:], 1):
+            cubes = [(level, cube) for (level, _), row in model.span.items()
+                     for cube in row]
+            assert double_spans(geom, j, cubes).basis == model.span.basis

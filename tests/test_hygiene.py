@@ -90,3 +90,56 @@ def package_refs():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_definition_is_referenced(path, package_refs):
     assert unreferenced_defs(path.read_text(), package_refs) == []
+
+
+def unread_parameters(source):
+    """(line, function, parameter) for every parameter of an undecorated,
+    non-dunder module-level function or method that its body never reads.
+    A method's own first parameter is exempt, and so is ``_``, the name of
+    a parameter unused on purpose (the ``**_`` of the suite bodies)."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+
+    def scan(fn, is_method):
+        if fn.decorator_list or (fn.name.startswith("__")
+                                 and fn.name.endswith("__")):
+            return
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs \
+            + [p for p in (a.vararg, a.kwarg) if p is not None]
+        read = {node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found.extend((fn.lineno, fn.name, p.arg)
+                     for p in params[1 if is_method else 0:]
+                     if p.arg not in read and p.arg != "_")
+
+    for node in ast.parse(source).body:
+        if isinstance(node, funcs):
+            scan(node, False)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, funcs):
+                    scan(item, True)
+    return sorted(found)
+
+
+def test_scan_finds_an_unread_parameter():
+    source = ("def f(a, b, *rest, c=1, **kw):\n"
+              "    return a + c\n"
+              "def g(x, **_):\n"
+              "    def inner(y):\n"
+              "        return x\n"
+              "    return inner\n"
+              "class Box:\n"
+              "    def __init__(self, unused): pass\n"
+              "    def m(self, v, w):\n"
+              "        w = v\n"
+              "    @staticmethod\n"
+              "    def s(z): pass\n")
+    assert unread_parameters(source) == [
+        (1, "f", "b"), (1, "f", "kw"), (1, "f", "rest"), (9, "m", "w")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []

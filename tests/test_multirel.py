@@ -221,7 +221,7 @@ def test_identity_pullback_is_identity_on_alternating_part():
     gid = MorphView(X0, X1)
     for m, I, deg in [(0, (), 1), (1, (2,), 1)]:
         x = {frozenset(I): CubeChain.of(rnd_cube(rng, deg, with_gram=True))}
-        assert check_identity_cmap(X0, gid, x, m, 2)["ok"]
+        assert check_identity_cmap(gid, x, m, 2)["ok"]
 
 
 def test_restriction_morphism_views():

@@ -214,3 +214,23 @@ def test_flipped_split_sign_fails_xi_boundary_at_every_chain_length(
         for a, L, Lp, s in real(K)])
     for views, x in cases:
         assert not check_xi_boundary(views, K, I, x)
+
+
+def test_unsigned_cone_identification_fails_cor_2_16(monkeypatch):
+    # the cone's B half sits on the levels containing the last mark with
+    # sign -1; the same identification with sign +1 must fail to be a map
+    # of C-complexes, in the plain and in the alternating mode
+    cases = []
+    for r, use_alt in [(2, False), (3, False), (2, True), (3, True)]:
+        _, (g,) = geometry(r, seed=17)
+        seeds = [(frozenset(), rnd_cube(random.Random(14 + r), 1,
+                                        with_gram=True))]
+        assert multirel.check_cor_2_16(g, seeds, use_alt)["ok"]
+        cases.append((g, seeds, use_alt))
+    monkeypatch.setattr(multirel, "cone_identification", _mutant(
+        multirel.cone_identification, "frozenset({mark}), da, -1)",
+        "frozenset({mark}), da, 1)"))
+    for g, seeds, use_alt in cases:
+        rep = multirel.check_cor_2_16(g, seeds, use_alt)
+        assert not rep["ok"]
+        assert set(rep["at"]) == {"m", "n", "degree", "entry", "value"}
