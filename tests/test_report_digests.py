@@ -12,9 +12,16 @@ says why.
 
 import hashlib
 import json
+import random
 
 import pytest
 
+from cubehom import double, multirel
+from cubehom.cubes import ExactCube
+from cubehom.exactlin import MetObj
+from cubehom.multirel import GeomView, MorphView, Tower
+from cubehom.rand import rnd_cube, rnd_gram
+from cubehom.signs import subsets
 from cubehom.suites import run_suite, suite_names
 
 # suite -> (digest at seed 0, digest at seed 1)
@@ -149,3 +156,93 @@ def test_report_digest(name, seed):
     report = run_suite(name, trials=2, seed=seed)
     got = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert got == DIGESTS[name][seed]
+
+
+# -- pinned matrices -------------------------------------------------------
+#
+# Reports carry only ok flags, so a change of basis or coordinates that
+# still validates would not move a digest above.  These pin every matrix
+# that materialize_operator and cone_identification return during a few
+# seeded builds: the SHA-256 of, per call in order, each component's
+# (m, n, degree, shape) and its sorted entries.
+
+def _record_matrices(monkeypatch):
+    calls = []
+
+    def recorder(fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            comps = out.comps if hasattr(out, "comps") else out
+            calls.append(sorted(
+                [m, n, k, mat.rows, mat.cols,
+                 sorted([r, c, str(v)] for (r, c), v in mat.entries.items())]
+                for (m, n), per in comps.items() for k, mat in per.items()))
+            return out
+        return wrapped
+
+    for mod in (multirel, double):
+        for name in ("materialize_operator", "cone_identification"):
+            monkeypatch.setattr(mod, name, recorder(getattr(multirel, name)))
+    return calls
+
+
+def _build(name):
+    rng = random.Random(31)
+    kind, _, mode = name.partition("-")
+    use_alt = mode == "alt"
+    seeds = [(frozenset(), rnd_cube(rng, 1, with_gram=True))]
+    if kind == "ccomplex":
+        g = GeomView(Tower(r=3, seed=41))
+        multirel.build_ccomplex(g, seeds, use_alt=use_alt)
+    elif kind == "homotopy":
+        tower = Tower(r=2, schemes=3, seed=43)
+        vs = [GeomView(tower, s) for s in range(3)]
+        seeds = [(frozenset(), rnd_cube(rng, 0, with_gram=True))]
+        multirel.build_homotopy(MorphView(vs[0], vs[1]),
+                                MorphView(vs[1], vs[2]), seeds,
+                                use_alt=use_alt)
+    elif kind == "pullback":
+        tower = Tower(r=2, schemes=2, seed=47)
+        f = MorphView(GeomView(tower, 0), GeomView(tower, 1))
+        multirel.build_pullback(f, seeds, use_alt=use_alt)
+    elif kind == "cor216":
+        g = GeomView(Tower(r=3, seed=53))
+        assert multirel.check_cor_2_16(g, seeds, use_alt=use_alt)["ok"]
+    else:
+        geom = double.DoubleGeometry(2)
+        base = rnd_cube(rng, 1, max_dim=2, with_gram=True)
+        comps = {}
+        for S in subsets(geom.marks):
+            verts = {a: MetObj(o.dim, rnd_gram(rng, o.dim) if o.dim else None,
+                               check=False)
+                     for a, o in base.vertices.items()}
+            comps[frozenset(S)] = ExactCube(base.n, verts, base.arrows).intern()
+        out = double.build_t(geom, [((), geom.family_cube((), comps))])
+        assert out["t"].validate()["ok"]
+
+
+MATRIX_DIGESTS = {
+    "ccomplex-plain":
+        "a420c6044e7b79fdac65d8ff2495438f1bc33fdbc6b9725671445207c5903305",
+    "ccomplex-alt":
+        "98433ff8056df2022fa3c53f6abf0b83322fae15b21cb28240fb5f8755aa435b",
+    "homotopy-plain":
+        "eb18c123e9bd56441e2188cd27b518b3c3611d50d52b36aa534c752f72b9b47e",
+    "homotopy-alt":
+        "45d5840049f51cd62a0cbfb15ca4bc9f7608965edd0f93ea5046aea8e098648a",
+    "pullback-alt":
+        "36c7de49ad84c7c44689a026261a232ffb24c42bbb14a2e1778076aeadc4bddf",
+    "cor216-alt":
+        "cc8761c6d33e13b9af74ca2c0bdbc4d47625b13e8a5952443079fe460d8868ad",
+    "buildt-alt":
+        "f52daba1ed277f09123efca81e2d581fb54b125c3cfd893a4f11a350bedf2c24",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_DIGESTS))
+def test_materialized_matrix_digest(monkeypatch, name):
+    calls = _record_matrices(monkeypatch)
+    _build(name)
+    assert calls
+    got = hashlib.sha256(json.dumps(calls).encode()).hexdigest()
+    assert got == MATRIX_DIGESTS[name]
