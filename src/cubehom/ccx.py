@@ -66,9 +66,13 @@ class ChainComplex:
         return m
 
     def validate(self):
-        for n in list(self.dims):
-            if not self.d(n).mul(self.d(n + 1)).is_zero():
-                raise ValueError("d^2 != 0 at degree %d" % n)
+        """Structured report: the first nonzero entry of d d, named by its
+        source degree at index (0, 0), or ok."""
+        for checked, n in enumerate(self.dims, 1):
+            dd = self.d(n).mul(self.d(n + 1))
+            if not dd.is_zero():
+                return _witness(checked, 0, 0, n + 1, dd)
+        return {"ok": True, "checked": len(self.dims)}
 
     def homology(self) -> dict:
         degs = self.degrees()
@@ -148,9 +152,12 @@ class CComplex:
         idxs = self.indices()
         if not idxs:
             return {"ok": True, "checked": 0}
-        checked = 0
         for m in idxs:
-            self.cx(m).validate()
+            rep = self.cx(m).validate()
+            if not rep["ok"]:
+                rep["at"].update(m=m, n=m)
+                return rep
+        checked = 0
         lo, hi = min(idxs), max(idxs)
         for m in range(lo, hi + 1):
             for n in range(m + 1, hi + 1):

@@ -627,34 +627,6 @@ def is_short_exact(s: ShortExact) -> bool:
     return r_inj + r_surj == s.mid.dim
 
 
-def homology_dims(boundaries, n_min: int, n_max: int):
-    """Homology dimensions of a chain complex given by boundary matrices.
-
-    ``boundaries[n]`` is the map C_n -> C_{n-1} for n_min < n <= n_max
-    (a dict keyed by degree).  Degrees outside carry the zero map.
-    Raises ValueError if consecutive boundaries do not compose to zero.
-    """
-    dims = {}
-    for n in range(n_min, n_max + 1):
-        up = boundaries.get(n + 1)
-        dn = boundaries.get(n)
-        if dn is not None:
-            cn = dn.cols
-        elif up is not None:
-            cn = up.rows
-        else:
-            continue
-        if up is not None and dn is not None:
-            if dn.cols != up.rows:
-                raise ValueError("boundary shapes disagree at degree %d" % n)
-            if not dn.mul(up).is_zero():
-                raise ValueError("boundaries do not compose to zero at degree %d" % n)
-        r_dn = rank(dn) if dn is not None else 0
-        r_up = rank(up) if up is not None else 0
-        dims[n] = (cn - r_dn) - r_up
-    return dims
-
-
 def induced_homology_rank(f: RatMatrix, dn_src: Optional[RatMatrix],
                           up_dst: Optional[RatMatrix]) -> int:
     """Rank of the map induced on homology by a chain map component f.

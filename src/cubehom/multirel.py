@@ -5,10 +5,9 @@ base category for every subset I of {1..r}, together with a pullback
 functor for every containment and every morphism of geometries.  Pullback
 functors are assigned per morphism *class* (source and target level), so
 differently grouped composites of embeddings give genuinely different
-objects, while every connecting arrow stays an identity matrix.  In the
-scalar mode each class tensors by a one-dimensional object whose metric is
-the square of a rational, which keeps all those arrows certified
-isometries; the identity mode makes every class the identity functor.
+objects, while every connecting arrow stays an identity matrix.  Each
+class tensors by a one-dimensional object whose metric is the square of a
+rational, which keeps all those arrows certified isometries.
 
 On top of the geometries this module builds the signed pullback operators
 (the Xi family), the induced C-complex structure with its pullback maps
@@ -28,7 +27,7 @@ from itertools import (combinations, combinations_with_replacement, islice,
 from . import ccx
 from .cubes import (CubeChain, ExactCube, ExactFunctor, act_sym, alt,
                     boundary, composite_pullback, transposition)
-from .exactlin import MetObj, RatMatrix, rref, times
+from .exactlin import MetObj, RatMatrix, times
 from .signs import perm_sign, sgn_division
 
 
@@ -44,14 +43,10 @@ class Tower:
     metric twist determined by the canonical (member, level) endpoints.
     """
 
-    def __init__(self, r: int, schemes: int = 1, seed: int = 0,
-                 mode: str = "scalar", alias=None):
-        if mode not in ("scalar", "identity"):
-            raise ValueError("mode must be 'scalar' or 'identity'")
+    def __init__(self, r: int, schemes: int = 1, seed: int = 0, alias=None):
         self.r = r
         self.schemes = schemes
         self.seed = seed
-        self.mode = mode
         self.alias = list(alias) if alias is not None else list(range(schemes))
         if len(self.alias) != schemes or any(self.alias[s] > s for s in range(schemes)):
             raise ValueError("alias must point backwards")
@@ -76,7 +71,7 @@ class Tower:
     def functor_for(self, src_node: tuple, dst_node: tuple) -> ExactFunctor:
         a = (self.alias[src_node[0]] if src_node[0] >= 0 else -1, src_node[1])
         b = (self.alias[dst_node[0]] if dst_node[0] >= 0 else -1, dst_node[1])
-        if a == b or self.mode == "identity":
+        if a == b:
             return ExactFunctor.identity()
         key = (a, b)
         f = self._functors.get(key)
@@ -99,15 +94,18 @@ class Tower:
 
 
 def tower_to_json(t: Tower) -> dict:
-    """Geometry descriptor: size, member count, alias chain, mode, seed."""
+    """Geometry descriptor: size, member count, alias chain, seed."""
     return {"r": t.r, "schemes": t.schemes, "seed": t.seed,
-            "mode": t.mode, "alias": list(t.alias)}
+            "alias": list(t.alias)}
 
 
 def tower_from_json(obj) -> Tower:
+    """The tower of a descriptor.  Older descriptors carry a ``mode``;
+    one other than "scalar" raises rather than being read as scalar."""
+    if obj.get("mode", "scalar") != "scalar":
+        raise ValueError("unsupported tower mode %r" % (obj["mode"],))
     return Tower(r=int(obj["r"]), schemes=int(obj["schemes"]),
-                 seed=int(obj["seed"]), mode=obj["mode"],
-                 alias=obj.get("alias"))
+                 seed=int(obj["seed"]), alias=obj.get("alias"))
 
 
 class MorphismClass:
@@ -481,66 +479,48 @@ def close_span_generic(seeds, expand, sym: bool) -> Span:
     return span
 
 
-def _chain_coords(span: Span, level, chain: CubeChain):
-    """Coordinates of a chain in the span basis; raises if not contained."""
-    idx = span.index.get((frozenset(level), chain.degree), {})
-    out = {}
-    for cube, c in chain.terms.items():
-        pos = idx.get(cube)
-        if pos is None:
-            raise ValueError("chain leaves the generated span")
-        out[pos] = c
-    return out
-
-
-def _alt_projector(span: Span, level, degree) -> RatMatrix:
-    cubes = span.cubes(level, degree)
-    ent = {}
-    for col, cube in enumerate(cubes):
-        img = alt(CubeChain.of(cube))
-        for pos, v in _chain_coords(span, level, img).items():
-            ent[(pos, col)] = v
-    return RatMatrix(len(cubes), len(cubes), ent)
-
-
 class MatrixModel:
     """A multi-relative C-complex materialized as matrices on a span.
 
-    In the alternating mode the chain groups are the images of the
-    alternation projectors, with bases chosen among the projected span
-    cubes; operators are expressed in those bases exactly.  ``g`` only
-    needs ``marks`` and ``extra`` attributes.
+    Every (level, degree) of the span has a list of basis chains, and every
+    span cube in a basis chain has its position in that list.  On a plain
+    span the basis chains are the span cubes, in span order.  In the
+    alternating mode they are Alt of the first cube, in span order, of
+    each symmetric-group orbit that Alt does not kill: Alt(sigma F) =
+    sgn(sigma) Alt(F) and distinct orbits have disjoint supports, so these
+    chains are a basis of the alternating chains on the span, and such a
+    chain with coefficient y_G at a cube G has coordinate y_G / a_G, for
+    a_G the coefficient of G in its basis chain.  ``g`` only needs
+    ``marks`` and ``extra`` attributes.
     """
 
     def __init__(self, g, span: Span, use_alt: bool):
         self.g = g
         self.span = span
         self.use_alt = use_alt
-        self._alt_basis = {}
         self._layouts = {}
-        if use_alt:
-            self._build_alt_bases()
+        self._bases = {}
+        for key, cubes in span.items():
+            place, chains = {}, []
+            for cube in cubes:
+                if cube in place:
+                    continue
+                chain = CubeChain.of(cube)
+                if use_alt:
+                    chain = alt(chain)
+                if not chain.terms.keys() <= span.index[key].keys():
+                    raise ValueError("span not closed under the symmetric action")
+                for other in chain.terms:
+                    place[other] = len(chains)
+                if chain.terms:
+                    chains.append(chain)
+            self._bases[key] = (place, chains)
 
-    def _build_alt_bases(self):
-        # Alt is idempotent on a closed span, so every column j of proj is
-        # sum_r red[r][j] * proj[:, pivots[r]]; hence y in im(proj) has
-        # coordinates red @ y in the pivot-column basis.
-        for (level, degree), cubes in self.span.items():
-            proj = _alt_projector(self.span, level, degree)
-            red, pivots = rref(proj)
-            slot = {j: jj for jj, j in enumerate(pivots)}
-            ent = {(r, slot[j]): v for (r, j), v in proj.entries.items()
-                   if j in slot}
-            reduced = [[(c, v) for c, v in enumerate(row) if v != 0]
-                       for row in red[:len(pivots)]]
-            self._alt_basis[(level, degree)] = (
-                list(pivots), RatMatrix(proj.rows, len(pivots), ent), reduced)
+    def _chains(self, level, degree) -> list:
+        return self._bases.get((frozenset(level), degree), ({}, []))[1]
 
     def dim(self, level, degree) -> int:
-        if self.use_alt:
-            got = self._alt_basis.get((frozenset(level), degree))
-            return len(got[0]) if got else 0
-        return len(self.span.cubes(level, degree))
+        return len(self._chains(level, degree))
 
     def layout(self, m: int, k: int):
         """(offsets, dim) of the index-m chain group in degree k: the
@@ -557,42 +537,38 @@ class MatrixModel:
         return got
 
     def coords(self, level, chain: CubeChain):
-        """Coordinates in the stored basis (alternating basis if set)."""
-        if not self.use_alt:
-            return _chain_coords(self.span, level, chain)
-        got = self._alt_basis.get((frozenset(level), chain.degree))
-        if not got:
-            if chain.is_zero():
-                return {}
-            raise ValueError("chain leaves the generated span")
-        _, mat, reduced = got
-        y = _chain_coords(self.span, level, chain)
+        """Coordinates of a chain in the basis of its level and degree;
+        raises unless the chain lies in the span of the basis chains."""
+        key = (frozenset(level), chain.degree)
+        place, chains = self._bases.get(key, ({}, []))
         x = {}
-        for p, row in enumerate(reduced):
-            v = sum(w * y[c] for c, w in row if c in y)
-            if v:
-                x[p] = v
-        back = {}
-        for (r, p), v in mat.entries.items():
-            if p in x:
-                back[r] = back.get(r, 0) + v * x[p]
-        if {r: v for r, v in back.items() if v} != y:
+        for cube, c in chain.terms.items():
+            pos = place.get(cube)
+            if pos is None:
+                if cube not in self.span.index.get(key, ()):
+                    raise ValueError("chain leaves the generated span")
+                raise ValueError("chain not in the alternating subspace")
+            # a is 1 or an Alt coefficient, a Fraction: c / a is exact
+            a = chains[pos].terms[cube]
+            v = c if a == 1 else c / a
+            # every cube of one basis chain must give the same ratio
+            w = x.setdefault(pos, v)
+            if w is not v and w != v:
+                raise ValueError("chain not in the alternating subspace")
+        # no cube of a basis chain that the chain meets may be missing
+        if sum([len(chains[pos].terms) for pos in x]) != len(chain.terms):
             raise ValueError("chain not in the alternating subspace")
         return x
 
     def basis_chain(self, level, degree, pos) -> CubeChain:
-        cubes = self.span.cubes(level, degree)
-        if not self.use_alt:
-            return CubeChain.of(cubes[pos])
-        cols = self._alt_basis[(frozenset(level), degree)][0]
-        return alt(CubeChain.of(cubes[cols[pos]]))
+        return self._chains(level, degree)[pos]
 
 
 def closed_model(g: GeomView, seeds, use_alt: bool = False) -> MatrixModel:
     """The matrix model on the span of the seed cubes closed under faces and
     all embedding pullbacks of g, and in the alternating mode also under
-    the axis action of the symmetric groups, which the alternation
-    projectors need."""
+    the axis action of the symmetric groups, which the orbit bases
+    need."""
     def expand(level, cube):
         out = []
         others = [k for k in g.marks if k not in level]
@@ -611,20 +587,15 @@ def closed_model(g: GeomView, seeds, use_alt: bool = False) -> MatrixModel:
 def relabeled_model(g, parts) -> MatrixModel:
     """The model of g on the levels of other models: ``parts`` lists
     (model, move) pairs, move(level) naming the level of g that a level of
-    that model becomes, or None to leave it out.  A level's alternating
-    basis depends on its cubes only, so it is reused, not recomputed."""
-    use_alt = parts[0][0].use_alt
-    model = MatrixModel(g, Span(), use_alt)
+    that model becomes, or None to leave it out."""
+    span = Span()
     for src, move in parts:
-        for (level, degree), cubes in src.span.items():
+        for (level, _), cubes in src.span.items():
             new = move(level)
-            if new is None:
-                continue
-            for cube in cubes:
-                model.span.add(new, cube)
-            if use_alt:
-                model._alt_basis[(new, degree)] = src._alt_basis[(level, degree)]
-    return model
+            if new is not None:
+                for cube in cubes:
+                    span.add(new, cube)
+    return MatrixModel(g, span, parts[0][0].use_alt)
 
 
 def materialize_ccomplex(model: MatrixModel, f_op=None) -> "ccx.CComplex":

@@ -315,12 +315,7 @@ def _run_multidiv(rng, r, **_):
 def _run_ccx(rng, trials, **_):
     for t in range(trials):
         a = rand.rnd_ccomplex(rng)
-        ok = a.validate()["ok"]
-        tot = a.tot()
-        try:
-            tot.validate()
-        except ValueError:
-            ok = False
+        ok = a.validate()["ok"] and a.tot().validate()["ok"]
         b = rand.rnd_ccomplex(rng)
         f = rand.rnd_cmap(rng, a, b)
         ok = ok and f.validate()["ok"]
@@ -443,11 +438,7 @@ def _run_diagram(rng, trials, **_):
         f1 = _rnd_chain_map(rng, a1, b1)
         f2 = _rnd_chain_map(rng, a2, b2)
         sd = ccx.diagram_simple(a1, b1, a2, b2, f1, g1, f2)
-        try:
-            sd.validate()
-            ok = True
-        except ValueError:
-            ok = False
+        ok = sd.validate()["ok"]
         rep = ccx.diagram_les_check(a1, b1, a2, b2, f1, g1, f2, (1, 2))
         ok = ok and rep["ok"]
         yield "diagram.%03d" % t, ok, None if ok else rep
@@ -470,7 +461,7 @@ def _rnd_chain_map(rng, src, dst):
 # -- multi-relative geometry -----------------------------------------------
 
 def _tower_chain(r, schemes, seed):
-    tower = Tower(r=r, schemes=schemes, seed=seed, mode="scalar")
+    tower = Tower(r=r, schemes=schemes, seed=seed)
     return [GeomView(tower, s) for s in range(schemes)]
 
 
@@ -540,11 +531,7 @@ def _run_mr_ccomplex(rng, trials, r, seed, **_):
         if t % 5 == 0:
             model, cc = build_ccomplex(
                 g, [(frozenset(), rand.rnd_cube(rng, 1, with_gram=True))])
-            ok = ok and cc.validate()["ok"]
-            try:
-                cc.tot().validate()
-            except ValueError:
-                ok = False
+            ok = ok and cc.validate()["ok"] and cc.tot().validate()["ok"]
         yield "ccomplex.%03d" % t, ok
 
 
@@ -661,8 +648,7 @@ def _run_cor216(rng, trials, r, seed, **_):
 def _run_prop220(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
-        tower = Tower(r=rr, schemes=2, seed=seed * 1000 + t, mode="scalar",
-                      alias=[0, 0])
+        tower = Tower(r=rr, schemes=2, seed=seed * 1000 + t, alias=[0, 0])
         X0, X1 = GeomView(tower, 0), GeomView(tower, 1)
         gid = MorphView(X0, X1)
         I = _rnd_level(rng, rr, maxsize=rr - 1)
@@ -793,8 +779,7 @@ def _run_prop95(rng, trials, r, seed, **_):
 def _run_prop96(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, min(2, r))
-        tower = Tower(r=rr, schemes=3, seed=seed * 1000 + t, mode="scalar",
-                      alias=[0, 1, 0])
+        tower = Tower(r=rr, schemes=3, seed=seed * 1000 + t, alias=[0, 1, 0])
         X0, T1, X2 = (GeomView(tower, 0), GeomView(tower, 1),
                       GeomView(tower, 2))
         f, g = MorphView(X0, T1), MorphView(T1, X2)

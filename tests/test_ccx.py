@@ -33,6 +33,28 @@ def test_validate_reports_violation_with_witness():
     assert "entry" in rep["at"]
 
 
+def test_homology_of_identity_and_zero_complexes():
+    ident = ChainComplex({0: 1, 1: 1}, {1: RatMatrix.identity(1)})
+    assert ident.validate()["ok"]
+    assert ident.homology() == {0: 0, 1: 0}
+    zero = ChainComplex({0: 2, 1: 3, 2: 1},
+                        {1: RatMatrix.zero(2, 3), 2: RatMatrix.zero(3, 1)})
+    assert zero.validate()["ok"]
+    assert zero.homology() == {0: 2, 1: 3, 2: 1}
+
+
+def test_validate_reports_a_nonzero_square_of_d():
+    one = RatMatrix.from_rows([[1]])
+    cx = ChainComplex({0: 1, 1: 1, 2: 1}, {1: one, 2: one})
+    rep = cx.validate()
+    assert rep == {"ok": False, "checked": 2,
+                   "at": {"m": 0, "n": 0, "degree": 2, "entry": [0, 0],
+                          "value": "1"}}
+    shifted = CComplex({0: ChainComplex({0: 1}, {}), 3: cx}, {})
+    assert shifted.validate() == dict(rep, at=dict(rep["at"], m=3, n=3))
+    assert CComplex({0: cx}, {}).validate() == rep
+
+
 def test_tot_of_lone_complex():
     rng = random.Random(1)
     c = rnd_chain_complex(rng)
@@ -47,7 +69,7 @@ def test_tot_squares_to_zero():
     for _ in range(15):
         a = rnd_ccomplex(rng)
         assert a.validate()["ok"]
-        a.tot().validate()
+        assert a.tot().validate()["ok"]
 
 
 def test_shift_roundtrip_and_tot():
@@ -237,7 +259,7 @@ def test_diagram_simple_boundary_and_les():
         f1 = _chain_map(rng, a1, b1)
         f2 = _chain_map(rng, a2, b2)
         sd = diagram_simple(a1, b1, a2, b2, f1, g1, f2)
-        sd.validate()
+        assert sd.validate()["ok"]
         rep = diagram_les_check(a1, b1, a2, b2, f1, g1, f2, (1, 2))
         assert rep["ok"], rep
 
@@ -249,7 +271,7 @@ def test_diagram_identity_case_dimension_count():
     a1 = rnd_chain_complex(rng, degs=(0, 3))
     b2 = rnd_chain_complex(rng, degs=(0, 3))
     sd = diagram_simple(a1, a, a, b2, {}, ident, {})
-    sd.validate()
+    assert sd.validate()["ok"]
     # the cone over an identity collapses: homology is H(A1) + H(B2)[-1]
     h = sd.homology()
     ha1 = a1.homology()

@@ -5,9 +5,8 @@ import pytest
 
 from cubehom.cubes import one_cube
 from cubehom.exactlin import (MetObj, RatMatrix, ShortExact, ZERO_OBJ,
-                              homology_dims, is_short_exact, kernel_basis,
-                              rank, rat_str, rref, solve, tensor_map,
-                              tensor_obj)
+                              is_short_exact, kernel_basis, rank, rat_str,
+                              rref, solve, tensor_map, tensor_obj)
 from helpers import rnd_chain_complex, rnd_gram, rnd_matrix, rnd_one_cube
 
 
@@ -43,19 +42,6 @@ def test_kernel_vectors_annihilate():
         assert len(basis) == m.cols - rank(m)
         for v in basis:
             assert m.mul(v).is_zero()
-
-
-def test_homology_dims_trivial():
-    ident = {1: RatMatrix.identity(1)}
-    assert homology_dims(ident, 0, 1) == {0: 0, 1: 0}
-    zero = {1: RatMatrix.zero(2, 3), 2: RatMatrix.zero(3, 1)}
-    assert homology_dims(zero, 0, 2) == {0: 2, 1: 3, 2: 1}
-
-
-def test_homology_dims_rejects_nonzero_square():
-    bad = {1: M([[1]]), 2: M([[1]])}
-    with pytest.raises(ValueError):
-        homology_dims(bad, 0, 2)
 
 
 def test_homology_matches_dense_oracle():

@@ -11,7 +11,7 @@ from helpers import rnd_cube
 
 
 def geometry(r, seed=19, schemes=1):
-    tower = Tower(r=r, schemes=schemes, seed=seed, mode="scalar")
+    tower = Tower(r=r, schemes=schemes, seed=seed)
     return tower, [GeomView(tower, s) for s in range(schemes)]
 
 
@@ -60,7 +60,7 @@ def test_connecting_terms_vanish_under_the_rule():
 
 def test_vanishing_consistency_on_flagged_cubes():
     rng = random.Random(3)
-    tower = Tower(r=2, schemes=2, seed=23, mode="scalar")
+    tower = Tower(r=2, schemes=2, seed=23)
     g0, g1 = GeomView(tower, 0), GeomView(tower, 1)
     f = MorphView(g0, g1)
     target = FormalTarget(g0)

@@ -19,7 +19,7 @@ from helpers import rnd_cube, rnd_gram
 
 
 def geometry(r, seed=5, schemes=1, alias=None):
-    tower = Tower(r=r, schemes=schemes, seed=seed, mode="scalar", alias=alias)
+    tower = Tower(r=r, schemes=schemes, seed=seed, alias=alias)
     return tower, [GeomView(tower, s) for s in range(schemes)]
 
 
@@ -141,7 +141,7 @@ def test_materialized_ccomplex_validates():
             g, [(frozenset(), rnd_cube(rng, 1, with_gram=True))],
             use_alt=use_alt)
         assert cc.validate()["ok"]
-        cc.tot().validate()
+        assert cc.tot().validate()["ok"]
 
 
 def test_materialized_pullback_validates():
@@ -320,17 +320,28 @@ def _alt_models(monkeypatch, suite, **params):
     from cubehom import suites
     from cubehom.multirel import MatrixModel
     models = []
-    build = MatrixModel._build_alt_bases
+    init = MatrixModel.__init__
 
-    def record(self):
-        build(self)
-        models.append(self)
+    def record(self, g, span, use_alt):
+        init(self, g, span, use_alt)
+        if use_alt:
+            models.append(self)
 
-    monkeypatch.setattr(MatrixModel, "_build_alt_bases", record)
+    monkeypatch.setattr(MatrixModel, "__init__", record)
     rep = suites.run_suite(suite, trials=1, **params)
     assert rep["ok"]
     assert models
     return models
+
+
+def _alt_projector(span, level, degree):
+    """The matrix of Alt on the span cubes of one level and degree."""
+    idx = span.index[(level, degree)]
+    ent = {}
+    for col, cube in enumerate(span.cubes(level, degree)):
+        for other, v in alt(CubeChain.of(cube)).terms.items():
+            ent[(idx[other], col)] = v
+    return RatMatrix(len(idx), len(idx), ent)
 
 
 @pytest.mark.parametrize("suite,params", [
@@ -338,32 +349,74 @@ def _alt_models(monkeypatch, suite, **params):
     ("multirel.cone-identification", {"r": 3, "seed": 0}),
 ])
 def test_alt_coords_match_solve_on_suite_spans(monkeypatch, suite, params):
-    from cubehom.exactlin import solve
-    from cubehom.multirel import _alt_projector, _chain_coords
+    # reference: the basis is the pivot columns of the Alt projector, and
+    # coordinates solve against them
+    from cubehom.exactlin import rref, solve
     rng = random.Random(7)
-    not_alt = 0
+    not_alt = perturbed = 0
+    not_in_alt = "chain not in the alternating subspace"
     for model in _alt_models(monkeypatch, suite, **params):
         for (level, degree), cubes in model.span.items():
+            idx = model.span.index[(level, degree)]
             proj = _alt_projector(model.span, level, degree)
             assert proj @ proj == proj
-            cols, mat, _ = model._alt_basis[(level, degree)]
+            _, pivots = rref(proj)
+            dim = model.dim(level, degree)
+            assert [model.basis_chain(level, degree, p) for p in range(dim)] \
+                == [alt(CubeChain.of(cubes[j])) for j in pivots]
+            slot = {j: p for p, j in enumerate(pivots)}
+            mat = RatMatrix(proj.rows, dim, {(r, slot[j]): v for (r, j), v
+                                             in proj.entries.items()
+                                             if j in slot})
             for _ in range(3):
                 coeffs = {p: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                          for p in range(len(cols))}
+                          for p in range(dim)}
                 chain = CubeChain.zero(degree)
                 for p, c in coeffs.items():
                     chain = chain + model.basis_chain(level, degree, p).scale(c)
                 got = model.coords(level, chain)
-                rhs = {(pos, 0): v for pos, v in
-                       _chain_coords(model.span, level, chain).items()}
+                rhs = {(idx[cube], 0): v for cube, v in chain.terms.items()}
                 want = solve(mat, RatMatrix(mat.rows, 1, rhs))
                 assert got == {p: v for (p, _), v in want.entries.items()}
                 assert got == {p: c for p, c in coeffs.items() if c}
             for cube in cubes:
                 single = CubeChain.of(cube)
-                if alt(single) != single:
-                    not_alt += 1
-                    with pytest.raises(ValueError,
-                                       match="chain not in the alternating"):
-                        model.coords(level, single)
-    assert not_alt
+                orbit = alt(single)
+                if orbit == single:
+                    continue
+                not_alt += 1
+                bad = [single]
+                if len(orbit.terms) > 1:
+                    perturbed += 1
+                    bad.append(orbit + CubeChain.of(cube, Fraction(1, 7)))
+                for chain in bad:
+                    with pytest.raises(ValueError, match=not_in_alt):
+                        model.coords(level, chain)
+    assert not_alt and perturbed
+
+
+def test_alt_coords_reject_a_cube_that_alt_kills():
+    # the interior identity-insert two-cube is transposition-invariant, so
+    # its orbit has no alternating chain
+    from cubehom.multirel import MatrixModel, close_span_generic
+    rng = random.Random(16)
+    _, (X0, X1) = geometry(3, seed=3, schemes=2, alias=[0, 0])
+    cube = rnd_cube(rng, 0, with_gram=True)
+    wc = identity_word_cube(X0, (1, 2), (), 1, cube, MorphView(X0, X1))
+    span = close_span_generic([(frozenset(), wc)], lambda lvl, cu: [],
+                              sym=True)
+    assert span.cubes(frozenset(), 2) == [wc]
+    model = MatrixModel(X0, span, use_alt=True)
+    assert model.dim(frozenset(), 2) == 0
+    with pytest.raises(ValueError, match="chain not in the alternating"):
+        model.coords(frozenset(), CubeChain.of(wc))
+    with pytest.raises(ValueError, match="chain leaves the generated span"):
+        model.coords(frozenset(), CubeChain.of(
+            identity_word_cube(X0, (1, 3), (), 1, cube, MorphView(X0, X1))))
+    # an alternating model needs every orbit member in its span
+    square = rnd_cube(rng, 2, with_gram=True)
+    assert alt(CubeChain.of(square)) != CubeChain.of(square)
+    bare = close_span_generic([(frozenset(), square)], lambda lvl, cu: [],
+                              sym=False)
+    with pytest.raises(ValueError, match="not closed under the symmetric"):
+        MatrixModel(X0, bare, use_alt=True)

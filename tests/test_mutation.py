@@ -21,7 +21,7 @@ from cubehom.exactlin import MetObj
 
 
 def geometry(r, seed=5, schemes=1):
-    tower = Tower(r=r, schemes=schemes, seed=seed, mode="scalar")
+    tower = Tower(r=r, schemes=schemes, seed=seed)
     return tower, [GeomView(tower, s) for s in range(schemes)]
 
 
@@ -100,7 +100,7 @@ def test_wrong_division_sign_fails_ccomplex_relation(monkeypatch):
 
 def test_missing_alternation_fails_identity_pullback():
     rng = random.Random(4)
-    tower = Tower(r=2, schemes=2, seed=3, mode="scalar", alias=[0, 0])
+    tower = Tower(r=2, schemes=2, seed=3, alias=[0, 0])
     X0, X1 = GeomView(tower, 0), GeomView(tower, 1)
     gid = MorphView(X0, X1)
     x = {frozenset(): CubeChain.of(rnd_cube(rng, 1, with_gram=True))}

@@ -1,6 +1,8 @@
 import json
 import random
 
+import pytest
+
 from cubehom.ccx import ccomplex_from_json, ccomplex_to_json
 from cubehom.cubes import cube_from_json, cube_to_json
 from cubehom.double import GluedBundle, bundle_from_json, bundle_to_json
@@ -38,7 +40,7 @@ def test_ccomplex_json_roundtrip():
 
 def test_tower_json_roundtrip():
     rng = random.Random(2)
-    t = Tower(r=3, schemes=3, seed=11, mode="scalar", alias=[0, 1, 0])
+    t = Tower(r=3, schemes=3, seed=11, alias=[0, 1, 0])
     t2 = tower_from_json(roundtrip(tower_to_json(t)))
     obj = MetObj(2, rnd_gram(rng, 2), check=False)
     for src, dst in [((0, frozenset({1, 2})), (1, frozenset({1}))),
@@ -46,9 +48,14 @@ def test_tower_json_roundtrip():
         f1 = t.cls(src[0], src[1], dst[0], dst[1]).functor()
         f2 = t2.cls(src[0], src[1], dst[0], dst[1]).functor()
         assert f1.on_obj(obj) == f2.on_obj(obj)
-    # identity-mode towers serialize too
-    ti = tower_from_json(roundtrip(tower_to_json(Tower(r=2, mode="identity"))))
-    assert ti.cls(0, {1}, 0, set()).functor().on_obj(obj) == obj
+
+
+def test_tower_json_rejects_a_mode_other_than_scalar():
+    obj = tower_to_json(Tower(r=2, seed=4))
+    assert "mode" not in obj
+    assert tower_to_json(tower_from_json(dict(obj, mode="scalar"))) == obj
+    with pytest.raises(ValueError, match="mode"):
+        tower_from_json(dict(obj, mode="identity"))
 
 
 def test_bundle_json_roundtrip():

@@ -16,7 +16,7 @@ from helpers import rnd_cube, rnd_gram
 
 
 def geometry(r, seed=9, schemes=1, alias=None):
-    tower = Tower(r=r, schemes=schemes, seed=seed, mode="scalar", alias=alias)
+    tower = Tower(r=r, schemes=schemes, seed=seed, alias=alias)
     return tower, [GeomView(tower, s) for s in range(schemes)]
 
 
@@ -142,7 +142,7 @@ def test_phi_s_equals_tensor():
 def test_second_homotopy_relation():
     rng = random.Random(8)
     for r in (1, 2):
-        tower = Tower(r=r, schemes=3, seed=11, mode="scalar", alias=[0, 1, 0])
+        tower = Tower(r=r, schemes=3, seed=11, alias=[0, 1, 0])
         X0, T1, X2 = (GeomView(tower, 0), GeomView(tower, 1),
                       GeomView(tower, 2))
         f, g = MorphView(X0, T1), MorphView(T1, X2)
