@@ -190,51 +190,16 @@ class CComplex:
         return out
 
     def tot(self) -> ChainComplex:
-        degs = set()
-        for m in self.indices():
-            for k in self.cx(m).degrees():
-                degs.add(k - m)
-        if not degs:
-            return ChainComplex({}, {})
-        dims = {}
-        basis = {}
-        for p in range(min(degs), max(degs) + 1):
-            b = self.tot_basis(p)
-            basis[p] = {mi: j for j, mi in enumerate(b)}
-            dims[p] = len(b)
-        bnd = {}
-        for p in sorted(dims):
-            if p - 1 not in dims:
-                if dims.get(p):
-                    bnd[p] = RatMatrix(0, dims[p])
-                continue
-            ent = {}
-            tgt = basis[p - 1]
-            src = basis[p]
-            idxs = self.indices()
-            for m in idxs:
-                # (-1)^m d within A^m, then F^{m,n} into each later slot n;
-                # each block's entries are bucketed by source column once
-                sign = -1 if m % 2 else 1
-                own = {}
-                for (r, c), v in self.cx(m).d(m + p).entries.items():
-                    own.setdefault(c, []).append((tgt[(m, r)], v * sign))
-                blocks = [own]
-                for n in idxs:
-                    if n > m:
-                        by_col = {}
-                        for (r, c), v in self.f(m, n, m + p).entries.items():
-                            by_col.setdefault(c, []).append((tgt[(n, r)], v))
-                        blocks.append(by_col)
-                for i in range(self.cx(m).dim(m + p)):
-                    col = src[(m, i)]
-                    for by_col in blocks:
-                        for t, v in by_col.get(i, ()):
-                            key = (t, col)
-                            ent[key] = ent.get(key, 0) + v
-            bnd[p] = RatMatrix(dims[p - 1], dims[p],
-                               {k: v for k, v in ent.items() if v})
-        return ChainComplex(dims, bnd)
+        """Tot_p = (+)_m A^m_{m+p}, in the order of ``tot_basis``, with the
+        blocks (-1)^m d on A^m and F^{m,n} from A^m to A^n."""
+        idxs = self.indices()
+        blocks = []
+        for i, m in enumerate(idxs):
+            blocks.append((i, i, lambda p, m=m: self.cx(m).d(m + p),
+                           -1 if m % 2 else 1))
+            blocks.extend((j, i, lambda p, m=m, n=n: self.f(m, n, m + p), 1)
+                          for j, n in enumerate(idxs) if n > m)
+        return _slot_complex([(self.cx(m), m) for m in idxs], blocks)
 
 
 def single_complex(c: ChainComplex, m: int = 0) -> CComplex:

@@ -3,7 +3,8 @@
 JSON in, JSON out, no interactive mode.  Reports are byte-identical across
 runs with the same seed and version (timing goes to stderr, never into the
 payload).  Exit codes: 0 all checks pass, 1 a check failed or the input is
-inconsistent, 2 usage errors.
+inconsistent, 2 usage errors (a malformed option, seed or input, or an
+output path that cannot be written).
 """
 
 from __future__ import annotations
@@ -18,13 +19,20 @@ from . import __version__, suites
 from .exactlin import RatMatrix, rat_str
 
 
-def _emit(report, out_path):
+def _emit(report, out_path) -> bool:
+    """Write the report to out_path, or to stdout without one; False, with
+    a message, when out_path cannot be written."""
     text = json.dumps(report, indent=1, sort_keys=True) + "\n"
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        sys.stderr.write("cannot write %s: %s\n" % (out_path, exc))
+        return False
+    return True
 
 
 def cmd_verify(args) -> int:
@@ -42,12 +50,17 @@ def cmd_verify(args) -> int:
     seed = args.seed
     if seed is None:
         env = os.environ.get("CUBEHOM_SEED")
-        seed = int(env) if env else None
+        try:
+            seed = int(env) if env else None
+        except ValueError:
+            sys.stderr.write("CUBEHOM_SEED must be an integer, got %r\n" % env)
+            return 2
     t0 = time.time()
     report = suites.run_suite(name, r=args.r, dim=args.dim,
                               trials=args.trials, seed=seed)
     report["version"] = __version__
-    _emit(report, args.out)
+    if not _emit(report, args.out):
+        return 2
     sys.stderr.write("suite %s finished in %.2fs\n" % (name, time.time() - t0))
     return 0 if report["ok"] else 1
 
@@ -58,8 +71,8 @@ def cmd_list(args) -> int:
         s = suites.get_suite(name)
         catalog.append({"suite": name, "claim": s.claim,
                         "defaults": {k: s.defaults[k] for k in sorted(s.defaults)}})
-    _emit({"version": __version__, "suites": catalog}, args.out)
-    return 0
+    report = {"version": __version__, "suites": catalog}
+    return 0 if _emit(report, args.out) else 2
 
 
 def _load_complex(path):
@@ -104,12 +117,11 @@ def cmd_homology(args) -> int:
         comp = bnds[n].mul(up)
         if not comp.is_zero():
             entry = sorted(comp.entries)[0]
-            _emit({"version": __version__, "ok": False,
-                   "error": "boundaries do not compose to zero",
-                   "witness": {"degree": n, "entry": [entry[0], entry[1]],
-                               "value": rat_str(comp.entries[entry])}},
-                  args.out)
-            return 1
+            report = {"version": __version__, "ok": False,
+                      "error": "boundaries do not compose to zero",
+                      "witness": {"degree": n, "entry": [entry[0], entry[1]],
+                                  "value": rat_str(comp.entries[entry])}}
+            return 1 if _emit(report, args.out) else 2
     from .ccx import ChainComplex
     cx = ChainComplex(dims, bnds)
     degs = cx.degrees()
@@ -120,10 +132,10 @@ def cmd_homology(args) -> int:
         h = cx.homology()
         for n in interior:
             table[str(n)] = h.get(n, 0)
-    _emit({"version": __version__, "ok": True, "dims":
-           {str(k): v for k, v in sorted(dims.items())},
-           "homology": table}, args.out)
-    return 0
+    report = {"version": __version__, "ok": True,
+              "dims": {str(k): v for k, v in sorted(dims.items())},
+              "homology": table}
+    return 0 if _emit(report, args.out) else 2
 
 
 def build_parser() -> argparse.ArgumentParser:

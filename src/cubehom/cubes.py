@@ -589,7 +589,10 @@ def boundary_partial(chain: CubeChain, axes) -> CubeChain:
 _ALT_CACHE = memo.table("cubes.alt")
 
 
-def _alt_of_cube(cube: ExactCube) -> CubeChain:
+def alt_cube(cube: ExactCube):
+    """Alt of one cube: the cube itself in degree <= 1, else a chain."""
+    if cube.n <= 1:
+        return cube
     out = _ALT_CACHE.get(cube)
     if out is None:
         perms = list(permutations(range(1, cube.n + 1)))
@@ -605,7 +608,7 @@ def alt(chain: CubeChain) -> CubeChain:
     n = chain.degree
     if n <= 1:
         return chain
-    return chain.map_cubes(_alt_of_cube, n)
+    return chain.map_cubes(alt_cube, n)
 
 
 def phi_homotopy(n: int, m: int, chain: CubeChain) -> CubeChain:

@@ -25,9 +25,9 @@ from functools import partial
 from . import ccx
 from .cubes import CubeChain, degenerate_along, face, identity_edge
 from .exactlin import FormalSum, MetObj, RatMatrix
-from .multirel import (MatrixModel, Span, close_span_generic, cone_identification,
-                       levelwise, materialize_ccomplex, materialize_operator,
-                       relabeled_model)
+from .multirel import (LevelChain, MatrixModel, Span, close_span_generic,
+                       cone_identification, levelwise, materialize_ccomplex,
+                       materialize_operator, relabeled_model)
 from .signs import sgn_division, subsets
 
 
@@ -266,11 +266,12 @@ def _restrict_level(view: _PartialView, I, k, cube: GluedCube) -> GluedCube:
     return _reindex(cube, view.level_index(set(I) | {k}), lambda S: S | {k})
 
 
-def double_op_F(view: _PartialView, m: int, n: int, x: dict) -> dict:
+def double_op_F(view: _PartialView, m: int, n: int,
+                x: LevelChain) -> LevelChain:
     """Connecting maps of the double geometry on glued chains: only the
     single-embedding component survives (longer words are degenerate)."""
     if n != m + 1:
-        return {}
+        return LevelChain()
     sgn = (-1) ** (n % 2)
 
     def component(K, I, I_src, J, chain):
@@ -306,14 +307,7 @@ def _diagonal_op(cube_map):
     """The levelwise operator with only (m, m) components, mapping every
     cube of level I by cube_map(I, cube)."""
     def op(m, n, x):
-        if n != m:
-            return {}
-        out = {}
-        for I, ch in x.items():
-            img = ch.map_cubes(lambda cu: cube_map(I, cu), ch.degree)
-            if not img.is_zero():
-                out[I] = img
-        return out
+        return x.map_cubes(cube_map) if n == m else LevelChain()
     return op
 
 
@@ -329,7 +323,8 @@ def build_t(geom: DoubleGeometry, seeds) -> dict:
     view0 = _PartialView(geom, 0)
     model0 = MatrixModel(view0, double_spans(geom, 0, seeds), use_alt=True)
     models = [model0]
-    complexes = [materialize_ccomplex(model0, f_op=lambda m, n, x: {})]
+    complexes = [materialize_ccomplex(model0,
+                                      f_op=lambda m, n, x: LevelChain())]
     t_total = None
     for j in range(1, geom.r + 1):
         view_a = _PartialView(geom, j - 1)

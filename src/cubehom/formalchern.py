@@ -22,9 +22,9 @@ the level bookkeeping j_k = l + k - 1 recorded in reindex_check.
 from __future__ import annotations
 
 from fractions import Fraction
-from .cubes import CubeChain, boundary
+from .cubes import CubeChain, boundary, boundary_cube
 from .exactlin import FormalSum, linear_terms
-from .multirel import GeomView, lev_add, op_F, xi_K
+from .multirel import GeomView, LevelChain, op_F, xi_K
 from .signs import subsets
 
 
@@ -96,11 +96,11 @@ def sign_exponent(I, r: int) -> int:
     return (m * (m + 1)) // 2 + r * m + sum(I)
 
 
-def formal_ch(target: FormalTarget, x: dict, n: int) -> FormalElement:
+def formal_ch(target: FormalTarget, x: LevelChain, n: int) -> FormalElement:
     """ch_n of a total-degree-n element of the multi-relative complex:
-    x maps a level I to a chain of cube degree n + |I|."""
+    x carries a chain of cube degree n + |I| at each level I."""
     out = FormalElement()
-    for I, chain in x.items():
+    for I, chain in x.chains().items():
         if chain.degree != n + len(I):
             raise ValueError("component degree inconsistent with the grading")
         out = out + target.ch(n + len(I), I, chain).scale(
@@ -108,21 +108,15 @@ def formal_ch(target: FormalTarget, x: dict, n: int) -> FormalElement:
     return out
 
 
-def tot_boundary(g: GeomView, x: dict) -> dict:
+def tot_boundary(g: GeomView, x: LevelChain) -> LevelChain:
     """The total boundary of the multi-relative complex:
     (d x)_J = (-1)^{|J|} d x_J + sum_{m < |J|} F^{m,|J|}(x)_J."""
-    out = {}
-    for I, chain in x.items():
-        db = boundary(chain)
-        if not db.is_zero():
-            part = {I: db.scale((-1) ** len(I))}
-            out = lev_add(out, part)
-    sizes = sorted({len(I) for I in x})
-    top = len(g.marks)
-    for m in sizes:
-        xm = {I: ch for I, ch in x.items() if len(I) == m}
-        for n in range(m + 1, top + 1):
-            out = lev_add(out, op_F(g, m, n, xm))
+    out = x.map_cubes(lambda I, cube: boundary_cube(cube).scale((-1) ** len(I)))
+    for m in sorted({len(I) for I, _ in x.terms}):
+        xm = LevelChain((key, c) for key, c in x.terms.items()
+                        if len(key[0]) == m)
+        for n in range(m + 1, len(g.marks) + 1):
+            out = out + op_F(g, m, n, xm)
     return out
 
 
@@ -132,7 +126,7 @@ def check_ds_squared(target: FormalTarget, level, chain: CubeChain,
     return target.d(target.d(elt)).is_zero()
 
 
-def check_chain_map(target: FormalTarget, x: dict, n: int) -> bool:
+def check_chain_map(target: FormalTarget, x: LevelChain, n: int) -> bool:
     """(-1)^r d ch_n(x) = ch_{n-1}(d x)."""
     lhs = target.d(formal_ch(target, x, n)).scale((-1) ** (target.r % 2))
     dx = tot_boundary(target.g, x)

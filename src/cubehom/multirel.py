@@ -26,8 +26,9 @@ from itertools import (combinations, combinations_with_replacement, islice,
 
 from . import ccx
 from .cubes import (CubeChain, ExactCube, ExactFunctor, act_sym, alt,
-                    boundary, composite_pullback, transposition)
-from .exactlin import MetObj, RatMatrix, times
+                    alt_cube, boundary, boundary_cube, composite_pullback,
+                    transposition)
+from .exactlin import FormalSum, MetObj, RatMatrix, _collect, times
 from .signs import perm_sign, sgn_division
 
 
@@ -323,107 +324,114 @@ def check_xi_boundary(views, K, I, x: CubeChain) -> bool:
 
 # -- level elements and the C-structure --------------------------------
 
-def lev_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for lvl, ch in b.items():
-        cur = out.get(lvl)
-        s = ch if cur is None else cur + ch
-        if s.is_zero():
-            out.pop(lvl, None)
-        else:
-            out[lvl] = s
-    return out
+class LevelChain(FormalSum):
+    """A level element: a formal Q-linear combination of cubes placed at
+    levels, keyed by (level, cube) pairs with the level a frozenset.
+    Degenerate and zero cubes are dropped at construction, as in
+    CubeChain."""
+
+    __slots__ = ()
+
+    def _normal(self, key, coeff):
+        cube = key[1]
+        if cube.is_zero_cube() or cube.is_degenerate():
+            return None
+        return key, coeff
+
+    @staticmethod
+    def of(level, x) -> "LevelChain":
+        """A chain, or a single cube, placed at one level."""
+        level = frozenset(level)
+        if isinstance(x, CubeChain):
+            # a chain's terms are in normal form already
+            return LevelChain()._like({(level, cube): c
+                                       for cube, c in x.terms.items()})
+        return LevelChain([((level, x), 1)])
+
+    def map_cubes(self, fn) -> "LevelChain":
+        """The level-preserving linear extension of fn(level, cube), a
+        CubeChain or a single cube."""
+        def terms():
+            for (level, cube), c in self.terms.items():
+                img = fn(level, cube)
+                if isinstance(img, CubeChain):
+                    for cu, d in img.terms.items():
+                        yield (level, cu), times(d, c)
+                elif not (img.is_zero_cube() or img.is_degenerate()):
+                    yield (level, img), c
+        # every term is normal: chains are, and a single cube was checked
+        return self._like(_collect({}, terms()))
+
+    def boundary(self) -> "LevelChain":
+        return self.map_cubes(lambda _, cube: boundary_cube(cube))
+
+    def alt(self) -> "LevelChain":
+        return self.map_cubes(lambda _, cube: alt_cube(cube))
+
+    def chains(self) -> dict:
+        """{level: CubeChain}, levels in first-seen order; raises
+        ValueError when one level mixes cube degrees.  The terms are in
+        normal form already, so each chain takes them as they are."""
+        out = {}
+        for (level, cube), c in self.terms.items():
+            chain = out.get(level)
+            if chain is None:
+                chain = out[level] = CubeChain(cube.n)
+            elif cube.n != chain.degree:
+                raise ValueError("degree mismatch in chain term")
+            chain.terms[cube] = c
+        return out
 
 
-def lev_scale(a: dict, c) -> dict:
-    c = Fraction(c)
-    if c == 0:
-        return {}
-    return {lvl: ch.scale(c) for lvl, ch in a.items()}
-
-
-def lev_eq(a: dict, b: dict) -> bool:
-    keys = set(a) | set(b)
-    for k in keys:
-        x, y = a.get(k), b.get(k)
-        if x is None:
-            if not y.is_zero():
-                return False
-        elif y is None:
-            if not x.is_zero():
-                return False
-        elif x != y:
-            return False
-    return True
-
-
-def lev_boundary(a: dict) -> dict:
-    out = {}
-    for lvl, ch in a.items():
-        b = boundary(ch)
-        if not b.is_zero():
-            out[lvl] = b
-    return out
-
-
-def lev_alt(a: dict) -> dict:
-    out = {}
-    for lvl, ch in a.items():
-        b = alt(ch)
-        if not b.is_zero():
-            out[lvl] = b
-    return out
-
-
-def levelwise(views, m: int, n: int, x: dict, component) -> dict:
+def levelwise(views, m: int, n: int, x: LevelChain, component) -> LevelChain:
     """A levelwise operator of bidegree (m, n) along the chain ``views``.
 
     For every level I of x (of size m), with I_src its marks in g_0, and
     every K of n - m marks of g_0 outside I_src, adds
-    component(K, I, I_src, J, x_I) into out[J], J = K | I_src; I_src and
-    J are passed as sorted tuples.  Zero terms are dropped; n < m gives
-    zero."""
+    component(K, I, I_src, J, x_I) at level J = K | I_src; I_src and J are
+    passed as sorted tuples.  n < m gives zero."""
     if n < m:
-        return {}
-    out = {}
-    for I, chain in x.items():
-        if len(I) != m:
-            raise ValueError("element has a level of the wrong size")
-        I_src = I
-        for f in reversed(views[1::2]):
-            I_src = _marks_back(f, I_src)
-        I_src = tuple(sorted(I_src))
-        others = [k for k in views[0].marks if k not in I_src]
-        for K in combinations(others, n - m):
-            J = tuple(sorted(set(K) | set(I_src)))
-            term = component(K, I, I_src, J, chain)
-            if term.is_zero():
-                continue
-            Jf = frozenset(J)
-            out[Jf] = out.get(Jf, CubeChain.zero(term.degree)) + term
-    return {k: v for k, v in out.items() if not v.is_zero()}
+        return LevelChain()
+
+    def terms():
+        for I, chain in x.chains().items():
+            if len(I) != m:
+                raise ValueError("element has a level of the wrong size")
+            I_src = I
+            for f in reversed(views[1::2]):
+                I_src = _marks_back(f, I_src)
+            I_src = tuple(sorted(I_src))
+            others = [k for k in views[0].marks if k not in I_src]
+            for K in combinations(others, n - m):
+                J = tuple(sorted(set(K) | set(I_src)))
+                Jf = frozenset(J)
+                for cube, c in component(K, I, I_src, J, chain).terms.items():
+                    yield (Jf, cube), c
+    return LevelChain(terms())
 
 
-def _xi_levelwise(views, m: int, n: int, x: dict, sign: int) -> dict:
+def _xi_levelwise(views, m: int, n: int, x: LevelChain,
+                  sign: int) -> LevelChain:
     """sum over J = K | I of sign sgn(K I; J) Xi_{K,views}(x_I)."""
     def component(K, I, I_src, J, chain):
         return xi_apply(views, K, I, chain).scale(sign * sgn_division(K, I_src, J))
     return levelwise(views, m, n, x, component)
 
 
-def op_F(g: GeomView, m: int, n: int, x: dict) -> dict:
+def op_F(g: GeomView, m: int, n: int, x: LevelChain) -> LevelChain:
     """The connecting map F^{m,n}(x)_J = (-1)^n sum sgn(K I; J) Xi_K(x_I)."""
     if n <= m:
         raise ValueError("connecting map needs n > m")
     return _xi_levelwise([g], m, n, x, (-1) ** (n % 2))
 
 
-def op_pullback(f: MorphView, m: int, n: int, x: dict) -> dict:
+def op_pullback(f: MorphView, m: int, n: int, x: LevelChain) -> LevelChain:
     """(f^*)^{m,n}(x)_J = sum sgn(K I; J) Xi_{K,f}(x_I); zero for n < m."""
     return _xi_levelwise([f.src, f, f.dst], m, n, x, 1)
 
 
-def op_homotopy(f: MorphView, g: MorphView, m: int, n: int, x: dict) -> dict:
+def op_homotopy(f: MorphView, g: MorphView, m: int, n: int,
+                x: LevelChain) -> LevelChain:
     """Phi^{m,n}(x)_J = (-1)^n sum sgn(K I; J) Xi_{K,f,g}(x_I); zero for n < m."""
     return _xi_levelwise([f.src, f, f.dst, g, g.dst], m, n, x, (-1) ** (n % 2))
 
@@ -611,7 +619,7 @@ def materialize_ccomplex(model: MatrixModel, f_op=None) -> "ccx.CComplex":
         return ccx.CComplex({}, {})
 
     def d_and_f(m, n, x):
-        return lev_boundary(x) if n == m else f_op(m, n, x)
+        return x.boundary() if n == m else f_op(m, n, x)
 
     comps = materialize_operator(model, model, d_and_f, -1)
     dmax = max(deg for (_, deg) in model.span.basis)
@@ -626,7 +634,7 @@ def materialize_operator(src_model: MatrixModel, dst_model: MatrixModel,
                          op, reach: int) -> dict:
     """Components of a levelwise operator family as ccx-style matrices.
 
-    ``op(m, n, x)`` maps a level element to a level element.  ``reach`` is
+    ``op(m, n, x)`` maps a LevelChain to a LevelChain.  ``reach`` is
     that of ccx.CFamily (0 a map, 1 a homotopy), or -1 for a C-complex's d
     and F: the (m, n) component, for n >= m - max(reach, 0), takes degree
     k to k + n - m + reach.  Images are alternated when dst_model
@@ -649,10 +657,11 @@ def materialize_operator(src_model: MatrixModel, dst_model: MatrixModel,
                 ent = {}
                 for lvl, col in col_off.items():
                     for j in range(src_model.dim(lvl, k)):
-                        img = op(m, n, {lvl: src_model.basis_chain(lvl, k, j)})
+                        img = op(m, n, LevelChain.of(
+                            lvl, src_model.basis_chain(lvl, k, j)))
                         if alternate:
-                            img = lev_alt(img)
-                        for lvl2, ch in img.items():
+                            img = img.alt()
+                        for lvl2, ch in img.chains().items():
                             for pos, v in dst_model.coords(lvl2, ch).items():
                                 ent[(row_off[lvl2] + pos, col + j)] = v
                 mat = RatMatrix(rows, cols, ent)
@@ -672,14 +681,12 @@ def _op_image_seeds(model: MatrixModel, op, reach: int):
     for (level, degree), cubes in model.span.items():
         m = len(level)
         for cube in cubes:
-            x = {level: CubeChain.of(cube)}
+            x = LevelChain.of(level, cube)
             for n in range(max(m - reach, 0), r + 1):
                 img = op(m, n, x)
                 if model.use_alt:
-                    img = lev_alt(img)
-                for lvl2, ch in img.items():
-                    for c2 in ch.terms:
-                        seeds.append((lvl2, c2))
+                    img = img.alt()
+                seeds.extend(img.terms)
     return seeds
 
 
@@ -837,40 +844,42 @@ def check_identity_pullback_vanishing(g: GeomView, gid: MorphView, K, I,
     return report
 
 
-def check_identity_cmap(gid: MorphView, x: dict, m: int, n_max: int) -> dict:
+def check_identity_cmap(gid: MorphView, x: LevelChain, m: int,
+                        n_max: int) -> dict:
     """On the alternating complex the identity morphism pulls back to the
     identity: the diagonal components are identities and every off-diagonal
     component vanishes after alternation."""
     for n in range(m, n_max + 1):
-        img = op_pullback(gid, m, n, x)
+        img = op_pullback(gid, m, n, x).alt()
         if n == m:
-            if not lev_eq(lev_alt(img), lev_alt(x)):
+            if img != x.alt():
                 return {"ok": False, "at": {"m": m, "n": n, "part": "diagonal"}}
-        else:
-            if not lev_eq(lev_alt(img), {}):
-                return {"ok": False, "at": {"m": m, "n": n, "part": "off-diagonal"}}
+        elif not img.is_zero():
+            return {"ok": False, "at": {"m": m, "n": n, "part": "off-diagonal"}}
     return {"ok": True}
 
 
 # -- generator-wise relation checks -------------------------------------
 
-def check_ccomplex_relation(g: GeomView, x: dict, m: int, n_max: int) -> dict:
+def check_ccomplex_relation(g: GeomView, x: LevelChain, m: int,
+                            n_max: int) -> dict:
     """(-1)^m F^{m,n} d + (-1)^n d F^{m,n} + sum_l F^{l,n} F^{m,l} = 0
     applied to a generator element at index m, for every n <= n_max."""
-    dx = lev_boundary(x)
+    dx = x.boundary()
     for n in range(m + 1, n_max + 1):
-        acc = lev_scale(op_F(g, m, n, dx), (-1) ** m) if dx else {}
-        acc = lev_add(acc, lev_scale(lev_boundary(op_F(g, m, n, x)), (-1) ** n))
+        acc = (op_F(g, m, n, dx).scale((-1) ** m)
+               + op_F(g, m, n, x).boundary().scale((-1) ** n))
         for l in range(m + 1, n):
-            acc = lev_add(acc, op_F(g, l, n, op_F(g, m, l, x)))
-        if not lev_eq(acc, {}):
+            acc = acc + op_F(g, l, n, op_F(g, m, l, x))
+        if not acc.is_zero():
             return {"ok": False, "at": {"m": m, "n": n},
-                    "levels": sorted(tuple(sorted(k)) for k in acc)}
+                    "levels": sorted({tuple(sorted(k)) for k, _ in acc.terms})}
     return {"ok": True}
 
 
-def check_relation(op, reach: int, g_in: GeomView, g_out: GeomView, x: dict,
-                   m: int, n_max: int, target=(), compare_alt: bool = False) -> dict:
+def check_relation(op, reach: int, g_in: GeomView, g_out: GeomView,
+                   x: LevelChain, m: int, n_max: int, target=(),
+                   compare_alt: bool = False) -> dict:
     """The relation of a family op(m, n, y) of levelwise operators of this
     reach from the C-complex of g_in to that of g_out, applied to a
     generator element x at index m, for every n <= n_max:
@@ -885,7 +894,7 @@ def check_relation(op, reach: int, g_in: GeomView, g_out: GeomView, x: dict,
     vanishes below the diagonal, so (outer inner)^{m,n} sums over
     m <= l <= n.  With compare_alt the two sides are compared after
     alternation."""
-    dx = lev_boundary(x)
+    dx = x.boundary()
     lo = max(m - reach, 0)
     img = {l: op(m, l, x) for l in range(lo, n_max + 1)}
     f_in = {l: op_F(g_in, m, l, x)
@@ -895,30 +904,31 @@ def check_relation(op, reach: int, g_in: GeomView, g_out: GeomView, x: dict,
               {l: inner(m, l, x) for l in range(m, n_max + 1)})
              for sign, outer, inner in target]
     for n in range(lo, n_max + 1):
-        left = lev_scale(lev_boundary(img[n]), (-1) ** (n % 2))
+        left = img[n].boundary().scale((-1) ** (n % 2))
         for l in range(lo, n):
-            left = lev_add(left, op_F(g_out, l, n, img[l]))
-        right = lev_scale(op(m, n, dx), (-1) ** (m % 2)) if dx else {}
+            left = left + op_F(g_out, l, n, img[l])
+        right = op(m, n, dx).scale((-1) ** (m % 2))
         for l in range(m + 1, n + reach + 1):
-            right = lev_add(right, op(l, n, f_in[l]))
-        diff = lev_add(left, lev_scale(right, (-1) ** ((reach + 1) % 2)))
+            right = right + op(l, n, f_in[l])
+        diff = left + right.scale((-1) ** ((reach + 1) % 2))
         for sign, outer, inner_img in terms:
             for l, y in inner_img.items():
                 if l <= n:
-                    diff = lev_add(diff, lev_scale(outer(l, n, y), -sign))
-        if not lev_eq(lev_alt(diff) if compare_alt else diff, {}):
+                    diff = diff + outer(l, n, y).scale(-sign)
+        if not (diff.alt() if compare_alt else diff).is_zero():
             return {"ok": False, "at": {"m": m, "n": n}}
     return {"ok": True}
 
 
-def check_cmap_relation(f: MorphView, x: dict, m: int, n_max: int) -> dict:
+def check_cmap_relation(f: MorphView, x: LevelChain, m: int,
+                        n_max: int) -> dict:
     """(-1)^n d f^{m,n} + sum F f = (-1)^m f^{m,n} d + sum f F for the
     pullback map of a geometry morphism, applied to a generator."""
     return check_relation(partial(op_pullback, f), 0, f.dst, f.src, x, m, n_max)
 
 
-def check_homotopy_relation(f: MorphView, g: MorphView, h: MorphView, x: dict,
-                            m: int, n_max: int) -> dict:
+def check_homotopy_relation(f: MorphView, g: MorphView, h: MorphView,
+                            x: LevelChain, m: int, n_max: int) -> dict:
     """The homotopy relation for Phi between h^* and f^* g^* (h = g o f)."""
     pull_f, pull_g, pull_h = (partial(op_pullback, v) for v in (f, g, h))
     return check_relation(partial(op_homotopy, f, g), 1, g.dst, f.src, x, m,

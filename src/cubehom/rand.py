@@ -9,8 +9,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .ccx import (CComplex, ChainComplex, CHomotopy, CMap, cmap_add, compose,
-                  homotopy_defect, identity_cmap, simple, single_complex)
+from .ccx import (CComplex, ChainComplex, CHomotopy, CMap, _assemble,
+                  _slot_complex, cmap_add, compose, homotopy_defect,
+                  identity_cmap, simple, single_complex)
 from .cubes import ExactCube, MetObj, object_cube, one_cube, tensor_cube
 from .exactlin import RatMatrix, ZERO_OBJ, inverse
 
@@ -144,32 +145,20 @@ def rnd_ccomplex(rng: random.Random, steps=(0, 2)) -> CComplex:
 
 
 def direct_sum_ccomplex(b: CComplex, e: CComplex) -> CComplex:
-    comps, fm = {}, {}
-    for m in set(list(b.complexes) + list(e.complexes)):
-        dims, bnd = {}, {}
-        for kk in set(list(b.cx(m).dims) + list(e.cx(m).dims)):
-            dims[kk] = b.cx(m).dim(kk) + e.cx(m).dim(kk)
-        for kk in list(dims):
-            ent = {}
-            for (r, c), v in b.cx(m).d(kk).entries.items():
-                ent[(r, c)] = v
-            for (r, c), v in e.cx(m).d(kk).entries.items():
-                ent[(b.cx(m).dim(kk - 1) + r, b.cx(m).dim(kk) + c)] = v
-            prev = b.cx(m).dim(kk - 1) + e.cx(m).dim(kk - 1)
-            if dims.get(kk) and prev:
-                bnd[kk] = RatMatrix(prev, dims[kk], ent)
-        comps[m] = ChainComplex({kk: d for kk, d in dims.items() if d}, bnd)
-    for (m, n) in set(list(b.fmaps) + list(e.fmaps)):
+    """B (+) E, with B's basis first in every index and degree."""
+    comps = {m: _slot_complex([(b.cx(m), 0), (e.cx(m), 0)],
+                              [(0, 0, b.cx(m).d, 1), (1, 1, e.cx(m).d, 1)])
+             for m in set(b.complexes) | set(e.complexes)}
+    fm = {}
+    for (m, n) in set(b.fmaps) | set(e.fmaps):
         per = {}
-        for kk in set(list(b.fmaps.get((m, n), {})) + list(e.fmaps.get((m, n), {}))):
-            rows = b.cx(n).dim(kk + n - m - 1) + e.cx(n).dim(kk + n - m - 1)
-            cols = b.cx(m).dim(kk) + e.cx(m).dim(kk)
-            ent = {}
-            for (r, c), v in b.f(m, n, kk).entries.items():
-                ent[(r, c)] = v
-            for (r, c), v in e.f(m, n, kk).entries.items():
-                ent[(b.cx(n).dim(kk + n - m - 1) + r, b.cx(m).dim(kk) + c)] = v
-            per[kk] = RatMatrix(rows, cols, ent)
+        for kk in set(b.fmaps.get((m, n), {})) | set(e.fmaps.get((m, n), {})):
+            tgt = kk + n - m - 1
+            per[kk] = _assemble(b.cx(n).dim(tgt) + e.cx(n).dim(tgt),
+                                b.cx(m).dim(kk) + e.cx(m).dim(kk),
+                                [(0, 0, b.f(m, n, kk), 1),
+                                 (b.cx(n).dim(tgt), b.cx(m).dim(kk),
+                                  e.f(m, n, kk), 1)])
         fm[(m, n)] = per
     return CComplex(comps, fm)
 

@@ -21,7 +21,7 @@ from .cubes import (CubeChain, ExactCube, ExactFunctor, act_sym, alt,
                     rho)
 from .exactlin import (MetObj, ShortExact, inverse, is_short_exact, rank,
                        rat_str, rref, tensor_obj)
-from .multirel import (GeomView, MorphView, Tower, build_ccomplex,
+from .multirel import (GeomView, LevelChain, MorphView, Tower, build_ccomplex,
                        build_homotopy, build_pullback, check_alt_absorption,
                        check_ccomplex_relation, check_cmap_relation,
                        check_cor_2_16, check_homotopy_relation, check_relation,
@@ -525,7 +525,7 @@ def _run_mr_ccomplex(rng, trials, r, seed, **_):
         (g,) = _tower_chain(rr, 1, seed * 1000 + t)
         I = _rnd_level(rng, rr, maxsize=max(0, rr - 1))
         deg = rng.randint(0, 1)
-        x = {I: CubeChain.of(rand.rnd_cube(rng, deg, with_gram=True))}
+        x = LevelChain.of(I, rand.rnd_cube(rng, deg, with_gram=True))
         rep = check_ccomplex_relation(g, x, len(I), rr)
         ok = rep["ok"]
         if t % 5 == 0:
@@ -545,7 +545,7 @@ def _run_mr_pullback(rng, trials, r, seed, **_):
         g0, g1 = _tower_chain(rr, 2, seed * 1000 + t)
         f = MorphView(g0, g1)
         I = _rnd_level(rng, rr, maxsize=max(0, rr - 1))
-        x = {I: CubeChain.of(rand.rnd_cube(rng, rng.randint(0, 1), with_gram=True))}
+        x = LevelChain.of(I, rand.rnd_cube(rng, rng.randint(0, 1), with_gram=True))
         ok = check_cmap_relation(f, x, len(I), rr)["ok"]
         if t % 5 == 0:
             _, _, cmap = build_pullback(
@@ -566,7 +566,7 @@ def _run_mr_homotopy(rng, trials, r, seed, **_):
         h = MorphView(vs[0], vs[2])
         I = _rnd_level(rng, rr, maxsize=max(0, rr - 1))
         deg = 0 if rr >= 3 else rng.randint(0, 1)
-        x = {I: CubeChain.of(rand.rnd_cube(rng, deg, with_gram=True))}
+        x = LevelChain.of(I, rand.rnd_cube(rng, deg, with_gram=True))
         ok = check_homotopy_relation(f, g, h, x, len(I), rr)["ok"]
         if t % 10 == 0:
             out = build_homotopy(
@@ -658,8 +658,8 @@ def _run_prop220(rng, trials, r, seed, **_):
         rep = check_identity_pullback_vanishing(X0, gid, K, I, x)
         ok = rep["ok"]
         if t % 10 == 0:
-            xx = {I: CubeChain.of(rand.rnd_cube(rng, rng.randint(0, 1),
-                                                with_gram=True))}
+            xx = LevelChain.of(I, rand.rnd_cube(rng, rng.randint(0, 1),
+                                                with_gram=True))
             ok = ok and check_identity_cmap(gid, xx, len(I), rr)["ok"]
         yield "identity-words.%03d" % t, ok, None if ok else rep
 
@@ -714,7 +714,7 @@ def _run_prop93(rng, trials, r, seed, **_):
         F = _rnd_pos_obj(rng)
         I = _rnd_level(rng, rr, maxsize=rr - 1)
         deg = 0 if rr >= 3 and len(I) == 0 else rng.randint(0, 1)
-        x = {I: CubeChain.of(rand.rnd_cube(rng, deg, with_gram=True))}
+        x = LevelChain.of(I, rand.rnd_cube(rng, deg, with_gram=True))
         ok = _tensor_cmap_relation(F, g, x, len(I), rr)
         yield "tensor-map.%03d" % t, ok, {"I": sorted(I), "deg": deg}
 
@@ -741,7 +741,7 @@ def _run_prop94(rng, trials, r, seed, **_):
         F = _rnd_pos_obj(rng)
         I = _rnd_level(rng, rr, maxsize=rr - 1)
         deg = 0 if rr >= 3 else rng.randint(0, 1)
-        x = {I: CubeChain.of(rand.rnd_cube(rng, deg, with_gram=True))}
+        x = LevelChain.of(I, rand.rnd_cube(rng, deg, with_gram=True))
         ok = _tensor_homotopy_relation(F, f, x, len(I), rr)
         yield "tensor-homotopy.%03d" % t, ok, {"I": sorted(I), "deg": deg}
 
@@ -766,7 +766,7 @@ def _run_prop95(rng, trials, r, seed, **_):
         F = _rnd_pos_obj(rng)
         I = _rnd_level(rng, rr, maxsize=rr - 1)
         deg = 0 if rr >= 3 else rng.randint(0, 1)
-        x = {I: CubeChain.of(rand.rnd_cube(rng, deg, with_gram=True))}
+        x = LevelChain.of(I, rand.rnd_cube(rng, deg, with_gram=True))
         rep = check_phi_s_equals_tensor(F, g, x, len(I), rr)
         yield "cone-agree.%03d" % t, rep["ok"], None if rep["ok"] else rep
 
@@ -786,7 +786,7 @@ def _run_prop96(rng, trials, r, seed, **_):
         F = _rnd_pos_obj(rng)
         I = _rnd_level(rng, rr, maxsize=rr - 1)
         deg = rng.randint(0, 1) if rr == 1 else 0
-        x = {I: CubeChain.of(rand.rnd_cube(rng, deg, with_gram=True))}
+        x = LevelChain.of(I, rand.rnd_cube(rng, deg, with_gram=True))
         ok = _theta_relation(F, f, g, x, len(I), rr)
         yield "second-homotopy.%03d" % t, ok, {"I": sorted(I), "deg": deg}
 
@@ -946,10 +946,11 @@ def _run_chmap(rng, trials, r, seed, **_):
         (g,) = _tower_chain(rr, 1, seed * 1000 + t)
         target = formalchern.FormalTarget(g)
         n = rng.randint(1, 2)
-        x = {frozenset(): CubeChain.of(rand.rnd_cube(rng, n, with_gram=True))}
+        x = LevelChain.of(frozenset(), rand.rnd_cube(rng, n, with_gram=True))
         if rr >= 1 and rng.random() < 0.6:
             lvl = frozenset({rng.randint(1, rr)})
-            x[lvl] = CubeChain.of(rand.rnd_cube(rng, n + 1, with_gram=True))
+            x = x + LevelChain.of(
+                lvl, rand.rnd_cube(rng, n + 1, with_gram=True))
         yield "chain-map.%03d" % t, formalchern.check_chain_map(target, x, n)
     rep = formalchern.reindex_check(5)
     yield "reindex.r5", rep["ok"], {"checked": rep["checked"]}

@@ -23,7 +23,8 @@ of pullback words), and alternation absorbs the axis action of words
 (Alt Xi Alt = Alt Xi, one of the verified suites).  Identities between
 alternated operators are therefore checked by evaluating the plain
 operators and alternating the final combination once; the helpers below
-produce plain values, and the relation checkers wrap them in lev_alt.
+produce plain values, and the relation checkers alternate the final
+``LevelChain`` once.
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ from fractions import Fraction
 
 from .cubes import (CubeChain, ExactCube, ExactFunctor, alt, boundary,
                     bracket_cube, composite_pullback)
-from .exactlin import MetObj, times
+from .exactlin import FormalSum, MetObj, times
 from . import multirel
-from .multirel import (GeomView, MorphView, lev_add, lev_alt, lev_eq,
-                       lev_scale, levelwise)
+from .multirel import GeomView, LevelChain, MorphView, levelwise
 from .signs import b_weight, divisions_into, sgn_multidivision
 
 
@@ -56,49 +56,46 @@ class SlotTerm:
         return cube
 
 
-class SlotSum:
-    """A formal combination of pipelines, of a fixed added cube degree."""
+class SlotSum(FormalSum):
+    """A formal combination of pipelines, of a fixed added cube degree.
+    Pipelines hash by identity, so no two terms ever merge."""
 
-    __slots__ = ("terms", "deg")
+    __slots__ = ("deg",)
 
     def __init__(self, terms, deg: int):
-        self.terms = [(Fraction(c), t) for c, t in terms if c != 0]
         self.deg = deg
+        FormalSum.__init__(self, terms)
 
-    def scale(self, c) -> "SlotSum":
-        c = Fraction(c)
-        return SlotSum([(c * a, t) for a, t in self.terms], self.deg)
-
-    def __add__(self, other: "SlotSum") -> "SlotSum":
-        if self.deg != other.deg:
-            raise ValueError("slot degree mismatch")
-        return SlotSum(self.terms + other.terms, self.deg)
+    def _like(self, terms: dict) -> "SlotSum":
+        out = FormalSum._like(self, terms)
+        out.deg = self.deg
+        return out
 
     def compose(self, other: "SlotSum") -> "SlotSum":
         """self after other: pipelines concatenate."""
-        out = []
-        for a, t in self.terms:
-            for b, u in other.terms:
-                out.append((a * b, SlotTerm(t.words + u.words)))
-        return SlotSum(out, self.deg + other.deg)
+        return SlotSum(((SlotTerm(t.words + u.words), a * b)
+                        for t, a in self.terms.items()
+                        for u, b in other.terms.items()),
+                       self.deg + other.deg)
 
     def apply_chain(self, x: CubeChain) -> CubeChain:
         return CubeChain(x.degree + self.deg,
-                         ((t.apply(cu), times(c, xc)) for c, t in self.terms
+                         ((t.apply(cu), times(c, xc))
+                          for t, c in self.terms.items()
                           for cu, xc in x.terms.items()))
 
     def boundary(self) -> "SlotSum":
         """Face expansion of single-word slots along their own axes:
         splits, merges, and dropped zero faces, with signs (-1)^{i+j}."""
         out = []
-        for c, t in self.terms:
+        for t, c in self.terms.items():
             if len(t.words) != 1:
                 raise ValueError("boundary of a composite pipeline")
             w = t.words[0]
             for j in range(1, len(w)):
-                out.append((c * (-1) ** ((j - 1) % 2), SlotTerm([w[:j], w[j:]])))
+                out.append((SlotTerm([w[:j], w[j:]]), c * (-1) ** ((j - 1) % 2)))
                 merged = w[:j - 1] + (w[j].compose(w[j - 1]),) + w[j + 1:]
-                out.append((c * (-1) ** (j % 2), SlotTerm([merged])))
+                out.append((SlotTerm([merged]), c * (-1) ** (j % 2)))
         return SlotSum(out, self.deg - 1)
 
 
@@ -106,7 +103,7 @@ def _xi_slot(views, K, I) -> SlotSum:
     """Xi_{K,f_1..f_t} as a slot functor: one single-word pipeline per
     signed word of ``multirel.xi_words``."""
     words = multirel.xi_words(views, K, I)
-    return SlotSum([(s, SlotTerm([w])) for s, w in words],
+    return SlotSum(((SlotTerm([w]), s) for s, w in words),
                    len(K) + len(views) // 2 - 1)
 
 
@@ -139,12 +136,10 @@ def bracket_apply(f_obj: MetObj, slots, pis, x: CubeChain) -> CubeChain:
     combos = [([], Fraction(1))]
     for sl in slots:
         combos = [(picked + [t], co * c) for picked, co in combos
-                  for (c, t) in sl.terms]
+                  for t, c in sl.terms.items()]
 
     def terms():
         for picked, coeff in combos:
-            if coeff == 0:
-                continue
             for cube, xc in x.terms.items():
                 stages = [cube]
                 for p in range(l, 0, -1):
@@ -239,7 +234,8 @@ def _bracket_term(f_obj: MetObj, chain: CubeChain, parts, I_src, J, weight,
     return bracket_apply(f_obj, slots, pis, chain).scale(sgn)
 
 
-def op_tensor(f_obj: MetObj, g: GeomView, m: int, n: int, x: dict) -> dict:
+def op_tensor(f_obj: MetObj, g: GeomView, m: int, n: int,
+              x: LevelChain) -> LevelChain:
     """(F (x) )^{m,n}, plain (not alternated): the diagonal is tensoring
     with the pullback of F, the off-diagonal components are signed bracket
     operators over ordered divisions of J - I."""
@@ -258,7 +254,7 @@ def op_tensor(f_obj: MetObj, g: GeomView, m: int, n: int, x: dict) -> dict:
 
 
 def op_tensor_homotopy(f_obj: MetObj, f: MorphView, m: int, n: int,
-                       x: dict) -> dict:
+                       x: LevelChain) -> LevelChain:
     """Phi_f^{m,n}, plain: the homotopy exchanging (F (x) ) with f^*.
     One designated slot carries Xi_{K_p, f} and may be empty."""
     def component(Kc, I, I_src, J, chain):
@@ -286,7 +282,7 @@ def op_tensor_homotopy(f_obj: MetObj, f: MorphView, m: int, n: int,
 
 
 def op_tensor_theta(f_obj: MetObj, f: MorphView, g: MorphView, m: int, n: int,
-                    x: dict) -> dict:
+                    x: LevelChain) -> LevelChain:
     """Theta^{m,n} = Theta_1 + Theta_2, plain: the second homotopy of the
     section setup g f = Id.  Theta_1 places Xi_{K_p,f,g} in one optional
     slot; Theta_2 places Xi_{K_p,f} and Xi_{K_q,g} in two optional slots."""
@@ -330,7 +326,7 @@ def op_tensor_theta(f_obj: MetObj, f: MorphView, g: MorphView, m: int, n: int,
     return levelwise([g.dst], m, n, x, component)
 
 
-def check_phi_s_equals_tensor(f_obj: MetObj, big: GeomView, x: dict,
+def check_phi_s_equals_tensor(f_obj: MetObj, big: GeomView, x: LevelChain,
                               m: int, n_max: int) -> dict:
     """The cone-induced map of the tensor structure agrees with tensoring.
 
@@ -343,21 +339,20 @@ def check_phi_s_equals_tensor(f_obj: MetObj, big: GeomView, x: dict,
     r = max(big.marks)
     iota = restriction_morphism(big, r)
     geom_a, geom_b = iota.dst, iota.src
+    # the A half keeps the levels without r; the B half takes the others,
+    # r removed and with the cone's sign twist
+    a = LevelChain(((J, cube), c) for (J, cube), c in x.terms.items()
+                   if r not in J)
+    b = LevelChain(((J - {r}, cube), -c) for (J, cube), c in x.terms.items()
+                   if r in J)
     for n in range(m, n_max + 1):
         direct = op_tensor(f_obj, big, m, n, x)
-        a = {J: ch for J, ch in x.items() if r not in J}
-        b = {frozenset(J - {r}): ch.scale(-1) for J, ch in x.items() if r in J}
-        out_a = op_tensor(f_obj, geom_a, m, n, a) if a else {}
-        out_b = {}
-        if b:
-            out_b = op_tensor(f_obj, geom_b, m - 1, n - 1, b)
-        if a:
-            out_b = lev_add(out_b, op_tensor_homotopy(f_obj, iota, m, n - 1, a))
-        cone = dict(out_a)
-        for J, ch in out_b.items():
-            cone = lev_add(cone, {frozenset(J | {r}): ch.scale(-1)})
-        diff = lev_alt(lev_add(direct, lev_scale(cone, -1)))
-        if not lev_eq(diff, {}):
+        out_a = op_tensor(f_obj, geom_a, m, n, a)
+        out_b = (op_tensor(f_obj, geom_b, m - 1, n - 1, b)
+                 + op_tensor_homotopy(f_obj, iota, m, n - 1, a))
+        cone = out_a + LevelChain(((J | {r}, cube), -c)
+                                  for (J, cube), c in out_b.terms.items())
+        if not (direct - cone).alt().is_zero():
             return {"ok": False, "at": {"m": m, "n": n}}
     return {"ok": True}
 

@@ -139,3 +139,28 @@ def test_homology_matches_oracle(tmp_path: Path):
 def test_no_command_is_usage_error():
     res = run_cli([])
     assert res.returncode == 2
+
+
+def test_non_integer_seed_env_is_usage_error():
+    res = run_cli(["verify", "signs.b-weight"], env={"CUBEHOM_SEED": "abc"})
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert "CUBEHOM_SEED must be an integer" in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "signs.b-weight", "--dim", "2", "--r", "2"],
+    ["list"],
+    ["homology", "{complex}"],
+], ids=["verify", "list", "homology"])
+def test_unwritable_out_path_is_usage_error(tmp_path: Path, args):
+    cx = tmp_path / "cx.json"
+    cx.write_text(json.dumps({"dims": {"0": 1}, "boundary": {}}))
+    out = tmp_path / "missing" / "report.json"
+    res = run_cli([a.format(complex=cx) for a in args] + ["--out", str(out)])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("cannot write %s: " % out)
+    assert not out.parent.exists()

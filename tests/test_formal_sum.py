@@ -1,8 +1,9 @@
-"""Property tests of ``exactlin.FormalSum`` through its four subclasses.
+"""Property tests of ``exactlin.FormalSum`` through five subclasses.
 
-Cube chains, virtual glued bundles, formal character symbols and
-logarithmic forms share one implementation of collection, sums and
-scaling; each keeps only its normal form.  Every property runs on each.
+Cube chains, virtual glued bundles, formal character symbols,
+logarithmic forms and level elements share one implementation of
+collection, sums and scaling; each keeps only its normal form.  Every
+property runs on each.
 """
 
 import random
@@ -15,6 +16,7 @@ from cubehom.cubes import CubeChain, degeneracy, object_cube, zero_cube
 from cubehom.double import GluedBundle, VirtualGlued
 from cubehom.exactlin import MetObj, linear_terms
 from cubehom.formalchern import FormalElement
+from cubehom.multirel import LevelChain
 from cubehom.wang import ANTI, HOLO, LogForm
 from helpers import rnd_cube, rnd_gram
 
@@ -36,6 +38,15 @@ def _bundle(seed, dim):
     return GluedBundle((1,), {frozenset(): MetObj(dim, rnd_gram(rng, dim),
                                                   check=False),
                               frozenset({1}): MetObj(dim)})
+
+
+# cubes at levels: two levels share a cube, one level carries cubes of two
+# degrees, and a degenerate and a zero cube that level elements drop
+LEVEL_KEYS = [(frozenset(), CUBES[0]), (frozenset(), CUBES[1]),
+              (frozenset({1}), CUBES[0]), (frozenset({1}), CUBES[2]),
+              (frozenset({1, 2}), CUBES[3]),
+              (frozenset({1, 2}), rnd_cube(random.Random(4), 2)),
+              (frozenset({2}), CUBES[4]), (frozenset({1}), CUBES[5])]
 
 
 # two distinct rank-2 bundles, a rank-1 bundle, and a rank-0 bundle that drops
@@ -60,6 +71,7 @@ KINDS = {
         st.integers(0, 2), st.frozensets(st.integers(1, 3)),
         st.integers(0, 3))),
     "LogForm": (LogForm, monomials()),
+    "LevelChain": (LevelChain, st.sampled_from(LEVEL_KEYS)),
 }
 
 

@@ -6,7 +6,7 @@ from cubehom.formalchern import (FormalTarget, check_chain_map,
                                  check_vanishing_consistency, formal_ch,
                                  iso_class_key, reindex_check, sign_exponent,
                                  tot_boundary)
-from cubehom.multirel import GeomView, MorphView, Tower, xi_K, xi_Kf
+from cubehom.multirel import GeomView, LevelChain, MorphView, Tower, xi_K, xi_Kf
 from helpers import rnd_cube
 
 
@@ -40,10 +40,10 @@ def test_chain_map_identity():
         target = FormalTarget(g)
         for _ in range(4):
             n = rng.randint(1, 2)
-            x = {frozenset(): CubeChain.of(rnd_cube(rng, n, with_gram=True))}
+            x = LevelChain.of(frozenset(), rnd_cube(rng, n, with_gram=True))
             if rng.random() < 0.6:
-                x[frozenset({1})] = CubeChain.of(
-                    rnd_cube(rng, n + 1, with_gram=True))
+                x = x + LevelChain.of(
+                    {1}, rnd_cube(rng, n + 1, with_gram=True))
             assert check_chain_map(target, x, n)
 
 
@@ -101,7 +101,7 @@ def test_formal_ch_signs():
     target = FormalTarget(g)
     x0 = CubeChain.of(rnd_cube(rng, 1, with_gram=True))
     x1 = CubeChain.of(rnd_cube(rng, 2, with_gram=True))
-    elt = formal_ch(target, {frozenset(): x0, frozenset({1}): x1}, 1)
+    elt = formal_ch(target, LevelChain.of((), x0) + LevelChain.of({1}, x1), 1)
     # the empty level enters with +1, the one-mark level with -1
     for (n, lvl, _), c in elt.terms.items():
         cube_coeffs = x0.terms if not lvl else x1.terms

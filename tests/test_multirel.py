@@ -12,8 +12,8 @@ from cubehom.multirel import (GeomView, MorphView, Tower, build_ccomplex,
                               check_cmap_relation, check_cor_2_16,
                               check_homotopy_relation, check_identity_cmap,
                               check_identity_pullback_vanishing,
-                              check_xi_boundary, identity_word_cube, lev_alt,
-                              lev_eq, op_F, op_homotopy, op_pullback,
+                              check_xi_boundary, identity_word_cube,
+                              LevelChain, op_F, op_homotopy, op_pullback,
                               restriction_morphism, xi_K, xi_Kf)
 from helpers import rnd_cube, rnd_gram
 
@@ -106,8 +106,8 @@ def test_connecting_map_at_one_mark_is_minus_pullback():
     rng = random.Random(8)
     _, (g,) = geometry(1)
     x = CubeChain.of(rnd_cube(rng, 1, with_gram=True))
-    img = op_F(g, 0, 1, {frozenset(): x})
-    (lvl, chain), = img.items()
+    img = op_F(g, 0, 1, LevelChain.of((), x))
+    (lvl, chain), = img.chains().items()
     assert lvl == frozenset({1})
     assert chain == xi_K(g, (1,), (), x).scale(-1)
 
@@ -116,7 +116,7 @@ def test_ccomplex_relation_generatorwise():
     rng = random.Random(9)
     _, (g,) = geometry(3)
     for m, I, deg in [(0, (), 1), (1, (2,), 1), (0, (), 2)]:
-        x = {frozenset(I): CubeChain.of(rnd_cube(rng, deg, with_gram=True))}
+        x = LevelChain.of(frozenset(I), rnd_cube(rng, deg, with_gram=True))
         assert check_ccomplex_relation(g, x, m, 3)["ok"]
 
 
@@ -125,10 +125,10 @@ def test_cmap_and_homotopy_relations():
     _, vs = geometry(2, schemes=3)
     f, g = MorphView(vs[0], vs[1]), MorphView(vs[1], vs[2])
     h = MorphView(vs[0], vs[2])
-    x = {frozenset(): CubeChain.of(rnd_cube(rng, 1, with_gram=True))}
+    x = LevelChain.of(frozenset(), rnd_cube(rng, 1, with_gram=True))
     assert check_cmap_relation(f, x, 0, 2)["ok"]
     assert check_homotopy_relation(f, g, h, x, 0, 2)["ok"]
-    x1 = {frozenset({1}): CubeChain.of(rnd_cube(rng, 1, with_gram=True))}
+    x1 = LevelChain.of({1}, rnd_cube(rng, 1, with_gram=True))
     assert check_cmap_relation(f, x1, 1, 2)["ok"]
     assert check_homotopy_relation(f, g, h, x1, 1, 2)["ok"]
 
@@ -210,9 +210,9 @@ def test_identity_insert_word_classification():
         if src.dim and dst.dim:
             assert wc.arrows[key].is_identity()
     # so the off-diagonal identity pullback is nonzero before alternation
-    img = op_pullback(gid, 0, 2, {frozenset(): x})
-    assert any(not ch.is_zero() for ch in img.values())
-    assert lev_eq(lev_alt(img), {})
+    img = op_pullback(gid, 0, 2, LevelChain.of((), x))
+    assert not img.is_zero()
+    assert img.alt().is_zero()
 
 
 def test_identity_pullback_is_identity_on_alternating_part():
@@ -220,7 +220,7 @@ def test_identity_pullback_is_identity_on_alternating_part():
     tower, (X0, X1) = geometry(2, seed=3, schemes=2, alias=[0, 0])
     gid = MorphView(X0, X1)
     for m, I, deg in [(0, (), 1), (1, (2,), 1)]:
-        x = {frozenset(I): CubeChain.of(rnd_cube(rng, deg, with_gram=True))}
+        x = LevelChain.of(frozenset(I), rnd_cube(rng, deg, with_gram=True))
         assert check_identity_cmap(gid, x, m, 2)["ok"]
 
 
@@ -295,24 +295,21 @@ def test_iso_degeneracy_propagation():
     x = CubeChain.of(rnd_cube(rng, 1, with_gram=True))
     # connecting maps two or more levels up are flagged
     for n in (2, 3):
-        img = op_F(g, 0, n, {frozenset(): x})
-        for lvl, chain in img.items():
-            assert chain.terms
-            for cube in chain.terms:
-                assert cube.iso_degenerate_witness() is not None
+        img = op_F(g, 0, n, LevelChain.of((), x))
+        assert img.terms
+        for _, cube in img.terms:
+            assert cube.iso_degenerate_witness() is not None
     # homotopy components are flagged for every index pair
     _, vs = geometry(2, schemes=3)
     f2, g2 = MorphView(vs[0], vs[1]), MorphView(vs[1], vs[2])
     for n in (0, 1, 2):
-        img = op_homotopy(f2, g2, 0, n, {frozenset(): x})
-        for lvl, chain in img.items():
-            for cube in chain.terms:
-                assert cube.iso_degenerate_witness() is not None
-    # pullback-map components one level up are flagged as well
-    img = op_pullback(MorphView(vs[0], vs[1]), 0, 1, {frozenset(): x})
-    for lvl, chain in img.items():
-        for cube in chain.terms:
+        img = op_homotopy(f2, g2, 0, n, LevelChain.of((), x))
+        for _, cube in img.terms:
             assert cube.iso_degenerate_witness() is not None
+    # pullback-map components one level up are flagged as well
+    img = op_pullback(MorphView(vs[0], vs[1]), 0, 1, LevelChain.of((), x))
+    for _, cube in img.terms:
+        assert cube.iso_degenerate_witness() is not None
 
 
 def _alt_models(monkeypatch, suite, **params):

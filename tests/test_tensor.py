@@ -3,8 +3,7 @@ from fractions import Fraction
 
 from cubehom.cubes import CubeChain, ExactFunctor, boundary, face
 from cubehom.exactlin import MetObj, RatMatrix
-from cubehom.multirel import (GeomView, MorphView, Tower, lev_add, lev_alt,
-                              lev_eq, lev_scale)
+from cubehom.multirel import GeomView, LevelChain, MorphView, Tower
 from cubehom.suites import (_tensor_cmap_relation, _tensor_homotopy_relation,
                             _theta_relation)
 from cubehom.tensorstruct import (SlotSum, SlotTerm, bracket_apply,
@@ -81,9 +80,9 @@ def test_tensor_cmap_diagonal_is_tensoring():
     _, (g,) = geometry(2)
     F = fixed_obj(rng)
     x = CubeChain.of(rnd_cube(rng, 1, with_gram=True))
-    out = op_tensor(F, g, 0, 0, {frozenset(): x})
+    out = op_tensor(F, g, 0, 0, LevelChain.of((), x))
     tens = ExactFunctor.tensor_by(_pi(g, frozenset()).on_obj(F))
-    assert out[frozenset()] == x.map_cubes(tens.on_cube, x.degree)
+    assert out == LevelChain.of((), x.map_cubes(tens.on_cube, x.degree))
 
 
 def test_tensor_cmap_single_mark_component():
@@ -91,12 +90,12 @@ def test_tensor_cmap_single_mark_component():
     _, (g,) = geometry(1)
     F = fixed_obj(rng)
     x = CubeChain.of(rnd_cube(rng, 1, with_gram=True))
-    out = op_tensor(F, g, 0, 1, {frozenset(): x})
+    out = op_tensor(F, g, 0, 1, LevelChain.of((), x))
     lvls = _station_levels(((1,),), ())
     want = bracket_apply(F, [xi_slot(g, (1,), lvls[1])],
                          [_pi(g, lvls[0]), _pi(g, lvls[1])], x)
     # single part, weight zero, division sign +1
-    assert out[frozenset({1})] == want
+    assert out == LevelChain.of({1}, want)
 
 
 def test_tensor_cmap_relation():
@@ -105,10 +104,10 @@ def test_tensor_cmap_relation():
         _, (g,) = geometry(r)
         F = fixed_obj(rng)
         deg = 1 if r <= 2 else 0
-        x = {frozenset(): CubeChain.of(rnd_cube(rng, deg, with_gram=True))}
+        x = LevelChain.of(frozenset(), rnd_cube(rng, deg, with_gram=True))
         assert _tensor_cmap_relation(F, g, x, 0, r)
     _, (g,) = geometry(2)
-    x = {frozenset({2}): CubeChain.of(rnd_cube(rng, 1, with_gram=True))}
+    x = LevelChain.of({2}, rnd_cube(rng, 1, with_gram=True))
     assert _tensor_cmap_relation(fixed_obj(rng), g, x, 1, 2)
 
 
@@ -118,11 +117,11 @@ def test_tensor_homotopy_relation():
         _, (g0, g1) = geometry(r, schemes=2)
         f = MorphView(g0, g1)
         F = fixed_obj(rng)
-        x = {frozenset(): CubeChain.of(rnd_cube(rng, 1, with_gram=True))}
+        x = LevelChain.of(frozenset(), rnd_cube(rng, 1, with_gram=True))
         assert _tensor_homotopy_relation(F, f, x, 0, r)
     _, (g0, g1) = geometry(3, schemes=2)
     f = MorphView(g0, g1)
-    x = {frozenset(): CubeChain.of(rnd_cube(rng, 0, with_gram=True))}
+    x = LevelChain.of(frozenset(), rnd_cube(rng, 0, with_gram=True))
     assert _tensor_homotopy_relation(fixed_obj(rng), f, x, 0, 3)
 
 
@@ -132,10 +131,10 @@ def test_phi_s_equals_tensor():
         _, (g,) = geometry(r, seed=7)
         F = fixed_obj(rng)
         deg = 1 if r <= 2 else 0
-        x = {frozenset(): CubeChain.of(rnd_cube(rng, deg, with_gram=True))}
+        x = LevelChain.of(frozenset(), rnd_cube(rng, deg, with_gram=True))
         assert check_phi_s_equals_tensor(F, g, x, 0, r)["ok"]
     _, (g,) = geometry(2, seed=7)
-    x = {frozenset({2}): CubeChain.of(rnd_cube(rng, 0, with_gram=True))}
+    x = LevelChain.of({2}, rnd_cube(rng, 0, with_gram=True))
     assert check_phi_s_equals_tensor(fixed_obj(rng), g, x, 1, 2)["ok"]
 
 
@@ -148,7 +147,7 @@ def test_second_homotopy_relation():
         f, g = MorphView(X0, T1), MorphView(T1, X2)
         F = fixed_obj(rng)
         deg = 1 if r == 1 else 0
-        x = {frozenset(): CubeChain.of(rnd_cube(rng, deg, with_gram=True))}
+        x = LevelChain.of(frozenset(), rnd_cube(rng, deg, with_gram=True))
         assert _theta_relation(F, f, g, x, 0, r)
 
 
