@@ -35,7 +35,7 @@ generators.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 from .exactlin import RatMatrix, induced_homology_rank, rank
 
@@ -62,7 +62,7 @@ class ChainComplex:
     def d(self, n: int) -> RatMatrix:
         m = self.boundary.get(n)
         if m is None:
-            return RatMatrix(self.dim(n - 1), self.dim(n))
+            return RatMatrix.zero(self.dim(n - 1), self.dim(n))
         return m
 
     def validate(self):
@@ -88,7 +88,7 @@ class ChainComplex:
 
     def shift(self, r: int) -> "ChainComplex":
         """A[r]_n = A_{n-r} with boundary (-1)^r d."""
-        sgn = Fraction(-1) ** (r % 2)
+        sgn = -1 if r % 2 else 1
         return ChainComplex({n + r: d for n, d in self.dims.items()},
                             {n + r: m.scale(sgn) for n, m in self.boundary.items()})
 
@@ -102,22 +102,26 @@ def _comp(maps: dict, m: int, n: int, k: int, rows: int, cols: int) -> RatMatrix
 
 def _witness(checked: int, m: int, n: int, k: int, diff: RatMatrix) -> dict:
     """The failure report of a relation: its first nonzero entry."""
-    entry = min(diff.entries)
+    entry = min(diff.num)
     return {"ok": False, "checked": checked,
             "at": {"m": m, "n": n, "degree": k,
                    "entry": [entry[0], entry[1]],
-                   "value": str(diff.entries[entry])}}
+                   "value": str(diff[entry])}}
 
 
 def _assemble(rows: int, cols: int, blocks) -> RatMatrix:
-    """The rows x cols matrix that is the sum of the blocks, each given as
-    (row offset, column offset, matrix, sign)."""
+    """The rows x cols matrix that is the sum of the blocks, a list of
+    (row offset, column offset, matrix, int sign), summed on numerators
+    over the lcm of the blocks' denominators."""
+    den = math.lcm(*(mat.den for _, _, mat, _ in blocks))
     ent = {}
+    get = ent.get
     for r0, c0, mat, sign in blocks:
-        for (r, c), v in mat.entries.items():
+        f = sign * (den // mat.den)
+        for (r, c), v in mat.num.items():
             key = (r0 + r, c0 + c)
-            ent[key] = ent.get(key, 0) + sign * v
-    return RatMatrix(rows, cols, ent)
+            ent[key] = get(key, 0) + f * v
+    return RatMatrix.from_num(rows, cols, ent, den)
 
 
 class CComplex:
@@ -163,8 +167,8 @@ class CComplex:
             for n in range(m + 1, hi + 1):
                 for k in self.cx(m).degrees():
                     # target degree of the relation: A^n_{k+n-m-2}
-                    acc = self.f(m, n, k - 1).mul(self.cx(m).d(k)).scale((-1) ** m)
-                    acc = acc + self.cx(n).d(k + n - m - 1).mul(self.f(m, n, k)).scale((-1) ** n)
+                    acc = self.f(m, n, k - 1).mul(self.cx(m).d(k)).scale(-1 if m % 2 else 1)
+                    acc = acc + self.cx(n).d(k + n - m - 1).mul(self.f(m, n, k)).scale(-1 if n % 2 else 1)
                     for l in range(m + 1, n):
                         acc = acc + self.f(l, n, k + l - m - 1).mul(self.f(m, l, k))
                     checked += 1
@@ -174,23 +178,24 @@ class CComplex:
 
     def shift(self, r: int) -> "CComplex":
         """A[r]^m = A^{m+r} with F_{A[r]}^{m,n} = (-1)^r F_A^{m+r,n+r}."""
-        sgn = Fraction(-1) ** (r % 2)
+        sgn = -1 if r % 2 else 1
         return CComplex({m - r: c for m, c in self.complexes.items()},
                         {(m - r, n - r): {k: mat.scale(sgn) for k, mat in per.items()}
                          for (m, n), per in self.fmaps.items()})
 
     # -- total complex -------------------------------------------------
 
-    def tot_basis(self, p: int):
-        """Ordered basis of Tot_p = (+)_m A^m_{m+p} as (m, i) pairs."""
-        out = []
+    def tot_offsets(self, p: int):
+        """Tot_p = (+)_m A^m_{m+p}, the summands in index order: the offset
+        of each summand, and the dimension of Tot_p."""
+        offs, total = {}, 0
         for m in self.indices():
-            for i in range(self.cx(m).dim(m + p)):
-                out.append((m, i))
-        return out
+            offs[m] = total
+            total += self.cx(m).dim(m + p)
+        return offs, total
 
     def tot(self) -> ChainComplex:
-        """Tot_p = (+)_m A^m_{m+p}, in the order of ``tot_basis``, with the
+        """Tot_p = (+)_m A^m_{m+p}, in the order of ``tot_offsets``, with the
         blocks (-1)^m d on A^m and F^{m,n} from A^m to A^n."""
         idxs = self.indices()
         blocks = []
@@ -303,18 +308,12 @@ class CMap(CFamily):
                 for k in side.cx(m).degrees():
                     degs.add(k - m)
         for p in degs:
-            src_b = self.src.tot_basis(p)
-            dst_b = {mi: j for j, mi in enumerate(self.dst.tot_basis(p))}
-            ent = {}
-            for col, (m, i) in enumerate(src_b):
-                for n in self.dst.indices():
-                    if n < m:
-                        continue
-                    mat = self.c(m, n, m + p)
-                    for (r, c), v in mat.entries.items():
-                        if c == i:
-                            ent[(dst_b[(n, r)], col)] = v
-            out[p] = RatMatrix(len(dst_b), len(src_b), ent)
+            src_off, src_dim = self.src.tot_offsets(p)
+            dst_off, dst_dim = self.dst.tot_offsets(p)
+            out[p] = _assemble(dst_dim, src_dim,
+                               [(dst_off[n], c0, self.c(m, n, m + p), 1)
+                                for m, c0 in src_off.items()
+                                for n in self.dst.indices() if n >= m])
         return out
 
 
@@ -525,7 +524,7 @@ def simple(f: CMap) -> SimpleParts:
             da = a.cx(m).dim(k)
             if da:
                 per[k] = RatMatrix(da, cone.cx(m).dim(k),
-                                   {(i, i): Fraction(1) for i in range(da)})
+                                   {(i, i): 1 for i in range(da)})
         if per:
             proj_comps[(m, m)] = per
     proj = CMap(cone, a, proj_comps)
@@ -538,7 +537,7 @@ def simple(f: CMap) -> SimpleParts:
             da = a.cx(m).dim(k)
             if db:
                 per[k] = RatMatrix(cone.cx(m).dim(k), db,
-                                   {(da + i, i): Fraction(1) for i in range(db)})
+                                   {(da + i, i): 1 for i in range(db)})
         if per:
             incl_comps[(m, m)] = per
     incl = CMap(bshift, cone, incl_comps)
@@ -708,18 +707,18 @@ def diagram_les_check(a1: ChainComplex, b1: ChainComplex, a2: ChainComplex,
     def rank_u(n):
         src_dim = b2.dim(n + 1)
         off = a1.dim(n) + a2.dim(n) + b1.dim(n + 1)
-        mat = RatMatrix(sd.dim(n), src_dim, {(off + i, i): Fraction(1) for i in range(src_dim)})
+        mat = RatMatrix(sd.dim(n), src_dim, {(off + i, i): 1 for i in range(src_dim)})
         return induced_homology_rank(mat, b2.d(n + 1).scale(-1), sd.d(n + 1))
 
     def rank_v(n):
         keep = a1.dim(n) + a2.dim(n) + b1.dim(n + 1)
         mat = RatMatrix(cx.dim(n), sd.dim(n),
-                        {(i, i): Fraction(1) for i in range(keep)})
+                        {(i, i): 1 for i in range(keep)})
         return induced_homology_rank(mat, sd.d(n), cx.d(n + 1))
 
     def rank_q(n):
         mat = RatMatrix(a1.dim(n), cx.dim(n),
-                        {(i, i): Fraction(1) for i in range(a1.dim(n))})
+                        {(i, i): 1 for i in range(a1.dim(n))})
         return induced_homology_rank(mat, cx.d(n), a1.d(n + 1))
 
     h_b2m = b2.shift(-1).homology()

@@ -26,8 +26,12 @@ def _emit(report, out_path) -> bool:
     if not out_path:
         sys.stdout.write(text)
         return True
+    return _write(out_path, "w", text)
+
+
+def _write(out_path, mode, text="") -> bool:
     try:
-        with open(out_path, "w") as fh:
+        with open(out_path, mode) as fh:
             fh.write(text)
     except OSError as exc:
         sys.stderr.write("cannot write %s: %s\n" % (out_path, exc))
@@ -55,6 +59,10 @@ def cmd_verify(args) -> int:
         except ValueError:
             sys.stderr.write("CUBEHOM_SEED must be an integer, got %r\n" % env)
             return 2
+    # appending nothing opens the path without truncating it: a path that
+    # cannot be written fails before the suite runs
+    if args.out and not _write(args.out, "a"):
+        return 2
     t0 = time.time()
     report = suites.run_suite(name, r=args.r, dim=args.dim,
                               trials=args.trials, seed=seed)
@@ -116,11 +124,11 @@ def cmd_homology(args) -> int:
             continue
         comp = bnds[n].mul(up)
         if not comp.is_zero():
-            entry = sorted(comp.entries)[0]
+            entry = min(comp.num)
             report = {"version": __version__, "ok": False,
                       "error": "boundaries do not compose to zero",
                       "witness": {"degree": n, "entry": [entry[0], entry[1]],
-                                  "value": rat_str(comp.entries[entry])}}
+                                  "value": rat_str(comp[entry])}}
             return 1 if _emit(report, args.out) else 2
     from .ccx import ChainComplex
     cx = ChainComplex(dims, bnds)

@@ -290,17 +290,13 @@ def _is_isometry(m: RatMatrix, src: MetObj, dst: MetObj) -> bool:
         return src.gram is None and dst.gram is None
     pulled = m.transpose().mul(dst.gram).mul(m)
     # pulled must equal src.gram up to a square rational factor t^2
-    base = None
-    for k, v in src.gram.entries.items():
-        base = (k, v)
-        break
-    if base is None:
+    k0 = next(iter(src.gram.num), None)
+    if k0 is None:
         return pulled.is_zero()
-    k0, v0 = base
     w0 = pulled[k0]
     if w0 == 0:
         return False
-    s = w0 / v0
+    s = w0 / src.gram[k0]
     if pulled != src.gram.scale(s):
         return False
     return _is_rational_square(s)

@@ -1,8 +1,12 @@
 """Exact rational linear algebra: sparse matrices, ranks, kernels, homology.
 
-Everything is computed over Q with ``fractions.Fraction``; there is no
-floating point anywhere in this package.  Matrices are immutable sparse
-maps (row, col) -> Fraction with no stored zeros, hashable so they can sit
+Everything is computed over Q exactly; there is no floating point anywhere
+in this package, and a matrix given a ``float`` entry or scale factor
+raises ``TypeError``.  A matrix is immutable and sparse: a dict (row, col)
+-> int of nonzero numerators over one positive int denominator, kept in
+lowest terms (the layout of FLINT's ``fmpq_mat``), so products, sums and
+Kronecker products are integer loops.  ``items()`` and indexing read the
+entries back as ``Fraction``s.  Matrices are hashable so they can sit
 inside cube vertices and chain generators.  ``FormalSum`` holds the
 arithmetic of formal Q-linear combinations that every chain-like class of
 the package shares.
@@ -16,8 +20,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from . import memo
-
-Rat = Fraction
 
 
 def rat_str(x: Fraction) -> str:
@@ -36,6 +38,16 @@ def parse_rat(s) -> Fraction:
     return Fraction(str(s))
 
 
+def _exact(v):
+    """v as an int, or as a Fraction when it is not an integer; a float,
+    whose binary value is rarely the rational meant, is refused."""
+    if type(v) is not Fraction:
+        if isinstance(v, float):
+            raise TypeError("exact rational expected, got float %r" % (v,))
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 _IDENTITY_CACHE = memo.table("exactlin.identity")
 _ZERO_CACHE = memo.table("exactlin.zero")
 
@@ -44,43 +56,72 @@ _new = object.__new__
 _set = object.__setattr__
 
 
+def _of(rows: int, cols: int, num: dict, den: int) -> "RatMatrix":
+    """The matrix owning ``num`` over ``den`` as given, with no checks: the
+    numerators are nonzero, in bounds and in lowest terms with den > 0."""
+    m = _new(RatMatrix)
+    _set(m, "rows", rows)
+    _set(m, "cols", cols)
+    _set(m, "num", num)
+    _set(m, "den", den)
+    _set(m, "_hash", None)
+    return m
+
+
+def _reduced(rows: int, cols: int, num: dict, den: int) -> "RatMatrix":
+    """num / den in lowest terms with a positive denominator, for a dict of
+    nonzero in-bounds int numerators and a nonzero int den: one gcd pass,
+    none when den == 1."""
+    if den != 1:
+        if den < 0:
+            den = -den
+            num = {k: -v for k, v in num.items()}
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {k: v // g for k, v in num.items()}
+    return _of(rows, cols, num, den)
+
+
 class RatMatrix:
     """Immutable sparse matrix over Q.
 
-    Entries are stored in a dict (row, col) -> Fraction holding no explicit
-    zeros.  Instances are hashable; the hash is computed on first use.
+    ``num`` maps (row, col) to the nonzero int numerators and ``den`` is
+    the one positive int denominator, with gcd(den, *num) == 1 (the zero
+    matrix has den == 1).  Instances are hashable; the hash is computed on
+    first use.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_hash")
+    __slots__ = ("rows", "cols", "num", "den", "_hash")
 
     def __init__(self, rows: int, cols: int, entries: Optional[Mapping] = None):
+        """The matrix with the given (row, col) -> value entries: ints,
+        Fractions or anything ``Fraction`` reads exactly (not floats)."""
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix shape")
-        clean = {}
+        num = {}
+        den = 1
         if entries:
             for (r, c), v in entries.items():
-                v = Fraction(v)
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise ValueError("entry (%d,%d) out of bounds for %dx%d" % (r, c, rows, cols))
-                if v != 0:
-                    clean[(r, c)] = v
+                if type(v) is not int:
+                    v = _exact(v)
+                    if type(v) is Fraction:
+                        den = math.lcm(den, v.denominator)
+                if v:
+                    num[(r, c)] = v
+            if den != 1:
+                # each value is in lowest terms and den is the lcm of their
+                # denominators, so the numerators share no factor with den
+                num = {k: v * den if type(v) is int
+                       else v.numerator * (den // v.denominator)
+                       for k, v in num.items()}
         _set(self, "rows", rows)
         _set(self, "cols", cols)
-        _set(self, "entries", clean)
+        _set(self, "num", num)
+        _set(self, "den", den)
         _set(self, "_hash", None)
-
-    @staticmethod
-    def _trusted(rows: int, cols: int, entries: dict) -> "RatMatrix":
-        """A matrix owning ``entries`` as given, with no checks.
-
-        Only this module's arithmetic calls it, on a dict it has just built
-        whose values are nonzero in-bounds Fractions by construction."""
-        m = _new(RatMatrix)
-        _set(m, "rows", rows)
-        _set(m, "cols", cols)
-        _set(m, "entries", entries)
-        _set(m, "_hash", None)
-        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -88,25 +129,26 @@ class RatMatrix:
     # -- constructors ------------------------------------------------
 
     @staticmethod
+    def from_num(rows: int, cols: int, num: dict, den: int) -> "RatMatrix":
+        """num / den for a dict (row, col) -> int of in-bounds integer
+        numerators and a nonzero int den; zero numerators are dropped."""
+        return _reduced(rows, cols, {k: v for k, v in num.items() if v}, den)
+
+    @staticmethod
     def from_rows(rows_data: Iterable[Iterable]) -> "RatMatrix":
         rows_data = [list(r) for r in rows_data]
         rows = len(rows_data)
         cols = len(rows_data[0]) if rows else 0
-        ent = {}
-        for i, row in enumerate(rows_data):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                v = Fraction(v)
-                if v != 0:
-                    ent[(i, j)] = v
-        return RatMatrix(rows, cols, ent)
+        if any(len(row) != cols for row in rows_data):
+            raise ValueError("ragged rows")
+        return RatMatrix(rows, cols, {(i, j): v for i, row in enumerate(rows_data)
+                                      for j, v in enumerate(row)})
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
         m = _IDENTITY_CACHE.get(n)
         if m is None:
-            m = RatMatrix(n, n, {(i, i): Fraction(1) for i in range(n)})
+            m = RatMatrix(n, n, {(i, i): 1 for i in range(n)})
             _IDENTITY_CACHE[n] = m
         return m
 
@@ -122,21 +164,27 @@ class RatMatrix:
 
     @staticmethod
     def column(values: Iterable) -> "RatMatrix":
-        vals = [Fraction(v) for v in values]
-        return RatMatrix(len(vals), 1, {(i, 0): v for i, v in enumerate(vals) if v != 0})
+        vals = list(values)
+        return RatMatrix(len(vals), 1, {(i, 0): v for i, v in enumerate(vals)})
 
     # -- basic access ------------------------------------------------
 
     def __getitem__(self, rc) -> Fraction:
-        return self.entries.get(rc, Fraction(0))
+        return Fraction(self.num.get(rc, 0), self.den)
+
+    def items(self):
+        """The nonzero entries as ((row, col), Fraction) pairs."""
+        den = self.den
+        for k, v in self.num.items():
+            yield k, Fraction(v, den)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.num
 
     def is_identity(self) -> bool:
-        if self.rows != self.cols or len(self.entries) != self.rows:
+        if self.rows != self.cols or self.den != 1 or len(self.num) != self.rows:
             return False
-        return all(self.entries.get((i, i)) == 1 for i in range(self.rows))
+        return all(self.num.get((i, i)) == 1 for i in range(self.rows))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -147,44 +195,64 @@ class RatMatrix:
         if h is not None and k is not None and h != k:
             return False
         return (self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.rows, self.cols, frozenset(self.entries.items())))
+            h = hash((self.rows, self.cols, self.den,
+                      frozenset(self.num.items())))
             _set(self, "_hash", h)
         return h
 
     def __repr__(self):
-        return "RatMatrix(%d, %d, %r)" % (self.rows, self.cols, self.entries)
+        return "RatMatrix(%d, %d, %r)" % (self.rows, self.cols, dict(self.items()))
 
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add")
-        ent = dict(self.entries)
-        for k, v in other.entries.items():
-            w = ent.get(k, 0) + v
-            if w == 0:
-                ent.pop(k, None)
-            else:
+        a, b = self.den, other.den
+        if a == b:
+            ent, den, add = dict(self.num), a, other.num.items()
+        else:
+            g = math.gcd(a, b)
+            fa, fb = b // g, a // g
+            den = a * fa
+            ent = {k: v * fa for k, v in self.num.items()}
+            add = ((k, v * fb) for k, v in other.num.items())
+        get = ent.get
+        for k, v in add:
+            w = get(k, 0) + v
+            if w:
                 ent[k] = w
-        return RatMatrix._trusted(self.rows, self.cols, ent)
+            else:
+                del ent[k]
+        return _reduced(self.rows, self.cols, ent, den)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self + other.scale(Fraction(-1))
+        return self + -other
 
     def __neg__(self) -> "RatMatrix":
-        return self.scale(Fraction(-1))
+        return _of(self.rows, self.cols,
+                   {k: -v for k, v in self.num.items()}, self.den)
 
     def scale(self, a) -> "RatMatrix":
-        a = Fraction(a)
-        if a == 0:
+        a = _exact(a)
+        if not a:
             return RatMatrix.zero(self.rows, self.cols)
-        return RatMatrix._trusted(self.rows, self.cols,
-                                  {k: a * v for k, v in self.entries.items()})
+        if a == 1:
+            return self
+        if a == -1:
+            return -self
+        if type(a) is int:
+            return _reduced(self.rows, self.cols,
+                            {k: a * v for k, v in self.num.items()}, self.den)
+        n = a.numerator
+        return _reduced(self.rows, self.cols,
+                        {k: n * v for k, v in self.num.items()},
+                        self.den * a.denominator)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         return self.mul(other)
@@ -194,50 +262,59 @@ class RatMatrix:
             raise ValueError("shape mismatch in mul: %dx%d @ %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
         by_row = {}
-        for (r, c), v in other.entries.items():
+        for (r, c), v in other.num.items():
             by_row.setdefault(r, []).append((c, v))
         acc = {}
-        for (r, k), v in self.entries.items():
+        get = acc.get
+        for (r, k), v in self.num.items():
             for c, w in by_row.get(k, ()):
                 key = (r, c)
-                s = acc.get(key, 0) + v * w
-                if s == 0:
-                    acc.pop(key, None)
-                else:
+                s = get(key, 0) + v * w
+                if s:
                     acc[key] = s
-        return RatMatrix._trusted(self.rows, other.cols, acc)
+                else:
+                    del acc[key]
+        return _reduced(self.rows, other.cols, acc, self.den * other.den)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix._trusted(self.cols, self.rows,
-                                  {(c, r): v for (r, c), v in self.entries.items()})
+        return _of(self.cols, self.rows,
+                   {(c, r): v for (r, c), v in self.num.items()}, self.den)
 
     def kron(self, other: "RatMatrix") -> "RatMatrix":
         """Kronecker product in lexicographic basis order (strictly associative)."""
+        orows, ocols = other.rows, other.cols
+        right = list(other.num.items())
         ent = {}
-        for (r1, c1), v1 in self.entries.items():
-            for (r2, c2), v2 in other.entries.items():
-                ent[(r1 * other.rows + r2, c1 * other.cols + c2)] = v1 * v2
-        return RatMatrix._trusted(self.rows * other.rows,
-                                  self.cols * other.cols, ent)
+        for (r1, c1), v1 in self.num.items():
+            r0, c0 = r1 * orows, c1 * ocols
+            for (r2, c2), v2 in right:
+                ent[(r0 + r2, c0 + c2)] = v1 * v2
+        return _reduced(self.rows * orows, self.cols * ocols, ent,
+                        self.den * other.den)
 
     def hstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.rows != other.rows:
             raise ValueError("hstack shape mismatch")
-        ent = dict(self.entries)
-        for (r, c), v in other.entries.items():
-            ent[(r, c + self.cols)] = v
-        return RatMatrix._trusted(self.rows, self.cols + other.cols, ent)
+        # over the lcm of two lowest-terms denominators the numerators
+        # stay in lowest terms: no gcd pass
+        a, b = self.den, other.den
+        den = a if a == b else math.lcm(a, b)
+        fa, fb, off = den // a, den // b, self.cols
+        ent = {k: v * fa for k, v in self.num.items()} if fa != 1 else dict(self.num)
+        for (r, c), v in other.num.items():
+            ent[(r, c + off)] = v * fb
+        return _of(self.rows, self.cols + other.cols, ent, den)
 
     def to_dense(self):
         m = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
+        for (r, c), v in self.items():
             m[r][c] = v
         return m
 
     # -- serialization ----------------------------------------------
 
     def to_json_obj(self):
-        items = sorted(self.entries.items())
+        items = sorted(self.items())
         return {"rows": self.rows, "cols": self.cols,
                 "entries": [[r, c, rat_str(v)] for (r, c), v in items]}
 
@@ -371,22 +448,16 @@ def linear_terms(pairs, image):
 
 def rank(m: RatMatrix) -> int:
     """Rank over Q, by dense fraction-free (Bareiss) elimination."""
-    if m.rows == 0 or m.cols == 0 or not m.entries:
+    if m.rows == 0 or m.cols == 0 or not m.num:
         return 0
     return _rank_bareiss(m)
 
 
 def _int_rows(m: RatMatrix):
-    """Dense rows of m, each scaled by the lcm of its denominators to ints."""
+    """Dense rows of the integer matrix m.den * m, its numerators."""
     a = [[0] * m.cols for _ in range(m.rows)]
-    by_row = {}
-    for (r, c), v in m.entries.items():
-        by_row.setdefault(r, []).append((c, v))
-    for r, items in by_row.items():
-        den = math.lcm(*(v.denominator for _, v in items))
-        row = a[r]
-        for c, v in items:
-            row[c] = v.numerator * (den // v.denominator)
+    for (r, c), v in m.num.items():
+        a[r][c] = v
     return a
 
 
@@ -417,18 +488,17 @@ def _rank_bareiss(m: RatMatrix) -> int:
     return r
 
 
-_ZERO = Fraction(0)
-
-
 def rref(m: RatMatrix):
-    """Reduced row echelon form (dense, exact). Returns (rows, pivot_cols).
+    """Reduced row echelon form, exactly, on the numerators of m.  Returns
+    (a, pivots, p): dense integer rows a and a nonzero int p such that a / p
+    is the reduced row echelon form of m, with pivot columns ``pivots``.
 
     Fraction-free Gauss-Jordan elimination (Montante's form of Bareiss's
-    method): on integer rows, each step updates every other row to
-    (p * row - f * pivot_row) // prev, a division that is always exact, so
-    all pivot entries stay equal to the latest pivot.  Each pivot row is
-    divided by its pivot once, at the end.  The reduced form is unique, so
-    the result equals rational Gauss-Jordan elimination.
+    method): each step updates every other row to (p * row - f * pivot_row)
+    // prev, a division that is always exact, so every earlier pivot entry
+    becomes the new pivot; at the end all pivot entries equal the last
+    pivot p.  Rows below the rank are zero.  The reduced form is unique, so
+    a / p equals rational Gauss-Jordan elimination.
     """
     a = _int_rows(m)
     nrows, ncols = m.rows, m.cols
@@ -460,26 +530,23 @@ def rref(m: RatMatrix):
         prev = p
         pivots.append(c)
         r += 1
-    out = []
-    for i, c in enumerate(pivots):
-        p = a[i][c]
-        out.append([Fraction(x, p) if x else _ZERO for x in a[i]])
-    # rows below the rank are zero
-    out.extend([_ZERO] * ncols for _ in range(r, nrows))
-    return out, pivots
+    return a, pivots, prev
 
 
 def kernel_basis(m: RatMatrix):
     """Basis of ker(m) as a list of column RatMatrix vectors, exactly."""
-    a, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
+    a, pivots, p = rref(m)
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * m.cols
-        vec[fc] = Fraction(1)
+    for fc in range(m.cols):
+        if fc in pivot_set:
+            continue
+        # p * x_fc = p, p * x_pc = -a[r][fc] for the pivot of each row r
+        vec = [0] * m.cols
+        vec[fc] = p
         for r, pc in enumerate(pivots):
             vec[pc] = -a[r][fc]
-        basis.append(RatMatrix.column(vec))
+        basis.append(_reduced(m.cols, 1, {(i, 0): x for i, x in enumerate(vec) if x}, p))
     return basis
 
 
@@ -490,19 +557,19 @@ def solve(m: RatMatrix, rhs: RatMatrix):
     """
     if m.rows != rhs.rows:
         raise ValueError("solve shape mismatch")
-    aug = m.hstack(rhs)
-    a, pivots = rref(aug)
-    # inconsistent exactly when a pivot lies in an rhs column (rref leaves
-    # every row below the rank zero)
-    if any(pc >= m.cols for pc in pivots):
+    a, pivots, p = rref(m.hstack(rhs))
+    # inconsistent exactly when a pivot lies in an rhs column (rows below
+    # the rank are zero)
+    if pivots and pivots[-1] >= m.cols:
         return None
-    ent = {}
+    num = {}
     for r, pc in enumerate(pivots):
+        row = a[r]
         for k in range(rhs.cols):
-            v = a[r][m.cols + k]
-            if v != 0:
-                ent[(pc, k)] = v
-    return RatMatrix._trusted(m.cols, rhs.cols, ent)
+            x = row[m.cols + k]
+            if x:
+                num[(pc, k)] = x
+    return _reduced(m.cols, rhs.cols, num, p)
 
 
 def is_invertible(m: RatMatrix) -> bool:
@@ -569,8 +636,8 @@ def _is_sym_posdef(g: RatMatrix) -> bool:
     if g != g.transpose():
         return False
     # Sylvester: every leading principal minor is positive.  Without row
-    # swaps the forward Bareiss pivots are those minors of the row-scaled
-    # integer matrix, whose signs are the same; a zero pivot, where a swap
+    # swaps the forward Bareiss pivots are those minors of the integer
+    # matrix den * g, whose signs are the same; a zero pivot, where a swap
     # would be needed, is a zero minor (Bareiss, Math. Comp. 22, 1968)
     a = _int_rows(g)
     prev = 1

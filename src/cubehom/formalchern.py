@@ -157,12 +157,12 @@ def iso_class_key(cube):
     vparts = []
     for a in sorted(cube.vertices):
         o = cube.vertices[a]
-        if o.gram is None or not o.gram.entries:
+        if o.gram is None or o.gram.is_zero():
             vparts.append((a, o.dim, None, None))
             continue
-        lead_key = sorted(o.gram.entries)[0]
-        lead = o.gram.entries[lead_key]
-        vparts.append((a, o.dim, o.gram.scale(1 / lead), _squarefree(lead)))
+        lead = o.gram[min(o.gram.num)]
+        vparts.append((a, o.dim, o.gram.scale(Fraction(1) / lead),
+                       _squarefree(lead)))
     aparts = tuple(sorted(cube.arrows.items(), key=lambda kv: kv[0]))
     return (cube.n, tuple(vparts), aparts)
 

@@ -32,8 +32,8 @@ def rnd_matrix(rng: random.Random, rows: int, cols: int, density: float = 0.7) -
 
 
 def rnd_invertible(rng: random.Random, n: int) -> RatMatrix:
-    lo = {(i, i): Fraction(1) for i in range(n)}
-    up = {(i, i): Fraction(1) for i in range(n)}
+    lo = {(i, i): 1 for i in range(n)}
+    up = {(i, i): 1 for i in range(n)}
     for i in range(n):
         for j in range(i):
             if rng.random() < 0.6:
@@ -42,7 +42,7 @@ def rnd_invertible(rng: random.Random, n: int) -> RatMatrix:
                 up[(j, i)] = rnd_fraction(rng)
     perm = list(range(n))
     rng.shuffle(perm)
-    pm = RatMatrix(n, n, {(perm[i], i): Fraction(1) for i in range(n)})
+    pm = RatMatrix(n, n, {(perm[i], i): 1 for i in range(n)})
     return pm.mul(RatMatrix(n, n, lo)).mul(RatMatrix(n, n, up))
 
 
@@ -104,7 +104,7 @@ def rnd_chain_complex(rng: random.Random, degs=(0, 3), maxdim: int = 3) -> Chain
     bnd = {}
     base = {n: rnd_invertible(rng, dims.get(n, 0)) for n in range(lo, hi + 1)}
     for n in range(lo + 1, hi + 1):
-        ent = {(i, dims[n] - rks[n] + i): Fraction(1) for i in range(rks[n])}
+        ent = {(i, dims[n] - rks[n] + i): 1 for i in range(rks[n])}
         m = RatMatrix(dims.get(n - 1, 0), dims.get(n, 0), ent)
         bnd[n] = base[n - 1].mul(m).mul(inverse(base[n]))
     return ChainComplex(dims, bnd)
@@ -187,7 +187,7 @@ def _put_eqs(eqs, row0, cols, slot, mat, sign, right=False):
     if slot is None:
         return
     off, trows, tcols = slot
-    for (p, q), v in mat.entries.items():
+    for (p, q), v in mat.items():
         if right:
             # eq(t, q) += sign * Th[t, p] * mat[p, q]
             r0, c0, rstep, cstep, count = row0 + q, off + p, cols, tcols, trows
@@ -244,17 +244,17 @@ def solve_second_homotopy(f, g, fp, gp, phi_a, phi_b, h_f, h_g, psi, psi_p):
                 rdim = bp.cx(n).dim(k + n - m + 1)
                 if not rdim:
                     continue
-                for (rr, cc), v in target.c(m, n, k).entries.items():
+                for (rr, cc), v in target.c(m, n, k).items():
                     rhsv[(eqcount + rr * cols + cc, 0)] = v
                 eq_block = (eqs, eqcount, cols)
                 _put_eqs(*eq_block, offs.get((m, n, k)),
-                         bp.cx(n).d(k + n - m + 2), (-1) ** n)
+                         bp.cx(n).d(k + n - m + 2), (-1) ** (n % 2))
                 for l in win:
                     if l < n:
                         _put_eqs(*eq_block, offs.get((m, l, k)),
                                  bp.f(l, n, k + l - m + 2), 1)
                 _put_eqs(*eq_block, offs.get((m, n, k - 1)), b.cx(m).d(k),
-                         -((-1) ** m), right=True)
+                         -((-1) ** (m % 2)), right=True)
                 for l in win:
                     if l > m:
                         _put_eqs(*eq_block, offs.get((l, n, k + l - m - 1)),
@@ -294,9 +294,9 @@ def rnd_retraction(rng: random.Random):
             db = b.cx(m).dim(kk)
             if db:
                 perf[kk] = RatMatrix(db, a.cx(m).dim(kk),
-                                     {(i, i): Fraction(1) for i in range(db)})
+                                     {(i, i): 1 for i in range(db)})
                 perg[kk] = RatMatrix(a.cx(m).dim(kk), db,
-                                     {(i, i): Fraction(1) for i in range(db)})
+                                     {(i, i): 1 for i in range(db)})
         if perf:
             fc[(m, m)] = perf
         if perg:

@@ -123,7 +123,7 @@ def test_simple_of_zero_map_is_direct_sum():
             # no cross terms from the A block into the B block
             ta = parts.a_dims.get((n, k + n - m - 1), 0)
             da = parts.a_dims.get((m, k), 0)
-            for (r, c), v in mat.entries.items():
+            for (r, c), v in mat.items():
                 assert not (r >= ta and c < da)
 
 
@@ -306,8 +306,9 @@ def _tot_reference(a):
     dims, basis = {}, {}
     degs = {k - m for m in a.indices() for k in a.cx(m).degrees()}
     for p in range(min(degs), max(degs) + 1):
-        basis[p] = {mi: j for j, mi in enumerate(a.tot_basis(p))}
-        dims[p] = len(basis[p])
+        offs, dims[p] = a.tot_offsets(p)
+        basis[p] = {(m, i): off + i for m, off in offs.items()
+                    for i in range(a.cx(m).dim(m + p))}
     out = {}
     for p in dims:
         if p - 1 not in dims:
@@ -317,7 +318,7 @@ def _tot_reference(a):
             blocks = [(m, a.cx(m).d(m + p).scale(Fraction(-1) ** (m % 2)))]
             blocks += [(n, a.f(m, n, m + p)) for n in a.indices() if n > m]
             for n, mat in blocks:
-                for (r, c), v in mat.entries.items():
+                for (r, c), v in mat.items():
                     if c == i:
                         key = (basis[p - 1][(n, r)], col)
                         ent[key] = ent.get(key, 0) + v
@@ -354,8 +355,8 @@ def _bump_last_visible(fam, rebuild):
             continue
         for k in fam.src.cx(m).degrees():
             d = fam.dst.cx(n).d(k + n - m + fam.reach)
-            if d.entries:
-                found = (n, k, min(c for _, c in d.entries))
+            if d.num:
+                found = (n, k, min(c for _, c in d.num))
     if found is None:
         return None, None
     n, k, r = found

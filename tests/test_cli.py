@@ -164,3 +164,18 @@ def test_unwritable_out_path_is_usage_error(tmp_path: Path, args):
     assert "Traceback" not in res.stderr
     assert res.stderr.startswith("cannot write %s: " % out)
     assert not out.parent.exists()
+
+
+def test_unwritable_out_path_fails_before_the_suite_runs(tmp_path: Path,
+                                                         monkeypatch, capsys):
+    from cubehom import cli, suites
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the suite ran before --out was checked")
+
+    monkeypatch.setattr(suites, "run_suite", refuse)
+    out = tmp_path / "missing" / "report.json"
+    assert cli.main(["verify", "multirel.composite-homotopy",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("cannot write %s: " % out)
+    assert not out.parent.exists()

@@ -7,7 +7,8 @@ from cubehom.cubes import one_cube
 from cubehom.exactlin import (MetObj, RatMatrix, ShortExact, ZERO_OBJ,
                               is_short_exact, kernel_basis, rank, rat_str,
                               rref, solve, tensor_map, tensor_obj)
-from helpers import rnd_chain_complex, rnd_gram, rnd_matrix, rnd_one_cube
+from helpers import (normal, rnd_chain_complex, rnd_gram, rnd_matrix,
+                     rnd_one_cube)
 
 
 def M(rows):
@@ -158,12 +159,29 @@ def test_public_constructor_validates_and_normalizes():
         RatMatrix(2, 2, {(0, -1): 1})
     m = RatMatrix(2, 3, {(0, 0): 3, (0, 1): "-2/6", (1, 2): 0,
                          (1, 0): Fraction(0)})
-    assert m.entries == {(0, 0): Fraction(3), (0, 1): Fraction(-1, 3)}
-    assert all(type(v) is Fraction for v in m.entries.values())
+    assert dict(m.items()) == {(0, 0): Fraction(3), (0, 1): Fraction(-1, 3)}
+    assert all(type(v) is Fraction for _, v in m.items())
+    assert (m.num, m.den) == ({(0, 0): 9, (0, 1): -1}, 3)
+    assert m[(0, 1)] == Fraction(-1, 3) and m[(1, 1)] == 0
+
+
+def test_floats_are_refused():
+    with pytest.raises(TypeError):
+        RatMatrix(1, 1, {(0, 0): 0.1})
+    with pytest.raises(TypeError):
+        RatMatrix(1, 1, {(0, 0): 0.0})
+    with pytest.raises(TypeError):
+        M([[1, 0.5]])
+    with pytest.raises(TypeError):
+        RatMatrix.identity(2).scale(0.1)
+    with pytest.raises(TypeError):
+        RatMatrix.identity(2).scale(1.0)
+    # exact decimal text is not a float
+    assert RatMatrix(1, 1, {(0, 0): "0.1"})[(0, 0)] == Fraction(1, 10)
 
 
 def _public(m):
-    return RatMatrix(m.rows, m.cols, dict(m.entries))
+    return RatMatrix(m.rows, m.cols, dict(m.items()))
 
 
 def test_derived_matrices_equal_and_hash_like_public_ones():
@@ -174,20 +192,33 @@ def test_derived_matrices_equal_and_hash_like_public_ones():
         c = rnd_matrix(rng, 4, 2, density=0.6)
         sq = rnd_matrix(rng, 3, 3, density=0.9)
         x = rnd_matrix(rng, 3, 2, density=0.9)
+        ints = RatMatrix(3, 4, {(i, j): rng.randint(-3, 3)
+                                for i in range(3) for j in range(4)})
+        half, third = a.scale(Fraction(1, 2)), b.scale(Fraction(-1, 3))
+        cancel = (a + ints) - a
+        assert cancel == ints and cancel.den == 1
         derived = [a + b, a - b, a - a, a.scale(Fraction(-2, 3)), a.mul(c),
-                   a.kron(c), a.transpose(), a.hstack(b), solve(sq, sq.mul(x))]
+                   a.kron(c), a.transpose(), a.hstack(b), solve(sq, sq.mul(x)),
+                   cancel, half + half, a.scale(Fraction(7, 2)),
+                   half.kron(c.scale(Fraction(5, 3))), half.hstack(third),
+                   third.hstack(ints), solve(sq, x), -half,
+                   *kernel_basis(a), *kernel_basis(half.hstack(third))]
         for d in derived:
+            if d is None:
+                continue
+            normal(d)
             p = _public(d)
             assert d == p and p == d
             assert hash(d) == hash(p)
-            assert d.entries == p.entries
+            assert (d.num, d.den) == (p.num, p.den)
+            assert dict(d.items()) == dict(p.items())
         assert a - a == RatMatrix.zero(3, 4)
 
 
 def test_matrix_is_immutable():
     a = M([[1, 2], [3, 4]])
     for m in (a, a.transpose(), a + a):
-        for name in ("rows", "cols", "entries", "_hash", "other"):
+        for name in ("rows", "cols", "num", "den", "_hash", "other"):
             with pytest.raises(AttributeError):
                 setattr(m, name, None)
     assert a == M([[1, 2], [3, 4]])

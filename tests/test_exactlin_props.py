@@ -2,7 +2,9 @@
 
 References are independent of ``cubehom.exactlin``'s kernels: a plain
 ``Fraction`` Gauss-Jordan elimination kept here, and sympy's rank and
-positive-definiteness test.
+positive-definiteness test.  Every matrix the strategies and the kernels
+derive is checked against the stored form: nonzero int numerators over one
+positive int denominator in lowest terms, den == 1 for the zero matrix.
 """
 
 from fractions import Fraction
@@ -12,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from cubehom.exactlin import (RatMatrix, _is_sym_posdef, kernel_basis, rank,
                               rref, solve)
+from helpers import normal
 
 PROPS = settings(derandomize=True, database=None, deadline=None,
                  max_examples=150)
@@ -38,14 +41,15 @@ def matrices(draw, max_dim=6):
     else:
         m = draw(grid(r, c, fractions if kind == "dense" else sparse_entries))
     zero_cols = draw(st.sets(st.integers(0, max(0, c - 1)), max_size=2))
-    return RatMatrix(r, c, {(i, j): v for (i, j), v in m.entries.items()
-                            if j not in zero_cols})
+    return normal(RatMatrix(r, c, {(i, j): v for (i, j), v in normal(m).items()
+                                   if j not in zero_cols}))
 
 
 def grid(r, c, entries):
     return st.lists(entries, min_size=r * c, max_size=r * c).map(
-        lambda vals: RatMatrix(r, c, {(i, j): vals[i * c + j]
-                                      for i in range(r) for j in range(c)}))
+        lambda vals: normal(RatMatrix(r, c, {(i, j): vals[i * c + j]
+                                             for i in range(r)
+                                             for j in range(c)})))
 
 
 def reference_rref(m):
@@ -82,11 +86,11 @@ def symmetric_matrices(draw, max_dim=5):
     kind = draw(st.sampled_from(["gram", "shifted-gram", "symmetric"]))
     if kind == "symmetric":
         m = draw(grid(n, n, sparse_entries))
-        return m + m.transpose()
+        return normal(m + normal(m.transpose()))
     a = draw(grid(draw(st.integers(0, n + 1)), n, fractions))
-    g = a.transpose().mul(a)
+    g = normal(normal(a.transpose()).mul(a))
     if kind == "shifted-gram":
-        g = g + RatMatrix.identity(n).scale(draw(fractions))
+        g = normal(g + normal(RatMatrix.identity(n).scale(draw(fractions))))
     return g
 
 
@@ -103,11 +107,13 @@ def sympy_rank(m):
 @PROPS
 @given(matrices())
 def test_rref_equals_rational_gauss_jordan(m):
-    got_rows, got_pivots = rref(m)
+    a, got_pivots, p = rref(m)
     want_rows, want_pivots = reference_rref(m)
     assert got_pivots == want_pivots
-    assert got_rows == want_rows
-    assert all(type(v) is Fraction for row in got_rows for v in row)
+    assert type(p) is int and p
+    assert all(type(x) is int for row in a for x in row)
+    assert all(a[i][c] == p for i, c in enumerate(got_pivots))
+    assert [[Fraction(x, p) for x in row] for row in a] == want_rows
 
 
 @PROPS
@@ -122,14 +128,14 @@ def test_solve_finds_a_solution_exactly_when_consistent(data):
     m = data.draw(matrices())
     k = data.draw(st.integers(1, 2))
     if data.draw(st.booleans()):
-        rhs = m.mul(data.draw(grid(m.cols, k, sparse_entries)))
+        rhs = normal(m.mul(data.draw(grid(m.cols, k, sparse_entries))))
     else:
         rhs = data.draw(grid(m.rows, k, sparse_entries))
-    consistent = sympy_rank(m) == sympy_rank(m.hstack(rhs))
+    consistent = sympy_rank(m) == sympy_rank(normal(m.hstack(rhs)))
     x = solve(m, rhs)
     if consistent:
         assert x is not None and (x.rows, x.cols) == (m.cols, k)
-        assert m.mul(x) == rhs
+        assert normal(m.mul(normal(x))) == rhs
     else:
         assert x is None
 
@@ -140,10 +146,46 @@ def test_kernel_dimension_is_nullity(m):
     basis = kernel_basis(m)
     assert len(basis) == m.cols - rank(m)
     for v in basis:
-        assert m.mul(v).is_zero()
+        assert normal(m.mul(normal(v))).is_zero()
 
 
 @PROPS
 @given(symmetric_matrices())
 def test_sym_posdef_equals_sympy(g):
     assert _is_sym_posdef(g) == to_sympy(g).is_positive_definite
+
+
+@PROPS
+@given(matrices(), matrices(), fractions)
+def test_arithmetic_keeps_the_normal_form(a, b, q):
+    """Sums, differences, scalings, products, Kronecker products,
+    transposes and stacks agree with entrywise Fraction arithmetic and
+    come out in normal form."""
+    def entries(m):
+        return dict(m.items())
+
+    if (a.rows, a.cols) == (b.rows, b.cols):
+        want = {k: entries(a).get(k, 0) + entries(b).get(k, 0)
+                for k in set(a.num) | set(b.num)}
+        assert entries(normal(a + b)) == {k: v for k, v in want.items() if v}
+        assert normal(a - b) + b == a
+        assert normal(a - a) == RatMatrix.zero(a.rows, a.cols)
+    assert entries(normal(a.scale(q))) == {k: q * v for k, v in a.items() if q}
+    assert entries(normal(-a)) == {k: -v for k, v in a.items()}
+    assert entries(normal(a.transpose())) == {(c, r): v for (r, c), v
+                                              in a.items()}
+    kr = normal(a.kron(b))
+    assert entries(kr) == {(r1 * b.rows + r2, c1 * b.cols + c2): v1 * v2
+                           for (r1, c1), v1 in a.items()
+                           for (r2, c2), v2 in b.items()}
+    bt = b.transpose()
+    if a.cols == bt.rows:
+        prod = entries(normal(a.mul(bt)))
+        dense_a, dense_b = a.to_dense(), bt.to_dense()
+        assert prod == {(i, j): s for i in range(a.rows) for j in range(bt.cols)
+                        if (s := sum(dense_a[i][k] * dense_b[k][j]
+                                     for k in range(a.cols)))}
+    if a.rows == b.rows:
+        st_ab = normal(a.hstack(b))
+        assert entries(st_ab) == {**entries(a), **{(r, c + a.cols): v
+                                                   for (r, c), v in b.items()}}

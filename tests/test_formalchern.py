@@ -88,6 +88,22 @@ def test_iso_class_key_collapses_square_rescalings():
     assert iso_class_key(c) != iso_class_key(tw2.on_cube(c))
 
 
+def test_iso_class_key_normalizes_integer_grams_exactly():
+    from cubehom.cubes import ExactFunctor, object_cube
+    from cubehom.exactlin import MetObj, RatMatrix
+    from fractions import Fraction
+    gram = RatMatrix.from_rows([[3, 1], [1, 2]])
+    c = object_cube(MetObj(2, gram))
+    (_, dim, lead_one, squarefree), = iso_class_key(c)[1]
+    assert dim == 2 and squarefree == 3
+    assert lead_one == gram.scale(Fraction(1, 3))
+    assert (lead_one.num, lead_one.den) == ({(0, 0): 3, (0, 1): 1, (1, 0): 1,
+                                             (1, 1): 2}, 3)
+    tw = ExactFunctor.tensor_by(MetObj(1, RatMatrix(1, 1, {(0, 0): 4}),
+                                       check=False))
+    assert iso_class_key(tw.on_cube(c)) == iso_class_key(c)
+
+
 def test_reindex_bookkeeping():
     for r in (1, 4, 5):
         rep = reindex_check(r)

@@ -175,7 +175,7 @@ def _record_matrices(monkeypatch):
             comps = out.comps if hasattr(out, "comps") else out
             calls.append(sorted(
                 [m, n, k, mat.rows, mat.cols,
-                 sorted([r, c, str(v)] for (r, c), v in mat.entries.items())]
+                 sorted([r, c, str(v)] for (r, c), v in mat.items())]
                 for (m, n), per in comps.items() for k, mat in per.items()))
             return out
         return wrapped

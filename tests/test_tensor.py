@@ -75,6 +75,25 @@ def test_slot_boundary_terms():
     assert ds.deg == slot.deg - 1
 
 
+def test_single_word_slot_boundary_obeys_leibniz():
+    # over a whole Xi slot the merge terms of its words cancel in pairs (a
+    # composite does not depend on the path), whatever their sign; one word
+    # alone pins it: d(phi x) = (d phi)(x) + (-1)^deg(phi) phi(d x)
+    rng = random.Random(12)
+    _, (g,) = geometry(3)
+    for K in [(1, 2), (1, 2, 3)]:
+        full = xi_slot(g, K, frozenset())
+        for t in list(full.terms)[:2]:
+            slot = SlotSum({t: 1}, full.deg)
+            for deg in (0, 1):
+                x = CubeChain.of(rnd_cube(rng, deg, with_gram=True))
+                rhs = slot.boundary().apply_chain(x)
+                if deg:
+                    rhs = rhs + slot.apply_chain(boundary(x)).scale(
+                        (-1) ** (slot.deg % 2))
+                assert boundary(slot.apply_chain(x)) == rhs, (K, deg)
+
+
 def test_tensor_cmap_diagonal_is_tensoring():
     rng = random.Random(3)
     _, (g,) = geometry(2)
