@@ -20,7 +20,7 @@ from cubehom import double, multirel
 from cubehom.cubes import ExactCube
 from cubehom.exactlin import MetObj
 from cubehom.multirel import GeomView, MorphView, Tower
-from cubehom.rand import rnd_cube, rnd_gram
+from cubehom.rand import rnd_cube, rnd_gram, rnd_second_homotopy_setup
 from cubehom.signs import subsets
 from cubehom.suites import run_suite, suite_names
 
@@ -246,3 +246,29 @@ def test_materialized_matrix_digest(monkeypatch, name):
     assert calls
     got = hashlib.sha256(json.dumps(calls).encode()).hexdigest()
     assert got == MATRIX_DIGESTS[name]
+
+
+# -- pinned second homotopies ----------------------------------------------
+#
+# A solver that returns a different but valid Theta would leave every
+# report above in place, so this pins the solved Theta of four setups per
+# seed: the SHA-256 of, per setup in order, each component's (m, n,
+# degree, shape), its denominator and its sorted numerators.
+
+THETA_DIGEST = "3568988fd824fc092b369eb39640842e7a7dd7c55e068c8cac5cde5a3b18ba2b"
+
+
+def test_solved_second_homotopy_digest():
+    out = []
+    for s in range(6):
+        rng = random.Random(s)
+        for _ in range(4):
+            setup = rnd_second_homotopy_setup(rng)
+            out.append(None if setup is None else sorted(
+                [m, n, k, mat.rows, mat.cols, mat.den,
+                 sorted([r, c, v] for (r, c), v in mat.num.items())]
+                for (m, n), per in setup["theta"].comps.items()
+                for k, mat in per.items()))
+    assert any(out)
+    got = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert got == THETA_DIGEST
