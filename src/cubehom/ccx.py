@@ -14,28 +14,29 @@ Degree bookkeeping: a component ``comp[(m, n)][k]`` is a matrix from
 A^m_k into B^n_{k + n - m + off}:
 
     shape               off   components
-    connecting map F     -1   m < n
+    structure S          -1   m <= n
     map                   0   m <= n
     homotopy             +1   m <= n + 1
     second homotopy      +2   m <= n + 2
 
-Maps, homotopies and second homotopies are one component-family class,
-``CFamily``, told apart only by their reach (= off) below the diagonal.
-It owns the components, the zero fill, the shape check, the builder
-``family`` that every construction here goes through, composition (reaches
-add) and one defect
+All four are one component-family class, ``CFamily``, told apart only by
+their reach (= off).  The structure family of a C-complex,
+``CComplex.structure()``, has S^{m,m} = (-1)^m d and S^{m,n} = F^{m,n},
+and every relation is a composite through ``compose_terms``: the relation
+above is (S S)^{m,n} = 0 for m < n, the boundary of the total complex is
+S, and a family h has the one defect
 
-    D(h) = (-1)^n d h + sum_{l<n} F h + (-1)^(reach+1) [(-1)^m h d + sum_{l>m} h F].
+    D(h) = S_B h + (-1)^(reach+1) h S_A,
 
-A map validates as D = 0, a homotopy as D = to - frm, a second homotopy
-as D = Psi' phi_B - Phi_f g - f' Phi_g - phi_B Psi; ``homotopy_defect`` is
-D itself.  ``multirel.check_relation`` states the same relation on
-generators.
+which vanishes on a map, is to - frm on a homotopy and
+Psi' phi_B - Phi_f g - f' Phi_g - phi_B Psi on a second homotopy.
+``multirel.check_relation`` states the same relation on generators.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 from .exactlin import RatMatrix, induced_homology_rank, rank
 
@@ -93,11 +94,7 @@ class ChainComplex:
                             {n + r: m.scale(sgn) for n, m in self.boundary.items()})
 
 
-def _comp(maps: dict, m: int, n: int, k: int, rows: int, cols: int) -> RatMatrix:
-    mm = maps.get((m, n), {}).get(k)
-    if mm is None:
-        return RatMatrix.zero(rows, cols)
-    return mm
+_NONE = {}
 
 
 def _witness(checked: int, m: int, n: int, k: int, diff: RatMatrix) -> dict:
@@ -137,6 +134,7 @@ class CComplex:
             kept = {k: mat for k, mat in per_deg.items() if not mat.is_zero()}
             if kept:
                 self.fmaps[(m, n)] = kept
+        self._structure = None
 
     def indices(self):
         return sorted(self.complexes)
@@ -148,8 +146,22 @@ class CComplex:
         return c
 
     def f(self, m: int, n: int, k: int) -> RatMatrix:
-        return _comp(self.fmaps, m, n, k,
-                     self.cx(n).dim(k + n - m - 1), self.cx(m).dim(k))
+        """F^{m,n}_k for m < n, zero where absent."""
+        return self.structure().c(m, n, k)
+
+    def structure(self) -> "CFamily":
+        """The structure family S of reach -1: S^{m,m}_k = (-1)^m d_k and
+        S^{m,n} = F^{m,n} for m < n."""
+        if self._structure is None:
+            comps = dict(self.fmaps)
+            for m, c in self.complexes.items():
+                sign = -1 if m % 2 else 1
+                comps[(m, m)] = {k: d.scale(sign) for k, d in c.boundary.items()}
+            # through a proxy, so the complex and its S form no cycle that
+            # only the garbage collector could free
+            me = weakref.proxy(self)
+            self._structure = CFamily(me, me, comps, -1)
+        return self._structure
 
     def validate(self):
         """Structured report: first failing (m, n, degree, entry) or ok."""
@@ -161,18 +173,16 @@ class CComplex:
             if not rep["ok"]:
                 rep["at"].update(m=m, n=m)
                 return rep
+        s = self.structure()
         checked = 0
         lo, hi = min(idxs), max(idxs)
         for m in range(lo, hi + 1):
             for n in range(m + 1, hi + 1):
                 for k in self.cx(m).degrees():
-                    # target degree of the relation: A^n_{k+n-m-2}
-                    acc = self.f(m, n, k - 1).mul(self.cx(m).d(k)).scale(-1 if m % 2 else 1)
-                    acc = acc + self.cx(n).d(k + n - m - 1).mul(self.f(m, n, k)).scale(-1 if n % 2 else 1)
-                    for l in range(m + 1, n):
-                        acc = acc + self.f(l, n, k + l - m - 1).mul(self.f(m, l, k))
+                    # (S S)^{m,n}_k: A^m_k -> A^n_{k+n-m-2}
+                    acc = _composite(s, s, m, n, k)
                     checked += 1
-                    if not acc.is_zero():
+                    if acc is not None and not acc.is_zero():
                         return _witness(checked, m, n, k, acc)
         return {"ok": True, "checked": checked}
 
@@ -195,16 +205,15 @@ class CComplex:
         return offs, total
 
     def tot(self) -> ChainComplex:
-        """Tot_p = (+)_m A^m_{m+p}, in the order of ``tot_offsets``, with the
-        blocks (-1)^m d on A^m and F^{m,n} from A^m to A^n."""
+        """Tot_p = (+)_m A^m_{m+p}, in the order of ``tot_offsets``, with
+        the block S^{m,n} from A^m to A^n."""
         idxs = self.indices()
-        blocks = []
-        for i, m in enumerate(idxs):
-            blocks.append((i, i, lambda p, m=m: self.cx(m).d(m + p),
-                           -1 if m % 2 else 1))
-            blocks.extend((j, i, lambda p, m=m, n=n: self.f(m, n, m + p), 1)
-                          for j, n in enumerate(idxs) if n > m)
-        return _slot_complex([(self.cx(m), m) for m in idxs], blocks)
+        pos = {m: i for i, m in enumerate(idxs)}
+        s = self.structure()
+        return _slot_complex([(self.cx(m), m) for m in idxs],
+                             [(pos[n], pos[m],
+                               lambda p, m=m, n=n: s.c(m, n, m + p), 1)
+                              for m, n in s.comps])
 
 
 def single_complex(c: ChainComplex, m: int = 0) -> CComplex:
@@ -216,15 +225,16 @@ def _keys(src: CComplex, dst: CComplex, reach: int):
     order validation visits them."""
     for m in src.indices():
         for n in dst.indices():
-            if m <= n + reach:
+            if m <= n + max(reach, 0):
                 for k in src.cx(m).degrees():
                     yield m, n, k
 
 
 class CFamily:
-    """comps[(m, n)][k]: A^m_k -> B^n_{k+n-m+reach} for m <= n + reach,
-    zero where absent.  Reach 0 is a map of C-complexes, 1 a homotopy and
-    2 a second homotopy; composing two families adds their reaches."""
+    """comps[(m, n)][k]: A^m_k -> B^n_{k+n-m+reach} for m <= n + max(reach,
+    0), zero where absent.  Reach -1 is a structure family, 0 a map of
+    C-complexes, 1 a homotopy and 2 a second homotopy; composing two
+    families adds their reaches."""
 
     def __init__(self, src: CComplex, dst: CComplex, comps: dict, reach: int):
         self.src = src
@@ -232,36 +242,50 @@ class CFamily:
         self.reach = reach
         self.comps = {}
         for (m, n), per in comps.items():
-            if m > n + reach:
+            if m > n + max(reach, 0):
                 raise ValueError("component (%d, %d) beyond reach %d"
                                  % (m, n, reach))
             kept = {k: mat for k, mat in per.items() if not mat.is_zero()}
             if kept:
                 self.comps[(m, n)] = kept
 
+    def get(self, m: int, n: int, k: int):
+        """The component in degree k, or None where it is zero."""
+        return self.comps.get((m, n), _NONE).get(k)
+
     def c(self, m: int, n: int, k: int) -> RatMatrix:
-        return _comp(self.comps, m, n, k,
-                     self.dst.cx(n).dim(k + n - m + self.reach),
-                     self.src.cx(m).dim(k))
+        """The component in degree k, zero where absent."""
+        mat = self.get(m, n, k)
+        return mat if mat is not None else RatMatrix.zero(
+            self.dst.cx(n).dim(k + n - m + self.reach), self.src.cx(m).dim(k))
+
+    def defect_terms(self, m: int, n: int, k: int):
+        """The terms of D(h)^{m,n}_k = S_B h + (-1)^(reach+1) h S_A, each a
+        (sign, left, key, right) standing for sign * left h_key right:
+        key is the (m', n', k') of a component of h, and left or right is
+        a present component of S, the other None for an identity."""
+        sb, sa = self.dst.structure(), self.src.structure()
+        for skey, key in compose_terms(sb, self, m, n, k):
+            left = sb.get(*skey)
+            if left is not None:
+                yield 1, left, key, None
+        sign = (-1) ** ((self.reach + 1) % 2)
+        for key, skey in compose_terms(self, sa, m, n, k):
+            right = sa.get(*skey)
+            if right is not None:
+                yield sign, None, key, right
 
     def defect(self, m: int, n: int, k: int) -> RatMatrix:
-        """D(h)^{m,n}_k: A^m_k -> B^n_{k+n-m+reach-1}, where
-
-            D(h) = (-1)^n d h + sum_{l<n} F h
-                   + (-1)^(reach+1) [(-1)^m h d + sum_{l>m} h F].
-
-        D vanishes on a map, is the difference of the endpoints of a
-        homotopy, and is the mediated difference of a second homotopy."""
-        a, b, r = self.src, self.dst, self.reach
-        out = b.cx(n).d(k + n - m + r).mul(self.c(m, n, k)).scale(-1 if n % 2 else 1)
-        for l in b.indices():
-            if m - r <= l < n:
-                out = out + b.f(l, n, k + l - m + r).mul(self.c(m, l, k))
-        inner = self.c(m, n, k - 1).mul(a.cx(m).d(k)).scale(-1 if m % 2 else 1)
-        for l in a.indices():
-            if m < l <= n + r:
-                inner = inner + self.c(l, n, k + l - m - 1).mul(a.f(m, l, k))
-        return out + inner if r % 2 else out - inner
+        """D(h)^{m,n}_k: A^m_k -> B^n_{k+n-m+reach-1}, the sum of the
+        present terms of ``defect_terms``."""
+        acc = RatMatrix.zero(self.dst.cx(n).dim(k + n - m + self.reach - 1),
+                             self.src.cx(m).dim(k))
+        for sign, left, key, right in self.defect_terms(m, n, k):
+            h = self.get(*key)
+            if h is not None:
+                term = left.mul(h) if right is None else h.mul(right)
+                acc = acc + term if sign == 1 else acc - term
+        return acc
 
     def compare_defect(self, target=None) -> dict:
         """Compare the defect with target(m, n, k), zero when None, at
@@ -277,12 +301,36 @@ class CFamily:
         return {"ok": True, "checked": checked}
 
 
+def compose_terms(g: CFamily, f: CFamily, m: int, n: int, k: int):
+    """The terms of (g f)^{m,n}_k as component keys: one pair ((l, n, k'),
+    (m, l, k)) of g^{l,n}_{k'} f^{m,l}_k for each index l of f's target
+    within both supports, with k' = k + l - m + (reach of f)."""
+    lo, hi = m - max(f.reach, 0), n + max(g.reach, 0)
+    shift = k - m + f.reach
+    for l in f.dst.indices():
+        if lo <= l <= hi:
+            yield (l, n, shift + l), (m, l, k)
+
+
+def _composite(g: CFamily, f: CFamily, m: int, n: int, k: int):
+    """(g f)^{m,n}_k summed over its present terms, None when none is."""
+    acc = None
+    for gkey, fkey in compose_terms(g, f, m, n, k):
+        a, b = g.get(*gkey), f.get(*fkey)
+        if a is not None and b is not None:
+            term = a.mul(b)
+            acc = term if acc is None else acc + term
+    return acc
+
+
 def family(src: CComplex, dst: CComplex, reach: int, comp) -> CFamily:
-    """The family of this reach whose (m, n, k) component is comp(m, n, k):
-    a CMap for reach 0, a CHomotopy for reach 1."""
+    """The family of this reach whose (m, n, k) component is comp(m, n, k),
+    None for zero: a CMap for reach 0, a CHomotopy for reach 1."""
     comps = {}
     for m, n, k in _keys(src, dst, reach):
-        comps.setdefault((m, n), {})[k] = comp(m, n, k)
+        mat = comp(m, n, k)
+        if mat is not None:
+            comps.setdefault((m, n), {})[k] = mat
     if reach == 0:
         return CMap(src, dst, comps)
     if reach == 1:
@@ -311,9 +359,8 @@ class CMap(CFamily):
             src_off, src_dim = self.src.tot_offsets(p)
             dst_off, dst_dim = self.dst.tot_offsets(p)
             out[p] = _assemble(dst_dim, src_dim,
-                               [(dst_off[n], c0, self.c(m, n, m + p), 1)
-                                for m, c0 in src_off.items()
-                                for n in self.dst.indices() if n >= m])
+                               [(dst_off[n], src_off[m], self.c(m, n, m + p), 1)
+                                for m, n in self.comps])
         return out
 
 
@@ -332,18 +379,10 @@ def zero_cmap(a: CComplex, b: CComplex) -> CMap:
 
 
 def compose(g: CFamily, f: CFamily) -> CFamily:
-    """(gf)^{m,n}_k = sum_l g^{l,n}_{k+l-m+r} f^{m,l}_k, r the reach of f;
-    the reach of gf is the sum of the two."""
-    rf, rg = f.reach, g.reach
-
-    def comp(m, n, k):
-        acc = RatMatrix.zero(g.dst.cx(n).dim(k + n - m + rf + rg),
-                             f.src.cx(m).dim(k))
-        for l in f.dst.indices():
-            if m - rf <= l <= n + rg:
-                acc = acc + g.c(l, n, k + l - m + rf).mul(f.c(m, l, k))
-        return acc
-    return family(f.src, g.dst, rf + rg, comp)
+    """g f, whose reach is the sum of the two, summed over
+    ``compose_terms``."""
+    return family(f.src, g.dst, f.reach + g.reach,
+                  lambda m, n, k: _composite(g, f, m, n, k))
 
 
 def cmap_shift(f: CMap, r: int) -> CMap:
@@ -416,10 +455,7 @@ def second_homotopy_target(g: CMap, fp: CMap, phi_b: CMap, h_f: CHomotopy,
 
 def check_second_homotopy(theta: SecondHomotopy):
     """The defining relation of a second homotopy, degreewise:
-
-    (-1)^n d Th + sum F Th - (-1)^m Th d - sum Th F
-      = Psi' phi_B - Phi_f g - f' Phi_g - phi_B Psi.
-    """
+    D(Theta) = Psi' phi_B - Phi_f g - f' Phi_g - phi_B Psi."""
     t = theta
     return t.compare_defect(second_homotopy_target(
         t.g, t.fp, t.phi_b, t.h_f, t.h_g, t.psi, t.psi_p).c)

@@ -378,7 +378,7 @@ class FormalSum:
 
     def scale(self, a):
         if type(a) is not Fraction and type(a) is not int:
-            a = Fraction(a)
+            a = _exact(a)
         if not a:
             return self._like({})
         return self._like({key: times(a, c) for key, c in self.terms.items()})
@@ -402,7 +402,7 @@ def _collect(clean: dict, pairs, normal=None) -> dict:
     get = clean.get
     for key, c in pairs:
         if type(c) is not Fraction and type(c) is not int:
-            c = Fraction(c)
+            c = _exact(c)
         if not c:
             continue
         if normal is not None:

@@ -22,9 +22,9 @@ the level bookkeeping j_k = l + k - 1 recorded in reindex_check.
 from __future__ import annotations
 
 from fractions import Fraction
-from .cubes import CubeChain, boundary, boundary_cube
+from .cubes import CubeChain, boundary
 from .exactlin import FormalSum, linear_terms
-from .multirel import GeomView, LevelChain, op_F, xi_K
+from .multirel import GeomView, LevelChain, op_structure, xi_K
 from .signs import subsets
 
 
@@ -73,19 +73,25 @@ class FormalTarget:
             terms.append((self._class_of(n, level, cube), c))
         return FormalElement(terms)
 
-    def d_symbol(self, key) -> FormalElement:
-        n, level, _ = key
-        cube = self._reps[key]
-        out = FormalElement()
+    def _raw_d(self, n: int, level, cube):
+        """The defined differential of ch_n(cube) at this level before the
+        vanishing rule and the isometry classes: its ((n', level', cube'),
+        coeff) terms."""
         complement = sorted(k for k in self.g.marks if k not in level)
         for l, mark in enumerate(complement, start=1):
             restricted = xi_K(self.g, (mark,), level, CubeChain.of(cube))
-            out = out + self.ch(n, level | {mark}, restricted).scale((-1) ** l)
-        db = boundary(CubeChain.of(cube))
-        if not db.is_zero():
-            out = out + self.ch(n - 1, level, db).scale(
-                (-1) ** ((self.r - len(level)) % 2))
-        return out
+            for c2, co in restricted.terms.items():
+                yield (n, level | {mark}, c2), co * (-1) ** l
+        sign = (-1) ** ((self.r - len(level)) % 2)
+        for c2, co in boundary(CubeChain.of(cube)).terms.items():
+            yield (n - 1, level, c2), co * sign
+
+    def d_symbol(self, key) -> FormalElement:
+        n, level, _ = key
+        return FormalElement(
+            (self._class_of(nn, lvl, c2), co)
+            for (nn, lvl, c2), co in self._raw_d(n, level, self._reps[key])
+            if not self.vanishes(c2))
 
     def d(self, elt: FormalElement) -> FormalElement:
         return FormalElement(linear_terms(elt.terms.items(), self.d_symbol))
@@ -109,14 +115,14 @@ def formal_ch(target: FormalTarget, x: LevelChain, n: int) -> FormalElement:
 
 
 def tot_boundary(g: GeomView, x: LevelChain) -> LevelChain:
-    """The total boundary of the multi-relative complex:
-    (d x)_J = (-1)^{|J|} d x_J + sum_{m < |J|} F^{m,|J|}(x)_J."""
-    out = x.map_cubes(lambda I, cube: boundary_cube(cube).scale((-1) ** len(I)))
+    """The total boundary of the multi-relative complex: the sum of the
+    structure family, (d x)_J = sum_{m <= |J|} S^{m,|J|}(x)_J."""
+    out = LevelChain()
     for m in sorted({len(I) for I, _ in x.terms}):
         xm = LevelChain((key, c) for key, c in x.terms.items()
                         if len(key[0]) == m)
-        for n in range(m + 1, len(g.marks) + 1):
-            out = out + op_F(g, m, n, xm)
+        for n in range(m, len(g.marks) + 1):
+            out = out + op_structure(g, m, n, xm)
     return out
 
 
@@ -173,18 +179,9 @@ def check_vanishing_consistency(target: FormalTarget, cube) -> bool:
     images, the rest cancels within isometry classes."""
     if not target.vanishes(cube):
         return True
-    level = frozenset()
-    # evaluate the raw differential without the rule, then bucket
-    n = cube.n
-    raw = []
-    comp = sorted(k for k in target.g.marks if k not in level)
-    for l, mark in enumerate(comp, start=1):
-        for c2, co in xi_K(target.g, (mark,), level, CubeChain.of(cube)).terms.items():
-            raw.append(((n, frozenset({mark}), c2), co * (-1) ** l))
-    for c2, co in boundary(CubeChain.of(cube)).terms.items():
-        raw.append(((n - 1, level, c2), co * (-1) ** ((target.r - len(level)) % 2)))
     return FormalElement([((nn, lvl, iso_class_key(c2)), co)
-                          for (nn, lvl, c2), co in raw
+                          for (nn, lvl, c2), co
+                          in target._raw_d(cube.n, frozenset(), cube)
                           if not target.vanishes(c2)]).is_zero()
 
 

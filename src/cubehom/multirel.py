@@ -861,16 +861,25 @@ def check_identity_cmap(gid: MorphView, x: LevelChain, m: int,
 
 # -- generator-wise relation checks -------------------------------------
 
+def op_structure(g: GeomView, m: int, n: int, x: LevelChain) -> LevelChain:
+    """The structure family of the C-complex of g: (-1)^m d for n = m,
+    F^{m,n} for n > m, zero for n < m."""
+    if n < m:
+        return LevelChain()
+    if n == m:
+        return x.boundary().scale((-1) ** (m % 2))
+    return op_F(g, m, n, x)
+
+
 def check_ccomplex_relation(g: GeomView, x: LevelChain, m: int,
                             n_max: int) -> dict:
-    """(-1)^m F^{m,n} d + (-1)^n d F^{m,n} + sum_l F^{l,n} F^{m,l} = 0
-    applied to a generator element at index m, for every n <= n_max."""
-    dx = x.boundary()
+    """(S S)^{m,n}(x) = sum_{m<=l<=n} S^{l,n} S^{m,l}(x) = 0 for a
+    generator element x at index m, for every m < n <= n_max."""
+    img = {l: op_structure(g, m, l, x) for l in range(m, n_max + 1)}
     for n in range(m + 1, n_max + 1):
-        acc = (op_F(g, m, n, dx).scale((-1) ** m)
-               + op_F(g, m, n, x).boundary().scale((-1) ** n))
-        for l in range(m + 1, n):
-            acc = acc + op_F(g, l, n, op_F(g, m, l, x))
+        acc = LevelChain()
+        for l in range(m, n + 1):
+            acc = acc + op_structure(g, l, n, img[l])
         if not acc.is_zero():
             return {"ok": False, "at": {"m": m, "n": n},
                     "levels": sorted({tuple(sorted(k)) for k, _ in acc.terms})}
@@ -884,8 +893,7 @@ def check_relation(op, reach: int, g_in: GeomView, g_out: GeomView,
     reach from the C-complex of g_in to that of g_out, applied to a
     generator element x at index m, for every n <= n_max:
 
-        (-1)^n d op^{m,n} + sum_{l<n} F_out^{l,n} op^{m,l}
-          + (-1)^(reach+1) [(-1)^m op^{m,n} d + sum_{l>m} op^{l,n} F_in^{m,l}]
+        sum_l S_out^{l,n} op^{m,l} + (-1)^(reach+1) sum_l op^{l,n} S_in^{m,l}
           = sum over target of sign * (outer inner)^{m,n}
 
     for target triples (sign, outer, inner), where inner None stands for
@@ -894,22 +902,21 @@ def check_relation(op, reach: int, g_in: GeomView, g_out: GeomView,
     vanishes below the diagonal, so (outer inner)^{m,n} sums over
     m <= l <= n.  With compare_alt the two sides are compared after
     alternation."""
-    dx = x.boundary()
     lo = max(m - reach, 0)
     img = {l: op(m, l, x) for l in range(lo, n_max + 1)}
-    f_in = {l: op_F(g_in, m, l, x)
-            for l in range(m + 1, n_max + reach + 1)}
+    s_in = {l: op_structure(g_in, m, l, x)
+            for l in range(m, n_max + reach + 1)}
     # inner^{m,l}(x) per target term; the identity's one component is x
     terms = [(sign, outer, {m: x} if inner is None else
               {l: inner(m, l, x) for l in range(m, n_max + 1)})
              for sign, outer, inner in target]
     for n in range(lo, n_max + 1):
-        left = img[n].boundary().scale((-1) ** (n % 2))
-        for l in range(lo, n):
-            left = left + op_F(g_out, l, n, img[l])
-        right = op(m, n, dx).scale((-1) ** (m % 2))
-        for l in range(m + 1, n + reach + 1):
-            right = right + op(l, n, f_in[l])
+        left = LevelChain()
+        for l in range(lo, n + 1):
+            left = left + op_structure(g_out, l, n, img[l])
+        right = LevelChain()
+        for l in range(m, n + reach + 1):
+            right = right + op(l, n, s_in[l])
         diff = left + right.scale((-1) ** ((reach + 1) % 2))
         for sign, outer, inner_img in terms:
             for l, y in inner_img.items():

@@ -9,11 +9,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .ccx import (CComplex, ChainComplex, CHomotopy, CMap, _assemble,
-                  _slot_complex, cmap_add, compose, homotopy_defect,
-                  identity_cmap, simple, single_complex)
+from .ccx import (CComplex, CFamily, ChainComplex, CHomotopy, CMap,
+                  SecondHomotopy, _assemble, _keys, _slot_complex,
+                  check_second_homotopy, cmap_add, compose, homotopy_defect,
+                  identity_cmap, second_homotopy_target, simple,
+                  single_complex)
 from .cubes import ExactCube, MetObj, object_cube, one_cube, tensor_cube
-from .exactlin import RatMatrix, ZERO_OBJ, inverse
+from .exactlin import RatMatrix, ZERO_OBJ, inverse, solve
 
 
 def rnd_fraction(rng: random.Random, span: int = 3) -> Fraction:
@@ -111,13 +113,13 @@ def rnd_chain_complex(rng: random.Random, degs=(0, 3), maxdim: int = 3) -> Chain
 
 
 def rnd_homotopy_comps(rng: random.Random, src: CComplex, dst: CComplex,
-                       density: float = 0.4, allow_corner: bool = False) -> dict:
-    """Random homotopy-shaped components; by default only m <= n, so the
+                       density: float = 0.4) -> dict:
+    """Random homotopy-shaped components supported on m <= n, so the
     homotopy defect is a map of C-complexes."""
     comps = {}
     for m in src.indices():
         for n in dst.indices():
-            if m > (n + 1 if allow_corner else n):
+            if m > n:
                 continue
             per = {}
             for k in src.cx(m).degrees():
@@ -179,90 +181,41 @@ def rnd_exchange_square(rng: random.Random):
     return a, b, ap, bp, f, fp, pa, pb, phi
 
 
-def _put_eqs(eqs, row0, cols, slot, mat, sign, right=False):
-    """Add the coefficients of sign * mat @ Th (sign * Th @ mat when
-    ``right``) to the equations from row0 on, each holding one entry of a
-    block with ``cols`` columns; Th is the unknown block at ``slot``, a
-    (column offset, rows, cols) triple, or None for no unknown."""
-    if slot is None:
-        return
-    off, trows, tcols = slot
-    for (p, q), v in mat.items():
-        if right:
-            # eq(t, q) += sign * Th[t, p] * mat[p, q]
-            r0, c0, rstep, cstep, count = row0 + q, off + p, cols, tcols, trows
-        else:
-            # eq(p, t) += sign * mat[p, q] * Th[q, t]
-            r0, c0, rstep, cstep, count = row0 + p * cols, off + q * tcols, 1, 1, tcols
-        w = sign * v
-        for t in range(count):
-            key = (r0 + t * rstep, c0 + t * cstep)
-            eqs[key] = eqs.get(key, 0) + w
-
-
 def solve_second_homotopy(f, g, fp, gp, phi_a, phi_b, h_f, h_g, psi, psi_p):
     """An explicit second homotopy for the given gadgets, found by solving
     the defining relation exactly; returns the SecondHomotopy or None when
-    the residual is not a boundary in the mediating degree."""
-    from .ccx import (SecondHomotopy, check_second_homotopy,
-                      second_homotopy_target)
-    from .exactlin import solve
-    b = g.src
-    bp = phi_b.dst
-    win = sorted(set(b.indices()) | set(bp.indices())
-                 | set(g.dst.indices()))
-    if win:
-        win = list(range(min(win), max(win) + 1))
-    # unknown layout: one block per (m, n, k) with m <= n + 2
-    offs = {}
-    total = 0
-    for m in b.indices():
-        for n in bp.indices():
-            if m > n + 2:
-                continue
-            for k in b.cx(m).degrees():
-                rows = bp.cx(n).dim(k + n - m + 2)
-                cols = b.cx(m).dim(k)
-                if rows and cols:
-                    offs[(m, n, k)] = (total, rows, cols)
-                    total += rows * cols
+    the residual is not a boundary in the mediating degree.
+
+    The unknowns are the entries of each Theta^{m,n}_k, row by row; a
+    defect term sign * L Theta R is the block sign * (L kron R^T) of the
+    linear system."""
+    b, bp = g.src, phi_b.dst
+    offs, total = {}, 0
+    for m, n, k in _keys(b, bp, 2):
+        rows, cols = bp.cx(n).dim(k + n - m + 2), b.cx(m).dim(k)
+        if rows and cols:
+            offs[(m, n, k)] = (total, rows, cols)
+            total += rows * cols
+    shape = CFamily(b, bp, {}, 2)
     target = second_homotopy_target(g, fp, phi_b, h_f, h_g, psi, psi_p)
-    eqs = {}
-    rhsv = {}
-    eqcount = 0
-    for m in b.indices():
-        for n in bp.indices():
-            if m > n + 2:
-                continue
-            for k in b.cx(m).degrees():
-                cols = b.cx(m).dim(k)
-                if not cols:
-                    continue
-                # relation evaluated in degree shift +1 relative to Theta:
-                # (-1)^n d Th^{m,n}[k] + sum F Th^{m,l}[k]
-                # - (-1)^m Th^{m,n}[k-1] d - sum Th^{l,n}[k+l-m-1] F = R
-                rdim = bp.cx(n).dim(k + n - m + 1)
-                if not rdim:
-                    continue
-                for (rr, cc), v in target.c(m, n, k).items():
-                    rhsv[(eqcount + rr * cols + cc, 0)] = v
-                eq_block = (eqs, eqcount, cols)
-                _put_eqs(*eq_block, offs.get((m, n, k)),
-                         bp.cx(n).d(k + n - m + 2), (-1) ** (n % 2))
-                for l in win:
-                    if l < n:
-                        _put_eqs(*eq_block, offs.get((m, l, k)),
-                                 bp.f(l, n, k + l - m + 2), 1)
-                _put_eqs(*eq_block, offs.get((m, n, k - 1)), b.cx(m).d(k),
-                         -((-1) ** (m % 2)), right=True)
-                for l in win:
-                    if l > m:
-                        _put_eqs(*eq_block, offs.get((l, n, k + l - m - 1)),
-                                 b.f(m, l, k), -1, right=True)
-                eqcount += rdim * cols
-    mat = RatMatrix(eqcount, total, {k: v for k, v in eqs.items() if v})
-    rhs = RatMatrix(eqcount, 1, rhsv)
-    sol = solve(mat, rhs)
+    blocks, rhsv, eqcount = [], {}, 0
+    for m, n, k in _keys(b, bp, 2):
+        rows, cols = bp.cx(n).dim(k + n - m + 1), b.cx(m).dim(k)
+        if not (rows and cols):
+            continue
+        for (rr, cc), v in target.c(m, n, k).items():
+            rhsv[(eqcount + rr * cols + cc, 0)] = v
+        for sign, left, key, right in shape.defect_terms(m, n, k):
+            slot = offs.get(key)
+            if slot is not None:
+                off, trows, tcols = slot
+                if left is None:
+                    left = RatMatrix.identity(trows)
+                if right is None:
+                    right = RatMatrix.identity(tcols)
+                blocks.append((eqcount, off, left.kron(right.transpose()), sign))
+        eqcount += rows * cols
+    sol = solve(_assemble(eqcount, total, blocks), RatMatrix(eqcount, 1, rhsv))
     if sol is None:
         return None
     comps = {}

@@ -117,6 +117,21 @@ def test_scale_composes(kind, data):
 @pytest.mark.parametrize("kind", KINDS)
 @PROPS
 @given(data=st.data())
+def test_float_coefficient_is_refused(kind, data):
+    # a float's binary value is rarely the rational meant (0.1 would be
+    # stored as 3602879701896397/36028797018963968), so sums refuse it as
+    # RatMatrix does, in scaling and in construction
+    make, keys = KINDS[kind]
+    x = make([(data.draw(keys), Fraction(1))])
+    with pytest.raises(TypeError):
+        x.scale(0.1)
+    with pytest.raises(TypeError):
+        make([(data.draw(keys), 0.1)])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@PROPS
+@given(data=st.data())
 def test_no_zero_coefficient_is_stored(kind, data):
     x, y = data.draw(elements(kind)), data.draw(elements(kind))
     a = data.draw(coeffs)

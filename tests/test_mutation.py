@@ -153,7 +153,8 @@ def test_flipped_reach_sign_fails_every_matrix_family(monkeypatch):
     from cubehom.rand import rnd_retraction, rnd_second_homotopy_setup
     rng = random.Random(6)
     # most solved second homotopies are zero, whose defect has no sign to
-    # flip; ten setups at this seed include nonzero ones
+    # flip; ten setups at this seed include nonzero ones.  They are solved
+    # before the flip, since the solver reads the same defect terms.
     thetas = [s["theta"] for s in (rnd_second_homotopy_setup(rng)
                                    for _ in range(10)) if s is not None]
     maps, homotopies = [], []
@@ -164,12 +165,62 @@ def test_flipped_reach_sign_fails_every_matrix_family(monkeypatch):
     assert all(f.validate()["ok"] for f in maps)
     assert all(h.validate(p, q)["ok"] for h, p, q in homotopies)
     assert all(ccx.check_second_homotopy(t)["ok"] for t in thetas)
-    monkeypatch.setattr(ccx.CFamily, "defect", _mutant(
-        ccx.CFamily.defect, "out + inner if r % 2 else out - inner",
-        "out - inner if r % 2 else out + inner"))
+    monkeypatch.setattr(ccx.CFamily, "defect_terms", _mutant(
+        ccx.CFamily.defect_terms, "(-1) ** ((self.reach + 1) % 2)",
+        "(-1) ** (self.reach % 2)"))
     assert not all(f.validate()["ok"] for f in maps)
     assert not all(h.validate(p, q)["ok"] for h, p, q in homotopies)
     assert not all(ccx.check_second_homotopy(t)["ok"] for t in thetas)
+
+
+def _reset_structures(*ccs):
+    for cc in ccs:
+        cc._structure = None
+
+
+def test_unsigned_structure_diagonal_fails_ccomplex_relations(monkeypatch):
+    # the sign (-1)^m of a C-complex's d is written once, in its structure
+    # family; without it cones and multi-relative complexes stop being
+    # C-complexes, and homotopies between retraction maps stop validating.
+    # (rnd_ccomplex draws rarely have a nonzero F, so they would not tell.)
+    from cubehom.rand import rnd_retraction
+    rng = random.Random(6)
+    cones, homotopies = [], []
+    for _ in range(4):
+        a, b, f, g, psi = rnd_retraction(rng)
+        cones.append(ccx.simple(f).ccx)
+        homotopies.append((psi, ccx.identity_cmap(b), ccx.compose(f, g)))
+    for r in (2, 3):
+        _, (g,) = geometry(r, seed=17)
+        seeds = [(frozenset(), rnd_cube(random.Random(14 + r), 1,
+                                        with_gram=True))]
+        cones.append(multirel.build_ccomplex(g, seeds)[1])
+    assert all(cc.validate()["ok"] for cc in cones)
+    assert all(h.validate(p, q)["ok"] for h, p, q in homotopies)
+    monkeypatch.setattr(ccx.CComplex, "structure", _mutant(
+        ccx.CComplex.structure, "sign = -1 if m % 2 else 1", "sign = 1"))
+    _reset_structures(*cones)
+    for h, _, _ in homotopies:
+        _reset_structures(h.src, h.dst)
+    assert not any(cc.validate()["ok"] for cc in cones)
+    assert not all(h.validate(p, q)["ok"] for h, p, q in homotopies)
+
+
+def test_unsigned_op_structure_fails_generator_relations(monkeypatch):
+    # the generator-level structure family carries the same one sign; the
+    # C-complex relation and the pullback-map relation both read it
+    _, (X0, X1) = geometry(2, seed=9, schemes=2)
+    f = MorphView(X0, X1)
+    xs = [LevelChain.of(frozenset(), rnd_cube(random.Random(20 + i), 1,
+                                              with_gram=True))
+          for i in range(4)]
+    assert all(multirel.check_ccomplex_relation(X0, x, 0, 2)["ok"] for x in xs)
+    assert all(multirel.check_cmap_relation(f, x, 0, 2)["ok"] for x in xs)
+    monkeypatch.setattr(multirel, "op_structure", _mutant(
+        multirel.op_structure, ".scale((-1) ** (m % 2))", ""))
+    assert not any(multirel.check_ccomplex_relation(X0, x, 0, 2)["ok"]
+                   for x in xs)
+    assert not any(multirel.check_cmap_relation(f, x, 0, 2)["ok"] for x in xs)
 
 
 def test_flipped_reach_sign_fails_generator_relations(monkeypatch):
