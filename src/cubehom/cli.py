@@ -59,13 +59,18 @@ def cmd_verify(args) -> int:
         except ValueError:
             sys.stderr.write("CUBEHOM_SEED must be an integer, got %r\n" % env)
             return 2
+    params = dict(r=args.r, dim=args.dim, trials=args.trials, seed=seed)
+    try:
+        suites.get_suite(name).merge(**params)
+    except suites.ParamError as exc:
+        sys.stderr.write("--%s\n" % exc)
+        return 2
     # appending nothing opens the path without truncating it: a path that
     # cannot be written fails before the suite runs
     if args.out and not _write(args.out, "a"):
         return 2
     t0 = time.time()
-    report = suites.run_suite(name, r=args.r, dim=args.dim,
-                              trials=args.trials, seed=seed)
+    report = suites.run_suite(name, **params)
     report["version"] = __version__
     if not _emit(report, args.out):
         return 2

@@ -28,7 +28,7 @@ from .exactlin import (FormalSum, MetObj, RatMatrix, ZERO_OBJ,
 from .signs import perm_sign
 
 
-_VIDX_CACHE = memo.table("cubes.vidx")
+_VIDX_CACHE = memo.shape_table("cubes.vidx")
 
 
 def vertex_indices(n: int):
@@ -39,7 +39,7 @@ def vertex_indices(n: int):
     return out
 
 
-_ARROW_KEYS_CACHE = memo.table("cubes.arrow_keys")
+_ARROW_KEYS_CACHE = memo.shape_table("cubes.arrow_keys")
 
 
 def arrow_keys(n: int):
@@ -51,7 +51,7 @@ def arrow_keys(n: int):
     return out
 
 
-_LINES_CACHE = memo.table("cubes.axis_lines")
+_LINES_CACHE = memo.shape_table("cubes.axis_lines")
 
 
 def axis_lines(n: int, j: int):
@@ -139,7 +139,8 @@ class ExactCube:
         """The canonical instance structurally equal to this cube.
 
         All constructions in this module intern their results, so equality
-        between library-produced cubes is pointer identity."""
+        between library-produced cubes of one suite run is pointer
+        identity; the table is run-scoped (see ``memo``)."""
         bucket = _INTERN.get(self._hash)
         if bucket is None:
             _INTERN[self._hash] = [self]
@@ -331,7 +332,7 @@ def one_cube(left: MetObj, mid: MetObj, right: MetObj,
                      {(1, (-1,)): inj, (1, (0,)): surj})
 
 
-_FACE_TABLE_CACHE = memo.table("cubes.face_table")
+_FACE_TABLE_CACHE = memo.shape_table("cubes.face_table")
 
 
 def face(cube: ExactCube, j: int, i: int) -> ExactCube:
@@ -413,7 +414,7 @@ def cube_from_json(obj) -> ExactCube:
                 for j, a in arrow_keys(n)})
 
 
-_SYM_TABLE_CACHE = memo.table("cubes.sym_table")
+_SYM_TABLE_CACHE = memo.shape_table("cubes.sym_table")
 
 
 def act_sym(sigma, cube: ExactCube) -> ExactCube:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import permutations
 
-from . import ccx, double, formalchern, rand, signs, wang
+from . import ccx, double, formalchern, memo, rand, signs, wang
 from .cubes import (CubeChain, ExactCube, ExactFunctor, act_sym, alt,
                     alt_block, boundary, boundary_partial, bracket_cube,
                     degeneracy, face, object_cube, phi_homotopy, psi_homotopy,
@@ -33,21 +33,47 @@ from .tensorstruct import (bracket_pair, check_bracket_boundary,
                            _station_levels)
 
 
+class ParamError(ValueError):
+    """A suite parameter below the least value the suite accepts."""
+
+    def __init__(self, suite, param, least, value):
+        super().__init__("%s must be at least %d for %s, got %d"
+                         % (param, least, suite, value))
+
+
 class Suite:
     """A named suite: its body is a generator over ``rng`` and the merged
-    parameters that yields ``(key, ok)`` or ``(key, ok, detail)``."""
+    parameters that yields ``(key, ok)`` or ``(key, ok, detail)``.
+    ``least`` maps a parameter to the least value the body accepts."""
 
-    def __init__(self, name, claim, runner, defaults):
+    def __init__(self, name, claim, runner, defaults, least=None):
         self.name = name
         self.claim = claim
         self.runner = runner
         self.defaults = dict(defaults)
+        self.least = dict(least or {})
 
-    def run(self, **params):
+    def merge(self, **params):
+        """The defaults overridden by the given non-None ``params``;
+        ParamError when one is below its least value."""
         merged = dict(self.defaults)
         for k, v in params.items():
             if v is not None:
                 merged[k] = v
+        for k, least in self.least.items():
+            if merged[k] < least:
+                raise ParamError(self.name, k, least, merged[k])
+        return merged
+
+    def run(self, **params):
+        """The report of one run.  The run-scoped memo tables are emptied
+        when it returns or raises."""
+        try:
+            return self._report(self.merge(**params))
+        finally:
+            memo.end_run()
+
+    def _report(self, merged):
         rng = random.Random(merged["seed"])
         checks = sorted(((key, bool(ok), detail[0] if detail else None)
                          for key, ok, *detail in self.runner(rng, **merged)),
@@ -86,9 +112,9 @@ def _stringify(x):
 _REGISTRY = {}
 
 
-def register(name, claim, **defaults):
+def register(name, claim, least=None, **defaults):
     def deco(fn):
-        _REGISTRY[name] = Suite(name, claim, fn, defaults)
+        _REGISTRY[name] = Suite(name, claim, fn, defaults, least)
         return fn
     return deco
 
@@ -150,7 +176,7 @@ def _run_shortexact(rng, trials, **_):
 @register("cubes.boundary-squared",
           "the alternating-sum boundary of normalized cube chains squares "
           "to zero",
-          trials=200, dim=3, seed=0)
+          trials=200, dim=3, seed=0, least={"dim": 1})
 def _run_dd(rng, trials, dim, **_):
     for t in range(trials):
         n = rng.randint(1, 3)
@@ -495,22 +521,22 @@ def _run_xi_boundary(rng, trials, r, seed, key, t, kmin, kmax, dcap, **_):
 register("multirel.xi-boundary",
          "the signed pullback-sum operators interchange with the boundary "
          "through division-signed composites",
-         trials=50, r=3, seed=0)(
+         trials=50, r=3, seed=0, least={"r": 1})(
     partial(_run_xi_boundary, key="xi", t=0, kmin=1, kmax=None, dcap=2))
 register("multirel.xi-pullback-boundary",
          "the morphism-inserted pullback-sum operators satisfy their "
          "two-sided boundary interchange",
-         trials=50, r=3, seed=0)(
+         trials=50, r=3, seed=0, least={"r": 1})(
     partial(_run_xi_boundary, key="xif", t=1, kmin=0, kmax=None, dcap=1))
 register("multirel.xi-exchange-boundary",
          "the doubly inserted operators mediate between composite and "
          "separate pullbacks in their boundary interchange",
-         trials=50, r=3, seed=0)(
+         trials=50, r=3, seed=0, least={"r": 1})(
     partial(_run_xi_boundary, key="xifg", t=2, kmin=0, kmax=3, dcap=1))
 register("multirel.xi-triple-boundary",
          "the triply inserted operators satisfy the boundary interchange "
          "with both partial-composite corrections",
-         trials=30, r=3, seed=0)(
+         trials=30, r=3, seed=0, least={"r": 1})(
     partial(_run_xi_boundary, key="xif3", t=3, kmin=0, kmax=2, dcap=1))
 
 
@@ -518,7 +544,7 @@ register("multirel.xi-triple-boundary",
           "the level family with its division-signed connecting maps is a "
           "C-complex: generator relations hold and the matrix "
           "materialization passes validation",
-          trials=50, r=3, seed=0)
+          trials=50, r=3, seed=0, least={"r": 1})
 def _run_mr_ccomplex(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
@@ -538,7 +564,7 @@ def _run_mr_ccomplex(rng, trials, r, seed, **_):
 @register("multirel.pullback-map",
           "the division-signed pullback of a geometry morphism is a map of "
           "C-complexes, generator-wise and as matrices",
-          trials=50, r=3, seed=0)
+          trials=50, r=3, seed=0, least={"r": 1})
 def _run_mr_pullback(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
@@ -557,7 +583,7 @@ def _run_mr_pullback(rng, trials, r, seed, **_):
 @register("multirel.composite-homotopy",
           "the doubly inserted operators assemble to a homotopy from the "
           "composite pullback to the composition of pullbacks",
-          trials=50, r=3, seed=0)
+          trials=50, r=3, seed=0, least={"r": 1})
 def _run_mr_homotopy(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, min(r, 2)) if t % 3 else rng.randint(1, r)
@@ -580,7 +606,7 @@ def _run_mr_homotopy(rng, trials, r, seed, **_):
           "the alternated operators form C-complexes, maps and homotopies "
           "on the alternating subcomplexes, validated as matrices on "
           "projected spans",
-          trials=12, r=3, seed=0)
+          trials=12, r=3, seed=0, least={"r": 1})
 def _run_mr_alt(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
@@ -611,7 +637,7 @@ def _run_mr_alt(rng, trials, r, seed, **_):
 @register("multirel.absorption",
           "alternating before and after a pullback-sum operator agrees with "
           "alternating after alone",
-          trials=40, r=3, seed=0)
+          trials=40, r=3, seed=0, least={"r": 1})
 def _run_absorb(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
@@ -644,7 +670,7 @@ def _run_cor216(rng, trials, r, seed, **_):
           "insertion positions, transposition-invariant (hence alternation-"
           "killed) but not degenerate inside, and the identity morphism "
           "pulls back to the identity of the alternating complex",
-          trials=100, r=3, seed=0)
+          trials=100, r=3, seed=0, least={"r": 1})
 def _run_prop220(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
@@ -670,7 +696,7 @@ def _run_prop220(rng, trials, r, seed, **_):
           "the boundary of an alternated bracket of slot functors expands "
           "into drop, merge, axis-exchange and inner-boundary terms with "
           "the stated signs",
-          trials=25, r=3, seed=0)
+          trials=25, r=3, seed=0, least={"r": 1})
 def _run_prop91(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
@@ -706,7 +732,7 @@ def _run_prop91(rng, trials, r, seed, **_):
 @register("tensor.cmap",
           "tensoring with a fixed object extends to a map of C-complexes "
           "through division-signed, weight-signed bracket operators",
-          trials=30, r=3, seed=0)
+          trials=30, r=3, seed=0, least={"r": 1})
 def _run_prop93(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
@@ -732,7 +758,7 @@ def _tensor_cmap_relation(F, g, x, m, n_max):
 @register("tensor.homotopy",
           "the mixed-insertion bracket operators form a homotopy exchanging "
           "the tensor map with a pullback",
-          trials=20, r=3, seed=0)
+          trials=20, r=3, seed=0, least={"r": 1})
 def _run_prop94(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, min(2, r)) if t % 3 else rng.randint(1, r)
@@ -758,7 +784,7 @@ def _tensor_homotopy_relation(F, f, x, m, n_max):
 @register("tensor.cone-agreement",
           "the cone-induced tensor map through the sign-twisted "
           "identification agrees with the direct tensor map",
-          trials=20, r=3, seed=0)
+          trials=20, r=3, seed=0, least={"r": 1})
 def _run_prop95(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
@@ -775,7 +801,7 @@ def _run_prop95(rng, trials, r, seed, **_):
           "for a retraction of geometries the two composite homotopies "
           "between the tensor map and its double pullback are mediated by "
           "the explicit two-insertion bracket operator",
-          trials=10, r=2, seed=0)
+          trials=10, r=2, seed=0, least={"r": 1})
 def _run_prop96(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, min(2, r))
@@ -844,7 +870,7 @@ def _run_pair(rng, trials, **_):
           "restriction to a partial double splits the fold pullback, and "
           "the inclusion-exclusion operator vanishes on every extraction "
           "except the empty one, where it alternates the components",
-          trials=20, r=4, seed=0)
+          trials=20, r=4, seed=0, least={"r": 1})
 def _run_double_bundle(rng, trials, r, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
@@ -881,7 +907,7 @@ def _run_double_bundle(rng, trials, r, **_):
 @register("double.splitting",
           "the cone-section splitting of the double validates and its "
           "degree-(0,0) part is the inclusion-exclusion operator",
-          trials=6, r=3, seed=0)
+          trials=6, r=3, seed=0, least={"r": 1})
 def _run_double_split(rng, trials, r, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
@@ -924,7 +950,7 @@ def _run_double_split(rng, trials, r, **_):
 @register("formalchern.squared",
           "the defined differential on the free character target squares "
           "to zero on generated spans",
-          trials=60, r=3, seed=0)
+          trials=60, r=3, seed=0, least={"r": 1})
 def _run_ds2(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
@@ -939,7 +965,7 @@ def _run_ds2(rng, trials, r, seed, **_):
 @register("formalchern.chain-map",
           "the signed assembly of level symbols is a chain map from the "
           "multi-relative total complex to the character target",
-          trials=60, r=3, seed=0)
+          trials=60, r=3, seed=0, least={"r": 1})
 def _run_chmap(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(1, r)
@@ -959,7 +985,7 @@ def _run_chmap(rng, trials, r, seed, **_):
 @register("formalchern.vanishing",
           "the vanishing rule is consistent: raw differentials of flagged "
           "generators cancel within isometry classes after the rule",
-          trials=25, r=2, seed=0)
+          trials=25, r=2, seed=0, least={"r": 1})
 def _run_vanish(rng, trials, r, seed, **_):
     tested = 0
     for t in range(trials):

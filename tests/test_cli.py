@@ -119,6 +119,33 @@ def test_verify_rejects_vacuous_parameters(flags):
     assert "must be at least" in res.stderr
 
 
+@pytest.mark.parametrize("suite, flag, least", [
+    ("multirel.ccomplex", "--r", 1),
+    ("tensor.cmap", "--r", 1),
+    ("cubes.boundary-squared", "--dim", 1),
+])
+def test_verify_rejects_values_below_the_suite_least(tmp_path: Path, suite,
+                                                      flag, least):
+    out = tmp_path / "report.json"
+    res = run_cli(["verify", suite, flag, str(least - 1), "--trials", "1",
+                   "--out", str(out)])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "%s must be at least %d for %s, got %d\n" \
+        % (flag, least, suite, least - 1)
+    assert not out.exists()
+    ok = run_cli(["verify", suite, flag, str(least), "--trials", "1"])
+    assert ok.returncode == 0, ok.stderr
+    assert json.loads(ok.stdout)["params"][flag[2:]] == least
+
+
+def test_verify_keeps_accepting_a_zero_the_suite_takes():
+    res = run_cli(["verify", "multirel.cone-identification", "--r", "0",
+                   "--trials", "1"])
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["params"]["r"] == 0
+
+
 def test_homology_matches_oracle(tmp_path: Path):
     import random
     from cubehom.rand import rnd_chain_complex

@@ -1,5 +1,7 @@
-"""The memo registry: value-keyed tables shared by equal inputs."""
+"""The memo registry: value-keyed tables shared by equal inputs, run-scoped
+tables emptied by every suite run, and shape tables kept."""
 
+import gc
 import pkgutil
 import random
 import re
@@ -9,7 +11,7 @@ from importlib import import_module
 import pytest
 
 import cubehom
-from cubehom import memo
+from cubehom import memo, suites
 from cubehom.cubes import ExactFunctor, composite_pullback
 from cubehom.exactlin import MetObj, RatMatrix
 from cubehom.multirel import GeomView, Tower
@@ -44,13 +46,84 @@ def test_towers_with_other_seeds_give_other_cubes():
         composite_pullback(_word(Tower(r=3, seed=6)), c)
 
 
+RUN_SCOPED = {"cubes.intern", "cubes.boundary", "cubes.alt", "cubes.pullback",
+              "cubes.functor_obj", "exactlin.identity", "exactlin.zero"}
+SHAPES = {"cubes.vidx", "cubes.arrow_keys", "cubes.axis_lines",
+          "cubes.face_table", "cubes.sym_table"}
+
+
+def _split_sizes():
+    sizes = memo.sizes()
+    run = {k: n for k, n in sizes.items() if k in memo._RUN_SCOPED}
+    return run, {k: n for k, n in sizes.items() if k not in run}
+
+
+def test_every_table_has_its_scope():
+    assert set(memo._RUN_SCOPED) == RUN_SCOPED
+    assert set(memo.sizes()) == RUN_SCOPED | SHAPES
+
+
+def test_a_returning_run_empties_the_run_scoped_tables():
+    composite_pullback(_word(Tower(r=3, seed=5)), _cube())
+    assert memo.sizes()["cubes.pullback"] > 0
+    rep = run_suite("multirel.pullback-map", r=3, seed=106, trials=3)
+    assert rep["ok"]
+    run, shapes = _split_sizes()
+    assert all(n == 0 for n in run.values()), run
+    assert shapes["cubes.vidx"] > 0 and shapes["cubes.face_table"] > 0
+
+
+def test_a_raising_run_empties_the_run_scoped_tables(monkeypatch):
+    def body(rng, **_):
+        c = rnd_cube(rng, 2)
+        assert memo.sizes()["cubes.intern"] > 0
+        yield "built", c.n == 2
+        raise RuntimeError("the body fails partway")
+
+    monkeypatch.setitem(suites._REGISTRY, "test.raises",
+                        suites.Suite("test.raises", "raises", body,
+                                     {"seed": 0}))
+    shapes_before = _split_sizes()[1]
+    with pytest.raises(RuntimeError, match="partway"):
+        run_suite("test.raises", seed=3)
+    run, shapes = _split_sizes()
+    assert all(n == 0 for n in run.values()), run
+    assert all(shapes[k] >= n for k, n in shapes_before.items())
+    assert shapes["cubes.vidx"] > 0
+
+
+def test_a_rejected_parameter_leaves_the_run_scoped_tables_empty():
+    _cube()
+    with pytest.raises(suites.ParamError):
+        run_suite("multirel.ccomplex", r=0, trials=1)
+    assert all(n == 0 for n in _split_sizes()[0].values())
+
+
 def test_repeated_suite_runs_add_no_entries():
     run_suite("multirel.pullback-map", r=3, seed=106, trials=3)
-    sizes = memo.sizes()
+    shapes = _split_sizes()[1]
     for _ in range(9):
         rep = run_suite("multirel.pullback-map", r=3, seed=106, trials=3)
         assert rep["ok"]
-        assert memo.sizes() == sizes
+        run, again = _split_sizes()
+        assert all(n == 0 for n in run.values()), run
+        assert again == shapes
+
+
+def test_many_seeds_in_one_process_hold_no_more_objects():
+    # a long-lived process (pytest, a benchmark worker) keeps nothing of a
+    # finished run: the tracked-object count after twenty seeds stays within
+    # 10% of its count after the first
+    def objects_after(seed):
+        assert run_suite("cubes.contraction", seed=seed, trials=5)["ok"]
+        gc.collect()
+        return len(gc.get_objects())
+
+    first = objects_after(0)
+    for seed in range(1, 19):
+        objects_after(seed)
+    last = objects_after(19)
+    assert abs(last - first) <= 0.1 * first, (first, last)
 
 
 def test_clear_then_recompute_gives_an_equal_cube():
@@ -88,8 +161,8 @@ def test_table_names_are_unique():
 
 
 def test_every_module_cache_is_a_registry_table():
-    # a new ad-hoc module cache must come from memo.table, so that clear()
-    # and sizes() see it
+    # a new ad-hoc module cache must come from the registry, so that
+    # end_run(), clear() and sizes() see it
     tables = list(memo._TABLES.values())
     found = []
     for info in pkgutil.iter_modules(cubehom.__path__):
