@@ -13,8 +13,13 @@ of isomorphism chains.
 
 Index conventions: a vertex index alpha is a tuple over {-1,0,1}; axis
 numbers are 1-based in the public API, matching the face operators
-``face(F, j, i)``.  Arrows are stored one per unit step alpha -> alpha'
-with alpha'_j = alpha_j + 1.
+``face(F, j, i)``.  There is one arrow per unit step alpha -> alpha'
+with alpha'_j = alpha_j + 1, keyed (j, alpha).  A cube stores its parts
+as two flat tuples in canonical order: vertices in lexicographic order of
+alpha (``vertex_indices``), arrows by axis and then by alpha
+(``arrow_keys``).  ``cube.vertex(alpha)`` and ``cube.arrow(j, alpha)``
+read a part by its index; faces, the symmetric action and the assembler
+work on positions through shape tables of integer positions.
 """
 
 from __future__ import annotations
@@ -31,10 +36,12 @@ from .signs import perm_sign
 _VIDX_CACHE = memo.shape_table("cubes.vidx")
 
 
-def vertex_indices(n: int):
+def vertex_indices(n: int) -> dict:
+    """The vertex indices of degree n in canonical (lexicographic) order,
+    each mapped to its position in ``ExactCube.vertices``."""
     out = _VIDX_CACHE.get(n)
     if out is None:
-        out = list(product((-1, 0, 1), repeat=n))
+        out = {a: p for p, a in enumerate(product((-1, 0, 1), repeat=n))}
         _VIDX_CACHE[n] = out
     return out
 
@@ -42,11 +49,19 @@ def vertex_indices(n: int):
 _ARROW_KEYS_CACHE = memo.shape_table("cubes.arrow_keys")
 
 
-def arrow_keys(n: int):
+def arrow_keys(n: int) -> dict:
+    """The arrow keys (j, alpha) of degree n in canonical order (by axis,
+    then by vertex index), each mapped to (p, s, t): its position p in
+    ``ExactCube.arrows`` and the vertex positions s of alpha and t of
+    alpha + e_j."""
     out = _ARROW_KEYS_CACHE.get(n)
     if out is None:
-        out = [(j, a) for j in range(1, n + 1) for a in vertex_indices(n)
-               if a[j - 1] != 1]
+        out = {}
+        for j in range(1, n + 1):
+            step = 3 ** (n - j)
+            for a, s in vertex_indices(n).items():
+                if a[j - 1] != 1:
+                    out[(j, a)] = (len(out), s, s + step)
         _ARROW_KEYS_CACHE[n] = out
     return out
 
@@ -55,12 +70,16 @@ _LINES_CACHE = memo.shape_table("cubes.axis_lines")
 
 
 def axis_lines(n: int, j: int):
-    """The (lo, mid, hi) vertex triples of the lines along axis j."""
+    """The lines along axis j, one per index of the other axes in
+    canonical order: the positions (lo, mid, hi) of its three vertices
+    and (alo, amid) of its two arrows."""
     out = _LINES_CACHE.get((n, j))
     if out is None:
-        out = [(co[:j - 1] + (-1,) + co[j - 1:], co[:j - 1] + (0,) + co[j - 1:],
-                co[:j - 1] + (1,) + co[j - 1:])
-               for co in product((-1, 0, 1), repeat=n - 1)]
+        vp, ak = vertex_indices(n), arrow_keys(n)
+        out = []
+        for co in product((-1, 0, 1), repeat=n - 1):
+            lo, mid, hi = (co[:j - 1] + (x,) + co[j - 1:] for x in (-1, 0, 1))
+            out.append((vp[lo], vp[mid], vp[hi], ak[(j, lo)][0], ak[(j, mid)][0]))
         _LINES_CACHE[(n, j)] = out
     return out
 
@@ -71,7 +90,7 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-def _seal(cube: "ExactCube", n: int, verts: dict, arrows: dict) -> None:
+def _seal(cube: "ExactCube", n: int, verts: tuple, arrows: tuple) -> None:
     """Give ``cube`` its parts and its hash.  ``verts`` must list the
     vertices in ``vertex_indices(n)`` order and ``arrows`` the arrows in
     ``arrow_keys(n)`` order, so that the hash, taken from the parts'
@@ -79,25 +98,25 @@ def _seal(cube: "ExactCube", n: int, verts: dict, arrows: dict) -> None:
     _set(cube, "n", n)
     _set(cube, "vertices", verts)
     _set(cube, "arrows", arrows)
-    _set(cube, "_hash", hash((n, tuple([o._hash for o in verts.values()]),
-                              tuple(map(hash, arrows.values())))))
+    _set(cube, "_hash", hash((n, tuple([o._hash for o in verts]),
+                              tuple([hash(m) for m in arrows]))))
     _set(cube, "_zero", None)
     _set(cube, "_degen", None)
 
 
-def _pick(table, keys, what: str) -> dict:
-    """{k: table[k]} over ``keys`` in order; a missing key raises
+def _pick(table, keys, what: str) -> tuple:
+    """table[k] for each of ``keys`` in order; a missing key raises
     ValueError naming it."""
     try:
-        return {k: table[k] for k in keys}
+        return tuple([table[k] for k in keys])
     except KeyError as e:
         raise ValueError("missing %s %r" % (what, e.args[0])) from None
 
 
-def _mk(n: int, verts: dict, arrows: dict) -> "ExactCube":
+def _mk(n: int, verts: tuple, arrows: tuple) -> "ExactCube":
     """The interned n-cube owning ``verts`` and ``arrows`` as given, with
     no copy and no check.  Only this module's constructions call it, on
-    dicts they have just built in the canonical order of ``_seal``."""
+    tuples they have just built in the canonical order of ``_seal``."""
     cube = _new(ExactCube)
     _seal(cube, n, verts, arrows)
     return cube.intern()
@@ -107,23 +126,24 @@ def _assemble(n: int, vertex, arrow) -> "ExactCube":
     """The interned n-cube with vertex(a) at each index a.  An arrow with
     a zero-dimensional end is the zero map; every other arrow (k, a) is
     arrow(k, a, dim), dim the dimension at a."""
-    verts = {a: vertex(a) for a in vertex_indices(n)}
-    arrows = {}
-    for k, a in arrow_keys(n):
-        sd, dd = verts[a].dim, verts[_step(a, k)].dim
-        arrows[(k, a)] = (arrow(k, a, sd) if sd and dd
-                          else RatMatrix.zero(dd, sd))
-    return _mk(n, verts, arrows)
+    verts = tuple([vertex(a) for a in vertex_indices(n)])
+    arrows = []
+    for (k, a), (_, s, t) in arrow_keys(n).items():
+        sd, td = verts[s].dim, verts[t].dim
+        arrows.append(arrow(k, a, sd) if sd and td else RatMatrix.zero(td, sd))
+    return _mk(n, verts, tuple(arrows))
 
 
 class ExactCube:
     """An exact n-cube: vertex objects and one arrow per lattice step.
 
-    ``vertices`` maps alpha -> MetObj; ``arrows`` maps (j, alpha) with
-    1 <= j <= n and alpha[j-1] in {-1, 0} to the matrix of the arrow
-    alpha -> alpha + e_j.  Equality is structural (all vertices including
-    gram data, and all arrow matrices); instances are immutable and
-    hashable.
+    ``vertices`` is the tuple of MetObj in ``vertex_indices(n)`` order;
+    ``arrows`` is the tuple of matrices of the arrows alpha -> alpha + e_j,
+    1 <= j <= n and alpha[j-1] in {-1, 0}, in ``arrow_keys(n)`` order.
+    ``vertex(alpha)`` and ``arrow(j, alpha)`` read one part by its index.
+    The constructor takes the parts as dicts keyed by those indices.
+    Equality is structural (all vertices including gram data, and all
+    arrow matrices); instances are immutable and hashable.
     """
 
     __slots__ = ("n", "vertices", "arrows", "_hash", "_zero", "_degen")
@@ -168,6 +188,14 @@ class ExactCube:
     def __repr__(self):
         return "ExactCube(n=%d)" % self.n
 
+    def vertex(self, alpha) -> MetObj:
+        """The object at vertex index alpha."""
+        return self.vertices[vertex_indices(self.n)[alpha]]
+
+    def arrow(self, j: int, alpha) -> RatMatrix:
+        """The matrix of the arrow alpha -> alpha + e_j."""
+        return self.arrows[arrow_keys(self.n)[(j, alpha)][0]]
+
     def face(self, j: int, i: int) -> "ExactCube":
         return face(self, j, i)
 
@@ -181,17 +209,9 @@ class ExactCube:
         with (optionally) short exact edges.  Used in tests and on demand;
         constructions in this module always produce valid cubes."""
         from .exactlin import ShortExact, is_short_exact
-        n = self.n
-        for alpha in vertex_indices(n):
-            if alpha not in self.vertices:
-                raise ValueError("missing vertex %r" % (alpha,))
-        for j, alpha in arrow_keys(n):
-            m = self.arrows.get((j, alpha))
-            if m is None:
-                raise ValueError("missing arrow %r" % ((j, alpha),))
-            src = self.vertices[alpha]
-            dst = self.vertices[_step(alpha, j)]
-            if m.cols != src.dim or m.rows != dst.dim:
+        n, verts, arrows = self.n, self.vertices, self.arrows
+        for (j, alpha), (p, s, t) in arrow_keys(n).items():
+            if arrows[p].cols != verts[s].dim or arrows[p].rows != verts[t].dim:
                 raise ValueError("arrow shape mismatch at %r" % ((j, alpha),))
         # commuting squares
         for j in range(1, n + 1):
@@ -199,20 +219,20 @@ class ExactCube:
                 for alpha in vertex_indices(n):
                     if alpha[j - 1] == 1 or alpha[k - 1] == 1:
                         continue
-                    a1 = self.arrows[(k, _step(alpha, j))].mul(self.arrows[(j, alpha)])
-                    a2 = self.arrows[(j, _step(alpha, k))].mul(self.arrows[(k, alpha)])
+                    a1 = self.arrow(k, _step(alpha, j)).mul(self.arrow(j, alpha))
+                    a2 = self.arrow(j, _step(alpha, k)).mul(self.arrow(k, alpha))
                     if a1 != a2:
                         raise ValueError("non-commuting square at %r, axes %d,%d"
                                          % (alpha, j, k))
         if exactness:
             for j in range(1, n + 1):
-                for lo, mid, hi in axis_lines(n, j):
-                    s = ShortExact(self.vertices[lo], self.vertices[mid],
-                                   self.vertices[hi],
-                                   self.arrows[(j, lo)], self.arrows[(j, mid)])
+                for co, (lo, mid, hi, alo, amid) in zip(
+                        product((-1, 0, 1), repeat=n - 1), axis_lines(n, j)):
+                    s = ShortExact(verts[lo], verts[mid], verts[hi],
+                                   arrows[alo], arrows[amid])
                     if not is_short_exact(s):
                         raise ValueError("edge not exact along axis %d at %r"
-                                         % (j, lo[:j - 1] + lo[j:]))
+                                         % (j, co))
 
     def is_zero_cube(self) -> bool:
         """True iff every vertex is the zero object; identified with the zero
@@ -221,7 +241,7 @@ class ExactCube:
         once per cube."""
         z = self._zero
         if z is None:
-            z = not any(o.dim for o in self.vertices.values())
+            z = not any(o.dim for o in self.vertices)
             _set(self, "_zero", z)
         return z
 
@@ -259,11 +279,11 @@ def degenerate_along(cube: ExactCube, j: int, sign: int, edge) -> bool:
     """True iff every line along axis j is X -> Y -> 0 (sign +1) or
     0 -> X -> Y (sign -1) with edge(matrix, X, Y) true of its X -> Y."""
     verts, arrows = cube.vertices, cube.arrows
-    for lo, mid, hi in axis_lines(cube.n, j):
+    for lo, mid, hi, alo, amid in axis_lines(cube.n, j):
         if sign == 1:
-            if verts[hi].dim or not edge(arrows[(j, lo)], verts[lo], verts[mid]):
+            if verts[hi].dim or not edge(arrows[alo], verts[lo], verts[mid]):
                 return False
-        elif verts[lo].dim or not edge(arrows[(j, mid)], verts[mid], verts[hi]):
+        elif verts[lo].dim or not edge(arrows[amid], verts[mid], verts[hi]):
             return False
     return True
 
@@ -323,13 +343,12 @@ def zero_cube(n: int) -> ExactCube:
 
 def object_cube(obj: MetObj) -> ExactCube:
     """The 0-cube on a single object."""
-    return _mk(0, {(): obj}, {})
+    return _mk(0, (obj,), ())
 
 
 def one_cube(left: MetObj, mid: MetObj, right: MetObj,
              inj: RatMatrix, surj: RatMatrix) -> ExactCube:
-    return _mk(1, {(-1,): left, (0,): mid, (1,): right},
-                     {(1, (-1,)): inj, (1, (0,)): surj})
+    return _mk(1, (left, mid, right), (inj, surj))
 
 
 _FACE_TABLE_CACHE = memo.shape_table("cubes.face_table")
@@ -348,19 +367,21 @@ def face(cube: ExactCube, j: int, i: int) -> ExactCube:
         def lift(a):
             return a[:j - 1] + (i,) + a[j - 1:]
 
-        tab = ([lift(a) for a in vertex_indices(n - 1)],
-               [(k if k < j else k + 1, lift(a)) for k, a in arrow_keys(n - 1)])
+        vp, ak = vertex_indices(n), arrow_keys(n)
+        tab = (tuple([vp[lift(a)] for a in vertex_indices(n - 1)]),
+               tuple([ak[(k if k < j else k + 1, lift(a))][0]
+                      for k, a in arrow_keys(n - 1)]))
         _FACE_TABLE_CACHE[(n, j, i)] = tab
     return _remap(cube, n - 1, tab)
 
 
 def _remap(cube: ExactCube, n: int, tab) -> ExactCube:
     """The n-cube taking its vertices and arrows from ``cube`` at the
-    source indices of ``tab``, listed in ``vertex_indices(n)`` and
+    source positions of ``tab``, listed in ``vertex_indices(n)`` and
     ``arrow_keys(n)`` order."""
     vsrc, asrc = tab
-    return _mk(n, dict(zip(vertex_indices(n), map(cube.vertices.__getitem__, vsrc))),
-               dict(zip(arrow_keys(n), map(cube.arrows.__getitem__, asrc))))
+    v, ar = cube.vertices, cube.arrows
+    return _mk(n, tuple([v[p] for p in vsrc]), tuple([ar[p] for p in asrc]))
 
 
 def degeneracy(cube: ExactCube, j: int, sign: int) -> ExactCube:
@@ -372,12 +393,12 @@ def degeneracy(cube: ExactCube, j: int, sign: int) -> ExactCube:
         raise ValueError("degeneracy sign must be +-1")
 
     def vertex(a):
-        return ZERO_OBJ if a[j - 1] == sign else cube.vertices[a[:j - 1] + a[j:]]
+        return ZERO_OBJ if a[j - 1] == sign else cube.vertex(a[:j - 1] + a[j:])
 
     def arrow(k, a, dim):
         if k == j:
             return RatMatrix.identity(dim)
-        return cube.arrows[(k if k < j else k - 1, a[:j - 1] + a[j:])]
+        return cube.arrow(k if k < j else k - 1, a[:j - 1] + a[j:])
 
     return _assemble(n + 1, vertex, arrow)
 
@@ -390,12 +411,13 @@ def cube_to_json(cube: ExactCube) -> dict:
     """JSON form: degree, vertex table keyed by comma-joined indices, and
     one arrow table per axis."""
     verts = {}
-    for a, o in cube.vertices.items():
+    for a in vertex_indices(cube.n):
+        o = cube.vertex(a)
         verts[_json_key(a)] = {"dim": o.dim,
                                "gram": None if o.gram is None else o.gram.to_json_obj()}
     arrows = {str(j): {} for j in range(1, cube.n + 1)}
-    for (j, a), m in cube.arrows.items():
-        arrows[str(j)][_json_key(a)] = m.to_json_obj()
+    for j, a in arrow_keys(cube.n):
+        arrows[str(j)][_json_key(a)] = cube.arrow(j, a).to_json_obj()
     return {"degree": cube.n, "vertices": verts, "arrows": arrows}
 
 
@@ -409,9 +431,9 @@ def cube_from_json(obj) -> ExactCube:
                       check=False)
 
     vt, at = obj["vertices"], obj["arrows"]
-    return _mk(n, {a: vertex(vt[_json_key(a)]) for a in vertex_indices(n)},
-               {(j, a): RatMatrix.from_json_obj(at[str(j)][_json_key(a)])
-                for j, a in arrow_keys(n)})
+    return _mk(n, tuple([vertex(vt[_json_key(a)]) for a in vertex_indices(n)]),
+               tuple([RatMatrix.from_json_obj(at[str(j)][_json_key(a)])
+                      for j, a in arrow_keys(n)]))
 
 
 _SYM_TABLE_CACHE = memo.shape_table("cubes.sym_table")
@@ -434,8 +456,9 @@ def act_sym(sigma, cube: ExactCube) -> ExactCube:
         def src(a):
             return tuple(a[sigma[i] - 1] for i in range(n))
 
-        tab = ([src(a) for a in vertex_indices(n)],
-               [(inv[k - 1], src(a)) for k, a in arrow_keys(n)])
+        vp, ak = vertex_indices(n), arrow_keys(n)
+        tab = (tuple([vp[src(a)] for a in vp]),
+               tuple([ak[(inv[k - 1], src(a))][0] for k, a in ak]))
         _SYM_TABLE_CACHE[(n, sigma)] = tab
     if all(sigma[i] == i + 1 for i in range(n)):
         return cube
@@ -456,13 +479,11 @@ def tensor_cube(f: ExactCube, g: ExactCube) -> ExactCube:
     def arrow(k, ab, dim):
         a, b = ab[:n], ab[n:]
         if k <= n:
-            return tensor_map(f.arrows[(k, a)],
-                              RatMatrix.identity(g.vertices[b].dim))
-        return tensor_map(RatMatrix.identity(f.vertices[a].dim),
-                          g.arrows[(k - n, b)])
+            return tensor_map(f.arrow(k, a), RatMatrix.identity(g.vertex(b).dim))
+        return tensor_map(RatMatrix.identity(f.vertex(a).dim), g.arrow(k - n, b))
 
-    return _assemble(n + g.n, lambda ab: tensor_obj(f.vertices[ab[:n]],
-                                                    g.vertices[ab[n:]]),
+    return _assemble(n + g.n, lambda ab: tensor_obj(f.vertex(ab[:n]),
+                                                    g.vertex(ab[n:])),
                      arrow)
 
 
@@ -485,16 +506,16 @@ def rho(cube: ExactCube, j: int) -> ExactCube:
 
     def vertex(a):
         src = collapse(a)
-        return ZERO_OBJ if src is None else cube.vertices[src]
+        return ZERO_OBJ if src is None else cube.vertex(src)
 
     def arrow(k, a, dim):
         ca = collapse(a)
         if k not in (j, j + 1):
-            return cube.arrows[(k if k < j else k - 1, ca)]
+            return cube.arrow(k if k < j else k - 1, ca)
         # inside the duplicated pair: identity or the original arrow
         if ca == collapse(_step(a, k)):
             return RatMatrix.identity(dim)
-        return cube.arrows[(j, ca)]
+        return cube.arrow(j, ca)
 
     return _assemble(n + 1, vertex, arrow)
 
@@ -699,9 +720,8 @@ class ExactFunctor:
     def on_cube(self, cube: ExactCube) -> ExactCube:
         if not self.word:
             return cube
-        verts = {a: self.on_obj(o) for a, o in cube.vertices.items()}
-        arrows = {k: self.on_map(m) for k, m in cube.arrows.items()}
-        return _mk(cube.n, verts, arrows)
+        return _mk(cube.n, tuple([self.on_obj(o) for o in cube.vertices]),
+                   tuple([self.on_map(m) for m in cube.arrows]))
 
     def __eq__(self, other):
         if not isinstance(other, ExactFunctor):
@@ -775,7 +795,7 @@ def _build_pullback(r: int, groups, cube: ExactCube) -> ExactCube:
         fs = star.get(a[:w])
         if fs is None:
             return ZERO_OBJ
-        v = cube.vertices[a[w:]]
+        v = cube.vertex(a[w:])
         for f in fs:
             v = f.on_obj(v)
         return v
@@ -784,7 +804,7 @@ def _build_pullback(r: int, groups, cube: ExactCube) -> ExactCube:
         if k <= w:
             # natural isomorphism between regroupings: identity matrix
             return RatMatrix.identity(dim)
-        m = cube.arrows[(k - w, a[w:])]
+        m = cube.arrow(k - w, a[w:])
         for f in star[a[:w]]:
             m = f.on_map(m)
         return m
@@ -815,8 +835,8 @@ def bracket_cube(cubes, isos=None) -> ExactCube:
     def iso_step(p, a):
         # matrix of F_{p-1} -> F_p at cube vertex a
         if isos is None or isos[p - 1] is None:
-            d = cubes[p - 1].vertices[a].dim
-            if cubes[p].vertices[a].dim != d:
+            d = cubes[p - 1].vertex(a).dim
+            if cubes[p].vertex(a).dim != d:
                 raise ValueError("identity iso between unequal dimensions")
             return RatMatrix.identity(d)
         m = isos[p - 1](a) if callable(isos[p - 1]) else isos[p - 1][a]
@@ -837,12 +857,12 @@ def bracket_cube(cubes, isos=None) -> ExactCube:
 
     def vertex(a):
         ci = chain_index(a[:l])
-        return ZERO_OBJ if ci is None else cubes[ci].vertices[a[l:]]
+        return ZERO_OBJ if ci is None else cubes[ci].vertex(a[l:])
 
     def arrow(k, a, dim):
         ci, gamma = chain_index(a[:l]), a[l:]
         if k > l:
-            return cubes[ci].arrows[(k - l, gamma)]
+            return cubes[ci].arrow(k - l, gamma)
         m = RatMatrix.identity(dim)
         for p in range(ci + 1, chain_index(_step(a, k)[:l]) + 1):
             m = iso_step(p, gamma).mul(m)

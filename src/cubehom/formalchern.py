@@ -22,7 +22,7 @@ the level bookkeeping j_k = l + k - 1 recorded in reindex_check.
 from __future__ import annotations
 
 from fractions import Fraction
-from .cubes import CubeChain, boundary
+from .cubes import CubeChain, arrow_keys, boundary, vertex_indices
 from .exactlin import FormalSum, linear_terms
 from .multirel import GeomView, LevelChain, op_structure, xi_K
 from .signs import subsets
@@ -161,15 +161,14 @@ def iso_class_key(cube):
     part is retained, so cubes differing by square metric rescalings per
     vertex collapse while genuinely different metrics stay apart."""
     vparts = []
-    for a in sorted(cube.vertices):
-        o = cube.vertices[a]
+    for a, o in zip(vertex_indices(cube.n), cube.vertices):
         if o.gram is None or o.gram.is_zero():
             vparts.append((a, o.dim, None, None))
             continue
         lead = o.gram[min(o.gram.num)]
         vparts.append((a, o.dim, o.gram.scale(Fraction(1) / lead),
                        _squarefree(lead)))
-    aparts = tuple(sorted(cube.arrows.items(), key=lambda kv: kv[0]))
+    aparts = tuple(zip(arrow_keys(cube.n), cube.arrows))
     return (cube.n, tuple(vparts), aparts)
 
 

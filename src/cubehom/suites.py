@@ -16,9 +16,9 @@ from itertools import permutations
 
 from . import ccx, double, formalchern, memo, rand, signs, wang
 from .cubes import (CubeChain, ExactCube, ExactFunctor, act_sym, alt,
-                    alt_block, boundary, boundary_partial, bracket_cube,
-                    degeneracy, face, object_cube, phi_homotopy, psi_homotopy,
-                    rho)
+                    alt_block, arrow_keys, boundary, boundary_partial,
+                    bracket_cube, degeneracy, face, object_cube, phi_homotopy,
+                    psi_homotopy, rho, vertex_indices)
 from .exactlin import (MetObj, ShortExact, inverse, is_short_exact, rank,
                        rat_str, rref, tensor_obj)
 from .multirel import (GeomView, LevelChain, MorphView, Tower, build_ccomplex,
@@ -162,9 +162,9 @@ def _run_exactlin(rng, trials, dim, **_):
 def _run_shortexact(rng, trials, **_):
     for t in range(trials):
         cube = rand.rnd_one_cube(rng, max_dim=3)
-        s = ShortExact(cube.vertices[(-1,)], cube.vertices[(0,)],
-                       cube.vertices[(1,)], cube.arrows[(1, (-1,))],
-                       cube.arrows[(1, (0,))])
+        s = ShortExact(cube.vertex((-1,)), cube.vertex((0,)),
+                       cube.vertex((1,)), cube.arrow(1, (-1,)),
+                       cube.arrow(1, (0,)))
         ok = is_short_exact(s)
         ok = ok and rank(s.inj) + rank(s.surj) == s.mid.dim
         ok = ok and s.surj.mul(s.inj).is_zero()
@@ -914,11 +914,12 @@ def _run_double_split(rng, trials, r, **_):
         geom = double.DoubleGeometry(rr)
         base = rand.rnd_cube(rng, 1, max_dim=2, with_gram=True)
         comps = {}
+        arrows = dict(zip(arrow_keys(base.n), base.arrows))
         for S in signs.subsets(geom.marks):
             verts = {a: MetObj(o.dim, rand.rnd_gram(rng, o.dim) if o.dim else None,
                                check=False)
-                     for a, o in base.vertices.items()}
-            comps[frozenset(S)] = ExactCube(base.n, verts, base.arrows).intern()
+                     for a, o in zip(vertex_indices(base.n), base.vertices)}
+            comps[frozenset(S)] = ExactCube(base.n, verts, arrows).intern()
         seed_cube = geom.family_cube((), comps)
         out = double.build_t(geom, [((), seed_cube)])
         t_map, q = out["t"], out["q"]

@@ -122,7 +122,7 @@ def test_criterion_10_double_suite():
     reps = [suites.run_suite("double.extraction", trials=20, r=4, seed=10),
             suites.run_suite("double.splitting", trials=6, r=3, seed=10)]
     _criterion(10, "double: fold sections, splitting operator, extraction "
-               "cancellations", t0, reps)
+               "cancellations", t0, reps, budget=3)
 
 
 def test_criterion_11_formal_character():
@@ -131,7 +131,7 @@ def test_criterion_11_formal_character():
             suites.run_suite("formalchern.chain-map", trials=100, r=3, seed=11),
             suites.run_suite("formalchern.vanishing", trials=25, r=2, seed=11)]
     _criterion(11, "formal character target: squared differential and "
-               "chain-map identity, 100 seeds", t0, reps)
+               "chain-map identity, 100 seeds", t0, reps, budget=12)
 
 
 def test_criterion_12_log_forms():
@@ -146,7 +146,7 @@ def test_criterion_13_diagram_long_sequence():
     t0 = time.time()
     rep = suites.run_suite("diagram.simple", trials=20, seed=13)
     _criterion(13, "diagram simple complex and its long sequence on 20 "
-               "instances", t0, [rep])
+               "instances", t0, [rep], budget=1)
 
 
 def test_criterion_14_cli_contract():

@@ -3,18 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from itertools import permutations
+from itertools import permutations, product
 
 from cubehom.cubes import (CubeChain, ExactCube, ExactFunctor, _step, act_sym,
                            alt, alt_block, arrow_keys, boundary,
                            boundary_partial, bracket_cube, composite_pullback,
-                           degeneracy, face, object_cube, one_cube,
+                           cube_to_json, degeneracy, face, object_cube, one_cube,
                            phi_homotopy, psi_homotopy, rho, tensor_cube,
                            transposition, vertex_indices, zero_cube)
 from cubehom.exactlin import MetObj, RatMatrix, ZERO_OBJ, inverse
 from cubehom.multirel import GeomView, Tower
-from helpers import (rnd_cube, rnd_gram, rnd_invertible, rnd_metobj,
-                     rnd_one_cube)
+from helpers import (cube_parts, rnd_cube, rnd_gram, rnd_invertible,
+                     rnd_metobj, rnd_one_cube)
 
 
 def simple_one_cube():
@@ -125,23 +125,23 @@ def test_rho_displayed_two_cube():
     # build rho of A -> B -> C by hand and compare
     c = simple_one_cube()
     r = rho(c, 1)
-    A, B, C = c.vertices[(-1,)], c.vertices[(0,)], c.vertices[(1,)]
-    f, g = c.arrows[(1, (-1,))], c.arrows[(1, (0,))]
+    A, B, C = c.vertex((-1,)), c.vertex((0,)), c.vertex((1,))
+    f, g = c.arrow(1, (-1,)), c.arrow(1, (0,))
     want_vertices = {
         (-1, -1): A, (-1, 0): A, (-1, 1): ZERO_OBJ,
         (0, -1): A, (0, 0): B, (0, 1): C,
         (1, -1): ZERO_OBJ, (1, 0): C, (1, 1): C,
     }
-    assert r.vertices == want_vertices
+    assert cube_parts(r)[0] == want_vertices
     eye = RatMatrix.identity
-    assert r.arrows[(2, (-1, -1))] == eye(1)
-    assert r.arrows[(2, (0, -1))] == f
-    assert r.arrows[(2, (0, 0))] == g
-    assert r.arrows[(2, (1, 0))] == eye(1)
-    assert r.arrows[(1, (-1, -1))] == eye(1)
-    assert r.arrows[(1, (0, 0))] == g
-    assert r.arrows[(1, (-1, 0))] == f
-    assert r.arrows[(1, (0, 1))] == eye(1)
+    assert r.arrow(2, (-1, -1)) == eye(1)
+    assert r.arrow(2, (0, -1)) == f
+    assert r.arrow(2, (0, 0)) == g
+    assert r.arrow(2, (1, 0)) == eye(1)
+    assert r.arrow(1, (-1, -1)) == eye(1)
+    assert r.arrow(1, (0, 0)) == g
+    assert r.arrow(1, (-1, 0)) == f
+    assert r.arrow(1, (0, 1)) == eye(1)
 
 
 def test_rho_face_identities():
@@ -248,7 +248,7 @@ def test_exact_functor_words():
     assert f.compose(g).word == f.word
     c = rnd_cube(rng, 1, with_gram=True)
     fc = f.on_cube(c)
-    assert fc.vertices[(0,)].dim == m.dim * c.vertices[(0,)].dim
+    assert fc.vertex((0,)).dim == m.dim * c.vertex((0,)).dim
     assert g.on_cube(c) is c
     # functors preserve degeneracy and the zero object
     assert f.on_obj(ZERO_OBJ).is_zero()
@@ -264,12 +264,12 @@ def test_bracket_cube_layout():
     br = bracket_cube([g0, g1, g2])
     assert br.n == 2
     # displayed 3x3 grid: rows are the first axis
-    assert br.vertices[(-1, -1)] == g0.vertices[()]
-    assert br.vertices[(0, -1)] == g0.vertices[()]
-    assert br.vertices[(-1, 0)] == g1.vertices[()]
-    assert br.vertices[(0, 0)] == g2.vertices[()]
+    assert br.vertex((-1, -1)) == g0.vertex(())
+    assert br.vertex((0, -1)) == g0.vertex(())
+    assert br.vertex((-1, 0)) == g1.vertex(())
+    assert br.vertex((0, 0)) == g2.vertex(())
     for a in ((1, -1), (1, 0), (1, 1), (-1, 1), (0, 1)):
-        assert br.vertices[a].dim == 0
+        assert br.vertex(a).dim == 0
     # boundary: alternating omissions
     lhs = boundary(CubeChain.of(br))
     rhs = CubeChain.of(bracket_cube([g0, g1])) \
@@ -296,10 +296,11 @@ def test_bracket_cube_of_degenerate_is_degenerate():
 def conjugated(rng, cube):
     """A cube isomorphic to ``cube`` through a random invertible matrix at
     every vertex, with those matrices keyed by vertex."""
-    isos = {a: rnd_invertible(rng, o.dim) for a, o in cube.vertices.items()}
+    verts, arrows = cube_parts(cube)
+    isos = {a: rnd_invertible(rng, o.dim) for a, o in verts.items()}
     arrows = {(k, a): isos[_step(a, k)].mul(m).mul(inverse(isos[a]))
-              for (k, a), m in cube.arrows.items()}
-    return ExactCube(cube.n, cube.vertices, arrows).intern(), isos
+              for (k, a), m in arrows.items()}
+    return ExactCube(cube.n, verts, arrows).intern(), isos
 
 
 def test_assembled_cubes_validate():
@@ -333,15 +334,15 @@ def test_chain_sum_checks_degrees_with_a_zero_side():
 
 def test_cube_constructor_names_a_missing_part():
     c = rnd_cube(random.Random(2), 2)
-    verts = dict(c.vertices)
+    verts, arrows = cube_parts(c)
     del verts[(1, 0)]
     with pytest.raises(ValueError, match=r"missing vertex \(1, 0\)"):
-        ExactCube(2, verts, c.arrows)
-    arrows = dict(c.arrows)
+        ExactCube(2, verts, arrows)
+    verts, arrows = cube_parts(c)
     del arrows[(2, (0, -1))]
     with pytest.raises(ValueError, match=r"missing arrow \(2, \(0, -1\)\)"):
-        ExactCube(2, c.vertices, arrows)
-    assert ExactCube(2, c.vertices, c.arrows) == c
+        ExactCube(2, verts, arrows)
+    assert ExactCube(2, *cube_parts(c)) == c
 
 
 def _embedding_word(tower):
@@ -356,7 +357,7 @@ def _lift(a, j, i):
 
 
 def test_trusted_constructions_equal_checked_ones():
-    """Every construction builds its dicts in the order the hash reads them:
+    """Every construction builds its tuples in the order the hash reads them:
     rebuilt through the checked constructor, each result has the same hash,
     the same parts and the same canonical instance."""
     rng = random.Random(43)
@@ -373,18 +374,142 @@ def test_trusted_constructions_equal_checked_ones():
         for j in range(1, n + 1):
             for i in (-1, 0, 1):
                 f = face(c, j, i)
-                assert f.vertices == {a: c.vertices[_lift(a, j, i)]
-                                      for a in vertex_indices(n - 1)}
-                assert f.arrows == {
-                    (k, a): c.arrows[(k if k < j else k + 1, _lift(a, j, i))]
-                    for k, a in arrow_keys(n - 1)}
+                assert f.vertices == tuple(c.vertex(_lift(a, j, i))
+                                           for a in vertex_indices(n - 1))
+                assert f.arrows == tuple(
+                    c.arrow(k if k < j else k + 1, _lift(a, j, i))
+                    for k, a in arrow_keys(n - 1))
                 built += [f, face(degeneracy(c, j, 1), j, 1)]
         for cube in built:
-            checked = ExactCube(cube.n, dict(cube.vertices), dict(cube.arrows))
+            checked = ExactCube(cube.n, *cube_parts(cube))
             assert hash(checked) == hash(cube)
             assert checked.vertices == cube.vertices
             assert checked.arrows == cube.arrows
             assert checked.intern() is cube
             cube.validate()
             assert cube.is_zero_cube() == all(
-                o.dim == 0 for o in cube.vertices.values())
+                o.dim == 0 for o in cube.vertices)
+
+
+# -- the flat layout: hashes and index reads --------------------------------
+
+def _full_cube(n, seed):
+    """A seeded n-cube whose vertices are all nonzero and carry a gram
+    matrix.  ``hash(None)`` is an address in CPython 3.11, so only a cube
+    with no None among its parts has the same hash in every process."""
+    rng = random.Random(seed)
+    if n == 0:
+        return object_cube(MetObj(2, rnd_gram(rng, 2), check=False))
+    ones = []
+    while len(ones) < n:
+        c = rnd_one_cube(rng, max_dim=1, with_gram=True)
+        if all(o.dim for o in c.vertices):
+            ones.append(c)
+    cube = ones[0]
+    for c in ones[1:]:
+        cube = tensor_cube(cube, c)
+    assert all(o.gram is not None for o in cube.vertices)
+    return cube
+
+
+# hash() of _full_cube(n, 100 + n), of its faces d_j^i (j major, i in
+# -1, 0, 1) and of its image under the cycle (2, .., n, 1), and of the
+# pullback of _full_cube(2, 102) along one Tower(r=3, seed=5) class, all
+# read with the dict-held cubes these tuples replaced
+PINNED_HASHES = {
+    0: (652541257274329201,
+        (),
+        None),
+    1: (3389899389013909953,
+        (-2243870099073060772,
+         8433676742781962487,
+         -2243870099073060772),
+        None),
+    2: (-464047281680946347,
+        (-8612829189987043541,
+         1978101545478084527,
+         -8329819967900276143,
+         2074252585584664345,
+         2036718843237326269,
+         4243365880353032945),
+        -9075726524990848203),
+    3: (-2854003318436818227,
+        (7340267831142066629,
+         1243624865383353612,
+         1230502963863431058,
+         -3330890354516827824,
+         2960590784393309859,
+         6600741888955418041,
+         6196982164640491233,
+         7784410207734425474,
+         6196982164640491233),
+        1348320025610885476),
+    4: (-5046833477685206549,
+        (7348396263717231494,
+         -7366567977911515925,
+         7681757492590980315,
+         8935597079739823938,
+         2459848752478246759,
+         8935597079739823938,
+         -460213591377947621,
+         7695959935596557374,
+         7653425098300951296,
+         710602960715169365,
+         -9050338301285133355,
+         -9059805633200844521),
+        4123559568830176141),
+}
+PINNED_PULLBACK_HASH = 360851929977549287
+
+
+def _formula_hash(cube):
+    """The cube hash recomputed from index reads, in the lexicographic
+    vertex order and the (axis, vertex) arrow order."""
+    n = cube.n
+    idx = list(product((-1, 0, 1), repeat=n))
+    return hash((n, tuple(cube.vertex(a)._hash for a in idx),
+                 tuple(hash(cube.arrow(j, a)) for j in range(1, n + 1)
+                       for a in idx if a[j - 1] != 1)))
+
+
+def test_seeded_cube_hashes_are_pinned():
+    for n, (want, want_faces, want_sym) in PINNED_HASHES.items():
+        c = _full_cube(n, 100 + n)
+        assert hash(c) == want
+        assert tuple(hash(face(c, j, i)) for j in range(1, n + 1)
+                     for i in (-1, 0, 1)) == want_faces
+        if want_sym is not None:
+            assert hash(act_sym(tuple(range(2, n + 1)) + (1,), c)) == want_sym
+    tower = Tower(r=3, seed=5)
+    word = _embedding_word(tower)
+    assert hash(composite_pullback(word[:1], _full_cube(2, 102))) == \
+        PINNED_PULLBACK_HASH
+    # a longer word puts zero objects (gram None) at the +1 word vertices:
+    # its hash changes from process to process, its formula does not
+    pb = composite_pullback(word, _full_cube(2, 102))
+    assert not all(o.dim for o in pb.vertices)
+    assert hash(pb) == _formula_hash(pb)
+
+
+def test_index_reads_agree_with_the_json_form():
+    rng = random.Random(44)
+    word = _embedding_word(Tower(r=3, seed=5))
+    for n in range(4):
+        c = rnd_cube(rng, n, with_gram=True)
+        for cube in [c, composite_pullback(word, c), degeneracy(c, 1, -1)]:
+            js = cube_to_json(cube)
+            assert hash(cube) == _formula_hash(cube)
+            for a in product((-1, 0, 1), repeat=cube.n):
+                o, key = cube.vertex(a), ",".join(map(str, a))
+                assert js["vertices"][key] == {
+                    "dim": o.dim,
+                    "gram": None if o.gram is None else o.gram.to_json_obj()}
+                for j in range(1, cube.n + 1):
+                    if a[j - 1] != 1:
+                        assert js["arrows"][str(j)][key] == \
+                            cube.arrow(j, a).to_json_obj()
+            with pytest.raises(KeyError):
+                cube.vertex((2,) * cube.n if cube.n else (0,))
+            if cube.n:
+                with pytest.raises(KeyError):
+                    cube.arrow(1, (1,) * cube.n)

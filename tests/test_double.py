@@ -11,7 +11,7 @@ from cubehom.double import (DoubleGeometry, GluedBundle, GluedCube,
                             qt_bundle)
 from cubehom.exactlin import MetObj
 from cubehom.signs import subsets
-from helpers import rnd_cube, rnd_gram
+from helpers import cube_parts, rnd_cube, rnd_gram
 
 
 def rnd_bundle(rng, marks, dim=2):
@@ -110,10 +110,11 @@ def test_qt_bundle_cancellations():
 
 
 def regram(rng, cube):
+    verts, arrows = cube_parts(cube)
     verts = {a: MetObj(o.dim, rnd_gram(rng, o.dim) if o.dim else None,
                        check=False)
-             for a, o in cube.vertices.items()}
-    return ExactCube(cube.n, verts, cube.arrows).intern()
+             for a, o in verts.items()}
+    return ExactCube(cube.n, verts, arrows).intern()
 
 
 def seed_family(rng, geom):

@@ -76,9 +76,9 @@ def test_random_extension_is_exact():
     rng = random.Random(3)
     for _ in range(30):
         cube = rnd_one_cube(rng, max_dim=4)
-        s = ShortExact(cube.vertices[(-1,)], cube.vertices[(0,)],
-                       cube.vertices[(1,)], cube.arrows[(1, (-1,))],
-                       cube.arrows[(1, (0,))])
+        s = ShortExact(cube.vertex((-1,)), cube.vertex((0,)),
+                       cube.vertex((1,)), cube.arrow(1, (-1,)),
+                       cube.arrow(1, (0,)))
         assert is_short_exact(s)
         assert rank(s.inj) + rank(s.surj) == s.mid.dim
         assert s.surj.mul(s.inj).is_zero()
@@ -235,8 +235,8 @@ def test_equal_arrows_from_both_paths_intern_to_one_cube():
     rng = random.Random(9)
     for _ in range(10):
         c = rnd_one_cube(rng, max_dim=3)
-        inj, surj = c.arrows[(1, (-1,))], c.arrows[(1, (0,))]
+        inj, surj = c.arrow(1, (-1,)), c.arrow(1, (0,))
         # transpose twice: the derived (unchecked) path, same values
-        again = one_cube(c.vertices[(-1,)], c.vertices[(0,)], c.vertices[(1,)],
+        again = one_cube(c.vertex((-1,)), c.vertex((0,)), c.vertex((1,)),
                          inj.transpose().transpose(), _public(surj))
         assert again is c

@@ -8,6 +8,7 @@ property runs on each.
 
 import random
 from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,10 +24,13 @@ from helpers import rnd_cube, rnd_gram
 PROPS = settings(derandomize=True, database=None, deadline=None,
                  max_examples=150)
 
-# negative and non-unit denominators, and zero
-coeffs = st.one_of(st.just(Fraction(0)),
-                   st.builds(Fraction, st.integers(-9, 9),
-                             st.integers(-7, 7).filter(bool)))
+# Every draw is an index into a fixed pool: Hypothesis then draws small
+# integers only, and each test body builds its values from the pools.
+
+# zero, and every p/q with p in -9..9 and q in -7..7 nonzero: negative
+# and non-unit denominators, each value as often as the quotients give it
+COEFFS = [Fraction(0)] + [Fraction(p, q) for p in range(-9, 10)
+                          for q in range(-7, 8) if q]
 
 # nondegenerate 1-cubes, plus a degenerate and a zero one that chains drop
 CUBES = [rnd_cube(random.Random(s), 1) for s in range(4)] + [
@@ -53,34 +57,51 @@ LEVEL_KEYS = [(frozenset(), CUBES[0]), (frozenset(), CUBES[1]),
 BUNDLES = [_bundle(0, 2), _bundle(1, 2), _bundle(2, 1), _bundle(3, 0)]
 
 
-@st.composite
-def monomials(draw):
-    """A log index (or none) and an unsorted wedge word over other indices."""
-    log_ix = draw(st.sampled_from([None, 1, 2, 3, 4]))
-    free = [i for i in (1, 2, 3, 4) if i != log_ix]
-    idx = draw(st.permutations(free))[:draw(st.integers(0, len(free)))]
-    kinds = draw(st.lists(st.sampled_from([HOLO, ANTI]), min_size=len(idx),
-                          max_size=len(idx)))
-    return log_ix, tuple(zip(kinds, idx))
+def _monomials():
+    """Every log index (or none) with every unsorted wedge word over the
+    other indices of 1..4, each one-form holomorphic or antiholomorphic."""
+    out = []
+    for log_ix in (None, 1, 2, 3, 4):
+        free = [i for i in (1, 2, 3, 4) if i != log_ix]
+        for k in range(len(free) + 1):
+            for idx in permutations(free, k):
+                for kinds in product((HOLO, ANTI), repeat=k):
+                    out.append((log_ix, tuple(zip(kinds, idx))))
+    return out
 
 
+MONOMIALS = _monomials()
+
+# each kind's constructor and its pool of keys
 KINDS = {
-    "CubeChain": (lambda terms: CubeChain(1, terms), st.sampled_from(CUBES)),
-    "VirtualGlued": (VirtualGlued, st.sampled_from(BUNDLES)),
-    "FormalElement": (FormalElement, st.tuples(
-        st.integers(0, 2), st.frozensets(st.integers(1, 3)),
-        st.integers(0, 3))),
-    "LogForm": (LogForm, monomials()),
-    "LevelChain": (LevelChain, st.sampled_from(LEVEL_KEYS)),
+    "CubeChain": (lambda terms: CubeChain(1, terms), CUBES),
+    "VirtualGlued": (VirtualGlued, BUNDLES),
+    "FormalElement": (FormalElement, list(product(
+        range(3), [frozenset(s) for k in range(4)
+                   for s in combinations((1, 2, 3), k)], range(4)))),
+    "LogForm": (LogForm, MONOMIALS),
+    "LevelChain": (LevelChain, LEVEL_KEYS),
 }
 
 
-def term_lists(kind):
-    return st.lists(st.tuples(KINDS[kind][1], coeffs), max_size=6)
+# a key index is taken modulo the size of the kind's pool, so one
+# strategy serves every kind of a parametrized test
+keys = st.integers(0, max(len(pool) for _, pool in KINDS.values()) - 1)
+coeffs = st.integers(0, len(COEFFS) - 1)
+term_lists = st.lists(st.tuples(keys, coeffs), max_size=6)
 
 
-def elements(kind):
-    return term_lists(kind).map(KINDS[kind][0])
+def key(kind, k):
+    pool = KINDS[kind][1]
+    return pool[k % len(pool)]
+
+
+def terms(kind, drawn):
+    return [(key(kind, k), COEFFS[c]) for k, c in drawn]
+
+
+def element(kind, drawn):
+    return KINDS[kind][0](terms(kind, drawn))
 
 
 def no_stored_zero(x):
@@ -89,73 +110,72 @@ def no_stored_zero(x):
 
 @pytest.mark.parametrize("kind", KINDS)
 @PROPS
-@given(data=st.data())
-def test_sum_is_associative_and_commutative(kind, data):
-    x, y, z = (data.draw(elements(kind)) for _ in range(3))
+@given(term_lists, term_lists, term_lists)
+def test_sum_is_associative_and_commutative(kind, a, b, c):
+    x, y, z = (element(kind, d) for d in (a, b, c))
     assert (x + y) + z == x + (y + z)
     assert x + y == y + x
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @PROPS
-@given(data=st.data())
-def test_difference_with_itself_is_zero(kind, data):
-    x = data.draw(elements(kind))
+@given(term_lists)
+def test_difference_with_itself_is_zero(kind, a):
+    x = element(kind, a)
     assert (x - x).is_zero()
     assert (x + -x).is_zero()
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @PROPS
-@given(data=st.data())
-def test_scale_composes(kind, data):
-    x = data.draw(elements(kind))
-    a, b = data.draw(coeffs), data.draw(coeffs)
+@given(term_lists, coeffs, coeffs)
+def test_scale_composes(kind, d, i, j):
+    x, a, b = element(kind, d), COEFFS[i], COEFFS[j]
     assert x.scale(a).scale(b) == x.scale(a * b)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @PROPS
-@given(data=st.data())
-def test_float_coefficient_is_refused(kind, data):
+@given(keys, keys)
+def test_float_coefficient_is_refused(kind, k, k2):
     # a float's binary value is rarely the rational meant (0.1 would be
     # stored as 3602879701896397/36028797018963968), so sums refuse it as
     # RatMatrix does, in scaling and in construction
-    make, keys = KINDS[kind]
-    x = make([(data.draw(keys), Fraction(1))])
+    make = KINDS[kind][0]
+    x = make([(key(kind, k), Fraction(1))])
     with pytest.raises(TypeError):
         x.scale(0.1)
     with pytest.raises(TypeError):
-        make([(data.draw(keys), 0.1)])
+        make([(key(kind, k2), 0.1)])
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @PROPS
-@given(data=st.data())
-def test_no_zero_coefficient_is_stored(kind, data):
-    x, y = data.draw(elements(kind)), data.draw(elements(kind))
-    a = data.draw(coeffs)
+@given(term_lists, term_lists, coeffs)
+def test_no_zero_coefficient_is_stored(kind, d, e, i):
+    x, y, a = element(kind, d), element(kind, e), COEFFS[i]
     for z in (x, y, x + y, x - y, x.scale(a), y - y, x + x.scale(-1)):
         assert no_stored_zero(z)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @PROPS
-@given(data=st.data())
-def test_term_list_is_sum_of_single_terms(kind, data):
+@given(term_lists)
+def test_term_list_is_sum_of_single_terms(kind, d):
     make = KINDS[kind][0]
-    terms = data.draw(term_lists(kind))
+    tl = terms(kind, d)
     total = make([])
-    for term in terms:
+    for term in tl:
         total = total + make([term])
-    assert make(terms) == total
-    assert make(dict(terms[:1])) == make(terms[:1])
+    assert make(tl) == total
+    assert make(dict(tl[:1])) == make(tl[:1])
 
 
 @PROPS
-@given(monomials(), coeffs)
-def test_log_form_wedge_is_alternating(mono, c):
+@given(st.integers(0, len(MONOMIALS) - 1), coeffs)
+def test_log_form_wedge_is_alternating(m, i):
     """Reversing a wedge word of k one-forms multiplies by (-1)^(k(k-1)/2)."""
+    mono, c = MONOMIALS[m], COEFFS[i]
     log_ix, wedge = mono
     k = len(wedge)
     flipped = LogForm([((log_ix, wedge[::-1]), c * (-1) ** (k * (k - 1) // 2))])
@@ -163,8 +183,8 @@ def test_log_form_wedge_is_alternating(mono, c):
 
 
 # unit, integer and non-integer factors, as the linear extensions meet them
-factors = st.one_of(st.sampled_from([1, -1, Fraction(1), Fraction(-1)]),
-                    st.integers(-3, 3), coeffs)
+FACTORS = [1, -1, Fraction(1), Fraction(-1)] + list(range(-3, 4)) + COEFFS
+factors = st.integers(0, len(FACTORS) - 1)
 
 
 def left_fold(items):
@@ -191,16 +211,17 @@ def left_fold(items):
 
 @pytest.mark.parametrize("kind", KINDS)
 @PROPS
-@given(data=st.data())
-def test_accumulator_matches_the_left_fold(kind, data):
+@given(st.tuples(term_lists, term_lists, term_lists),
+       st.lists(st.tuples(st.integers(0, 2), factors), max_size=8),
+       st.booleans(), st.integers(0, 7), factors)
+def test_accumulator_matches_the_left_fold(kind, elems, drawn, cancel, at, f):
     make = KINDS[kind][0]
-    pool = [data.draw(elements(kind)) for _ in range(3)]
-    items = data.draw(st.lists(st.tuples(st.sampled_from(pool), factors),
-                               max_size=8))
-    if items and data.draw(st.booleans()):
+    pool = [element(kind, d) for d in elems]
+    items = [(pool[p], FACTORS[i]) for p, i in drawn]
+    if items and cancel:
         # cancel an earlier image in full, then bring part of it back
-        x, c = data.draw(st.sampled_from(items))
-        items += [(x, -c), (x, data.draw(factors))]
+        x, c = items[at % len(items)]
+        items += [(x, -c), (x, FACTORS[f])]
     out = make(linear_terms(enumerate(c for _, c in items),
                             lambda i: items[i][0]))
     ref = left_fold(items)

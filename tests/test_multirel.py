@@ -200,15 +200,15 @@ def test_identity_insert_word_classification():
     assert alt(CubeChain.of(wc)).is_zero()
     # its square of nonzero vertices: three equal split pullbacks and one
     # jointly composed pullback in the corner, connected by identities
-    v = wc.vertices
-    assert v[(-1, -1)] == v[(-1, 0)] == v[(0, -1)]
-    assert v[(0, 0)] != v[(-1, -1)]
-    assert v[(0, 0)].dim == v[(-1, -1)].dim
+    v = wc.vertex
+    assert v((-1, -1)) == v((-1, 0)) == v((0, -1))
+    assert v((0, 0)) != v((-1, -1))
+    assert v((0, 0)).dim == v((-1, -1)).dim
     for key in ((1, (-1, -1)), (1, (0, -1)), (2, (-1, -1)), (2, (0, -1))):
         j, a = key
-        src, dst = v[a], v[a[:j - 1] + (a[j - 1] + 1,) + a[j:]]
+        src, dst = v(a), v(a[:j - 1] + (a[j - 1] + 1,) + a[j:])
         if src.dim and dst.dim:
-            assert wc.arrows[key].is_identity()
+            assert wc.arrow(j, a).is_identity()
     # so the off-diagonal identity pullback is nonzero before alternation
     img = op_pullback(gid, 0, 2, LevelChain.of((), x))
     assert not img.is_zero()

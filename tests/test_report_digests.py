@@ -17,7 +17,7 @@ import random
 import pytest
 
 from cubehom import double, multirel
-from cubehom.cubes import ExactCube
+from cubehom.cubes import ExactCube, arrow_keys, vertex_indices
 from cubehom.exactlin import MetObj
 from cubehom.multirel import GeomView, MorphView, Tower
 from cubehom.rand import rnd_cube, rnd_gram, rnd_second_homotopy_setup
@@ -212,11 +212,12 @@ def _build(name):
         geom = double.DoubleGeometry(2)
         base = rnd_cube(rng, 1, max_dim=2, with_gram=True)
         comps = {}
+        arrows = dict(zip(arrow_keys(base.n), base.arrows))
         for S in subsets(geom.marks):
             verts = {a: MetObj(o.dim, rnd_gram(rng, o.dim) if o.dim else None,
                                check=False)
-                     for a, o in base.vertices.items()}
-            comps[frozenset(S)] = ExactCube(base.n, verts, base.arrows).intern()
+                     for a, o in zip(vertex_indices(base.n), base.vertices)}
+            comps[frozenset(S)] = ExactCube(base.n, verts, arrows).intern()
         out = double.build_t(geom, [((), geom.family_cube((), comps))])
         assert out["t"].validate()["ok"]
 
