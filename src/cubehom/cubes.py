@@ -94,12 +94,13 @@ def _seal(cube: "ExactCube", n: int, verts: tuple, arrows: tuple) -> None:
     """Give ``cube`` its parts and its hash.  ``verts`` must list the
     vertices in ``vertex_indices(n)`` order and ``arrows`` the arrows in
     ``arrow_keys(n)`` order, so that the hash, taken from the parts'
-    cached hashes in that order, is the same for equal cubes."""
+    cached hashes in that order, is the same for equal cubes.  A matrix
+    whose hash is not cached yet computes it once."""
     _set(cube, "n", n)
     _set(cube, "vertices", verts)
     _set(cube, "arrows", arrows)
     _set(cube, "_hash", hash((n, tuple([o._hash for o in verts]),
-                              tuple([hash(m) for m in arrows]))))
+                              tuple([m._hash or hash(m) for m in arrows]))))
     _set(cube, "_zero", None)
     _set(cube, "_degen", None)
 
@@ -737,6 +738,75 @@ class ExactFunctor:
 
 # -- composite pullback cubes ------------------------------------------
 
+class PullbackWord:
+    """A word of r composable morphisms, prepared for ``composite_pullback``.
+
+    It keeps the pullback functors of the composites of all contiguous
+    groups lo..hi of the word, listed by lo and then by hi; a composite
+    pullback cube depends on nothing else, so words with equal functors
+    are equal.  Each morphism must provide ``compose(earlier)`` returning
+    the composite self o earlier, and ``functor()`` returning its pullback
+    ExactFunctor; a composite depends only on its two ends."""
+
+    __slots__ = ("r", "functors", "_hash")
+
+    def __init__(self, morphisms):
+        r = len(morphisms)
+        if r == 0:
+            raise ValueError("empty morphism word")
+        functors = []
+        for lo in range(r):
+            mor = morphisms[lo]
+            functors.append(mor.functor())
+            for hi in range(lo + 1, r):
+                mor = morphisms[hi].compose(mor)
+                functors.append(mor.functor())
+        self._init(r, tuple(functors))
+
+    def _init(self, r: int, functors: tuple) -> None:
+        self.r = r
+        self.functors = functors
+        self._hash = hash(functors)
+
+    def group(self, lo: int, hi: int) -> ExactFunctor:
+        """The functor of the composite of morphisms lo..hi (0-based)."""
+        return self.functors[lo * self.r - lo * (lo - 1) // 2 + hi - lo]
+
+    def _regroup(self, spans) -> "PullbackWord":
+        # the word whose morphism i is the composite of spans[i] = (lo, hi)
+        k = len(spans)
+        out = PullbackWord.__new__(PullbackWord)
+        out._init(k, tuple([self.group(spans[a][0], spans[b][1])
+                           for a in range(k) for b in range(a, k)]))
+        return out
+
+    def split(self, j: int):
+        """The words of the first j morphisms and of the rest."""
+        return (self._regroup([(i, i) for i in range(j)]),
+                self._regroup([(i, i) for i in range(j, self.r)]))
+
+    def merge(self, j: int) -> "PullbackWord":
+        """The word with morphisms j-1 and j (0-based) composed into one."""
+        return self._regroup([(i, i) for i in range(j - 1)] + [(j - 1, j)]
+                             + [(i, i) for i in range(j + 1, self.r)])
+
+    def __len__(self):
+        return self.r
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, PullbackWord):
+            return NotImplemented
+        return self._hash == other._hash and self.functors == other.functors
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return "PullbackWord(r=%d)" % self.r
+
+
 _PULLBACK_CACHE = memo.table("cubes.pullback")
 
 
@@ -744,72 +814,80 @@ def composite_pullback(morphisms, cube: ExactCube) -> ExactCube:
     """The (n+r-1)-cube of a word of r composable morphisms applied to an
     n-cube, with the word axes first.
 
-    Each morphism must provide ``compose(earlier)`` returning the composite
-    self o earlier, and ``functor()`` returning its pullback ExactFunctor.
-    Vertices group the word by the positions of -1 as in the defining case
-    formula; each group is pulled back through the functor of its composite
-    morphism, and all connecting arrows are identity matrices or zero maps.
-    The result depends only on the cube and on the functors of the
-    composites of all contiguous groups, which key the memo.
+    ``morphisms`` is a ``PullbackWord`` or a sequence of morphisms, which
+    is prepared into one on each call.  Vertices group the word by the
+    positions of -1 as in the defining case formula; each group is pulled
+    back through the functor of its composite morphism, and all connecting
+    arrows are identity matrices or zero maps.  The memo is keyed by the
+    word, that is by its group functors, and the cube.
     """
-    r = len(morphisms)
-    if r == 0:
-        raise ValueError("empty morphism word")
-    groups = {}
-    for lo in range(r):
-        mor = morphisms[lo]
-        groups[(lo, lo)] = mor.functor()
-        for hi in range(lo + 1, r):
-            mor = morphisms[hi].compose(mor)
-            groups[(lo, hi)] = mor.functor()
-    key = (tuple(groups.values()), cube)
+    word = morphisms if type(morphisms) is PullbackWord \
+        else PullbackWord(morphisms)
+    key = (word, cube)
     out = _PULLBACK_CACHE.get(key)
     if out is None:
-        out = _build_pullback(r, groups, cube)
+        out = _build_pullback(word, cube)
         _PULLBACK_CACHE[key] = out
     return out
 
 
-def _stars(groups, wpart):
+def _stars(word: PullbackWord, wpart):
     """The word cut before each position where ``wpart`` holds -1: the
     functor of each group, in the order they act (the last group first)."""
     cuts = [j + 1 for j, x in enumerate(wpart) if x == -1]
     out = []
     lo = 0
     for b in cuts + [len(wpart) + 1]:
-        out.append(groups[(lo, b - 1)])
+        out.append(word.group(lo, b - 1))
         lo = b
     out.reverse()
     return out
 
 
-def _build_pullback(r: int, groups, cube: ExactCube) -> ExactCube:
-    if r == 1:
-        return groups[(0, 0)].on_cube(cube)
-    w = r - 1
-    n = cube.n
-    # word parts holding a +1 sit over zero vertices
-    star = {wp: _stars(groups, wp) for wp in vertex_indices(w) if 1 not in wp}
-
-    def vertex(a):
-        fs = star.get(a[:w])
+def _build_pullback(word: PullbackWord, cube: ExactCube) -> ExactCube:
+    """The pullback cube gathered by position: the vertex (wp, alpha), wp
+    an index of the w = r-1 word axes, sits at pos(wp) * 3^n + pos(alpha).
+    Word parts holding a +1 sit over zero vertices; the others pull the
+    whole of ``cube`` back through the functors of their groups."""
+    if word.r == 1:
+        return word.functors[0].on_cube(cube)
+    w, n = word.r - 1, cube.n
+    size = 3 ** n
+    stars = [None if 1 in wp else _stars(word, wp) for wp in vertex_indices(w)]
+    verts = []
+    for fs in stars:
         if fs is None:
-            return ZERO_OBJ
-        v = cube.vertex(a[w:])
-        for f in fs:
-            v = f.on_obj(v)
-        return v
-
-    def arrow(k, a, dim):
-        if k <= w:
-            # natural isomorphism between regroupings: identity matrix
-            return RatMatrix.identity(dim)
-        m = cube.arrow(k - w, a[w:])
-        for f in star[a[:w]]:
-            m = f.on_map(m)
-        return m
-
-    return _assemble(w + n, vertex, arrow)
+            verts += [ZERO_OBJ] * size
+            continue
+        for v in cube.vertices:
+            for f in fs:
+                v = f.on_obj(v)
+            verts.append(v)
+    identity, zero = RatMatrix.identity, RatMatrix.zero
+    arrows = []
+    # word axes: natural isomorphisms between regroupings, identity matrices
+    for _, ws, wt in arrow_keys(w).values():
+        for s, t in zip(range(ws * size, ws * size + size),
+                        range(wt * size, wt * size + size)):
+            sd, td = verts[s].dim, verts[t].dim
+            arrows.append(identity(sd) if sd and td else zero(td, sd))
+    # base axis j: the block of the cube's axis-j arrows, once per word part
+    ends = list(arrow_keys(n).values())
+    block = len(ends) // n if n else 0
+    for j in range(n):
+        axis = range(j * block, j * block + block)
+        for off, fs in zip(range(0, len(verts), size), stars):
+            for p in axis:
+                _, s, t = ends[p]
+                sd, td = verts[off + s].dim, verts[off + t].dim
+                if sd and td:
+                    m = cube.arrows[p]
+                    for f in fs:
+                        m = f.on_map(m)
+                    arrows.append(m)
+                else:
+                    arrows.append(zero(td, sd))
+    return _mk(w + n, tuple(verts), tuple(arrows))
 
 
 # -- bracket cubes ------------------------------------------------------

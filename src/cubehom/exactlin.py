@@ -605,7 +605,10 @@ class MetObj:
                 raise ValueError("gram must be symmetric positive-definite")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "_hash", hash((dim, gram)))
+        # a missing gram hashes as a constant, so the hash is the same in
+        # every process (hash(None) is an address)
+        object.__setattr__(self, "_hash",
+                           hash((dim, 0 if gram is None else gram)))
 
     def __setattr__(self, name, value):
         raise AttributeError("MetObj is immutable")

@@ -21,12 +21,12 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 from functools import partial
-from itertools import (combinations, combinations_with_replacement, islice,
+from itertools import (combinations, combinations_with_replacement,
                        permutations)
 
-from . import ccx
-from .cubes import (CubeChain, ExactCube, ExactFunctor, act_sym, alt,
-                    alt_cube, boundary, boundary_cube, composite_pullback,
+from . import ccx, memo
+from .cubes import (CubeChain, ExactCube, ExactFunctor, PullbackWord, act_sym,
+                    alt, alt_cube, boundary, boundary_cube, composite_pullback,
                     transposition)
 from .exactlin import FormalSum, MetObj, RatMatrix, _collect, times
 from .signs import perm_sign, sgn_division
@@ -42,6 +42,8 @@ class Tower:
     Morphism classes exist from member a to member b >= a, from level J to
     level I whenever I is contained in J; the class functor is a scalar
     metric twist determined by the canonical (member, level) endpoints.
+    ``key`` is the tower as a value: towers with equal keys have equal
+    class functors.
     """
 
     def __init__(self, r: int, schemes: int = 1, seed: int = 0, alias=None):
@@ -51,6 +53,7 @@ class Tower:
         self.alias = list(alias) if alias is not None else list(range(schemes))
         if len(self.alias) != schemes or any(self.alias[s] > s for s in range(schemes)):
             raise ValueError("alias must point backwards")
+        self.key = (r, schemes, seed, tuple(self.alias))
         self._functors = {}
 
     def node(self, scheme: int, level) -> tuple:
@@ -136,7 +139,8 @@ class MorphismClass:
 
 class GeomView:
     """One member of a tower seen as a geometry (X; Y_1..Y_r), possibly with
-    a fixed sub-level adjoined to every index (the geometry on Y_extra)."""
+    a fixed sub-level adjoined to every index (the geometry on Y_extra).
+    ``key`` is the geometry as a value, its tower included."""
 
     def __init__(self, tower: Tower, scheme: int = 0, extra=frozenset(),
                  marks=None):
@@ -145,6 +149,7 @@ class GeomView:
         self.extra = frozenset(extra)
         self.marks = tuple(sorted(marks)) if marks is not None \
             else tuple(i for i in range(1, tower.r + 1) if i not in self.extra)
+        self.key = (tower.key, scheme, self.extra, self.marks)
 
     @property
     def r(self) -> int:
@@ -176,6 +181,7 @@ class MorphView:
         self.src = src_geom
         self.dst = dst_geom
         self.tower = src_geom.tower
+        self.key = (src_geom.key, dst_geom.key)
 
     def cls(self, J, I) -> MorphismClass:
         """The class (src at level J) -> (dst at level I), I within J."""
@@ -241,12 +247,29 @@ def xi_words(views, K, I):
             yield (-sgn if sum(inserts) % 2 else sgn), tuple(word)
 
 
+_XI_WORDS = memo.table("multirel.xi_words")
+
+
+def prepared_xi_words(views, K, I) -> tuple:
+    """The signed words of ``xi_words(views, K, I)`` as (sign, PullbackWord)
+    pairs, their group functors composed once per run.  The table keeps
+    only signs and functors, keyed by value: each view's ``key`` (its
+    geometries and tower), sorted K and the level I."""
+    key = (*[v.key for v in views], *sorted(K), frozenset(I))
+    out = _XI_WORDS.get(key)
+    if out is None:
+        out = tuple([(sgn, PullbackWord(word))
+                     for sgn, word in xi_words(views, K, I)])
+        _XI_WORDS[key] = out
+    return out
+
+
 def xi_apply(views, K, I, x: CubeChain) -> CubeChain:
     """Xi_{K,f_1..f_t}(x): the signed sum of the pullbacks of x along the
     words of xi_words; raises degree by |K| + t - 1."""
     deg = x.degree + len(K) + len(views) // 2 - 1
     return CubeChain(deg, ((composite_pullback(word, cu), times(sgn, c))
-                           for sgn, word in xi_words(views, K, I)
+                           for sgn, word in prepared_xi_words(views, K, I)
                            for cu, c in x.terms.items()))
 
 
@@ -814,7 +837,7 @@ def identity_word_cube(g: GeomView, K, I, p: int, obj_cube: ExactCube,
         raise ValueError("insert position out of range")
     # the first |K| + 1 words are those of the sorted ordering, with the
     # insert after 0, 1, ..., |K| removals
-    _, word = next(islice(xi_words([g, identity_at, g], K, I), p, None))
+    _, word = prepared_xi_words([g, identity_at, g], K, I)[p]
     return composite_pullback(word, obj_cube)
 
 

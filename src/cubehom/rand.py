@@ -79,18 +79,22 @@ def rnd_one_cube(rng: random.Random, max_dim: int = 3, with_gram: bool = False) 
 def rnd_cube(rng: random.Random, n: int, max_dim: int = 2,
              with_gram: bool = False) -> ExactCube:
     """A random nondegenerate exact n-cube (tensor product of random exact
-    one-cubes); degenerate draws are rerolled."""
+    one-cubes); degenerate draws are rerolled.  A product is degenerate
+    iff one of its factors is, so a draw is tested on its factors before
+    the product is assembled."""
     if n == 0:
         d = rng.randint(1, max_dim + 1)
         return object_cube(MetObj(d, rnd_gram(rng, d) if with_gram else None,
                                   check=False))
     for _ in range(50):
-        cube = rnd_one_cube(rng, max_dim=max_dim, with_gram=with_gram)
-        for _ in range(n - 1):
-            cube = tensor_cube(cube, rnd_one_cube(rng, max_dim=max_dim,
-                                                  with_gram=with_gram))
-        if not cube.is_degenerate():
-            return cube
+        factors = [rnd_one_cube(rng, max_dim=max_dim, with_gram=with_gram)
+                   for _ in range(n)]
+        if any(f.is_degenerate() for f in factors):
+            continue
+        cube = factors[0]
+        for f in factors[1:]:
+            cube = tensor_cube(cube, f)
+        return cube
     raise RuntimeError("could not draw a nondegenerate cube")
 
 

@@ -14,9 +14,11 @@ immersion.
 
 The words of every Xi slot come from ``multirel.xi_words``, the one
 enumerator of the Xi family, which multirel's Xi operators apply to chains
-directly; the operators here sum over divisions J = K ∐ I through the same
-``multirel.levelwise`` loop as multirel's connecting, pullback and
-homotopy operators.
+directly; both take them prepared from ``multirel.prepared_xi_words``, and
+a slot's boundary splits and merges prepared words without composing
+morphisms again.  The operators here sum over divisions J = K ∐ I through
+the same ``multirel.levelwise`` loop as multirel's connecting, pullback
+and homotopy operators.
 
 Alternation policy: every operator here is of the form Alt . (plain sum
 of pullback words), and alternation absorbs the axis action of words
@@ -40,19 +42,20 @@ from .signs import b_weight, divisions_into, sgn_multidivision
 
 
 class SlotTerm:
-    """A pipeline of pullback words applied right to left."""
+    """A pipeline of prepared pullback words (``cubes.PullbackWord``)
+    applied right to left."""
 
     __slots__ = ("words",)
 
     def __init__(self, words):
-        self.words = tuple(tuple(w) for w in words)
+        self.words = tuple(words)
 
     def degree(self) -> int:
         return sum(len(w) - 1 for w in self.words)
 
     def apply(self, cube: ExactCube) -> ExactCube:
         for w in reversed(self.words):
-            cube = composite_pullback(list(w), cube)
+            cube = composite_pullback(w, cube)
         return cube
 
 
@@ -93,16 +96,15 @@ class SlotSum(FormalSum):
                 raise ValueError("boundary of a composite pipeline")
             w = t.words[0]
             for j in range(1, len(w)):
-                out.append((SlotTerm([w[:j], w[j:]]), c * (-1) ** ((j - 1) % 2)))
-                merged = w[:j - 1] + (w[j].compose(w[j - 1]),) + w[j + 1:]
-                out.append((SlotTerm([merged]), c * (-1) ** (j % 2)))
+                out.append((SlotTerm(w.split(j)), c * (-1) ** ((j - 1) % 2)))
+                out.append((SlotTerm([w.merge(j)]), c * (-1) ** (j % 2)))
         return SlotSum(out, self.deg - 1)
 
 
 def _xi_slot(views, K, I) -> SlotSum:
     """Xi_{K,f_1..f_t} as a slot functor: one single-word pipeline per
-    signed word of ``multirel.xi_words``."""
-    words = multirel.xi_words(views, K, I)
+    signed word of ``multirel.xi_words``, prepared once per run."""
+    words = multirel.prepared_xi_words(views, K, I)
     return SlotSum(((SlotTerm([w]), s) for s, w in words),
                    len(K) + len(views) // 2 - 1)
 

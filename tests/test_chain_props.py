@@ -9,9 +9,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from cubehom.cubes import CubeChain, alt, boundary
+from cubehom.cubes import CubeChain, alt, boundary, tensor_cube
 from cubehom.signs import perm_sign, sgn_division
-from helpers import rnd_cube
+from helpers import rnd_cube, rnd_one_cube
 
 PROPS = settings(derandomize=True, database=None, deadline=None,
                  max_examples=150)
@@ -42,6 +42,22 @@ def test_alt_is_an_idempotent_chain_map(x):
     ax = alt(x)
     assert alt(ax) == ax
     assert boundary(ax) == alt(boundary(x))
+
+
+@PROPS
+@given(seeds, st.integers(1, 3), st.integers(1, 2), st.booleans())
+def test_a_product_of_one_cubes_is_degenerate_iff_a_factor_is(
+        seed, n, max_dim, with_gram):
+    # rnd_cube rejects a draw by its factors before assembling the product;
+    # at max_dim 1 three one-cubes in four are degenerate, so both outcomes
+    # are common
+    rng = random.Random(seed)
+    factors = [rnd_one_cube(rng, max_dim=max_dim, with_gram=with_gram)
+               for _ in range(n)]
+    cube = factors[0]
+    for f in factors[1:]:
+        cube = tensor_cube(cube, f)
+    assert cube.is_degenerate() == any(f.is_degenerate() for f in factors)
 
 
 @st.composite

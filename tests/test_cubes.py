@@ -460,6 +460,8 @@ PINNED_HASHES = {
         4123559568830176141),
 }
 PINNED_PULLBACK_HASH = 360851929977549287
+# a word of three morphisms: zero objects (gram None) at the +1 word vertices
+PINNED_ZERO_VERTEX_HASH = 2514737564313152800
 
 
 def _formula_hash(cube):
@@ -484,11 +486,12 @@ def test_seeded_cube_hashes_are_pinned():
     word = _embedding_word(tower)
     assert hash(composite_pullback(word[:1], _full_cube(2, 102))) == \
         PINNED_PULLBACK_HASH
-    # a longer word puts zero objects (gram None) at the +1 word vertices:
-    # its hash changes from process to process, its formula does not
+    # a longer word puts zero objects (gram None) at the +1 word vertices;
+    # a missing gram hashes as a constant, so this hash is pinned too
     pb = composite_pullback(word, _full_cube(2, 102))
     assert not all(o.dim for o in pb.vertices)
     assert hash(pb) == _formula_hash(pb)
+    assert hash(pb) == PINNED_ZERO_VERTEX_HASH
 
 
 def test_index_reads_agree_with_the_json_form():

@@ -47,7 +47,8 @@ def test_towers_with_other_seeds_give_other_cubes():
 
 
 RUN_SCOPED = {"cubes.intern", "cubes.boundary", "cubes.alt", "cubes.pullback",
-              "cubes.functor_obj", "exactlin.identity", "exactlin.zero"}
+              "cubes.functor_obj", "exactlin.identity", "exactlin.zero",
+              "multirel.xi_words"}
 SHAPES = {"cubes.vidx", "cubes.arrow_keys", "cubes.axis_lines",
           "cubes.face_table", "cubes.sym_table"}
 

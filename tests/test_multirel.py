@@ -289,6 +289,59 @@ def test_composite_pullback_face_clauses():
                     composite_pullback(word, face(c, j - r + 1, i))
 
 
+def _chain(gs, t):
+    # (g_0, f_1, g_1, ..., f_t, g_t) over the first t + 1 members
+    views = [gs[0]]
+    for i in range(1, t + 1):
+        views += [MorphView(gs[i - 1], gs[i]), gs[i]]
+    return views
+
+
+def test_prepared_words_pull_back_as_words_composed_afresh():
+    # for r <= 4 and t <= 2, every prepared Xi word has the sign of its
+    # xi_words word and the same pullback cube as that word composed
+    # afresh once the memo is emptied; its splits and merges (the faces a
+    # slot boundary takes) are those of the morphism word
+    from cubehom import memo
+    from cubehom.cubes import PullbackWord, composite_pullback
+    from cubehom.multirel import prepared_xi_words, xi_words
+    rng = random.Random(23)
+    seen = 0
+    for r in range(1, 5):
+        _, gs = geometry(r, seed=r, schemes=3)
+        for t in range(3):
+            views = _chain(gs, t)
+            for k in range(0 if t else 1, min(r, 4 - t) + 1):
+                K, I = tuple(range(1, k + 1)), frozenset(range(k + 1, r + 1))
+                cube = rnd_cube(rng, rng.randint(0, 1), with_gram=True)
+                prepared = prepared_xi_words(views, K, I)
+                plain = list(xi_words(views, K, I))
+                assert [s for s, _ in prepared] == [s for s, _ in plain]
+                cubes = [composite_pullback(w, cube) for _, w in prepared]
+                memo.end_run()
+                for (_, w), (_, word), got in zip(prepared, plain, cubes):
+                    seen += 1
+                    assert w.functors == PullbackWord(list(word)).functors
+                    assert composite_pullback(list(word), cube) == got
+                    for j in range(1, len(word)):
+                        assert w.split(j) == (PullbackWord(word[:j]),
+                                              PullbackWord(word[j:]))
+                        merged = (word[:j - 1]
+                                  + (word[j].compose(word[j - 1]),)
+                                  + word[j + 1:])
+                        assert w.merge(j) == PullbackWord(merged)
+    assert seen > 150
+
+
+def test_equal_towers_share_the_prepared_words():
+    from cubehom.multirel import prepared_xi_words
+    views = [_chain(geometry(3, seed=4, schemes=2)[1], 1) for _ in range(2)]
+    first = prepared_xi_words(views[0], (1, 2), {3})
+    assert prepared_xi_words(views[1], (2, 1), frozenset({3})) is first
+    other = _chain(geometry(3, seed=5, schemes=2)[1], 1)
+    assert prepared_xi_words(other, (1, 2), {3}) != first
+
+
 def test_iso_degeneracy_propagation():
     rng = random.Random(21)
     _, (g,) = geometry(3)

@@ -9,7 +9,9 @@ import random
 import textwrap
 from fractions import Fraction
 
-from cubehom import ccx, multirel, suites
+import pytest
+
+from cubehom import ccx, memo, multirel, suites
 from cubehom.cubes import CubeChain, boundary
 from cubehom.multirel import (GeomView, LevelChain, MorphView, Tower,
                               check_xi_boundary, xi_apply, xi_K, xi_Kf)
@@ -17,6 +19,14 @@ from cubehom.suites import _tensor_cmap_relation
 from cubehom.tensorstruct import op_tensor
 from helpers import rnd_cube, rnd_gram
 from cubehom.exactlin import MetObj
+
+
+@pytest.fixture(autouse=True)
+def _end_run():
+    # run-scoped memo entries made while a function is patched (prepared
+    # Xi words, say) must not outlive the patch
+    yield
+    memo.end_run()
 
 
 def geometry(r, seed=5, schemes=1):
@@ -132,6 +142,8 @@ def test_one_perturbed_word_enumerator_fails_pullback_and_tensor(monkeypatch):
             yield (-sgn if p % 2 else sgn), word
 
     monkeypatch.setattr(multirel, "xi_words", odd_insert_flipped)
+    # the words prepared before the patch are run-scoped memo entries
+    memo.end_run()
     assert not multirel.check_cmap_relation(f, x, 0, 2)["ok"]
     assert not _tensor_homotopy_relation(F, f, x, 0, 2)
 
