@@ -462,6 +462,15 @@ PINNED_HASHES = {
 PINNED_PULLBACK_HASH = 360851929977549287
 # a word of three morphisms: zero objects (gram None) at the +1 word vertices
 PINNED_ZERO_VERTEX_HASH = 2514737564313152800
+# the bracket of _full_cube(2, 102) and its images under tensoring by the
+# one-dimensional objects of gram 4 and 9: members of equal dimensions
+# that differ in their vertex metrics
+PINNED_BRACKET_HASH = -823231915350098791
+
+
+def _rescaled(cube, k):
+    return ExactFunctor.tensor_by(
+        MetObj(1, RatMatrix(1, 1, {(0, 0): k}), check=False)).on_cube(cube)
 
 
 def _formula_hash(cube):
@@ -492,6 +501,10 @@ def test_seeded_cube_hashes_are_pinned():
     assert not all(o.dim for o in pb.vertices)
     assert hash(pb) == _formula_hash(pb)
     assert hash(pb) == PINNED_ZERO_VERTEX_HASH
+    c = _full_cube(2, 102)
+    br = bracket_cube([c, _rescaled(c, 4), _rescaled(c, 9)])
+    assert hash(br) == _formula_hash(br)
+    assert hash(br) == PINNED_BRACKET_HASH
 
 
 def test_index_reads_agree_with_the_json_form():
