@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import __version__, suites
-from .exactlin import RatMatrix, rat_str
+from .exactlin import RatMatrix, json_int, rat_str
 
 
 def _emit(report, out_path) -> bool:
@@ -96,7 +96,8 @@ def _load_complex(path):
     dims_obj, bnd_obj = obj.get("dims", {}), obj.get("boundary", {})
     if not (isinstance(dims_obj, dict) and isinstance(bnd_obj, dict)):
         raise ValueError("'dims' and 'boundary' must be JSON objects")
-    dims = {int(k): int(v) for k, v in dims_obj.items()}
+    dims = {int(k): json_int(v, "dimension at degree %s" % k)
+            for k, v in dims_obj.items()}
     for n, d in dims.items():
         if d < 0:
             raise ValueError("negative dimension %d at degree %d" % (d, n))

@@ -3,9 +3,12 @@
 An exact n-cube is a functor {-1,0,1}^n -> (MetObj, rational matrices)
 whose edges are all short exact sequences.  The chain groups are formal
 Q-linear combinations of such cubes (``exactlin.FormalSum``), normalized
-by dropping degenerate summands.  Every construction other than faces and
-the symmetric action is assembled by ``_assemble`` from a vertex rule and
-a rule for its nonzero arrows.  This module carries faces, degeneracies,
+by dropping degenerate summands.  Zero cubes, degeneracies, rho and
+tensor products are assembled by ``_assemble`` from a vertex rule and a
+rule for its nonzero arrows; composite pullbacks and bracket cubes are
+stacks of pulled-back parts gathered by position (``_stack``); faces and
+the symmetric action gather through tables of source positions.  This
+module carries faces, degeneracies,
 the boundary, the symmetric-group action and the Alt projector, the
 duplication construction rho with its two contracting homotopies,
 composite pullback cubes along words of morphisms, and the bracket cubes
@@ -818,8 +821,9 @@ def composite_pullback(morphisms, cube: ExactCube) -> ExactCube:
     is prepared into one on each call.  Vertices group the word by the
     positions of -1 as in the defining case formula; each group is pulled
     back through the functor of its composite morphism, and all connecting
-    arrows are identity matrices or zero maps.  The memo is keyed by the
-    word, that is by its group functors, and the cube.
+    arrows are identity matrices or zero maps: the cube is a ``_stack``.
+    The memo is keyed by the word, that is by its group functors, and the
+    cube.
     """
     word = morphisms if type(morphisms) is PullbackWord \
         else PullbackWord(morphisms)
@@ -845,38 +849,52 @@ def _stars(word: PullbackWord, wpart):
 
 
 def _build_pullback(word: PullbackWord, cube: ExactCube) -> ExactCube:
-    """The pullback cube gathered by position: the vertex (wp, alpha), wp
-    an index of the w = r-1 word axes, sits at pos(wp) * 3^n + pos(alpha).
-    Word parts holding a +1 sit over zero vertices; the others pull the
-    whole of ``cube`` back through the functors of their groups."""
+    """The pullback cube: word parts holding a +1 are zero, the others
+    pull the whole of ``cube`` back through the functors of their groups."""
     if word.r == 1:
         return word.functors[0].on_cube(cube)
-    w, n = word.r - 1, cube.n
+    w = word.r - 1
+    return _stack(w, cube.n, [None if 1 in wp else (cube, _stars(word, wp))
+                              for wp in vertex_indices(w)])
+
+
+def _stack(w: int, n: int, parts) -> ExactCube:
+    """The (w+n)-cube gathered by position from one part per index wp of w
+    word axes, in ``vertex_indices(w)`` order: None for a zero part, or
+    (cube, functors) for the n-cube ``cube`` pulled back through each of
+    ``functors`` in turn.  The vertex (wp, alpha) sits at pos(wp) * 3^n +
+    pos(alpha).  Word-axis arrows are identities, base axis j takes each
+    part's block of axis-j arrows, and an arrow with a zero-dimensional
+    end is the zero map."""
     size = 3 ** n
-    stars = [None if 1 in wp else _stars(word, wp) for wp in vertex_indices(w)]
     verts = []
-    for fs in stars:
-        if fs is None:
+    for part in parts:
+        if part is None:
             verts += [ZERO_OBJ] * size
             continue
+        cube, fs = part
         for v in cube.vertices:
             for f in fs:
                 v = f.on_obj(v)
             verts.append(v)
     identity, zero = RatMatrix.identity, RatMatrix.zero
     arrows = []
-    # word axes: natural isomorphisms between regroupings, identity matrices
+    # word axes: natural isomorphisms between the parts, identity matrices
     for _, ws, wt in arrow_keys(w).values():
         for s, t in zip(range(ws * size, ws * size + size),
                         range(wt * size, wt * size + size)):
             sd, td = verts[s].dim, verts[t].dim
             arrows.append(identity(sd) if sd and td else zero(td, sd))
-    # base axis j: the block of the cube's axis-j arrows, once per word part
+    # base axis j: the block of each part's axis-j arrows, part by part
     ends = list(arrow_keys(n).values())
     block = len(ends) // n if n else 0
     for j in range(n):
         axis = range(j * block, j * block + block)
-        for off, fs in zip(range(0, len(verts), size), stars):
+        for off, part in zip(range(0, len(verts), size), parts):
+            if part is None:
+                arrows += [zero(0, 0)] * block
+                continue
+            cube, fs = part
             for p in axis:
                 _, s, t = ends[p]
                 sd, td = verts[off + s].dim, verts[off + t].dim
@@ -892,58 +910,25 @@ def _build_pullback(word: PullbackWord, cube: ExactCube) -> ExactCube:
 
 # -- bracket cubes ------------------------------------------------------
 
-def bracket_cube(cubes, isos=None) -> ExactCube:
+def bracket_cube(cubes) -> ExactCube:
     """The (n+l)-cube of an isomorphism chain F_0 ~ F_1 ~ ... ~ F_l of
-    n-cubes, bracket axes first.
+    n-cubes with equal vertex dimensions, bracket axes first.
 
-    ``isos[p]`` maps a vertex index of the n-cubes to the matrix of the
-    isomorphism F_{p-1} -> F_p at that vertex; omitted isos are identities
-    (the chain members must then have matching vertex dimensions).
-    """
+    Every isomorphism is the identity matrix.  The bracket index beta
+    holds F_{l-j}, j the last position of -1 in beta (0 if there is
+    none), or zero if beta holds a +1: the cube is a ``_stack``."""
     l = len(cubes) - 1
     if l < 0:
         raise ValueError("empty isomorphism chain")
     if l == 0:
         return cubes[0]
     n = cubes[0].n
-    for c in cubes:
-        if c.n != n:
-            raise ValueError("chain members of unequal degree")
-
-    def iso_step(p, a):
-        # matrix of F_{p-1} -> F_p at cube vertex a
-        if isos is None or isos[p - 1] is None:
-            d = cubes[p - 1].vertex(a).dim
-            if cubes[p].vertex(a).dim != d:
-                raise ValueError("identity iso between unequal dimensions")
-            return RatMatrix.identity(d)
-        m = isos[p - 1](a) if callable(isos[p - 1]) else isos[p - 1][a]
-        if not is_invertible(m):
-            raise ValueError("bracket witness is not an isomorphism")
-        return m
-
-    def chain_index(beta):
-        # which F_{l-j} sits at bracket index beta (None for a zero vertex)
-        if any(x == 1 for x in beta):
-            return None
-        j = 0
-        for pos in range(l, 0, -1):
-            if beta[pos - 1] == -1:
-                j = pos
-                break
-        return l - j
-
-    def vertex(a):
-        ci = chain_index(a[:l])
-        return ZERO_OBJ if ci is None else cubes[ci].vertex(a[l:])
-
-    def arrow(k, a, dim):
-        ci, gamma = chain_index(a[:l]), a[l:]
-        if k > l:
-            return cubes[ci].arrow(k - l, gamma)
-        m = RatMatrix.identity(dim)
-        for p in range(ci + 1, chain_index(_step(a, k)[:l]) + 1):
-            m = iso_step(p, gamma).mul(m)
-        return m
-
-    return _assemble(l + n, vertex, arrow)
+    if any(c.n != n for c in cubes):
+        raise ValueError("chain members of unequal degree")
+    if len({tuple([o.dim for o in c.vertices]) for c in cubes}) > 1:
+        raise ValueError("chain members of unequal vertex dimensions")
+    parts = []
+    for beta in vertex_indices(l):
+        j = max([p + 1 for p, x in enumerate(beta) if x == -1], default=0)
+        parts.append(None if 1 in beta else (cubes[l - j], ()))
+    return _stack(l, n, parts)

@@ -38,6 +38,13 @@ def parse_rat(s) -> Fraction:
     return Fraction(str(s))
 
 
+def json_int(v, what: str) -> int:
+    """v if it is a JSON integer (an int, not a bool); else ValueError."""
+    if type(v) is not int:
+        raise ValueError("%s must be an integer, got %r" % (what, v))
+    return v
+
+
 def _exact(v):
     """v as an int, or as a Fraction when it is not an integer; a float,
     whose binary value is rarely the rational meant, is refused."""
@@ -320,8 +327,10 @@ class RatMatrix:
 
     @staticmethod
     def from_json_obj(obj) -> "RatMatrix":
-        ent = {(int(r), int(c)): parse_rat(v) for r, c, v in obj.get("entries", [])}
-        return RatMatrix(int(obj["rows"]), int(obj["cols"]), ent)
+        ent = {(json_int(r, "entry row"), json_int(c, "entry column")):
+               parse_rat(v) for r, c, v in obj.get("entries", [])}
+        return RatMatrix(json_int(obj["rows"], "rows"),
+                         json_int(obj["cols"], "cols"), ent)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())

@@ -845,10 +845,7 @@ def _run_pair(rng, trials, **_):
         lhs = boundary(br)
         t1 = ExactFunctor.tensor_by(f1)
         t2 = ExactFunctor.tensor_by(f2)
-        t12 = ExactFunctor.tensor_by(MetObj(
-            f1.dim * f2.dim,
-            f1.gram.kron(f2.gram) if f1.gram is not None and f2.gram is not None
-            else None, check=False))
+        t12 = ExactFunctor.tensor_by(tensor_obj(f1, f2))
         rhs = x.map_cubes(lambda cu: t1.on_cube(t2.on_cube(cu)), x.degree) \
             - x.map_cubes(t12.on_cube, x.degree)
         if deg >= 1:

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .cubes import (CubeChain, ExactCube, ExactFunctor, alt, boundary,
                     bracket_cube, composite_pullback)
-from .exactlin import FormalSum, MetObj, times
+from .exactlin import FormalSum, MetObj, tensor_obj, times
 from . import multirel
 from .multirel import GeomView, LevelChain, MorphView, levelwise
 from .signs import b_weight, divisions_into, sgn_multidivision
@@ -364,11 +364,7 @@ def bracket_pair(f1_obj: MetObj, f2_obj: MetObj, x: CubeChain) -> CubeChain:
     F1 (x) (F2 (x) G) ~ (F1 (x) F2) (x) G, as a chain operator."""
     t1 = ExactFunctor.tensor_by(f1_obj)
     t2 = ExactFunctor.tensor_by(f2_obj)
-    t12 = ExactFunctor.tensor_by(MetObj(f1_obj.dim * f2_obj.dim,
-                                        f1_obj.gram.kron(f2_obj.gram)
-                                        if f1_obj.gram is not None
-                                        and f2_obj.gram is not None else None,
-                                        check=False))
+    t12 = ExactFunctor.tensor_by(tensor_obj(f1_obj, f2_obj))
     return CubeChain(x.degree + 1,
                      ((bracket_cube([t1.on_cube(t2.on_cube(cube)),
                                      t12.on_cube(cube)]), c)

@@ -94,15 +94,21 @@ def test_homology_fixtures(tmp_path: Path):
     assert res.returncode == 2
 
 
-@pytest.mark.parametrize("payload", [
+@pytest.mark.parametrize("text", [json.dumps(payload) for payload in [
     {"dims": {"0": 1, "1": 1},
      "boundary": {"1": {"rows": 1, "cols": 1, "entries": [[0, 0, "1/0"]]}}},
     [{"dims": {"0": 1}}],
     {"dims": {"0": -1}, "boundary": {}},
-], ids=["zero-denominator", "top-level-list", "negative-dim"])
-def test_homology_malformed_input_is_usage_error(tmp_path: Path, payload):
+    {"dims": {"0": 1.5}, "boundary": {}},
+    {"dims": {"0": True}, "boundary": {}},
+    {"dims": {"0": 1, "1": 1},
+     "boundary": {"1": {"rows": 1.9, "cols": 1, "entries": [[0, 0, "1"]]}}},
+]] + ['{"dims": {"0": 1e400}, "boundary": {}}'],
+    ids=["zero-denominator", "top-level-list", "negative-dim", "float-dim",
+         "bool-dim", "float-rows", "overflowing-dim"])
+def test_homology_malformed_input_is_usage_error(tmp_path: Path, text):
     p = tmp_path / "bad.json"
-    p.write_text(json.dumps(payload))
+    p.write_text(text)
     res = run_cli(["homology", str(p)])
     assert res.returncode == 2
     assert res.stdout == ""

@@ -5,16 +5,16 @@ import pytest
 
 from itertools import permutations, product
 
-from cubehom.cubes import (CubeChain, ExactCube, ExactFunctor, _step, act_sym,
+from cubehom.cubes import (CubeChain, ExactCube, ExactFunctor, act_sym,
                            alt, alt_block, arrow_keys, boundary,
                            boundary_partial, bracket_cube, composite_pullback,
                            cube_to_json, degeneracy, face, object_cube, one_cube,
                            phi_homotopy, psi_homotopy, rho, tensor_cube,
                            transposition, vertex_indices, zero_cube)
-from cubehom.exactlin import MetObj, RatMatrix, ZERO_OBJ, inverse
+from cubehom.exactlin import MetObj, RatMatrix, ZERO_OBJ
 from cubehom.multirel import GeomView, Tower
-from helpers import (cube_parts, rnd_cube, rnd_gram, rnd_invertible,
-                     rnd_metobj, rnd_one_cube)
+from helpers import (cube_parts, rnd_cube, rnd_gram, rnd_metobj,
+                     rnd_one_cube)
 
 
 def simple_one_cube():
@@ -278,12 +278,16 @@ def test_bracket_cube_layout():
     assert lhs == rhs
 
 
-def test_bracket_cube_rejects_bad_witness():
+def test_bracket_cube_rejects_unequal_members():
+    rng = random.Random(26)
+    c = rnd_cube(rng, 1, with_gram=True)
+    with pytest.raises(ValueError, match="unequal degree"):
+        bracket_cube([c, degeneracy(c, 1, 1)])
     g0 = object_cube(MetObj(2))
-    g1 = object_cube(MetObj(2))
-    bad = {(): RatMatrix.zero(2, 2)}
-    with pytest.raises(ValueError):
-        bracket_cube([g0, g1], isos=[bad])
+    with pytest.raises(ValueError, match="unequal vertex dimensions"):
+        bracket_cube([g0, object_cube(MetObj(3))])
+    with pytest.raises(ValueError, match="empty"):
+        bracket_cube([])
 
 
 def test_bracket_cube_of_degenerate_is_degenerate():
@@ -293,14 +297,11 @@ def test_bracket_cube_of_degenerate_is_degenerate():
     assert br.is_degenerate()
 
 
-def conjugated(rng, cube):
-    """A cube isomorphic to ``cube`` through a random invertible matrix at
-    every vertex, with those matrices keyed by vertex."""
-    verts, arrows = cube_parts(cube)
-    isos = {a: rnd_invertible(rng, o.dim) for a, o in verts.items()}
-    arrows = {(k, a): isos[_step(a, k)].mul(m).mul(inverse(isos[a]))
-              for (k, a), m in arrows.items()}
-    return ExactCube(cube.n, verts, arrows).intern(), isos
+def _rescaled(cube, k):
+    """``cube`` tensored by the one-dimensional object of gram k: the same
+    dimensions and matrices, other vertex metrics."""
+    return ExactFunctor.tensor_by(
+        MetObj(1, RatMatrix(1, 1, {(0, 0): k}), check=False)).on_cube(cube)
 
 
 def test_assembled_cubes_validate():
@@ -308,9 +309,9 @@ def test_assembled_cubes_validate():
     for n in range(3):
         for _ in range(2):
             c = rnd_cube(rng, n, with_gram=True)
-            c2, isos = conjugated(rng, c)
             built = [zero_cube(n), tensor_cube(c, rnd_cube(rng, 1)),
-                     bracket_cube([c, c, c]), bracket_cube([c, c2], [isos])]
+                     bracket_cube([c, c, c]),
+                     bracket_cube([c, _rescaled(c, 4)])]
             built += [degeneracy(c, j, sign) for j in range(1, n + 2)
                       for sign in (1, -1)]
             built += [rho(c, j) for j in range(1, n + 1)]
@@ -364,9 +365,9 @@ def test_trusted_constructions_equal_checked_ones():
     word = _embedding_word(Tower(r=3, seed=5))
     for n in range(4):
         c = rnd_cube(rng, n, with_gram=True)
-        c2, isos = conjugated(rng, c)
         built = [zero_cube(n), tensor_cube(c, rnd_cube(rng, 1)),
-                 composite_pullback(word, c), bracket_cube([c, c2], [isos])]
+                 composite_pullback(word, c),
+                 bracket_cube([c, _rescaled(c, 4), _rescaled(c, 9)])]
         built += [degeneracy(c, j, sign) for j in range(1, n + 2)
                   for sign in (1, -1)]
         built += [rho(c, j) for j in range(1, n + 1)]
@@ -466,11 +467,6 @@ PINNED_ZERO_VERTEX_HASH = 2514737564313152800
 # one-dimensional objects of gram 4 and 9: members of equal dimensions
 # that differ in their vertex metrics
 PINNED_BRACKET_HASH = -823231915350098791
-
-
-def _rescaled(cube, k):
-    return ExactFunctor.tensor_by(
-        MetObj(1, RatMatrix(1, 1, {(0, 0): k}), check=False)).on_cube(cube)
 
 
 def _formula_hash(cube):
