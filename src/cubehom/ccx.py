@@ -461,38 +461,6 @@ def check_second_homotopy(theta: SecondHomotopy):
         t.g, t.fp, t.phi_b, t.h_f, t.h_g, t.psi, t.psi_p).c)
 
 
-def ccomplex_to_json(cc: CComplex) -> dict:
-    """JSON form: the index range, per-index complexes, and the connecting
-    maps as degree-indexed matrices."""
-    complexes = {}
-    for m, cx in cc.complexes.items():
-        complexes[str(m)] = {
-            "dims": {str(n): d for n, d in sorted(cx.dims.items())},
-            "boundary": {str(n): mat.to_json_obj()
-                         for n, mat in sorted(cx.boundary.items())},
-        }
-    fmaps = {}
-    for (m, n), per in cc.fmaps.items():
-        fmaps["%d,%d" % (m, n)] = {str(k): mat.to_json_obj()
-                                   for k, mat in sorted(per.items())}
-    return {"complexes": complexes, "fmaps": fmaps}
-
-
-def ccomplex_from_json(obj) -> CComplex:
-    complexes = {}
-    for ms, entry in obj["complexes"].items():
-        dims = {int(k): int(v) for k, v in entry["dims"].items()}
-        bnd = {int(k): RatMatrix.from_json_obj(v)
-               for k, v in entry["boundary"].items()}
-        complexes[int(ms)] = ChainComplex(dims, bnd)
-    fmaps = {}
-    for key, per in obj["fmaps"].items():
-        m, n = (int(x) for x in key.split(","))
-        fmaps[(m, n)] = {int(k): RatMatrix.from_json_obj(v)
-                         for k, v in per.items()}
-    return CComplex(complexes, fmaps)
-
-
 # -- simple complex (mapping cone) ------------------------------------
 
 class SimpleParts:

@@ -12,11 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
+from fractions import Fraction
 
 from . import __version__, suites
-from .exactlin import RatMatrix, json_int, rat_str
+from .ccx import ChainComplex
+from .exactlin import RatMatrix, rat_str
 
 
 def _emit(report, out_path) -> bool:
@@ -88,6 +91,53 @@ def cmd_list(args) -> int:
     return 0 if _emit(report, args.out) else 2
 
 
+# -- the homology input format (README "File formats") ------------------
+
+_DEGREE = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _json_int(v, what: str) -> int:
+    """v if it is a JSON integer (an int, not a bool); else ValueError."""
+    if type(v) is not int:
+        raise ValueError("%s must be an integer, got %r" % (what, v))
+    return v
+
+
+def _rat(v):
+    """An entry value: a JSON integer, or a string "p" or "p/q" of
+    decimal digits with an optional leading minus."""
+    if type(v) is int:
+        return v
+    if isinstance(v, str) and _RATIONAL.fullmatch(v):
+        return Fraction(v)
+    raise ValueError("entry value must be an integer or a \"p/q\" string, "
+                     "got %r" % (v,))
+
+
+def _by_degree(obj: dict, what: str) -> dict:
+    """obj with its keys read as degrees: each must be a string of decimal
+    digits with an optional leading minus, and no degree may repeat."""
+    out = {}
+    for k, v in obj.items():
+        if not _DEGREE.fullmatch(k):
+            raise ValueError("%s key must be an integer degree, got %r"
+                             % (what, k))
+        if int(k) in out:
+            raise ValueError("%s gives degree %d twice" % (what, int(k)))
+        out[int(k)] = v
+    return out
+
+
+def _matrix(obj, n: int) -> RatMatrix:
+    if not isinstance(obj, dict):
+        raise ValueError("boundary %d must be a JSON object" % n)
+    ent = {(_json_int(r, "entry row"), _json_int(c, "entry column")): _rat(v)
+           for r, c, v in obj.get("entries", [])}
+    return RatMatrix(_json_int(obj["rows"], "rows"),
+                     _json_int(obj["cols"], "cols"), ent)
+
+
 def _load_complex(path):
     with open(path) as fh:
         obj = json.load(fh)
@@ -96,16 +146,13 @@ def _load_complex(path):
     dims_obj, bnd_obj = obj.get("dims", {}), obj.get("boundary", {})
     if not (isinstance(dims_obj, dict) and isinstance(bnd_obj, dict)):
         raise ValueError("'dims' and 'boundary' must be JSON objects")
-    dims = {int(k): json_int(v, "dimension at degree %s" % k)
-            for k, v in dims_obj.items()}
+    dims = {n: _json_int(v, "dimension at degree %d" % n)
+            for n, v in _by_degree(dims_obj, "dims").items()}
     for n, d in dims.items():
         if d < 0:
             raise ValueError("negative dimension %d at degree %d" % (d, n))
-    bnds = {}
-    for k, mat in bnd_obj.items():
-        if not isinstance(mat, dict):
-            raise ValueError("boundary %s must be a JSON object" % k)
-        bnds[int(k)] = RatMatrix.from_json_obj(mat)
+    bnds = {n: _matrix(mat, n)
+            for n, mat in _by_degree(bnd_obj, "boundary").items()}
     return dims, bnds
 
 
@@ -136,16 +183,12 @@ def cmd_homology(args) -> int:
                       "witness": {"degree": n, "entry": [entry[0], entry[1]],
                                   "value": rat_str(comp[entry])}}
             return 1 if _emit(report, args.out) else 2
-    from .ccx import ChainComplex
     cx = ChainComplex(dims, bnds)
     degs = cx.degrees()
     table = {}
     if degs:
-        lo, hi = min(degs), max(degs)
-        interior = [n for n in range(lo, hi + 1)]
         h = cx.homology()
-        for n in interior:
-            table[str(n)] = h.get(n, 0)
+        table = {str(n): h.get(n, 0) for n in range(min(degs), max(degs) + 1)}
     report = {"version": __version__, "ok": True,
               "dims": {str(k): v for k, v in sorted(dims.items())},
               "homology": table}

@@ -3,8 +3,8 @@
 An exact n-cube is a functor {-1,0,1}^n -> (MetObj, rational matrices)
 whose edges are all short exact sequences.  The chain groups are formal
 Q-linear combinations of such cubes (``exactlin.FormalSum``), normalized
-by dropping degenerate summands.  Zero cubes, degeneracies, rho and
-tensor products are assembled by ``_assemble`` from a vertex rule and a
+by dropping degenerate summands.  Degeneracies, rho and tensor
+products are assembled by ``_assemble`` from a vertex rule and a
 rule for its nonzero arrows; composite pullbacks and bracket cubes are
 stacks of pulled-back parts gathered by position (``_stack``); faces and
 the symmetric action gather through tables of source positions.  This
@@ -341,10 +341,6 @@ def _step(alpha, j: int):
 
 # -- elementary constructions ----------------------------------------
 
-def zero_cube(n: int) -> ExactCube:
-    return _assemble(n, lambda a: ZERO_OBJ, None)
-
-
 def object_cube(obj: MetObj) -> ExactCube:
     """The 0-cube on a single object."""
     return _mk(0, (obj,), ())
@@ -405,39 +401,6 @@ def degeneracy(cube: ExactCube, j: int, sign: int) -> ExactCube:
         return cube.arrow(k if k < j else k - 1, a[:j - 1] + a[j:])
 
     return _assemble(n + 1, vertex, arrow)
-
-
-def _json_key(a) -> str:
-    return ",".join(str(x) for x in a)
-
-
-def cube_to_json(cube: ExactCube) -> dict:
-    """JSON form: degree, vertex table keyed by comma-joined indices, and
-    one arrow table per axis."""
-    verts = {}
-    for a in vertex_indices(cube.n):
-        o = cube.vertex(a)
-        verts[_json_key(a)] = {"dim": o.dim,
-                               "gram": None if o.gram is None else o.gram.to_json_obj()}
-    arrows = {str(j): {} for j in range(1, cube.n + 1)}
-    for j, a in arrow_keys(cube.n):
-        arrows[str(j)][_json_key(a)] = cube.arrow(j, a).to_json_obj()
-    return {"degree": cube.n, "vertices": verts, "arrows": arrows}
-
-
-def cube_from_json(obj) -> ExactCube:
-    n = int(obj["degree"])
-
-    def vertex(entry):
-        gram = entry.get("gram")
-        return MetObj(int(entry["dim"]),
-                      None if gram is None else RatMatrix.from_json_obj(gram),
-                      check=False)
-
-    vt, at = obj["vertices"], obj["arrows"]
-    return _mk(n, tuple([vertex(vt[_json_key(a)]) for a in vertex_indices(n)]),
-               tuple([RatMatrix.from_json_obj(at[str(j)][_json_key(a)])
-                      for j, a in arrow_keys(n)]))
 
 
 _SYM_TABLE_CACHE = memo.shape_table("cubes.sym_table")

@@ -24,7 +24,7 @@ from functools import partial
 
 from . import ccx
 from .cubes import CubeChain, degenerate_along, face, identity_edge
-from .exactlin import FormalSum, MetObj, RatMatrix
+from .exactlin import FormalSum, RatMatrix
 from .multirel import (LevelChain, MatrixModel, Span, close_span_generic,
                        cone_identification, levelwise, materialize_ccomplex,
                        materialize_operator, relabeled_model)
@@ -90,10 +90,6 @@ class VirtualGlued(FormalSum):
                           if b.comps[I].dim]).terms
 
 
-def i_I_star(f: GluedBundle, I) -> MetObj:
-    return f.comps[frozenset(I)]
-
-
 def iota_j_star(f: GluedBundle, j: int) -> GluedBundle:
     """Restriction to T_j: components containing j, reindexed over the
     subsets of the remaining marks."""
@@ -111,32 +107,6 @@ def p_j_star(g: GluedBundle, j: int) -> GluedBundle:
     marks = tuple(sorted(g.marks + (j,)))
     return GluedBundle(marks, {frozenset(S): g.comps[frozenset(S) - {j}]
                                for S in subsets(marks)})
-
-
-def bundle_to_json(f: GluedBundle) -> dict:
-    """JSON form: components keyed by the subset bitmask over the marks."""
-    comps = {}
-    for S, obj in f.comps.items():
-        mask = 0
-        for i, m in enumerate(f.marks):
-            if m in S:
-                mask |= 1 << i
-        comps[str(mask)] = {"dim": obj.dim,
-                            "gram": None if obj.gram is None
-                            else obj.gram.to_json_obj()}
-    return {"marks": list(f.marks), "components": comps}
-
-
-def bundle_from_json(obj) -> GluedBundle:
-    marks = tuple(int(m) for m in obj["marks"])
-    comps = {}
-    for mask_s, entry in obj["components"].items():
-        mask = int(mask_s)
-        S = frozenset(marks[i] for i in range(len(marks)) if mask >> i & 1)
-        gram = None if entry.get("gram") is None else \
-            RatMatrix.from_json_obj(entry["gram"])
-        comps[S] = MetObj(int(entry["dim"]), gram, check=False)
-    return GluedBundle(marks, comps)
 
 
 def one_minus_fold(f: VirtualGlued, j: int) -> VirtualGlued:

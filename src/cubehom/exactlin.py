@@ -14,7 +14,6 @@ the package shares.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
@@ -28,21 +27,6 @@ def rat_str(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return "%d/%d" % (x.numerator, x.denominator)
-
-
-def parse_rat(s) -> Fraction:
-    if isinstance(s, Fraction):
-        return s
-    if isinstance(s, int):
-        return Fraction(s)
-    return Fraction(str(s))
-
-
-def json_int(v, what: str) -> int:
-    """v if it is a JSON integer (an int, not a bool); else ValueError."""
-    if type(v) is not int:
-        raise ValueError("%s must be an integer, got %r" % (what, v))
-    return v
 
 
 def _exact(v):
@@ -140,16 +124,6 @@ class RatMatrix:
         """num / den for a dict (row, col) -> int of in-bounds integer
         numerators and a nonzero int den; zero numerators are dropped."""
         return _reduced(rows, cols, {k: v for k, v in num.items() if v}, den)
-
-    @staticmethod
-    def from_rows(rows_data: Iterable[Iterable]) -> "RatMatrix":
-        rows_data = [list(r) for r in rows_data]
-        rows = len(rows_data)
-        cols = len(rows_data[0]) if rows else 0
-        if any(len(row) != cols for row in rows_data):
-            raise ValueError("ragged rows")
-        return RatMatrix(rows, cols, {(i, j): v for i, row in enumerate(rows_data)
-                                      for j, v in enumerate(row)})
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
@@ -311,33 +285,6 @@ class RatMatrix:
         for (r, c), v in other.num.items():
             ent[(r, c + off)] = v * fb
         return _of(self.rows, self.cols + other.cols, ent, den)
-
-    def to_dense(self):
-        m = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.items():
-            m[r][c] = v
-        return m
-
-    # -- serialization ----------------------------------------------
-
-    def to_json_obj(self):
-        items = sorted(self.items())
-        return {"rows": self.rows, "cols": self.cols,
-                "entries": [[r, c, rat_str(v)] for (r, c), v in items]}
-
-    @staticmethod
-    def from_json_obj(obj) -> "RatMatrix":
-        ent = {(json_int(r, "entry row"), json_int(c, "entry column")):
-               parse_rat(v) for r, c, v in obj.get("entries", [])}
-        return RatMatrix(json_int(obj["rows"], "rows"),
-                         json_int(obj["cols"], "cols"), ent)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-    @staticmethod
-    def from_json(s: str) -> "RatMatrix":
-        return RatMatrix.from_json_obj(json.loads(s))
 
 
 # -- formal sums ----------------------------------------------------

@@ -97,21 +97,6 @@ class Tower:
         return Fraction(1 + h[0] % 7, 1 + h[1] % 7)
 
 
-def tower_to_json(t: Tower) -> dict:
-    """Geometry descriptor: size, member count, alias chain, seed."""
-    return {"r": t.r, "schemes": t.schemes, "seed": t.seed,
-            "alias": list(t.alias)}
-
-
-def tower_from_json(obj) -> Tower:
-    """The tower of a descriptor.  Older descriptors carry a ``mode``;
-    one other than "scalar" raises rather than being read as scalar."""
-    if obj.get("mode", "scalar") != "scalar":
-        raise ValueError("unsupported tower mode %r" % (obj["mode"],))
-    return Tower(r=int(obj["r"]), schemes=int(obj["schemes"]),
-                 seed=int(obj["seed"]), alias=obj.get("alias"))
-
-
 class MorphismClass:
     """A morphism class of a tower: the canonical map between two nodes.
     Nodes are stored with aliased members resolved, so classes through a

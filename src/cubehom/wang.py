@@ -46,24 +46,6 @@ class LogForm(FormalSum):
     def one() -> "LogForm":
         return LogForm([((None, ()), Fraction(1))])
 
-    def pretty(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (log_ix, wedge), c in sorted(self.terms.items(),
-                                         key=lambda kv: (str(kv[0][0]), kv[0][1])):
-            factors = []
-            if log_ix is not None:
-                factors.append("log|z%d|^2" % log_ix)
-            for kind, ix in wedge:
-                if kind == HOLO:
-                    factors.append("dz%d/z%d" % (ix, ix))
-                else:
-                    factors.append("dz~%d/z~%d" % (ix, ix))
-            mono = " ^ ".join(factors) if factors else "1"
-            bits.append("(%s) %s" % (c, mono))
-        return "  +  ".join(bits)
-
 
 def build_S(r: int, i: int) -> LogForm:
     """The signed symmetrization with i - 1 holomorphic and r - i

@@ -1,9 +1,12 @@
-"""Shared random generators for the test suite (package re-exports) and
-the check of the stored form of a matrix."""
+"""Shared random generators for the test suite (package re-exports), the
+check of the stored form of a matrix, and small builders and readers of
+matrices and cubes that only the tests use."""
 
 import math
+from fractions import Fraction
 
-from cubehom.cubes import arrow_keys, vertex_indices
+from cubehom.cubes import ExactCube, arrow_keys, vertex_indices
+from cubehom.exactlin import RatMatrix, ZERO_OBJ, rat_str
 from cubehom.rand import (direct_sum_ccomplex, rnd_chain_complex, rnd_cmap,
                           rnd_ccomplex, rnd_cube, rnd_fraction, rnd_gram,
                           rnd_homotopy_comps, rnd_invertible, rnd_matrix,
@@ -13,7 +16,8 @@ __all__ = [
     "direct_sum_ccomplex", "rnd_chain_complex", "rnd_cmap", "rnd_ccomplex",
     "rnd_cube", "rnd_fraction", "rnd_gram", "rnd_homotopy_comps",
     "rnd_invertible", "rnd_matrix", "rnd_metobj", "rnd_one_cube",
-    "rnd_retraction", "normal", "cube_parts",
+    "rnd_retraction", "normal", "cube_parts", "from_rows", "to_dense",
+    "to_json_obj", "zero_cube",
 ]
 
 
@@ -34,3 +38,35 @@ def cube_parts(cube):
     ``ExactCube`` constructor takes them, read through its accessors."""
     return ({a: cube.vertex(a) for a in vertex_indices(cube.n)},
             {(j, a): cube.arrow(j, a) for j, a in arrow_keys(cube.n)})
+
+
+def from_rows(rows_data):
+    """The matrix with the given rows (lists of exact entries)."""
+    rows_data = [list(r) for r in rows_data]
+    cols = len(rows_data[0]) if rows_data else 0
+    if any(len(row) != cols for row in rows_data):
+        raise ValueError("ragged rows")
+    return RatMatrix(len(rows_data), cols,
+                     {(i, j): v for i, row in enumerate(rows_data)
+                      for j, v in enumerate(row)})
+
+
+def to_dense(m):
+    """m as a list of rows of Fractions."""
+    out = [[Fraction(0)] * m.cols for _ in range(m.rows)]
+    for (r, c), v in m.items():
+        out[r][c] = v
+    return out
+
+
+def to_json_obj(m):
+    """m in the matrix format of the ``homology`` input file (README
+    "File formats"), entries sorted by position."""
+    return {"rows": m.rows, "cols": m.cols,
+            "entries": [[r, c, rat_str(v)] for (r, c), v in sorted(m.items())]}
+
+
+def zero_cube(n):
+    """The interned n-cube with every vertex zero."""
+    return ExactCube(n, {a: ZERO_OBJ for a in vertex_indices(n)},
+                     {k: RatMatrix.zero(0, 0) for k in arrow_keys(n)}).intern()

@@ -165,11 +165,11 @@ def test_criterion_14_cli_contract():
     ok = a.returncode == 0 and a.stdout == b.stdout
     ok = ok and cli(["verify", "definitely.not.a.suite"]).returncode == 2
     import tempfile, os
-    from cubehom.exactlin import RatMatrix
+    from helpers import from_rows, to_json_obj
     with tempfile.TemporaryDirectory() as td:
         bad = {"dims": {"0": 1, "1": 1, "2": 1},
-               "boundary": {"1": RatMatrix.from_rows([[1]]).to_json_obj(),
-                            "2": RatMatrix.from_rows([[1]]).to_json_obj()}}
+               "boundary": {"1": to_json_obj(from_rows([[1]])),
+                            "2": to_json_obj(from_rows([[1]]))}}
         path = os.path.join(td, "bad.json")
         with open(path, "w") as fh:
             json.dump(bad, fh)

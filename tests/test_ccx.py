@@ -14,6 +14,7 @@ from cubehom.rand import (rnd_ccomplex, rnd_chain_complex, rnd_cmap,
                           rnd_exchange_square, rnd_homotopy_comps,
                           rnd_invertible, rnd_matrix, rnd_retraction,
                           rnd_second_homotopy_setup)
+from helpers import from_rows
 
 
 def test_validate_single_complex():
@@ -23,9 +24,9 @@ def test_validate_single_complex():
 
 
 def test_validate_reports_violation_with_witness():
-    c0 = ChainComplex({0: 1, 1: 1}, {1: RatMatrix.from_rows([[1]])})
-    c1 = ChainComplex({0: 1, 1: 1}, {1: RatMatrix.from_rows([[1]])})
-    f01 = {1: RatMatrix.from_rows([[1]])}  # no degree-0 component: not a map
+    c0 = ChainComplex({0: 1, 1: 1}, {1: from_rows([[1]])})
+    c1 = ChainComplex({0: 1, 1: 1}, {1: from_rows([[1]])})
+    f01 = {1: from_rows([[1]])}  # no degree-0 component: not a map
     cc = CComplex({0: c0, 1: c1}, {(0, 1): f01})
     rep = cc.validate()
     assert not rep["ok"]
@@ -44,7 +45,7 @@ def test_homology_of_identity_and_zero_complexes():
 
 
 def test_validate_reports_a_nonzero_square_of_d():
-    one = RatMatrix.from_rows([[1]])
+    one = from_rows([[1]])
     cx = ChainComplex({0: 1, 1: 1, 2: 1}, {1: one, 2: one})
     rep = cx.validate()
     assert rep == {"ok": False, "checked": 2,
@@ -294,9 +295,9 @@ def _chain_map(rng, src, dst):
 
 def test_diagram_rejects_non_chain_map():
     rng = random.Random(18)
-    a1 = ChainComplex({0: 1, 1: 1}, {1: RatMatrix.from_rows([[1]])})
+    a1 = ChainComplex({0: 1, 1: 1}, {1: from_rows([[1]])})
     b1 = ChainComplex({0: 1, 1: 1}, {})
-    bad = {0: RatMatrix.from_rows([[1]]), 1: RatMatrix.from_rows([[1]])}
+    bad = {0: from_rows([[1]]), 1: from_rows([[1]])}
     with pytest.raises(ValueError):
         diagram_simple(a1, b1, b1, b1, bad, {}, {})
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cubehom.exactlin import RatMatrix
+from helpers import from_rows, to_json_obj
 
 
 def run_cli(args, env=None):
@@ -65,7 +65,7 @@ def test_verify_out_file(tmp_path: Path):
 
 def test_homology_fixtures(tmp_path: Path):
     good = {"dims": {"0": 1, "1": 1},
-            "boundary": {"1": RatMatrix.from_rows([[1]]).to_json_obj()}}
+            "boundary": {"1": to_json_obj(from_rows([[1]]))}}
     gp = tmp_path / "good.json"
     gp.write_text(json.dumps(good))
     res = run_cli(["homology", str(gp)])
@@ -81,8 +81,8 @@ def test_homology_fixtures(tmp_path: Path):
     assert rep["homology"] == {"0": 2, "1": 3}
 
     bad = {"dims": {"0": 1, "1": 1, "2": 1},
-           "boundary": {"1": RatMatrix.from_rows([[1]]).to_json_obj(),
-                        "2": RatMatrix.from_rows([[1]]).to_json_obj()}}
+           "boundary": {"1": to_json_obj(from_rows([[1]])),
+                        "2": to_json_obj(from_rows([[1]]))}}
     bp = tmp_path / "bad.json"
     bp.write_text(json.dumps(bad))
     res = run_cli(["homology", str(bp)])
@@ -103,9 +103,21 @@ def test_homology_fixtures(tmp_path: Path):
     {"dims": {"0": True}, "boundary": {}},
     {"dims": {"0": 1, "1": 1},
      "boundary": {"1": {"rows": 1.9, "cols": 1, "entries": [[0, 0, "1"]]}}},
+    {"dims": {"0": 1, "1": 1},
+     "boundary": {"1": {"rows": 1, "cols": 1, "entries": [[0, 0, 0.1]]}}},
+    {"dims": {"0": 1, "1": 1},
+     "boundary": {"1": {"rows": 1, "cols": 1, "entries": [[0, 0, True]]}}},
+    {"dims": {"0": 1, "1": 1},
+     "boundary": {"1": {"rows": 1, "cols": 1, "entries": [[0, 0, "1_0"]]}}},
+    {"dims": {"1_0": 1}, "boundary": {}},
+    {"dims": {"0": 1, "1": 1},
+     "boundary": {" 1 ": {"rows": 1, "cols": 1, "entries": [[0, 0, "1"]]}}},
+    {"dims": {"1": 1, "01": 1}, "boundary": {}},
 ]] + ['{"dims": {"0": 1e400}, "boundary": {}}'],
     ids=["zero-denominator", "top-level-list", "negative-dim", "float-dim",
-         "bool-dim", "float-rows", "overflowing-dim"])
+         "bool-dim", "float-rows", "float-entry", "bool-entry",
+         "underscore-entry", "underscore-degree", "spaced-degree",
+         "repeated-degree", "overflowing-dim"])
 def test_homology_malformed_input_is_usage_error(tmp_path: Path, text):
     p = tmp_path / "bad.json"
     p.write_text(text)
@@ -159,7 +171,7 @@ def test_homology_matches_oracle(tmp_path: Path):
     rng = random.Random(3)
     cx = rnd_chain_complex(rng, degs=(0, 3), maxdim=3)
     payload = {"dims": {str(k): v for k, v in cx.dims.items()},
-               "boundary": {str(k): m.to_json_obj()
+               "boundary": {str(k): to_json_obj(m)
                             for k, m in cx.boundary.items()}}
     p = tmp_path / "cx.json"
     p.write_text(json.dumps(payload))

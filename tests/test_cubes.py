@@ -8,19 +8,19 @@ from itertools import permutations, product
 from cubehom.cubes import (CubeChain, ExactCube, ExactFunctor, act_sym,
                            alt, alt_block, arrow_keys, boundary,
                            boundary_partial, bracket_cube, composite_pullback,
-                           cube_to_json, degeneracy, face, object_cube, one_cube,
+                           degeneracy, face, object_cube, one_cube,
                            phi_homotopy, psi_homotopy, rho, tensor_cube,
-                           transposition, vertex_indices, zero_cube)
+                           transposition, vertex_indices)
 from cubehom.exactlin import MetObj, RatMatrix, ZERO_OBJ
 from cubehom.multirel import GeomView, Tower
-from helpers import (cube_parts, rnd_cube, rnd_gram, rnd_metobj,
-                     rnd_one_cube)
+from helpers import (cube_parts, from_rows, rnd_cube, rnd_gram, rnd_metobj,
+                     rnd_one_cube, zero_cube)
 
 
 def simple_one_cube():
     # 0 -> Q -> Q^2 -> Q -> 0 with the canonical maps
-    inj = RatMatrix.from_rows([[1], [0]])
-    surj = RatMatrix.from_rows([[0, 1]])
+    inj = from_rows([[1], [0]])
+    surj = from_rows([[0, 1]])
     return one_cube(MetObj(1), MetObj(2), MetObj(1), inj, surj)
 
 
@@ -509,17 +509,14 @@ def test_index_reads_agree_with_the_json_form():
     for n in range(4):
         c = rnd_cube(rng, n, with_gram=True)
         for cube in [c, composite_pullback(word, c), degeneracy(c, 1, -1)]:
-            js = cube_to_json(cube)
+            verts, arrows = cube_parts(cube)
             assert hash(cube) == _formula_hash(cube)
-            for a in product((-1, 0, 1), repeat=cube.n):
-                o, key = cube.vertex(a), ",".join(map(str, a))
-                assert js["vertices"][key] == {
-                    "dim": o.dim,
-                    "gram": None if o.gram is None else o.gram.to_json_obj()}
-                for j in range(1, cube.n + 1):
-                    if a[j - 1] != 1:
-                        assert js["arrows"][str(j)][key] == \
-                            cube.arrow(j, a).to_json_obj()
+            assert list(verts) == list(product((-1, 0, 1), repeat=cube.n))
+            assert tuple(verts.values()) == cube.vertices
+            assert list(arrows) == [(j, a) for j in range(1, cube.n + 1)
+                                    for a in verts if a[j - 1] != 1]
+            assert tuple(arrows.values()) == cube.arrows
+            assert ExactCube(cube.n, verts, arrows) == cube
             with pytest.raises(KeyError):
                 cube.vertex((2,) * cube.n if cube.n else (0,))
             if cube.n:

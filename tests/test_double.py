@@ -6,7 +6,7 @@ import pytest
 from cubehom import ccx
 from cubehom.cubes import CubeChain, ExactCube
 from cubehom.double import (DoubleGeometry, GluedBundle, GluedCube,
-                            VirtualGlued, build_t, double_spans, i_I_star,
+                            VirtualGlued, build_t, double_spans,
                             inclusion_exclusion_op, iota_j_star, p_j_star,
                             qt_bundle)
 from cubehom.exactlin import MetObj
@@ -32,10 +32,8 @@ def test_extraction_examples():
     obj = MetObj(2, rnd_gram(rng, 2), check=False)
     const = GluedBundle((1, 2), {frozenset(S): obj for S in subsets((1, 2))})
     for I in subsets((1, 2)):
-        assert i_I_star(const, I) == obj
+        assert const.comps[frozenset(I)] == obj
     f = rnd_bundle(rng, (1,))
-    assert i_I_star(f, ()) == f.comps[frozenset()]
-    assert i_I_star(f, (1,)) == f.comps[frozenset({1})]
     # extraction is additive on virtual bundles
     v = VirtualGlued.of(f, 2) + VirtualGlued.of(const_restrict(f), -2)
     got = v.extract(())

@@ -1,18 +1,16 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from cubehom.cli import _matrix
 from cubehom.cubes import one_cube
 from cubehom.exactlin import (MetObj, RatMatrix, ShortExact, ZERO_OBJ,
                               is_short_exact, kernel_basis, rank, rat_str,
                               rref, solve, tensor_map, tensor_obj)
-from helpers import (normal, rnd_chain_complex, rnd_gram, rnd_matrix,
-                     rnd_one_cube)
-
-
-def M(rows):
-    return RatMatrix.from_rows(rows)
+from helpers import (from_rows as M, normal, rnd_chain_complex, rnd_gram,
+                     rnd_matrix, rnd_one_cube, to_json_obj)
 
 
 def test_rank_examples():
@@ -111,13 +109,16 @@ def test_tensor_map_mixed_gram():
 
 
 def test_matrix_json_roundtrip():
+    """The ``homology`` reader takes the README matrix format back to the
+    matrix written, with entry values as JSON integers or "p/q" strings."""
     m = M([[Fraction(1, 2), 0], [3, Fraction(-7, 5)]])
-    obj = m.to_json_obj()
-    assert obj["rows"] == 2 and obj["cols"] == 2
-    assert ["0", "0", "1/2"] == [str(obj["entries"][0][0]),
-                                 str(obj["entries"][0][1]),
-                                 obj["entries"][0][2]]
-    assert RatMatrix.from_json(m.to_json()) == m
+    obj = json.loads(json.dumps(to_json_obj(m)))
+    assert obj == {"rows": 2, "cols": 2,
+                   "entries": [[0, 0, "1/2"], [1, 0, "3"], [1, 1, "-7/5"]]}
+    assert _matrix(obj, 1) == m
+    assert _matrix({"rows": 2, "cols": 2, "entries": [
+        [0, 0, "2/4"], [1, 0, 3], [1, 1, "-7/5"]]}, 1) == m
+    assert _matrix({"rows": 1, "cols": 3}, 1) == RatMatrix.zero(1, 3)
 
 
 def test_solve_consistency():

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from cubehom.exactlin import (RatMatrix, _is_sym_posdef, kernel_basis, rank,
                               rref, solve)
-from helpers import normal
+from helpers import normal, to_dense
 
 PROPS = settings(derandomize=True, database=None, deadline=None,
                  max_examples=150)
@@ -54,7 +54,7 @@ def grid(r, c, entries):
 
 def reference_rref(m):
     """Rational Gauss-Jordan elimination, pivoting on the first nonzero."""
-    a = m.to_dense()
+    a = to_dense(m)
     nrows, ncols = m.rows, m.cols
     pivots = []
     r = 0
@@ -97,7 +97,7 @@ def symmetric_matrices(draw, max_dim=5):
 def to_sympy(m):
     return sympy.Matrix(m.rows, m.cols,
                         [sympy.Rational(v.numerator, v.denominator)
-                         for row in m.to_dense() for v in row])
+                         for row in to_dense(m) for v in row])
 
 
 def sympy_rank(m):
@@ -181,7 +181,7 @@ def test_arithmetic_keeps_the_normal_form(a, b, q):
     bt = b.transpose()
     if a.cols == bt.rows:
         prod = entries(normal(a.mul(bt)))
-        dense_a, dense_b = a.to_dense(), bt.to_dense()
+        dense_a, dense_b = to_dense(a), to_dense(bt)
         assert prod == {(i, j): s for i in range(a.rows) for j in range(bt.cols)
                         if (s := sum(dense_a[i][k] * dense_b[k][j]
                                      for k in range(a.cols)))}

@@ -13,13 +13,13 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubehom.cubes import CubeChain, degeneracy, object_cube, zero_cube
+from cubehom.cubes import CubeChain, degeneracy, object_cube
 from cubehom.double import GluedBundle, VirtualGlued
 from cubehom.exactlin import MetObj, linear_terms
 from cubehom.formalchern import FormalElement
 from cubehom.multirel import LevelChain
 from cubehom.wang import ANTI, HOLO, LogForm
-from helpers import rnd_cube, rnd_gram
+from helpers import rnd_cube, rnd_gram, zero_cube
 
 PROPS = settings(derandomize=True, database=None, deadline=None,
                  max_examples=150)

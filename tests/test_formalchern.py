@@ -7,7 +7,7 @@ from cubehom.formalchern import (FormalTarget, check_chain_map,
                                  iso_class_key, reindex_check, sign_exponent,
                                  tot_boundary)
 from cubehom.multirel import GeomView, LevelChain, MorphView, Tower, xi_K, xi_Kf
-from helpers import rnd_cube
+from helpers import from_rows, rnd_cube
 
 
 def geometry(r, seed=19, schemes=1):
@@ -92,7 +92,7 @@ def test_iso_class_key_normalizes_integer_grams_exactly():
     from cubehom.cubes import ExactFunctor, object_cube
     from cubehom.exactlin import MetObj, RatMatrix
     from fractions import Fraction
-    gram = RatMatrix.from_rows([[3, 1], [1, 2]])
+    gram = from_rows([[3, 1], [1, 2]])
     c = object_cube(MetObj(2, gram))
     (_, dim, lead_one, squarefree), = iso_class_key(c)[1]
     assert dim == 2 and squarefree == 3

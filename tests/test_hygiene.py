@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and every plain function or class it defines is referenced by the package,
-its tests or its benchmark."""
+and every function, method or class it defines is referenced by the
+package or its benchmark; a definition that only the tests reach is dead
+library code."""
 
 import ast
 import pathlib
@@ -39,8 +40,11 @@ def test_every_import_is_used(path):
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-REFERENCING = MODULES + sorted((ROOT / "tests").glob("*.py")) \
-    + sorted((ROOT / "perfbench").glob("*.py"))
+REFERENCING = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
+
+# name -> why it stays in the package with no referrer in the package or
+# its benchmark
+ALLOWED = {}
 
 
 def names_used(sources):
@@ -55,13 +59,23 @@ def names_used(sources):
     return refs
 
 
+def _registered(node):
+    """Whether a ``@register(...)`` decorator, which puts the definition in
+    a catalog that is read by name, decorates ``node``."""
+    for dec in node.decorator_list:
+        fn = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(fn, "id", getattr(fn, "attr", None)) == "register":
+            return True
+    return False
+
+
 def unreferenced_defs(source, refs):
-    """Undecorated, non-dunder functions and classes defined in ``source``
-    whose names are not in ``refs``."""
+    """Non-dunder functions, methods and classes defined in ``source``,
+    other than registered ones, whose names are not in ``refs``."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     return sorted((node.lineno, node.name)
                   for node in ast.walk(ast.parse(source))
-                  if isinstance(node, defs) and not node.decorator_list
+                  if isinstance(node, defs) and not _registered(node)
                   and not (node.name.startswith("__")
                            and node.name.endswith("__"))
                   and node.name not in refs)
@@ -73,23 +87,28 @@ def test_scan_finds_an_unreferenced_definition():
               "    def used(self): pass\n"
               "    def unused(self): pass\n"
               "    @staticmethod\n"
-              "    def decorated(): pass\n"
+              "    def build(): pass\n"
+              "    @staticmethod\n"
+              "    def lost_build(): pass\n"
               "def helper(): pass\n"
               "def dead(): pass\n"
-              "class Lost: pass\n")
-    refs = names_used([source, "Box().used()\nhelper()\n"])
+              "class Lost: pass\n"
+              "@register('suite.name')\n"
+              "def suite_body(): pass\n")
+    refs = names_used([source, "Box().used()\nhelper()\nBox.build()\n"])
     assert unreferenced_defs(source, refs) \
-        == [(4, "unused"), (8, "dead"), (9, "Lost")]
+        == [(4, "unused"), (8, "lost_build"), (10, "dead"), (11, "Lost")]
 
 
 @pytest.fixture(scope="module")
 def package_refs():
-    return names_used(p.read_text() for p in REFERENCING)
+    return names_used(p.read_text() for p in REFERENCING) | set(ALLOWED)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_definition_is_referenced(path, package_refs):
     assert unreferenced_defs(path.read_text(), package_refs) == []
+
 
 
 def unread_parameters(source):

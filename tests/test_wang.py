@@ -83,7 +83,3 @@ def test_wedge_antisymmetry_normalization():
     with pytest.raises(ValueError):
         LogForm([((1, ((HOLO, 1),)), Fraction(1))])
 
-
-def test_pretty_printer_mentions_generators():
-    text = build_W(2).pretty()
-    assert "log|z1|^2" in text and "dz2/z2" in text
