@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from functools import cached_property
 
 from .exactlin import RatMatrix, induced_homology_rank, rank
 
@@ -44,7 +45,7 @@ from .exactlin import RatMatrix, induced_homology_rank, rank
 class ChainComplex:
     """A finite chain complex: dims per degree and boundaries d_n: C_n -> C_{n-1}."""
 
-    def __init__(self, dims: dict, boundary: dict, labels: dict | None = None):
+    def __init__(self, dims: dict, boundary: dict):
         self.dims = {n: d for n, d in dims.items() if d}
         self.boundary = {}
         for n, m in boundary.items():
@@ -52,7 +53,6 @@ class ChainComplex:
                 raise ValueError("boundary shape mismatch at degree %d" % n)
             if not m.is_zero():
                 self.boundary[n] = m
-        self.labels = labels or {}
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
@@ -95,6 +95,7 @@ class ChainComplex:
 
 
 _NONE = {}
+_EMPTY = ChainComplex({}, {})
 
 
 def _witness(checked: int, m: int, n: int, k: int, diff: RatMatrix) -> dict:
@@ -140,10 +141,7 @@ class CComplex:
         return sorted(self.complexes)
 
     def cx(self, m: int) -> ChainComplex:
-        c = self.complexes.get(m)
-        if c is None:
-            c = ChainComplex({}, {})
-        return c
+        return self.complexes.get(m, _EMPTY)
 
     def f(self, m: int, n: int, k: int) -> RatMatrix:
         """F^{m,n}_k for m < n, zero where absent."""
@@ -365,13 +363,8 @@ class CMap(CFamily):
 
 
 def identity_cmap(a: CComplex) -> CMap:
-    comps = {}
-    for m in a.indices():
-        per = {}
-        for k in a.cx(m).degrees():
-            per[k] = RatMatrix.identity(a.cx(m).dim(k))
-        comps[(m, m)] = per
-    return CMap(a, a, comps)
+    return family(a, a, 0, lambda m, n, k: RatMatrix.identity(a.cx(m).dim(k))
+                  if m == n else None)
 
 
 def zero_cmap(a: CComplex, b: CComplex) -> CMap:
@@ -399,21 +392,15 @@ def cmap_add(f: CFamily, g: CFamily, scale_g=1) -> CFamily:
 
 
 class CHomotopy(CFamily):
-    """A homotopy from frm to to: comps[(m, n)][k]: A^m_k -> B^n_{k+n-m+1},
-    m <= n+1."""
+    """A homotopy: comps[(m, n)][k]: A^m_k -> B^n_{k+n-m+1}, m <= n+1."""
 
-    def __init__(self, src: CComplex, dst: CComplex, comps: dict,
-                 frm: CMap | None = None, to: CMap | None = None):
+    def __init__(self, src: CComplex, dst: CComplex, comps: dict):
         super().__init__(src, dst, comps, 1)
-        self.frm = frm
-        self.to = to
 
-    def validate(self, frm: CMap | None = None, to: CMap | None = None):
-        f = frm if frm is not None else self.frm
-        g = to if to is not None else self.to
-        if f is None or g is None:
-            raise ValueError("homotopy endpoints not supplied")
-        return self.compare_defect(lambda m, n, k: g.c(m, n, k) - f.c(m, n, k))
+    def validate(self, frm: CMap, to: CMap):
+        """D(h) = to - frm, degreewise: h is a homotopy from frm to to."""
+        return self.compare_defect(
+            lambda m, n, k: to.c(m, n, k) - frm.c(m, n, k))
 
 
 def homotopy_defect(src: CComplex, dst: CComplex, comps: dict) -> CMap:
@@ -428,56 +415,50 @@ def homotopy_defect(src: CComplex, dst: CComplex, comps: dict) -> CMap:
     return family(src, dst, 0, CHomotopy(src, dst, comps).defect)
 
 
-class SecondHomotopy(CFamily):
-    """Theta^{m,n}: B^m_k -> B'^n_{k+n-m+2} for m <= n+2, mediating the two
-    homotopies  Phi_f g + f' Phi_g + phi_B Psi  and  Psi' phi_B.
-
-    The six gadgets are stored so the defining relation can be checked.
-    """
-
-    def __init__(self, comps: dict, f: CMap, g: CMap, fp: CMap, gp: CMap,
-                 phi_a: CMap, phi_b: CMap, h_f: CHomotopy, h_g: CHomotopy,
-                 psi: CHomotopy, psi_p: CHomotopy):
-        super().__init__(g.src, phi_b.dst, comps, 2)
-        self.f, self.g, self.fp, self.gp = f, g, fp, gp
-        self.phi_a, self.phi_b = phi_a, phi_b
-        self.h_f, self.h_g, self.psi, self.psi_p = h_f, h_g, psi, psi_p
-
-
 def second_homotopy_target(g: CMap, fp: CMap, phi_b: CMap, h_f: CHomotopy,
                            h_g: CHomotopy, psi: CHomotopy,
                            psi_p: CHomotopy) -> CHomotopy:
-    """Psi' phi_B - Phi_f g - f' Phi_g - phi_B Psi: the defect a second
-    homotopy of these gadgets must have."""
+    """Psi' phi_B - Phi_f g - f' Phi_g - phi_B Psi: the defect D(Theta) a
+    second homotopy Theta: B -> B' of reach 2 must have, mediating the two
+    homotopies  Phi_f g + f' Phi_g + phi_B Psi  and  Psi' phi_B.  Check one
+    with ``theta.compare_defect(target.c)``."""
     return cmap_add(cmap_add(compose(psi_p, phi_b), compose(h_f, g), -1),
                     cmap_add(compose(fp, h_g), compose(phi_b, psi)), -1)
-
-
-def check_second_homotopy(theta: SecondHomotopy):
-    """The defining relation of a second homotopy, degreewise:
-    D(Theta) = Psi' phi_B - Phi_f g - f' Phi_g - phi_B Psi."""
-    t = theta
-    return t.compare_defect(second_homotopy_target(
-        t.g, t.fp, t.phi_b, t.h_f, t.h_g, t.psi, t.psi_p).c)
 
 
 # -- simple complex (mapping cone) ------------------------------------
 
 class SimpleParts:
-    """The simple complex of a C-map with its projection and inclusion,
-    plus the slot bookkeeping (per (m, degree): how A^m_k and B^{m-1}_k sit
-    inside C^m_k)."""
+    """The simple complex ccx of a C-map f: A -> B with its projection to A
+    and its inclusion of B[-1]; C^m_k is A^m_k (+) B^{m-1}_k, in that
+    order."""
 
-    def __init__(self, ccx: CComplex, proj: CMap, incl: CMap, a_dims: dict, b_dims: dict):
-        self.ccx = ccx
-        self.proj = proj
-        self.incl = incl
-        self.a_dims = a_dims
-        self.b_dims = b_dims
+    def __init__(self, a: CComplex, b: CComplex, ccx: CComplex):
+        self.a, self.b, self.ccx = a, b, ccx
+
+    @cached_property
+    def proj(self) -> CMap:
+        """p: s(f) -> A, the diagonal projection onto the A slot."""
+        return family(self.ccx, self.a, 0, lambda m, n, k: _slot_unit(
+            *self.slots(m, k), 0) if m == n else None)
+
+    @cached_property
+    def incl(self) -> CMap:
+        """i: B[-1] -> s(f), the diagonal inclusion of the B slot."""
+        return family(self.b.shift(-1), self.ccx, 0,
+                      lambda m, n, k: _slot_unit(*self.slots(m, k), 1)
+                      .transpose() if m == n else None)
 
     def slots(self, m: int, k: int):
         """The dimensions of A^m_k and B^{m-1}_k inside C^m_k."""
-        return self.a_dims.get((m, k), 0), self.b_dims.get((m, k), 0)
+        return self.a.cx(m).dim(k), self.b.cx(m - 1).dim(k)
+
+
+def _slot_unit(da: int, db: int, slot: int) -> RatMatrix:
+    """The projection of A (+) B, of dimensions da and db, onto slot 0 (A)
+    or slot 1 (B)."""
+    d, off = (da, 0) if slot == 0 else (db, da)
+    return RatMatrix(d, da + db, {(i, off + i): 1 for i in range(d)})
 
 
 def simple(f: CMap) -> SimpleParts:
@@ -485,24 +466,10 @@ def simple(f: CMap) -> SimpleParts:
     F_C^{m,n}(a, b) = (F_A(a), f^{m,n-1}(a) - F_B^{m-1,n-1}(b))."""
     a, b = f.src, f.dst
     idxs = sorted(set(a.indices()) | {m + 1 for m in b.indices()})
-    complexes = {}
-    a_dims = {}
-    b_dims = {}
-    for m in idxs:
-        dims = {}
-        bnd = {}
-        degs = set(a.cx(m).degrees()) | set(b.cx(m - 1).degrees())
-        for k in degs:
-            da, db = a.cx(m).dim(k), b.cx(m - 1).dim(k)
-            dims[k] = da + db
-            a_dims[(m, k)] = da
-            b_dims[(m, k)] = db
-        for k in degs:
-            da, da1 = a.cx(m).dim(k), a.cx(m).dim(k - 1)
-            bnd[k] = _assemble(da1 + b.cx(m - 1).dim(k - 1), dims[k],
-                               [(0, 0, a.cx(m).d(k), 1),
-                                (da1, da, b.cx(m - 1).d(k), 1)])
-        complexes[m] = ChainComplex(dims, bnd)
+    complexes = {m: _slot_complex([(a.cx(m), 0), (b.cx(m - 1), 0)],
+                                  [(0, 0, a.cx(m).d, 1),
+                                   (1, 1, b.cx(m - 1).d, 1)])
+                 for m in idxs}
     fmaps = {}
     for m in idxs:
         for n in idxs:
@@ -519,33 +486,7 @@ def simple(f: CMap) -> SimpleParts:
                                     (ta, 0, f.c(m, n - 1, k), 1),
                                     (ta, da, b.f(m - 1, n - 1, k), -1)])
             fmaps[(m, n)] = per
-    cone = CComplex(complexes, fmaps)
-    # p: s(f) -> A, diagonal projection; i: B[-1] -> s(f), diagonal inclusion
-    proj_comps = {}
-    for m in idxs:
-        per = {}
-        for k in cone.cx(m).degrees():
-            da = a.cx(m).dim(k)
-            if da:
-                per[k] = RatMatrix(da, cone.cx(m).dim(k),
-                                   {(i, i): 1 for i in range(da)})
-        if per:
-            proj_comps[(m, m)] = per
-    proj = CMap(cone, a, proj_comps)
-    bshift = b.shift(-1)
-    incl_comps = {}
-    for m in idxs:
-        per = {}
-        for k in bshift.cx(m).degrees():
-            db = bshift.cx(m).dim(k)
-            da = a.cx(m).dim(k)
-            if db:
-                per[k] = RatMatrix(cone.cx(m).dim(k), db,
-                                   {(da + i, i): 1 for i in range(db)})
-        if per:
-            incl_comps[(m, m)] = per
-    incl = CMap(bshift, cone, incl_comps)
-    return SimpleParts(cone, proj, incl, a_dims, b_dims)
+    return SimpleParts(a, b, CComplex(complexes, fmaps))
 
 
 def phi_s(parts: SimpleParts, parts_p: SimpleParts, phi_a: CMap, phi_b: CMap,
@@ -607,14 +548,15 @@ def section_t(parts: SimpleParts, f: CMap, g: CMap, psi: CHomotopy):
     return t, psi1, psi2
 
 
-def pi_homotopy(parts_p: SimpleParts, f: CMap, theta: SecondHomotopy,
-                h_f: CHomotopy, psi_p: CHomotopy, gp: CMap) -> CHomotopy:
+def pi_homotopy(parts_p: SimpleParts, f: CMap, theta: CFamily,
+                h_f: CHomotopy, h_g: CHomotopy, psi_p: CHomotopy,
+                gp: CMap) -> CHomotopy:
     """The homotopy from phi_s t to t' phi_A induced by a second homotopy:
 
     Pi^{m,n}(a) = (-sum Phi_g^{l,n} f^{m,l}(a) - sum g'^{l,n} Phi_f^{m,l}(a),
                    -sum Psi'^{l,n-1} Phi_f^{m,l}(a) + sum Theta^{l,n-1} f^{m,l}(a)).
     """
-    hg_f, gp_hf = compose(theta.h_g, f), compose(gp, h_f)
+    hg_f, gp_hf = compose(h_g, f), compose(gp, h_f)
     psi_hf, theta_f = compose(psi_p, h_f), compose(theta, f)
 
     def comp(m, n, k):
@@ -709,20 +651,15 @@ def diagram_les_check(a1: ChainComplex, b1: ChainComplex, a2: ChainComplex,
 
     # chain maps: u: B2[-1] -> s(D); v: s(D) -> C; q: C -> A1
     def rank_u(n):
-        src_dim = b2.dim(n + 1)
-        off = a1.dim(n) + a2.dim(n) + b1.dim(n + 1)
-        mat = RatMatrix(sd.dim(n), src_dim, {(off + i, i): 1 for i in range(src_dim)})
+        mat = _slot_unit(cx.dim(n), b2.dim(n + 1), 1).transpose()
         return induced_homology_rank(mat, b2.d(n + 1).scale(-1), sd.d(n + 1))
 
     def rank_v(n):
-        keep = a1.dim(n) + a2.dim(n) + b1.dim(n + 1)
-        mat = RatMatrix(cx.dim(n), sd.dim(n),
-                        {(i, i): 1 for i in range(keep)})
+        mat = _slot_unit(cx.dim(n), b2.dim(n + 1), 0)
         return induced_homology_rank(mat, sd.d(n), cx.d(n + 1))
 
     def rank_q(n):
-        mat = RatMatrix(a1.dim(n), cx.dim(n),
-                        {(i, i): 1 for i in range(a1.dim(n))})
+        mat = _slot_unit(a1.dim(n), cx.dim(n) - a1.dim(n), 0)
         return induced_homology_rank(mat, cx.d(n), a1.d(n + 1))
 
     h_b2m = b2.shift(-1).homology()

@@ -661,10 +661,6 @@ class ExactFunctor:
     def tensor_by(obj: MetObj) -> "ExactFunctor":
         return ExactFunctor((obj,))
 
-    def compose(self, other: "ExactFunctor") -> "ExactFunctor":
-        """self after other (word concatenation)."""
-        return ExactFunctor(self.word + other.word)
-
     def on_obj(self, obj: MetObj) -> MetObj:
         if not self.word:
             return obj
@@ -776,20 +772,16 @@ class PullbackWord:
 _PULLBACK_CACHE = memo.table("cubes.pullback")
 
 
-def composite_pullback(morphisms, cube: ExactCube) -> ExactCube:
-    """The (n+r-1)-cube of a word of r composable morphisms applied to an
-    n-cube, with the word axes first.
+def composite_pullback(word: PullbackWord, cube: ExactCube) -> ExactCube:
+    """The (n+r-1)-cube of a prepared word of r composable morphisms
+    applied to an n-cube, with the word axes first.
 
-    ``morphisms`` is a ``PullbackWord`` or a sequence of morphisms, which
-    is prepared into one on each call.  Vertices group the word by the
-    positions of -1 as in the defining case formula; each group is pulled
-    back through the functor of its composite morphism, and all connecting
-    arrows are identity matrices or zero maps: the cube is a ``_stack``.
-    The memo is keyed by the word, that is by its group functors, and the
-    cube.
+    Vertices group the word by the positions of -1 as in the defining case
+    formula; each group is pulled back through the functor of its composite
+    morphism, and all connecting arrows are identity matrices or zero maps:
+    the cube is a ``_stack``.  The memo is keyed by the word, that is by
+    its group functors, and the cube.
     """
-    word = morphisms if type(morphisms) is PullbackWord \
-        else PullbackWord(morphisms)
     key = (word, cube)
     out = _PULLBACK_CACHE.get(key)
     if out is None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from . import memo
 
@@ -143,11 +143,6 @@ class RatMatrix:
             _ZERO_CACHE[key] = m
         return m
 
-    @staticmethod
-    def column(values: Iterable) -> "RatMatrix":
-        vals = list(values)
-        return RatMatrix(len(vals), 1, {(i, 0): v for i, v in enumerate(vals)})
-
     # -- basic access ------------------------------------------------
 
     def __getitem__(self, rc) -> Fraction:
@@ -234,9 +229,6 @@ class RatMatrix:
         return _reduced(self.rows, self.cols,
                         {k: n * v for k, v in self.num.items()},
                         self.den * a.denominator)
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        return self.mul(other)
 
     def mul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -584,9 +576,6 @@ class MetObj:
             return "MetObj(%d)" % self.dim
         return "MetObj(%d, gram)" % self.dim
 
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
 
 ZERO_OBJ = MetObj(0)
 
@@ -653,23 +642,18 @@ def is_short_exact(s: ShortExact) -> bool:
     return r_inj + r_surj == s.mid.dim
 
 
-def induced_homology_rank(f: RatMatrix, dn_src: Optional[RatMatrix],
-                          up_dst: Optional[RatMatrix]) -> int:
+def induced_homology_rank(f: RatMatrix, dn_src: RatMatrix,
+                          up_dst: RatMatrix) -> int:
     """Rank of the map induced on homology by a chain map component f.
 
     dn_src is the source boundary out of the degree at hand and up_dst the
-    target boundary into it (either may be None for the zero map).
+    target boundary into it.
     """
-    src_dim = f.cols
-    cycles = kernel_basis(dn_src) if dn_src is not None else \
-        [RatMatrix.column([1 if i == j else 0 for i in range(src_dim)]) for j in range(src_dim)]
+    cycles = kernel_basis(dn_src)
     if not cycles:
         return 0
     img = None
     for v in cycles:
         w = f.mul(v)
         img = w if img is None else img.hstack(w)
-    b_dst = up_dst
-    if b_dst is None:
-        return rank(img)
-    return rank(b_dst.hstack(img)) - rank(b_dst)
+    return rank(up_dst.hstack(img)) - rank(up_dst)

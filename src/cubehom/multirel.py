@@ -56,9 +56,6 @@ class Tower:
         self.key = (r, schemes, seed, tuple(self.alias))
         self._functors = {}
 
-    def node(self, scheme: int, level) -> tuple:
-        return (self.alias[scheme], frozenset(level))
-
     def base_node(self) -> tuple:
         return (-1, frozenset())
 
@@ -135,10 +132,6 @@ class GeomView:
         self.marks = tuple(sorted(marks)) if marks is not None \
             else tuple(i for i in range(1, tower.r + 1) if i not in self.extra)
         self.key = (tower.key, scheme, self.extra, self.marks)
-
-    @property
-    def r(self) -> int:
-        return len(self.marks)
 
     def level(self, I) -> frozenset:
         return frozenset(I) | self.extra
@@ -465,9 +458,6 @@ class Span:
         self.basis.setdefault(key, []).append(cube)
         return True
 
-    def cubes(self, level, degree):
-        return self.basis.get((frozenset(level), degree), [])
-
     def items(self):
         return list(self.basis.items())
 
@@ -721,8 +711,9 @@ def build_pullback(f: MorphView, seeds_dst, use_alt: bool = False):
 
 
 def build_homotopy(f: MorphView, g: MorphView, seeds_src, use_alt: bool = False):
-    """The homotopy from (g f)^* to f^* g^* on spans, with all three
-    pullback maps materialized; returns a dict of the pieces."""
+    """The homotopy phi from (g f)^* to f^* g^* on spans, with all three
+    pullback maps materialized; returns a dict of the pieces, so that
+    ``phi.validate(h, ccx.compose(f, g))`` checks phi."""
     h = MorphView(f.src, g.dst)
     op_g, op_f, op_h = (partial(op_pullback, v) for v in (g, f, h))
     op_phi = partial(op_homotopy, f, g)
@@ -739,8 +730,7 @@ def build_homotopy(f: MorphView, g: MorphView, seeds_src, use_alt: bool = False)
     fmap = ccx.CMap(cc_t, cc_x, materialize_operator(model_t, model_x, op_f, 0))
     hmap = ccx.CMap(cc_s, cc_x, materialize_operator(model_s, model_x, op_h, 0))
     phi = ccx.CHomotopy(cc_s, cc_x,
-                        materialize_operator(model_s, model_x, op_phi, 1),
-                        frm=hmap, to=ccx.compose(fmap, gmap))
+                        materialize_operator(model_s, model_x, op_phi, 1))
     return {"models": (model_s, model_t, model_x),
             "complexes": (cc_s, cc_t, cc_x),
             "g": gmap, "f": fmap, "h": hmap, "phi": phi}

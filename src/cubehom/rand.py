@@ -10,10 +10,9 @@ import random
 from fractions import Fraction
 
 from .ccx import (CComplex, CFamily, ChainComplex, CHomotopy, CMap,
-                  SecondHomotopy, _assemble, _keys, _slot_complex,
-                  check_second_homotopy, cmap_add, compose, homotopy_defect,
-                  identity_cmap, second_homotopy_target, simple,
-                  single_complex)
+                  _assemble, _keys, cmap_add, compose, family,
+                  homotopy_defect, identity_cmap, second_homotopy_target,
+                  simple, single_complex)
 from .cubes import ExactCube, MetObj, object_cube, one_cube, tensor_cube
 from .exactlin import RatMatrix, ZERO_OBJ, inverse, solve
 
@@ -150,25 +149,6 @@ def rnd_ccomplex(rng: random.Random, steps=(0, 2)) -> CComplex:
     return a
 
 
-def direct_sum_ccomplex(b: CComplex, e: CComplex) -> CComplex:
-    """B (+) E, with B's basis first in every index and degree."""
-    comps = {m: _slot_complex([(b.cx(m), 0), (e.cx(m), 0)],
-                              [(0, 0, b.cx(m).d, 1), (1, 1, e.cx(m).d, 1)])
-             for m in set(b.complexes) | set(e.complexes)}
-    fm = {}
-    for (m, n) in set(b.fmaps) | set(e.fmaps):
-        per = {}
-        for kk in set(b.fmaps.get((m, n), {})) | set(e.fmaps.get((m, n), {})):
-            tgt = kk + n - m - 1
-            per[kk] = _assemble(b.cx(n).dim(tgt) + e.cx(n).dim(tgt),
-                                b.cx(m).dim(kk) + e.cx(m).dim(kk),
-                                [(0, 0, b.f(m, n, kk), 1),
-                                 (b.cx(n).dim(tgt), b.cx(m).dim(kk),
-                                  e.f(m, n, kk), 1)])
-        fm[(m, n)] = per
-    return CComplex(comps, fm)
-
-
 def rnd_exchange_square(rng: random.Random):
     """A homotopy-commuting square: maps f: A -> B, fp: Ap -> Bp, columns
     pa: A -> Ap, pb: B -> Bp, and a homotopy phi from pb f to fp pa."""
@@ -185,15 +165,16 @@ def rnd_exchange_square(rng: random.Random):
     return a, b, ap, bp, f, fp, pa, pb, phi
 
 
-def solve_second_homotopy(f, g, fp, gp, phi_a, phi_b, h_f, h_g, psi, psi_p):
-    """An explicit second homotopy for the given gadgets, found by solving
-    the defining relation exactly; returns the SecondHomotopy or None when
-    the residual is not a boundary in the mediating degree.
+def solve_second_homotopy(target: CHomotopy):
+    """A second homotopy Theta with D(Theta) = target, found by solving the
+    relation exactly: a family B -> B' of reach 2 for a target B -> B' of
+    reach 1 (``ccx.second_homotopy_target``), or None when the target is
+    not a boundary in the mediating degree.
 
     The unknowns are the entries of each Theta^{m,n}_k, row by row; a
     defect term sign * L Theta R is the block sign * (L kron R^T) of the
     linear system."""
-    b, bp = g.src, phi_b.dst
+    b, bp = target.src, target.dst
     offs, total = {}, 0
     for m, n, k in _keys(b, bp, 2):
         rows, cols = bp.cx(n).dim(k + n - m + 2), b.cx(m).dim(k)
@@ -201,7 +182,6 @@ def solve_second_homotopy(f, g, fp, gp, phi_a, phi_b, h_f, h_g, psi, psi_p):
             offs[(m, n, k)] = (total, rows, cols)
             total += rows * cols
     shape = CFamily(b, bp, {}, 2)
-    target = second_homotopy_target(g, fp, phi_b, h_f, h_g, psi, psi_p)
     blocks, rhsv, eqcount = [], {}, 0
     for m, n, k in _keys(b, bp, 2):
         rows, cols = bp.cx(n).dim(k + n - m + 1), b.cx(m).dim(k)
@@ -232,34 +212,21 @@ def solve_second_homotopy(f, g, fp, gp, phi_a, phi_b, h_f, h_g, psi, psi_p):
                     ent[(rr, cc)] = v
         if ent:
             comps.setdefault((m, n), {})[k] = RatMatrix(rows, cols, ent)
-    theta = SecondHomotopy(comps, f, g, fp, gp, phi_a, phi_b, h_f, h_g,
-                           psi, psi_p)
-    rep = check_second_homotopy(theta)
-    return theta if rep["ok"] else None
+    theta = CFamily(b, bp, comps, 2)
+    return theta if theta.compare_defect(target.c)["ok"] else None
 
 
 def rnd_retraction(rng: random.Random):
     """A random section setup: f: A -> B with g: B -> A and a homotopy psi
-    from the identity of B to f g; returns (A, B, f, g, psi)."""
+    from the identity of B to f g; returns (A, B, f, g, psi).  A is B (+) E,
+    the cone of the zero map B -> E[1], f is its projection to B, and g is
+    the transpose of f plus a null-homotopic map."""
     b = rnd_ccomplex(rng)
     e = rnd_ccomplex(rng)
-    a = direct_sum_ccomplex(b, e)
-    fc, gc = {}, {}
-    for m in a.indices():
-        perf, perg = {}, {}
-        for kk in a.cx(m).degrees():
-            db = b.cx(m).dim(kk)
-            if db:
-                perf[kk] = RatMatrix(db, a.cx(m).dim(kk),
-                                     {(i, i): 1 for i in range(db)})
-                perg[kk] = RatMatrix(a.cx(m).dim(kk), db,
-                                     {(i, i): 1 for i in range(db)})
-        if perf:
-            fc[(m, m)] = perf
-        if perg:
-            gc[(m, m)] = perg
-    fmap = CMap(a, b, fc)
-    gmap = CMap(b, a, gc)
+    fmap = simple(CMap(b, e.shift(1), {})).proj
+    a = fmap.src
+    gmap = family(b, a, 0, lambda m, n, k: fmap.c(m, m, k).transpose()
+                  if m == n else None)
     h = rnd_homotopy_comps(rng, b, a)
     g2 = cmap_add(gmap, homotopy_defect(b, a, h))
     psi = compose(fmap, CHomotopy(b, a, h))
@@ -268,9 +235,10 @@ def rnd_retraction(rng: random.Random):
 
 def rnd_second_homotopy_setup(rng: random.Random):
     """A full cast for the mediating-homotopy relation: a retraction with
-    identity-perturbed columns, the induced exchange homotopies, and an
-    explicitly solved second homotopy.  Returns a dict of the gadgets, or
-    None when the linear solve happens to be obstructed."""
+    identity-perturbed columns, the induced exchange homotopies, the target
+    of the relation and an explicitly solved second homotopy.  Returns a
+    dict of the gadgets, or None when the linear solve happens to be
+    obstructed."""
     a, b, f, g, psi = rnd_retraction(rng)
     h1 = rnd_homotopy_comps(rng, a, a, density=0.3)
     h2 = rnd_homotopy_comps(rng, b, b, density=0.3)
@@ -281,9 +249,10 @@ def rnd_second_homotopy_setup(rng: random.Random):
                    compose(CHomotopy(b, b, h2), f), scale_g=-1)
     h_g = cmap_add(compose(g, CHomotopy(b, b, h2)),
                    compose(CHomotopy(a, a, h1), g), scale_g=-1)
-    theta = solve_second_homotopy(f, g, f, g, phi_a, phi_b, h_f, h_g, psi, psi)
+    target = second_homotopy_target(g, f, phi_b, h_f, h_g, psi, psi)
+    theta = solve_second_homotopy(target)
     if theta is None:
         return None
     return {"A": a, "B": b, "f": f, "g": g, "psi": psi,
             "phi_a": phi_a, "phi_b": phi_b, "h_f": h_f, "h_g": h_g,
-            "theta": theta}
+            "target": target, "theta": theta}

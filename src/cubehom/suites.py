@@ -409,13 +409,14 @@ def _run_second(rng, trials, **_):
             continue
         produced += 1
         th = setup["theta"]
-        ok = ccx.check_second_homotopy(th)["ok"]
+        ok = th.compare_defect(setup["target"].c)["ok"]
         f, g, psi = setup["f"], setup["g"], setup["psi"]
         parts = ccx.simple(f)
         t_map, _, _ = ccx.section_t(parts, f, g, psi)
         ps = ccx.phi_s(parts, parts, setup["phi_a"], setup["phi_b"],
                        setup["h_f"])
-        pi = ccx.pi_homotopy(parts, f, th, setup["h_f"], psi, g)
+        pi = ccx.pi_homotopy(parts, f, th, setup["h_f"], setup["h_g"], psi,
+                             g)
         ok = ok and pi.validate(ccx.compose(ps, t_map),
                                 ccx.compose(t_map, setup["phi_a"]))["ok"]
         yield "theta.%03d" % t, ok
@@ -597,7 +598,8 @@ def _run_mr_homotopy(rng, trials, r, seed, **_):
         if t % 10 == 0:
             out = build_homotopy(
                 f, g, [(frozenset(), rand.rnd_cube(rng, 1, with_gram=True))])
-            ok = ok and out["phi"].validate()["ok"]
+            ok = ok and out["phi"].validate(
+                out["h"], ccx.compose(out["f"], out["g"]))["ok"]
             ok = ok and out["f"].validate()["ok"] and out["g"].validate()["ok"]
         yield "homotopy.%03d" % t, ok
 
@@ -631,7 +633,8 @@ def _run_mr_alt(rng, trials, r, seed, **_):
         out = build_homotopy(
             f, g, [(frozenset(), rand.rnd_cube(rng, 0, with_gram=True))],
             use_alt=True)
-        yield "alt-homotopy.%03d" % t, out["phi"].validate()["ok"]
+        yield "alt-homotopy.%03d" % t, out["phi"].validate(
+            out["h"], ccx.compose(out["f"], out["g"]))["ok"]
 
 
 @register("multirel.absorption",

@@ -50,9 +50,6 @@ class SlotTerm:
     def __init__(self, words):
         self.words = tuple(words)
 
-    def degree(self) -> int:
-        return sum(len(w) - 1 for w in self.words)
-
     def apply(self, cube: ExactCube) -> ExactCube:
         for w in reversed(self.words):
             cube = composite_pullback(w, cube)

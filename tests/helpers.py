@@ -7,13 +7,13 @@ from fractions import Fraction
 
 from cubehom.cubes import ExactCube, arrow_keys, vertex_indices
 from cubehom.exactlin import RatMatrix, ZERO_OBJ, rat_str
-from cubehom.rand import (direct_sum_ccomplex, rnd_chain_complex, rnd_cmap,
-                          rnd_ccomplex, rnd_cube, rnd_fraction, rnd_gram,
-                          rnd_homotopy_comps, rnd_invertible, rnd_matrix,
-                          rnd_metobj, rnd_one_cube, rnd_retraction)
+from cubehom.rand import (rnd_chain_complex, rnd_cmap, rnd_ccomplex, rnd_cube,
+                          rnd_fraction, rnd_gram, rnd_homotopy_comps,
+                          rnd_invertible, rnd_matrix, rnd_metobj,
+                          rnd_one_cube, rnd_retraction)
 
 __all__ = [
-    "direct_sum_ccomplex", "rnd_chain_complex", "rnd_cmap", "rnd_ccomplex",
+    "rnd_chain_complex", "rnd_cmap", "rnd_ccomplex",
     "rnd_cube", "rnd_fraction", "rnd_gram", "rnd_homotopy_comps",
     "rnd_invertible", "rnd_matrix", "rnd_metobj", "rnd_one_cube",
     "rnd_retraction", "normal", "cube_parts", "from_rows", "to_dense",

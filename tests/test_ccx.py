@@ -4,16 +4,16 @@ from fractions import Fraction
 import pytest
 
 from cubehom import ccx
-from cubehom.ccx import (CComplex, CHomotopy, ChainComplex, CMap, SecondHomotopy,
-                         check_second_homotopy, cmap_add, cmap_shift, compose,
-                         diagram_les_check, diagram_simple, homotopy_defect,
-                         identity_cmap, phi_s, pi_homotopy, section_t, simple,
-                         single_complex, zero_cmap)
+from cubehom.ccx import (CComplex, CFamily, CHomotopy, ChainComplex, CMap,
+                         cmap_add, cmap_shift, compose, diagram_les_check,
+                         diagram_simple, homotopy_defect, identity_cmap, phi_s,
+                         pi_homotopy, second_homotopy_target, section_t,
+                         simple, single_complex, zero_cmap)
 from cubehom.exactlin import RatMatrix, inverse
 from cubehom.rand import (rnd_ccomplex, rnd_chain_complex, rnd_cmap,
                           rnd_exchange_square, rnd_homotopy_comps,
                           rnd_invertible, rnd_matrix, rnd_retraction,
-                          rnd_second_homotopy_setup)
+                          rnd_second_homotopy_setup, solve_second_homotopy)
 from helpers import from_rows
 
 
@@ -122,8 +122,8 @@ def test_simple_of_zero_map_is_direct_sum():
     for (m, n), per in cone.fmaps.items():
         for k, mat in per.items():
             # no cross terms from the A block into the B block
-            ta = parts.a_dims.get((n, k + n - m - 1), 0)
-            da = parts.a_dims.get((m, k), 0)
+            ta = parts.slots(n, k + n - m - 1)[0]
+            da = parts.slots(m, k)[0]
             for (r, c), v in mat.items():
                 assert not (r >= ta and c < da)
 
@@ -202,12 +202,12 @@ def test_section_identities_on_random_retractions():
 def test_second_homotopy_zero_case():
     rng = random.Random(13)
     a, b, f, g, psi = rnd_retraction(rng)
-    zero_h = CHomotopy(a, b, {})
-    th = SecondHomotopy({}, f, g, f, g, identity_cmap(a), identity_cmap(b),
-                        zero_h, CHomotopy(b, a, {}), psi, psi)
+    target = second_homotopy_target(g, f, identity_cmap(b),
+                                    CHomotopy(a, b, {}), CHomotopy(b, a, {}),
+                                    psi, psi)
     # with strict squares and zero exchange homotopies the two mediated
     # homotopies are both psi, so the zero second homotopy closes the gap
-    assert check_second_homotopy(th)["ok"]
+    assert CFamily(b, b, {}, 2).compare_defect(target.c)["ok"]
 
 
 def test_second_homotopy_random_instances():
@@ -218,8 +218,25 @@ def test_second_homotopy_random_instances():
         if setup is None:
             continue
         produced += 1
-        assert check_second_homotopy(setup["theta"])["ok"]
+        target = second_homotopy_target(
+            setup["g"], setup["f"], setup["phi_b"], setup["h_f"],
+            setup["h_g"], setup["psi"], setup["psi"])
+        assert setup["theta"].compare_defect(target.c)["ok"]
     assert produced >= 6
+
+
+def test_solve_of_a_non_cycle_target_is_obstructed():
+    # D D = 0, so a reach-1 family whose own defect is nonzero is no
+    # D(Theta): the solve must come back empty
+    rng = random.Random(22)
+    tried = 0
+    while tried < 3:
+        a, b = rnd_ccomplex(rng), rnd_ccomplex(rng)
+        target = CHomotopy(a, b, rnd_homotopy_comps(rng, a, b))
+        if target.compare_defect()["ok"]:
+            continue
+        tried += 1
+        assert solve_second_homotopy(target) is None
 
 
 def test_pi_homotopy_zero_and_random():
@@ -235,7 +252,8 @@ def test_pi_homotopy_zero_and_random():
         parts = simple(f)
         t, _, _ = section_t(parts, f, g, psi)
         ps = phi_s(parts, parts, setup["phi_a"], setup["phi_b"], setup["h_f"])
-        pi = pi_homotopy(parts, f, setup["theta"], setup["h_f"], psi, g)
+        pi = pi_homotopy(parts, f, setup["theta"], setup["h_f"],
+                         setup["h_g"], psi, g)
         assert pi.validate(compose(ps, t), compose(t, setup["phi_a"]))["ok"]
 
 
@@ -397,11 +415,11 @@ def test_perturbed_homotopy_entry_is_named_by_validate():
         ends = (identity_cmap(b), compose(f, g))
         assert psi.validate(*ends)["ok"]
         bad, at = _bump_last_visible(
-            psi, lambda comps: CHomotopy(b, b, comps, *ends))
+            psi, lambda comps: CHomotopy(b, b, comps))
         if bad is None:
             continue
         tried += 1
-        _assert_witness(bad.validate(), psi, at)
+        _assert_witness(bad.validate(*ends), psi, at)
 
 
 def test_homotopy_defect_is_the_defect_of_each_component():

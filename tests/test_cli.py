@@ -167,7 +167,6 @@ def test_verify_keeps_accepting_a_zero_the_suite_takes():
 def test_homology_matches_oracle(tmp_path: Path):
     import random
     from cubehom.rand import rnd_chain_complex
-    from cubehom.exactlin import rref
     rng = random.Random(3)
     cx = rnd_chain_complex(rng, degs=(0, 3), maxdim=3)
     payload = {"dims": {str(k): v for k, v in cx.dims.items()},

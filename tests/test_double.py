@@ -1,12 +1,11 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from cubehom import ccx
 from cubehom.cubes import CubeChain, ExactCube
-from cubehom.double import (DoubleGeometry, GluedBundle, GluedCube,
-                            VirtualGlued, build_t, double_spans,
+from cubehom.double import (DoubleGeometry, GluedBundle, VirtualGlued,
+                            build_t, double_spans,
                             inclusion_exclusion_op, iota_j_star, p_j_star,
                             qt_bundle)
 from cubehom.exactlin import MetObj

@@ -144,7 +144,7 @@ def test_gram_must_be_positive_definite():
 
 
 def test_zero_obj():
-    assert ZERO_OBJ.dim == 0 and ZERO_OBJ.is_zero()
+    assert ZERO_OBJ.dim == 0 and ZERO_OBJ == MetObj(0)
 
 
 # -- public constructor and the unchecked path of derived matrices -----

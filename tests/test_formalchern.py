@@ -4,8 +4,7 @@ from cubehom.cubes import CubeChain
 from cubehom.formalchern import (FormalTarget, check_chain_map,
                                  check_ds_squared,
                                  check_vanishing_consistency, formal_ch,
-                                 iso_class_key, reindex_check, sign_exponent,
-                                 tot_boundary)
+                                 iso_class_key, reindex_check, sign_exponent)
 from cubehom.multirel import GeomView, LevelChain, MorphView, Tower, xi_K, xi_Kf
 from helpers import from_rows, rnd_cube
 

@@ -1,7 +1,7 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-and every function, method or class it defines is referenced by the
-package or its benchmark; a definition that only the tests reach is dead
-library code."""
+"""Source hygiene: no module of the package or of the tests imports a
+name it never uses, and every function, method or class the package
+defines is referenced by the package or its benchmark; a definition that
+only the tests reach is dead library code."""
 
 import ast
 import pathlib
@@ -11,10 +11,12 @@ import pytest
 import cubehom
 
 MODULES = sorted(pathlib.Path(cubehom.__file__).parent.glob("*.py"))
+TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source):
-    """Names bound by the imports of ``source`` that nothing references."""
+    """Names bound by the imports of ``source`` that nothing references;
+    a name listed in the module's ``__all__`` is a re-export, so used."""
     tree = ast.parse(source)
     bound = {}
     for node in ast.walk(tree):
@@ -25,6 +27,10 @@ def unused_imports(source):
                 name = (alias.asname or alias.name).partition(".")[0]
                 bound[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(elt.value for elt in node.value.elts)
     return sorted((line, name) for name, line in bound.items()
                   if name not in used)
 
@@ -32,9 +38,13 @@ def unused_imports(source):
 def test_scan_finds_an_unused_import():
     assert unused_imports("import os\nfrom math import pi, tau\nprint(pi)\n") \
         == [(1, "os"), (2, "tau")]
+    assert unused_imports("from math import e, pi, tau\n"
+                          "__all__ = ['pi']\nprint(e)\n") == [(1, "tau")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TESTS,
+    ids=lambda p: p.name if p in MODULES else "tests/" + p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 

@@ -12,7 +12,7 @@ import pytest
 
 import cubehom
 from cubehom import memo, suites
-from cubehom.cubes import ExactFunctor, composite_pullback
+from cubehom.cubes import ExactFunctor, PullbackWord, composite_pullback
 from cubehom.exactlin import MetObj, RatMatrix
 from cubehom.multirel import GeomView, Tower
 from cubehom.suites import run_suite
@@ -23,8 +23,8 @@ def _word(tower):
     # the embedding word {1,2,3} -> {2,3} -> {3} -> {} of member 0
     g = GeomView(tower, 0)
     levels = [{1, 2, 3}, {2, 3}, {3}, set()]
-    return [tower.cls(0, g.level(a), 0, g.level(b))
-            for a, b in zip(levels, levels[1:])]
+    return PullbackWord([tower.cls(0, g.level(a), 0, g.level(b))
+                         for a, b in zip(levels, levels[1:])])
 
 
 def _cube():

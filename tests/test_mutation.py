@@ -7,7 +7,6 @@ the corresponding checker fails, guarding the suites against vacuity.
 import inspect
 import random
 import textwrap
-from fractions import Fraction
 
 import pytest
 
@@ -16,7 +15,6 @@ from cubehom.cubes import CubeChain, boundary
 from cubehom.multirel import (GeomView, LevelChain, MorphView, Tower,
                               check_xi_boundary, xi_apply, xi_K, xi_Kf)
 from cubehom.suites import _tensor_cmap_relation
-from cubehom.tensorstruct import op_tensor
 from helpers import rnd_cube, rnd_gram
 from cubehom.exactlin import MetObj
 
@@ -167,8 +165,8 @@ def test_flipped_reach_sign_fails_every_matrix_family(monkeypatch):
     # most solved second homotopies are zero, whose defect has no sign to
     # flip; ten setups at this seed include nonzero ones.  They are solved
     # before the flip, since the solver reads the same defect terms.
-    thetas = [s["theta"] for s in (rnd_second_homotopy_setup(rng)
-                                   for _ in range(10)) if s is not None]
+    thetas = [(s["theta"], s["target"]) for s in (
+        rnd_second_homotopy_setup(rng) for _ in range(10)) if s is not None]
     maps, homotopies = [], []
     for _ in range(4):
         a, b, f, g, psi = rnd_retraction(rng)
@@ -176,13 +174,13 @@ def test_flipped_reach_sign_fails_every_matrix_family(monkeypatch):
         homotopies.append((psi, ccx.identity_cmap(b), ccx.compose(f, g)))
     assert all(f.validate()["ok"] for f in maps)
     assert all(h.validate(p, q)["ok"] for h, p, q in homotopies)
-    assert all(ccx.check_second_homotopy(t)["ok"] for t in thetas)
+    assert all(t.compare_defect(d.c)["ok"] for t, d in thetas)
     monkeypatch.setattr(ccx.CFamily, "defect_terms", _mutant(
         ccx.CFamily.defect_terms, "(-1) ** ((self.reach + 1) % 2)",
         "(-1) ** (self.reach % 2)"))
     assert not all(f.validate()["ok"] for f in maps)
     assert not all(h.validate(p, q)["ok"] for h, p, q in homotopies)
-    assert not all(ccx.check_second_homotopy(t)["ok"] for t in thetas)
+    assert not all(t.compare_defect(d.c)["ok"] for t, d in thetas)
 
 
 def _reset_structures(*ccs):

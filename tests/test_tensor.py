@@ -1,16 +1,14 @@
 import random
-from fractions import Fraction
 
 from cubehom.cubes import CubeChain, ExactFunctor, boundary, face
-from cubehom.exactlin import MetObj, RatMatrix
+from cubehom.exactlin import MetObj
 from cubehom.multirel import GeomView, LevelChain, MorphView, Tower
 from cubehom.suites import (_tensor_cmap_relation, _tensor_homotopy_relation,
                             _theta_relation)
-from cubehom.tensorstruct import (SlotSum, SlotTerm, bracket_apply,
-                                  bracket_pair, check_bracket_boundary,
+from cubehom.tensorstruct import (SlotSum, bracket_apply, bracket_pair,
+                                  check_bracket_boundary,
                                   check_phi_s_equals_tensor, op_tensor,
-                                  op_tensor_homotopy, xi_slot, xi_slot_f,
-                                  xi_slot_fg, _pi, _station_levels)
+                                  xi_slot, _pi, _station_levels)
 from helpers import rnd_cube, rnd_gram
 
 
@@ -196,7 +194,7 @@ def test_bracket_pair_strict_and_boundary():
 def test_pullback_word_twists_axis_action():
     # the pullback of an axis-permuted cube is the word-axis-fixing
     # extension of the permutation applied to the pullback
-    from cubehom.cubes import act_sym, composite_pullback
+    from cubehom.cubes import PullbackWord, act_sym, composite_pullback
     from itertools import permutations as perms
     rng = random.Random(11)
     _, (g,) = geometry(2)
@@ -209,10 +207,11 @@ def test_pullback_word_twists_axis_action():
     w = len(word) - 1
     for _ in range(4):
         c = rnd_cube(rng, 2, with_gram=True)
-        big = composite_pullback(word, c)
+        big = composite_pullback(PullbackWord(word), c)
         for sigma in perms((1, 2)):
             ext = tuple(range(1, w + 1)) + tuple(s + w for s in sigma)
-            assert composite_pullback(word, act_sym(sigma, c)) == \
+            assert composite_pullback(PullbackWord(word),
+                                      act_sym(sigma, c)) == \
                 act_sym(ext, big)
 
 
