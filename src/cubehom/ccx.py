@@ -574,7 +574,8 @@ def pi_homotopy(parts_p: SimpleParts, f: CMap, theta: CFamily,
 def _slot_complex(slots, blocks) -> ChainComplex:
     """The direct sum of the slots, each a (complex C, shift s) read as
     C_{n+s} in degree n, with the boundary whose block from slot j to slot
-    i in degree n is sign * mat(n), for each (i, j, mat, sign) in blocks."""
+    i in degree n is sign * mat(n), for each (i, j, mat, sign) in blocks.
+    A block with no entries in degree n adds nothing, so it is dropped."""
     degs = {k - s for cx, s in slots for k in cx.dims}
     if not degs:
         return ChainComplex({}, {})
@@ -585,8 +586,8 @@ def _slot_complex(slots, blocks) -> ChainComplex:
             offs[n].append(offs[n][-1] + cx.dim(n + s))
     dims = {n: o[-1] for n, o in offs.items()}
     bnd = {n: _assemble(dims[n - 1], dims[n],
-                        [(offs[n - 1][i], offs[n][j], mat(n), sign)
-                         for i, j, mat, sign in blocks])
+                        [(offs[n - 1][i], offs[n][j], blk, sign)
+                         for i, j, mat, sign in blocks if (blk := mat(n)).num])
            for n in range(min(degs), max(degs) + 1)}
     return ChainComplex(dims, bnd)
 

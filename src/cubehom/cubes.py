@@ -203,6 +203,11 @@ class ExactCube:
     def face(self, j: int, i: int) -> "ExactCube":
         return face(self, j, i)
 
+    def is_zero_face(self, j: int, i: int) -> bool:
+        """Whether the face (j, i) has only zero vertices; builds no face."""
+        verts = self.vertices
+        return not any(verts[p].dim for p in _face_table(self.n, j, i)[0])
+
     def act(self, sigma) -> "ExactCube":
         return act_sym(sigma, self)
 
@@ -356,7 +361,11 @@ _FACE_TABLE_CACHE = memo.shape_table("cubes.face_table")
 
 def face(cube: ExactCube, j: int, i: int) -> ExactCube:
     """The face cube with i inserted at axis j: (d_j^i F)_a = F_{a[:j-1], i, a[j-1:]}."""
-    n = cube.n
+    return _remap(cube, cube.n - 1, _face_table(cube.n, j, i))
+
+
+def _face_table(n: int, j: int, i: int):
+    """The ``_remap`` table of the face (j, i) of an n-cube."""
     tab = _FACE_TABLE_CACHE.get((n, j, i))
     if tab is None:
         if not 1 <= j <= n:
@@ -372,7 +381,7 @@ def face(cube: ExactCube, j: int, i: int) -> ExactCube:
                tuple([ak[(k if k < j else k + 1, lift(a))][0]
                       for k, a in arrow_keys(n - 1)]))
         _FACE_TABLE_CACHE[(n, j, i)] = tab
-    return _remap(cube, n - 1, tab)
+    return tab
 
 
 def _remap(cube: ExactCube, n: int, tab) -> ExactCube:
@@ -532,8 +541,13 @@ class CubeChain(FormalSum):
     def map_cubes(self, fn, degree: int) -> "CubeChain":
         """Linear extension of a cube-level map F -> CubeChain (or cube)
         into degree ``degree``; an image term of another degree raises
-        ValueError."""
-        return CubeChain(degree, linear_terms(self.terms.items(), fn))
+        ValueError.  A single cube of coefficient 1 whose image is a chain
+        of that degree gives that chain itself."""
+        pairs = [(fn(cube), c) for cube, c in self.terms.items()]
+        if len(pairs) == 1 and pairs[0][1] == 1 and \
+                type(pairs[0][0]) is CubeChain and pairs[0][0].degree == degree:
+            return pairs[0][0]
+        return CubeChain(degree, linear_terms(pairs, lambda img: img))
 
     def __repr__(self):
         return "CubeChain(deg=%d, %d terms)" % (self.degree, len(self.terms))
@@ -543,14 +557,16 @@ _BOUNDARY_CACHE = memo.table("cubes.boundary")
 
 
 def boundary_cube(cube: ExactCube) -> CubeChain:
-    """Alternating sum of faces: sum_{j,i} (-1)^{i+j} d_j^i."""
+    """Alternating sum of faces: sum_{j,i} (-1)^{i+j} d_j^i.  A face whose
+    vertices are all zero is the zero chain, so it is never built."""
     n = cube.n
     if n == 0:
         return CubeChain.zero(-1)
     out = _BOUNDARY_CACHE.get(cube)
     if out is None:
         out = CubeChain(n - 1, [(cube.face(j, i), -1 if (i + j) % 2 else 1)
-                                for j in range(1, n + 1) for i in (-1, 0, 1)])
+                                for j in range(1, n + 1) for i in (-1, 0, 1)
+                                if not cube.is_zero_face(j, i)])
         _BOUNDARY_CACHE[cube] = out
     return out
 
@@ -636,6 +652,7 @@ def alt_block(chain: CubeChain, k: int) -> CubeChain:
 # -- exact functors ---------------------------------------------------
 
 _FUNCTOR_OBJ_CACHE = memo.table("cubes.functor_obj")
+_FUNCTOR_CUBE_CACHE = memo.table("cubes.functor_cube")
 
 
 class ExactFunctor:
@@ -683,6 +700,13 @@ class ExactFunctor:
     def on_cube(self, cube: ExactCube) -> ExactCube:
         if not self.word:
             return cube
+        key = (self, cube)
+        out = _FUNCTOR_CUBE_CACHE.get(key)
+        if out is None:
+            out = _FUNCTOR_CUBE_CACHE[key] = self._image(cube)
+        return out
+
+    def _image(self, cube: ExactCube) -> ExactCube:
         return _mk(cube.n, tuple([self.on_obj(o) for o in cube.vertices]),
                    tuple([self.on_map(m) for m in cube.arrows]))
 
@@ -807,7 +831,9 @@ def _build_pullback(word: PullbackWord, cube: ExactCube) -> ExactCube:
     """The pullback cube: word parts holding a +1 are zero, the others
     pull the whole of ``cube`` back through the functors of their groups."""
     if word.r == 1:
-        return word.functors[0].on_cube(cube)
+        # the pullback table keeps this cube already
+        f = word.functors[0]
+        return f._image(cube) if f.word else cube
     w = word.r - 1
     return _stack(w, cube.n, [None if 1 in wp else (cube, _stars(word, wp))
                               for wp in vertex_indices(w)])

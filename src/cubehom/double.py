@@ -28,7 +28,7 @@ from .exactlin import FormalSum, RatMatrix
 from .multirel import (LevelChain, MatrixModel, Span, close_span_generic,
                        cone_identification, levelwise, materialize_ccomplex,
                        materialize_operator, relabeled_model)
-from .signs import sgn_division, subsets
+from .signs import subsets
 
 
 class GluedBundle:
@@ -178,6 +178,9 @@ class GluedCube:
         return GluedCube(self.n - 1,
                          {s: face(c, j, i) for s, c in self.comps.items()})
 
+    def is_zero_face(self, j: int, i: int) -> bool:
+        return all(c.is_zero_face(j, i) for c in self.comps.values())
+
     def act(self, sigma) -> "GluedCube":
         return GluedCube(self.n, {s: c.act(sigma) for s, c in self.comps.items()})
 
@@ -244,10 +247,9 @@ def double_op_F(view: _PartialView, m: int, n: int,
         return LevelChain()
     sgn = (-1) ** (n % 2)
 
-    def component(K, I, I_src, J, chain):
-        return chain.map_cubes(
-            lambda cu: _restrict_level(view, I, K[0], cu),
-            chain.degree).scale(sgn * sgn_division(K, I_src, J))
+    def component(K, I, I_src, J, s, chain):
+        return sgn * s, chain.map_cubes(
+            lambda cu: _restrict_level(view, I, K[0], cu), chain.degree)
     return levelwise([view], m, n, x, component)
 
 
@@ -273,11 +275,14 @@ def double_spans(geom: DoubleGeometry, upto: int, seeds, drop=frozenset()) -> Sp
     return close_span_generic(seeds, expand, sym=True)
 
 
-def _diagonal_op(cube_map):
-    """The levelwise operator with only (m, m) components, mapping every
-    cube of level I by cube_map(I, cube)."""
+def _diagonal_op(view, cube_map):
+    """The levelwise operator along ``view`` with only (m, m) components,
+    mapping every cube of level I by cube_map(I, cube)."""
+    def component(K, I, I_src, J, _s, chain):
+        return 1, chain.map_cubes(partial(cube_map, I), chain.degree)
+
     def op(m, n, x):
-        return x.map_cubes(cube_map) if n == m else LevelChain()
+        return levelwise([view], m, n, x, component) if n == m else LevelChain()
     return op
 
 
@@ -307,8 +312,9 @@ def build_t(geom: DoubleGeometry, seeds) -> dict:
         model_b = MatrixModel(view_b, double_spans(geom, j - 1, seeds_b,
                                                    drop={j}), use_alt=True)
         cc_b = materialize_ccomplex(model_b, f_op=partial(double_op_F, view_b))
-        op_iota = _diagonal_op(lambda I, cu: _restrict_level(view_a, I, j, cu))
-        op_fold = _diagonal_op(lambda I, cu: geom.fold(I, j, cu))
+        op_iota = _diagonal_op(view_a,
+                               lambda I, cu: _restrict_level(view_a, I, j, cu))
+        op_fold = _diagonal_op(view_b, lambda I, cu: geom.fold(I, j, cu))
         fmap = ccx.CMap(cc_a, cc_b,
                         materialize_operator(model_a, model_b, op_iota, 0))
         gmap = ccx.CMap(cc_b, cc_a,

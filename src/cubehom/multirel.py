@@ -242,13 +242,28 @@ def prepared_xi_words(views, K, I) -> tuple:
     return out
 
 
+_XI_IMAGE_CACHE = memo.table("multirel.xi_images")
+
+
 def xi_apply(views, K, I, x: CubeChain) -> CubeChain:
     """Xi_{K,f_1..f_t}(x): the signed sum of the pullbacks of x along the
-    words of xi_words; raises degree by |K| + t - 1."""
+    words of xi_words; raises degree by |K| + t - 1.  Each cube's image is
+    built once per run and kept in a dict per prepared-words key, as a
+    chain or, if it is one cube with coefficient 1 (most are), that cube."""
+    key = (*[v.key for v in views], *sorted(K), frozenset(I))
     deg = x.degree + len(K) + len(views) // 2 - 1
-    return CubeChain(deg, ((composite_pullback(word, cu), times(sgn, c))
-                           for sgn, word in prepared_xi_words(views, K, I)
-                           for cu, c in x.terms.items()))
+    images = _XI_IMAGE_CACHE.setdefault(key, {})
+
+    def image(cube):
+        img = images.get(cube)
+        if img is None:
+            img = CubeChain(deg, [(composite_pullback(word, cube), sgn)
+                                  for sgn, word in prepared_xi_words(views, K, I)])
+            if list(img.terms.values()) == [1]:
+                img = next(iter(img.terms))
+            images[cube] = img
+        return img
+    return x.map_cubes(image, deg)
 
 
 def xi_K(g: GeomView, K, I, x: CubeChain) -> CubeChain:
@@ -350,24 +365,23 @@ class LevelChain(FormalSum):
         return LevelChain([((level, x), 1)])
 
     def map_cubes(self, fn) -> "LevelChain":
-        """The level-preserving linear extension of fn(level, cube), a
-        CubeChain or a single cube."""
+        """The level-preserving linear extension of fn(cube): a CubeChain,
+        or the cube itself, so every image term is normal as it is."""
         def terms():
             for (level, cube), c in self.terms.items():
-                img = fn(level, cube)
+                img = fn(cube)
                 if isinstance(img, CubeChain):
                     for cu, d in img.terms.items():
                         yield (level, cu), times(d, c)
-                elif not (img.is_zero_cube() or img.is_degenerate()):
+                else:
                     yield (level, img), c
-        # every term is normal: chains are, and a single cube was checked
         return self._like(_collect({}, terms()))
 
     def boundary(self) -> "LevelChain":
-        return self.map_cubes(lambda _, cube: boundary_cube(cube))
+        return self.map_cubes(boundary_cube)
 
     def alt(self) -> "LevelChain":
-        return self.map_cubes(lambda _, cube: alt_cube(cube))
+        return self.map_cubes(alt_cube)
 
     def chains(self) -> dict:
         """{level: CubeChain}, levels in first-seen order; raises
@@ -384,38 +398,51 @@ class LevelChain(FormalSum):
         return out
 
 
-def levelwise(views, m: int, n: int, x: LevelChain, component) -> LevelChain:
+def levelwise(views, m: int, n: int, x, component):
     """A levelwise operator of bidegree (m, n) along the chain ``views``.
 
-    For every level I of x (of size m), with I_src its marks in g_0, and
-    every K of n - m marks of g_0 outside I_src, adds
-    component(K, I, I_src, J, x_I) at level J = K | I_src; I_src and J are
-    passed as sorted tuples.  n < m gives zero."""
+    The plan of a level I of x (of size m), made once, lists each K of
+    n - m marks of g_0 outside I_src (the marks of I carried back to g_0)
+    with J = K | I_src and sgn(K I_src; J); component(K, I, I_src, J, sgn,
+    x_I) gives a coefficient and the unscaled image at J.  n < m gives
+    zero.  A LevelChain x gives the image LevelChain; the column form
+    x = (chains, alternate, write) maps a level to (item, chain) pairs and
+    hands each image, under Alt if alternate, to write(item, J, coef, img)."""
     if n < m:
         return LevelChain()
+    out = {}
+    if isinstance(x, LevelChain):
+        chains, alternate = {I: [(None, ch)] for I, ch in x.chains().items()}, False
 
-    def terms():
-        for I, chain in x.chains().items():
-            if len(I) != m:
-                raise ValueError("element has a level of the wrong size")
-            I_src = I
-            for f in reversed(views[1::2]):
-                I_src = _marks_back(f, I_src)
-            I_src = tuple(sorted(I_src))
-            others = [k for k in views[0].marks if k not in I_src]
-            for K in combinations(others, n - m):
-                J = tuple(sorted(set(K) | set(I_src)))
-                Jf = frozenset(J)
-                for cube, c in component(K, I, I_src, J, chain).terms.items():
-                    yield (Jf, cube), c
-    return LevelChain(terms())
+        def write(_, J, coef, img):
+            _collect(out, (((J, cu), times(c, coef))
+                           for cu, c in img.terms.items()))
+    else:
+        chains, alternate, write = x
+    for I, items in chains.items():
+        if len(I) != m:
+            raise ValueError("element has a level of the wrong size")
+        I_src = I
+        for f in reversed(views[1::2]):
+            I_src = _marks_back(f, I_src)
+        I_src = tuple(sorted(I_src))
+        plan = []
+        for K in combinations([k for k in views[0].marks if k not in I_src],
+                              n - m):
+            J = tuple(sorted(K + I_src))
+            plan.append((K, frozenset(J), sgn_division(K, I_src, J)))
+        for item, chain in items:
+            for K, J, s in plan:
+                coef, img = component(K, I, I_src, J, s, chain)
+                write(item, J, coef, alt(img) if alternate else img)
+    return LevelChain()._like(out)
 
 
 def _xi_levelwise(views, m: int, n: int, x: LevelChain,
                   sign: int) -> LevelChain:
     """sum over J = K | I of sign sgn(K I; J) Xi_{K,views}(x_I)."""
-    def component(K, I, I_src, J, chain):
-        return xi_apply(views, K, I, chain).scale(sign * sgn_division(K, I_src, J))
+    def component(K, I, I_src, J, s, chain):
+        return sign * s, xi_apply(views, K, I, chain)
     return levelwise(views, m, n, x, component)
 
 
@@ -473,7 +500,7 @@ def close_span_generic(seeds, expand, sym: bool) -> Span:
     while queue:
         level, cube = queue.pop()
         new = []
-        for c2 in boundary(CubeChain.of(cube)).terms:
+        for c2 in boundary_cube(cube).terms:
             new.append((level, c2))
         new.extend(expand(level, cube))
         if sym:
@@ -576,14 +603,12 @@ def closed_model(g: GeomView, seeds, use_alt: bool = False) -> MatrixModel:
     the axis action of the symmetric groups, which the orbit bases
     need."""
     def expand(level, cube):
-        out = []
+        # xi_apply keeps each image, which materialization reads again
+        x, out = CubeChain.of(cube), []
         others = [k for k in g.marks if k not in level]
         for size in range(1, len(others) + 1):
             for K in combinations(others, size):
-                img = xi_K(g, K, level, CubeChain.of(cube))
-                tgt = level | set(K)
-                for c2 in img.terms:
-                    out.append((tgt, c2))
+                out += [(level | set(K), c2) for c2 in xi_K(g, K, level, x).terms]
         return out
 
     return MatrixModel(g, close_span_generic(seeds, expand, sym=use_alt),
@@ -617,7 +642,8 @@ def materialize_ccomplex(model: MatrixModel, f_op=None) -> "ccx.CComplex":
         return ccx.CComplex({}, {})
 
     def d_and_f(m, n, x):
-        return x.boundary() if n == m else f_op(m, n, x)
+        return f_op(m, n, x) if n != m else levelwise(
+            [model.g], m, m, x, lambda K, I, I_src, J, s, ch: (1, boundary(ch)))
 
     comps = materialize_operator(model, model, d_and_f, -1)
     dmax = max(deg for (_, deg) in model.span.basis)
@@ -632,36 +658,44 @@ def materialize_operator(src_model: MatrixModel, dst_model: MatrixModel,
                          op, reach: int) -> dict:
     """Components of a levelwise operator family as ccx-style matrices.
 
-    ``op(m, n, x)`` maps a LevelChain to a LevelChain.  ``reach`` is
-    that of ccx.CFamily (0 a map, 1 a homotopy), or -1 for a C-complex's d
-    and F: the (m, n) component, for n >= m - max(reach, 0), takes degree
-    k to k + n - m + reach.  Images are alternated when dst_model
-    alternates, except a C-complex's own boundary images: Alt is a chain
-    map, so those are alternating already."""
+    ``op(m, n, x)`` is a levelwise operator, read in its column form (see
+    ``levelwise``) on the source basis chains: each image goes through the
+    destination's ``coords`` and is multiplied by its coefficient as it is
+    written.  ``reach`` is that of ccx.CFamily (0 a map, 1 a homotopy), or
+    -1 for a C-complex's d and F: the (m, n) component, for n >= m -
+    max(reach, 0), takes degree k to k + n - m + reach.  Images are
+    alternated when dst_model alternates, except a C-complex's own
+    boundary images: Alt is a chain map, so those are alternating
+    already."""
     r = len(src_model.g.marks)
     comps = {}
     if not src_model.span.basis:
         return comps
     dmax = max(deg for (_, deg) in src_model.span.basis)
+
+    def write(item, J, coef, img):
+        ent, row_off, col = item
+        for pos, v in dst_model.coords(J, img).items():
+            ent[(row_off[J] + pos, col)] = times(v, coef)
+
     for m in range(r + 1):
         for n in range(max(m - max(reach, 0), 0), r + 1):
-            alternate = dst_model.use_alt and (n, reach) != (m, -1)
-            per = {}
+            blocks, chains = {}, {}
             for k in range(dmax + 1):
                 col_off, cols = src_model.layout(m, k)
                 row_off, rows = dst_model.layout(n, k + n - m + reach)
-                if not rows or not cols:
-                    continue
-                ent = {}
-                for lvl, col in col_off.items():
-                    for j in range(src_model.dim(lvl, k)):
-                        img = op(m, n, LevelChain.of(
-                            lvl, src_model.basis_chain(lvl, k, j)))
-                        if alternate:
-                            img = img.alt()
-                        for lvl2, ch in img.chains().items():
-                            for pos, v in dst_model.coords(lvl2, ch).items():
-                                ent[(row_off[lvl2] + pos, col + j)] = v
+                if rows and cols:
+                    ent = {}
+                    blocks[k] = (rows, cols, ent)
+                    for lvl, col in col_off.items():
+                        chains.setdefault(lvl, []).extend(
+                            ((ent, row_off, col + j), chain) for j, chain
+                            in enumerate(src_model._chains(lvl, k)))
+
+            alternate = dst_model.use_alt and (n, reach) != (m, -1)
+            op(m, n, (chains, alternate, write))
+            per = {}
+            for k, (rows, cols, ent) in blocks.items():
                 mat = RatMatrix(rows, cols, ent)
                 if not mat.is_zero():
                     per[k] = mat
@@ -673,19 +707,23 @@ def materialize_operator(src_model: MatrixModel, dst_model: MatrixModel,
 def _op_image_seeds(model: MatrixModel, op, reach: int):
     """Seed cubes for a destination span: every cube of every component
     image of the model's span cubes under a levelwise operator family of
-    this reach, the images alternated when the model alternates."""
+    this reach, the images alternated when the model alternates; in span
+    order, then by n, K and image order."""
     r = len(model.g.marks)
-    seeds = []
-    for (level, degree), cubes in model.span.items():
-        m = len(level)
+    images, chains = [], {}
+    for (level, _), cubes in model.span.items():
         for cube in cubes:
-            x = LevelChain.of(level, cube)
-            for n in range(max(m - reach, 0), r + 1):
-                img = op(m, n, x)
-                if model.use_alt:
-                    img = img.alt()
-                seeds.extend(img.terms)
-    return seeds
+            images.append([])
+            chains.setdefault(len(level), {}).setdefault(level, []).append(
+                (images[-1], CubeChain.of(cube)))
+
+    def write(out, J, _, img):
+        out.extend([(J, cube) for cube in img.terms])
+
+    for m, per in chains.items():
+        for n in range(max(m - reach, 0), r + 1):
+            op(m, n, (per, model.use_alt, write))
+    return [seed for seeds in images for seed in seeds]
 
 
 def build_ccomplex(g: GeomView, seeds, use_alt: bool = False):

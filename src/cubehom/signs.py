@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from . import memo
+
 
 def perm_sign(seq) -> int:
     """Parity of the permutation sorting ``seq`` (-1 for an odd number of
@@ -43,10 +45,16 @@ def _check_division(parts, J) -> None:
         raise ValueError("parts do not divide the ambient set")
 
 
+_DIVISION_SIGN_CACHE = memo.shape_table("signs.division")
+
+
 def sgn_division(K, I, J) -> int:
-    """Signature of the division K ∐ I = J."""
-    _check_division([K, I], J)
-    return perm_sign(sorted(K) + sorted(I))
+    """Signature of the division K ∐ I = J, worked out once per division."""
+    key = (tuple(K), tuple(I), tuple(J))
+    if key not in _DIVISION_SIGN_CACHE:
+        _check_division([K, I], J)
+        _DIVISION_SIGN_CACHE[key] = perm_sign(sorted(K) + sorted(I))
+    return _DIVISION_SIGN_CACHE[key]
 
 
 def sgn_multidivision(parts, J) -> int:

@@ -238,9 +238,9 @@ def op_tensor(f_obj: MetObj, g: GeomView, m: int, n: int,
     """(F (x) )^{m,n}, plain (not alternated): the diagonal is tensoring
     with the pullback of F, the off-diagonal components are signed bracket
     operators over ordered divisions of J - I."""
-    def component(Kc, I, I_src, J, chain):
+    def component(Kc, I, I_src, J, _s, chain):
         if not Kc:
-            return bracket_apply(f_obj, [], [_pi(g, frozenset(I))], chain)
+            return 1, bracket_apply(f_obj, [], [_pi(g, frozenset(I))], chain)
         term = CubeChain.zero(chain.degree + n - m)
         for l in range(1, len(Kc) + 1):
             for parts in divisions_into(Kc, l):
@@ -248,7 +248,7 @@ def op_tensor(f_obj: MetObj, g: GeomView, m: int, n: int,
                     f_obj, chain, parts, I_src, J,
                     b_weight([len(q) for q in parts]),
                     lambda p, K, lvl: xi_slot(g, K, lvl), lambda p: g)
-        return term
+        return 1, term
     return levelwise([g], m, n, x, component)
 
 
@@ -256,7 +256,7 @@ def op_tensor_homotopy(f_obj: MetObj, f: MorphView, m: int, n: int,
                        x: LevelChain) -> LevelChain:
     """Phi_f^{m,n}, plain: the homotopy exchanging (F (x) ) with f^*.
     One designated slot carries Xi_{K_p, f} and may be empty."""
-    def component(Kc, I, I_src, J, chain):
+    def component(Kc, I, I_src, J, _s, chain):
         term = CubeChain.zero(chain.degree + n - m + 1)
         for l in range(1, len(Kc) + 2):
             for p0 in range(1, l + 1):
@@ -276,7 +276,7 @@ def op_tensor_homotopy(f_obj: MetObj, f: MorphView, m: int, n: int,
                     term = term + _bracket_term(
                         f_obj, chain, parts, I_src, J,
                         b_weight(merged) + n + p0 + l + 1, slot, station)
-        return term
+        return 1, term
     return levelwise([f.src, f, f.dst], m, n, x, component)
 
 
@@ -285,7 +285,7 @@ def op_tensor_theta(f_obj: MetObj, f: MorphView, g: MorphView, m: int, n: int,
     """Theta^{m,n} = Theta_1 + Theta_2, plain: the second homotopy of the
     section setup g f = Id.  Theta_1 places Xi_{K_p,f,g} in one optional
     slot; Theta_2 places Xi_{K_p,f} and Xi_{K_q,g} in two optional slots."""
-    def component(Kc, I, I_src, J, chain):
+    def component(Kc, I, I_src, J, _s, chain):
         term = CubeChain.zero(chain.degree + n - m + 2)
         # Theta_1
         for l in range(1, len(Kc) + 2):
@@ -321,7 +321,7 @@ def op_tensor_theta(f_obj: MetObj, f: MorphView, g: MorphView, m: int, n: int,
                             f_obj, chain, parts, I_src, J,
                             b_weight(sizes) + sum(sizes[p0 - 1:q0 - 1])
                             + p0 + q0 + 1, slot, station)
-        return term
+        return 1, term
     return levelwise([g.dst], m, n, x, component)
 
 

@@ -1,12 +1,14 @@
 """Shared random generators for the test suite (package re-exports), the
-check of the stored form of a matrix, and small builders and readers of
-matrices and cubes that only the tests use."""
+check of the stored form of a matrix, small builders and readers of
+matrices and cubes that only the tests use, and the chain-form oracle of
+``multirel.materialize_operator``."""
 
 import math
 from fractions import Fraction
 
 from cubehom.cubes import ExactCube, arrow_keys, vertex_indices
 from cubehom.exactlin import RatMatrix, ZERO_OBJ, rat_str
+from cubehom.multirel import LevelChain
 from cubehom.rand import (rnd_chain_complex, rnd_cmap, rnd_ccomplex, rnd_cube,
                           rnd_fraction, rnd_gram, rnd_homotopy_comps,
                           rnd_invertible, rnd_matrix, rnd_metobj,
@@ -17,7 +19,7 @@ __all__ = [
     "rnd_cube", "rnd_fraction", "rnd_gram", "rnd_homotopy_comps",
     "rnd_invertible", "rnd_matrix", "rnd_metobj", "rnd_one_cube",
     "rnd_retraction", "normal", "cube_parts", "from_rows", "to_dense",
-    "to_json_obj", "zero_cube",
+    "to_json_obj", "zero_cube", "chain_form_components",
 ]
 
 
@@ -70,3 +72,41 @@ def zero_cube(n):
     """The interned n-cube with every vertex zero."""
     return ExactCube(n, {a: ZERO_OBJ for a in vertex_indices(n)},
                      {k: RatMatrix.zero(0, 0) for k in arrow_keys(n)}).intern()
+
+
+def chain_form_components(src_model, dst_model, op, reach):
+    """The components ``materialize_operator(src_model, dst_model, op,
+    reach)`` should return, worked out one basis chain at a time through
+    the chain form: op(m, n, LevelChain.of(level, basis chain)), then Alt
+    where the destination alternates (not on a C-complex's own boundary),
+    then the destination's ``coords`` of each level of the image."""
+    comps = {}
+    if not src_model.span.basis:
+        return comps
+    r = len(src_model.g.marks)
+    dmax = max(deg for (_, deg) in src_model.span.basis)
+    for m in range(r + 1):
+        for n in range(max(m - max(reach, 0), 0), r + 1):
+            alternate = dst_model.use_alt and (n, reach) != (m, -1)
+            per = {}
+            for k in range(dmax + 1):
+                col_off, cols = src_model.layout(m, k)
+                row_off, rows = dst_model.layout(n, k + n - m + reach)
+                if not rows or not cols:
+                    continue
+                ent = {}
+                for lvl, col in col_off.items():
+                    for j in range(src_model.dim(lvl, k)):
+                        img = op(m, n, LevelChain.of(
+                            lvl, src_model.basis_chain(lvl, k, j)))
+                        if alternate:
+                            img = img.alt()
+                        for lvl2, ch in img.chains().items():
+                            for pos, v in dst_model.coords(lvl2, ch).items():
+                                ent[(row_off[lvl2] + pos, col + j)] = v
+                mat = RatMatrix(rows, cols, ent)
+                if not mat.is_zero():
+                    per[k] = mat
+            if per:
+                comps[(m, n)] = per
+    return comps

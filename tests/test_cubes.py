@@ -278,6 +278,51 @@ def test_bracket_cube_layout():
     assert lhs == rhs
 
 
+def _face_sum(cube):
+    # the boundary straight from its definition: every one of the 3n faces
+    # with its sign, the constructor dropping zero and degenerate faces
+    return CubeChain(cube.n - 1, [(cube.face(j, i), (-1) ** ((i + j) % 2))
+                                  for j in range(1, cube.n + 1)
+                                  for i in (-1, 0, 1)])
+
+
+def test_boundary_cube_is_the_signed_sum_of_all_faces():
+    from cubehom.cubes import boundary_cube
+    from cubehom.double import DoubleGeometry
+    from cubehom.multirel import prepared_xi_words
+    rng = random.Random(27)
+    tower = Tower(r=3, seed=8)
+    g = GeomView(tower)
+    cubes = [rnd_cube(rng, n, with_gram=True) for n in (1, 2, 3)]
+    for n in (0, 1):
+        base = rnd_cube(rng, n, with_gram=True)
+        for K in ((1,), (1, 2), (1, 2, 3)):
+            cubes += [composite_pullback(w, base)
+                      for _, w in prepared_xi_words([g], K, ())]
+    for n in (0, 1):
+        c = rnd_cube(rng, n, with_gram=True)
+        members = [_rescaled(c, 4), _rescaled(c, Fraction(9, 4))]
+        cubes += [bracket_cube([c] + members), bracket_cube(members)]
+    geom = DoubleGeometry(2)
+    for n in (1, 2):
+        c = rnd_cube(rng, n, with_gram=True)
+        cubes.append(geom.family_cube((), {S: c.act(tuple(range(n, 0, -1)))
+                                           if S else c
+                                           for S in geom.level_index(())}))
+    zero_faces = 0
+    for cube in cubes:
+        assert boundary_cube(cube) == _face_sum(cube)
+        zero_faces += sum(cube.is_zero_face(j, i) for j in range(1, cube.n + 1)
+                          for i in (-1, 0, 1))
+    # the zero faces boundary_cube leaves unbuilt are there to be left
+    assert zero_faces > 20
+    # a bad axis or index still raises through face
+    with pytest.raises(ValueError, match="axis"):
+        face(cubes[0], 0, -1)
+    with pytest.raises(ValueError, match="index"):
+        face(cubes[0], 1, 2)
+
+
 def test_bracket_cube_rejects_unequal_members():
     rng = random.Random(26)
     c = rnd_cube(rng, 1, with_gram=True)

@@ -12,9 +12,10 @@ import pytest
 
 import cubehom
 from cubehom import memo, suites
-from cubehom.cubes import ExactFunctor, PullbackWord, composite_pullback
+from cubehom.cubes import (CubeChain, ExactFunctor, PullbackWord,
+                           composite_pullback)
 from cubehom.exactlin import MetObj, RatMatrix
-from cubehom.multirel import GeomView, Tower
+from cubehom.multirel import GeomView, Tower, xi_K
 from cubehom.suites import run_suite
 from helpers import rnd_cube, rnd_matrix
 
@@ -47,10 +48,21 @@ def test_towers_with_other_seeds_give_other_cubes():
 
 
 RUN_SCOPED = {"cubes.intern", "cubes.boundary", "cubes.alt", "cubes.pullback",
-              "cubes.functor_obj", "exactlin.identity", "exactlin.zero",
-              "multirel.xi_words"}
+              "cubes.functor_obj", "cubes.functor_cube", "exactlin.identity",
+              "exactlin.zero", "multirel.xi_words", "multirel.xi_images"}
 SHAPES = {"cubes.vidx", "cubes.arrow_keys", "cubes.axis_lines",
-          "cubes.face_table", "cubes.sym_table"}
+          "cubes.face_table", "cubes.sym_table", "signs.division"}
+
+
+def _fill_new_tables():
+    # an Xi image and a functor image: the run-scoped tables that hold them
+    # must hold entries afterwards
+    c = _cube()
+    xi_K(GeomView(Tower(r=3, seed=5), 0), (1, 2), (), CubeChain.of(c))
+    ExactFunctor.tensor_by(MetObj(2)).on_cube(c)
+    sizes = memo.sizes()
+    assert sizes["multirel.xi_images"] > 0 and \
+        sizes["cubes.functor_cube"] > 0, sizes
 
 
 def _split_sizes():
@@ -67,6 +79,7 @@ def test_every_table_has_its_scope():
 def test_a_returning_run_empties_the_run_scoped_tables():
     composite_pullback(_word(Tower(r=3, seed=5)), _cube())
     assert memo.sizes()["cubes.pullback"] > 0
+    _fill_new_tables()
     rep = run_suite("multirel.pullback-map", r=3, seed=106, trials=3)
     assert rep["ok"]
     run, shapes = _split_sizes()
@@ -78,6 +91,7 @@ def test_a_raising_run_empties_the_run_scoped_tables(monkeypatch):
     def body(rng, **_):
         c = rnd_cube(rng, 2)
         assert memo.sizes()["cubes.intern"] > 0
+        _fill_new_tables()
         yield "built", c.n == 2
         raise RuntimeError("the body fails partway")
 

@@ -15,7 +15,7 @@ from cubehom.multirel import (GeomView, MorphView, Tower, build_ccomplex,
                               check_xi_boundary, identity_word_cube,
                               LevelChain, op_F, op_homotopy, op_pullback,
                               restriction_morphism, xi_K, xi_Kf)
-from helpers import rnd_cube
+from helpers import chain_form_components, rnd_cube
 
 
 def geometry(r, seed=5, schemes=1, alias=None):
@@ -474,3 +474,71 @@ def test_alt_coords_reject_a_cube_that_alt_kills():
                               sym=False)
     with pytest.raises(ValueError, match="not closed under the symmetric"):
         MatrixModel(X0, bare, use_alt=True)
+
+
+# -- the column form of materialize_operator against the chain form -------
+
+@pytest.mark.parametrize("suite, params", [
+    ("multirel.pullback-map", {"r": 3, "seed": 0}),
+    ("multirel.composite-homotopy", {"r": 3, "seed": 0}),
+    ("multirel.alternating", {"r": 2, "seed": 5}),
+    # trial 0 of cone-identification builds its models in the alternating mode
+    ("multirel.cone-identification", {"r": 3, "seed": 0}),
+])
+def test_column_form_matches_the_chain_form(monkeypatch, suite, params):
+    from cubehom import multirel, suites
+    calls = []
+    real = multirel.materialize_operator
+
+    def record(src_model, dst_model, op, reach):
+        out = real(src_model, dst_model, op, reach)
+        # materialize_ccomplex pops the boundaries off the returned dict
+        calls.append((src_model, dst_model, op, reach, dict(out)))
+        return out
+
+    monkeypatch.setattr(multirel, "materialize_operator", record)
+    assert suites.run_suite(suite, trials=1, **params)["ok"]
+    assert any(out for *_, out in calls)
+    if suite != "multirel.pullback-map":
+        assert any(dst.use_alt for _, dst, *_ in calls) == \
+            (suite != "multirel.composite-homotopy")
+    for src_model, dst_model, op, reach, out in calls:
+        assert out == chain_form_components(src_model, dst_model, op, reach)
+
+
+def test_memoized_xi_images_equal_fresh_builds(monkeypatch):
+    from cubehom import memo, multirel
+    from cubehom.cubes import composite_pullback
+    from cubehom.multirel import prepared_xi_words, xi_apply
+
+    def no_build(word, cube):
+        raise AssertionError("a kept Xi image was built again")
+
+    rng = random.Random(29)
+    _, gs = geometry(3, seed=7, schemes=3)
+    chains = [[gs[0]], [gs[0], MorphView(gs[0], gs[1]), gs[1]],
+              [gs[0], MorphView(gs[0], gs[1]), gs[1], MorphView(gs[1], gs[2]),
+               gs[2]]]
+    for views in chains:
+        t = len(views) // 2
+        for K, I in [((1,), ()), ((1, 2), (3,)), ((2, 3), ())]:
+            a = rnd_cube(rng, rng.randint(0, 1), with_gram=True)
+            b = rnd_cube(rng, a.n, with_gram=True)
+            x = CubeChain.of(a)
+            first = xi_apply(views, K, I, x)
+            two = CubeChain(a.n, [(a, Fraction(2, 3)), (b, -1)])
+            xi_apply(views, K, I, CubeChain.of(b))
+            with monkeypatch.context() as mp:
+                mp.setattr(multirel, "composite_pullback", no_build)
+                assert xi_apply(views, K, I, CubeChain.of(a)) == first
+                # a chain of several terms is the combination of the images
+                combined = xi_apply(views, K, I, two)
+            memo.end_run()
+            fresh = CubeChain(a.n + len(K) + t - 1, [
+                (composite_pullback(w, a), s)
+                for s, w in prepared_xi_words(views, K, I)])
+            assert xi_apply(views, K, I, x) == first == fresh
+            assert xi_apply(views, K, I, two) == combined == \
+                fresh.scale(Fraction(2, 3)) - xi_apply(views, K, I,
+                                                      CubeChain.of(b))
+            assert first.terms
