@@ -29,7 +29,7 @@ from .cubes import (CubeChain, ExactCube, ExactFunctor, PullbackWord, act_sym,
                     alt, alt_cube, boundary, boundary_cube, composite_pullback,
                     transposition)
 from .exactlin import FormalSum, MetObj, RatMatrix, _collect, times
-from .signs import perm_sign, sgn_division
+from .signs import divisions_into, perm_sign, sgn_division
 
 
 # -- towers of geometries --------------------------------------------
@@ -297,17 +297,6 @@ def xi_Kf(f: MorphView, K, I, x: CubeChain) -> CubeChain:
 # with the boundary, for t = 1 that of the pullback operators, for t = 2
 # the one with the composite pullback Xi_{K, gf}, and so on.
 
-def _splits(K):
-    """All divisions K = L ∐ L' with the division sign, by |L|."""
-    K = tuple(sorted(K))
-    out = []
-    for a in range(len(K) + 1):
-        for L in combinations(K, a):
-            Lp = tuple(k for k in K if k not in L)
-            out.append((a, L, Lp, sgn_division(L, Lp, K)))
-    return out
-
-
 def check_xi_boundary(views, K, I, x: CubeChain) -> bool:
     """The boundary identity above for Xi_{K; views} from level I at x."""
     views = list(views)
@@ -326,9 +315,11 @@ def check_xi_boundary(views, K, I, x: CubeChain) -> bool:
     back = [I]
     for f in reversed(views[1::2]):
         back.insert(0, _marks_back(f, back[0]))
-    splits = _splits(K)
+    splits = [(L, Lp, sgn_division(L, Lp, tuple(sorted(K))))
+              for L, Lp in divisions_into(K, 2, allow_empty=True)]
     for p in range(t + 1):
-        for a, L, Lp, s in splits:
+        for L, Lp, s in splits:
+            a = len(L)
             if (p == 0 and a == 0) or (p == t and a == w):
                 continue
             e = t + (a + 1) * ((t - p + 1) % 2)
@@ -471,8 +462,8 @@ class Span:
     operators; the scaffolding for matrix C-complexes."""
 
     def __init__(self):
-        self.basis = {}   # (frozenset level, degree) -> list of cubes
-        self.index = {}   # (frozenset level, degree) -> {cube: position}
+        # (frozenset level, degree) -> {cube: position}, in span order
+        self.index = {}
 
     def add(self, level, cube) -> bool:
         if cube.is_zero_cube() or cube.is_degenerate():
@@ -482,11 +473,10 @@ class Span:
         if cube in idx:
             return False
         idx[cube] = len(idx)
-        self.basis.setdefault(key, []).append(cube)
         return True
 
     def items(self):
-        return list(self.basis.items())
+        return [(key, list(idx)) for key, idx in self.index.items()]
 
 
 def close_span_generic(seeds, expand, sym: bool) -> Span:
@@ -638,7 +628,7 @@ def materialize_ccomplex(model: MatrixModel, f_op=None) -> "ccx.CComplex":
     components, of one levelwise operator of reach -1."""
     if f_op is None:
         f_op = partial(op_F, model.g)
-    if not model.span.basis:
+    if not model.span.index:
         return ccx.CComplex({}, {})
 
     def d_and_f(m, n, x):
@@ -646,7 +636,7 @@ def materialize_ccomplex(model: MatrixModel, f_op=None) -> "ccx.CComplex":
             [model.g], m, m, x, lambda K, I, I_src, J, s, ch: (1, boundary(ch)))
 
     comps = materialize_operator(model, model, d_and_f, -1)
-    dmax = max(deg for (_, deg) in model.span.basis)
+    dmax = max(deg for (_, deg) in model.span.index)
     complexes = {}
     for m in range(len(model.g.marks) + 1):
         dims = {k: model.layout(m, k)[1] for k in range(dmax + 1)}
@@ -669,9 +659,9 @@ def materialize_operator(src_model: MatrixModel, dst_model: MatrixModel,
     already."""
     r = len(src_model.g.marks)
     comps = {}
-    if not src_model.span.basis:
+    if not src_model.span.index:
         return comps
-    dmax = max(deg for (_, deg) in src_model.span.basis)
+    dmax = max(deg for (_, deg) in src_model.span.index)
 
     def write(item, J, coef, img):
         ent, row_off, col = item

@@ -120,18 +120,12 @@ def rnd_homotopy_comps(rng: random.Random, src: CComplex, dst: CComplex,
     """Random homotopy-shaped components supported on m <= n, so the
     homotopy defect is a map of C-complexes."""
     comps = {}
-    for m in src.indices():
-        for n in dst.indices():
-            if m > n:
-                continue
-            per = {}
-            for k in src.cx(m).degrees():
-                rows = dst.cx(n).dim(k + n - m + 1)
-                cols = src.cx(m).dim(k)
-                if rows and cols and rng.random() < density:
-                    per[k] = rnd_matrix(rng, rows, cols, density=0.5)
-            if per:
-                comps[(m, n)] = per
+    for m, n, k in _keys(src, dst, 0):
+        rows = dst.cx(n).dim(k + n - m + 1)
+        cols = src.cx(m).dim(k)
+        if rows and cols and rng.random() < density:
+            comps.setdefault((m, n), {})[k] = rnd_matrix(rng, rows, cols,
+                                                         density=0.5)
     return comps
 
 

@@ -302,7 +302,7 @@ def _run_lem211(rng, r, **_):
 @register("signs.b-weight",
           "the alternating tail-sum weight satisfies the merge, drop-last "
           "and drop-first identities, exhaustively",
-          dim=4, r=5, seed=0)
+          dim=4, r=5, seed=0, least={"dim": 1, "r": 2})
 def _run_lem92(rng, dim, r, **_):
     rep = signs.check_lemma_9_2(dim, r)
     yield ("b-weight.s%d.l%d" % (dim, r), rep["ok"],
@@ -312,7 +312,7 @@ def _run_lem92(rng, dim, r, **_):
 @register("signs.multidivision",
           "the multi-division signature is the product of its successive "
           "two-part refinements, exhaustively",
-          r=6, seed=0)
+          r=6, seed=0, least={"r": 1})
 def _run_multidiv(rng, r, **_):
     universe = list(range(1, r + 1))
     bad = 0
@@ -1024,7 +1024,7 @@ def _run_wang_conj(rng, r, **_):
           "every monomial carries one logarithm and rank-minus-one "
           "one-forms; the bidegree split partitions the form and the "
           "expansion size is the full symmetric group",
-          r=5, seed=0)
+          r=5, seed=0, least={"r": 1})
 def _run_wang_deg(rng, r, **_):
     rep = wang.check_degrees(r)
     yield "degrees.r%d" % r, rep["ok"], None if rep["ok"] else rep

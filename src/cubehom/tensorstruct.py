@@ -1,16 +1,19 @@
 """The tensor structure on multi-relative complexes: bracket operators.
 
 A slot functor is a formal Q-linear combination of pipelines, each
-pipeline a sequence of pullback words applied right to left; a single
-word of r morphism classes acts through the composite-pullback cube and
-raises degree by r - 1.  Bracket cubes over the isomorphism chain
+pipeline a tuple of pullback words applied right to left; a single word
+of r morphism classes acts through the composite-pullback cube and raises
+degree by r - 1.  Bracket cubes over the isomorphism chain
 
     F (x) phi_1 ... phi_l (G)  ~  phi_1(F (x) phi_2 ... (G))  ~  ...
 
 assemble slots into the operators of the tensor structure: the map given
 by tensoring with a fixed object, the homotopy exchanging it with a
 pullback, and the second homotopy produced by a section of a closed
-immersion.
+immersion.  All three are one signed sum of bracket terms over ordered
+divisions of J - I with 0, 1 or 2 marked slots that may be empty
+(``_bracket_sum``); each operator states only its weight, its slots and
+the geometry of each station.
 
 The words of every Xi slot come from ``multirel.xi_words``, the one
 enumerator of the Xi family, which multirel's Xi operators apply to chains
@@ -31,70 +34,56 @@ produce plain values, and the relation checkers alternate the final
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import combinations
 
 from .cubes import (CubeChain, ExactCube, ExactFunctor, alt, boundary,
                     bracket_cube, composite_pullback)
-from .exactlin import FormalSum, MetObj, tensor_obj, times
+from .exactlin import MetObj, tensor_obj, times
 from . import multirel
 from .multirel import GeomView, LevelChain, MorphView, levelwise
 from .signs import b_weight, divisions_into, sgn_multidivision
 
 
-class SlotTerm:
-    """A pipeline of prepared pullback words (``cubes.PullbackWord``)
-    applied right to left."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words):
-        self.words = tuple(words)
-
-    def apply(self, cube: ExactCube) -> ExactCube:
-        for w in reversed(self.words):
-            cube = composite_pullback(w, cube)
-        return cube
+def _pipe(words, cube: ExactCube) -> ExactCube:
+    """The pipeline of prepared pullback words (``cubes.PullbackWord``)
+    applied to a cube, right to left."""
+    for w in reversed(words):
+        cube = composite_pullback(w, cube)
+    return cube
 
 
-class SlotSum(FormalSum):
-    """A formal combination of pipelines, of a fixed added cube degree.
-    Pipelines hash by identity, so no two terms ever merge."""
+class SlotSum:
+    """A combination of pipelines of a fixed added cube degree: ``terms``
+    lists (tuple of words, coefficient) pairs, which never merge."""
 
-    __slots__ = ("deg",)
+    __slots__ = ("terms", "deg")
 
     def __init__(self, terms, deg: int):
+        self.terms = list(terms)
         self.deg = deg
-        FormalSum.__init__(self, terms)
-
-    def _like(self, terms: dict) -> "SlotSum":
-        out = FormalSum._like(self, terms)
-        out.deg = self.deg
-        return out
 
     def compose(self, other: "SlotSum") -> "SlotSum":
         """self after other: pipelines concatenate."""
-        return SlotSum(((SlotTerm(t.words + u.words), a * b)
-                        for t, a in self.terms.items()
-                        for u, b in other.terms.items()),
-                       self.deg + other.deg)
+        return SlotSum(((t + u, a * b) for t, a in self.terms
+                        for u, b in other.terms), self.deg + other.deg)
 
     def apply_chain(self, x: CubeChain) -> CubeChain:
         return CubeChain(x.degree + self.deg,
-                         ((t.apply(cu), times(c, xc))
-                          for t, c in self.terms.items()
+                         ((_pipe(t, cu), times(c, xc))
+                          for t, c in self.terms
                           for cu, xc in x.terms.items()))
 
     def boundary(self) -> "SlotSum":
         """Face expansion of single-word slots along their own axes:
         splits, merges, and dropped zero faces, with signs (-1)^{i+j}."""
         out = []
-        for t, c in self.terms.items():
-            if len(t.words) != 1:
+        for t, c in self.terms:
+            if len(t) != 1:
                 raise ValueError("boundary of a composite pipeline")
-            w = t.words[0]
+            (w,) = t
             for j in range(1, len(w)):
-                out.append((SlotTerm(w.split(j)), c * (-1) ** ((j - 1) % 2)))
-                out.append((SlotTerm([w.merge(j)]), c * (-1) ** (j % 2)))
+                out.append((w.split(j), c * (-1) ** ((j - 1) % 2)))
+                out.append(((w.merge(j),), c * (-1) ** (j % 2)))
         return SlotSum(out, self.deg - 1)
 
 
@@ -102,7 +91,7 @@ def _xi_slot(views, K, I) -> SlotSum:
     """Xi_{K,f_1..f_t} as a slot functor: one single-word pipeline per
     signed word of ``multirel.xi_words``, prepared once per run."""
     words = multirel.prepared_xi_words(views, K, I)
-    return SlotSum(((SlotTerm([w]), s) for s, w in words),
+    return SlotSum((((w,), s) for s, w in words),
                    len(K) + len(views) // 2 - 1)
 
 
@@ -132,24 +121,24 @@ def bracket_apply(f_obj: MetObj, slots, pis, x: CubeChain) -> CubeChain:
         tens = ExactFunctor.tensor_by(pis[0].on_obj(f_obj))
         return x.map_cubes(tens.on_cube, x.degree)
     s = sum(sl.deg for sl in slots)
-    combos = [([], Fraction(1))]
+    combos = [((), 1)]
     for sl in slots:
-        combos = [(picked + [t], co * c) for picked, co in combos
-                  for t, c in sl.terms.items()]
+        combos = [(picked + (t,), co * c) for picked, co in combos
+                  for t, c in sl.terms]
 
     def terms():
         for picked, coeff in combos:
             for cube, xc in x.terms.items():
                 stages = [cube]
                 for p in range(l, 0, -1):
-                    stages.append(picked[p - 1].apply(stages[-1]))
+                    stages.append(_pipe(picked[p - 1], stages[-1]))
                 # stages[i] = slots_{l-i+1..l} applied to cube, i = 0..l
                 items = []
                 for p in range(l + 1):
                     cur = ExactFunctor.tensor_by(pis[p].on_obj(f_obj)).on_cube(
                         stages[l - p])
                     for sl_idx in range(p - 1, -1, -1):
-                        cur = picked[sl_idx].apply(cur)
+                        cur = _pipe(picked[sl_idx], cur)
                     items.append(cur)
                 yield bracket_cube(items), times(coeff, xc)
 
@@ -192,45 +181,42 @@ def check_bracket_boundary(f_obj: MetObj, slots, pis, x: CubeChain) -> bool:
     return alt(lhs - rhs).is_zero()
 
 
-# -- divisions with optional empty slots --------------------------------
-
-def _divisions_optional(K, l: int, optional):
-    """Ordered divisions of K into l parts, the parts at the 1-based
-    positions in ``optional`` allowed to be empty, all others nonempty."""
-    return [parts for parts in divisions_into(K, l, allow_empty=True)
-            if all(p or pos in optional for pos, p in enumerate(parts, 1))]
-
-
 # -- the level operators of the tensor structure ------------------------
 
 def _station_levels(parts, I):
     """Station p carries level I | parts[p] | ... | parts[l-1] (0-based),
     for p = 0..l; station l is I itself."""
-    l = len(parts)
-    out = []
-    for p in range(l + 1):
-        lvl = set(I)
-        for q in range(p, l):
-            lvl |= set(parts[q])
-        out.append(frozenset(lvl))
-    return out
+    return [frozenset(I).union(*parts[p:]) for p in range(len(parts) + 1)]
 
 
 def _pi(view: GeomView, lvl) -> ExactFunctor:
     return view.base_cls(lvl).functor()
 
 
-def _bracket_term(f_obj: MetObj, chain: CubeChain, parts, I_src, J, weight,
-                  slot, station) -> CubeChain:
-    """sgn(nonempty parts, I; J) (-1)^weight <F; slots>(chain) over the
-    stations of ``parts``: slot p (1-based) is slot(p, parts[p-1], level),
-    and station p pulls back along the base class of geometry station(p)."""
-    lvls = _station_levels(parts, I_src)
-    sgn = sgn_multidivision([q for q in parts if q] + [I_src], J)
-    sgn *= (-1) ** (weight % 2)
-    slots = [slot(p, parts[p - 1], lvls[p]) for p in range(1, len(parts) + 1)]
-    pis = [_pi(station(p), lvls[p]) for p in range(len(parts) + 1)]
-    return bracket_apply(f_obj, slots, pis, chain).scale(sgn)
+def _bracket_sum(f_obj: MetObj, chain: CubeChain, Kc, I_src, J, reach: int,
+                 marked: int, weight, slot, station) -> CubeChain:
+    """The sum, over l, over the increasing 1-based positions P of
+    ``marked`` of the l slots, and over the ordered divisions of Kc into l
+    parts nonempty outside P, of sgn(nonempty parts, I_src; J)
+    (-1)^weight(sizes, P) <F; slots>(chain).  Slot p is slot(P, p, part,
+    level) and station p pulls back along the base class of geometry
+    station(P, p); ``reach`` fixes the degree of an empty sum."""
+    term = CubeChain.zero(chain.degree + len(Kc) + reach)
+    for l in range(1, len(Kc) + marked + 1):
+        divisions = divisions_into(Kc, l, allow_empty=True)
+        for P in combinations(range(1, l + 1), marked):
+            for parts in divisions:
+                if not all(q or p in P for p, q in enumerate(parts, 1)):
+                    continue
+                lvls = _station_levels(parts, I_src)
+                sgn = sgn_multidivision([q for q in parts if q] + [I_src], J)
+                sgn *= (-1) ** (weight([len(q) for q in parts], P) % 2)
+                slots = [slot(P, p, parts[p - 1], lvls[p])
+                         for p in range(1, l + 1)]
+                pis = [_pi(station(P, p), lvls[p]) for p in range(l + 1)]
+                term = term + bracket_apply(f_obj, slots, pis,
+                                            chain).scale(sgn)
+    return term
 
 
 def op_tensor(f_obj: MetObj, g: GeomView, m: int, n: int,
@@ -241,87 +227,64 @@ def op_tensor(f_obj: MetObj, g: GeomView, m: int, n: int,
     def component(Kc, I, I_src, J, _s, chain):
         if not Kc:
             return 1, bracket_apply(f_obj, [], [_pi(g, frozenset(I))], chain)
-        term = CubeChain.zero(chain.degree + n - m)
-        for l in range(1, len(Kc) + 1):
-            for parts in divisions_into(Kc, l):
-                term = term + _bracket_term(
-                    f_obj, chain, parts, I_src, J,
-                    b_weight([len(q) for q in parts]),
-                    lambda p, K, lvl: xi_slot(g, K, lvl), lambda p: g)
-        return 1, term
+        return 1, _bracket_sum(
+            f_obj, chain, Kc, I_src, J, 0, 0,
+            lambda sizes, P: b_weight(sizes),
+            lambda P, p, K, lvl: xi_slot(g, K, lvl), lambda P, p: g)
     return levelwise([g], m, n, x, component)
 
 
 def op_tensor_homotopy(f_obj: MetObj, f: MorphView, m: int, n: int,
                        x: LevelChain) -> LevelChain:
     """Phi_f^{m,n}, plain: the homotopy exchanging (F (x) ) with f^*.
-    One designated slot carries Xi_{K_p, f} and may be empty."""
+    One marked slot p0 carries Xi_{K_p0, f} and may be empty; the weight
+    reads the sizes with part p0 merged into part p0 - 1."""
+    def weight(sizes, P):
+        lo = max(P[0] - 2, 0)
+        merged = sizes[:lo] + [sum(sizes[lo:P[0]])] + sizes[P[0]:]
+        return b_weight(merged) + n + P[0] + len(sizes) + 1
+
+    def station(P, p):
+        return f.src if p < P[0] else f.dst
+
+    def slot(P, p, K, lvl):
+        if p in P:
+            return xi_slot_f(f, K, lvl)
+        return xi_slot(station(P, p), K, lvl)
+
     def component(Kc, I, I_src, J, _s, chain):
-        term = CubeChain.zero(chain.degree + n - m + 1)
-        for l in range(1, len(Kc) + 2):
-            for p0 in range(1, l + 1):
-                def station(p):
-                    return f.src if p < p0 else f.dst
-
-                def slot(p, K, lvl):
-                    if p == p0:
-                        return xi_slot_f(f, K, lvl)
-                    return xi_slot(station(p), K, lvl)
-
-                for parts in _divisions_optional(Kc, l, [p0]):
-                    sizes = [len(q) for q in parts]
-                    merged = ([sizes[0]] + sizes[1:] if p0 == 1 else
-                              sizes[:p0 - 2] + [sizes[p0 - 2] + sizes[p0 - 1]]
-                              + sizes[p0:])
-                    term = term + _bracket_term(
-                        f_obj, chain, parts, I_src, J,
-                        b_weight(merged) + n + p0 + l + 1, slot, station)
-        return 1, term
+        return 1, _bracket_sum(f_obj, chain, Kc, I_src, J, 1, 1, weight,
+                               slot, station)
     return levelwise([f.src, f, f.dst], m, n, x, component)
 
 
 def op_tensor_theta(f_obj: MetObj, f: MorphView, g: MorphView, m: int, n: int,
                     x: LevelChain) -> LevelChain:
     """Theta^{m,n} = Theta_1 + Theta_2, plain: the second homotopy of the
-    section setup g f = Id.  Theta_1 places Xi_{K_p,f,g} in one optional
-    slot; Theta_2 places Xi_{K_p,f} and Xi_{K_q,g} in two optional slots."""
+    section setup g f = Id.  Theta_1 places Xi_{K_p,f,g} in one marked
+    slot; Theta_2 places Xi_{K_p,f} and Xi_{K_q,g} in two marked slots,
+    with the stations from p to q - 1 on the geometry of T.  Marked slots
+    may be empty."""
+    def weight(sizes, P):
+        # Theta_1 has p0 = q0: its weight is b(sizes) + 1, its stations on X
+        p0, q0 = P[0], P[-1]
+        return b_weight(sizes) + sum(sizes[p0 - 1:q0 - 1]) + p0 + q0 + 1
+
+    def station(P, p):
+        return g.dst if (p < P[0] or p >= P[-1]) else f.dst
+
+    def slot(P, p, K, lvl):
+        if P == (p,):
+            return xi_slot_fg(f, g, K, lvl)
+        if p in P:
+            return xi_slot_f(f if p == P[0] else g, K, lvl)
+        return xi_slot(station(P, p), K, lvl)
+
     def component(Kc, I, I_src, J, _s, chain):
-        term = CubeChain.zero(chain.degree + n - m + 2)
-        # Theta_1
-        for l in range(1, len(Kc) + 2):
-            for p0 in range(1, l + 1):
-                def slot(p, K, lvl):
-                    if p == p0:
-                        return xi_slot_fg(f, g, K, lvl)
-                    return xi_slot(g.dst, K, lvl)
-
-                for parts in _divisions_optional(Kc, l, [p0]):
-                    term = term + _bracket_term(
-                        f_obj, chain, parts, I_src, J,
-                        b_weight([len(q) for q in parts]) + 1, slot,
-                        lambda p: g.dst)
-        # Theta_2
-        for l in range(2, len(Kc) + 3):
-            for p0 in range(1, l + 1):
-                for q0 in range(p0 + 1, l + 1):
-                    def slot(p, K, lvl):
-                        if p == p0:
-                            return xi_slot_f(f, K, lvl)
-                        if p == q0:
-                            return xi_slot_f(g, K, lvl)
-                        return xi_slot(g.dst if (p < p0 or p > q0) else f.dst,
-                                       K, lvl)
-
-                    def station(p):
-                        return g.dst if (p < p0 or p >= q0) else f.dst
-
-                    for parts in _divisions_optional(Kc, l, [p0, q0]):
-                        sizes = [len(q) for q in parts]
-                        term = term + _bracket_term(
-                            f_obj, chain, parts, I_src, J,
-                            b_weight(sizes) + sum(sizes[p0 - 1:q0 - 1])
-                            + p0 + q0 + 1, slot, station)
-        return 1, term
+        return 1, (_bracket_sum(f_obj, chain, Kc, I_src, J, 2, 1, weight,
+                                slot, station)
+                   + _bracket_sum(f_obj, chain, Kc, I_src, J, 2, 2, weight,
+                                  slot, station))
     return levelwise([g.dst], m, n, x, component)
 
 

@@ -81,10 +81,10 @@ def chain_form_components(src_model, dst_model, op, reach):
     where the destination alternates (not on a C-complex's own boundary),
     then the destination's ``coords`` of each level of the image."""
     comps = {}
-    if not src_model.span.basis:
+    if not src_model.span.index:
         return comps
     r = len(src_model.g.marks)
-    dmax = max(deg for (_, deg) in src_model.span.basis)
+    dmax = max(deg for (_, deg) in src_model.span.index)
     for m in range(r + 1):
         for n in range(max(m - max(reach, 0), 0), r + 1):
             alternate = dst_model.use_alt and (n, reach) != (m, -1)

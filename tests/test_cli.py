@@ -141,6 +141,10 @@ def test_verify_rejects_vacuous_parameters(flags):
     ("multirel.ccomplex", "--r", 1),
     ("tensor.cmap", "--r", 1),
     ("cubes.boundary-squared", "--dim", 1),
+    ("signs.b-weight", "--r", 2),
+    ("signs.b-weight", "--dim", 1),
+    ("signs.multidivision", "--r", 1),
+    ("wang.degrees", "--r", 1),
 ])
 def test_verify_rejects_values_below_the_suite_least(tmp_path: Path, suite,
                                                       flag, least):

@@ -177,4 +177,4 @@ def test_build_t_glued_spans_are_closed():
         for j, model in enumerate(out["models"][1:], 1):
             cubes = [(level, cube) for (level, _), row in model.span.items()
                      for cube in row]
-            assert double_spans(geom, j, cubes).basis == model.span.basis
+            assert double_spans(geom, j, cubes).index == model.span.index

@@ -14,6 +14,7 @@ from cubehom import ccx, memo, multirel, suites
 from cubehom.cubes import CubeChain, boundary
 from cubehom.multirel import (GeomView, LevelChain, MorphView, Tower,
                               check_xi_boundary, xi_apply, xi_K, xi_Kf)
+from cubehom.signs import divisions_into, sgn_division
 from cubehom.suites import _tensor_cmap_relation
 from helpers import rnd_cube, rnd_gram
 from cubehom.exactlin import MetObj
@@ -32,6 +33,12 @@ def geometry(r, seed=5, schemes=1):
     return tower, [GeomView(tower, s) for s in range(schemes)]
 
 
+def _splits(K):
+    """(|L|, L, L', sgn(L L'; K)) for every division K = L ∐ L'."""
+    return [(len(L), L, Lp, sgn_division(L, Lp, K))
+            for L, Lp in divisions_into(K, 2, allow_empty=True)]
+
+
 def test_wrong_boundary_sign_fails_xi_identity():
     rng = random.Random(0)
     _, (g,) = geometry(3)
@@ -42,7 +49,6 @@ def test_wrong_boundary_sign_fails_xi_identity():
     w = len(K)
     lhs = boundary(xi_K(g, K, I, x)) - xi_K(g, K, I, boundary(x)).scale((-1) ** w)
     rhs = CubeChain.zero(lhs.degree)
-    from cubehom.multirel import _splits
     for a, L, Lp, s in _splits(K):
         if a == 0 or a == w:
             continue
@@ -64,7 +70,7 @@ def test_dropped_composite_term_fails_exchange_identity():
     lhs = boundary(xi_apply(views, K, I, x)) + \
         xi_apply(views, K, I, boundary(x)).scale((-1) ** w)
     # rebuild the right side WITHOUT the composite-pullback correction
-    from cubehom.multirel import _splits, _marks_back
+    from cubehom.multirel import _marks_back
     rhs = CubeChain.zero(lhs.degree)
     mid_levels = _marks_back(g, I)
     src_levels = _marks_back(f, mid_levels)
@@ -268,10 +274,9 @@ def test_flipped_split_sign_fails_xi_boundary_at_every_chain_length(
         x = CubeChain.of(rnd_cube(random.Random(10 + t), 0, with_gram=True))
         assert check_xi_boundary(views, K, I, x)
         cases.append((views, x))
-    real = multirel._splits
-    monkeypatch.setattr(multirel, "_splits", lambda K: [
-        (a, L, Lp, -s if L == (1,) and Lp == (2,) else s)
-        for a, L, Lp, s in real(K)])
+    real = multirel.sgn_division
+    monkeypatch.setattr(multirel, "sgn_division", lambda L, Lp, K: (
+        -real(L, Lp, K) if (L, Lp) == ((1,), (2,)) else real(L, Lp, K)))
     for views, x in cases:
         assert not check_xi_boundary(views, K, I, x)
 

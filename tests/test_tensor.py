@@ -1,13 +1,15 @@
+import hashlib
 import random
 
 from cubehom.cubes import CubeChain, ExactFunctor, boundary, face
-from cubehom.exactlin import MetObj
+from cubehom.exactlin import MetObj, rat_str
 from cubehom.multirel import GeomView, LevelChain, MorphView, Tower
 from cubehom.suites import (_tensor_cmap_relation, _tensor_homotopy_relation,
                             _theta_relation)
 from cubehom.tensorstruct import (SlotSum, bracket_apply, bracket_pair,
                                   check_bracket_boundary,
                                   check_phi_s_equals_tensor, op_tensor,
+                                  op_tensor_homotopy, op_tensor_theta,
                                   xi_slot, _pi, _station_levels)
 from helpers import rnd_cube, rnd_gram
 
@@ -81,8 +83,8 @@ def test_single_word_slot_boundary_obeys_leibniz():
     _, (g,) = geometry(3)
     for K in [(1, 2), (1, 2, 3)]:
         full = xi_slot(g, K, frozenset())
-        for t in list(full.terms)[:2]:
-            slot = SlotSum({t: 1}, full.deg)
+        for t, _ in full.terms[:2]:
+            slot = SlotSum([(t, 1)], full.deg)
             for deg in (0, 1):
                 x = CubeChain.of(rnd_cube(rng, deg, with_gram=True))
                 rhs = slot.boundary().apply_chain(x)
@@ -253,3 +255,64 @@ def test_bracket_pair_degenerate_input():
     degen = degeneracy(rnd_cube(rng, 0, with_gram=True), 1, 1)
     out = bracket_pair(f1, f2, CubeChain.of(degen))
     assert out.is_zero()
+
+
+# (term count, first 16 hex digits of the SHA-256 of the sorted (n, level,
+# cube hash, coefficient) terms) of each operator over n = |I| .. r; the
+# alternated relations cannot see a term that changes while they still hold
+OPERATOR_PINS = {
+    0: {"tensor": (2, "83becb2c1f902b72"), "homotopy": (5, "db0c3928fd4372fd"),
+        "theta": (12, "ff0ef444050ef29e")},
+    1: {"tensor": (7, "196fbf4a99828cac"), "homotopy": (28, "1442415fbe326480"),
+        "theta": (115, "5440a13b7e54ec92")},
+    2: {"tensor": (2, "1eb6b0f8de3408ef"), "homotopy": (5, "e0e5dad3b0cde330"),
+        "theta": (12, "46b9e7d8653e566c")},
+    3: {"tensor": (2, "54fd5f92f1959490"), "homotopy": (5, "d67fe4c85e0e18ed"),
+        "theta": (12, "e709fbe629047d7a")},
+    4: {"tensor": (2, "fdaedbb81557ae42"), "homotopy": (5, "3c30374633d7122a"),
+        "theta": (12, "a4e888f0f220ecdf")},
+    5: {"tensor": (2, "5d3ee118f57daf5d"), "homotopy": (5, "102773a78139b996"),
+        "theta": (12, "c9306844b6008239")},
+    6: {"tensor": (2, "94b556a021d3a005"), "homotopy": (5, "5e8c4e50b49de3bd"),
+        "theta": (11, "63f57c5c67d49f47")},
+    7: {"tensor": (7, "10b98d5741ad39a3"), "homotopy": (33, "1c806b1c9c093180"),
+        "theta": (115, "973210c1e709f471")},
+    8: {"tensor": (34, "9b28691d0b8fad57"),
+        "homotopy": (275, "11a46b649f3539cd"),
+        "theta": (1166, "3f36ff95c2b0aee0")},
+    9: {"tensor": (2, "226427caa29ce2f6"), "homotopy": (5, "c3c4d12e0c119203"),
+        "theta": (11, "77559b494620aeb5")},
+    10: {"tensor": (7, "33163c8d6e8f0c8e"),
+         "homotopy": (29, "cea4e6cb1a6ac2bf"),
+         "theta": (107, "118de44172b96ede")},
+    11: {"tensor": (40, "20846eceedd8736b"),
+         "homotopy": (273, "a3b6ce7a09bec9c1"),
+         "theta": (1210, "e221cbcc828301d5")},
+}
+
+
+def test_tensor_operators_are_pinned_term_by_term():
+    # towers of 1..3 marks on a section setup g f = Id, as
+    # tensor.second-homotopy builds them; cube hashes are process-stable
+    for seed, want in OPERATOR_PINS.items():
+        rng = random.Random(seed)
+        r = 1 + seed % 3
+        tower = Tower(r=r, schemes=3, seed=500 + seed, alias=[0, 1, 0])
+        X0, T1, X2 = (GeomView(tower, s) for s in range(3))
+        f, g = MorphView(X0, T1), MorphView(T1, X2)
+        F = fixed_obj(rng, rng.randint(1, 2))
+        I = frozenset(rng.sample(range(1, r + 1), rng.randint(0, r - 1)))
+        deg = rng.randint(0, 1) if r < 3 else 0
+        x = LevelChain.of(I, rnd_cube(rng, deg, with_gram=True))
+        m = len(I)
+        ops = {"tensor": lambda n: op_tensor(F, X2, m, n, x),
+               "homotopy": lambda n: op_tensor_homotopy(F, f, m, n, x),
+               "theta": lambda n: op_tensor_theta(F, f, g, m, n, x)}
+        got = {}
+        for name, op in ops.items():
+            terms = sorted((n, tuple(sorted(J)), hash(cube), rat_str(c))
+                           for n in range(m, r + 1)
+                           for (J, cube), c in op(n).terms.items())
+            got[name] = (len(terms), hashlib.sha256(
+                repr(terms).encode()).hexdigest()[:16])
+        assert got == want, seed
