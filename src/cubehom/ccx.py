@@ -214,8 +214,9 @@ class CComplex:
                               for m, n in s.comps])
 
 
-def single_complex(c: ChainComplex, m: int = 0) -> CComplex:
-    return CComplex({m: c}, {})
+def single_complex(c: ChainComplex) -> CComplex:
+    """``c`` as a C-complex concentrated in index 0."""
+    return CComplex({0: c}, {})
 
 
 def _keys(src: CComplex, dst: CComplex, reach: int):

@@ -3,16 +3,18 @@
 An exact n-cube is a functor {-1,0,1}^n -> (MetObj, rational matrices)
 whose edges are all short exact sequences.  The chain groups are formal
 Q-linear combinations of such cubes (``exactlin.FormalSum``), normalized
-by dropping degenerate summands.  Degeneracies, rho and tensor
-products are assembled by ``_assemble`` from a vertex rule and a
-rule for its nonzero arrows; composite pullbacks and bracket cubes are
-stacks of pulled-back parts gathered by position (``_stack``); faces and
-the symmetric action gather through tables of source positions.  This
-module carries faces, degeneracies,
-the boundary, the symmetric-group action and the Alt projector, the
-duplication construction rho with its two contracting homotopies,
-composite pullback cubes along words of morphisms, and the bracket cubes
-of isomorphism chains.
+by dropping degenerate summands.  This module carries faces,
+degeneracies, the boundary, the symmetric-group action and the Alt
+projector, tensor products, the duplication construction rho with its
+two contracting homotopies, the exact functors of the geometry models
+(the identity and tensoring by a fixed object), composite pullback cubes
+along words of morphisms, and the bracket cubes of isomorphism chains.
+
+Degeneracies, rho and tensor products are assembled by ``_assemble`` from
+a vertex rule and a rule for its nonzero arrows; composite pullbacks and
+bracket cubes are stacks of pulled-back parts gathered by position
+(``_stack``); faces and the symmetric action gather through tables of
+source positions.
 
 Index conventions: a vertex index alpha is a tuple over {-1,0,1}; axis
 numbers are 1-based in the public API, matching the face operators
@@ -29,10 +31,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import isqrt
 
 from . import memo
-from .exactlin import (FormalSum, MetObj, RatMatrix, ZERO_OBJ,
-                       is_invertible, linear_terms, tensor_map, tensor_obj)
+from .exactlin import (FormalSum, MetObj, RatMatrix, ShortExact, ZERO_OBJ,
+                       is_invertible, is_short_exact, linear_terms, tensor_obj)
 from .signs import perm_sign
 
 
@@ -213,11 +216,10 @@ class ExactCube:
 
     # -- structural checks -------------------------------------------
 
-    def validate(self, exactness: bool = True) -> None:
+    def validate(self) -> None:
         """Raise ValueError unless the data is a functor on the cube poset
-        with (optionally) short exact edges.  Used in tests and on demand;
-        constructions in this module always produce valid cubes."""
-        from .exactlin import ShortExact, is_short_exact
+        with short exact edges.  Used in tests and on demand; constructions
+        in this module always produce valid cubes."""
         n, verts, arrows = self.n, self.vertices, self.arrows
         for (j, alpha), (p, s, t) in arrow_keys(n).items():
             if arrows[p].cols != verts[s].dim or arrows[p].rows != verts[t].dim:
@@ -233,15 +235,14 @@ class ExactCube:
                     if a1 != a2:
                         raise ValueError("non-commuting square at %r, axes %d,%d"
                                          % (alpha, j, k))
-        if exactness:
-            for j in range(1, n + 1):
-                for co, (lo, mid, hi, alo, amid) in zip(
-                        product((-1, 0, 1), repeat=n - 1), axis_lines(n, j)):
-                    s = ShortExact(verts[lo], verts[mid], verts[hi],
-                                   arrows[alo], arrows[amid])
-                    if not is_short_exact(s):
-                        raise ValueError("edge not exact along axis %d at %r"
-                                         % (j, co))
+        for j in range(1, n + 1):
+            for co, (lo, mid, hi, alo, amid) in zip(
+                    product((-1, 0, 1), repeat=n - 1), axis_lines(n, j)):
+                s = ShortExact(verts[lo], verts[mid], verts[hi],
+                               arrows[alo], arrows[amid])
+                if not is_short_exact(s):
+                    raise ValueError("edge not exact along axis %d at %r"
+                                     % (j, co))
 
     def is_zero_cube(self) -> bool:
         """True iff every vertex is the zero object; identified with the zero
@@ -335,7 +336,6 @@ def _is_isometry(m: RatMatrix, src: MetObj, dst: MetObj) -> bool:
 def _is_rational_square(s: Fraction) -> bool:
     if s <= 0:
         return False
-    from math import isqrt
     p, q = s.numerator, s.denominator
     return isqrt(p) ** 2 == p and isqrt(q) ** 2 == q
 
@@ -455,8 +455,8 @@ def tensor_cube(f: ExactCube, g: ExactCube) -> ExactCube:
     def arrow(k, ab, dim):
         a, b = ab[:n], ab[n:]
         if k <= n:
-            return tensor_map(f.arrow(k, a), RatMatrix.identity(g.vertex(b).dim))
-        return tensor_map(RatMatrix.identity(f.vertex(a).dim), g.arrow(k - n, b))
+            return f.arrow(k, a).kron(RatMatrix.identity(g.vertex(b).dim))
+        return RatMatrix.identity(f.vertex(a).dim).kron(g.arrow(k - n, b))
 
     return _assemble(n + g.n, lambda ab: tensor_obj(f.vertex(ab[:n]),
                                                     g.vertex(ab[n:])),
@@ -656,49 +656,46 @@ _FUNCTOR_CUBE_CACHE = memo.table("cubes.functor_cube")
 
 
 class ExactFunctor:
-    """A word of primitive exact functors; primitives are the identity and
-    tensor-by-a-fixed-object.  Composition concatenates words; the zero
-    object, exactness and metrics are preserved."""
+    """An exact functor of the geometry models: the identity (``obj`` is
+    None) or tensoring by the fixed object ``obj``.  Both preserve the zero
+    object, exactness and metrics."""
 
-    __slots__ = ("word", "_hash")
+    __slots__ = ("obj", "_hash")
 
-    def __init__(self, word=()):
-        word = tuple(o for o in word)
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "_hash", hash(("functor", word)))
+    def __init__(self, obj):
+        object.__setattr__(self, "obj", obj)
+        # the identity hashes as a constant, so the hash is the same in
+        # every process (hash(None) is an address)
+        object.__setattr__(self, "_hash", hash(0 if obj is None else obj))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactFunctor is immutable")
 
     @staticmethod
     def identity() -> "ExactFunctor":
-        return ExactFunctor(())
+        return ExactFunctor(None)
 
     @staticmethod
     def tensor_by(obj: MetObj) -> "ExactFunctor":
-        return ExactFunctor((obj,))
+        return ExactFunctor(obj)
 
-    def on_obj(self, obj: MetObj) -> MetObj:
-        if not self.word:
-            return obj
-        key = (self, obj)
+    def on_obj(self, x: MetObj) -> MetObj:
+        if self.obj is None:
+            return x
+        key = (self, x)
         out = _FUNCTOR_OBJ_CACHE.get(key)
         if out is None:
-            out = obj
-            for m in reversed(self.word):
-                out = tensor_obj(m, out)
-            _FUNCTOR_OBJ_CACHE[key] = out
+            out = _FUNCTOR_OBJ_CACHE[key] = tensor_obj(self.obj, x)
         return out
 
     def on_map(self, mat: RatMatrix) -> RatMatrix:
         # tensoring by a 1-dimensional object leaves every matrix as it is
-        for m in reversed(self.word):
-            if m.dim != 1:
-                mat = tensor_map(RatMatrix.identity(m.dim), mat)
-        return mat
+        if self.obj is None or self.obj.dim == 1:
+            return mat
+        return RatMatrix.identity(self.obj.dim).kron(mat)
 
     def on_cube(self, cube: ExactCube) -> ExactCube:
-        if not self.word:
+        if self.obj is None:
             return cube
         key = (self, cube)
         out = _FUNCTOR_CUBE_CACHE.get(key)
@@ -713,13 +710,13 @@ class ExactFunctor:
     def __eq__(self, other):
         if not isinstance(other, ExactFunctor):
             return NotImplemented
-        return self.word == other.word
+        return self.obj == other.obj
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return "ExactFunctor(%d primitives)" % len(self.word)
+        return "ExactFunctor(%r)" % (self.obj,)
 
 
 # -- composite pullback cubes ------------------------------------------
@@ -833,7 +830,7 @@ def _build_pullback(word: PullbackWord, cube: ExactCube) -> ExactCube:
     if word.r == 1:
         # the pullback table keeps this cube already
         f = word.functors[0]
-        return f._image(cube) if f.word else cube
+        return cube if f.obj is None else f._image(cube)
     w = word.r - 1
     return _stack(w, cube.n, [None if 1 in wp else (cube, _stars(word, wp))
                               for wp in vertex_indices(w)])

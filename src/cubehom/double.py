@@ -198,7 +198,6 @@ class DoubleGeometry:
     def __init__(self, r: int):
         self.r = r
         self.marks = tuple(range(1, r + 1))
-        self.extra = frozenset()
 
     def level_index(self, I):
         return [frozenset(S) for S in subsets([k for k in self.marks
@@ -227,7 +226,6 @@ class _PartialView:
     def __init__(self, geom: DoubleGeometry, upto: int, drop=frozenset()):
         self.geom = geom
         self.marks = tuple(range(1, upto + 1))
-        self.extra = frozenset()
         self.drop = frozenset(drop)
 
     def level_index(self, I):
@@ -292,19 +290,18 @@ def build_t(geom: DoubleGeometry, seeds) -> dict:
     back through the sign-twisted cone identification.
 
     ``seeds`` are (level, GluedCube) pairs on the plain double (usually
-    level = ()); returns the pieces: per-step complexes, the composed map
-    t, the canonical projection q, and the models, all alternating.
+    level = ()); returns the composed map t, the canonical projection q,
+    and the per-step models, all alternating.
     """
     view0 = _PartialView(geom, 0)
     model0 = MatrixModel(view0, double_spans(geom, 0, seeds), use_alt=True)
     models = [model0]
-    complexes = [materialize_ccomplex(model0,
-                                      f_op=lambda m, n, x: LevelChain())]
+    cc0 = cc_a = materialize_ccomplex(model0, f_op=partial(double_op_F, view0))
     t_total = None
     for j in range(1, geom.r + 1):
         view_a = _PartialView(geom, j - 1)
         view_b = _PartialView(geom, j - 1, drop={j})
-        model_a, cc_a = models[-1], complexes[-1]
+        model_a = models[-1]
         # span on T_j side: restrictions of the plain double's span, closed
         seeds_b = [(level, _restrict_level(view_a, level, j, cube))
                    for (level, _), cubes in model0.span.items()
@@ -333,18 +330,17 @@ def build_t(geom: DoubleGeometry, seeds) -> dict:
                                                model_next, cc_next, j), t_j)
         t_total = step if t_total is None else ccx.compose(step, t_total)
         models.append(model_next)
-        complexes.append(cc_next)
+        cc_a = cc_next
     # canonical projection q: the level-() block of index 0, which every
     # model carries on model0's span
     per = {}
-    for k in complexes[-1].cx(0).degrees():
+    for k in cc_a.cx(0).degrees():
         col_off, cols = models[-1].layout(0, k)
         rows = model0.dim(frozenset(), k)
         per[k] = RatMatrix(rows, cols, {(i, col_off[frozenset()] + i): 1
                                         for i in range(rows)})
-    q = ccx.CMap(complexes[-1], complexes[0], {(0, 0): per})
-    return {"t": t_total, "q": q, "models": models, "complexes": complexes,
-            "geometry": geom}
+    q = ccx.CMap(cc_a, cc0, {(0, 0): per})
+    return {"t": t_total, "q": q, "models": models}
 
 
 def inclusion_exclusion_op(geom: DoubleGeometry, x: CubeChain) -> CubeChain:

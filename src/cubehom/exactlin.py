@@ -609,10 +609,6 @@ def tensor_obj(a: MetObj, b: MetObj) -> MetObj:
     return MetObj(dim)
 
 
-def tensor_map(fa: RatMatrix, fb: RatMatrix) -> RatMatrix:
-    return fa.kron(fb)
-
-
 class ShortExact:
     """A short exact sequence left -> mid -> right with explicit matrices."""
 

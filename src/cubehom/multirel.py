@@ -48,7 +48,6 @@ class Tower:
 
     def __init__(self, r: int, schemes: int = 1, seed: int = 0, alias=None):
         self.r = r
-        self.schemes = schemes
         self.seed = seed
         self.alias = list(alias) if alias is not None else list(range(schemes))
         if len(self.alias) != schemes or any(self.alias[s] > s for s in range(schemes)):
@@ -513,8 +512,8 @@ class MatrixModel:
     sgn(sigma) Alt(F) and distinct orbits have disjoint supports, so these
     chains are a basis of the alternating chains on the span, and such a
     chain with coefficient y_G at a cube G has coordinate y_G / a_G, for
-    a_G the coefficient of G in its basis chain.  ``g`` only needs
-    ``marks`` and ``extra`` attributes.
+    a_G the coefficient of G in its basis chain.  ``g`` only needs a
+    ``marks`` attribute.
     """
 
     def __init__(self, g, span: Span, use_alt: bool):
@@ -740,8 +739,8 @@ def build_pullback(f: MorphView, seeds_dst, use_alt: bool = False):
 
 def build_homotopy(f: MorphView, g: MorphView, seeds_src, use_alt: bool = False):
     """The homotopy phi from (g f)^* to f^* g^* on spans, with all three
-    pullback maps materialized; returns a dict of the pieces, so that
-    ``phi.validate(h, ccx.compose(f, g))`` checks phi."""
+    pullback maps materialized; returns the maps g, f, h and phi in a
+    dict, so that ``phi.validate(h, ccx.compose(f, g))`` checks phi."""
     h = MorphView(f.src, g.dst)
     op_g, op_f, op_h = (partial(op_pullback, v) for v in (g, f, h))
     op_phi = partial(op_homotopy, f, g)
@@ -759,9 +758,7 @@ def build_homotopy(f: MorphView, g: MorphView, seeds_src, use_alt: bool = False)
     hmap = ccx.CMap(cc_s, cc_x, materialize_operator(model_s, model_x, op_h, 0))
     phi = ccx.CHomotopy(cc_s, cc_x,
                         materialize_operator(model_s, model_x, op_phi, 1))
-    return {"models": (model_s, model_t, model_x),
-            "complexes": (cc_s, cc_t, cc_x),
-            "g": gmap, "f": fmap, "h": hmap, "phi": phi}
+    return {"g": gmap, "f": fmap, "h": hmap, "phi": phi}
 
 
 def cone_identification(parts, model_a: MatrixModel, model_b: MatrixModel,

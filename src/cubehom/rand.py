@@ -17,8 +17,8 @@ from .cubes import ExactCube, MetObj, object_cube, one_cube, tensor_cube
 from .exactlin import RatMatrix, ZERO_OBJ, inverse, solve
 
 
-def rnd_fraction(rng: random.Random, span: int = 3) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, span))
+def rnd_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
 
 
 def rnd_matrix(rng: random.Random, rows: int, cols: int, density: float = 0.7) -> RatMatrix:
@@ -52,13 +52,10 @@ def rnd_gram(rng: random.Random, n: int) -> RatMatrix:
     return a.transpose().mul(a) + RatMatrix.identity(n)
 
 
-def rnd_metobj(rng: random.Random, max_dim: int = 3, with_gram=None) -> MetObj:
-    d = rng.randint(0, max_dim)
-    if d == 0:
-        return ZERO_OBJ
-    if with_gram is None:
-        with_gram = rng.random() < 0.5
-    return MetObj(d, rnd_gram(rng, d) if with_gram else None, check=False)
+def rnd_metobj(rng: random.Random) -> MetObj:
+    """A random object of dimension at most 2 with a random Gram form."""
+    d = rng.randint(0, 2)
+    return MetObj(d, rnd_gram(rng, d), check=False) if d else ZERO_OBJ
 
 
 def rnd_one_cube(rng: random.Random, max_dim: int = 3, with_gram: bool = False) -> ExactCube:
@@ -136,9 +133,9 @@ def rnd_cmap(rng: random.Random, a: CComplex, b: CComplex) -> CMap:
 
 def rnd_ccomplex(rng: random.Random, steps=(0, 2)) -> CComplex:
     """A random C-complex: iterated mapping cones over random maps."""
-    a = single_complex(rnd_chain_complex(rng), 0)
+    a = single_complex(rnd_chain_complex(rng))
     for _ in range(rng.randint(*steps)):
-        b = single_complex(rnd_chain_complex(rng), 0)
+        b = single_complex(rnd_chain_complex(rng))
         a = simple(rnd_cmap(rng, a, b)).ccx
     return a
 

@@ -9,7 +9,7 @@ signs in the tensor structure on multi-relative complexes.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from . import memo
 
@@ -82,14 +82,12 @@ def b_weight(sizes) -> int:
     return total
 
 
-def subsets(universe, size=None):
+def subsets(universe):
     universe = sorted(universe)
-    if size is None:
-        out = []
-        for k in range(len(universe) + 1):
-            out.extend(combinations(universe, k))
-        return out
-    return list(combinations(universe, size))
+    out = []
+    for k in range(len(universe) + 1):
+        out.extend(combinations(universe, k))
+    return out
 
 
 def divisions_into(J, npieces, allow_empty=False):
@@ -112,16 +110,6 @@ def divisions_into(J, npieces, allow_empty=False):
                 rec(rest, acc + [part])
 
     rec(J, [])
-    return out
-
-
-def ordered_divisions(J, max_parts=None):
-    """All ordered divisions of J into any number of nonempty parts."""
-    J = tuple(sorted(J))
-    top = max_parts if max_parts is not None else max(len(J), 1)
-    out = []
-    for l in range(1, top + 1):
-        out.extend(divisions_into(J, l))
     return out
 
 
@@ -150,8 +138,6 @@ def check_lemma_2_11(r: int):
 def check_lemma_9_2(max_size: int, max_parts: int):
     """Exhaustively check the three b-weight identities over part sizes
     1..max_size and 2..max_parts parts.  Returns a report dict."""
-    from itertools import product
-
     checked = 0
     for l in range(2, max_parts + 1):
         for sizes in product(range(1, max_size + 1), repeat=l):

@@ -147,9 +147,7 @@ def _run_exactlin(rng, trials, dim, **_):
         yield ("homology.%03d" % t, got == want,
                None if got == want else {"got": got, "want": want})
     for t in range(20):
-        a = rand.rnd_metobj(rng, 2, with_gram=True)
-        b = rand.rnd_metobj(rng, 2, with_gram=True)
-        c = rand.rnd_metobj(rng, 2, with_gram=True)
+        a, b, c = [rand.rnd_metobj(rng) for _ in range(3)]
         lhs = tensor_obj(tensor_obj(a, b), c)
         rhs = tensor_obj(a, tensor_obj(b, c))
         yield "tensor-assoc.%03d" % t, lhs == rhs
@@ -176,7 +174,7 @@ def _run_shortexact(rng, trials, **_):
 @register("cubes.boundary-squared",
           "the alternating-sum boundary of normalized cube chains squares "
           "to zero",
-          trials=200, dim=3, seed=0, least={"dim": 1})
+          trials=200, dim=3, seed=0, least={"dim": 2})
 def _run_dd(rng, trials, dim, **_):
     for t in range(trials):
         n = rng.randint(1, 3)
@@ -318,7 +316,8 @@ def _run_multidiv(rng, r, **_):
     bad = 0
     total = 0
     for J in signs.subsets(universe):
-        for parts in signs.ordered_divisions(J, max_parts=3):
+        # divisions into 1, 2 or 3 nonempty parts
+        for parts in (p for l in (1, 2, 3) for p in signs.divisions_into(J, l)):
             total += 1
             sgn = signs.sgn_multidivision(list(parts), J)
             acc = 1

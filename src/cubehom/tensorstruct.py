@@ -40,7 +40,8 @@ from .cubes import (CubeChain, ExactCube, ExactFunctor, alt, boundary,
                     bracket_cube, composite_pullback)
 from .exactlin import MetObj, tensor_obj, times
 from . import multirel
-from .multirel import GeomView, LevelChain, MorphView, levelwise
+from .multirel import (GeomView, LevelChain, MorphView, levelwise,
+                       restriction_morphism)
 from .signs import b_weight, divisions_into, sgn_multidivision
 
 
@@ -297,7 +298,6 @@ def check_phi_s_equals_tensor(f_obj: MetObj, big: GeomView, x: LevelChain,
     the square of that map with the tensor operators commutes up to the
     exchange homotopy, and the induced cone map phi_s must equal the
     tensor map, after one outer alternation, on every generator."""
-    from .multirel import restriction_morphism
     r = max(big.marks)
     iota = restriction_morphism(big, r)
     geom_a, geom_b = iota.dst, iota.src

@@ -19,7 +19,7 @@ from helpers import from_rows
 
 def test_validate_single_complex():
     rng = random.Random(0)
-    cc = single_complex(rnd_chain_complex(rng), 0)
+    cc = single_complex(rnd_chain_complex(rng))
     assert cc.validate()["ok"]
 
 
@@ -59,7 +59,7 @@ def test_validate_reports_a_nonzero_square_of_d():
 def test_tot_of_lone_complex():
     rng = random.Random(1)
     c = rnd_chain_complex(rng)
-    t = single_complex(c, 0).tot()
+    t = single_complex(c).tot()
     for n in c.degrees():
         assert t.dim(n) == c.dim(n)
         assert t.d(n) == c.d(n)

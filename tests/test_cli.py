@@ -140,7 +140,7 @@ def test_verify_rejects_vacuous_parameters(flags):
 @pytest.mark.parametrize("suite, flag, least", [
     ("multirel.ccomplex", "--r", 1),
     ("tensor.cmap", "--r", 1),
-    ("cubes.boundary-squared", "--dim", 1),
+    ("cubes.boundary-squared", "--dim", 2),
     ("signs.b-weight", "--r", 2),
     ("signs.b-weight", "--dim", 1),
     ("signs.multidivision", "--r", 1),

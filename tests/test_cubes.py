@@ -240,12 +240,12 @@ def test_zero_cube_is_dropped():
 
 def test_exact_functor_words():
     rng = random.Random(23)
-    m = rnd_metobj(rng, 2, with_gram=True)
+    m = rnd_metobj(rng)
     if m.dim == 0:
         m = MetObj(1, rnd_gram(rng, 1))
     f = ExactFunctor.tensor_by(m)
     g = ExactFunctor.identity()
-    assert g.word == ()
+    assert g.obj is None
     c = rnd_cube(rng, 1, with_gram=True)
     fc = f.on_cube(c)
     assert fc.vertex((0,)).dim == m.dim * c.vertex((0,)).dim
@@ -361,7 +361,7 @@ def test_assembled_cubes_validate():
                       for sign in (1, -1)]
             built += [rho(c, j) for j in range(1, n + 1)]
             for cube in built:
-                cube.validate(exactness=True)
+                cube.validate()
 
 
 def test_map_cubes_enforces_its_degree():

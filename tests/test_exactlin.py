@@ -8,7 +8,7 @@ from cubehom.cli import _matrix
 from cubehom.cubes import one_cube
 from cubehom.exactlin import (MetObj, RatMatrix, ShortExact, ZERO_OBJ,
                               is_short_exact, kernel_basis, rank, rat_str,
-                              rref, solve, tensor_map, tensor_obj)
+                              rref, solve, tensor_obj)
 from helpers import (from_rows as M, normal, rnd_chain_complex, rnd_gram,
                      rnd_matrix, rnd_one_cube, to_json_obj)
 
@@ -104,7 +104,7 @@ def test_tensor_map_mixed_gram():
     a = MetObj(2)
     b = MetObj(2, rnd_gram(random.Random(6), 2))
     assert tensor_obj(a, b).gram is None
-    assert tensor_map(RatMatrix.identity(2), RatMatrix.identity(3)) == \
+    assert RatMatrix.identity(2).kron(RatMatrix.identity(3)) == \
         RatMatrix.identity(6)
 
 

@@ -1,7 +1,9 @@
 """Source hygiene: no module of the package or of the tests imports a
 name it never uses, and every function, method or class the package
 defines is referenced by the package or its benchmark; a definition that
-only the tests reach is dead library code."""
+only the tests reach is dead library code.  Every parameter is read, and
+a default that every call of the package and its benchmark leaves at one
+value is a constant, not an option."""
 
 import ast
 import pathlib
@@ -172,3 +174,121 @@ def test_scan_finds_an_unread_parameter():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text()) == []
+
+
+# "module.function.parameter" -> why its default stays although every call
+# in the package and its benchmark leaves it at one value
+ALLOWED_DEFAULTS = {
+    "cli.main.argv": "the argv seam the CLI tests drive main through",
+    "rand.rnd_matrix.density": "test_exactlin draws matrices at densities "
+                               "0.3 to 0.9",
+    "rand.rnd_ccomplex.steps": "test_ccx needs C-complexes with at least "
+                               "one cone step",
+}
+
+
+def _literal(node):
+    """(True, value) for a literal expression, (False, None) otherwise."""
+    try:
+        return True, ast.literal_eval(node)
+    except ValueError:
+        return False, None
+
+
+def _defaulted(fn, is_method):
+    """The parameters of ``fn`` callers may pass, in positional order, and
+    {name: default expression} for those with a default."""
+    a = fn.args
+    static = any(getattr(d, "id", None) == "staticmethod"
+                 for d in fn.decorator_list)
+    positional = a.posonlyargs + a.args
+    defaults = dict(zip([p.arg for p in positional[len(positional)
+                                                   - len(a.defaults):]],
+                        a.defaults))
+    defaults.update((p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                    if d is not None)
+    skip = 1 if is_method and not static else 0
+    return [p.arg for p in positional[skip:]], defaults
+
+
+def _calls(sources):
+    """name -> [(positional args, {keyword: value}, spread)] for every call
+    of a bare or attribute name in ``sources``; ``partial(fn, ...)`` is a
+    call of fn, and ``spread`` marks a call with ``*`` or ``**``."""
+    out = {}
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            fn, args = node.func, node.args
+            if getattr(fn, "id", None) == "partial" and args:
+                fn, args = args[0], args[1:]
+            name = getattr(fn, "id", getattr(fn, "attr", None))
+            if name is None:
+                continue
+            spread = any(isinstance(x, ast.Starred) for x in args) \
+                or any(k.arg is None for k in node.keywords)
+            out.setdefault(name, []).append(
+                (args, {k.arg: k.value for k in node.keywords}, spread))
+    return out
+
+
+def constant_defaults(modules, calls):
+    """"module.function.parameter" for every defaulted parameter of a
+    function or method in ``modules`` ({module name: source}) whose calls
+    by name in ``calls`` (see ``_calls``) all give it one literal value,
+    the default counting where a call omits it.  A constructor's calls are
+    those of its class, and a parameter with no call is not judged."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+
+    def judge(qual, name, fn, is_method):
+        params, defaults = _defaulted(fn, is_method)
+        sites = calls.get(name, [])
+        for p, default in defaults.items():
+            values = set()
+            for args, kw, spread in sites:
+                given = kw.get(p)
+                if given is None and p in params[:len(args)]:
+                    given = args[params.index(p)]
+                ok, value = _literal(default if given is None else given)
+                if spread or not ok:
+                    break
+                values.add(repr(value))
+            else:
+                if len(values) == 1:
+                    found.append("%s.%s" % (qual, p))
+
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, funcs):
+                judge("%s.%s" % (module, node.name), node.name, node, False)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, funcs):
+                        name = node.name if item.name == "__init__" \
+                            else item.name
+                        judge("%s.%s.%s" % (module, node.name, item.name),
+                              name, item, True)
+    return sorted(found)
+
+
+def test_scan_finds_a_constant_default():
+    source = ("def draw(rng, span=3, scale=1, mode='a', seen=frozenset()):\n"
+              "    return rng\n"
+              "def lone(x=0):\n"
+              "    return x\n"
+              "class Box:\n"
+              "    def __init__(self, size=2): pass\n"
+              "    def fill(self, v, times=1): pass\n")
+    calls = _calls([source, "draw(r, 3)\ndraw(r, scale=2)\n"
+                            "partial(draw, r, 3, mode='a')\n"
+                            "Box(2).fill(0)\nb.fill(1, 5)\nBox(*s)\n"])
+    assert constant_defaults({"m": source}, calls) \
+        == ["m.draw.mode", "m.draw.span"]
+
+
+def test_every_default_is_varied():
+    modules = {p.stem: p.read_text() for p in MODULES}
+    calls = _calls(p.read_text() for p in REFERENCING)
+    assert constant_defaults(modules, calls) == sorted(ALLOWED_DEFAULTS)

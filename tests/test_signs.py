@@ -1,7 +1,7 @@
 import pytest
 
 from cubehom.signs import (b_weight, check_lemma_2_11, check_lemma_9_2,
-                           divisions_into, ordered_divisions, perm_sign,
+                           divisions_into, perm_sign,
                            sgn_division, sgn_multidivision, subsets)
 
 
@@ -56,7 +56,7 @@ def test_multidivision_is_product_of_refinements():
     for r in range(1, 6):
         universe = list(range(1, r + 1))
         for J in subsets(universe):
-            for parts in ordered_divisions(J, max_parts=3):
+            for parts in (p for l in (1, 2, 3) for p in divisions_into(J, l)):
                 sgn = sgn_multidivision(list(parts), J)
                 acc = 1
                 rest = tuple(sorted(J))
