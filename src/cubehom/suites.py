@@ -872,34 +872,34 @@ def _run_pair(rng, trials, **_):
           trials=20, r=4, seed=0, least={"r": 1})
 def _run_double_bundle(rng, trials, r, **_):
     for t in range(trials):
-        rr = rng.randint(1, r)
-        marks = tuple(range(1, rr + 1))
+        geom = double.DoubleGeometry(rng.randint(1, r))
         dim = rng.randint(1, 2)
-        comps = {frozenset(S): MetObj(dim, rand.rnd_gram(rng, dim), check=False)
-                 for S in signs.subsets(marks)}
-        F = double.GluedBundle(marks, comps)
+        F = geom.family_cube((), {
+            frozenset(S): object_cube(MetObj(dim, rand.rnd_gram(rng, dim),
+                                             check=False))
+            for S in signs.subsets(geom.marks)})
         ok = True
-        for j in marks:
-            G = double.iota_j_star(F, j)
-            ok = ok and double.iota_j_star(double.p_j_star(G, j), j) == G
-            V = double.VirtualGlued.of(F) - double.VirtualGlued.of(
-                double.p_j_star(double.iota_j_star(F, j), j))
-            for I in signs.subsets(marks):
-                if j in I and V.extract(I):
+        for j in geom.marks:
+            G = double.restrict(geom, (), j, F)
+            back = geom.fold((), j, G)
+            ok = ok and double.restrict(geom, (), j, back) == G
+            V = CubeChain.of(F) - CubeChain.of(back)
+            for I in signs.subsets(geom.marks):
+                if j in I and double.extract(V, I):
                     ok = False
-        QT = double.qt_bundle(F)
-        for I in signs.subsets(marks):
-            if I and QT.extract(I):
+        QT = double.inclusion_exclusion_op(geom, CubeChain.of(F))
+        for I in signs.subsets(geom.marks):
+            if I and double.extract(QT, I):
                 ok = False
         want = {}
-        for I in signs.subsets(marks):
-            obj = F.comps[frozenset(I)]
+        for I in signs.subsets(geom.marks):
+            obj = F.comps[frozenset(I)].vertices[0]
             s = want.get(obj, 0) + (-1) ** len(I)
             if s == 0:
                 want.pop(obj, None)
             else:
                 want[obj] = s
-        ok = ok and QT.extract(()) == want
+        ok = ok and double.extract(QT, ()) == want
         yield "extraction.%03d" % t, ok
 
 

@@ -1,61 +1,55 @@
 import random
 
-import pytest
-
 from cubehom import ccx
-from cubehom.cubes import CubeChain, ExactCube
-from cubehom.double import (DoubleGeometry, GluedBundle, VirtualGlued,
-                            build_t, double_spans,
-                            inclusion_exclusion_op, iota_j_star, p_j_star,
-                            qt_bundle)
+from cubehom.cubes import CubeChain, ExactCube, object_cube
+from cubehom.double import (DoubleGeometry, build_t, double_spans, extract,
+                            inclusion_exclusion_op, restrict)
 from cubehom.exactlin import MetObj
 from cubehom.signs import subsets
 from helpers import cube_parts, rnd_cube, rnd_gram
 
 
-def rnd_bundle(rng, marks, dim=2):
-    return GluedBundle(marks, {frozenset(S): MetObj(dim, rnd_gram(rng, dim),
-                                                    check=False)
-                               for S in subsets(marks)})
+def rnd_bundle(rng, geom, dim=2):
+    """A bundle on the double of ``geom``: a glued 0-cube."""
+    return geom.family_cube((), {
+        S: object_cube(MetObj(dim, rnd_gram(rng, dim), check=False))
+        for S in geom.level_index(())})
 
 
-def test_bundle_requires_constant_rank():
-    rng = random.Random(0)
-    comps = {frozenset(): MetObj(1), frozenset({1}): MetObj(2)}
-    with pytest.raises(ValueError):
-        GluedBundle((1,), comps)
+def fold_restrict(geom, f, j):
+    """p_j^* iota_j^* f."""
+    return geom.fold((), j, restrict(geom, (), j, f))
 
 
 def test_extraction_examples():
     rng = random.Random(1)
     obj = MetObj(2, rnd_gram(rng, 2), check=False)
-    const = GluedBundle((1, 2), {frozenset(S): obj for S in subsets((1, 2))})
+    geom = DoubleGeometry(2)
+    const = geom.family_cube((), {S: object_cube(obj)
+                                  for S in geom.level_index(())})
     for I in subsets((1, 2)):
-        assert const.comps[frozenset(I)] == obj
-    f = rnd_bundle(rng, (1,))
+        assert extract(CubeChain.of(const), I) == {obj: 1}
+    geom = DoubleGeometry(1)
+    f = rnd_bundle(rng, geom)
     # extraction is additive on virtual bundles
-    v = VirtualGlued.of(f, 2) + VirtualGlued.of(const_restrict(f), -2)
-    got = v.extract(())
+    v = CubeChain.of(f, 2) - CubeChain.of(fold_restrict(geom, f, 1), 2)
+    got = extract(v, ())
     want = {}
     for b, c in v.terms.items():
-        obj2 = b.comps[frozenset()]
+        obj2 = b.comps[frozenset()].vertices[0]
         want[obj2] = want.get(obj2, 0) + c
     assert got == {k: v2 for k, v2 in want.items() if v2}
 
 
-def const_restrict(f):
-    # an arbitrary second bundle derived from f for linearity checks
-    return p_j_star(iota_j_star(f, f.marks[0]), f.marks[0])
-
-
 def test_restriction_table_r2():
     rng = random.Random(2)
-    f = rnd_bundle(rng, (1, 2))
-    g1 = iota_j_star(f, 1)
-    assert g1.marks == (2,)
+    geom = DoubleGeometry(2)
+    f = rnd_bundle(rng, geom)
+    g1 = restrict(geom, (), 1, f)
+    assert sorted(g1.comps, key=sorted) == [frozenset(), frozenset({2})]
     assert g1.comps[frozenset()] == f.comps[frozenset({1})]
     assert g1.comps[frozenset({2})] == f.comps[frozenset({1, 2})]
-    g2 = iota_j_star(f, 2)
+    g2 = restrict(geom, (), 2, f)
     assert g2.comps[frozenset()] == f.comps[frozenset({2})]
     assert g2.comps[frozenset({1})] == f.comps[frozenset({1, 2})]
 
@@ -63,47 +57,46 @@ def test_restriction_table_r2():
 def test_fold_section_identity():
     rng = random.Random(3)
     for r in range(1, 5):
-        marks = tuple(range(1, r + 1))
-        f = rnd_bundle(rng, marks)
-        for j in marks:
-            g = iota_j_star(f, j)
-            assert iota_j_star(p_j_star(g, j), j) == g
-            back = p_j_star(g, j)
-            for S in subsets(marks):
-                assert back.comps[frozenset(S)] == g.comps[frozenset(S) - {j}]
+        geom = DoubleGeometry(r)
+        f = rnd_bundle(rng, geom)
+        for j in geom.marks:
+            g = restrict(geom, (), j, f)
+            back = geom.fold((), j, g)
+            assert restrict(geom, (), j, back) == g
+            for S in geom.level_index(()):
+                assert back.comps[S] == g.comps[S - {j}]
 
 
 def test_one_minus_fold_vanishes_on_marked_components():
     rng = random.Random(4)
     for r in (2, 3, 4):
-        marks = tuple(range(1, r + 1))
-        f = rnd_bundle(rng, marks)
-        for j in marks:
-            v = VirtualGlued.of(f) - VirtualGlued.of(
-                p_j_star(iota_j_star(f, j), j))
-            for I in subsets(marks):
+        geom = DoubleGeometry(r)
+        f = rnd_bundle(rng, geom)
+        for j in geom.marks:
+            v = CubeChain.of(f) - CubeChain.of(fold_restrict(geom, f, j))
+            for I in subsets(geom.marks):
                 if j in I:
-                    assert not v.extract(I)
+                    assert not extract(v, I)
 
 
 def test_qt_bundle_cancellations():
     rng = random.Random(5)
     for r in (1, 2, 3, 4):
-        marks = tuple(range(1, r + 1))
-        f = rnd_bundle(rng, marks)
-        qt = qt_bundle(f)
-        for I in subsets(marks):
+        geom = DoubleGeometry(r)
+        f = rnd_bundle(rng, geom)
+        qt = inclusion_exclusion_op(geom, CubeChain.of(f))
+        for I in subsets(geom.marks):
             if I:
-                assert not qt.extract(I)
+                assert not extract(qt, I)
         want = {}
-        for I in subsets(marks):
-            obj = f.comps[frozenset(I)]
+        for I in subsets(geom.marks):
+            obj = f.comps[frozenset(I)].vertices[0]
             s = want.get(obj, 0) + (-1) ** len(I)
             if s == 0:
                 want.pop(obj, None)
             else:
                 want[obj] = s
-        assert qt.extract(()) == want
+        assert extract(qt, ()) == want
 
 
 def regram(rng, cube):
@@ -177,4 +170,5 @@ def test_build_t_glued_spans_are_closed():
         for j, model in enumerate(out["models"][1:], 1):
             cubes = [(level, cube) for (level, _), row in model.span.items()
                      for cube in row]
-            assert double_spans(geom, j, cubes).index == model.span.index
+            view = DoubleGeometry(r, j)
+            assert double_spans(view, cubes).index == model.span.index

@@ -1,9 +1,9 @@
-"""Property tests of ``exactlin.FormalSum`` through five subclasses.
+"""Property tests of ``exactlin.FormalSum`` through four subclasses.
 
-Cube chains, virtual glued bundles, formal character symbols,
-logarithmic forms and level elements share one implementation of
-collection, sums and scaling; each keeps only its normal form.  Every
-property runs on each.
+Cube chains, formal character symbols, logarithmic forms and level
+elements share one implementation of collection, sums and scaling; each
+keeps only its normal form.  Every property runs on each, and on virtual
+glued bundles, which are cube chains of glued 0-cubes.
 """
 
 import random
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubehom.cubes import CubeChain, degeneracy, object_cube
-from cubehom.double import GluedBundle, VirtualGlued
+from cubehom.double import DoubleGeometry
 from cubehom.exactlin import MetObj, linear_terms
 from cubehom.formalchern import FormalElement
 from cubehom.multirel import LevelChain
@@ -39,9 +39,10 @@ CUBES = [rnd_cube(random.Random(s), 1) for s in range(4)] + [
 
 def _bundle(seed, dim):
     rng = random.Random(seed)
-    return GluedBundle((1,), {frozenset(): MetObj(dim, rnd_gram(rng, dim),
-                                                  check=False),
-                              frozenset({1}): MetObj(dim)})
+    return DoubleGeometry(1).family_cube((), {
+        frozenset(): object_cube(MetObj(dim, rnd_gram(rng, dim),
+                                        check=False)),
+        frozenset({1}): object_cube(MetObj(dim))})
 
 
 # cubes at levels: two levels share a cube, one level carries cubes of two
@@ -53,7 +54,8 @@ LEVEL_KEYS = [(frozenset(), CUBES[0]), (frozenset(), CUBES[1]),
               (frozenset({2}), CUBES[4]), (frozenset({1}), CUBES[5])]
 
 
-# two distinct rank-2 bundles, a rank-1 bundle, and a rank-0 bundle that drops
+# two distinct rank-2 bundles, a rank-1 bundle, and a rank-0 bundle (a zero
+# glued cube) that drops
 BUNDLES = [_bundle(0, 2), _bundle(1, 2), _bundle(2, 1), _bundle(3, 0)]
 
 
@@ -75,7 +77,7 @@ MONOMIALS = _monomials()
 # each kind's constructor and its pool of keys
 KINDS = {
     "CubeChain": (lambda terms: CubeChain(1, terms), CUBES),
-    "VirtualGlued": (VirtualGlued, BUNDLES),
+    "VirtualGlued": (lambda terms: CubeChain(0, terms), BUNDLES),
     "FormalElement": (FormalElement, list(product(
         range(3), [frozenset(s) for k in range(4)
                    for s in combinations((1, 2, 3), k)], range(4)))),

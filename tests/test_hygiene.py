@@ -238,13 +238,19 @@ def constant_defaults(modules, calls):
     function or method in ``modules`` ({module name: source}) whose calls
     by name in ``calls`` (see ``_calls``) all give it one literal value,
     the default counting where a call omits it.  A constructor's calls are
-    those of its class, and a parameter with no call is not judged."""
+    those of its class, and a parameter with no call is not judged.  A call
+    that passes more positionals than the definition takes, or a keyword
+    it lacks, is a call of another definition of that name."""
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     found = []
 
     def judge(qual, name, fn, is_method):
         params, defaults = _defaulted(fn, is_method)
-        sites = calls.get(name, [])
+        a = fn.args
+        names = set(params) | {p.arg for p in a.kwonlyargs}
+        sites = [(args, kw, spread) for args, kw, spread in calls.get(name, [])
+                 if (a.vararg or len(args) <= len(params))
+                 and (a.kwarg or all(k is None or k in names for k in kw))]
         for p, default in defaults.items():
             values = set()
             for args, kw, spread in sites:
@@ -286,6 +292,24 @@ def test_scan_finds_a_constant_default():
                             "Box(2).fill(0)\nb.fill(1, 5)\nBox(*s)\n"])
     assert constant_defaults({"m": source}, calls) \
         == ["m.draw.mode", "m.draw.span"]
+
+
+def test_scan_judges_a_default_by_the_calls_its_definition_can_take():
+    # b.validate(h, g) passes two positionals, more than A.validate takes,
+    # and d.fill(v, mode=m) passes a keyword C.fill lacks: both call the
+    # other definition of the name, so neither varies A's or C's default
+    source = ("class A:\n"
+              "    def validate(self, exactness=True): pass\n"
+              "class B:\n"
+              "    def validate(self, frm, to): pass\n"
+              "class C:\n"
+              "    def fill(self, times=1): pass\n"
+              "class D:\n"
+              "    def fill(self, value, mode='x'): pass\n")
+    calls = _calls([source, "a.validate()\nb.validate(h, g)\n"
+                            "c.fill()\nd.fill(v, mode=m)\n"])
+    assert constant_defaults({"m": source}, calls) \
+        == ["m.A.validate.exactness", "m.C.fill.times"]
 
 
 def test_every_default_is_varied():

@@ -10,8 +10,9 @@ import textwrap
 
 import pytest
 
-from cubehom import ccx, memo, multirel, suites
+from cubehom import ccx, double, memo, multirel, suites
 from cubehom.cubes import CubeChain, boundary
+from cubehom.double import GluedCube
 from cubehom.multirel import (GeomView, LevelChain, MorphView, Tower,
                               check_xi_boundary, xi_apply, xi_K, xi_Kf)
 from cubehom.signs import divisions_into, sgn_division
@@ -299,3 +300,27 @@ def test_unsigned_cone_identification_fails_cor_2_16(monkeypatch):
         rep = multirel.check_cor_2_16(g, seeds, use_alt)
         assert not rep["ok"]
         assert set(rep["at"]) == {"m", "n", "degree", "entry", "value"}
+
+
+def test_misplaced_restriction_fails_double_extraction(monkeypatch):
+    # the extraction suite runs the restriction that build_t uses; this one
+    # reads the empty component from the largest subset of the level index
+    # (with k added); double.splitting then meets a fold image outside the
+    # span its build closed
+    def misplaced(view, I, k, cube):
+        index = view.level_index(set(I) | {k})
+        top = max(index, key=len)
+        return GluedCube(cube.n, {S: cube.comps[(S or top) | {k}]
+                                  for S in index})
+
+    runs = [({"seed": 0}, 15), ({"seed": 1}, 16),
+            ({"trials": 5, "r": 3, "seed": 0}, 5)]
+    for params, _ in runs:
+        assert suites.run_suite("double.extraction", **params)["ok"]
+    monkeypatch.setattr(double, "restrict", misplaced)
+    for params, failed in runs:
+        rep = suites.run_suite("double.extraction", **params)
+        assert not rep["ok"]
+        assert rep["counts"]["failed"] == failed
+    with pytest.raises(ValueError, match="chain leaves the generated span"):
+        suites.run_suite("double.splitting", seed=0)
