@@ -273,3 +273,132 @@ def test_solved_second_homotopy_digest():
     assert any(out)
     got = hashlib.sha256(json.dumps(out).encode()).hexdigest()
     assert got == THETA_DIGEST
+
+
+# -- basis-free matrix pins --------------------------------------------------
+#
+# The pins above hash positions, so they move with the order of a basis.
+# These write the same matrices of the alternating builds without
+# positions.  Every basis orbit is labelled by the least structural label
+# of its members (the SHA-256 of the member's degree, vertex dimensions,
+# Gram entries and arrow entries), and every basis vector Alt(R) is
+# re-expressed as +-Alt(L), L that least-labelled member, the sign read off
+# basis_chain.  An entry is keyed by the levels and labels of its row and
+# column, so a signed reordering of a basis leaves the digest in place.
+
+def _structure(cube):
+    if hasattr(cube, "comps"):  # a glued cube of the double
+        return [cube.n, sorted([sorted(S), _structure(c)]
+                               for S, c in cube.comps.items())]
+
+    def mat(m):
+        return [m.rows, m.cols, sorted([r, c, str(v)] for (r, c), v in m.items())]
+    return [cube.n,
+            [[o.dim, None if o.gram is None else mat(o.gram)]
+             for o in cube.vertices],
+            [mat(a) for a in cube.arrows]]
+
+
+def _basis_labels(model, m, k, labels):
+    """(level, orbit label, sign) per position of the index-m chain group
+    in degree k, the sign that of Alt(L) in the basis vector."""
+    out = []
+    offsets, _ = model.layout(m, k)
+    for lvl in offsets:
+        for j in range(model.dim(lvl, k)):
+            chain = model.basis_chain(lvl, k, j)
+            for cube in chain.terms:
+                if cube not in labels:
+                    labels[cube] = hashlib.sha256(json.dumps(
+                        _structure(cube)).encode()).hexdigest()
+            least = min(chain.terms, key=labels.__getitem__)
+            out.append((sorted(lvl), labels[least],
+                        1 if chain.terms[least] > 0 else -1))
+    return out
+
+
+def _record_basis_free(monkeypatch):
+    calls, labels = [], {}
+
+    def entries(comps, rows_of, cols_of):
+        out = []
+        for (m, n), per in comps.items():
+            for k, mat in per.items():
+                rows, cols = rows_of(m, n, k), cols_of(m, n, k)
+                out.append([m, n, k, mat.rows, mat.cols, sorted(
+                    [rows[r][:2], cols[c][:2], str(v * rows[r][2] * cols[c][2])]
+                    for (r, c), v in mat.items())])
+        return sorted(out)
+
+    real_op, real_id = multirel.materialize_operator, multirel.cone_identification
+
+    def materialize_operator(src_model, dst_model, op, reach):
+        out = real_op(src_model, dst_model, op, reach)
+        calls.append(entries(
+            out,
+            lambda m, n, k: _basis_labels(dst_model, n, k + n - m + reach,
+                                          labels),
+            lambda m, n, k: _basis_labels(src_model, m, k, labels)))
+        return out
+
+    def cone_identification(parts, model_a, model_b, model, cc, mark):
+        out = real_id(parts, model_a, model_b, model, cc, mark)
+        calls.append(entries(
+            out.comps,
+            lambda m, n, k: _basis_labels(model, m, k, labels),
+            lambda m, n, k: [(["A"] + lab, h, s) for lab, h, s
+                             in _basis_labels(model_a, m, k, labels)]
+            + [(["B"] + lab, h, s) for lab, h, s
+               in (_basis_labels(model_b, m - 1, k, labels) if m else [])]))
+        return out
+
+    for mod in (multirel, double):
+        monkeypatch.setattr(mod, "materialize_operator", materialize_operator)
+        monkeypatch.setattr(mod, "cone_identification", cone_identification)
+    return calls
+
+
+BASIS_FREE_DIGESTS = {
+    "buildt-alt":
+        "58c2df06f68d180b060df844beab45cd72fa77140576db98ed1ba7c042a641c1",
+    "ccomplex-alt":
+        "b3ef5e6ad85374ebd8894de1131bea76909e6b0df83cb9d608129fd336680113",
+    "cor216-alt":
+        "7935d7655d592d275a94ccbeed112003616ad826f0a8b97aca926e4549e0b555",
+    "homotopy-alt":
+        "96b8a1a0386484b6a955b6c63463a85330acb1dbef04a975ad7867cb84e0f647",
+    "pullback-alt":
+        "84578adb4b45be246d9c07073586c05e5550f1c5cf5c76dc85638df848cc2dce",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_FREE_DIGESTS))
+def test_basis_free_matrix_digest(monkeypatch, name):
+    calls = _record_basis_free(monkeypatch)
+    _build(name)
+    assert calls
+    got = hashlib.sha256(json.dumps(calls).encode()).hexdigest()
+    assert got == BASIS_FREE_DIGESTS[name]
+
+
+# -- r = 4 report pins -------------------------------------------------------
+#
+# The pins above run r <= 3.  These two reports exercise the alternating
+# spans at r = 4 (ROADMAP item 11): SHA-256 of json.dumps(report,
+# sort_keys=True) for run_suite(name, **params).
+
+R4_DIGESTS = {
+    "multirel.alternating": ({"r": 4, "trials": 3, "seed": 0},
+        "1365e65c3b62ce4c3006e82bf83cda9758c67ab2497bdde525dd27f0a2de2ee4"),
+    "multirel.cone-identification": ({"r": 4, "seed": 0},
+        "732b90e96e328b9a2422b88d5b927f898a06c81bcf84ea3aa8892be334fe3ed4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(R4_DIGESTS))
+def test_r4_report_digest(name):
+    params, digest = R4_DIGESTS[name]
+    report = run_suite(name, **params)
+    assert report["ok"]
+    got = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert got == digest
