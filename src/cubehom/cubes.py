@@ -4,11 +4,12 @@ An exact n-cube is a functor {-1,0,1}^n -> (MetObj, rational matrices)
 whose edges are all short exact sequences.  The chain groups are formal
 Q-linear combinations of such cubes (``exactlin.FormalSum``), normalized
 by dropping degenerate summands.  This module carries faces,
-degeneracies, the boundary, the symmetric-group action and the Alt
-projector, tensor products, the duplication construction rho with its
-two contracting homotopies, the exact functors of the geometry models
-(the identity and tensoring by a fixed object), composite pullback cubes
-along words of morphisms, and the bracket cubes of isomorphism chains.
+degeneracies, the boundary, the symmetric-group action with its
+run-scoped orbit table (``orbit``) and the Alt projector read off it,
+tensor products, the duplication construction rho with its two
+contracting homotopies, the exact functors of the geometry models (the
+identity and tensoring by a fixed object), composite pullback cubes along
+words of morphisms, and the bracket cubes of isomorphism chains.
 
 Degeneracies, rho and tensor products are assembled by ``_assemble`` from
 a vertex rule and a rule for its nonzero arrows; composite pullbacks and
@@ -438,7 +439,13 @@ def act_sym(sigma, cube: ExactCube) -> ExactCube:
         _SYM_TABLE_CACHE[(n, sigma)] = tab
     if all(sigma[i] == i + 1 for i in range(n)):
         return cube
-    return _remap(cube, n, tab)
+    out = _remap(cube, n, tab)
+    # sigma F is zero or degenerate exactly when F is
+    if out._zero is None:
+        _set(out, "_zero", cube._zero)
+    if out._degen is None:
+        _set(out, "_degen", cube._degen)
+    return out
 
 
 def transposition(n: int, p: int):
@@ -542,11 +549,19 @@ class CubeChain(FormalSum):
         """Linear extension of a cube-level map F -> CubeChain (or cube)
         into degree ``degree``; an image term of another degree raises
         ValueError.  A single cube of coefficient 1 whose image is a chain
-        of that degree gives that chain itself."""
+        of that degree gives that chain itself, and one whose image is a
+        normal cube of that degree gives the one-term chain of it."""
         pairs = [(fn(cube), c) for cube, c in self.terms.items()]
-        if len(pairs) == 1 and pairs[0][1] == 1 and \
-                type(pairs[0][0]) is CubeChain and pairs[0][0].degree == degree:
-            return pairs[0][0]
+        if len(pairs) == 1 and pairs[0][1] == 1:
+            img = pairs[0][0]
+            if type(img) is CubeChain:
+                if img.degree == degree:
+                    return img
+            elif img.n == degree and not (img.is_zero_cube()
+                                          or img.is_degenerate()):
+                out = CubeChain(degree)
+                out.terms[img] = 1
+                return out
         return CubeChain(degree, linear_terms(pairs, lambda img: img))
 
     def __repr__(self):
@@ -587,19 +602,57 @@ def boundary_partial(chain: CubeChain, axes) -> CubeChain:
         for pos, j in enumerate(axes, start=1) for i in (-1, 0, 1)])
 
 
+class Orbit:
+    """The orbit of a cube under the axis action of the symmetric group.
+
+    ``sign`` maps each member, in the order the action produces them from
+    the first member asked for, to the sign of a permutation taking that
+    first member to it.  ``killed`` is set when an odd permutation fixes a
+    member: Alt then vanishes on the whole orbit, and the signs mean
+    nothing.  Otherwise Alt(G) = sign[G] sign[H] Alt(H) for members G, H,
+    and Alt(G) has coefficient sign[G] sign[H] / len(sign) at H."""
+
+    __slots__ = ("sign", "killed")
+
+    def __init__(self, sign: dict, killed: bool):
+        self.sign = sign
+        self.killed = killed
+
+
+_ORBIT_CACHE = memo.table("cubes.orbit")
+
+
+def orbit(cube) -> Orbit:
+    """The orbit record of ``cube`` (an exact or a glued cube), one record
+    shared by all members for the run."""
+    out = _ORBIT_CACHE.get(cube)
+    if out is None:
+        sign, killed = {}, False
+        for sigma in permutations(range(1, cube.n + 1)):
+            s = perm_sign(sigma)
+            if sign.setdefault(cube.act(sigma), s) != s:
+                killed = True
+        out = Orbit(sign, killed)
+        _ORBIT_CACHE.update(dict.fromkeys(sign, out))
+    return out
+
+
 _ALT_CACHE = memo.table("cubes.alt")
 
 
 def alt_cube(cube: ExactCube):
-    """Alt of one cube: the cube itself in degree <= 1, else a chain."""
+    """Alt of one cube: the cube itself in degree <= 1, else the chain
+    read off its orbit record."""
     if cube.n <= 1:
         return cube
     out = _ALT_CACHE.get(cube)
     if out is None:
-        perms = list(permutations(range(1, cube.n + 1)))
-        coeff = Fraction(1, len(perms))
-        out = CubeChain(cube.n, [(cube.act(sigma), coeff * perm_sign(sigma))
-                                 for sigma in perms])
+        orb = orbit(cube)
+        out = CubeChain(cube.n)
+        if not orb.killed:
+            s, size = orb.sign[cube], len(orb.sign)
+            out = CubeChain(cube.n, [(g, Fraction(s * t, size))
+                                     for g, t in orb.sign.items()])
         _ALT_CACHE[cube] = out
     return out
 

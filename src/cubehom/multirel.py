@@ -27,7 +27,7 @@ from itertools import (combinations, combinations_with_replacement,
 from . import ccx, memo
 from .cubes import (CubeChain, ExactCube, ExactFunctor, PullbackWord, act_sym,
                     alt, alt_cube, boundary, boundary_cube, composite_pullback,
-                    transposition)
+                    orbit, transposition)
 from .exactlin import FormalSum, MetObj, RatMatrix, _collect, times
 from .signs import divisions_into, perm_sign, sgn_division
 
@@ -244,25 +244,33 @@ def prepared_xi_words(views, K, I) -> tuple:
 _XI_IMAGE_CACHE = memo.table("multirel.xi_images")
 
 
-def xi_apply(views, K, I, x: CubeChain) -> CubeChain:
-    """Xi_{K,f_1..f_t}(x): the signed sum of the pullbacks of x along the
-    words of xi_words; raises degree by |K| + t - 1.  Each cube's image is
-    built once per run and kept in a dict per prepared-words key, as a
-    chain or, if it is one cube with coefficient 1 (most are), that cube."""
+def xi_image(views, K, I):
+    """The map of a cube of level I to its Xi_{K,f_1..f_t} image, the
+    signed sum of its pullbacks along the words of xi_words, of degree
+    raised by |K| + t - 1.  Each image is built once per run and kept in a
+    dict per prepared-words key, as a chain or, if it is one cube with
+    coefficient 1 (most are), that cube."""
     key = (*[v.key for v in views], *sorted(K), frozenset(I))
-    deg = x.degree + len(K) + len(views) // 2 - 1
     images = _XI_IMAGE_CACHE.setdefault(key, {})
+    shift = len(K) + len(views) // 2 - 1
 
     def image(cube):
         img = images.get(cube)
         if img is None:
-            img = CubeChain(deg, [(composite_pullback(word, cube), sgn)
-                                  for sgn, word in prepared_xi_words(views, K, I)])
+            img = CubeChain(cube.n + shift,
+                            [(composite_pullback(word, cube), sgn)
+                             for sgn, word in prepared_xi_words(views, K, I)])
             if list(img.terms.values()) == [1]:
                 img = next(iter(img.terms))
             images[cube] = img
         return img
-    return x.map_cubes(image, deg)
+    return image
+
+
+def xi_apply(views, K, I, x: CubeChain) -> CubeChain:
+    """Xi_{K,f_1..f_t}(x), the linear extension of ``xi_image``."""
+    deg = x.degree + len(K) + len(views) // 2 - 1
+    return x.map_cubes(xi_image(views, K, I), deg)
 
 
 def xi_K(g: GeomView, K, I, x: CubeChain) -> CubeChain:
@@ -465,12 +473,14 @@ class Span:
         self.index = {}
 
     def add(self, level, cube) -> bool:
+        key = (frozenset(level), cube.n)
+        idx = self.index.get(key)
+        if idx is not None and cube in idx:
+            return False
         if cube.is_zero_cube() or cube.is_degenerate():
             return False
-        key = (frozenset(level), cube.n)
-        idx = self.index.setdefault(key, {})
-        if cube in idx:
-            return False
+        if idx is None:
+            idx = self.index[key] = {}
         idx[cube] = len(idx)
         return True
 
@@ -479,41 +489,58 @@ class Span:
 
 
 def close_span_generic(seeds, expand, sym: bool) -> Span:
-    """Close seeds under faces, an expansion rule, and optionally the
-    symmetric-group action."""
+    """Close seeds under faces, an expansion rule ``expand(level, cube)``
+    of (level, cube) pairs, and optionally the symmetric-group action.
+
+    With ``sym`` the closure runs on orbits (``cubes.orbit``; a cube of
+    degree at most 1 is its own orbit): of a popped cube whose orbit is
+    not done at its level, the member first in span order (the
+    representative of ``MatrixModel``) has its faces and ``expand`` images
+    added and the new ones queued; then every member is added, unqueued.
+    This requires an equivariant ``expand``, each image of sigma x in the
+    orbit, at the same level, of an image of x, as faces are."""
     span = Span()
     queue = []
+    done = set()
     for level, cube in seeds:
         if span.add(level, cube):
             queue.append((frozenset(level), cube))
     while queue:
         level, cube = queue.pop()
-        new = []
-        for c2 in boundary_cube(cube).terms:
-            new.append((level, c2))
+        members = ()
+        if sym and cube.n > 1:
+            orb = orbit(cube)
+            if (level, orb) in done:
+                continue
+            done.add((level, orb))
+            members = orb.sign
+            idx = span.index[(level, cube.n)]
+            cube = min([g for g in members if g in idx], key=idx.__getitem__)
+        new = [(level, c2) for c2 in boundary_cube(cube).terms]
         new.extend(expand(level, cube))
-        if sym:
-            for sigma in permutations(range(1, cube.n + 1)):
-                new.append((level, cube.act(sigma)))
         for lvl, c2 in new:
             if span.add(lvl, c2):
                 queue.append((frozenset(lvl), c2))
+        for g in members:
+            span.add(level, g)
     return span
 
 
 class MatrixModel:
     """A multi-relative C-complex materialized as matrices on a span.
 
-    Every (level, degree) of the span has a list of basis chains, and every
-    span cube in a basis chain has its position in that list.  On a plain
-    span the basis chains are the span cubes, in span order.  In the
-    alternating mode they are Alt of the first cube, in span order, of
-    each symmetric-group orbit that Alt does not kill: Alt(sigma F) =
-    sgn(sigma) Alt(F) and distinct orbits have disjoint supports, so these
-    chains are a basis of the alternating chains on the span, and such a
-    chain with coefficient y_G at a cube G has coordinate y_G / a_G, for
-    a_G the coefficient of G in its basis chain.  ``g`` only needs a
-    ``marks`` attribute.
+    Every (level, degree) of the span has one representative per basis
+    vector, and every span cube with a basis position stores one int: the
+    position p for sign +1, or ~p for sign -1.  On a plain span the
+    representatives are the span cubes, in span order, and the basis
+    vectors are those cubes.  In the alternating mode the representative R
+    of each symmetric-group orbit that Alt does not kill is its first
+    member in span order, and the basis vector is Alt(R); each member G
+    has R's position and the sign s, read off ``cubes.orbit``, with
+    Alt(G) = s Alt(R).  Distinct orbits have disjoint supports, so these
+    are a basis of the alternating chains on the span.  Members of killed
+    orbits have no position; a cube of degree at most 1 is its own orbit.
+    ``g`` only needs a ``marks`` attribute.
     """
 
     def __init__(self, g, span: Span, use_alt: bool):
@@ -523,26 +550,36 @@ class MatrixModel:
         self._layouts = {}
         self._bases = {}
         for key, cubes in span.items():
-            place, chains = {}, []
+            idx = span.index[key]
+            # place: cube -> p, ~p or None (killed); sizes: orbit sizes
+            place, reps, sizes = {}, [], []
             for cube in cubes:
                 if cube in place:
                     continue
-                chain = CubeChain.of(cube)
-                if use_alt:
-                    chain = alt(chain)
-                if not chain.terms.keys() <= span.index[key].keys():
+                if not use_alt or cube.n <= 1:
+                    place[cube] = len(reps)
+                    reps.append(CubeChain.of(cube))
+                    sizes.append(1)
+                    continue
+                orb = orbit(cube)
+                if not orb.sign.keys() <= idx.keys():
                     raise ValueError("span not closed under the symmetric action")
-                for other in chain.terms:
-                    place[other] = len(chains)
-                if chain.terms:
-                    chains.append(chain)
-            self._bases[key] = (place, chains)
+                if orb.killed:
+                    place.update(dict.fromkeys(orb.sign))
+                    continue
+                pos, s_rep = len(reps), orb.sign[cube]
+                for member, s in orb.sign.items():
+                    place[member] = pos if s == s_rep else ~pos
+                reps.append(CubeChain.of(cube))
+                sizes.append(len(orb.sign))
+            self._bases[key] = (place, reps, sizes)
 
-    def _chains(self, level, degree) -> list:
-        return self._bases.get((frozenset(level), degree), ({}, []))[1]
+    def _reps(self, level, degree) -> list:
+        # the representatives in basis order, as one-term chains
+        return self._bases.get((frozenset(level), degree), ({}, [], []))[1]
 
     def dim(self, level, degree) -> int:
-        return len(self._chains(level, degree))
+        return len(self._reps(level, degree))
 
     def layout(self, m: int, k: int):
         """(offsets, dim) of the index-m chain group in degree k: the
@@ -558,46 +595,75 @@ class MatrixModel:
             got = self._layouts[(m, k)] = (offsets, dim)
         return got
 
-    def coords(self, level, chain: CubeChain):
-        """Coordinates of a chain in the basis of its level and degree;
-        raises unless the chain lies in the span of the basis chains."""
+    def coords(self, level, chain: CubeChain, alternate: bool = False):
+        """Coordinates of a chain in the basis of its level and degree.
+
+        Plainly the chain must lie in the span of the basis vectors: a
+        coefficient c at a member of sign s gives the coordinate c s |orbit|
+        (Alt(R) has coefficient s / |orbit| there), the same for every
+        member.  With ``alternate`` (on an alternating model) they are the
+        coordinates of Alt(chain), the sum of c s at each position; a cube
+        without a position must lie in a killed orbit or in an orbit whose
+        signed sum in the chain cancels."""
         key = (frozenset(level), chain.degree)
-        place, chains = self._bases.get(key, ({}, []))
+        place, _, sizes = self._bases.get(key, ({}, [], []))
         x = {}
+        if alternate:
+            outside = {}
+            for cube, c in chain.terms.items():
+                pos = place.get(cube)
+                if pos is None:
+                    orb = orbit(cube)
+                    if not orb.killed:
+                        outside[orb] = outside.get(orb, 0) + times(
+                            orb.sign[cube], c)
+                    continue
+                if pos < 0:
+                    pos, c = ~pos, -c
+                x[pos] = x.get(pos, 0) + c
+            if any(outside.values()):
+                raise ValueError("chain leaves the generated span")
+            return {pos: v for pos, v in x.items() if v}
         for cube, c in chain.terms.items():
             pos = place.get(cube)
             if pos is None:
                 if cube not in self.span.index.get(key, ()):
                     raise ValueError("chain leaves the generated span")
                 raise ValueError("chain not in the alternating subspace")
-            # a is 1 or an Alt coefficient, a Fraction: c / a is exact
-            a = chains[pos].terms[cube]
-            v = c if a == 1 else c / a
-            # every cube of one basis chain must give the same ratio
+            if pos < 0:
+                pos, c = ~pos, -c
+            v = times(sizes[pos], c)
+            # every cube of one basis vector must give the same coordinate
             w = x.setdefault(pos, v)
             if w is not v and w != v:
                 raise ValueError("chain not in the alternating subspace")
-        # no cube of a basis chain that the chain meets may be missing
-        if sum([len(chains[pos].terms) for pos in x]) != len(chain.terms):
+        # no cube of a basis vector that the chain meets may be missing
+        if sum([sizes[pos] for pos in x]) != len(chain.terms):
             raise ValueError("chain not in the alternating subspace")
         return x
 
     def basis_chain(self, level, degree, pos) -> CubeChain:
-        return self._chains(level, degree)[pos]
+        """The basis vector at a position: its representative R, or Alt(R)
+        in the alternating mode."""
+        rep = self._reps(level, degree)[pos]
+        return alt(rep) if self.use_alt else rep
 
 
 def closed_model(g: GeomView, seeds, use_alt: bool = False) -> MatrixModel:
     """The matrix model on the span of the seed cubes closed under faces and
     all embedding pullbacks of g, and in the alternating mode also under
     the axis action of the symmetric groups, which the orbit bases
-    need."""
+    need.  The Xi images commute with that action, so the alternating
+    closure may expand one member per orbit."""
     def expand(level, cube):
-        # xi_apply keeps each image, which materialization reads again
-        x, out = CubeChain.of(cube), []
+        # xi_image keeps each image, which materialization reads again
+        out = []
         others = [k for k in g.marks if k not in level]
         for size in range(1, len(others) + 1):
             for K in combinations(others, size):
-                out += [(level | set(K), c2) for c2 in xi_K(g, K, level, x).terms]
+                J, img = level.union(K), xi_image([g], K, level)(cube)
+                out += ([(J, c2) for c2 in img.terms]
+                        if type(img) is CubeChain else [(J, img)])
         return out
 
     return MatrixModel(g, close_span_generic(seeds, expand, sym=use_alt),
@@ -648,14 +714,17 @@ def materialize_operator(src_model: MatrixModel, dst_model: MatrixModel,
     """Components of a levelwise operator family as ccx-style matrices.
 
     ``op(m, n, x)`` is a levelwise operator, read in its column form (see
-    ``levelwise``) on the source basis chains: each image goes through the
-    destination's ``coords`` and is multiplied by its coefficient as it is
-    written.  ``reach`` is that of ccx.CFamily (0 a map, 1 a homotopy), or
-    -1 for a C-complex's d and F: the (m, n) component, for n >= m -
-    max(reach, 0), takes degree k to k + n - m + reach.  Images are
-    alternated when dst_model alternates, except a C-complex's own
-    boundary images: Alt is a chain map, so those are alternating
-    already."""
+    ``levelwise``) on the source representatives: each image goes through
+    the destination's ``coords`` and is multiplied by its coefficient as
+    it is written.  ``reach`` is that of ccx.CFamily (0 a map, 1 a
+    homotopy), or -1 for a C-complex's d and F: the (m, n) component, for
+    n >= m - max(reach, 0), takes degree k to k + n - m + reach.  When
+    dst_model alternates, an image is read as Alt(image), and no Alt chain
+    is built: every operator here commutes with the axis action, so
+    Alt op Alt(R) = Alt op R.  An alternating source needs an alternating
+    destination."""
+    if src_model.use_alt and not dst_model.use_alt:
+        raise ValueError("an alternating source needs an alternating destination")
     r = len(src_model.g.marks)
     comps = {}
     if not src_model.span.index:
@@ -664,7 +733,7 @@ def materialize_operator(src_model: MatrixModel, dst_model: MatrixModel,
 
     def write(item, J, coef, img):
         ent, row_off, col = item
-        for pos, v in dst_model.coords(J, img).items():
+        for pos, v in dst_model.coords(J, img, dst_model.use_alt).items():
             ent[(row_off[J] + pos, col)] = times(v, coef)
 
     for m in range(r + 1):
@@ -678,11 +747,10 @@ def materialize_operator(src_model: MatrixModel, dst_model: MatrixModel,
                     blocks[k] = (rows, cols, ent)
                     for lvl, col in col_off.items():
                         chains.setdefault(lvl, []).extend(
-                            ((ent, row_off, col + j), chain) for j, chain
-                            in enumerate(src_model._chains(lvl, k)))
+                            ((ent, row_off, col + j), rep)
+                            for j, rep in enumerate(src_model._reps(lvl, k)))
 
-            alternate = dst_model.use_alt and (n, reach) != (m, -1)
-            op(m, n, (chains, alternate, write))
+            op(m, n, (chains, False, write))
             per = {}
             for k, (rows, cols, ent) in blocks.items():
                 mat = RatMatrix(rows, cols, ent)
@@ -695,16 +763,18 @@ def materialize_operator(src_model: MatrixModel, dst_model: MatrixModel,
 
 def _op_image_seeds(model: MatrixModel, op, reach: int):
     """Seed cubes for a destination span: every cube of every component
-    image of the model's span cubes under a levelwise operator family of
-    this reach, the images alternated when the model alternates; in span
-    order, then by n, K and image order."""
+    image of the model's representatives under a levelwise operator family
+    of this reach, the images alternated when the model alternates; in
+    span order, then by n, K and image order.  An alternating model's
+    other span cubes add no cube: Alt op(sigma R) = sgn(sigma) Alt op R,
+    and Alt op R = 0 when Alt kills R."""
     r = len(model.g.marks)
     images, chains = [], {}
-    for (level, _), cubes in model.span.items():
-        for cube in cubes:
+    for level, degree in model.span.index:
+        for rep in model._reps(level, degree):
             images.append([])
             chains.setdefault(len(level), {}).setdefault(level, []).append(
-                (images[-1], CubeChain.of(cube)))
+                (images[-1], rep))
 
     def write(out, J, _, img):
         out.extend([(J, cube) for cube in img.terms])

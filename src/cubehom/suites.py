@@ -656,7 +656,7 @@ def _run_absorb(rng, trials, r, seed, **_):
           "the multi-relative complex coincides with the cone of the last "
           "restriction map after the sign twist on the levels containing "
           "the last mark",
-          trials=10, r=3, seed=0)
+          trials=10, r=3, seed=0, least={"r": 1})
 def _run_cor216(rng, trials, r, seed, **_):
     for t in range(trials):
         rr = rng.randint(2, r) if r >= 2 else 1

@@ -1,14 +1,16 @@
 """Shared random generators for the test suite (package re-exports), the
 check of the stored form of a matrix, small builders and readers of
-matrices and cubes that only the tests use, and the chain-form oracle of
-``multirel.materialize_operator``."""
+matrices and cubes that only the tests use, the chain-form oracle of
+``multirel.materialize_operator``, and the every-member oracle of
+``multirel.close_span_generic`` with the equivariance check it rests on."""
 
 import math
 from fractions import Fraction
+from itertools import permutations
 
-from cubehom.cubes import ExactCube, arrow_keys, vertex_indices
+from cubehom.cubes import ExactCube, arrow_keys, boundary_cube, vertex_indices
 from cubehom.exactlin import RatMatrix, ZERO_OBJ, rat_str
-from cubehom.multirel import LevelChain
+from cubehom.multirel import LevelChain, Span
 from cubehom.rand import (rnd_chain_complex, rnd_cmap, rnd_ccomplex, rnd_cube,
                           rnd_fraction, rnd_gram, rnd_homotopy_comps,
                           rnd_invertible, rnd_matrix, rnd_metobj,
@@ -20,6 +22,7 @@ __all__ = [
     "rnd_invertible", "rnd_matrix", "rnd_metobj", "rnd_one_cube",
     "rnd_retraction", "normal", "cube_parts", "from_rows", "to_dense",
     "to_json_obj", "zero_cube", "chain_form_components",
+    "close_span_every_member", "equivariance_witness",
 ]
 
 
@@ -110,3 +113,40 @@ def chain_form_components(src_model, dst_model, op, reach):
             if per:
                 comps[(m, n)] = per
     return comps
+
+
+def close_span_every_member(seeds, expand, sym):
+    """The span closure that expands every span cube: its faces, its
+    ``expand`` images and, with ``sym``, its images under every axis
+    permutation; the oracle of ``multirel.close_span_generic``."""
+    span = Span()
+    queue = []
+    for level, cube in seeds:
+        if span.add(level, cube):
+            queue.append((frozenset(level), cube))
+    while queue:
+        level, cube = queue.pop()
+        new = [(level, c2) for c2 in boundary_cube(cube).terms]
+        new.extend(expand(level, cube))
+        if sym:
+            new.extend((level, cube.act(sigma))
+                       for sigma in permutations(range(1, cube.n + 1)))
+        for lvl, c2 in new:
+            if span.add(lvl, c2):
+                queue.append((frozenset(lvl), c2))
+    return span
+
+
+def equivariance_witness(expand, level, cube):
+    """None if every image of sigma(cube) under ``expand`` lies in the
+    orbit, at the same level, of an image of ``cube``, for every axis
+    permutation sigma; else the first (sigma, level, image) that does
+    not."""
+    orbits = {(frozenset(lvl), img.act(tau))
+              for lvl, img in expand(level, cube)
+              for tau in permutations(range(1, img.n + 1))}
+    for sigma in permutations(range(1, cube.n + 1)):
+        for lvl, img in expand(level, cube.act(sigma)):
+            if (frozenset(lvl), img) not in orbits:
+                return sigma, lvl, img
+    return None

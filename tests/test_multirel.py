@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cubehom import ccx
-from cubehom.cubes import CubeChain, act_sym, alt, transposition
+from cubehom.cubes import CubeChain, act_sym, alt, boundary, transposition
 from cubehom.exactlin import RatMatrix
 from cubehom.multirel import (GeomView, MorphView, Tower, build_ccomplex,
                               build_homotopy, build_pullback,
@@ -15,7 +15,8 @@ from cubehom.multirel import (GeomView, MorphView, Tower, build_ccomplex,
                               check_xi_boundary, identity_word_cube,
                               LevelChain, op_F, op_homotopy, op_pullback,
                               restriction_morphism, xi_K, xi_Kf)
-from helpers import chain_form_components, rnd_cube
+from helpers import (chain_form_components, close_span_every_member,
+                     equivariance_witness, rnd_cube)
 
 
 def geometry(r, seed=5, schemes=1, alias=None):
@@ -474,6 +475,216 @@ def test_alt_coords_reject_a_cube_that_alt_kills():
                               sym=False)
     with pytest.raises(ValueError, match="not closed under the symmetric"):
         MatrixModel(X0, bare, use_alt=True)
+
+
+# -- the span closure against expanding every member --------------------------
+
+ALT_BUILDS = ("ccomplex-alt", "homotopy-alt", "pullback-alt", "cor216-alt",
+              "buildt-alt")
+
+
+def _recorded_closures(monkeypatch, r4=True):
+    """(seeds, expand, sym) of every span closure of the alternating
+    builds of the matrix pins, and of an alternating r = 4 model."""
+    from cubehom import double, multirel
+    from test_report_digests import _build
+    calls = []
+    real = multirel.close_span_generic
+
+    def record(seeds, expand, sym):
+        seeds = list(seeds)
+        calls.append((seeds, expand, sym))
+        return real(seeds, expand, sym)
+
+    for mod in (multirel, double):
+        monkeypatch.setattr(mod, "close_span_generic", record)
+    for name in ALT_BUILDS:
+        _build(name)
+    if r4:
+        _, (g,) = geometry(4, seed=61)
+        multirel.closed_model(g, [(frozenset(), rnd_cube(
+            random.Random(61), 1, with_gram=True))], use_alt=True)
+    monkeypatch.undo()
+    assert any(sym for *_, sym in calls)
+    return calls
+
+
+def _cube_sets(span):
+    return {key: set(idx) for key, idx in span.index.items()}
+
+
+def test_span_closure_matches_expanding_every_member(monkeypatch):
+    from cubehom.multirel import close_span_generic
+    for seeds, expand, sym in _recorded_closures(monkeypatch):
+        assert _cube_sets(close_span_generic(seeds, expand, sym)) == \
+            _cube_sets(close_span_every_member(seeds, expand, sym))
+
+
+def test_span_expansions_are_equivariant(monkeypatch):
+    # the closure expands one member per orbit, which is sound when the
+    # expansion of sigma x lies in the orbits of the expansion of x: so
+    # for closed_model's Xi images and double_spans' reindexers
+    checked = {}
+    for seeds, expand, sym in _recorded_closures(monkeypatch, r4=False):
+        if not sym:
+            continue
+        span = close_span_every_member(seeds, expand, sym)
+        owner = expand.__qualname__.split(".")[0]
+        for (level, degree), cubes in span.items():
+            for cube in cubes:
+                assert equivariance_witness(expand, level, cube) is None
+                checked[owner] = checked.get(owner, 0) + 1
+    assert set(checked) == {"closed_model", "double_spans"}, checked
+
+
+def test_equivariance_check_fails_a_non_equivariant_expansion():
+    square = rnd_cube(random.Random(63), 2, with_gram=True)
+
+    def first_axis_face(level, cube):
+        return [(level, cube.face(1, -1))] if cube.n == 2 else []
+
+    assert equivariance_witness(first_axis_face, frozenset(), square) \
+        is not None
+
+
+# -- the alternating coordinate reader ----------------------------------------
+
+def test_alternating_coords_read_alt_of_every_written_image(monkeypatch):
+    # materialization writes coords(J, img, True) for an alternating
+    # destination and builds no Alt chain; on every image it writes in the
+    # alternating builds those are the coordinates of alt(img)
+    from cubehom.multirel import MatrixModel
+    from test_report_digests import _build
+    seen = []
+    real = MatrixModel.coords
+
+    def record(self, level, chain, alternate=False):
+        got = real(self, level, chain, alternate)
+        if alternate:
+            seen.append((self, level, chain, got))
+        return got
+
+    monkeypatch.setattr(MatrixModel, "coords", record)
+    for name in ALT_BUILDS:
+        _build(name)
+    monkeypatch.undo()
+    assert any(got for *_, got in seen)
+    for model, level, chain, got in seen:
+        assert got == model.coords(level, alt(chain))
+
+
+def test_alternating_coords_cancel_an_orbit_outside_the_span():
+    # G + tau G, tau odd, has Alt zero: its coordinates are empty even
+    # though G's orbit lies outside the span; G alone leaves the span
+    from cubehom.cubes import orbit
+    from cubehom.multirel import MatrixModel, close_span_generic
+    rng = random.Random(65)
+    _, (g,) = geometry(2)
+    square, other = (rnd_cube(rng, 2, with_gram=True) for _ in range(2))
+    span = close_span_generic([(frozenset(), square)], lambda lvl, cu: [],
+                              sym=True)
+    model = MatrixModel(g, span, use_alt=True)
+    assert model.dim(frozenset(), 2) == 1
+    swapped = act_sym(transposition(2, 1), other)
+    assert swapped != other and not orbit(other).killed
+    assert other not in span.index[(frozenset(), 2)]
+    pair = CubeChain(2, [(other, 1), (swapped, 1)])
+    assert model.coords(frozenset(), pair, alternate=True) == {}
+    with pytest.raises(ValueError, match="chain leaves the generated span"):
+        model.coords(frozenset(), CubeChain.of(other), alternate=True)
+
+
+def _odd_seeded_reads(monkeypatch):
+    """The alternating reads of the structure maps from the model seeded
+    with tau F, tau an odd permutation, to the model seeded with F, which
+    holds the same cubes but takes the other representatives.  Returns the
+    number of reads whose coordinates differ from those of Alt(image),
+    and the number of image terms read at a member of sign -1."""
+    from cubehom import multirel
+    from cubehom.cubes import orbit
+    rng = random.Random(67)
+    _, (g,) = geometry(2, seed=11)
+    square = rnd_cube(rng, 2, with_gram=True)
+    swapped = act_sym(transposition(2, 1), square)
+    assert swapped != square and not orbit(square).killed
+    dst = multirel.closed_model(g, [(frozenset(), square)], use_alt=True)
+    src = multirel.closed_model(g, [(frozenset(), swapped)], use_alt=True)
+    seen = []
+    real = multirel.MatrixModel.coords
+
+    def record(self, level, chain, alternate=False):
+        got = real(self, level, chain, alternate)
+        if alternate:
+            seen.append((self, level, chain, got))
+        return got
+
+    def d_and_f(m, n, x):
+        # the boundaries and connecting maps of materialize_ccomplex
+        return op_F(g, m, n, x) if n != m else multirel.levelwise(
+            [g], m, m, x, lambda K, I, I_src, J, s, ch: (1, boundary(ch)))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(multirel.MatrixModel, "coords", record)
+        multirel.materialize_operator(src, dst, d_and_f, -1)
+    assert seen and all(model is dst for model, *_ in seen)
+    wrong = negative = 0
+    for model, level, chain, got in seen:
+        try:
+            wrong += got != model.coords(level, alt(chain))
+        except ValueError:
+            wrong += 1
+        place = model._bases[(frozenset(level), chain.degree)][0]
+        negative += sum(1 for cube in chain.terms
+                        if (place.get(cube) or 0) < 0)
+    return wrong, negative
+
+
+def test_alternating_reads_use_the_orbit_signs(monkeypatch):
+    # tau maps each image of F to the image of tau F, a member of sign -1
+    # of the destination's orbit: the written coordinates must still be
+    # those of Alt(image)
+    wrong, negative = _odd_seeded_reads(monkeypatch)
+    assert wrong == 0
+    assert negative > 0
+
+
+def test_unsigned_orbit_records_fail_the_alternating_reads(monkeypatch):
+    from cubehom import cubes, multirel
+    real = cubes.orbit
+    monkeypatch.setattr(multirel, "orbit", lambda cube: cubes.Orbit(
+        dict.fromkeys(real(cube).sign, 1), real(cube).killed))
+    wrong, _ = _odd_seeded_reads(monkeypatch)
+    assert wrong > 0
+
+
+def test_alternating_closure_expands_once_per_orbit(monkeypatch):
+    # counted work: one expand call per (level, orbit) of the closed span,
+    # where expanding every member made one per span cube
+    from cubehom import multirel
+    from cubehom.cubes import orbit
+    calls = []
+    real = multirel.close_span_generic
+
+    def counting(seeds, expand, sym):
+        def counted(level, cube):
+            calls.append((frozenset(level), cube))
+            return expand(level, cube)
+        return real(seeds, counted, sym)
+
+    monkeypatch.setattr(multirel, "close_span_generic", counting)
+    _, (g,) = geometry(3, seed=71)
+    seed = rnd_cube(random.Random(71), 1, with_gram=True)
+    model = multirel.closed_model(g, [(frozenset(), seed)], use_alt=True)
+
+    def orbit_of(level, cube):
+        return level, frozenset(orbit(cube).sign if cube.n > 1 else [cube])
+
+    orbits = {orbit_of(level, cube)
+              for (level, _), cubes in model.span.items() for cube in cubes}
+    cubes_in_span = sum(len(idx) for idx in model.span.index.values())
+    assert sorted(map(len, [calls, set(calls)])) == [len(orbits)] * 2
+    assert {orbit_of(level, cube) for level, cube in calls} == orbits
+    assert len(orbits) < cubes_in_span
 
 
 # -- the column form of materialize_operator against the chain form -------

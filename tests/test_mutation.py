@@ -10,7 +10,7 @@ import textwrap
 
 import pytest
 
-from cubehom import ccx, double, memo, multirel, suites
+from cubehom import ccx, cubes, double, memo, multirel, suites
 from cubehom.cubes import CubeChain, boundary
 from cubehom.double import GluedCube
 from cubehom.multirel import (GeomView, LevelChain, MorphView, Tower,
@@ -324,3 +324,28 @@ def test_misplaced_restriction_fails_double_extraction(monkeypatch):
         assert rep["counts"]["failed"] == failed
     with pytest.raises(ValueError, match="chain leaves the generated span"):
         suites.run_suite("double.splitting", seed=0)
+
+
+def test_unsigned_orbits_fail_alternation_and_the_alternating_suite(
+        monkeypatch):
+    # the orbit table gives each member the sign of a permutation reaching
+    # it, and finds the orbits Alt kills where two signs meet at one
+    # member.  With every sign +1 (so that no orbit is killed) Alt itself
+    # is wrong, which cubes.alternation sees; handed to the alternating
+    # models alone, such records make the alternating suite at its
+    # defaults fail or raise
+    assert suites.run_suite("cubes.alternation")["ok"]
+    assert suites.run_suite("multirel.alternating")["ok"]
+    unsigned = _mutant(cubes.orbit, "perm_sign(sigma)", "1")
+    with monkeypatch.context() as mp:
+        mp.setattr(cubes, "orbit", unsigned)
+        mp.setattr(multirel, "orbit", unsigned)
+        assert not suites.run_suite("cubes.alternation")["ok"]
+    real = cubes.orbit
+    monkeypatch.setattr(multirel, "orbit", lambda cube: cubes.Orbit(
+        dict.fromkeys(real(cube).sign, 1), False))
+    try:
+        rep = suites.run_suite("multirel.alternating")
+    except ValueError:
+        return
+    assert not rep["ok"]

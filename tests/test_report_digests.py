@@ -226,15 +226,15 @@ MATRIX_DIGESTS = {
     "ccomplex-plain":
         "a420c6044e7b79fdac65d8ff2495438f1bc33fdbc6b9725671445207c5903305",
     "ccomplex-alt":
-        "98433ff8056df2022fa3c53f6abf0b83322fae15b21cb28240fb5f8755aa435b",
+        "a420c6044e7b79fdac65d8ff2495438f1bc33fdbc6b9725671445207c5903305",
     "homotopy-plain":
         "eb18c123e9bd56441e2188cd27b518b3c3611d50d52b36aa534c752f72b9b47e",
     "homotopy-alt":
-        "45d5840049f51cd62a0cbfb15ca4bc9f7608965edd0f93ea5046aea8e098648a",
+        "eb18c123e9bd56441e2188cd27b518b3c3611d50d52b36aa534c752f72b9b47e",
     "pullback-alt":
-        "36c7de49ad84c7c44689a026261a232ffb24c42bbb14a2e1778076aeadc4bddf",
+        "0c0b84df60c63bd942ba351f060c70005715e48c5bb6a1bdb76ce7a5c4a85ec9",
     "cor216-alt":
-        "cc8761c6d33e13b9af74ca2c0bdbc4d47625b13e8a5952443079fe460d8868ad",
+        "f1444f460beed1b3a7a9b86f0c8a10719408d06825d93339bf6f03b625d20d05",
     "buildt-alt":
         "f52daba1ed277f09123efca81e2d581fb54b125c3cfd893a4f11a350bedf2c24",
 }
