@@ -723,8 +723,6 @@ def materialize_operator(src_model: MatrixModel, dst_model: MatrixModel,
     is built: every operator here commutes with the axis action, so
     Alt op Alt(R) = Alt op R.  An alternating source needs an alternating
     destination."""
-    if src_model.use_alt and not dst_model.use_alt:
-        raise ValueError("an alternating source needs an alternating destination")
     r = len(src_model.g.marks)
     comps = {}
     if not src_model.span.index:
