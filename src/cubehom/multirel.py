@@ -404,19 +404,19 @@ def levelwise(views, m: int, n: int, x, component):
     with J = K | I_src and sgn(K I_src; J); component(K, I, I_src, J, sgn,
     x_I) gives a coefficient and the unscaled image at J.  n < m gives
     zero.  A LevelChain x gives the image LevelChain; the column form
-    x = (chains, alternate, write) maps a level to (item, chain) pairs and
-    hands each image, under Alt if alternate, to write(item, J, coef, img)."""
+    x = (chains, write) maps a level to (item, chain) pairs and hands each
+    image to write(item, J, coef, img)."""
     if n < m:
         return LevelChain()
     out = {}
     if isinstance(x, LevelChain):
-        chains, alternate = {I: [(None, ch)] for I, ch in x.chains().items()}, False
+        chains = {I: [(None, ch)] for I, ch in x.chains().items()}
 
         def write(_, J, coef, img):
             _collect(out, (((J, cu), times(c, coef))
                            for cu, c in img.terms.items()))
     else:
-        chains, alternate, write = x
+        chains, write = x
     for I, items in chains.items():
         if len(I) != m:
             raise ValueError("element has a level of the wrong size")
@@ -432,7 +432,7 @@ def levelwise(views, m: int, n: int, x, component):
         for item, chain in items:
             for K, J, s in plan:
                 coef, img = component(K, I, I_src, J, s, chain)
-                write(item, J, coef, alt(img) if alternate else img)
+                write(item, J, coef, img)
     return LevelChain()._like(out)
 
 
@@ -748,7 +748,7 @@ def materialize_operator(src_model: MatrixModel, dst_model: MatrixModel,
                             ((ent, row_off, col + j), rep)
                             for j, rep in enumerate(src_model._reps(lvl, k)))
 
-            op(m, n, (chains, False, write))
+            op(m, n, (chains, write))
             per = {}
             for k, (rows, cols, ent) in blocks.items():
                 mat = RatMatrix(rows, cols, ent)
@@ -775,11 +775,12 @@ def _op_image_seeds(model: MatrixModel, op, reach: int):
                 (images[-1], rep))
 
     def write(out, J, _, img):
-        out.extend([(J, cube) for cube in img.terms])
+        out.extend([(J, cube) for cube in (alt(img) if model.use_alt
+                                           else img).terms])
 
     for m, per in chains.items():
         for n in range(max(m - reach, 0), r + 1):
-            op(m, n, (per, model.use_alt, write))
+            op(m, n, (per, write))
     return [seed for seeds in images for seed in seeds]
 
 
