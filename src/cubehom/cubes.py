@@ -4,8 +4,8 @@ An exact n-cube is a functor {-1,0,1}^n -> (MetObj, rational matrices)
 whose edges are all short exact sequences.  The chain groups are formal
 Q-linear combinations of such cubes (``exactlin.FormalSum``), normalized
 by dropping degenerate summands.  This module carries faces,
-degeneracies, the boundary, the symmetric-group action with its
-run-scoped orbit table (``orbit``) and the Alt projector read off it,
+degeneracies, the boundary, the symmetric-group action with the
+canonical member of each orbit (``canonical``) and the Alt projector,
 tensor products, the duplication construction rho with its two
 contracting homotopies, the exact functors of the geometry models (the
 identity and tensoring by a fixed object), composite pullback cubes along
@@ -31,12 +31,13 @@ work on positions through shape tables of integer positions.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import groupby, permutations, product
 from math import isqrt
 
 from . import memo
 from .exactlin import (FormalSum, MetObj, RatMatrix, ShortExact, ZERO_OBJ,
-                       is_invertible, is_short_exact, linear_terms, tensor_obj)
+                       _collect, is_invertible, is_short_exact, linear_terms,
+                       tensor_obj, times)
 from .signs import perm_sign
 
 
@@ -211,9 +212,6 @@ class ExactCube:
         """Whether the face (j, i) has only zero vertices; builds no face."""
         verts = self.vertices
         return not any(verts[p].dim for p in _face_table(self.n, j, i)[0])
-
-    def act(self, sigma) -> "ExactCube":
-        return act_sym(sigma, self)
 
     # -- structural checks -------------------------------------------
 
@@ -416,12 +414,8 @@ def degeneracy(cube: ExactCube, j: int, sign: int) -> ExactCube:
 _SYM_TABLE_CACHE = memo.shape_table("cubes.sym_table")
 
 
-def act_sym(sigma, cube: ExactCube) -> ExactCube:
-    """(sigma F)_{a_1..a_n} = F_{a_{sigma(1)},..,a_{sigma(n)}}.
-
-    ``sigma`` is a tuple with sigma[i-1] = sigma(i), 1-based values."""
-    n = cube.n
-    sigma = tuple(sigma)
+def _sym_table(n: int, sigma: tuple):
+    """The ``_remap`` table of the action of sigma on n-cubes."""
     tab = _SYM_TABLE_CACHE.get((n, sigma))
     if tab is None:
         if sorted(sigma) != list(range(1, n + 1)):
@@ -437,6 +431,16 @@ def act_sym(sigma, cube: ExactCube) -> ExactCube:
         tab = (tuple([vp[src(a)] for a in vp]),
                tuple([ak[(inv[k - 1], src(a))][0] for k, a in ak]))
         _SYM_TABLE_CACHE[(n, sigma)] = tab
+    return tab
+
+
+def act_sym(sigma, cube: ExactCube) -> ExactCube:
+    """(sigma F)_{a_1..a_n} = F_{a_{sigma(1)},..,a_{sigma(n)}}.
+
+    ``sigma`` is a tuple with sigma[i-1] = sigma(i), 1-based values."""
+    n = cube.n
+    sigma = tuple(sigma)
+    tab = _sym_table(n, sigma)
     if all(sigma[i] == i + 1 for i in range(n)):
         return cube
     out = _remap(cube, n, tab)
@@ -602,58 +606,92 @@ def boundary_partial(chain: CubeChain, axes) -> CubeChain:
         for pos, j in enumerate(axes, start=1) for i in (-1, 0, 1)])
 
 
-class Orbit:
-    """The orbit of a cube under the axis action of the symmetric group.
-
-    ``sign`` maps each member, in the order the action produces them from
-    the first member asked for, to the sign of a permutation taking that
-    first member to it.  ``killed`` is set when an odd permutation fixes a
-    member: Alt then vanishes on the whole orbit, and the signs mean
-    nothing.  Otherwise Alt(G) = sign[G] sign[H] Alt(H) for members G, H,
-    and Alt(G) has coefficient sign[G] sign[H] / len(sign) at H."""
-
-    __slots__ = ("sign", "killed")
-
-    def __init__(self, sign: dict, killed: bool):
-        self.sign = sign
-        self.killed = killed
+_CANONICAL_CACHE = memo.table("cubes.canonical")
 
 
-_ORBIT_CACHE = memo.table("cubes.orbit")
+def canonical(cube):
+    """(R, s): R the canonical member of the cube's orbit under the axis
+    action, and Alt(cube) = s Alt(R), with s = +-1, or 0 when Alt kills
+    the orbit.  A cube of degree at most 1 (an exact or a glued one) is
+    its own orbit.
 
-
-def orbit(cube) -> Orbit:
-    """The orbit record of ``cube`` (an exact or a glued cube), one record
-    shared by all members for the run."""
-    out = _ORBIT_CACHE.get(cube)
+    Axis j of an n-cube is keyed by its lines (``_axis_key``), which
+    permuting the other axes leaves unchanged.  The permutations that sort
+    the axes by key differ only inside groups of equal keys; of their
+    images the one of least ``_label`` is R, built alone, and s is the
+    sign of its permutation.  Two permutations of opposite sign giving R
+    mean that an odd permutation fixes the cube: s = 0.  Two distinct
+    cubes of one least label (a hash collision) raise ValueError.  Hashes
+    of ints and fractions, hence keys and labels, are the same in every
+    process."""
+    n = cube.n
+    if n <= 1:
+        return cube, 1
+    out = _CANONICAL_CACHE.get(cube)
     if out is None:
-        sign, killed = {}, False
-        for sigma in permutations(range(1, cube.n + 1)):
-            s = perm_sign(sigma)
-            if sign.setdefault(cube.act(sigma), s) != s:
-                killed = True
-        out = Orbit(sign, killed)
-        _ORBIT_CACHE.update(dict.fromkeys(sign, out))
+        vh = [o._hash for o in cube.vertices]
+        ah = [m._hash for m in cube.arrows]
+        keys = [_axis_key(vh, ah, n, j) for j in range(1, n + 1)]
+        groups = [tuple(g) for _, g in groupby(
+            sorted(range(n), key=keys.__getitem__), keys.__getitem__)]
+        # each ordering lists the axes by rank; sigma sends an axis to its rank
+        orders = [sum(p, ()) for p in product(*map(permutations, groups))]
+        sigmas = [tuple([o.index(i) + 1 for i in range(n)]) for o in orders]
+        if len(sigmas) > 1:
+            labels = [_label(vh, ah, _sym_table(n, sigma)) for sigma in sigmas]
+            least = min(labels)
+            sigmas = [sigma for sigma, lab in zip(sigmas, labels)
+                      if lab == least]
+        rep = act_sym(sigmas[0], cube)
+        s = perm_sign(sigmas[0])
+        for sigma in sigmas[1:]:
+            if act_sym(sigma, cube) is not rep:
+                raise ValueError("two members of one orbit share a label")
+            if perm_sign(sigma) != s:
+                s = 0
+        out = _CANONICAL_CACHE[cube] = (rep, s)
+        _CANONICAL_CACHE.setdefault(rep, (rep, 1 if s else 0))
     return out
+
+
+def _axis_key(vh: list, ah: list, n: int, j: int) -> list:
+    """The part hashes (vertices lo, mid, hi, arrows lo, mid) of the lines
+    along axis j, sorted."""
+    return sorted([(vh[lo], vh[mid], vh[hi], ah[alo], ah[amid])
+                   for lo, mid, hi, alo, amid in axis_lines(n, j)])
+
+
+def _label(vh: list, ah: list, tab) -> tuple:
+    """The part hashes of the permuted cube with position table ``tab``,
+    in canonical order; the cube is not built."""
+    return [vh[p] for p in tab[0]], [ah[p] for p in tab[1]]
+
+
+def canonical_terms(chain: CubeChain) -> dict:
+    """Alt(chain) as {R: coefficient} over canonical members R (Alt(G) =
+    s Alt(R) for G of coefficient c gives c s at R), zero sums dropped."""
+    pairs = []
+    for cube, c in chain.terms.items():
+        rep, s = canonical(cube)
+        pairs.append((rep, times(s, c)))
+    return _collect({}, pairs)
 
 
 _ALT_CACHE = memo.table("cubes.alt")
 
 
 def alt_cube(cube: ExactCube):
-    """Alt of one cube: the cube itself in degree <= 1, else the chain
-    read off its orbit record."""
-    if cube.n <= 1:
+    """Alt of one cube: the cube itself in degree <= 1, else the signed
+    sum over the symmetric group, (1/n!) sum sgn(sigma) sigma(cube)."""
+    n = cube.n
+    if n <= 1:
         return cube
     out = _ALT_CACHE.get(cube)
     if out is None:
-        orb = orbit(cube)
-        out = CubeChain(cube.n)
-        if not orb.killed:
-            s, size = orb.sign[cube], len(orb.sign)
-            out = CubeChain(cube.n, [(g, Fraction(s * t, size))
-                                     for g, t in orb.sign.items()])
-        _ALT_CACHE[cube] = out
+        perms = list(permutations(range(1, n + 1)))
+        out = _ALT_CACHE[cube] = CubeChain(n, [
+            (act_sym(sigma, cube), Fraction(perm_sign(sigma), len(perms)))
+            for sigma in perms])
     return out
 
 

@@ -87,9 +87,6 @@ class GluedCube:
     def is_zero_face(self, j: int, i: int) -> bool:
         return all(c.is_zero_face(j, i) for c in self.comps.values())
 
-    def act(self, sigma) -> "GluedCube":
-        return GluedCube(self.n, {s: c.act(sigma) for s, c in self.comps.items()})
-
 
 def _reindex(cube: GluedCube, index, src) -> GluedCube:
     """The glued cube with component cube.comps[src(S)] at each S of index."""
@@ -162,7 +159,8 @@ def double_op_F(view: DoubleGeometry, m: int, n: int,
 
 def double_spans(view: DoubleGeometry, seeds) -> Span:
     """Span of glued cubes for ``view``, closed under faces, all embedding
-    pullbacks, the fold composites, and the symmetric action."""
+    pullbacks and the fold composites.  The span alternates; its glued
+    cubes have degree at most 1, so each is its own orbit."""
     def expand(level, cube):
         out = [(frozenset(level) | {k}, restrict(view, level, k, cube))
                for k in view.marks if k not in level]
@@ -196,7 +194,7 @@ def build_t(geom: DoubleGeometry, seeds) -> dict:
     and the per-step models, all alternating.
     """
     view0 = DoubleGeometry(geom.r, 0)
-    model0 = MatrixModel(view0, double_spans(view0, seeds), use_alt=True)
+    model0 = MatrixModel(view0, double_spans(view0, seeds))
     models = [model0]
     cc0 = cc_a = materialize_ccomplex(model0, f_op=partial(double_op_F, view0))
     t_total = None
@@ -208,8 +206,7 @@ def build_t(geom: DoubleGeometry, seeds) -> dict:
         seeds_b = [(level, restrict(view_a, level, j, cube))
                    for (level, _), cubes in model0.span.items()
                    for cube in cubes]
-        model_b = MatrixModel(view_b, double_spans(view_b, seeds_b),
-                              use_alt=True)
+        model_b = MatrixModel(view_b, double_spans(view_b, seeds_b))
         cc_b = materialize_ccomplex(model_b, f_op=partial(double_op_F, view_b))
         op_iota = _diagonal_op(view_a,
                                lambda I, cu: restrict(view_a, I, j, cu))

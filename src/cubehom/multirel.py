@@ -26,8 +26,8 @@ from itertools import (combinations, combinations_with_replacement,
 
 from . import ccx, memo
 from .cubes import (CubeChain, ExactCube, ExactFunctor, PullbackWord, act_sym,
-                    alt, alt_cube, boundary, boundary_cube, composite_pullback,
-                    orbit, transposition)
+                    alt, alt_cube, boundary, boundary_cube, canonical,
+                    canonical_terms, composite_pullback, transposition)
 from .exactlin import FormalSum, MetObj, RatMatrix, _collect, times
 from .signs import divisions_into, perm_sign, sgn_division
 
@@ -466,117 +466,89 @@ def op_homotopy(f: MorphView, g: MorphView, m: int, n: int,
 
 class Span:
     """Ordered cube bases per (level, degree), closed under the requested
-    operators; the scaffolding for matrix C-complexes."""
+    operators; the scaffolding for matrix C-complexes.  An alternating
+    span (``sym``) holds canonical members of symmetric-group orbits only
+    (``cubes.canonical``)."""
 
-    def __init__(self):
+    def __init__(self, sym: bool):
+        self.sym = sym
         # (frozenset level, degree) -> {cube: position}, in span order
         self.index = {}
 
-    def add(self, level, cube) -> bool:
+    def add(self, level, cube):
+        """Add the cube, in an alternating span its canonical member;
+        returns the added cube, or None when it is there already or is
+        zero or degenerate."""
+        if self.sym:
+            cube = canonical(cube)[0]
         key = (frozenset(level), cube.n)
         idx = self.index.get(key)
         if idx is not None and cube in idx:
-            return False
+            return None
         if cube.is_zero_cube() or cube.is_degenerate():
-            return False
+            return None
         if idx is None:
             idx = self.index[key] = {}
         idx[cube] = len(idx)
-        return True
+        return cube
 
     def items(self):
         return [(key, list(idx)) for key, idx in self.index.items()]
 
 
 def close_span_generic(seeds, expand, sym: bool) -> Span:
-    """Close seeds under faces, an expansion rule ``expand(level, cube)``
-    of (level, cube) pairs, and optionally the symmetric-group action.
+    """Close seeds under faces and an expansion rule ``expand(level,
+    cube)`` of (level, cube) pairs, in a span that alternates when
+    ``sym`` holds.
 
-    With ``sym`` the closure runs on orbits (``cubes.orbit``; a cube of
-    degree at most 1 is its own orbit): of a popped cube whose orbit is
-    not done at its level, the member first in span order (the
-    representative of ``MatrixModel``) has its faces and ``expand`` images
-    added and the new ones queued; then every member is added, unqueued.
-    This requires an equivariant ``expand``, each image of sigma x in the
-    orbit, at the same level, of an image of x, as faces are."""
-    span = Span()
-    queue = []
-    done = set()
-    for level, cube in seeds:
-        if span.add(level, cube):
+    An alternating span adds every seed, face and image as its canonical
+    member and expands only those, killed ones included.  It reaches the
+    orbits of the closure under the symmetric-group action as well when
+    ``expand`` is equivariant, each image of sigma x in the orbit, at the
+    same level, of an image of x, as faces are."""
+    span, queue = Span(sym), []
+
+    def push(level, cube):
+        cube = span.add(level, cube)
+        if cube is not None:
             queue.append((frozenset(level), cube))
+
+    for level, cube in seeds:
+        push(level, cube)
     while queue:
         level, cube = queue.pop()
-        members = ()
-        if sym and cube.n > 1:
-            orb = orbit(cube)
-            if (level, orb) in done:
-                continue
-            done.add((level, orb))
-            members = orb.sign
-            idx = span.index[(level, cube.n)]
-            cube = min([g for g in members if g in idx], key=idx.__getitem__)
-        new = [(level, c2) for c2 in boundary_cube(cube).terms]
-        new.extend(expand(level, cube))
-        for lvl, c2 in new:
-            if span.add(lvl, c2):
-                queue.append((frozenset(lvl), c2))
-        for g in members:
-            span.add(level, g)
+        for c2 in boundary_cube(cube).terms:
+            push(level, c2)
+        for lvl, c2 in expand(level, cube):
+            push(lvl, c2)
     return span
 
 
 class MatrixModel:
     """A multi-relative C-complex materialized as matrices on a span.
 
-    Every (level, degree) of the span has one representative per basis
-    vector, and every span cube with a basis position stores one int: the
-    position p for sign +1, or ~p for sign -1.  On a plain span the
-    representatives are the span cubes, in span order, and the basis
-    vectors are those cubes.  In the alternating mode the representative R
-    of each symmetric-group orbit that Alt does not kill is its first
-    member in span order, and the basis vector is Alt(R); each member G
-    has R's position and the sign s, read off ``cubes.orbit``, with
-    Alt(G) = s Alt(R).  Distinct orbits have disjoint supports, so these
-    are a basis of the alternating chains on the span.  Members of killed
-    orbits have no position; a cube of degree at most 1 is its own orbit.
-    ``g`` only needs a ``marks`` attribute.
+    Each (level, degree) of the span has one basis vector per span cube R,
+    in span order: R itself on a plain span, Alt(R) on an alternating one
+    (``use_alt``, read off the span), leaving out the R that Alt kills.
+    The span cubes of an alternating span are canonical members of
+    distinct orbits, so these are a basis of the alternating chains on the
+    span.  ``g`` only needs a ``marks`` attribute.
     """
 
-    def __init__(self, g, span: Span, use_alt: bool):
+    def __init__(self, g, span: Span):
         self.g = g
         self.span = span
-        self.use_alt = use_alt
+        self.use_alt = span.sym
         self._layouts = {}
         self._bases = {}
-        for key, cubes in span.items():
-            idx = span.index[key]
-            # place: cube -> p, ~p or None (killed); sizes: orbit sizes
-            place, reps, sizes = {}, [], []
-            for cube in cubes:
-                if cube in place:
-                    continue
-                if not use_alt or cube.n <= 1:
-                    place[cube] = len(reps)
-                    reps.append(CubeChain.of(cube))
-                    sizes.append(1)
-                    continue
-                orb = orbit(cube)
-                if not orb.sign.keys() <= idx.keys():
-                    raise ValueError("span not closed under the symmetric action")
-                if orb.killed:
-                    place.update(dict.fromkeys(orb.sign))
-                    continue
-                pos, s_rep = len(reps), orb.sign[cube]
-                for member, s in orb.sign.items():
-                    place[member] = pos if s == s_rep else ~pos
-                reps.append(CubeChain.of(cube))
-                sizes.append(len(orb.sign))
-            self._bases[key] = (place, reps, sizes)
+        for key, idx in span.index.items():
+            cubes = [c for c in idx if not self.use_alt or canonical(c)[1]]
+            self._bases[key] = ({c: p for p, c in enumerate(cubes)},
+                                [CubeChain.of(c) for c in cubes])
 
     def _reps(self, level, degree) -> list:
-        # the representatives in basis order, as one-term chains
-        return self._bases.get((frozenset(level), degree), ({}, [], []))[1]
+        # the basis cubes in basis order, as one-term chains
+        return self._bases.get((frozenset(level), degree), ({}, []))[1]
 
     def dim(self, level, degree) -> int:
         return len(self._reps(level, degree))
@@ -595,66 +567,32 @@ class MatrixModel:
             got = self._layouts[(m, k)] = (offsets, dim)
         return got
 
-    def coords(self, level, chain: CubeChain, alternate: bool = False):
-        """Coordinates of a chain in the basis of its level and degree.
-
-        Plainly the chain must lie in the span of the basis vectors: a
-        coefficient c at a member of sign s gives the coordinate c s |orbit|
-        (Alt(R) has coefficient s / |orbit| there), the same for every
-        member.  With ``alternate`` (on an alternating model) they are the
-        coordinates of Alt(chain), the sum of c s at each position; a cube
-        without a position must lie in a killed orbit or in an orbit whose
-        signed sum in the chain cancels."""
-        key = (frozenset(level), chain.degree)
-        place, _, sizes = self._bases.get(key, ({}, [], []))
-        x = {}
-        if alternate:
-            outside = {}
-            for cube, c in chain.terms.items():
-                pos = place.get(cube)
-                if pos is None:
-                    orb = orbit(cube)
-                    if not orb.killed:
-                        outside[orb] = outside.get(orb, 0) + times(
-                            orb.sign[cube], c)
-                    continue
-                if pos < 0:
-                    pos, c = ~pos, -c
-                x[pos] = x.get(pos, 0) + c
-            if any(outside.values()):
-                raise ValueError("chain leaves the generated span")
-            return {pos: v for pos, v in x.items() if v}
-        for cube, c in chain.terms.items():
-            pos = place.get(cube)
-            if pos is None:
-                if cube not in self.span.index.get(key, ()):
-                    raise ValueError("chain leaves the generated span")
-                raise ValueError("chain not in the alternating subspace")
-            if pos < 0:
-                pos, c = ~pos, -c
-            v = times(sizes[pos], c)
-            # every cube of one basis vector must give the same coordinate
-            w = x.setdefault(pos, v)
-            if w is not v and w != v:
-                raise ValueError("chain not in the alternating subspace")
-        # no cube of a basis vector that the chain meets may be missing
-        if sum([sizes[pos] for pos in x]) != len(chain.terms):
-            raise ValueError("chain not in the alternating subspace")
-        return x
+    def coords(self, level, chain: CubeChain) -> dict:
+        """Coordinates of a chain in the basis of its level and degree: of
+        the chain on a plain model, of Alt(chain) on an alternating one,
+        read off ``cubes.canonical_terms``.  A term without a basis
+        position raises ValueError."""
+        place = self._bases.get((frozenset(level), chain.degree), ({},))[0]
+        terms = canonical_terms(chain) if self.use_alt else chain.terms
+        try:
+            return {place[cube]: c for cube, c in terms.items()}
+        except KeyError:
+            raise ValueError("chain leaves the generated span") from None
 
     def basis_chain(self, level, degree, pos) -> CubeChain:
-        """The basis vector at a position: its representative R, or Alt(R)
-        in the alternating mode."""
+        """The basis vector at a position: its span cube R, or Alt(R) in
+        the alternating mode."""
         rep = self._reps(level, degree)[pos]
         return alt(rep) if self.use_alt else rep
 
 
 def closed_model(g: GeomView, seeds, use_alt: bool = False) -> MatrixModel:
     """The matrix model on the span of the seed cubes closed under faces and
-    all embedding pullbacks of g, and in the alternating mode also under
-    the axis action of the symmetric groups, which the orbit bases
-    need.  The Xi images commute with that action, so the alternating
-    closure may expand one member per orbit."""
+    all embedding pullbacks of g; in the alternating mode the span holds
+    the canonical members of the orbits of that closure under the axis
+    action of the symmetric groups.  The Xi images commute with that
+    action, so the alternating closure need expand canonical members
+    only."""
     def expand(level, cube):
         # xi_image keeps each image, which materialization reads again
         out = []
@@ -666,22 +604,21 @@ def closed_model(g: GeomView, seeds, use_alt: bool = False) -> MatrixModel:
                         if type(img) is CubeChain else [(J, img)])
         return out
 
-    return MatrixModel(g, close_span_generic(seeds, expand, sym=use_alt),
-                       use_alt)
+    return MatrixModel(g, close_span_generic(seeds, expand, sym=use_alt))
 
 
 def relabeled_model(g, parts) -> MatrixModel:
     """The model of g on the levels of other models: ``parts`` lists
     (model, move) pairs, move(level) naming the level of g that a level of
     that model becomes, or None to leave it out."""
-    span = Span()
+    span = Span(parts[0][0].use_alt)
     for src, move in parts:
         for (level, _), cubes in src.span.items():
             new = move(level)
             if new is not None:
                 for cube in cubes:
                     span.add(new, cube)
-    return MatrixModel(g, span, parts[0][0].use_alt)
+    return MatrixModel(g, span)
 
 
 def materialize_ccomplex(model: MatrixModel, f_op=None) -> "ccx.CComplex":
@@ -714,7 +651,7 @@ def materialize_operator(src_model: MatrixModel, dst_model: MatrixModel,
     """Components of a levelwise operator family as ccx-style matrices.
 
     ``op(m, n, x)`` is a levelwise operator, read in its column form (see
-    ``levelwise``) on the source representatives: each image goes through
+    ``levelwise``) on the source basis cubes: each image goes through
     the destination's ``coords`` and is multiplied by its coefficient as
     it is written.  ``reach`` is that of ccx.CFamily (0 a map, 1 a
     homotopy), or -1 for a C-complex's d and F: the (m, n) component, for
@@ -731,7 +668,7 @@ def materialize_operator(src_model: MatrixModel, dst_model: MatrixModel,
 
     def write(item, J, coef, img):
         ent, row_off, col = item
-        for pos, v in dst_model.coords(J, img, dst_model.use_alt).items():
+        for pos, v in dst_model.coords(J, img).items():
             ent[(row_off[J] + pos, col)] = times(v, coef)
 
     for m in range(r + 1):
@@ -761,11 +698,10 @@ def materialize_operator(src_model: MatrixModel, dst_model: MatrixModel,
 
 def _op_image_seeds(model: MatrixModel, op, reach: int):
     """Seed cubes for a destination span: every cube of every component
-    image of the model's representatives under a levelwise operator family
-    of this reach, the images alternated when the model alternates; in
-    span order, then by n, K and image order.  An alternating model's
-    other span cubes add no cube: Alt op(sigma R) = sgn(sigma) Alt op R,
-    and Alt op R = 0 when Alt kills R."""
+    image of the model's basis cubes under a levelwise operator family of
+    this reach, read as canonical members of Alt(image) when the model
+    alternates; in span order, then by n, K and image order.  A killed
+    span cube adds none: Alt op R = 0 when Alt kills R."""
     r = len(model.g.marks)
     images, chains = [], {}
     for level, degree in model.span.index:
@@ -775,8 +711,8 @@ def _op_image_seeds(model: MatrixModel, op, reach: int):
                 (images[-1], rep))
 
     def write(out, J, _, img):
-        out.extend([(J, cube) for cube in (alt(img) if model.use_alt
-                                           else img).terms])
+        out.extend([(J, cube) for cube in (canonical_terms(img)
+                                           if model.use_alt else img.terms)])
 
     for m, per in chains.items():
         for n in range(max(m - reach, 0), r + 1):

@@ -1,16 +1,27 @@
 """Shared random generators for the test suite (package re-exports), the
 check of the stored form of a matrix, small builders and readers of
 matrices and cubes that only the tests use, the chain-form oracle of
-``multirel.materialize_operator``, and the every-member oracle of
-``multirel.close_span_generic`` with the equivariance check it rests on."""
+``multirel.materialize_operator``, the every-member oracles of
+``cubes.canonical`` and ``multirel.close_span_generic`` with the
+equivariance check the closure rests on, and the plain-against-alternating
+relations that make the signs of ``cubes.canonical`` load-bearing."""
 
 import math
+import random
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 
-from cubehom.cubes import ExactCube, arrow_keys, boundary_cube, vertex_indices
+from cubehom import ccx
+
+from cubehom.cubes import (ExactCube, act_sym, arrow_keys, boundary_cube,
+                           vertex_indices)
 from cubehom.exactlin import RatMatrix, ZERO_OBJ, rat_str
-from cubehom.multirel import LevelChain, Span
+from cubehom.multirel import (GeomView, LevelChain, MorphView, Span, Tower,
+                              _op_image_seeds, closed_model, levelwise,
+                              materialize_ccomplex, materialize_operator,
+                              op_homotopy, op_pullback)
+from cubehom.signs import perm_sign
 from cubehom.rand import (rnd_chain_complex, rnd_cmap, rnd_ccomplex, rnd_cube,
                           rnd_fraction, rnd_gram, rnd_homotopy_comps,
                           rnd_invertible, rnd_matrix, rnd_metobj,
@@ -22,7 +33,8 @@ __all__ = [
     "rnd_invertible", "rnd_matrix", "rnd_metobj", "rnd_one_cube",
     "rnd_retraction", "normal", "cube_parts", "from_rows", "to_dense",
     "to_json_obj", "zero_cube", "chain_form_components",
-    "close_span_every_member", "equivariance_witness",
+    "orbit_signs", "close_span_every_member", "equivariance_witness",
+    "plain_against_alternating",
 ]
 
 
@@ -115,11 +127,33 @@ def chain_form_components(src_model, dst_model, op, reach):
     return comps
 
 
+def orbit_signs(cube):
+    """The every-member oracle of ``cubes.canonical``: {member: the sign of
+    a permutation taking ``cube`` to it} over the cube's orbit under the
+    axis action, and whether an odd permutation fixes the cube (then Alt
+    kills the orbit and the signs mean nothing)."""
+    sign, killed = {}, False
+    for sigma in permutations(range(1, cube.n + 1)):
+        s = perm_sign(sigma)
+        if sign.setdefault(act_sym(sigma, cube), s) != s:
+            killed = True
+    return sign, killed
+
+
+def _members(cube):
+    # the orbit of a cube; one of degree <= 1 (exact or glued) is its own
+    if cube.n <= 1:
+        return [cube]
+    return [act_sym(sigma, cube)
+            for sigma in permutations(range(1, cube.n + 1))]
+
+
 def close_span_every_member(seeds, expand, sym):
     """The span closure that expands every span cube: its faces, its
-    ``expand`` images and, with ``sym``, its images under every axis
-    permutation; the oracle of ``multirel.close_span_generic``."""
-    span = Span()
+    ``expand`` images and, with ``sym``, every member of its orbit; the
+    oracle of ``multirel.close_span_generic``, on a plain span that keeps
+    every member."""
+    span = Span(False)
     queue = []
     for level, cube in seeds:
         if span.add(level, cube):
@@ -129,8 +163,7 @@ def close_span_every_member(seeds, expand, sym):
         new = [(level, c2) for c2 in boundary_cube(cube).terms]
         new.extend(expand(level, cube))
         if sym:
-            new.extend((level, cube.act(sigma))
-                       for sigma in permutations(range(1, cube.n + 1)))
+            new.extend((level, g) for g in _members(cube))
         for lvl, c2 in new:
             if span.add(lvl, c2):
                 queue.append((frozenset(lvl), c2))
@@ -140,13 +173,74 @@ def close_span_every_member(seeds, expand, sym):
 def equivariance_witness(expand, level, cube):
     """None if every image of sigma(cube) under ``expand`` lies in the
     orbit, at the same level, of an image of ``cube``, for every axis
-    permutation sigma; else the first (sigma, level, image) that does
+    permutation sigma; else the first (member, level, image) that does
     not."""
-    orbits = {(frozenset(lvl), img.act(tau))
-              for lvl, img in expand(level, cube)
-              for tau in permutations(range(1, img.n + 1))}
-    for sigma in permutations(range(1, cube.n + 1)):
-        for lvl, img in expand(level, cube.act(sigma)):
+    orbits = {(frozenset(lvl), g) for lvl, img in expand(level, cube)
+              for g in _members(img)}
+    for member in _members(cube):
+        for lvl, img in expand(level, member):
             if (frozenset(lvl), img) not in orbits:
-                return sigma, lvl, img
+                return member, lvl, img
     return None
+
+
+def _identity_op(view):
+    # the identity as a levelwise operator along one view
+    def op(m, n, x):
+        if n != m:
+            return LevelChain()
+        return levelwise([view], m, m, x, lambda K, I, I_src, J, s, ch: (1, ch))
+    return op
+
+
+def plain_against_alternating(marks, degree, seed):
+    """The plain models and maps g, f, h and phi of ``build_homotopy`` on
+    a tower of three members with ``marks`` marks, seeded with one random
+    cube of ``degree``, against the alternating ones on models whose spans
+    hold the orbits of the plain spans.  Alt, read as a matrix map A from
+    each plain model to its alternating one, must be a C-map and
+    intertwine them: A_t g = g' A_s, A_x f = f' A_t, A_x h = h' A_s and
+    A_x phi = phi' A_s.  Returns (failed, compared): the names of the A
+    that do not validate and of the relations whose sides differ, and per
+    relation the number of nonzero components of its left side."""
+    tower = Tower(r=marks, schemes=3, seed=seed)
+    vs = [GeomView(tower, s) for s in range(3)]
+    f, g = MorphView(vs[0], vs[1]), MorphView(vs[1], vs[2])
+    ops = {"g": partial(op_pullback, g), "f": partial(op_pullback, f),
+           "h": partial(op_pullback, MorphView(f.src, g.dst)),
+           "phi": partial(op_homotopy, f, g)}
+    ends = {"g": ("s", "t", 0), "f": ("t", "x", 0), "h": ("s", "x", 0),
+            "phi": ("s", "x", 1)}
+    seeds = [(frozenset(), rnd_cube(random.Random(seed), degree,
+                                    with_gram=True))]
+    plain = {"s": closed_model(g.dst, seeds)}
+    plain["t"] = closed_model(f.dst, _op_image_seeds(plain["s"], ops["g"], 0))
+    plain["x"] = closed_model(f.src, _op_image_seeds(plain["t"], ops["f"], 0)
+                              + _op_image_seeds(plain["s"], ops["h"], 0)
+                              + _op_image_seeds(plain["s"], ops["phi"], 1))
+    alt = {k: closed_model(model.g, [(lvl, cube) for (lvl, _), cubes
+                                     in model.span.items() for cube in cubes],
+                           use_alt=True)
+           for k, model in plain.items()}
+
+    def maps(models):
+        cc = {k: materialize_ccomplex(model) for k, model in models.items()}
+        out = {}
+        for name, (a, b, reach) in ends.items():
+            comps = materialize_operator(models[a], models[b], ops[name], reach)
+            out[name] = (ccx.CMap if reach == 0 else ccx.CHomotopy)(
+                cc[a], cc[b], comps)
+        return cc, out
+
+    cc, before = maps(plain)
+    cc_alt, after = maps(alt)
+    A = {k: ccx.CMap(cc[k], cc_alt[k], materialize_operator(
+        plain[k], alt[k], _identity_op(plain[k].g), 0)) for k in plain}
+    failed = [k for k, a in A.items() if not a.validate()["ok"]]
+    compared = {}
+    for name, (a, b, _) in ends.items():
+        left = ccx.compose(A[b], before[name]).comps
+        if left != ccx.compose(after[name], A[a]).comps:
+            failed.append(name)
+        compared[name] = sum(map(len, left.values()))
+    return failed, compared

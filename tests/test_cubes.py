@@ -306,7 +306,7 @@ def test_boundary_cube_is_the_signed_sum_of_all_faces():
     geom = DoubleGeometry(2)
     for n in (1, 2):
         c = rnd_cube(rng, n, with_gram=True)
-        cubes.append(geom.family_cube((), {S: c.act(tuple(range(n, 0, -1)))
+        cubes.append(geom.family_cube((), {S: act_sym(tuple(range(n, 0, -1)), c)
                                            if S else c
                                            for S in geom.level_index(())}))
     zero_faces = 0

@@ -47,7 +47,7 @@ def test_towers_with_other_seeds_give_other_cubes():
         composite_pullback(_word(Tower(r=3, seed=6)), c)
 
 
-RUN_SCOPED = {"cubes.intern", "cubes.boundary", "cubes.alt", "cubes.orbit",
+RUN_SCOPED = {"cubes.intern", "cubes.boundary", "cubes.alt", "cubes.canonical",
               "cubes.pullback", "cubes.functor_obj", "cubes.functor_cube",
               "exactlin.identity", "exactlin.zero", "multirel.xi_words",
               "multirel.xi_images"}

@@ -1,10 +1,11 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from cubehom import ccx
-from cubehom.cubes import CubeChain, act_sym, alt, boundary, transposition
+from cubehom.cubes import CubeChain, act_sym, alt, transposition
 from cubehom.exactlin import RatMatrix
 from cubehom.multirel import (GeomView, MorphView, Tower, build_ccomplex,
                               build_homotopy, build_pullback,
@@ -16,7 +17,8 @@ from cubehom.multirel import (GeomView, MorphView, Tower, build_ccomplex,
                               LevelChain, op_F, op_homotopy, op_pullback,
                               restriction_morphism, xi_K, xi_Kf)
 from helpers import (chain_form_components, close_span_every_member,
-                     equivariance_witness, rnd_cube)
+                     equivariance_witness, orbit_signs,
+                     plain_against_alternating, rnd_cube)
 
 
 def geometry(r, seed=5, schemes=1, alias=None):
@@ -377,9 +379,9 @@ def _alt_models(monkeypatch, suite, **params):
     models = []
     init = MatrixModel.__init__
 
-    def record(self, g, span, use_alt):
-        init(self, g, span, use_alt)
-        if use_alt:
+    def record(self, g, span):
+        init(self, g, span)
+        if self.use_alt:
             models.append(self)
 
     monkeypatch.setattr(MatrixModel, "__init__", record)
@@ -389,70 +391,47 @@ def _alt_models(monkeypatch, suite, **params):
     return models
 
 
-def _alt_projector(span, level, degree):
-    """The matrix of Alt on the span cubes of one level and degree."""
-    idx = span.index[(level, degree)]
-    ent = {}
-    for col, cube in enumerate(idx):
-        for other, v in alt(CubeChain.of(cube)).terms.items():
-            ent[(idx[other], col)] = v
-    return RatMatrix(len(idx), len(idx), ent)
-
-
 @pytest.mark.parametrize("suite,params", [
     ("multirel.alternating", {"r": 2, "seed": 5}),
     ("multirel.cone-identification", {"r": 3, "seed": 0}),
 ])
 def test_alt_coords_match_solve_on_suite_spans(monkeypatch, suite, params):
-    # reference: the basis is the pivot columns of the Alt projector, and
-    # coordinates solve against them
-    from cubehom.exactlin import rref, solve
+    # reference: the basis is Alt of each span cube that Alt does not
+    # kill, and coordinates solve against the basis chains written over
+    # their own terms
+    from cubehom.exactlin import solve
     rng = random.Random(7)
-    not_alt = perturbed = 0
-    not_in_alt = "chain not in the alternating subspace"
     for model in _alt_models(monkeypatch, suite, **params):
         for (level, degree), cubes in model.span.items():
-            idx = model.span.index[(level, degree)]
-            proj = _alt_projector(model.span, level, degree)
-            assert proj.mul(proj) == proj
-            pivots = rref(proj)[1]
             dim = model.dim(level, degree)
-            assert [model.basis_chain(level, degree, p) for p in range(dim)] \
-                == [alt(CubeChain.of(cubes[j])) for j in pivots]
-            slot = {j: p for p, j in enumerate(pivots)}
-            mat = RatMatrix(proj.rows, dim, {(r, slot[j]): v for (r, j), v
-                                             in proj.items()
-                                             if j in slot})
+            basis = [model.basis_chain(level, degree, p) for p in range(dim)]
+            alts = [alt(CubeChain.of(cube)) for cube in cubes]
+            assert basis == [a for a in alts if not a.is_zero()]
+            row = {}
+            for chain in basis:
+                for cube in chain.terms:
+                    row.setdefault(cube, len(row))
+            mat = RatMatrix(len(row), dim, {(row[cube], p): v for p, chain
+                                            in enumerate(basis)
+                                            for cube, v in chain.terms.items()})
             for _ in range(3):
                 coeffs = {p: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                           for p in range(dim)}
                 chain = CubeChain.zero(degree)
                 for p, c in coeffs.items():
-                    chain = chain + model.basis_chain(level, degree, p).scale(c)
+                    chain = chain + basis[p].scale(c)
                 got = model.coords(level, chain)
-                rhs = {(idx[cube], 0): v for cube, v in chain.terms.items()}
+                rhs = {(row[cube], 0): v for cube, v in chain.terms.items()}
                 want = solve(mat, RatMatrix(mat.rows, 1, rhs))
                 assert got == {p: v for (p, _), v in want.items()}
                 assert got == {p: c for p, c in coeffs.items() if c}
-            for cube in cubes:
-                single = CubeChain.of(cube)
-                orbit = alt(single)
-                if orbit == single:
-                    continue
-                not_alt += 1
-                bad = [single]
-                if len(orbit.terms) > 1:
-                    perturbed += 1
-                    bad.append(orbit + CubeChain.of(cube, Fraction(1, 7)))
-                for chain in bad:
-                    with pytest.raises(ValueError, match=not_in_alt):
-                        model.coords(level, chain)
-    assert not_alt and perturbed
 
 
 def test_alt_coords_reject_a_cube_that_alt_kills():
     # the interior identity-insert two-cube is transposition-invariant, so
-    # its orbit has no alternating chain
+    # Alt kills its orbit: its canonical member is in the span but has no
+    # basis vector, and the cube reads as zero
+    from cubehom.cubes import canonical
     from cubehom.multirel import MatrixModel, close_span_generic
     rng = random.Random(16)
     _, (X0, X1) = geometry(3, seed=3, schemes=2, alias=[0, 0])
@@ -460,24 +439,18 @@ def test_alt_coords_reject_a_cube_that_alt_kills():
     wc = identity_word_cube(X0, (1, 2), (), 1, cube, MorphView(X0, X1))
     span = close_span_generic([(frozenset(), wc)], lambda lvl, cu: [],
                               sym=True)
-    assert list(span.index[(frozenset(), 2)]) == [wc]
-    model = MatrixModel(X0, span, use_alt=True)
+    rep, s = canonical(wc)
+    assert s == 0 and list(span.index[(frozenset(), 2)]) == [rep]
+    model = MatrixModel(X0, span)
     assert model.dim(frozenset(), 2) == 0
-    with pytest.raises(ValueError, match="chain not in the alternating"):
-        model.coords(frozenset(), CubeChain.of(wc))
-    with pytest.raises(ValueError, match="chain leaves the generated span"):
-        model.coords(frozenset(), CubeChain.of(
-            identity_word_cube(X0, (1, 3), (), 1, cube, MorphView(X0, X1))))
-    # an alternating model needs every orbit member in its span
+    assert model.coords(frozenset(), CubeChain.of(wc)) == {}
     square = rnd_cube(rng, 2, with_gram=True)
-    assert alt(CubeChain.of(square)) != CubeChain.of(square)
-    bare = close_span_generic([(frozenset(), square)], lambda lvl, cu: [],
-                              sym=False)
-    with pytest.raises(ValueError, match="not closed under the symmetric"):
-        MatrixModel(X0, bare, use_alt=True)
+    assert canonical(square)[1]
+    with pytest.raises(ValueError, match="chain leaves the generated span"):
+        model.coords(frozenset(), CubeChain.of(square))
 
 
-# -- the span closure against expanding every member --------------------------
+# -- canonical members against the every-member oracle ------------------------
 
 ALT_BUILDS = ("ccomplex-alt", "homotopy-alt", "pullback-alt", "cor216-alt",
               "buildt-alt")
@@ -513,15 +486,78 @@ def _cube_sets(span):
     return {key: set(idx) for key, idx in span.index.items()}
 
 
+def test_canonical_matches_the_orbit_oracle(monkeypatch):
+    # every member of the orbit of every span cube gets that cube, which
+    # is canonical, and the sign of a permutation reaching it, or 0 when
+    # an odd permutation fixes the cube
+    from cubehom.cubes import canonical
+    from cubehom.multirel import close_span_generic
+    checked = killed = 0
+    for seeds, expand, sym in _recorded_closures(monkeypatch):
+        if not sym:
+            continue
+        for (_, degree), cubes in close_span_generic(seeds, expand,
+                                                     sym).items():
+            if degree < 2:
+                continue
+            for cube in cubes:
+                sign, dead = orbit_signs(cube)
+                assert all(canonical(g) == (cube, 0 if dead else s)
+                           for g, s in sign.items())
+                checked += 1
+                killed += dead
+    assert checked > killed > 0
+
+
+def test_canonical_is_the_same_under_other_hash_seeds():
+    # the alternating bases take canonical members, so their matrices must
+    # not depend on the string hash seed of the process
+    import subprocess
+    import sys
+    from pathlib import Path
+    tests = Path(__file__).resolve().parent
+    code = ("import hashlib, json, pytest\n"
+            "from test_report_digests import _build, _record_matrices\n"
+            "with pytest.MonkeyPatch.context() as mp:\n"
+            "    calls = _record_matrices(mp)\n"
+            "    _build('ccomplex-alt')\n"
+            "print(len(calls), hashlib.sha256(json.dumps(calls).encode())"
+            ".hexdigest())\n")
+    path = os.pathsep.join([str(tests), str(tests.parent / "src")])
+    outs = [subprocess.run([sys.executable, "-c", code], check=True,
+                           capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONHASHSEED=seed,
+                                    PYTHONPATH=path)).stdout
+            for seed in ("0", "987")]
+    assert outs[0] == outs[1]
+    assert int(outs[0].split()[0]) > 0
+
+
+def test_canonical_raises_on_a_label_shared_by_two_members(monkeypatch):
+    # with every axis key and every label equal, both members of a generic
+    # square's orbit are least: a hash collision, which must not be
+    # resolved silently
+    from cubehom import cubes
+    square = rnd_cube(random.Random(69), 2, with_gram=True)
+    assert cubes.act_sym(transposition(2, 1), square) != square
+    monkeypatch.setattr(cubes, "_axis_key", lambda *args: 0)
+    monkeypatch.setattr(cubes, "_label", lambda *args: 0)
+    with pytest.raises(ValueError, match="share a label"):
+        cubes.canonical(square)
+
+
 def test_span_closure_matches_expanding_every_member(monkeypatch):
+    from cubehom.cubes import canonical
     from cubehom.multirel import close_span_generic
     for seeds, expand, sym in _recorded_closures(monkeypatch):
-        assert _cube_sets(close_span_generic(seeds, expand, sym)) == \
-            _cube_sets(close_span_every_member(seeds, expand, sym))
+        want = close_span_every_member(seeds, expand, sym)
+        assert _cube_sets(close_span_generic(seeds, expand, sym)) == {
+            key: {canonical(cube)[0] for cube in idx} if sym else set(idx)
+            for key, idx in want.index.items()}
 
 
 def test_span_expansions_are_equivariant(monkeypatch):
-    # the closure expands one member per orbit, which is sound when the
+    # the closure expands canonical members only, which is sound when the
     # expansion of sigma x lies in the orbits of the expansion of x: so
     # for closed_model's Xi images and double_spans' reindexers
     checked = {}
@@ -550,17 +586,18 @@ def test_equivariance_check_fails_a_non_equivariant_expansion():
 # -- the alternating coordinate reader ----------------------------------------
 
 def test_alternating_coords_read_alt_of_every_written_image(monkeypatch):
-    # materialization writes coords(J, img, True) for an alternating
-    # destination and builds no Alt chain; on every image it writes in the
-    # alternating builds those are the coordinates of alt(img)
+    # materialization writes the coordinates of every image through the
+    # destination's coords and builds no Alt chain; on every image an
+    # alternating destination reads in the alternating builds, those are
+    # the coordinates of alt(img)
     from cubehom.multirel import MatrixModel
     from test_report_digests import _build
     seen = []
     real = MatrixModel.coords
 
-    def record(self, level, chain, alternate=False):
-        got = real(self, level, chain, alternate)
-        if alternate:
+    def record(self, level, chain):
+        got = real(self, level, chain)
+        if self.use_alt:
             seen.append((self, level, chain, got))
         return got
 
@@ -576,96 +613,50 @@ def test_alternating_coords_read_alt_of_every_written_image(monkeypatch):
 def test_alternating_coords_cancel_an_orbit_outside_the_span():
     # G + tau G, tau odd, has Alt zero: its coordinates are empty even
     # though G's orbit lies outside the span; G alone leaves the span
-    from cubehom.cubes import orbit
+    from cubehom.cubes import canonical
     from cubehom.multirel import MatrixModel, close_span_generic
     rng = random.Random(65)
     _, (g,) = geometry(2)
     square, other = (rnd_cube(rng, 2, with_gram=True) for _ in range(2))
     span = close_span_generic([(frozenset(), square)], lambda lvl, cu: [],
                               sym=True)
-    model = MatrixModel(g, span, use_alt=True)
+    model = MatrixModel(g, span)
     assert model.dim(frozenset(), 2) == 1
     swapped = act_sym(transposition(2, 1), other)
-    assert swapped != other and not orbit(other).killed
-    assert other not in span.index[(frozenset(), 2)]
+    assert swapped != other and canonical(other)[1]
+    assert canonical(other)[0] not in span.index[(frozenset(), 2)]
     pair = CubeChain(2, [(other, 1), (swapped, 1)])
-    assert model.coords(frozenset(), pair, alternate=True) == {}
+    assert model.coords(frozenset(), pair) == {}
     with pytest.raises(ValueError, match="chain leaves the generated span"):
-        model.coords(frozenset(), CubeChain.of(other), alternate=True)
+        model.coords(frozenset(), CubeChain.of(other))
 
 
-def _odd_seeded_reads(monkeypatch):
-    """The alternating reads of the structure maps from the model seeded
-    with tau F, tau an odd permutation, to the model seeded with F, which
-    holds the same cubes but takes the other representatives.  Returns the
-    number of reads whose coordinates differ from those of Alt(image),
-    and the number of image terms read at a member of sign -1."""
-    from cubehom import multirel
-    from cubehom.cubes import orbit
-    rng = random.Random(67)
-    _, (g,) = geometry(2, seed=11)
-    square = rnd_cube(rng, 2, with_gram=True)
-    swapped = act_sym(transposition(2, 1), square)
-    assert swapped != square and not orbit(square).killed
-    dst = multirel.closed_model(g, [(frozenset(), square)], use_alt=True)
-    src = multirel.closed_model(g, [(frozenset(), swapped)], use_alt=True)
-    seen = []
-    real = multirel.MatrixModel.coords
-
-    def record(self, level, chain, alternate=False):
-        got = real(self, level, chain, alternate)
-        if alternate:
-            seen.append((self, level, chain, got))
-        return got
-
-    def d_and_f(m, n, x):
-        # the boundaries and connecting maps of materialize_ccomplex
-        return op_F(g, m, n, x) if n != m else multirel.levelwise(
-            [g], m, m, x, lambda K, I, I_src, J, s, ch: (1, boundary(ch)))
-
-    with monkeypatch.context() as mp:
-        mp.setattr(multirel.MatrixModel, "coords", record)
-        multirel.materialize_operator(src, dst, d_and_f, -1)
-    assert seen and all(model is dst for model, *_ in seen)
-    wrong = negative = 0
-    for model, level, chain, got in seen:
-        try:
-            wrong += got != model.coords(level, alt(chain))
-        except ValueError:
-            wrong += 1
-        place = model._bases[(frozenset(level), chain.degree)][0]
-        negative += sum(1 for cube in chain.terms
-                        if (place.get(cube) or 0) < 0)
-    return wrong, negative
+# Setups of plain_against_alternating: (marks, seed degree, tower seed).
+PLAIN_AGAINST_ALT = [(1, 0, 3001), (1, 1, 3001), (2, 0, 3002), (2, 1, 3002),
+                     (3, 0, 3003)]
 
 
-def test_alternating_reads_use_the_orbit_signs(monkeypatch):
-    # tau maps each image of F to the image of tau F, a member of sign -1
-    # of the destination's orbit: the written coordinates must still be
-    # those of Alt(image)
-    wrong, negative = _odd_seeded_reads(monkeypatch)
-    assert wrong == 0
-    assert negative > 0
-
-
-def test_unsigned_orbit_records_fail_the_alternating_reads(monkeypatch):
-    from cubehom import cubes, multirel
-    real = cubes.orbit
-    monkeypatch.setattr(multirel, "orbit", lambda cube: cubes.Orbit(
-        dict.fromkeys(real(cube).sign, 1), real(cube).killed))
-    wrong, _ = _odd_seeded_reads(monkeypatch)
-    assert wrong > 0
+def test_alt_is_a_cmap_intertwining_the_plain_and_alternating_maps():
+    # the signs of cubes.canonical are load-bearing here: with every sign
+    # +1, or with no orbit killed, some A fails to be a C-map
+    # (test_mutation.py)
+    for marks, degree, seed in PLAIN_AGAINST_ALT:
+        failed, compared = plain_against_alternating(marks, degree, seed)
+        assert failed == []
+        assert all(compared.values()), compared
 
 
 def test_alternating_closure_expands_once_per_orbit(monkeypatch):
-    # counted work: one expand call per (level, orbit) of the closed span,
-    # where expanding every member made one per span cube
+    # counted work: one expand call per span cube, each the canonical
+    # member of its orbit, where expanding every member makes one per
+    # cube of the every-member closure
     from cubehom import multirel
-    from cubehom.cubes import orbit
-    calls = []
+    calls, expands = [], []
     real = multirel.close_span_generic
 
     def counting(seeds, expand, sym):
+        expands.append(expand)
+
         def counted(level, cube):
             calls.append((frozenset(level), cube))
             return expand(level, cube)
@@ -673,18 +664,14 @@ def test_alternating_closure_expands_once_per_orbit(monkeypatch):
 
     monkeypatch.setattr(multirel, "close_span_generic", counting)
     _, (g,) = geometry(3, seed=71)
-    seed = rnd_cube(random.Random(71), 1, with_gram=True)
-    model = multirel.closed_model(g, [(frozenset(), seed)], use_alt=True)
-
-    def orbit_of(level, cube):
-        return level, frozenset(orbit(cube).sign if cube.n > 1 else [cube])
-
-    orbits = {orbit_of(level, cube)
-              for (level, _), cubes in model.span.items() for cube in cubes}
-    cubes_in_span = sum(len(idx) for idx in model.span.index.values())
-    assert sorted(map(len, [calls, set(calls)])) == [len(orbits)] * 2
-    assert {orbit_of(level, cube) for level, cube in calls} == orbits
-    assert len(orbits) < cubes_in_span
+    seeds = [(frozenset(), rnd_cube(random.Random(71), 1, with_gram=True))]
+    model = multirel.closed_model(g, seeds, use_alt=True)
+    span_cubes = {(level, cube)
+                  for (level, _), cubes in model.span.items() for cube in cubes}
+    assert len(calls) == len(set(calls)) == len(span_cubes)
+    assert set(calls) == span_cubes
+    every = close_span_every_member(seeds, expands[0], True)
+    assert len(span_cubes) < sum(len(idx) for idx in every.index.values())
 
 
 # -- the column form of materialize_operator against the chain form -------

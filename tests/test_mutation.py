@@ -17,7 +17,7 @@ from cubehom.multirel import (GeomView, LevelChain, MorphView, Tower,
                               check_xi_boundary, xi_apply, xi_K, xi_Kf)
 from cubehom.signs import divisions_into, sgn_division
 from cubehom.suites import _tensor_cmap_relation
-from helpers import rnd_cube, rnd_gram
+from helpers import plain_against_alternating, rnd_cube, rnd_gram
 from cubehom.exactlin import MetObj
 
 
@@ -326,26 +326,24 @@ def test_misplaced_restriction_fails_double_extraction(monkeypatch):
         suites.run_suite("double.splitting", seed=0)
 
 
-def test_unsigned_orbits_fail_alternation_and_the_alternating_suite(
-        monkeypatch):
-    # the orbit table gives each member the sign of a permutation reaching
-    # it, and finds the orbits Alt kills where two signs meet at one
-    # member.  With every sign +1 (so that no orbit is killed) Alt itself
-    # is wrong, which cubes.alternation sees; handed to the alternating
-    # models alone, such records make the alternating suite at its
-    # defaults fail or raise
-    assert suites.run_suite("cubes.alternation")["ok"]
+@pytest.mark.parametrize("mutant", ["unsigned", "no-kill"])
+def test_wrong_canonical_signs_fail_the_plain_against_alternating_relations(
+        monkeypatch, mutant):
+    # cubes.canonical gives each member the sign relating its Alt to that
+    # of the canonical member, and 0 where Alt kills the orbit.  With every
+    # sign +1, or with no orbit killed, Alt read as a matrix map from a
+    # plain model to an alternating one is no C-map for some setup, and
+    # the alternating suite at its defaults fails
+    from test_multirel import PLAIN_AGAINST_ALT
     assert suites.run_suite("multirel.alternating")["ok"]
-    unsigned = _mutant(cubes.orbit, "perm_sign(sigma)", "1")
-    with monkeypatch.context() as mp:
-        mp.setattr(cubes, "orbit", unsigned)
-        mp.setattr(multirel, "orbit", unsigned)
-        assert not suites.run_suite("cubes.alternation")["ok"]
-    real = cubes.orbit
-    monkeypatch.setattr(multirel, "orbit", lambda cube: cubes.Orbit(
-        dict.fromkeys(real(cube).sign, 1), False))
-    try:
-        rep = suites.run_suite("multirel.alternating")
-    except ValueError:
-        return
-    assert not rep["ok"]
+    real = cubes.canonical
+
+    def wrong(cube):
+        rep, s = real(cube)
+        return rep, 1 if mutant == "unsigned" else s or 1
+
+    monkeypatch.setattr(cubes, "canonical", wrong)
+    monkeypatch.setattr(multirel, "canonical", wrong)
+    assert any(plain_against_alternating(marks, degree, seed)[0]
+               for marks, degree, seed in PLAIN_AGAINST_ALT)
+    assert not suites.run_suite("multirel.alternating")["ok"]

@@ -226,15 +226,15 @@ MATRIX_DIGESTS = {
     "ccomplex-plain":
         "a420c6044e7b79fdac65d8ff2495438f1bc33fdbc6b9725671445207c5903305",
     "ccomplex-alt":
-        "a420c6044e7b79fdac65d8ff2495438f1bc33fdbc6b9725671445207c5903305",
+        "d22627cfc95ede67b75ea8a1a7657f928eec02d1cc185f5feab280f11ee78704",
     "homotopy-plain":
         "eb18c123e9bd56441e2188cd27b518b3c3611d50d52b36aa534c752f72b9b47e",
     "homotopy-alt":
-        "eb18c123e9bd56441e2188cd27b518b3c3611d50d52b36aa534c752f72b9b47e",
+        "03772dad83778183a6a1089ca8c186daf405271d44d591899c3196c7fb9ab853",
     "pullback-alt":
-        "0c0b84df60c63bd942ba351f060c70005715e48c5bb6a1bdb76ce7a5c4a85ec9",
+        "66cb381a85346151fefc3165595ef83ba92dbe3427a34a258447547c7d2514a8",
     "cor216-alt":
-        "f1444f460beed1b3a7a9b86f0c8a10719408d06825d93339bf6f03b625d20d05",
+        "be6e0419e7e6aa03334e88e57692b94668fa99c17d12ce6c95b6c86a92ef277d",
     "buildt-alt":
         "f52daba1ed277f09123efca81e2d581fb54b125c3cfd893a4f11a350bedf2c24",
 }

@@ -3,9 +3,10 @@
 ``perfbench/tracer.py`` wraps library callables by name (module functions
 wherever a ``cubehom`` module imported them, and methods on their class),
 so renaming or removing one of them breaks the per-layer benchmark.  This
-runs one small suite under the tracer and checks that every layer saw
-calls, except the layers that suite never reaches, and that ``restore``
-puts every original back.
+runs two small suites under the tracer, each traced on its own, and
+checks that every layer saw calls in one run or the other, except the
+layers neither reaches, and that ``restore`` puts every original back
+after each.
 """
 
 import importlib.util
@@ -16,8 +17,14 @@ from cubehom import memo, suites
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
-# layers multirel.alternating at r=2 never reaches: it takes no ranks,
-# builds no total complex and uses no tensor operator
+# The traced runs: multirel.alternating at r=2 materializes alternating
+# models, which read Alt off canonical members and build no Alt chain;
+# multirel.absorption builds Alt chains (cubes.alt).
+RUNS = [("multirel.alternating", {"r": 2, "trials": 1, "seed": 5}),
+        ("multirel.absorption", {"trials": 1, "seed": 0})]
+
+# layers neither run reaches: they take no ranks, build no total complex
+# and use no tensor operator
 ZERO_FOR_SUITE = {"exactlin.rank", "ccx.tot", "tensorstruct.ops"}
 
 
@@ -52,20 +59,23 @@ def _bindings(layers):
 def test_tracer_wraps_and_restores_every_layer():
     tracer = _load_tracer()
     before = _bindings(tracer.LAYERS)
-    memo.clear()
-    tr = tracer.Tracer()
-    tr.install()
-    try:
-        assert all(getattr(owner, attr) is not fn
-                   for (owner, attr), fn in before.items())
-        rep = suites.run_suite("multirel.alternating", r=2, trials=1, seed=5)
-    finally:
-        tr.restore()
-    assert rep["ok"]
-    summary = tr.summary()
-    zero = {layer for layer, got in summary["layers"].items()
-            if not got["calls"]}
-    assert zero <= ZERO_FOR_SUITE
-    assert summary["counters"]["multirel.span_cubes"] > 0
-    for (owner, attr), fn in before.items():
-        assert getattr(owner, attr) is fn, (owner, attr)
+    zero = set(tracer.LAYERS)
+    for name, params in RUNS:
+        memo.clear()
+        tr = tracer.Tracer()
+        tr.install()
+        try:
+            assert all(getattr(owner, attr) is not fn
+                       for (owner, attr), fn in before.items())
+            rep = suites.run_suite(name, **params)
+        finally:
+            tr.restore()
+        assert rep["ok"]
+        summary = tr.summary()
+        zero &= {layer for layer, got in summary["layers"].items()
+                 if not got["calls"]}
+        for (owner, attr), fn in before.items():
+            assert getattr(owner, attr) is fn, (owner, attr)
+        if name == "multirel.alternating":
+            assert summary["counters"]["multirel.span_cubes"] > 0
+    assert zero <= ZERO_FOR_SUITE, zero
