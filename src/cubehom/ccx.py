@@ -128,6 +128,7 @@ class CComplex:
 
     def __init__(self, complexes: dict, fmaps: dict):
         self.complexes = {m: c for m, c in complexes.items() if c.dims}
+        self._indices = tuple(sorted(self.complexes))
         self.fmaps = {}
         for (m, n), per_deg in fmaps.items():
             if m >= n:
@@ -137,8 +138,9 @@ class CComplex:
                 self.fmaps[(m, n)] = kept
         self._structure = None
 
-    def indices(self):
-        return sorted(self.complexes)
+    def indices(self) -> tuple:
+        """The indices m of the nonzero complexes A^m, in increasing order."""
+        return self._indices
 
     def cx(self, m: int) -> ChainComplex:
         return self.complexes.get(m, _EMPTY)

@@ -11,11 +11,14 @@ contracting homotopies, the exact functors of the geometry models (the
 identity and tensoring by a fixed object), composite pullback cubes along
 words of morphisms, and the bracket cubes of isomorphism chains.
 
-Degeneracies, rho and tensor products are assembled by ``_assemble`` from
-a vertex rule and a rule for its nonzero arrows; composite pullbacks and
-bracket cubes are stacks of pulled-back parts gathered by position
-(``_stack``); faces and the symmetric action gather through tables of
-source positions.
+Every construction gathers by position.  Faces and the symmetric action
+take each part from a source position (``_remap``); degeneracies and rho
+take each part from a source position, the zero object or the 0 x 0 zero
+map, and fill their remaining arrows with identities (``_lift``); tensor
+products pair the vertex positions of their factors and take each
+Kronecker product once; composite pullbacks and bracket cubes are stacks
+of pulled-back parts (``_stack``).  The position tables are shape tables,
+built once per degree and index.
 
 Index conventions: a vertex index alpha is a tuple over {-1,0,1}; axis
 numbers are 1-based in the public API, matching the face operators
@@ -24,8 +27,7 @@ with alpha'_j = alpha_j + 1, keyed (j, alpha).  A cube stores its parts
 as two flat tuples in canonical order: vertices in lexicographic order of
 alpha (``vertex_indices``), arrows by axis and then by alpha
 (``arrow_keys``).  ``cube.vertex(alpha)`` and ``cube.arrow(j, alpha)``
-read a part by its index; faces, the symmetric action and the assembler
-work on positions through shape tables of integer positions.
+read a part by its index; the constructions work on positions.
 """
 
 from __future__ import annotations
@@ -129,18 +131,6 @@ def _mk(n: int, verts: tuple, arrows: tuple) -> "ExactCube":
     cube = _new(ExactCube)
     _seal(cube, n, verts, arrows)
     return cube.intern()
-
-
-def _assemble(n: int, vertex, arrow) -> "ExactCube":
-    """The interned n-cube with vertex(a) at each index a.  An arrow with
-    a zero-dimensional end is the zero map; every other arrow (k, a) is
-    arrow(k, a, dim), dim the dimension at a."""
-    verts = tuple([vertex(a) for a in vertex_indices(n)])
-    arrows = []
-    for (k, a), (_, s, t) in arrow_keys(n).items():
-        sd, td = verts[s].dim, verts[t].dim
-        arrows.append(arrow(k, a, sd) if sd and td else RatMatrix.zero(td, sd))
-    return _mk(n, verts, tuple(arrows))
 
 
 class ExactCube:
@@ -392,23 +382,73 @@ def _remap(cube: ExactCube, n: int, tab) -> ExactCube:
     return _mk(n, tuple([v[p] for p in vsrc]), tuple([ar[p] for p in asrc]))
 
 
+_BUILD_TABLE_CACHE = memo.shape_table("cubes.build_table")
+
+
+def _lift_table(n: int, vertex, arrow):
+    """The ``_lift`` table of an n-cube built from an (n-1)-cube by index
+    rules: vertex(a) is the source vertex index at a, or None for the
+    zero object; arrow(k, a) is the source arrow key of (k, a), or None
+    for a fill.  Source position 3^(n-1) stands for the zero object and
+    the last source arrow position for the 0 x 0 zero map, which every
+    arrow between two zero vertices takes."""
+    vp, ak = vertex_indices(n - 1), arrow_keys(n - 1)
+    zv, za = len(vp), len(ak)
+    vsrc = []
+    for a in vertex_indices(n):
+        src = vertex(a)
+        vsrc.append(zv if src is None else vp[src])
+    asrc, fills = [], []
+    for (k, a), (p, s, t) in arrow_keys(n).items():
+        src = None if vsrc[s] == zv and vsrc[t] == zv else arrow(k, a)
+        if src is None:
+            asrc.append(za)
+            if vsrc[s] != zv or vsrc[t] != zv:
+                fills.append((p, s, t))
+        else:
+            asrc.append(ak[src][0])
+    return tuple(vsrc), tuple(asrc), tuple(fills)
+
+
+def _lift(cube: ExactCube, tab) -> ExactCube:
+    """The (n+1)-cube gathered from the n-cube ``cube`` through a
+    ``_lift_table``: each vertex and arrow from its source position, and
+    each fill the identity, or the zero map when an end has dimension 0.
+    A source arrow is copied as it is: in a valid cube an arrow with a
+    zero-dimensional end is the zero matrix of its shape."""
+    vsrc, asrc, fills = tab
+    v = cube.vertices + (ZERO_OBJ,)
+    ar = cube.arrows + (RatMatrix.zero(0, 0),)
+    verts = tuple([v[p] for p in vsrc])
+    arrows = [ar[p] for p in asrc]
+    identity, zero = RatMatrix.identity, RatMatrix.zero
+    for p, s, t in fills:
+        sd, td = verts[s].dim, verts[t].dim
+        arrows[p] = identity(sd) if sd and td else zero(td, sd)
+    return _mk(cube.n + 1, verts, tuple(arrows))
+
+
 def degeneracy(cube: ExactCube, j: int, sign: int) -> ExactCube:
     """s_j^{+1} (edge F -> F -> 0) or s_j^{-1} (edge 0 -> F -> F)."""
     n = cube.n
-    if not 1 <= j <= n + 1:
-        raise ValueError("degeneracy axis out of range")
-    if sign not in (1, -1):
-        raise ValueError("degeneracy sign must be +-1")
+    key = ("degeneracy", n, j, sign)
+    tab = _BUILD_TABLE_CACHE.get(key)
+    if tab is None:
+        if not 1 <= j <= n + 1:
+            raise ValueError("degeneracy axis out of range")
+        if sign not in (1, -1):
+            raise ValueError("degeneracy sign must be +-1")
 
-    def vertex(a):
-        return ZERO_OBJ if a[j - 1] == sign else cube.vertex(a[:j - 1] + a[j:])
+        def vertex(a):
+            return None if a[j - 1] == sign else a[:j - 1] + a[j:]
 
-    def arrow(k, a, dim):
-        if k == j:
-            return RatMatrix.identity(dim)
-        return cube.arrow(k if k < j else k - 1, a[:j - 1] + a[j:])
+        def arrow(k, a):
+            if k == j:
+                return None
+            return (k if k < j else k - 1, a[:j - 1] + a[j:])
 
-    return _assemble(n + 1, vertex, arrow)
+        tab = _BUILD_TABLE_CACHE[key] = _lift_table(n + 1, vertex, arrow)
+    return _lift(cube, tab)
 
 
 _SYM_TABLE_CACHE = memo.shape_table("cubes.sym_table")
@@ -460,18 +500,58 @@ def transposition(n: int, p: int):
 
 
 def tensor_cube(f: ExactCube, g: ExactCube) -> ExactCube:
-    """(F (x) G)_{a,b} = F_a (x) G_b, with F's axes first."""
-    n = f.n
+    """(F (x) G)_{a,b} = F_a (x) G_b, with F's axes first.  An arrow along
+    an axis of F is F's arrow (x) the identity of G_b, one along an axis of
+    G the identity of F_a (x) G's arrow; each Kronecker product is taken
+    once per arrow and dimension, and is the arrow itself in dimension 1
+    and the zero map when either factor is zero."""
+    n, m = f.n, g.n
+    key = ("tensor", n, m)
+    tab = _BUILD_TABLE_CACHE.get(key)
+    if tab is None:
+        tab = _BUILD_TABLE_CACHE[key] = _tensor_table(n, m)
+    pairs, fsteps, gsteps = tab
+    fv, gv, fa, ga = f.vertices, g.vertices, f.arrows, g.arrows
+    verts = tuple([tensor_obj(fv[p], gv[q]) for p, q in pairs])
+    arrows = []
+    for steps, mats, dims, left in ((fsteps, fa, gv, False),
+                                    (gsteps, ga, fv, True)):
+        made = {}
+        for p, q in steps:
+            d = dims[q].dim
+            if d == 1:
+                arrows.append(mats[p])
+                continue
+            out = made.get((p, d))
+            if out is None:
+                mat = mats[p]
+                if d and mat.num:
+                    eye = RatMatrix.identity(d)
+                    out = eye.kron(mat) if left else mat.kron(eye)
+                else:
+                    out = RatMatrix.zero(mat.rows * d, mat.cols * d)
+                made[(p, d)] = out
+            arrows.append(out)
+    return _mk(n + m, verts, tuple(arrows))
 
-    def arrow(k, ab, dim):
+
+def _tensor_table(n: int, m: int):
+    """The positions of ``tensor_cube`` of an n-cube by an m-cube: per
+    vertex (a, b) the vertex positions of a and b; per arrow (k, (a, b))
+    along an axis of the n-cube the positions of the arrow (k, a) and of
+    the vertex b, and along an axis of the m-cube those of the arrow
+    (k - n, b) and of the vertex a."""
+    vf, vg, af, ag = (vertex_indices(n), vertex_indices(m), arrow_keys(n),
+                      arrow_keys(m))
+    pairs = tuple([(vf[ab[:n]], vg[ab[n:]]) for ab in vertex_indices(n + m)])
+    fsteps, gsteps = [], []
+    for k, ab in arrow_keys(n + m):
         a, b = ab[:n], ab[n:]
         if k <= n:
-            return f.arrow(k, a).kron(RatMatrix.identity(g.vertex(b).dim))
-        return RatMatrix.identity(f.vertex(a).dim).kron(g.arrow(k - n, b))
-
-    return _assemble(n + g.n, lambda ab: tensor_obj(f.vertex(ab[:n]),
-                                                    g.vertex(ab[n:])),
-                     arrow)
+            fsteps.append((af[(k, a)][0], vg[b]))
+        else:
+            gsteps.append((ag[(k - n, b)][0], vf[a]))
+    return pairs, tuple(fsteps), tuple(gsteps)
 
 
 # -- rho and the bigraded homotopies ---------------------------------
@@ -484,27 +564,28 @@ def rho(cube: ExactCube, j: int) -> ExactCube:
     """The (n+1)-cube duplicating axis j; restricted to axes (j, j+1) it is
     the 2-cube rho of the corresponding edge of the input."""
     n = cube.n
-    if not 1 <= j <= n:
-        raise ValueError("rho axis out of range")
+    key = ("rho", n, j)
+    tab = _BUILD_TABLE_CACHE.get(key)
+    if tab is None:
+        if not 1 <= j <= n:
+            raise ValueError("rho axis out of range")
 
-    def collapse(a):
-        w = _RHO_VERT[(a[j - 1], a[j])]
-        return None if w is None else a[:j - 1] + (w,) + a[j + 1:]
+        def collapse(a):
+            w = _RHO_VERT[(a[j - 1], a[j])]
+            return None if w is None else a[:j - 1] + (w,) + a[j + 1:]
 
-    def vertex(a):
-        src = collapse(a)
-        return ZERO_OBJ if src is None else cube.vertex(src)
+        def arrow(k, a):
+            ca = collapse(a)
+            if k not in (j, j + 1):
+                return (k if k < j else k - 1, ca)
+            # inside the duplicated pair: the original arrow, or a fill
+            cb = collapse(_step(a, k))
+            if ca is None or cb is None or ca == cb:
+                return None
+            return (j, ca)
 
-    def arrow(k, a, dim):
-        ca = collapse(a)
-        if k not in (j, j + 1):
-            return cube.arrow(k if k < j else k - 1, ca)
-        # inside the duplicated pair: identity or the original arrow
-        if ca == collapse(_step(a, k)):
-            return RatMatrix.identity(dim)
-        return cube.arrow(j, ca)
-
-    return _assemble(n + 1, vertex, arrow)
+        tab = _BUILD_TABLE_CACHE[key] = _lift_table(n + 1, collapse, arrow)
+    return _lift(cube, tab)
 
 
 # -- chains -----------------------------------------------------------

@@ -158,6 +158,8 @@ class RatMatrix:
         return not self.num
 
     def is_identity(self) -> bool:
+        if self is _IDENTITY_CACHE.get(self.rows):
+            return True
         if self.rows != self.cols or self.den != 1 or len(self.num) != self.rows:
             return False
         return all(self.num.get((i, i)) == 1 for i in range(self.rows))

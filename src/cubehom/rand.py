@@ -32,19 +32,49 @@ def rnd_matrix(rng: random.Random, rows: int, cols: int, density: float = 0.7) -
     return RatMatrix(rows, cols, ent)
 
 
-def rnd_invertible(rng: random.Random, n: int) -> RatMatrix:
-    lo = {(i, i): 1 for i in range(n)}
-    up = {(i, i): 1 for i in range(n)}
+def _invertible_draws(rng: random.Random, n: int):
+    """The draws of ``rnd_invertible``, in order: for each (i, j) with
+    j < i, ``random()`` for L's entry (i, j), then ``randint(-3, 3)`` and
+    ``randint(1, 3)`` when it is kept, and the same for U's entry (j, i);
+    then a shuffle of range(n).  Returns L's and U's kept entries as
+    numerators over 6 (a drawn zero kept as 0) and the shuffled list."""
+    rand, randint = rng.random, rng.randint
+    lo, up = {}, {}
     for i in range(n):
         for j in range(i):
-            if rng.random() < 0.6:
-                lo[(i, j)] = rnd_fraction(rng)
-            if rng.random() < 0.6:
-                up[(j, i)] = rnd_fraction(rng)
+            if rand() < 0.6:
+                lo[(i, j)] = randint(-3, 3) * (6 // randint(1, 3))
+            if rand() < 0.6:
+                up[(j, i)] = randint(-3, 3) * (6 // randint(1, 3))
     perm = list(range(n))
     rng.shuffle(perm)
-    pm = RatMatrix(n, n, {(perm[i], i): 1 for i in range(n)})
-    return pm.mul(RatMatrix(n, n, lo)).mul(RatMatrix(n, n, up))
+    return lo, up, perm
+
+
+def _invertible(n: int, lo: dict, up: dict, perm: list) -> RatMatrix:
+    """P L U for the draws of ``_invertible_draws``: L and U unitriangular
+    with those entries, and P moving row i to row perm[i].  P L is L with
+    its rows moved, so one product builds the matrix."""
+    pl = {}
+    for i in range(n):
+        row = perm[i]
+        pl[(row, i)] = 6
+        for j in range(i):
+            v = lo.get((i, j))
+            if v:
+                pl[(row, j)] = v
+    u = {(i, i): 6 for i in range(n)}
+    u.update(up)
+    return RatMatrix.from_num(n, n, pl, 6).mul(RatMatrix.from_num(n, n, u, 6))
+
+
+def rnd_invertible(rng: random.Random, n: int) -> RatMatrix:
+    """A random invertible n x n matrix P L U: L lower and U upper
+    unitriangular, each entry off the diagonal kept with probability 0.6
+    and drawn as ``rnd_fraction``, and P a shuffle of the rows.  The draws
+    are those of ``_invertible_draws``; the matrix is one product of
+    integer numerators."""
+    return _invertible(n, *_invertible_draws(rng, n))
 
 
 def rnd_gram(rng: random.Random, n: int) -> RatMatrix:
@@ -58,15 +88,26 @@ def rnd_metobj(rng: random.Random) -> MetObj:
     return MetObj(d, rnd_gram(rng, d), check=False) if d else ZERO_OBJ
 
 
+def _block(m: RatMatrix, rows: range, cols: range, top: int) -> RatMatrix:
+    """The block of m on ``rows`` and ``cols``, its rows renumbered from
+    ``top``, entries read row by row."""
+    num, ent = m.num, {}
+    for r in rows:
+        for k in cols:
+            v = num.get((r, k))
+            if v:
+                ent[(r - top, k)] = v
+    return RatMatrix.from_num(len(rows), len(cols), ent, m.den)
+
+
 def rnd_one_cube(rng: random.Random, max_dim: int = 3, with_gram: bool = False) -> ExactCube:
+    """A random one-cube a -> a + c -> c (a + c >= 1): the first a columns
+    of an invertible u and the last c rows of u^-1."""
     a = rng.randint(0, max_dim)
     c = rng.randint(0 if a else 1, max_dim)
     u = rnd_invertible(rng, a + c)
-    uinv = inverse(u)
-    inj = RatMatrix(a + c, a, {(r, k): u[(r, k)] for r in range(a + c)
-                               for k in range(a) if u[(r, k)] != 0})
-    surj = RatMatrix(c, a + c, {(r - a, k): uinv[(r, k)] for r in range(a, a + c)
-                                for k in range(a + c) if uinv[(r, k)] != 0})
+    inj = _block(u, range(a + c), range(a), 0)
+    surj = _block(inverse(u), range(a, a + c), range(a + c), a)
     mk = (lambda n: MetObj(n, rnd_gram(rng, n) if (with_gram and n) else None,
                            check=False))
     return one_cube(mk(a), mk(a + c), mk(c), inj, surj)
@@ -96,19 +137,39 @@ def rnd_cube(rng: random.Random, n: int, max_dim: int = 2,
 
 def rnd_chain_complex(rng: random.Random, degs=(0, 3), maxdim: int = 3) -> ChainComplex:
     """A random complex with exactly controllable ranks: a split model
-    conjugated by random invertibles, so the boundary squares to zero."""
+    conjugated by random invertibles, so the boundary squares to zero.
+
+    Draws, in order: the dimension of each degree, the rank of each
+    boundary, and the draws of an invertible base B_n of each degree
+    (``_invertible_draws``).  The boundary of rank r into degree n - 1 is
+    B_{n-1} E B_n^-1, E taking the last r basis vectors of degree n to
+    the first r of degree n - 1, so B_{n-1} E is a block of columns of
+    B_{n-1}.  A boundary of rank 0 is zero and built not at all; a base
+    is built when a nonzero boundary reads it, once."""
     lo, hi = degs
     dims = {n: rng.randint(0, maxdim) for n in range(lo, hi + 1)}
     rks = {}
     for n in range(lo + 1, hi + 1):
         cap = min(dims.get(n - 1, 0) - rks.get(n - 1, 0), dims.get(n, 0))
         rks[n] = rng.randint(0, max(0, cap))
+    draws = {n: _invertible_draws(rng, dims[n]) for n in range(lo, hi + 1)}
+    base = {}
+
+    def basis(n):
+        out = base.get(n)
+        if out is None:
+            out = base[n] = _invertible(dims[n], *draws[n])
+        return out
+
     bnd = {}
-    base = {n: rnd_invertible(rng, dims.get(n, 0)) for n in range(lo, hi + 1)}
     for n in range(lo + 1, hi + 1):
-        ent = {(i, dims[n] - rks[n] + i): 1 for i in range(rks[n])}
-        m = RatMatrix(dims.get(n - 1, 0), dims.get(n, 0), ent)
-        bnd[n] = base[n - 1].mul(m).mul(inverse(base[n]))
+        rk = rks[n]
+        if rk:
+            b, off = basis(n - 1), dims[n] - rk
+            cols = RatMatrix.from_num(dims[n - 1], dims[n], {
+                (r, off + k): v for (r, k), v in b.num.items() if k < rk},
+                b.den)
+            bnd[n] = cols.mul(inverse(basis(n)))
     return ChainComplex(dims, bnd)
 
 

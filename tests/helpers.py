@@ -3,8 +3,10 @@ check of the stored form of a matrix, small builders and readers of
 matrices and cubes that only the tests use, the chain-form oracle of
 ``multirel.materialize_operator``, the every-member oracles of
 ``cubes.canonical`` and ``multirel.close_span_generic`` with the
-equivariance check the closure rests on, and the plain-against-alternating
-relations that make the signs of ``cubes.canonical`` load-bearing."""
+equivariance check the closure rests on, the plain-against-alternating
+relations that make the signs of ``cubes.canonical`` load-bearing, and
+the closure-driven oracles of the gathered cube constructions and of the
+random generators."""
 
 import math
 import random
@@ -15,8 +17,9 @@ from itertools import permutations
 from cubehom import ccx
 
 from cubehom.cubes import (ExactCube, act_sym, arrow_keys, boundary_cube,
-                           vertex_indices)
-from cubehom.exactlin import RatMatrix, ZERO_OBJ, rat_str
+                           one_cube, vertex_indices)
+from cubehom.exactlin import (MetObj, RatMatrix, ZERO_OBJ, inverse, rat_str,
+                              tensor_obj)
 from cubehom.multirel import (GeomView, LevelChain, MorphView, Span, Tower,
                               _op_image_seeds, closed_model, levelwise,
                               materialize_ccomplex, materialize_operator,
@@ -34,7 +37,9 @@ __all__ = [
     "rnd_retraction", "normal", "cube_parts", "from_rows", "to_dense",
     "to_json_obj", "zero_cube", "chain_form_components",
     "orbit_signs", "close_span_every_member", "equivariance_witness",
-    "plain_against_alternating",
+    "plain_against_alternating", "rho_oracle", "degeneracy_oracle",
+    "tensor_cube_oracle", "rnd_invertible_oracle", "rnd_one_cube_oracle",
+    "rnd_chain_complex_oracle",
 ]
 
 
@@ -244,3 +249,137 @@ def plain_against_alternating(marks, degree, seed):
             failed.append(name)
         compared[name] = sum(map(len, left.values()))
     return failed, compared
+
+
+# -- closure-driven oracles ----------------------------------------------
+#
+# The cube constructions as a vertex rule and an arrow rule read per
+# index, and the random generators reading every entry as a Fraction,
+# conjugating by a permutation matrix and inverting every base.  The
+# library gathers the same cubes through shape tables and builds the same
+# matrices from integer numerators; these are what it must equal.
+
+def _step(alpha, j):
+    return alpha[:j - 1] + (alpha[j - 1] + 1,) + alpha[j:]
+
+
+def _assemble(n, vertex, arrow):
+    """The interned n-cube with vertex(a) at each index a.  An arrow with
+    a zero-dimensional end is the zero map; every other arrow (k, a) is
+    arrow(k, a, dim), dim the dimension at a."""
+    verts = {a: vertex(a) for a in vertex_indices(n)}
+    arrows = {}
+    for k, a in arrow_keys(n):
+        sd, td = verts[a].dim, verts[_step(a, k)].dim
+        arrows[(k, a)] = (arrow(k, a, sd) if sd and td
+                          else RatMatrix.zero(td, sd))
+    return ExactCube(n, verts, arrows).intern()
+
+
+def degeneracy_oracle(cube, j, sign):
+    """s_j^{+1} (edge F -> F -> 0) or s_j^{-1} (edge 0 -> F -> F)."""
+    def vertex(a):
+        return ZERO_OBJ if a[j - 1] == sign else cube.vertex(a[:j - 1] + a[j:])
+
+    def arrow(k, a, dim):
+        if k == j:
+            return RatMatrix.identity(dim)
+        return cube.arrow(k if k < j else k - 1, a[:j - 1] + a[j:])
+
+    return _assemble(cube.n + 1, vertex, arrow)
+
+
+_RHO_VERT = {(-1, -1): -1, (-1, 0): -1, (0, -1): -1, (0, 0): 0,
+             (0, 1): 1, (1, 0): 1, (1, 1): 1, (-1, 1): None, (1, -1): None}
+
+
+def rho_oracle(cube, j):
+    """The (n+1)-cube duplicating axis j of ``cube``."""
+    def collapse(a):
+        w = _RHO_VERT[(a[j - 1], a[j])]
+        return None if w is None else a[:j - 1] + (w,) + a[j + 1:]
+
+    def vertex(a):
+        src = collapse(a)
+        return ZERO_OBJ if src is None else cube.vertex(src)
+
+    def arrow(k, a, dim):
+        ca = collapse(a)
+        if k not in (j, j + 1):
+            return cube.arrow(k if k < j else k - 1, ca)
+        if ca == collapse(_step(a, k)):
+            return RatMatrix.identity(dim)
+        return cube.arrow(j, ca)
+
+    return _assemble(cube.n + 1, vertex, arrow)
+
+
+def tensor_cube_oracle(f, g):
+    """(F (x) G)_{a,b} = F_a (x) G_b, with F's axes first."""
+    n = f.n
+
+    def arrow(k, ab, dim):
+        a, b = ab[:n], ab[n:]
+        if k <= n:
+            return f.arrow(k, a).kron(RatMatrix.identity(g.vertex(b).dim))
+        return RatMatrix.identity(f.vertex(a).dim).kron(g.arrow(k - n, b))
+
+    return _assemble(n + g.n, lambda ab: tensor_obj(f.vertex(ab[:n]),
+                                                    g.vertex(ab[n:])),
+                     arrow)
+
+
+def rnd_invertible_oracle(rng, n):
+    """P L U: L and U unitriangular with Fraction entries, P the
+    permutation matrix of a shuffle, two products."""
+    lo = {(i, i): 1 for i in range(n)}
+    up = {(i, i): 1 for i in range(n)}
+    for i in range(n):
+        for j in range(i):
+            if rng.random() < 0.6:
+                lo[(i, j)] = rnd_fraction(rng)
+            if rng.random() < 0.6:
+                up[(j, i)] = rnd_fraction(rng)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pm = RatMatrix(n, n, {(perm[i], i): 1 for i in range(n)})
+    return pm.mul(RatMatrix(n, n, lo)).mul(RatMatrix(n, n, up))
+
+
+def rnd_one_cube_oracle(rng, max_dim=3, with_gram=False):
+    """A random one-cube a -> a + c -> c: the first a columns of an
+    invertible u and the last c rows of its inverse, read entry by entry."""
+    a = rng.randint(0, max_dim)
+    c = rng.randint(0 if a else 1, max_dim)
+    u = rnd_invertible_oracle(rng, a + c)
+    uinv = inverse(u)
+    inj = RatMatrix(a + c, a, {(r, k): u[(r, k)] for r in range(a + c)
+                               for k in range(a) if u[(r, k)] != 0})
+    surj = RatMatrix(c, a + c, {(r - a, k): uinv[(r, k)]
+                                for r in range(a, a + c)
+                                for k in range(a + c) if uinv[(r, k)] != 0})
+
+    def mk(d):
+        return MetObj(d, rnd_gram(rng, d) if (with_gram and d) else None,
+                      check=False)
+
+    return one_cube(mk(a), mk(a + c), mk(c), inj, surj)
+
+
+def rnd_chain_complex_oracle(rng, degs=(0, 3), maxdim=3):
+    """A split complex conjugated by random invertibles, every base built
+    and inverted, zero boundaries included."""
+    lo, hi = degs
+    dims = {n: rng.randint(0, maxdim) for n in range(lo, hi + 1)}
+    rks = {}
+    for n in range(lo + 1, hi + 1):
+        cap = min(dims.get(n - 1, 0) - rks.get(n - 1, 0), dims.get(n, 0))
+        rks[n] = rng.randint(0, max(0, cap))
+    bnd = {}
+    base = {n: rnd_invertible_oracle(rng, dims.get(n, 0))
+            for n in range(lo, hi + 1)}
+    for n in range(lo + 1, hi + 1):
+        ent = {(i, dims[n] - rks[n] + i): 1 for i in range(rks[n])}
+        m = RatMatrix(dims.get(n - 1, 0), dims.get(n, 0), ent)
+        bnd[n] = base[n - 1].mul(m).mul(inverse(base[n]))
+    return ccx.ChainComplex(dims, bnd)

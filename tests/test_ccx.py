@@ -431,3 +431,16 @@ def test_homotopy_defect_is_the_defect_of_each_component():
     assert d.validate()["ok"]
     for m, n, k in ccx._keys(a, b, 0):
         assert d.c(m, n, k) == h.defect(m, n, k)
+
+
+def test_indices_are_the_sorted_nonzero_complexes():
+    rng = random.Random(4)
+    for _ in range(6):
+        a = rnd_ccomplex(rng)
+        for c in (a, a.shift(2), simple(zero_cmap(a, a)).ccx):
+            assert c.indices() == tuple(sorted(c.complexes))
+            assert c.indices() is c.indices()
+    # an empty complex is dropped from the indices
+    c = CComplex({3: rnd_chain_complex(rng), 0: ChainComplex({}, {})}, {})
+    assert 0 not in c.indices()
+    assert c.indices() == tuple(sorted(c.complexes))

@@ -241,3 +241,18 @@ def test_equal_arrows_from_both_paths_intern_to_one_cube():
         again = one_cube(c.vertex((-1,)), c.vertex((0,)), c.vertex((1,)),
                          inj.transpose().transpose(), _public(surj))
         assert again is c
+
+
+def test_is_identity_reads_values_beside_the_shared_instance():
+    shared = RatMatrix.identity(6)
+    assert shared.is_identity()
+    # equal values that are not the shared instance
+    built = RatMatrix(6, 6, {(i, i): 1 for i in range(6)})
+    product = RatMatrix.identity(2).kron(RatMatrix.identity(3))
+    for m in (built, product):
+        assert m is not shared and m == shared and m.is_identity()
+    assert not M([[0, 1, 0], [0, 0, 1], [1, 0, 0]]).is_identity()
+    assert not M([[1, 0], [0, 2]]).is_identity()
+    assert not RatMatrix.identity(2).scale(Fraction(1, 2)).is_identity()
+    assert not RatMatrix(2, 3, {(0, 0): 1, (1, 1): 1}).is_identity()
+    assert RatMatrix(0, 0).is_identity() and RatMatrix.identity(0).is_identity()

@@ -52,7 +52,8 @@ RUN_SCOPED = {"cubes.intern", "cubes.boundary", "cubes.alt", "cubes.canonical",
               "exactlin.identity", "exactlin.zero", "multirel.xi_words",
               "multirel.xi_images"}
 SHAPES = {"cubes.vidx", "cubes.arrow_keys", "cubes.axis_lines",
-          "cubes.face_table", "cubes.sym_table", "signs.division"}
+          "cubes.face_table", "cubes.sym_table", "cubes.build_table",
+          "signs.division"}
 
 
 def _fill_new_tables():
