@@ -400,13 +400,11 @@ def _lift_table(n: int, vertex, arrow):
         vsrc.append(zv if src is None else vp[src])
     asrc, fills = [], []
     for (k, a), (p, s, t) in arrow_keys(n).items():
-        src = None if vsrc[s] == zv and vsrc[t] == zv else arrow(k, a)
-        if src is None:
-            asrc.append(za)
-            if vsrc[s] != zv or vsrc[t] != zv:
-                fills.append((p, s, t))
-        else:
-            asrc.append(ak[src][0])
+        both_zero = vsrc[s] == zv and vsrc[t] == zv
+        src = None if both_zero else arrow(k, a)
+        if src is None and not both_zero:
+            fills.append((p, s, t))
+        asrc.append(za if src is None else ak[src][0])
     return tuple(vsrc), tuple(asrc), tuple(fills)
 
 

@@ -76,10 +76,12 @@ def test_gathered_constructions_equal_their_oracles():
 
 
 def test_gathered_constructions_are_the_interned_oracle_cubes():
-    c = _cubes(5)[-1]
+    drawn = _cubes(5)
+    c, point = drawn[-1], drawn[0]
     assert rho(c, 2) is rho_oracle(c, 2)
     assert degeneracy(c, 5, -1) is degeneracy_oracle(c, 5, -1)
-    assert tensor_cube(c, _cubes(6)[0]) is tensor_cube_oracle(c, _cubes(6)[0])
+    assert tensor_cube(c, point) is tensor_cube_oracle(c, point)
+    assert tensor_cube(point, c) is tensor_cube_oracle(point, c)
 
 
 def test_constructions_refuse_out_of_range_axes():
