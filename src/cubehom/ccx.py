@@ -31,6 +31,14 @@ S, and a family h has the one defect
 which vanishes on a map, is to - frm on a homotopy and
 Psi' phi_B - Phi_f g - f' Phi_g - phi_B Psi on a second homotopy.
 ``multirel.check_relation`` states the same relation on generators.
+
+The cone constructions are block families (``_blocks``): source and
+target are lists of slots (C, s) holding C^{m-s}_k at index m and
+degree k, and each block (i, j, fam, sign) adds sign * fam^{m-s_j,
+n-s_i}_k from source slot j to target slot i.  A cone s(f) has the slots
+(A, 0), (B, 1); its connecting maps, projection, inclusion, phi_s, the
+section t with its homotopies and Pi are block families, and so is the
+sum of two families (two blocks on one slot).
 """
 
 from __future__ import annotations
@@ -144,10 +152,6 @@ class CComplex:
 
     def cx(self, m: int) -> ChainComplex:
         return self.complexes.get(m, _EMPTY)
-
-    def f(self, m: int, n: int, k: int) -> RatMatrix:
-        """F^{m,n}_k for m < n, zero where absent."""
-        return self.structure().c(m, n, k)
 
     def structure(self) -> "CFamily":
         """The structure family S of reach -1: S^{m,m}_k = (-1)^m d_k and
@@ -339,6 +343,35 @@ def family(src: CComplex, dst: CComplex, reach: int, comp) -> CFamily:
     return CFamily(src, dst, comps, reach)
 
 
+def _offsets(slots, m: int, k: int):
+    """The offset of each slot (C, s) at index m and degree k, C^{m-s}_k
+    laid out in order, and the total dimension."""
+    offs, total = [], 0
+    for cx, s in slots:
+        offs.append(total)
+        total += cx.cx(m - s).dim(k)
+    return offs, total
+
+
+def _blocks(src_slots, dst_slots, reach: int, blocks):
+    """comp(m, n, k) for ``family`` of the block family of this reach from
+    the slots ``src_slots`` to ``dst_slots``: the block from source slot j
+    (shift s_j) to target slot i (shift s_i) is the sum of sign *
+    fam^{m-s_j, n-s_i}_k over the (i, j, fam, sign) in ``blocks``, and the
+    component is None where every block is absent."""
+    def comp(m, n, k):
+        present = [(i, j, mat, sign) for i, j, fam, sign in blocks
+                   if (mat := fam.get(m - src_slots[j][1],
+                                      n - dst_slots[i][1], k)) is not None]
+        if not present:
+            return None
+        row_offs, rows = _offsets(dst_slots, n, k + n - m + reach)
+        col_offs, cols = _offsets(src_slots, m, k)
+        return _assemble(rows, cols, [(row_offs[i], col_offs[j], mat, sign)
+                                      for i, j, mat, sign in present])
+    return comp
+
+
 class CMap(CFamily):
     """A map of C-complexes: comps[(m, n)][k]: A^m_k -> B^n_{k+n-m}, m <= n."""
 
@@ -389,9 +422,10 @@ def cmap_shift(f: CMap, r: int) -> CMap:
 
 def cmap_add(f: CFamily, g: CFamily, scale_g=1) -> CFamily:
     """f + scale_g g, for two families of one reach between one pair of
-    C-complexes."""
+    C-complexes and an int scale_g."""
     return family(f.src, f.dst, f.reach,
-                  lambda m, n, k: f.c(m, n, k) + g.c(m, n, k).scale(scale_g))
+                  _blocks([(f.src, 0)], [(f.dst, 0)], f.reach,
+                          [(0, 0, f, 1), (0, 0, g, scale_g)]))
 
 
 class CHomotopy(CFamily):
@@ -434,27 +468,25 @@ def second_homotopy_target(g: CMap, fp: CMap, phi_b: CMap, h_f: CHomotopy,
 class SimpleParts:
     """The simple complex ccx of a C-map f: A -> B with its projection to A
     and its inclusion of B[-1]; C^m_k is A^m_k (+) B^{m-1}_k, in that
-    order."""
+    order: the slots ``sides`` = [(A, 0), (B, 1)]."""
 
     def __init__(self, a: CComplex, b: CComplex, ccx: CComplex):
         self.a, self.b, self.ccx = a, b, ccx
+        self.sides = [(a, 0), (b, 1)]
 
     @cached_property
     def proj(self) -> CMap:
         """p: s(f) -> A, the diagonal projection onto the A slot."""
-        return family(self.ccx, self.a, 0, lambda m, n, k: _slot_unit(
-            *self.slots(m, k), 0) if m == n else None)
+        return family(self.ccx, self.a, 0, _blocks(
+            self.sides, [(self.a, 0)], 0,
+            [(0, 0, identity_cmap(self.a), 1)]))
 
     @cached_property
     def incl(self) -> CMap:
         """i: B[-1] -> s(f), the diagonal inclusion of the B slot."""
-        return family(self.b.shift(-1), self.ccx, 0,
-                      lambda m, n, k: _slot_unit(*self.slots(m, k), 1)
-                      .transpose() if m == n else None)
-
-    def slots(self, m: int, k: int):
-        """The dimensions of A^m_k and B^{m-1}_k inside C^m_k."""
-        return self.a.cx(m).dim(k), self.b.cx(m - 1).dim(k)
+        return family(self.b.shift(-1), self.ccx, 0, _blocks(
+            [(self.b, 1)], self.sides, 0,
+            [(1, 0, identity_cmap(self.b), 1)]))
 
 
 def _slot_unit(da: int, db: int, slot: int) -> RatMatrix:
@@ -473,22 +505,12 @@ def simple(f: CMap) -> SimpleParts:
                                   [(0, 0, a.cx(m).d, 1),
                                    (1, 1, b.cx(m - 1).d, 1)])
                  for m in idxs}
-    fmaps = {}
-    for m in idxs:
-        for n in idxs:
-            if m >= n:
-                continue
-            per = {}
-            for k in set(a.cx(m).degrees()) | set(b.cx(m - 1).degrees()):
-                da = a.cx(m).dim(k)
-                kk = k + n - m - 1
-                ta = a.cx(n).dim(kk)
-                per[k] = _assemble(ta + b.cx(n - 1).dim(kk),
-                                   da + b.cx(m - 1).dim(k),
-                                   [(0, 0, a.f(m, n, k), 1),
-                                    (ta, 0, f.c(m, n - 1, k), 1),
-                                    (ta, da, b.f(m - 1, n - 1, k), -1)])
-            fmaps[(m, n)] = per
+    sides = [(a, 0), (b, 1)]
+    comp = _blocks(sides, sides, -1, [(0, 0, a.structure(), 1), (1, 0, f, 1),
+                                      (1, 1, b.structure(), -1)])
+    fmaps = {(m, n): {k: mat for k in complexes[m].degrees()
+                      if (mat := comp(m, n, k)) is not None}
+             for m in idxs for n in idxs if m < n}
     return SimpleParts(a, b, CComplex(complexes, fmaps))
 
 
@@ -499,14 +521,9 @@ def phi_s(parts: SimpleParts, parts_p: SimpleParts, phi_a: CMap, phi_b: CMap,
 
         phi_s^{m,n}(a, b) = (phi_A(a), phi_B^{m-1,n-1}(b) + h_f^{m,n-1}(a)).
     """
-    def comp(m, n, k):
-        da, db = parts.slots(m, k)
-        ta, tb = parts_p.slots(n, k + n - m)
-        return _assemble(ta + tb, da + db,
-                         [(0, 0, phi_a.c(m, n, k), 1),
-                          (ta, da, phi_b.c(m - 1, n - 1, k), 1),
-                          (ta, 0, h_f.c(m, n - 1, k), 1)])
-    return family(parts.ccx, parts_p.ccx, 0, comp)
+    return family(parts.ccx, parts_p.ccx, 0, _blocks(
+        parts.sides, parts_p.sides, 0,
+        [(0, 0, phi_a, 1), (1, 1, phi_b, 1), (1, 0, h_f, 1)]))
 
 
 def section_t(parts: SimpleParts, f: CMap, g: CMap, psi: CHomotopy):
@@ -519,35 +536,18 @@ def section_t(parts: SimpleParts, f: CMap, g: CMap, psi: CHomotopy):
     together with the homotopies psi_1 (from Id_{s(f)} to t p) and psi_2
     (from 0 to t g).  Returns (t, psi_1, psi_2)."""
     a, b = f.src, f.dst
-    cone = parts.ccx
-    gf, psi_f = compose(g, f), compose(psi, f)
-
-    def t_comp(m, n, k):
-        ta, tb = parts.slots(n, k + n - m)
-        blocks = [(0, 0, gf.c(m, n, k), -1), (ta, 0, psi_f.c(m, n - 1, k), -1)]
-        if m == n:
-            blocks.append((0, 0, RatMatrix.identity(a.cx(m).dim(k)), 1))
-        return _assemble(ta + tb, a.cx(m).dim(k), blocks)
-    t = family(a, cone, 0, t_comp)
-
+    cone, sides = parts.ccx, parts.sides
+    t = family(a, cone, 0, _blocks(
+        [(a, 0)], sides, 0,
+        [(0, 0, compose(g, f), -1), (1, 0, compose(psi, f), -1),
+         (0, 0, identity_cmap(a), 1)]))
     # psi_1^{m,n}(a, b) = (-g^{m-1,n}(b), -psi^{m-1,n-1}(b))
-    def psi1_comp(m, n, k):
-        da, db = parts.slots(m, k)
-        ta, tb = parts.slots(n, k + n - m + 1)
-        return _assemble(ta + tb, da + db,
-                         [(0, da, g.c(m - 1, n, k), -1),
-                          (ta, da, psi.c(m - 1, n - 1, k), -1)])
-    psi1 = family(cone, cone, 1, psi1_comp)
-
+    psi1 = family(cone, cone, 1, _blocks(
+        sides, sides, 1, [(0, 1, g, -1), (1, 1, psi, -1)]))
     # psi_2^{m,n}(b) = (-sum_l g^{l,n} psi^{m,l}(b), -sum_l psi^{l,n-1} psi^{m,l}(b))
-    g_psi, psi_psi = compose(g, psi), compose(psi, psi)
-
-    def psi2_comp(m, n, k):
-        ta, tb = parts.slots(n, k + n - m + 1)
-        return _assemble(ta + tb, b.cx(m).dim(k),
-                         [(0, 0, g_psi.c(m, n, k), -1),
-                          (ta, 0, psi_psi.c(m, n - 1, k), -1)])
-    psi2 = family(b, cone, 1, psi2_comp)
+    psi2 = family(b, cone, 1, _blocks(
+        [(b, 0)], sides, 1,
+        [(0, 0, compose(g, psi), -1), (1, 0, compose(psi, psi), -1)]))
     return t, psi1, psi2
 
 
@@ -559,17 +559,10 @@ def pi_homotopy(parts_p: SimpleParts, f: CMap, theta: CFamily,
     Pi^{m,n}(a) = (-sum Phi_g^{l,n} f^{m,l}(a) - sum g'^{l,n} Phi_f^{m,l}(a),
                    -sum Psi'^{l,n-1} Phi_f^{m,l}(a) + sum Theta^{l,n-1} f^{m,l}(a)).
     """
-    hg_f, gp_hf = compose(h_g, f), compose(gp, h_f)
-    psi_hf, theta_f = compose(psi_p, h_f), compose(theta, f)
-
-    def comp(m, n, k):
-        ta, tb = parts_p.slots(n, k + n - m + 1)
-        return _assemble(ta + tb, f.src.cx(m).dim(k),
-                         [(0, 0, hg_f.c(m, n, k), -1),
-                          (0, 0, gp_hf.c(m, n, k), -1),
-                          (ta, 0, psi_hf.c(m, n - 1, k), -1),
-                          (ta, 0, theta_f.c(m, n - 1, k), 1)])
-    return family(f.src, parts_p.ccx, 1, comp)
+    return family(f.src, parts_p.ccx, 1, _blocks(
+        [(f.src, 0)], parts_p.sides, 1,
+        [(0, 0, compose(h_g, f), -1), (0, 0, compose(gp, h_f), -1),
+         (1, 0, compose(psi_p, h_f), -1), (1, 0, compose(theta, f), 1)]))
 
 
 # -- simple complex of a diagram ---------------------------------------

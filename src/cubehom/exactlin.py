@@ -127,9 +127,12 @@ class RatMatrix:
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
+        """The n x n identity, one shared instance per size."""
         m = _IDENTITY_CACHE.get(n)
         if m is None:
-            m = RatMatrix(n, n, {(i, i): 1 for i in range(n)})
+            if n < 0:
+                raise ValueError("negative matrix shape")
+            m = _of(n, n, {(i, i): 1 for i in range(n)}, 1)
             _IDENTITY_CACHE[n] = m
         return m
 
@@ -139,7 +142,9 @@ class RatMatrix:
         key = (rows, cols)
         m = _ZERO_CACHE.get(key)
         if m is None:
-            m = RatMatrix(rows, cols)
+            if rows < 0 or cols < 0:
+                raise ValueError("negative matrix shape")
+            m = _of(rows, cols, {}, 1)
             _ZERO_CACHE[key] = m
         return m
 

@@ -782,7 +782,7 @@ def cone_identification(parts, model_a: MatrixModel, model_b: MatrixModel,
         per = {}
         for k in cone.cx(m).degrees():
             row_off, rows = model.layout(m, k)
-            da = parts.slots(m, k)[0]
+            da = parts.a.cx(m).dim(k)
             halves = [(model_a, m, frozenset(), 0, 1)]
             if m:  # no level has size -1
                 halves.append((model_b, m - 1, frozenset({mark}), da, -1))

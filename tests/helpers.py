@@ -6,7 +6,8 @@ matrices and cubes that only the tests use, the chain-form oracle of
 equivariance check the closure rests on, the plain-against-alternating
 relations that make the signs of ``cubes.canonical`` load-bearing, and
 the closure-driven oracles of the gathered cube constructions and of the
-random generators."""
+random generators, and the hand-written component closures of the cone
+constructions of ``ccx`` that its block families replace."""
 
 import math
 import random
@@ -39,7 +40,8 @@ __all__ = [
     "orbit_signs", "close_span_every_member", "equivariance_witness",
     "plain_against_alternating", "rho_oracle", "degeneracy_oracle",
     "tensor_cube_oracle", "rnd_invertible_oracle", "rnd_one_cube_oracle",
-    "rnd_chain_complex_oracle",
+    "rnd_chain_complex_oracle", "ConeOracle", "phi_s_oracle",
+    "section_t_oracle", "pi_homotopy_oracle", "cmap_add_oracle",
 ]
 
 
@@ -383,3 +385,117 @@ def rnd_chain_complex_oracle(rng, degs=(0, 3), maxdim=3):
         m = RatMatrix(dims.get(n - 1, 0), dims.get(n, 0), ent)
         bnd[n] = base[n - 1].mul(m).mul(inverse(base[n]))
     return ccx.ChainComplex(dims, bnd)
+
+
+# -- the cone constructions, one closure per component -------------------
+
+class ConeOracle:
+    """s(f) of a C-map f: A -> B with its projection and inclusion, each
+    component assembled by hand from the slot dimensions of A^m and
+    B^{m-1} and every block read with ``CFamily.c``, zeros included."""
+
+    def __init__(self, f):
+        a, b = f.src, f.dst
+        self.a, self.b = a, b
+        sa, sb = a.structure(), b.structure()
+        idxs = sorted(set(a.indices()) | {m + 1 for m in b.indices()})
+        complexes = {m: ccx._slot_complex([(a.cx(m), 0), (b.cx(m - 1), 0)],
+                                          [(0, 0, a.cx(m).d, 1),
+                                           (1, 1, b.cx(m - 1).d, 1)])
+                     for m in idxs}
+        fmaps = {}
+        for m in idxs:
+            for n in idxs:
+                if m >= n:
+                    continue
+                per = {}
+                for k in set(a.cx(m).degrees()) | set(b.cx(m - 1).degrees()):
+                    da = a.cx(m).dim(k)
+                    kk = k + n - m - 1
+                    ta = a.cx(n).dim(kk)
+                    per[k] = ccx._assemble(
+                        ta + b.cx(n - 1).dim(kk), da + b.cx(m - 1).dim(k),
+                        [(0, 0, sa.c(m, n, k), 1),
+                         (ta, 0, f.c(m, n - 1, k), 1),
+                         (ta, da, sb.c(m - 1, n - 1, k), -1)])
+                fmaps[(m, n)] = per
+        self.ccx = ccx.CComplex(complexes, fmaps)
+
+    def slots(self, m, k):
+        """The dimensions of A^m_k and B^{m-1}_k inside C^m_k."""
+        return self.a.cx(m).dim(k), self.b.cx(m - 1).dim(k)
+
+    @property
+    def proj(self):
+        return ccx.family(self.ccx, self.a, 0, lambda m, n, k: ccx._slot_unit(
+            *self.slots(m, k), 0) if m == n else None)
+
+    @property
+    def incl(self):
+        return ccx.family(self.b.shift(-1), self.ccx, 0,
+                          lambda m, n, k: ccx._slot_unit(*self.slots(m, k), 1)
+                          .transpose() if m == n else None)
+
+
+def phi_s_oracle(parts, parts_p, phi_a, phi_b, h_f):
+    """phi_s^{m,n}(a, b) = (phi_A(a), phi_B^{m-1,n-1}(b) + h_f^{m,n-1}(a))."""
+    def comp(m, n, k):
+        da, db = parts.slots(m, k)
+        ta, tb = parts_p.slots(n, k + n - m)
+        return ccx._assemble(ta + tb, da + db,
+                             [(0, 0, phi_a.c(m, n, k), 1),
+                              (ta, da, phi_b.c(m - 1, n - 1, k), 1),
+                              (ta, 0, h_f.c(m, n - 1, k), 1)])
+    return ccx.family(parts.ccx, parts_p.ccx, 0, comp)
+
+
+def section_t_oracle(parts, f, g, psi):
+    """(t, psi_1, psi_2) of ``ccx.section_t``."""
+    a, b = f.src, f.dst
+    cone = parts.ccx
+    gf, psi_f = ccx.compose(g, f), ccx.compose(psi, f)
+
+    def t_comp(m, n, k):
+        ta, tb = parts.slots(n, k + n - m)
+        blocks = [(0, 0, gf.c(m, n, k), -1), (ta, 0, psi_f.c(m, n - 1, k), -1)]
+        if m == n:
+            blocks.append((0, 0, RatMatrix.identity(a.cx(m).dim(k)), 1))
+        return ccx._assemble(ta + tb, a.cx(m).dim(k), blocks)
+
+    def psi1_comp(m, n, k):
+        da, db = parts.slots(m, k)
+        ta, tb = parts.slots(n, k + n - m + 1)
+        return ccx._assemble(ta + tb, da + db,
+                             [(0, da, g.c(m - 1, n, k), -1),
+                              (ta, da, psi.c(m - 1, n - 1, k), -1)])
+
+    g_psi, psi_psi = ccx.compose(g, psi), ccx.compose(psi, psi)
+
+    def psi2_comp(m, n, k):
+        ta, tb = parts.slots(n, k + n - m + 1)
+        return ccx._assemble(ta + tb, b.cx(m).dim(k),
+                             [(0, 0, g_psi.c(m, n, k), -1),
+                              (ta, 0, psi_psi.c(m, n - 1, k), -1)])
+    return (ccx.family(a, cone, 0, t_comp), ccx.family(cone, cone, 1, psi1_comp),
+            ccx.family(b, cone, 1, psi2_comp))
+
+
+def pi_homotopy_oracle(parts_p, f, theta, h_f, h_g, psi_p, gp):
+    """Pi of ``ccx.pi_homotopy``."""
+    hg_f, gp_hf = ccx.compose(h_g, f), ccx.compose(gp, h_f)
+    psi_hf, theta_f = ccx.compose(psi_p, h_f), ccx.compose(theta, f)
+
+    def comp(m, n, k):
+        ta, tb = parts_p.slots(n, k + n - m + 1)
+        return ccx._assemble(ta + tb, f.src.cx(m).dim(k),
+                             [(0, 0, hg_f.c(m, n, k), -1),
+                              (0, 0, gp_hf.c(m, n, k), -1),
+                              (ta, 0, psi_hf.c(m, n - 1, k), -1),
+                              (ta, 0, theta_f.c(m, n - 1, k), 1)])
+    return ccx.family(f.src, parts_p.ccx, 1, comp)
+
+
+def cmap_add_oracle(f, g, scale_g=1):
+    """f + scale_g g, one matrix sum per component."""
+    return ccx.family(f.src, f.dst, f.reach,
+                      lambda m, n, k: f.c(m, n, k) + g.c(m, n, k).scale(scale_g))

@@ -14,7 +14,8 @@ from cubehom.rand import (rnd_ccomplex, rnd_chain_complex, rnd_cmap,
                           rnd_exchange_square, rnd_homotopy_comps,
                           rnd_invertible, rnd_matrix, rnd_retraction,
                           rnd_second_homotopy_setup, solve_second_homotopy)
-from helpers import from_rows
+from helpers import (ConeOracle, cmap_add_oracle, from_rows, phi_s_oracle,
+                     pi_homotopy_oracle, section_t_oracle)
 
 
 def test_validate_single_complex():
@@ -115,17 +116,22 @@ def test_compose_associativity():
 
 
 def test_simple_of_zero_map_is_direct_sum():
-    rng = random.Random(6)
-    a, b = rnd_ccomplex(rng), rnd_ccomplex(rng)
-    parts = simple(zero_cmap(a, b))
-    cone = parts.ccx
-    for (m, n), per in cone.fmaps.items():
-        for k, mat in per.items():
-            # no cross terms from the A block into the B block
-            ta = parts.slots(n, k + n - m - 1)[0]
-            da = parts.slots(m, k)[0]
-            for (r, c), v in mat.items():
-                assert not (r >= ta and c < da)
+    # with f = 0 no connecting map of the cone has a block from the A slot
+    # into the B slot
+    checked = 0
+    for seed in range(6, 10):
+        rng = random.Random(seed)
+        a = rnd_ccomplex(rng, steps=(1, 2))
+        b = rnd_ccomplex(rng, steps=(1, 2))
+        parts = simple(zero_cmap(a, b))
+        for (m, n), per in parts.ccx.fmaps.items():
+            for k, mat in per.items():
+                ta = parts.a.cx(n).dim(k + n - m - 1)
+                da = parts.a.cx(m).dim(k)
+                checked += 1
+                for (r, c), v in mat.items():
+                    assert not (r >= ta and c < da)
+    assert checked
 
 
 def test_cone_of_identity_is_acyclic():
@@ -257,6 +263,79 @@ def test_pi_homotopy_zero_and_random():
         assert pi.validate(compose(ps, t), compose(t, setup["phi_a"]))["ok"]
 
 
+def _same_cone(parts, oracle):
+    """The cone, projection and inclusion of ``simple`` against the
+    closures of ``ConeOracle``."""
+    cone, expect = parts.ccx, oracle.ccx
+    assert cone.indices() == expect.indices()
+    for m in cone.indices():
+        assert cone.cx(m).dims == expect.cx(m).dims
+        assert cone.cx(m).boundary == expect.cx(m).boundary
+    assert cone.fmaps == expect.fmaps
+    assert parts.proj.comps == oracle.proj.comps
+    assert parts.incl.comps == oracle.incl.comps
+
+
+def test_cone_constructions_match_their_closure_oracles_on_squares():
+    rng = random.Random(40)
+    for _ in range(6):
+        a, b, ap, bp, f, fp, pa, pb, phi = rnd_exchange_square(rng)
+        parts, parts_p = simple(f), simple(fp)
+        oracle, oracle_p = ConeOracle(f), ConeOracle(fp)
+        _same_cone(parts, oracle)
+        _same_cone(parts_p, oracle_p)
+        ps = phi_s(parts, parts_p, pa, pb, phi)
+        ps_o = phi_s_oracle(oracle, oracle_p, pa, pb, phi)
+        assert ps.comps == ps_o.comps
+        # cones over cones: of the induced map and of the triangle maps
+        for new, old in ((ps, ps_o), (parts.proj, oracle.proj),
+                         (parts.incl, oracle.incl)):
+            _same_cone(simple(new), ConeOracle(old))
+        for x, y in ((compose(pb, f), compose(fp, pa)), (phi, phi),
+                     (ps, ps)):
+            for scale in (1, -1, 2):
+                assert cmap_add(x, y, scale).comps == \
+                    cmap_add_oracle(x, y, scale).comps
+
+
+def test_section_constructions_match_their_closure_oracles():
+    rng = random.Random(41)
+    for _ in range(8):
+        a, b, f, g, psi = rnd_retraction(rng)
+        parts, oracle = simple(f), ConeOracle(f)
+        _same_cone(parts, oracle)
+        new, old = section_t(parts, f, g, psi), section_t_oracle(oracle, f, g,
+                                                                 psi)
+        for x, y in zip(new, old):
+            assert x.comps == y.comps
+        # the cone of t: A -> s(f), a cone over a cone
+        _same_cone(simple(new[0]), ConeOracle(old[0]))
+
+
+def test_pi_homotopy_matches_its_closure_oracle():
+    rng = random.Random(42)
+    setups = [s for s in (rnd_second_homotopy_setup(rng) for _ in range(8))
+              if s is not None]
+    assert setups
+    nonzero = 0
+    for setup in setups:
+        f, g, psi = setup["f"], setup["g"], setup["psi"]
+        parts, oracle = simple(f), ConeOracle(f)
+        _same_cone(parts, oracle)
+        ps = phi_s(parts, parts, setup["phi_a"], setup["phi_b"], setup["h_f"])
+        ps_o = phi_s_oracle(oracle, oracle, setup["phi_a"], setup["phi_b"],
+                            setup["h_f"])
+        assert ps.comps == ps_o.comps
+        _same_cone(simple(ps), ConeOracle(ps_o))
+        pi = pi_homotopy(parts, f, setup["theta"], setup["h_f"],
+                         setup["h_g"], psi, g)
+        pi_o = pi_homotopy_oracle(oracle, f, setup["theta"], setup["h_f"],
+                                  setup["h_g"], psi, g)
+        assert pi.comps == pi_o.comps
+        nonzero += bool(pi.comps)
+    assert nonzero
+
+
 def test_diagram_simple_zero():
     z = ChainComplex({}, {})
     sd = diagram_simple(z, z, z, z, {}, {}, {})
@@ -335,7 +414,8 @@ def _tot_reference(a):
         ent = {}
         for (m, i), col in basis[p].items():
             blocks = [(m, a.cx(m).d(m + p).scale(Fraction(-1) ** (m % 2)))]
-            blocks += [(n, a.f(m, n, m + p)) for n in a.indices() if n > m]
+            blocks += [(n, a.structure().c(m, n, m + p))
+                       for n in a.indices() if n > m]
             for n, mat in blocks:
                 for (r, c), v in mat.items():
                     if c == i:

@@ -243,6 +243,23 @@ def test_equal_arrows_from_both_paths_intern_to_one_cube():
         assert again is c
 
 
+def test_shared_zero_and_identity_match_the_checked_constructor():
+    for rows, cols in ((0, 0), (0, 3), (2, 0), (3, 2)):
+        shared, built = RatMatrix.zero(rows, cols), RatMatrix(rows, cols)
+        assert shared == built and hash(shared) == hash(built)
+        assert (shared.num, shared.den) == ({}, 1)
+    for n in (0, 1, 4):
+        shared = RatMatrix.identity(n)
+        built = RatMatrix(n, n, {(i, i): 1 for i in range(n)})
+        assert shared == built and hash(shared) == hash(built)
+        assert shared.den == 1
+    for rows, cols in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            RatMatrix.zero(rows, cols)
+    with pytest.raises(ValueError):
+        RatMatrix.identity(-1)
+
+
 def test_is_identity_reads_values_beside_the_shared_instance():
     shared = RatMatrix.identity(6)
     assert shared.is_identity()

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package or of the tests imports a
 name it never uses, and every function, method or class the package
-defines is referenced by the package or its benchmark; a definition that
-only the tests reach is dead library code.  Every parameter is read, and
+defines is referenced by the package or its benchmark (a method through
+an attribute); a definition that only the tests reach is dead library
+code.  Every parameter is read, and
 a default that every call of the package and its benchmark leaves at one
 value is a constant, not an option."""
 
@@ -60,15 +61,16 @@ ALLOWED = {}
 
 
 def names_used(sources):
-    """Every name and attribute name the ``sources`` reference."""
-    refs = set()
+    """(names, attributes): every bare name and every attribute name the
+    ``sources`` reference."""
+    names, attrs = set(), set()
     for text in sources:
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Name):
-                refs.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                refs.add(node.attr)
-    return refs
+                attrs.add(node.attr)
+    return names, attrs
 
 
 def _registered(node):
@@ -83,14 +85,23 @@ def _registered(node):
 
 def unreferenced_defs(source, refs):
     """Non-dunder functions, methods and classes defined in ``source``,
-    other than registered ones, whose names are not in ``refs``."""
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    other than registered ones, that ``refs`` = (names, attributes) does
+    not reference: a method (a def in a class body) is referenced by an
+    attribute of its name, any other definition by its name either way."""
+    names, attrs = refs
+    tree = ast.parse(source)
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    methods = {id(item) for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, funcs)}
     return sorted((node.lineno, node.name)
-                  for node in ast.walk(ast.parse(source))
-                  if isinstance(node, defs) and not _registered(node)
+                  for node in ast.walk(tree)
+                  if isinstance(node, funcs + (ast.ClassDef,))
+                  and not _registered(node)
                   and not (node.name.startswith("__")
                            and node.name.endswith("__"))
-                  and node.name not in refs)
+                  and node.name not in attrs
+                  and (id(node) in methods or node.name not in names))
 
 
 def test_scan_finds_an_unreferenced_definition():
@@ -102,19 +113,24 @@ def test_scan_finds_an_unreferenced_definition():
               "    def build(): pass\n"
               "    @staticmethod\n"
               "    def lost_build(): pass\n"
+              "    def shadowed(self): pass\n"
               "def helper(): pass\n"
               "def dead(): pass\n"
               "class Lost: pass\n"
               "@register('suite.name')\n"
               "def suite_body(): pass\n")
-    refs = names_used([source, "Box().used()\nhelper()\nBox.build()\n"])
+    # a parameter named like a method does not reference the method
+    refs = names_used([source, "Box().used()\nhelper()\nBox.build()\n"
+                               "def apply(shadowed): return shadowed()\n"])
     assert unreferenced_defs(source, refs) \
-        == [(4, "unused"), (8, "lost_build"), (10, "dead"), (11, "Lost")]
+        == [(4, "unused"), (8, "lost_build"), (9, "shadowed"), (11, "dead"),
+            (12, "Lost")]
 
 
 @pytest.fixture(scope="module")
 def package_refs():
-    return names_used(p.read_text() for p in REFERENCING) | set(ALLOWED)
+    names, attrs = names_used(p.read_text() for p in REFERENCING)
+    return names | set(ALLOWED), attrs | set(ALLOWED)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
