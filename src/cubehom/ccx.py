@@ -32,13 +32,16 @@ which vanishes on a map, is to - frm on a homotopy and
 Psi' phi_B - Phi_f g - f' Phi_g - phi_B Psi on a second homotopy.
 ``multirel.check_relation`` states the same relation on generators.
 
-The cone constructions are block families (``_blocks``): source and
-target are lists of slots (C, s) holding C^{m-s}_k at index m and
-degree k, and each block (i, j, fam, sign) adds sign * fam^{m-s_j,
-n-s_i}_k from source slot j to target slot i.  A cone s(f) has the slots
-(A, 0), (B, 1); its connecting maps, projection, inclusion, phi_s, the
-section t with its homotopies and Pi are block families, and so is the
-sum of two families (two blocks on one slot).
+Absent is zero: families and chain complexes store only nonzero
+matrices, read with ``get`` (None where absent), and every sum of
+blocks is one ``_gather``, which skips an absent block.  The cone
+constructions are block families (``_blocks``): source and target are
+lists of slots (C, s) holding C^{m-s}_k at index m and degree k, and
+each block (i, j, fam, sign) adds sign * fam^{m-s_j, n-s_i}_k from source
+slot j to target slot i.  A cone s(f) has the slots (A, 0), (B, 1); its
+connecting maps, projection, inclusion, phi_s, the section t with its
+homotopies and Pi are block families, and so is the sum of two families
+(two blocks on one slot).
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from __future__ import annotations
 import math
 import weakref
 from functools import cached_property
+from itertools import accumulate
 
 from .exactlin import RatMatrix, induced_homology_rank, rank
 
@@ -69,6 +73,7 @@ class ChainComplex:
         return sorted(self.dims)
 
     def d(self, n: int) -> RatMatrix:
+        """d_n, the zero matrix where the boundary is absent."""
         m = self.boundary.get(n)
         if m is None:
             return RatMatrix.zero(self.dim(n - 1), self.dim(n))
@@ -76,10 +81,11 @@ class ChainComplex:
 
     def validate(self):
         """Structured report: the first nonzero entry of d d, named by its
-        source degree at index (0, 0), or ok."""
+        source degree at index (0, 0), or ok.  A degree with an absent
+        boundary on either side is counted and skipped."""
         for checked, n in enumerate(self.dims, 1):
-            dd = self.d(n).mul(self.d(n + 1))
-            if not dd.is_zero():
+            dd = _product(self.boundary.get(n), self.boundary.get(n + 1))
+            if dd is not None and not dd.is_zero():
                 return _witness(checked, 0, 0, n + 1, dd)
         return {"ok": True, "checked": len(self.dims)}
 
@@ -115,6 +121,11 @@ def _witness(checked: int, m: int, n: int, k: int, diff: RatMatrix) -> dict:
                    "value": str(diff[entry])}}
 
 
+def _product(a, b):
+    """a b, None when either is absent."""
+    return None if a is None or b is None else a.mul(b)
+
+
 def _assemble(rows: int, cols: int, blocks) -> RatMatrix:
     """The rows x cols matrix that is the sum of the blocks, a list of
     (row offset, column offset, matrix, int sign), summed on numerators
@@ -128,6 +139,22 @@ def _assemble(rows: int, cols: int, blocks) -> RatMatrix:
             key = (r0 + r, c0 + c)
             ent[key] = get(key, 0) + f * v
     return RatMatrix.from_num(rows, cols, ent, den)
+
+
+def _gather(rows, cols, blocks):
+    """The block matrix whose row slots have the dimensions ``rows`` and
+    whose column slots have the dimensions ``cols`` (iterables, read only
+    when a block is present): block (i, j) is the sum of sign * mat over
+    the (i, j, mat, sign) in ``blocks``, a None mat being absent.  None
+    when every block is absent."""
+    present = [blk for blk in blocks if blk[2] is not None]
+    if not present:
+        return None
+    row_offs = list(accumulate(rows, initial=0))
+    col_offs = list(accumulate(cols, initial=0))
+    return _assemble(row_offs[-1], col_offs[-1],
+                     [(row_offs[i], col_offs[j], mat, sign)
+                      for i, j, mat, sign in present])
 
 
 class CComplex:
@@ -199,24 +226,15 @@ class CComplex:
 
     # -- total complex -------------------------------------------------
 
-    def tot_offsets(self, p: int):
-        """Tot_p = (+)_m A^m_{m+p}, the summands in index order: the offset
-        of each summand, and the dimension of Tot_p."""
-        offs, total = {}, 0
-        for m in self.indices():
-            offs[m] = total
-            total += self.cx(m).dim(m + p)
-        return offs, total
-
     def tot(self) -> ChainComplex:
-        """Tot_p = (+)_m A^m_{m+p}, in the order of ``tot_offsets``, with
-        the block S^{m,n} from A^m to A^n."""
+        """Tot_p = (+)_m A^m_{m+p}, the summands in index order, with the
+        block S^{m,n} from A^m to A^n."""
         idxs = self.indices()
         pos = {m: i for i, m in enumerate(idxs)}
         s = self.structure()
         return _slot_complex([(self.cx(m), m) for m in idxs],
                              [(pos[n], pos[m],
-                               lambda p, m=m, n=n: s.c(m, n, m + p), 1)
+                               lambda p, m=m, n=n: s.get(m, n, m + p), 1)
                               for m, n in s.comps])
 
 
@@ -237,9 +255,10 @@ def _keys(src: CComplex, dst: CComplex, reach: int):
 
 class CFamily:
     """comps[(m, n)][k]: A^m_k -> B^n_{k+n-m+reach} for m <= n + max(reach,
-    0), zero where absent.  Reach -1 is a structure family, 0 a map of
-    C-complexes, 1 a homotopy and 2 a second homotopy; composing two
-    families adds their reaches."""
+    0); only the nonzero components are stored, and ``get`` reads an
+    absent one as None, which stands for zero.  Reach -1 is a structure
+    family, 0 a map of C-complexes, 1 a homotopy and 2 a second homotopy;
+    composing two families adds their reaches."""
 
     def __init__(self, src: CComplex, dst: CComplex, comps: dict, reach: int):
         self.src = src
@@ -258,12 +277,6 @@ class CFamily:
         """The component in degree k, or None where it is zero."""
         return self.comps.get((m, n), _NONE).get(k)
 
-    def c(self, m: int, n: int, k: int) -> RatMatrix:
-        """The component in degree k, zero where absent."""
-        mat = self.get(m, n, k)
-        return mat if mat is not None else RatMatrix.zero(
-            self.dst.cx(n).dim(k + n - m + self.reach), self.src.cx(m).dim(k))
-
     def defect_terms(self, m: int, n: int, k: int):
         """The terms of D(h)^{m,n}_k = S_B h + (-1)^(reach+1) h S_A, each a
         (sign, left, key, right) standing for sign * left h_key right:
@@ -280,28 +293,28 @@ class CFamily:
             if right is not None:
                 yield sign, None, key, right
 
-    def defect(self, m: int, n: int, k: int) -> RatMatrix:
+    def defect(self, m: int, n: int, k: int):
         """D(h)^{m,n}_k: A^m_k -> B^n_{k+n-m+reach-1}, the sum of the
-        present terms of ``defect_terms``."""
-        acc = RatMatrix.zero(self.dst.cx(n).dim(k + n - m + self.reach - 1),
-                             self.src.cx(m).dim(k))
-        for sign, left, key, right in self.defect_terms(m, n, k):
-            h = self.get(*key)
-            if h is not None:
-                term = left.mul(h) if right is None else h.mul(right)
-                acc = acc + term if sign == 1 else acc - term
-        return acc
+        present terms of ``defect_terms``, None when none is present."""
+        return _gather(
+            [self.dst.cx(n).dim(k + n - m + self.reach - 1)],
+            [self.src.cx(m).dim(k)],
+            [(0, 0, left.mul(h) if right is None else h.mul(right), sign)
+             for sign, left, key, right in self.defect_terms(m, n, k)
+             if (h := self.get(*key)) is not None])
 
     def compare_defect(self, target=None) -> dict:
-        """Compare the defect with target(m, n, k), zero when None, at
-        every component; report the first differing entry."""
+        """Compare the defect with the family ``target`` of reach one
+        less, zero when None, at every component; report the first
+        differing entry."""
         checked = 0
         for m, n, k in _keys(self.src, self.dst, self.reach):
             diff = self.defect(m, n, k)
-            if target is not None:
-                diff = diff - target(m, n, k)
+            want = None if target is None else target.get(m, n, k)
+            if want is not None:
+                diff = -want if diff is None else diff - want
             checked += 1
-            if not diff.is_zero():
+            if diff is not None and not diff.is_zero():
                 return _witness(checked, m, n, k, diff)
         return {"ok": True, "checked": checked}
 
@@ -319,13 +332,10 @@ def compose_terms(g: CFamily, f: CFamily, m: int, n: int, k: int):
 
 def _composite(g: CFamily, f: CFamily, m: int, n: int, k: int):
     """(g f)^{m,n}_k summed over its present terms, None when none is."""
-    acc = None
-    for gkey, fkey in compose_terms(g, f, m, n, k):
-        a, b = g.get(*gkey), f.get(*fkey)
-        if a is not None and b is not None:
-            term = a.mul(b)
-            acc = term if acc is None else acc + term
-    return acc
+    return _gather([g.dst.cx(n).dim(k + n - m + f.reach + g.reach)],
+                   [f.src.cx(m).dim(k)],
+                   [(0, 0, _product(g.get(*gkey), f.get(*fkey)), 1)
+                    for gkey, fkey in compose_terms(g, f, m, n, k)])
 
 
 def family(src: CComplex, dst: CComplex, reach: int, comp) -> CFamily:
@@ -343,16 +353,6 @@ def family(src: CComplex, dst: CComplex, reach: int, comp) -> CFamily:
     return CFamily(src, dst, comps, reach)
 
 
-def _offsets(slots, m: int, k: int):
-    """The offset of each slot (C, s) at index m and degree k, C^{m-s}_k
-    laid out in order, and the total dimension."""
-    offs, total = [], 0
-    for cx, s in slots:
-        offs.append(total)
-        total += cx.cx(m - s).dim(k)
-    return offs, total
-
-
 def _blocks(src_slots, dst_slots, reach: int, blocks):
     """comp(m, n, k) for ``family`` of the block family of this reach from
     the slots ``src_slots`` to ``dst_slots``: the block from source slot j
@@ -360,15 +360,12 @@ def _blocks(src_slots, dst_slots, reach: int, blocks):
     fam^{m-s_j, n-s_i}_k over the (i, j, fam, sign) in ``blocks``, and the
     component is None where every block is absent."""
     def comp(m, n, k):
-        present = [(i, j, mat, sign) for i, j, fam, sign in blocks
-                   if (mat := fam.get(m - src_slots[j][1],
-                                      n - dst_slots[i][1], k)) is not None]
-        if not present:
-            return None
-        row_offs, rows = _offsets(dst_slots, n, k + n - m + reach)
-        col_offs, cols = _offsets(src_slots, m, k)
-        return _assemble(rows, cols, [(row_offs[i], col_offs[j], mat, sign)
-                                      for i, j, mat, sign in present])
+        kk = k + n - m + reach
+        return _gather((c.cx(n - s).dim(kk) for c, s in dst_slots),
+                       (c.cx(m - s).dim(k) for c, s in src_slots),
+                       [(i, j, fam.get(m - src_slots[j][1],
+                                       n - dst_slots[i][1], k), sign)
+                        for i, j, fam, sign in blocks])
     return comp
 
 
@@ -382,19 +379,20 @@ class CMap(CFamily):
         return self.compare_defect()
 
     def tot(self) -> dict:
-        """Tot(f) as matrices per total degree."""
+        """Tot(f) as matrices per total degree, the summands of Tot_p =
+        (+)_m A^m_{m+p} in index order; zero in a degree with no block."""
+        src, dst = self.src.indices(), self.dst.indices()
+        degs = {k - m for side in (self.src, self.dst)
+                for m in side.indices() for k in side.cx(m).degrees()}
         out = {}
-        degs = set()
-        for side in (self.src, self.dst):
-            for m in side.indices():
-                for k in side.cx(m).degrees():
-                    degs.add(k - m)
         for p in degs:
-            src_off, src_dim = self.src.tot_offsets(p)
-            dst_off, dst_dim = self.dst.tot_offsets(p)
-            out[p] = _assemble(dst_dim, src_dim,
-                               [(dst_off[n], src_off[m], self.c(m, n, m + p), 1)
-                                for m, n in self.comps])
+            rows = [self.dst.cx(n).dim(n + p) for n in dst]
+            cols = [self.src.cx(m).dim(m + p) for m in src]
+            mat = _gather(rows, cols, [(dst.index(n), src.index(m),
+                                        self.get(m, n, m + p), 1)
+                                       for m, n in self.comps])
+            out[p] = mat if mat is not None else RatMatrix.zero(sum(rows),
+                                                                sum(cols))
         return out
 
 
@@ -436,8 +434,7 @@ class CHomotopy(CFamily):
 
     def validate(self, frm: CMap, to: CMap):
         """D(h) = to - frm, degreewise: h is a homotopy from frm to to."""
-        return self.compare_defect(
-            lambda m, n, k: to.c(m, n, k) - frm.c(m, n, k))
+        return self.compare_defect(cmap_add(to, frm, -1))
 
 
 def homotopy_defect(src: CComplex, dst: CComplex, comps: dict) -> CMap:
@@ -458,7 +455,7 @@ def second_homotopy_target(g: CMap, fp: CMap, phi_b: CMap, h_f: CHomotopy,
     """Psi' phi_B - Phi_f g - f' Phi_g - phi_B Psi: the defect D(Theta) a
     second homotopy Theta: B -> B' of reach 2 must have, mediating the two
     homotopies  Phi_f g + f' Phi_g + phi_B Psi  and  Psi' phi_B.  Check one
-    with ``theta.compare_defect(target.c)``."""
+    with ``theta.compare_defect(target)``."""
     return cmap_add(cmap_add(compose(psi_p, phi_b), compose(h_f, g), -1),
                     cmap_add(compose(fp, h_g), compose(phi_b, psi)), -1)
 
@@ -489,21 +486,14 @@ class SimpleParts:
             [(1, 0, identity_cmap(self.b), 1)]))
 
 
-def _slot_unit(da: int, db: int, slot: int) -> RatMatrix:
-    """The projection of A (+) B, of dimensions da and db, onto slot 0 (A)
-    or slot 1 (B)."""
-    d, off = (da, 0) if slot == 0 else (db, da)
-    return RatMatrix(d, da + db, {(i, off + i): 1 for i in range(d)})
-
-
 def simple(f: CMap) -> SimpleParts:
     """s(f)^m = A^m (+) B^{m-1}, with
     F_C^{m,n}(a, b) = (F_A(a), f^{m,n-1}(a) - F_B^{m-1,n-1}(b))."""
     a, b = f.src, f.dst
     idxs = sorted(set(a.indices()) | {m + 1 for m in b.indices()})
     complexes = {m: _slot_complex([(a.cx(m), 0), (b.cx(m - 1), 0)],
-                                  [(0, 0, a.cx(m).d, 1),
-                                   (1, 1, b.cx(m - 1).d, 1)])
+                                  [(0, 0, a.cx(m).boundary.get, 1),
+                                   (1, 1, b.cx(m - 1).boundary.get, 1)])
                  for m in idxs}
     sides = [(a, 0), (b, 1)]
     comp = _blocks(sides, sides, -1, [(0, 0, a.structure(), 1), (1, 0, f, 1),
@@ -570,43 +560,42 @@ def pi_homotopy(parts_p: SimpleParts, f: CMap, theta: CFamily,
 def _slot_complex(slots, blocks) -> ChainComplex:
     """The direct sum of the slots, each a (complex C, shift s) read as
     C_{n+s} in degree n, with the boundary whose block from slot j to slot
-    i in degree n is sign * mat(n), for each (i, j, mat, sign) in blocks.
-    A block with no entries in degree n adds nothing, so it is dropped."""
+    i in degree n is sign * get(n), for each (i, j, get, sign) in blocks;
+    get returns None where the block is absent."""
     degs = {k - s for cx, s in slots for k in cx.dims}
     if not degs:
         return ChainComplex({}, {})
-    offs = {}
-    for n in range(min(degs) - 1, max(degs) + 1):
-        offs[n] = [0]
-        for cx, s in slots:
-            offs[n].append(offs[n][-1] + cx.dim(n + s))
-    dims = {n: o[-1] for n, o in offs.items()}
-    bnd = {n: _assemble(dims[n - 1], dims[n],
-                        [(offs[n - 1][i], offs[n][j], blk, sign)
-                         for i, j, mat, sign in blocks if (blk := mat(n)).num])
-           for n in range(min(degs), max(degs) + 1)}
-    return ChainComplex(dims, bnd)
+    lo, hi = min(degs), max(degs)
+    dims = {n: [cx.dim(n + s) for cx, s in slots]
+            for n in range(lo - 1, hi + 1)}
+    bnd = {}
+    for n in range(lo, hi + 1):
+        mat = _gather(dims[n - 1], dims[n],
+                      [(i, j, get(n), sign) for i, j, get, sign in blocks])
+        if mat is not None:
+            bnd[n] = mat
+    return ChainComplex({n: sum(d) for n, d in dims.items()}, bnd)
 
 
 def _diagram(a1, b1, a2, b2, f1, g1, f2):
     """The slots A1, A2, B1[-1], B2[-1] of s(D) and its boundary blocks,
     after checking that f1, g1 and f2 are chain maps."""
-    def chain_map(maps, src, dst):
-        return lambda k: maps[k] if k in maps else RatMatrix.zero(dst.dim(k), src.dim(k))
-
     for maps, src, dst in ((f1, a1, b1), (g1, a2, b1), (f2, a2, b2)):
         for k, m in maps.items():
             if m.rows != dst.dim(k) or m.cols != src.dim(k):
                 raise ValueError("chain map shape mismatch at degree %d" % k)
-            if chain_map(maps, src, dst)(k - 1).mul(src.d(k)) != dst.d(k).mul(m):
+            fd = _product(maps.get(k - 1), src.boundary.get(k))
+            df = _product(dst.boundary.get(k), m)
+            diff = _gather([dst.dim(k - 1)], [src.dim(k)],
+                           [(0, 0, fd, 1), (0, 0, df, -1)])
+            if diff is not None and not diff.is_zero():
                 raise ValueError("not a chain map at degree %d" % k)
     slots = [(a1, 0), (a2, 0), (b1, 1), (b2, 1)]
-    blocks = [(0, 0, a1.d, 1), (1, 1, a2.d, 1),
-              (2, 0, chain_map(f1, a1, b1), 1),
-              (2, 1, chain_map(g1, a2, b1), -1),
-              (2, 2, lambda n: b1.d(n + 1), -1),
-              (3, 1, chain_map(f2, a2, b2), 1),
-              (3, 3, lambda n: b2.d(n + 1), -1)]
+    blocks = [(0, 0, a1.boundary.get, 1), (1, 1, a2.boundary.get, 1),
+              (2, 0, f1.get, 1), (2, 1, g1.get, -1),
+              (2, 2, lambda n: b1.boundary.get(n + 1), -1),
+              (3, 1, f2.get, 1),
+              (3, 3, lambda n: b2.boundary.get(n + 1), -1)]
     return slots, blocks
 
 
@@ -647,16 +636,24 @@ def diagram_les_check(a1: ChainComplex, b1: ChainComplex, a2: ChainComplex,
     h_a1 = a1.homology()
 
     # chain maps: u: B2[-1] -> s(D); v: s(D) -> C; q: C -> A1
+    def proj(n, sum_of, keep):
+        """The projection in degree n of the sum of the slots sum_of onto
+        its slots keep."""
+        dims = [c.dim(n + s) for c, s in sum_of]
+        return _gather([dims[j] for j in keep], dims,
+                       [(i, j, RatMatrix.identity(dims[j]), 1)
+                        for i, j in enumerate(keep)])
+
     def rank_u(n):
-        mat = _slot_unit(cx.dim(n), b2.dim(n + 1), 1).transpose()
+        mat = proj(n, slots, [3]).transpose()
         return induced_homology_rank(mat, b2.d(n + 1).scale(-1), sd.d(n + 1))
 
     def rank_v(n):
-        mat = _slot_unit(cx.dim(n), b2.dim(n + 1), 0)
+        mat = proj(n, slots, [0, 1, 2])
         return induced_homology_rank(mat, sd.d(n), cx.d(n + 1))
 
     def rank_q(n):
-        mat = _slot_unit(a1.dim(n), cx.dim(n) - a1.dim(n), 0)
+        mat = proj(n, slots[:3], [0])
         return induced_homology_rank(mat, cx.d(n), a1.d(n + 1))
 
     h_b2m = b2.shift(-1).homology()

@@ -239,7 +239,8 @@ def solve_second_homotopy(target: CHomotopy):
         rows, cols = bp.cx(n).dim(k + n - m + 1), b.cx(m).dim(k)
         if not (rows and cols):
             continue
-        for (rr, cc), v in target.c(m, n, k).items():
+        mat = target.get(m, n, k)
+        for (rr, cc), v in (() if mat is None else mat.items()):
             rhsv[(eqcount + rr * cols + cc, 0)] = v
         for sign, left, key, right in shape.defect_terms(m, n, k):
             slot = offs.get(key)
@@ -265,7 +266,7 @@ def solve_second_homotopy(target: CHomotopy):
         if ent:
             comps.setdefault((m, n), {})[k] = RatMatrix(rows, cols, ent)
     theta = CFamily(b, bp, comps, 2)
-    return theta if theta.compare_defect(target.c)["ok"] else None
+    return theta if theta.compare_defect(target)["ok"] else None
 
 
 def rnd_retraction(rng: random.Random):
@@ -277,8 +278,8 @@ def rnd_retraction(rng: random.Random):
     e = rnd_ccomplex(rng)
     fmap = simple(CMap(b, e.shift(1), {})).proj
     a = fmap.src
-    gmap = family(b, a, 0, lambda m, n, k: fmap.c(m, m, k).transpose()
-                  if m == n else None)
+    gmap = family(b, a, 0, lambda m, n, k: None if m != n or (
+        mat := fmap.get(m, m, k)) is None else mat.transpose())
     h = rnd_homotopy_comps(rng, b, a)
     g2 = cmap_add(gmap, homotopy_defect(b, a, h))
     psi = compose(fmap, CHomotopy(b, a, h))

@@ -408,7 +408,7 @@ def _run_second(rng, trials, **_):
             continue
         produced += 1
         th = setup["theta"]
-        ok = th.compare_defect(setup["target"].c)["ok"]
+        ok = th.compare_defect(setup["target"])["ok"]
         f, g, psi = setup["f"], setup["g"], setup["psi"]
         parts = ccx.simple(f)
         t_map, _, _ = ccx.section_t(parts, f, g, psi)
@@ -933,9 +933,9 @@ def _run_double_split(rng, trials, r, **_):
                 if not want.is_zero():
                     nontrivial += 1
                 want_coords = model0.coords(lvl, want)
-                mat = qt.c(0, 0, degg)
-                got = {rr2: mat[(rr2, pos)] for rr2 in range(mat.rows)
-                       if mat[(rr2, pos)] != 0}
+                mat = qt.get(0, 0, degg)
+                got = {} if mat is None else {
+                    rr2: v for (rr2, cc), v in mat.items() if cc == pos}
                 if got != want_coords:
                     ok = False
         for (m, n) in t_map.comps:

@@ -6,8 +6,10 @@ matrices and cubes that only the tests use, the chain-form oracle of
 equivariance check the closure rests on, the plain-against-alternating
 relations that make the signs of ``cubes.canonical`` load-bearing, and
 the closure-driven oracles of the gathered cube constructions and of the
-random generators, and the hand-written component closures of the cone
-constructions of ``ccx`` that its block families replace."""
+random generators, the hand-written component closures of the cone
+constructions of ``ccx`` that its block families replace, and the
+zero-filled defect comparison that ``ccx`` replaced with absent
+components."""
 
 import math
 import random
@@ -42,6 +44,7 @@ __all__ = [
     "tensor_cube_oracle", "rnd_invertible_oracle", "rnd_one_cube_oracle",
     "rnd_chain_complex_oracle", "ConeOracle", "phi_s_oracle",
     "section_t_oracle", "pi_homotopy_oracle", "cmap_add_oracle",
+    "zero_filled", "compare_defect_oracle", "homotopy_validate_oracle",
 ]
 
 
@@ -389,10 +392,25 @@ def rnd_chain_complex_oracle(rng, degs=(0, 3), maxdim=3):
 
 # -- the cone constructions, one closure per component -------------------
 
+def zero_filled(fam, m, n, k):
+    """The (m, n) component of ``fam`` in degree k, the zero matrix of its
+    shape where it is absent."""
+    mat = fam.get(m, n, k)
+    return mat if mat is not None else RatMatrix.zero(
+        fam.dst.cx(n).dim(k + n - m + fam.reach), fam.src.cx(m).dim(k))
+
+
+def _slot_unit(da, db, slot):
+    """The projection of A (+) B, of dimensions da and db, onto slot 0 (A)
+    or slot 1 (B)."""
+    d, off = (da, 0) if slot == 0 else (db, da)
+    return RatMatrix(d, da + db, {(i, off + i): 1 for i in range(d)})
+
+
 class ConeOracle:
     """s(f) of a C-map f: A -> B with its projection and inclusion, each
     component assembled by hand from the slot dimensions of A^m and
-    B^{m-1} and every block read with ``CFamily.c``, zeros included."""
+    B^{m-1} and every block read with ``zero_filled``, zeros included."""
 
     def __init__(self, f):
         a, b = f.src, f.dst
@@ -415,9 +433,9 @@ class ConeOracle:
                     ta = a.cx(n).dim(kk)
                     per[k] = ccx._assemble(
                         ta + b.cx(n - 1).dim(kk), da + b.cx(m - 1).dim(k),
-                        [(0, 0, sa.c(m, n, k), 1),
-                         (ta, 0, f.c(m, n - 1, k), 1),
-                         (ta, da, sb.c(m - 1, n - 1, k), -1)])
+                        [(0, 0, zero_filled(sa, m, n, k), 1),
+                         (ta, 0, zero_filled(f, m, n - 1, k), 1),
+                         (ta, da, zero_filled(sb, m - 1, n - 1, k), -1)])
                 fmaps[(m, n)] = per
         self.ccx = ccx.CComplex(complexes, fmaps)
 
@@ -427,13 +445,13 @@ class ConeOracle:
 
     @property
     def proj(self):
-        return ccx.family(self.ccx, self.a, 0, lambda m, n, k: ccx._slot_unit(
+        return ccx.family(self.ccx, self.a, 0, lambda m, n, k: _slot_unit(
             *self.slots(m, k), 0) if m == n else None)
 
     @property
     def incl(self):
         return ccx.family(self.b.shift(-1), self.ccx, 0,
-                          lambda m, n, k: ccx._slot_unit(*self.slots(m, k), 1)
+                          lambda m, n, k: _slot_unit(*self.slots(m, k), 1)
                           .transpose() if m == n else None)
 
 
@@ -443,9 +461,9 @@ def phi_s_oracle(parts, parts_p, phi_a, phi_b, h_f):
         da, db = parts.slots(m, k)
         ta, tb = parts_p.slots(n, k + n - m)
         return ccx._assemble(ta + tb, da + db,
-                             [(0, 0, phi_a.c(m, n, k), 1),
-                              (ta, da, phi_b.c(m - 1, n - 1, k), 1),
-                              (ta, 0, h_f.c(m, n - 1, k), 1)])
+                             [(0, 0, zero_filled(phi_a, m, n, k), 1),
+                              (ta, da, zero_filled(phi_b, m - 1, n - 1, k), 1),
+                              (ta, 0, zero_filled(h_f, m, n - 1, k), 1)])
     return ccx.family(parts.ccx, parts_p.ccx, 0, comp)
 
 
@@ -457,7 +475,8 @@ def section_t_oracle(parts, f, g, psi):
 
     def t_comp(m, n, k):
         ta, tb = parts.slots(n, k + n - m)
-        blocks = [(0, 0, gf.c(m, n, k), -1), (ta, 0, psi_f.c(m, n - 1, k), -1)]
+        blocks = [(0, 0, zero_filled(gf, m, n, k), -1),
+                  (ta, 0, zero_filled(psi_f, m, n - 1, k), -1)]
         if m == n:
             blocks.append((0, 0, RatMatrix.identity(a.cx(m).dim(k)), 1))
         return ccx._assemble(ta + tb, a.cx(m).dim(k), blocks)
@@ -466,16 +485,16 @@ def section_t_oracle(parts, f, g, psi):
         da, db = parts.slots(m, k)
         ta, tb = parts.slots(n, k + n - m + 1)
         return ccx._assemble(ta + tb, da + db,
-                             [(0, da, g.c(m - 1, n, k), -1),
-                              (ta, da, psi.c(m - 1, n - 1, k), -1)])
+                             [(0, da, zero_filled(g, m - 1, n, k), -1),
+                              (ta, da, zero_filled(psi, m - 1, n - 1, k), -1)])
 
     g_psi, psi_psi = ccx.compose(g, psi), ccx.compose(psi, psi)
 
     def psi2_comp(m, n, k):
         ta, tb = parts.slots(n, k + n - m + 1)
         return ccx._assemble(ta + tb, b.cx(m).dim(k),
-                             [(0, 0, g_psi.c(m, n, k), -1),
-                              (ta, 0, psi_psi.c(m, n - 1, k), -1)])
+                             [(0, 0, zero_filled(g_psi, m, n, k), -1),
+                              (ta, 0, zero_filled(psi_psi, m, n - 1, k), -1)])
     return (ccx.family(a, cone, 0, t_comp), ccx.family(cone, cone, 1, psi1_comp),
             ccx.family(b, cone, 1, psi2_comp))
 
@@ -488,14 +507,50 @@ def pi_homotopy_oracle(parts_p, f, theta, h_f, h_g, psi_p, gp):
     def comp(m, n, k):
         ta, tb = parts_p.slots(n, k + n - m + 1)
         return ccx._assemble(ta + tb, f.src.cx(m).dim(k),
-                             [(0, 0, hg_f.c(m, n, k), -1),
-                              (0, 0, gp_hf.c(m, n, k), -1),
-                              (ta, 0, psi_hf.c(m, n - 1, k), -1),
-                              (ta, 0, theta_f.c(m, n - 1, k), 1)])
+                             [(0, 0, zero_filled(hg_f, m, n, k), -1),
+                              (0, 0, zero_filled(gp_hf, m, n, k), -1),
+                              (ta, 0, zero_filled(psi_hf, m, n - 1, k), -1),
+                              (ta, 0, zero_filled(theta_f, m, n - 1, k), 1)])
     return ccx.family(f.src, parts_p.ccx, 1, comp)
 
 
 def cmap_add_oracle(f, g, scale_g=1):
     """f + scale_g g, one matrix sum per component."""
     return ccx.family(f.src, f.dst, f.reach,
-                      lambda m, n, k: f.c(m, n, k) + g.c(m, n, k).scale(scale_g))
+                      lambda m, n, k: zero_filled(f, m, n, k)
+                      + zero_filled(g, m, n, k).scale(scale_g))
+
+
+# -- the zero-filled defect comparison ------------------------------------
+
+def _defect_zero_filled(fam, m, n, k):
+    """D(fam)^{m,n}_k summed from the zero matrix of its shape."""
+    acc = RatMatrix.zero(fam.dst.cx(n).dim(k + n - m + fam.reach - 1),
+                         fam.src.cx(m).dim(k))
+    for sign, left, key, right in fam.defect_terms(m, n, k):
+        h = fam.get(*key)
+        if h is not None:
+            term = left.mul(h) if right is None else h.mul(right)
+            acc = acc + term if sign == 1 else acc - term
+    return acc
+
+
+def compare_defect_oracle(fam, target=None):
+    """``CFamily.compare_defect`` with every matrix zero-filled: the defect
+    minus target(m, n, k), a matrix of the defect's shape, at every
+    component in validation order; the first differing entry."""
+    checked = 0
+    for m, n, k in ccx._keys(fam.src, fam.dst, fam.reach):
+        diff = _defect_zero_filled(fam, m, n, k)
+        if target is not None:
+            diff = diff - target(m, n, k)
+        checked += 1
+        if not diff.is_zero():
+            return ccx._witness(checked, m, n, k, diff)
+    return {"ok": True, "checked": checked}
+
+
+def homotopy_validate_oracle(h, frm, to):
+    """``CHomotopy.validate``: D(h) against to - frm, both zero-filled."""
+    return compare_defect_oracle(
+        h, lambda m, n, k: zero_filled(to, m, n, k) - zero_filled(frm, m, n, k))

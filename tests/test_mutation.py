@@ -181,13 +181,13 @@ def test_flipped_reach_sign_fails_every_matrix_family(monkeypatch):
         homotopies.append((psi, ccx.identity_cmap(b), ccx.compose(f, g)))
     assert all(f.validate()["ok"] for f in maps)
     assert all(h.validate(p, q)["ok"] for h, p, q in homotopies)
-    assert all(t.compare_defect(d.c)["ok"] for t, d in thetas)
+    assert all(t.compare_defect(d)["ok"] for t, d in thetas)
     monkeypatch.setattr(ccx.CFamily, "defect_terms", _mutant(
         ccx.CFamily.defect_terms, "(-1) ** ((self.reach + 1) % 2)",
         "(-1) ** (self.reach % 2)"))
     assert not all(f.validate()["ok"] for f in maps)
     assert not all(h.validate(p, q)["ok"] for h, p, q in homotopies)
-    assert not all(t.compare_defect(d.c)["ok"] for t, d in thetas)
+    assert not all(t.compare_defect(d)["ok"] for t, d in thetas)
 
 
 def _reset_structures(*ccs):
