@@ -22,9 +22,9 @@ A^m_k into B^n_{k + n - m + off}:
 All four are one component-family class, ``CFamily``, told apart only by
 their reach (= off).  The structure family of a C-complex,
 ``CComplex.structure()``, has S^{m,m} = (-1)^m d and S^{m,n} = F^{m,n},
-and every relation is a composite through ``compose_terms``: the relation
-above is (S S)^{m,n} = 0 for m < n, the boundary of the total complex is
-S, and a family h has the one defect
+and every relation is a product of families: the relation above is
+(S S)^{m,n} = 0 for m < n, the boundary of the total complex is S, and a
+family h has the one defect
 
     D(h) = S_B h + (-1)^(reach+1) h S_A,
 
@@ -34,11 +34,15 @@ Psi' phi_B - Phi_f g - f' Phi_g - phi_B Psi on a second homotopy.
 
 Absent is zero: families and chain complexes store only nonzero
 matrices, read with ``get`` (None where absent), and every sum of
-blocks is one ``_gather``, which skips an absent block.  The cone
+blocks is one ``_gather``, which skips an absent block.  A product of
+two families (``_compose``, and the two halves of ``defect_terms``)
+visits the pairs of present components only, through ``_pairs``, and
+a relation's report (``_report``) names its first nonzero component in
+increasing (m, n, k), the order its keys are counted in.  The cone
 constructions are block families (``_blocks``): source and target are
 lists of slots (C, s) holding C^{m-s}_k at index m and degree k, and
 each block (i, j, fam, sign) adds sign * fam^{m-s_j, n-s_i}_k from source
-slot j to target slot i.  A cone s(f) has the slots (A, 0), (B, 1); its
+slot j to target slot i, each present component placed at its key.  A cone s(f) has the slots (A, 0), (B, 1); its
 connecting maps, projection, inclusion, phi_s, the section t with its
 homotopies and Pi are block families, and so is the sum of two families
 (two blocks on one slot).
@@ -93,12 +97,12 @@ class ChainComplex:
         degs = self.degrees()
         if not degs:
             return {}
+        # an absent boundary has rank 0
+        ranks = {n: rank(m) for n, m in self.boundary.items()}
         out = {}
         for n in range(min(degs), max(degs) + 1):
-            if not self.dim(n):
-                out[n] = 0
-                continue
-            out[n] = self.dim(n) - rank(self.d(n)) - rank(self.d(n + 1))
+            out[n] = (self.dim(n) - ranks.get(n, 0) - ranks.get(n + 1, 0)
+                      if self.dim(n) else 0)
         return out
 
     def shift(self, r: int) -> "ChainComplex":
@@ -152,6 +156,12 @@ def _gather(rows, cols, blocks):
         return None
     row_offs = list(accumulate(rows, initial=0))
     col_offs = list(accumulate(cols, initial=0))
+    if len(present) == 1:
+        mat, sign = present[0][2:]
+        if (sign == 1 and mat.rows == row_offs[-1]
+                and mat.cols == col_offs[-1]):
+            # a lone block filling the whole matrix is that matrix
+            return mat
     return _assemble(row_offs[-1], col_offs[-1],
                      [(row_offs[i], col_offs[j], mat, sign)
                       for i, j, mat, sign in present])
@@ -195,7 +205,10 @@ class CComplex:
         return self._structure
 
     def validate(self):
-        """Structured report: first failing (m, n, degree, entry) or ok."""
+        """Structured report: first failing (m, n, degree, entry) or ok.
+        Each complex is validated, then (S S)^{m,n}_k: A^m_k ->
+        A^n_{k+n-m-2} for m < n, checked for every n up to the largest
+        index in (m, n, k) order."""
         idxs = self.indices()
         if not idxs:
             return {"ok": True, "checked": 0}
@@ -204,18 +217,11 @@ class CComplex:
             if not rep["ok"]:
                 rep["at"].update(m=m, n=m)
                 return rep
-        s = self.structure()
-        checked = 0
-        lo, hi = min(idxs), max(idxs)
-        for m in range(lo, hi + 1):
-            for n in range(m + 1, hi + 1):
-                for k in self.cx(m).degrees():
-                    # (S S)^{m,n}_k: A^m_k -> A^n_{k+n-m-2}
-                    acc = _composite(s, s, m, n, k)
-                    checked += 1
-                    if acc is not None and not acc.is_zero():
-                        return _witness(checked, m, n, k, acc)
-        return {"ok": True, "checked": checked}
+        s = self.structure().comps
+        hi = idxs[-1]
+        return _report(_compose(s, s, -1, -1),
+                       ((m, n, k) for m in idxs for n in range(m + 1, hi + 1)
+                        for k in self.cx(m).degrees()))
 
     def shift(self, r: int) -> "CComplex":
         """A[r]^m = A^{m+r} with F_{A[r]}^{m,n} = (-1)^r F_A^{m+r,n+r}."""
@@ -245,12 +251,88 @@ def single_complex(c: ChainComplex) -> CComplex:
 
 def _keys(src: CComplex, dst: CComplex, reach: int):
     """(m, n, k) of every component of a family of this reach, in the
-    order validation visits them."""
+    order validation visits them: increasing (m, n, k)."""
     for m in src.indices():
         for n in dst.indices():
             if m <= n + max(reach, 0):
                 for k in src.cx(m).degrees():
                     yield m, n, k
+
+
+def _report(diffs: dict, keys) -> dict:
+    """The report of a relation that checks the (m, n, k) of ``keys``, an
+    iterable in increasing order, and whose value there is diffs[(m, n,
+    k)], zero where absent: the first nonzero entry, named with the
+    number of keys checked up to it, or ok."""
+    bad = [key for key, diff in diffs.items() if not diff.is_zero()]
+    if not bad:
+        return {"ok": True, "checked": sum(1 for _ in keys)}
+    at = min(bad)
+    checked = next(i for i, key in enumerate(keys, 1) if key == at)
+    return _witness(checked, *at, diffs[at])
+
+
+def _nested(mats: dict) -> dict:
+    """{(m, n): {k: matrix}} in increasing (m, n, k) order, for a dict
+    (m, n, k) -> matrix."""
+    comps = {}
+    for m, n, k in sorted(mats):
+        comps.setdefault((m, n), {})[k] = mats[m, n, k]
+    return comps
+
+
+def _family(src: CComplex, dst: CComplex, reach: int, mats: dict):
+    """The family of this reach with the components mats[(m, n, k)],
+    absent where mats has none: a CMap for reach 0, a CHomotopy for
+    reach 1."""
+    comps = _nested(mats)
+    if reach == 0:
+        return CMap(src, dst, comps)
+    if reach == 1:
+        return CHomotopy(src, dst, comps)
+    return CFamily(src, dst, comps, reach)
+
+
+def _sum(blocks) -> RatMatrix:
+    """The sum of the present blocks (0, 0, mat, sign), all of one shape;
+    a lone block of sign 1 is its matrix."""
+    mat, sign = blocks[0][2:]
+    if len(blocks) == 1 and sign == 1:
+        return mat
+    return _assemble(mat.rows, mat.cols, blocks)
+
+
+def _pairs(g: dict, f: dict, shift: int):
+    """Every pair of present components of two component dicts {(m, n):
+    {k: x}}, as (m, n, k, g^{l,n}_{k'}, f^{m,l}_k) with k' = k + l - m +
+    shift, shift being the reach of f.  g is indexed once by source index
+    l, as a sparse product keeps its row lists (Gustavson 1978); f is
+    read in increasing (m, l), so the pairs of one (m, n, k) come in
+    increasing l."""
+    by_src = {}
+    for (l, n), per in g.items():
+        by_src.setdefault(l, []).append((n, per))
+    for m, l in sorted(f):
+        gs = by_src.get(l)
+        if gs is None:
+            continue
+        d = l - m + shift
+        for k, fx in f[m, l].items():
+            for n, per in gs:
+                gx = per.get(k + d)
+                if gx is not None:
+                    yield m, n, k, gx, fx
+
+
+def _compose(g: dict, f: dict, shift: int, bound: int) -> dict:
+    """The product of the component dicts g and f (f of reach shift) as
+    a dict (m, n, k) -> the sum of g^{l,n}_{k'} f^{m,l}_k over its present
+    pairs, for m <= n + bound only."""
+    terms = {}
+    for m, n, k, gx, fx in _pairs(g, f, shift):
+        if m <= n + bound:
+            terms.setdefault((m, n, k), []).append((0, 0, gx.mul(fx), 1))
+    return {key: _sum(blocks) for key, blocks in terms.items()}
 
 
 class CFamily:
@@ -277,96 +359,66 @@ class CFamily:
         """The component in degree k, or None where it is zero."""
         return self.comps.get((m, n), _NONE).get(k)
 
-    def defect_terms(self, m: int, n: int, k: int):
-        """The terms of D(h)^{m,n}_k = S_B h + (-1)^(reach+1) h S_A, each a
-        (sign, left, key, right) standing for sign * left h_key right:
-        key is the (m', n', k') of a component of h, and left or right is
-        a present component of S, the other None for an identity."""
-        sb, sa = self.dst.structure(), self.src.structure()
-        for skey, key in compose_terms(sb, self, m, n, k):
-            left = sb.get(*skey)
-            if left is not None:
-                yield 1, left, key, None
+    def defect_terms(self, comps=None):
+        """The terms of D(h) = S_B h + (-1)^(reach+1) h S_A over the
+        component dict ``comps`` of h, its own components when None: each
+        (sign, (m, n, k), left, x, right) stands for sign * left x right
+        in D(h)^{m,n}_k, where x is a value of comps and left or right is
+        a present component of S, the other None for an identity.  The
+        terms of one (m, n, k) come S_B h first, each part in increasing
+        middle index."""
+        comps = self.comps if comps is None else comps
+        for m, n, k, left, x in _pairs(self.dst.structure().comps, comps,
+                                       self.reach):
+            yield 1, (m, n, k), left, x, None
         sign = (-1) ** ((self.reach + 1) % 2)
-        for key, skey in compose_terms(self, sa, m, n, k):
-            right = sa.get(*skey)
-            if right is not None:
-                yield sign, None, key, right
+        for m, n, k, x, right in _pairs(comps, self.src.structure().comps, -1):
+            yield sign, (m, n, k), None, x, right
 
-    def defect(self, m: int, n: int, k: int):
-        """D(h)^{m,n}_k: A^m_k -> B^n_{k+n-m+reach-1}, the sum of the
-        present terms of ``defect_terms``, None when none is present."""
-        return _gather(
-            [self.dst.cx(n).dim(k + n - m + self.reach - 1)],
-            [self.src.cx(m).dim(k)],
-            [(0, 0, left.mul(h) if right is None else h.mul(right), sign)
-             for sign, left, key, right in self.defect_terms(m, n, k)
-             if (h := self.get(*key)) is not None])
+    def defect(self) -> dict:
+        """D(h) as a dict (m, n, k) -> matrix: A^m_k ->
+        B^n_{k+n-m+reach-1}, over the (m, n, k) with a present term (a
+        sum may be zero); every such key satisfies m <= n + max(reach, 0)."""
+        terms = {}
+        for sign, key, left, x, right in self.defect_terms():
+            terms.setdefault(key, []).append(
+                (0, 0, left.mul(x) if right is None else x.mul(right), sign))
+        return {key: _sum(blocks) for key, blocks in terms.items()}
 
     def compare_defect(self, target=None) -> dict:
         """Compare the defect with the family ``target`` of reach one
-        less, zero when None, at every component; report the first
-        differing entry."""
-        checked = 0
-        for m, n, k in _keys(self.src, self.dst, self.reach):
-            diff = self.defect(m, n, k)
-            want = None if target is None else target.get(m, n, k)
-            if want is not None:
-                diff = -want if diff is None else diff - want
-            checked += 1
-            if diff is not None and not diff.is_zero():
-                return _witness(checked, m, n, k, diff)
-        return {"ok": True, "checked": checked}
+        less, zero when None, at every component of ``_keys``; report the
+        first differing entry."""
+        diffs = self.defect()
+        if target is not None:
+            for (m, n), per in target.comps.items():
+                for k, want in per.items():
+                    have = diffs.get((m, n, k))
+                    diffs[m, n, k] = -want if have is None else have - want
+        return _report(diffs, _keys(self.src, self.dst, self.reach))
 
 
-def compose_terms(g: CFamily, f: CFamily, m: int, n: int, k: int):
-    """The terms of (g f)^{m,n}_k as component keys: one pair ((l, n, k'),
-    (m, l, k)) of g^{l,n}_{k'} f^{m,l}_k for each index l of f's target
-    within both supports, with k' = k + l - m + (reach of f)."""
-    lo, hi = m - max(f.reach, 0), n + max(g.reach, 0)
-    shift = k - m + f.reach
-    for l in f.dst.indices():
-        if lo <= l <= hi:
-            yield (l, n, shift + l), (m, l, k)
-
-
-def _composite(g: CFamily, f: CFamily, m: int, n: int, k: int):
-    """(g f)^{m,n}_k summed over its present terms, None when none is."""
-    return _gather([g.dst.cx(n).dim(k + n - m + f.reach + g.reach)],
-                   [f.src.cx(m).dim(k)],
-                   [(0, 0, _product(g.get(*gkey), f.get(*fkey)), 1)
-                    for gkey, fkey in compose_terms(g, f, m, n, k)])
-
-
-def family(src: CComplex, dst: CComplex, reach: int, comp) -> CFamily:
-    """The family of this reach whose (m, n, k) component is comp(m, n, k),
-    None for zero: a CMap for reach 0, a CHomotopy for reach 1."""
-    comps = {}
-    for m, n, k in _keys(src, dst, reach):
-        mat = comp(m, n, k)
-        if mat is not None:
-            comps.setdefault((m, n), {})[k] = mat
-    if reach == 0:
-        return CMap(src, dst, comps)
-    if reach == 1:
-        return CHomotopy(src, dst, comps)
-    return CFamily(src, dst, comps, reach)
-
-
-def _blocks(src_slots, dst_slots, reach: int, blocks):
-    """comp(m, n, k) for ``family`` of the block family of this reach from
-    the slots ``src_slots`` to ``dst_slots``: the block from source slot j
-    (shift s_j) to target slot i (shift s_i) is the sum of sign *
-    fam^{m-s_j, n-s_i}_k over the (i, j, fam, sign) in ``blocks``, and the
-    component is None where every block is absent."""
-    def comp(m, n, k):
+def _blocks(src_slots, dst_slots, reach: int, blocks) -> dict:
+    """The components of the block family of this reach from the slots
+    ``src_slots`` to ``dst_slots``, as a dict (m, n, k) -> matrix: the
+    block from source slot j (shift s_j) to target slot i (shift s_i) is
+    the sum of sign * fam^{m-s_j, n-s_i}_k over the (i, j, fam, sign) in
+    ``blocks``.  Each present component of each fam is placed at its
+    key, and only those keys are gathered."""
+    placed = {}
+    for i, j, fam, sign in blocks:
+        si, sj = dst_slots[i][1], src_slots[j][1]
+        for (m, n), per in fam.comps.items():
+            for k, mat in per.items():
+                placed.setdefault((m + sj, n + si, k), []).append(
+                    (i, j, mat, sign))
+    out = {}
+    for (m, n, k), blks in placed.items():
         kk = k + n - m + reach
-        return _gather((c.cx(n - s).dim(kk) for c, s in dst_slots),
-                       (c.cx(m - s).dim(k) for c, s in src_slots),
-                       [(i, j, fam.get(m - src_slots[j][1],
-                                       n - dst_slots[i][1], k), sign)
-                        for i, j, fam, sign in blocks])
-    return comp
+        out[m, n, k] = _gather([c.cx(n - s).dim(kk) for c, s in dst_slots],
+                               [c.cx(m - s).dim(k) for c, s in src_slots],
+                               blks)
+    return out
 
 
 class CMap(CFamily):
@@ -397,8 +449,9 @@ class CMap(CFamily):
 
 
 def identity_cmap(a: CComplex) -> CMap:
-    return family(a, a, 0, lambda m, n, k: RatMatrix.identity(a.cx(m).dim(k))
-                  if m == n else None)
+    return CMap(a, a, {(m, m): {k: RatMatrix.identity(a.cx(m).dim(k))
+                                for k in a.cx(m).degrees()}
+                       for m in a.indices()})
 
 
 def zero_cmap(a: CComplex, b: CComplex) -> CMap:
@@ -406,10 +459,11 @@ def zero_cmap(a: CComplex, b: CComplex) -> CMap:
 
 
 def compose(g: CFamily, f: CFamily) -> CFamily:
-    """g f, whose reach is the sum of the two, summed over
-    ``compose_terms``."""
-    return family(f.src, g.dst, f.reach + g.reach,
-                  lambda m, n, k: _composite(g, f, m, n, k))
+    """g f, whose reach is the sum of the two: (g f)^{m,n}_k is the sum of
+    g^{l,n} f^{m,l} over the present pairs, for m <= n + max(reach, 0)."""
+    reach = f.reach + g.reach
+    return _family(f.src, g.dst, reach,
+                   _compose(g.comps, f.comps, f.reach, max(reach, 0)))
 
 
 def cmap_shift(f: CMap, r: int) -> CMap:
@@ -421,9 +475,9 @@ def cmap_shift(f: CMap, r: int) -> CMap:
 def cmap_add(f: CFamily, g: CFamily, scale_g=1) -> CFamily:
     """f + scale_g g, for two families of one reach between one pair of
     C-complexes and an int scale_g."""
-    return family(f.src, f.dst, f.reach,
-                  _blocks([(f.src, 0)], [(f.dst, 0)], f.reach,
-                          [(0, 0, f, 1), (0, 0, g, scale_g)]))
+    return _family(f.src, f.dst, f.reach,
+                   _blocks([(f.src, 0)], [(f.dst, 0)], f.reach,
+                           [(0, 0, f, 1), (0, 0, g, scale_g)]))
 
 
 class CHomotopy(CFamily):
@@ -446,7 +500,7 @@ def homotopy_defect(src: CComplex, dst: CComplex, comps: dict) -> CMap:
     for (m, n) in comps:
         if m > n:
             raise ValueError("defect of a family with m > n components")
-    return family(src, dst, 0, CHomotopy(src, dst, comps).defect)
+    return _family(src, dst, 0, CHomotopy(src, dst, comps).defect())
 
 
 def second_homotopy_target(g: CMap, fp: CMap, phi_b: CMap, h_f: CHomotopy,
@@ -474,14 +528,14 @@ class SimpleParts:
     @cached_property
     def proj(self) -> CMap:
         """p: s(f) -> A, the diagonal projection onto the A slot."""
-        return family(self.ccx, self.a, 0, _blocks(
+        return _family(self.ccx, self.a, 0, _blocks(
             self.sides, [(self.a, 0)], 0,
             [(0, 0, identity_cmap(self.a), 1)]))
 
     @cached_property
     def incl(self) -> CMap:
         """i: B[-1] -> s(f), the diagonal inclusion of the B slot."""
-        return family(self.b.shift(-1), self.ccx, 0, _blocks(
+        return _family(self.b.shift(-1), self.ccx, 0, _blocks(
             [(self.b, 1)], self.sides, 0,
             [(1, 0, identity_cmap(self.b), 1)]))
 
@@ -496,11 +550,12 @@ def simple(f: CMap) -> SimpleParts:
                                    (1, 1, b.cx(m - 1).boundary.get, 1)])
                  for m in idxs}
     sides = [(a, 0), (b, 1)]
-    comp = _blocks(sides, sides, -1, [(0, 0, a.structure(), 1), (1, 0, f, 1),
-                                      (1, 1, b.structure(), -1)])
-    fmaps = {(m, n): {k: mat for k in complexes[m].degrees()
-                      if (mat := comp(m, n, k)) is not None}
-             for m in idxs for n in idxs if m < n}
+    # the diagonal blocks of the structure families are the boundaries
+    # above, so only the connecting maps are placed
+    fmaps = _nested(_blocks(sides, sides, -1,
+                            [(0, 0, CFamily(a, a, a.fmaps, -1), 1),
+                             (1, 0, f, 1),
+                             (1, 1, CFamily(b, b, b.fmaps, -1), -1)]))
     return SimpleParts(a, b, CComplex(complexes, fmaps))
 
 
@@ -511,7 +566,7 @@ def phi_s(parts: SimpleParts, parts_p: SimpleParts, phi_a: CMap, phi_b: CMap,
 
         phi_s^{m,n}(a, b) = (phi_A(a), phi_B^{m-1,n-1}(b) + h_f^{m,n-1}(a)).
     """
-    return family(parts.ccx, parts_p.ccx, 0, _blocks(
+    return _family(parts.ccx, parts_p.ccx, 0, _blocks(
         parts.sides, parts_p.sides, 0,
         [(0, 0, phi_a, 1), (1, 1, phi_b, 1), (1, 0, h_f, 1)]))
 
@@ -527,15 +582,15 @@ def section_t(parts: SimpleParts, f: CMap, g: CMap, psi: CHomotopy):
     (from 0 to t g).  Returns (t, psi_1, psi_2)."""
     a, b = f.src, f.dst
     cone, sides = parts.ccx, parts.sides
-    t = family(a, cone, 0, _blocks(
+    t = _family(a, cone, 0, _blocks(
         [(a, 0)], sides, 0,
         [(0, 0, compose(g, f), -1), (1, 0, compose(psi, f), -1),
          (0, 0, identity_cmap(a), 1)]))
     # psi_1^{m,n}(a, b) = (-g^{m-1,n}(b), -psi^{m-1,n-1}(b))
-    psi1 = family(cone, cone, 1, _blocks(
+    psi1 = _family(cone, cone, 1, _blocks(
         sides, sides, 1, [(0, 1, g, -1), (1, 1, psi, -1)]))
     # psi_2^{m,n}(b) = (-sum_l g^{l,n} psi^{m,l}(b), -sum_l psi^{l,n-1} psi^{m,l}(b))
-    psi2 = family(b, cone, 1, _blocks(
+    psi2 = _family(b, cone, 1, _blocks(
         [(b, 0)], sides, 1,
         [(0, 0, compose(g, psi), -1), (1, 0, compose(psi, psi), -1)]))
     return t, psi1, psi2
@@ -549,7 +604,7 @@ def pi_homotopy(parts_p: SimpleParts, f: CMap, theta: CFamily,
     Pi^{m,n}(a) = (-sum Phi_g^{l,n} f^{m,l}(a) - sum g'^{l,n} Phi_f^{m,l}(a),
                    -sum Psi'^{l,n-1} Phi_f^{m,l}(a) + sum Theta^{l,n-1} f^{m,l}(a)).
     """
-    return family(f.src, parts_p.ccx, 1, _blocks(
+    return _family(f.src, parts_p.ccx, 1, _blocks(
         [(f.src, 0)], parts_p.sides, 1,
         [(0, 0, compose(h_g, f), -1), (0, 0, compose(gp, h_f), -1),
          (1, 0, compose(psi_p, h_f), -1), (1, 0, compose(theta, f), 1)]))

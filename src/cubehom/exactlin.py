@@ -454,9 +454,17 @@ def rref(m: RatMatrix):
     becomes the new pivot; at the end all pivot entries equal the last
     pivot p.  Rows below the rank are zero.  The reduced form is unique, so
     a / p equals rational Gauss-Jordan elimination.
+
+    A row with a zero in the pivot column would only be scaled by p / prev,
+    so it is scaled lazily: ``last[i]`` is the pivot row i is up to date
+    with, and the row is brought up to the current pivot (x * prev //
+    last[i], exact because each step's scaling was) only when it becomes
+    the pivot row and once at the end.  A row eliminated while behind is
+    updated to (p * row - f * pivot_row) // last[i] in one pass.
     """
     a = _int_rows(m)
     nrows, ncols = m.rows, m.cols
+    last = [1] * nrows
     pivots = []
     prev = 1
     r = 0
@@ -471,7 +479,10 @@ def rref(m: RatMatrix):
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
+        last[r], last[piv] = last[piv], last[r]
         prow = a[r]
+        if last[r] != prev:
+            prow = a[r] = [x * prev // last[r] for x in prow]
         p = prow[c]
         for i in range(nrows):
             if i == r:
@@ -479,12 +490,15 @@ def rref(m: RatMatrix):
             row = a[i]
             f = row[c]
             if f:
-                a[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
-            elif p != prev:
-                a[i] = [x * p // prev for x in row]
-        prev = p
+                q = last[i]
+                a[i] = [(p * x - f * y) // q for x, y in zip(row, prow)]
+                last[i] = p
+        last[r] = prev = p
         pivots.append(c)
         r += 1
+    for i in range(r):
+        if last[i] != prev:
+            a[i] = [x * prev // last[i] for x in a[i]]
     return a, pivots, prev
 
 

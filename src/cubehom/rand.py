@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from .ccx import (CComplex, CFamily, ChainComplex, CHomotopy, CMap,
-                  _assemble, _keys, cmap_add, compose, family,
+                  _assemble, _keys, cmap_add, compose,
                   homotopy_defect, identity_cmap, second_homotopy_target,
                   simple, single_complex)
 from .cubes import ExactCube, MetObj, object_cube, one_cube, tensor_cube
@@ -227,44 +227,44 @@ def solve_second_homotopy(target: CHomotopy):
     defect term sign * L Theta R is the block sign * (L kron R^T) of the
     linear system."""
     b, bp = target.src, target.dst
-    offs, total = {}, 0
+    unknowns, total = {}, 0
     for m, n, k in _keys(b, bp, 2):
         rows, cols = bp.cx(n).dim(k + n - m + 2), b.cx(m).dim(k)
         if rows and cols:
-            offs[(m, n, k)] = (total, rows, cols)
+            unknowns.setdefault((m, n), {})[k] = (total, rows, cols)
             total += rows * cols
-    shape = CFamily(b, bp, {}, 2)
-    blocks, rhsv, eqcount = [], {}, 0
+    eqs, rhsv, eqcount = {}, {}, 0
     for m, n, k in _keys(b, bp, 2):
         rows, cols = bp.cx(n).dim(k + n - m + 1), b.cx(m).dim(k)
         if not (rows and cols):
             continue
+        eqs[(m, n, k)] = eqcount
         mat = target.get(m, n, k)
         for (rr, cc), v in (() if mat is None else mat.items()):
             rhsv[(eqcount + rr * cols + cc, 0)] = v
-        for sign, left, key, right in shape.defect_terms(m, n, k):
-            slot = offs.get(key)
-            if slot is not None:
-                off, trows, tcols = slot
-                if left is None:
-                    left = RatMatrix.identity(trows)
-                if right is None:
-                    right = RatMatrix.identity(tcols)
-                blocks.append((eqcount, off, left.kron(right.transpose()), sign))
         eqcount += rows * cols
+    blocks = []
+    for sign, key, left, (off, trows, tcols), right in CFamily(
+            b, bp, {}, 2).defect_terms(unknowns):
+        if left is None:
+            left = RatMatrix.identity(trows)
+        if right is None:
+            right = RatMatrix.identity(tcols)
+        blocks.append((eqs[key], off, left.kron(right.transpose()), sign))
     sol = solve(_assemble(eqcount, total, blocks), RatMatrix(eqcount, 1, rhsv))
     if sol is None:
         return None
     comps = {}
-    for (m, n, k), (off, rows, cols) in offs.items():
-        ent = {}
-        for rr in range(rows):
-            for cc in range(cols):
-                v = sol[(off + rr * cols + cc, 0)]
-                if v != 0:
-                    ent[(rr, cc)] = v
-        if ent:
-            comps.setdefault((m, n), {})[k] = RatMatrix(rows, cols, ent)
+    for (m, n), per in unknowns.items():
+        for k, (off, rows, cols) in per.items():
+            ent = {}
+            for rr in range(rows):
+                for cc in range(cols):
+                    v = sol[(off + rr * cols + cc, 0)]
+                    if v != 0:
+                        ent[(rr, cc)] = v
+            if ent:
+                comps.setdefault((m, n), {})[k] = RatMatrix(rows, cols, ent)
     theta = CFamily(b, bp, comps, 2)
     return theta if theta.compare_defect(target)["ok"] else None
 
@@ -278,8 +278,8 @@ def rnd_retraction(rng: random.Random):
     e = rnd_ccomplex(rng)
     fmap = simple(CMap(b, e.shift(1), {})).proj
     a = fmap.src
-    gmap = family(b, a, 0, lambda m, n, k: None if m != n or (
-        mat := fmap.get(m, m, k)) is None else mat.transpose())
+    gmap = CMap(b, a, {(m, n): {k: mat.transpose() for k, mat in per.items()}
+                       for (m, n), per in fmap.comps.items() if m == n})
     h = rnd_homotopy_comps(rng, b, a)
     g2 = cmap_add(gmap, homotopy_defect(b, a, h))
     psi = compose(fmap, CHomotopy(b, a, h))

@@ -8,8 +8,9 @@ relations that make the signs of ``cubes.canonical`` load-bearing, and
 the closure-driven oracles of the gathered cube constructions and of the
 random generators, the hand-written component closures of the cone
 constructions of ``ccx`` that its block families replace, and the
-zero-filled defect comparison that ``ccx`` replaced with absent
-components."""
+zero-filled family algebra (composites, C-complex validation, defects and
+their comparison at every key) that ``ccx`` replaced with products over
+present components."""
 
 import math
 import random
@@ -45,6 +46,8 @@ __all__ = [
     "rnd_chain_complex_oracle", "ConeOracle", "phi_s_oracle",
     "section_t_oracle", "pi_homotopy_oracle", "cmap_add_oracle",
     "zero_filled", "compare_defect_oracle", "homotopy_validate_oracle",
+    "family", "compose_terms", "composite_oracle", "compose_oracle",
+    "validate_oracle", "defect_oracle",
 ]
 
 
@@ -390,6 +393,75 @@ def rnd_chain_complex_oracle(rng, degs=(0, 3), maxdim=3):
     return ccx.ChainComplex(dims, bnd)
 
 
+# -- the zero-filled family algebra ----------------------------------------
+
+def family(src, dst, reach, comp):
+    """The family of this reach whose (m, n, k) component is comp(m, n, k),
+    None for zero, at every key of ``ccx._keys``: a CMap for reach 0, a
+    CHomotopy for reach 1."""
+    comps = {}
+    for m, n, k in ccx._keys(src, dst, reach):
+        mat = comp(m, n, k)
+        if mat is not None:
+            comps.setdefault((m, n), {})[k] = mat
+    if reach == 0:
+        return ccx.CMap(src, dst, comps)
+    if reach == 1:
+        return ccx.CHomotopy(src, dst, comps)
+    return ccx.CFamily(src, dst, comps, reach)
+
+
+def compose_terms(g, f, m, n, k):
+    """The terms of (g f)^{m,n}_k as component keys: one pair ((l, n, k'),
+    (m, l, k)) of g^{l,n}_{k'} f^{m,l}_k for each index l of f's target
+    within both supports, with k' = k + l - m + (reach of f)."""
+    lo, hi = m - max(f.reach, 0), n + max(g.reach, 0)
+    shift = k - m + f.reach
+    for l in f.dst.indices():
+        if lo <= l <= hi:
+            yield (l, n, shift + l), (m, l, k)
+
+
+def composite_oracle(g, f, m, n, k):
+    """(g f)^{m,n}_k summed from the zero matrix of its shape over every
+    term of ``compose_terms``, each absent component zero-filled."""
+    acc = RatMatrix.zero(g.dst.cx(n).dim(k + n - m + f.reach + g.reach),
+                         f.src.cx(m).dim(k))
+    for gkey, fkey in compose_terms(g, f, m, n, k):
+        acc = acc + zero_filled(g, *gkey).mul(zero_filled(f, *fkey))
+    return acc
+
+
+def compose_oracle(g, f):
+    """``ccx.compose``: the composite at every key of its reach."""
+    return family(f.src, g.dst, f.reach + g.reach,
+                  lambda m, n, k: composite_oracle(g, f, m, n, k))
+
+
+def validate_oracle(cc):
+    """``CComplex.validate`` with (S S)^{m,n}_k zero-filled at every m < n
+    up to the largest index."""
+    idxs = cc.indices()
+    if not idxs:
+        return {"ok": True, "checked": 0}
+    for m in idxs:
+        rep = cc.cx(m).validate()
+        if not rep["ok"]:
+            rep["at"].update(m=m, n=m)
+            return rep
+    s = cc.structure()
+    checked = 0
+    lo, hi = min(idxs), max(idxs)
+    for m in range(lo, hi + 1):
+        for n in range(m + 1, hi + 1):
+            for k in cc.cx(m).degrees():
+                acc = composite_oracle(s, s, m, n, k)
+                checked += 1
+                if not acc.is_zero():
+                    return ccx._witness(checked, m, n, k, acc)
+    return {"ok": True, "checked": checked}
+
+
 # -- the cone constructions, one closure per component -------------------
 
 def zero_filled(fam, m, n, k):
@@ -445,12 +517,12 @@ class ConeOracle:
 
     @property
     def proj(self):
-        return ccx.family(self.ccx, self.a, 0, lambda m, n, k: _slot_unit(
+        return family(self.ccx, self.a, 0, lambda m, n, k: _slot_unit(
             *self.slots(m, k), 0) if m == n else None)
 
     @property
     def incl(self):
-        return ccx.family(self.b.shift(-1), self.ccx, 0,
+        return family(self.b.shift(-1), self.ccx, 0,
                           lambda m, n, k: _slot_unit(*self.slots(m, k), 1)
                           .transpose() if m == n else None)
 
@@ -464,7 +536,7 @@ def phi_s_oracle(parts, parts_p, phi_a, phi_b, h_f):
                              [(0, 0, zero_filled(phi_a, m, n, k), 1),
                               (ta, da, zero_filled(phi_b, m - 1, n - 1, k), 1),
                               (ta, 0, zero_filled(h_f, m, n - 1, k), 1)])
-    return ccx.family(parts.ccx, parts_p.ccx, 0, comp)
+    return family(parts.ccx, parts_p.ccx, 0, comp)
 
 
 def section_t_oracle(parts, f, g, psi):
@@ -495,8 +567,8 @@ def section_t_oracle(parts, f, g, psi):
         return ccx._assemble(ta + tb, b.cx(m).dim(k),
                              [(0, 0, zero_filled(g_psi, m, n, k), -1),
                               (ta, 0, zero_filled(psi_psi, m, n - 1, k), -1)])
-    return (ccx.family(a, cone, 0, t_comp), ccx.family(cone, cone, 1, psi1_comp),
-            ccx.family(b, cone, 1, psi2_comp))
+    return (family(a, cone, 0, t_comp), family(cone, cone, 1, psi1_comp),
+            family(b, cone, 1, psi2_comp))
 
 
 def pi_homotopy_oracle(parts_p, f, theta, h_f, h_g, psi_p, gp):
@@ -511,28 +583,24 @@ def pi_homotopy_oracle(parts_p, f, theta, h_f, h_g, psi_p, gp):
                               (0, 0, zero_filled(gp_hf, m, n, k), -1),
                               (ta, 0, zero_filled(psi_hf, m, n - 1, k), -1),
                               (ta, 0, zero_filled(theta_f, m, n - 1, k), 1)])
-    return ccx.family(f.src, parts_p.ccx, 1, comp)
+    return family(f.src, parts_p.ccx, 1, comp)
 
 
 def cmap_add_oracle(f, g, scale_g=1):
     """f + scale_g g, one matrix sum per component."""
-    return ccx.family(f.src, f.dst, f.reach,
+    return family(f.src, f.dst, f.reach,
                       lambda m, n, k: zero_filled(f, m, n, k)
                       + zero_filled(g, m, n, k).scale(scale_g))
 
 
 # -- the zero-filled defect comparison ------------------------------------
 
-def _defect_zero_filled(fam, m, n, k):
-    """D(fam)^{m,n}_k summed from the zero matrix of its shape."""
-    acc = RatMatrix.zero(fam.dst.cx(n).dim(k + n - m + fam.reach - 1),
-                         fam.src.cx(m).dim(k))
-    for sign, left, key, right in fam.defect_terms(m, n, k):
-        h = fam.get(*key)
-        if h is not None:
-            term = left.mul(h) if right is None else h.mul(right)
-            acc = acc + term if sign == 1 else acc - term
-    return acc
+def defect_oracle(fam, m, n, k):
+    """D(fam)^{m,n}_k = (S_B fam + (-1)^(reach+1) fam S_A)^{m,n}_k, each
+    composite zero-filled."""
+    sign = -1 if fam.reach % 2 == 0 else 1
+    return (composite_oracle(fam.dst.structure(), fam, m, n, k)
+            + composite_oracle(fam, fam.src.structure(), m, n, k).scale(sign))
 
 
 def compare_defect_oracle(fam, target=None):
@@ -541,7 +609,7 @@ def compare_defect_oracle(fam, target=None):
     component in validation order; the first differing entry."""
     checked = 0
     for m, n, k in ccx._keys(fam.src, fam.dst, fam.reach):
-        diff = _defect_zero_filled(fam, m, n, k)
+        diff = defect_oracle(fam, m, n, k)
         if target is not None:
             diff = diff - target(m, n, k)
         checked += 1

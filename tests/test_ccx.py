@@ -16,8 +16,10 @@ from cubehom.rand import (rnd_ccomplex, rnd_chain_complex, rnd_cmap,
                           rnd_invertible, rnd_matrix, rnd_retraction,
                           rnd_second_homotopy_setup, solve_second_homotopy)
 from helpers import (ConeOracle, cmap_add_oracle, compare_defect_oracle,
+                     compose_oracle, composite_oracle, defect_oracle,
                      from_rows, homotopy_validate_oracle, phi_s_oracle,
-                     pi_homotopy_oracle, section_t_oracle, zero_filled)
+                     pi_homotopy_oracle, section_t_oracle, validate_oracle,
+                     zero_filled)
 
 
 def test_validate_single_complex():
@@ -518,12 +520,18 @@ def test_homotopy_defect_is_the_defect_of_each_component():
     comps = rnd_homotopy_comps(rng, a, b)
     h = CHomotopy(a, b, comps)
     d = homotopy_defect(a, b, comps)
-    assert d.validate()["ok"]
-    for m, n, k in ccx._keys(a, b, 0):
-        want = h.defect(m, n, k)
+    assert d.validate()["ok"] and d.comps
+    # the family-level defect has a component only where a term is
+    # present, each equal to the zero-filled sum of every term
+    defect = h.defect()
+    keys = list(ccx._keys(a, b, 0))
+    assert set(defect) <= set(keys)
+    for m, n, k in keys:
+        want = defect.get((m, n, k))
         if want is not None and want.is_zero():
             want = None
         assert d.get(m, n, k) == want
+        assert zero_filled(d, m, n, k) == defect_oracle(h, m, n, k)
 
 
 def test_indices_are_the_sorted_nonzero_complexes():
@@ -586,6 +594,127 @@ def test_defect_reports_match_the_zero_filled_oracle():
     assert sum(not want["ok"] for _, want in cases) >= 8
 
 
+def _rnd_family(rng, src, dst, reach):
+    """A random family of this reach with a component at about half of its
+    keys."""
+    comps = {}
+    for m, n, k in ccx._keys(src, dst, reach):
+        rows, cols = dst.cx(n).dim(k + n - m + reach), src.cx(m).dim(k)
+        if rows and cols and rng.random() < 0.5:
+            comps.setdefault((m, n), {})[k] = rnd_matrix(rng, rows, cols)
+    return CFamily(src, dst, comps, reach)
+
+
+REACHES = (-1, 0, 1, 2)
+
+
+def test_compose_matches_the_zero_filled_oracle_for_every_pair_of_reaches():
+    rng = random.Random(44)
+    nonzero = 0
+    for _ in range(3):
+        a, b, c = (rnd_ccomplex(rng, steps=(1, 2)) for _ in range(3))
+        fams = {r: _rnd_family(rng, a, b, r) for r in REACHES}
+        for rf, f in fams.items():
+            for rg in REACHES:
+                g = _rnd_family(rng, b, c, rg)
+                got, want = compose(g, f), compose_oracle(g, f)
+                assert type(got) is type(want)
+                assert got.reach == want.reach == rf + rg
+                assert got.comps == want.comps
+                nonzero += bool(got.comps)
+        # with structure families on either side
+        for left, right in ((b.structure(), fams[1]), (fams[2], a.structure()),
+                            (c.structure(), g)):
+            assert compose(left, right).comps == \
+                compose_oracle(left, right).comps
+    assert nonzero >= 24
+
+
+def test_compose_drops_a_product_beyond_its_reach():
+    # S h of a homotopy h has reach 0, so its term S^{n,n} h^{n+1,n} on
+    # (n+1, n) lies beyond it: dropped, as the oracle's keys drop it
+    rng = random.Random(47)
+    found = 0
+    while found < 4:
+        a, b = rnd_ccomplex(rng, steps=(1, 2)), rnd_ccomplex(rng, steps=(1, 2))
+        s = b.structure()
+        spots = [(n, k, r) for n in b.indices() if n + 1 in a.indices()
+                 for k in a.cx(n + 1).degrees()
+                 if (d := s.get(n, n, k)) is not None for _, r in d.num]
+        if not spots:
+            continue
+        found += 1
+        n, k, r = rng.choice(spots)
+        h = _rnd_family(rng, a, b, 1)
+        comps = {key: dict(per) for key, per in h.comps.items()}
+        comps.setdefault((n + 1, n), {})[k] = RatMatrix(
+            b.cx(n).dim(k), a.cx(n + 1).dim(k), {(r, 0): 1})
+        h = CHomotopy(a, b, comps)
+        assert not composite_oracle(s, h, n + 1, n, k).is_zero()
+        got = compose(s, h)
+        assert type(got) is CMap and (n + 1, n) not in got.comps
+        assert got.comps == compose_oracle(s, h).comps
+
+
+def _perturbed(rng, cc):
+    """cc with a random matrix added to one connecting map F^{m,n}_k, or
+    None when no (m, n, k) has both ends."""
+    idxs = cc.indices()
+    spots = [(m, n, k) for m in idxs for n in idxs if m < n
+             for k in cc.cx(m).degrees() if cc.cx(n).dim(k + n - m - 1)]
+    if not spots:
+        return None
+    m, n, k = rng.choice(spots)
+    fmaps = {key: dict(per) for key, per in cc.fmaps.items()}
+    bump = rnd_matrix(rng, cc.cx(n).dim(k + n - m - 1), cc.cx(m).dim(k))
+    per = fmaps.setdefault((m, n), {})
+    per[k] = per[k] + bump if k in per else bump
+    return CComplex(cc.complexes, fmaps)
+
+
+def test_ccomplex_validate_matches_the_zero_filled_oracle():
+    rng = random.Random(45)
+    cases = []
+    for _ in range(6):
+        a, b, f, g, psi = rnd_retraction(rng)
+        for cc in (a, b, simple(f).ccx, simple(g).ccx):
+            cases.append((cc.validate(), validate_oracle(cc)))
+            bad = _perturbed(rng, cc)
+            if bad is not None:
+                cases.append((bad.validate(), validate_oracle(bad)))
+    for got, want in cases:
+        assert got == want
+    assert sum(not want["ok"] for _, want in cases) >= 8
+    assert sum(want["ok"] and want["checked"] > 0 for _, want in cases) >= 8
+
+
+def test_family_defect_matches_the_zero_filled_oracle():
+    # the defect of a random family of each reach, against its target or
+    # zero: components only at keys of the family's reach, each the
+    # zero-filled sum, and the same first failing entry
+    rng = random.Random(46)
+    failing = present = 0
+    for _ in range(6):
+        a, b = rnd_ccomplex(rng, steps=(1, 2)), rnd_ccomplex(rng, steps=(1, 2))
+        for reach in REACHES:
+            h = _rnd_family(rng, a, b, reach)
+            defect = h.defect()
+            keys = list(ccx._keys(a, b, reach))
+            assert set(defect) <= set(keys)
+            present += bool(defect)
+            for key in keys:
+                got, want = defect.get(key), defect_oracle(h, *key)
+                assert want.is_zero() if got is None else got == want
+            target = _rnd_family(rng, a, b, reach - 1)
+            for rep, oracle in (
+                    (h.compare_defect(), compare_defect_oracle(h)),
+                    (h.compare_defect(target), compare_defect_oracle(
+                        h, lambda m, n, k: zero_filled(target, m, n, k)))):
+                assert rep == oracle
+                failing += not rep["ok"]
+    assert failing >= 24 and present >= 12
+
+
 # The ccx.py functions that may ask for a zero matrix, with the reason.
 ZERO_ALLOWED = {
     "CMap.tot": "Tot(f) is a matrix in every total degree, the zero matrix "
@@ -609,5 +738,12 @@ def test_ccx_builds_no_zero_matrix(monkeypatch):
     for name, trials in (("ccx.relation", 3), ("ccx.cone-section", 3),
                          ("ccx.cone-map", 3), ("ccx.second-homotopy", 2)):
         assert suites.run_suite(name, trials=trials, seed=1)["ok"]
+    # homology reads an absent boundary as rank 0; the lowest boundary of
+    # a complex is always absent
+    rng = random.Random(8)
+    for cx in [ChainComplex({0: 2, 1: 1}, {})] + [
+            rnd_ccomplex(rng).tot() for _ in range(4)]:
+        h = cx.homology()
+        assert sum(h.values()) <= sum(cx.dims.values())
     assert {name: n for name, n in callers.items()
             if name not in ZERO_ALLOWED} == {}

@@ -45,6 +45,29 @@ def matrices(draw, max_dim=6):
                                    if j not in zero_cols}))
 
 
+@st.composite
+def permutation_like(draw, max_dim=8):
+    """A nonzero fraction at each position of a partial permutation, a few
+    more entries at most: most rows have a zero in most pivot columns, so
+    an elimination scales them often and eliminates them rarely."""
+    r = draw(st.integers(1, max_dim))
+    c = draw(st.integers(1, max_dim))
+    cols = draw(st.permutations(range(max(r, c))))
+    ent = {(i, j): draw(fractions) for i, j in enumerate(cols[:r]) if j < c}
+    for i, j, v in draw(st.lists(st.tuples(st.integers(0, r - 1),
+                                           st.integers(0, c - 1), fractions),
+                                 max_size=2)):
+        ent[(i, j)] = v
+    return normal(RatMatrix(r, c, ent))
+
+
+@st.composite
+def augmented(draw):
+    """[m | I], the shape ``solve`` eliminates to invert m."""
+    m = draw(st.one_of(matrices(), permutation_like()))
+    return normal(m.hstack(RatMatrix.identity(m.rows)))
+
+
 def grid(r, c, entries):
     return st.lists(entries, min_size=r * c, max_size=r * c).map(
         lambda vals: normal(RatMatrix(r, c, {(i, j): vals[i * c + j]
@@ -105,7 +128,7 @@ def sympy_rank(m):
 
 
 @PROPS
-@given(matrices())
+@given(st.one_of(matrices(), permutation_like(), augmented()))
 def test_rref_equals_rational_gauss_jordan(m):
     a, got_pivots, p = rref(m)
     want_rows, want_pivots = reference_rref(m)
